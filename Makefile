@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build vet test race race-hot metrics-lint lint lint-install fmt-check chaos chaos-cluster chaos-qos cluster-smoke soak-spill bench bench-all experiments cover fmt clean
+.PHONY: all check build vet test race race-hot bench-check loc metrics-lint lint lint-install fmt-check chaos chaos-cluster chaos-qos cluster-smoke soak-spill bench bench-all experiments cover fmt clean
 
 # Pinned linter versions. CI installs exactly these (the lint job runs
 # `make lint-install`); bump them deliberately, in one place.
@@ -14,8 +14,9 @@ all: check
 # The full PR gate — the exact set CI runs (.github/workflows/ci.yml
 # invokes this one target, so local `make check` and CI cannot drift):
 # formatting, build, vet, static analysis, the full test suite, the
-# race detector across every package, and the metric-name lint.
-check: fmt-check build vet lint test race metrics-lint
+# race detector across every package, the benchmark module's own vet and
+# tests, the metric-name lint, and the line counts.
+check: fmt-check build vet lint test race bench-check metrics-lint loc
 
 # Static analysis and known-vulnerability scan. Soft-skips any tool
 # that is not installed (offline dev containers cannot `go install`);
@@ -63,6 +64,22 @@ race:
 # of `make race`, wired into `make check`).
 race-hot:
 	$(GO) test -race ./internal/core ./internal/sds ./internal/kvstore ./internal/spill
+
+# bench/ is a module of its own (it is what BENCHMARK.json runs), so
+# `go build ./...` and `go test ./...` at the root never compile it.
+# Vet and test it here, so a kvstore API break against the benchmark is
+# caught before the benchmark pipeline is what finds it.
+bench-check:
+	$(GO) vet -C bench ./...
+	$(GO) test -C bench ./...
+
+# Non-test Go line counts the simplicity issues quote: the kvstore
+# package, and the repository outside the benchmark module.
+loc:
+	@printf 'internal/kvstore non-test Go lines: '
+	@find internal/kvstore -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l
+	@printf 'repo non-test Go lines outside bench/: '
+	@find . -path ./bench -prune -o -path ./.bench_build -prune -o -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l
 
 # Crash-recovery chaos suite (DESIGN.md "Chaos invariants"): real smd
 # and softkv processes, the daemon killed by an armed fault point

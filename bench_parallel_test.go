@@ -91,7 +91,7 @@ func benchParallelKV(b *testing.B, shards int) {
 	machine := pages.NewPool(0)
 	sma := core.New(core.Config{Machine: machine})
 	defer sma.Close()
-	store := kvstore.NewFromConfig(kvstore.Config{SMA: sma, Shards: shards})
+	store := kvstore.New(sma, kvstore.WithShards(shards))
 	defer store.Close()
 	const keys = 4096
 	val := make([]byte, 512)

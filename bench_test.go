@@ -134,7 +134,7 @@ func BenchmarkReclaim2MiB(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		sma := core.New(core.Config{Machine: pages.NewPool(0)})
-		store := kvstore.NewFromConfig(kvstore.Config{SMA: sma, CleanupWork: 200})
+		store := kvstore.New(sma, kvstore.WithCleanupWork(200))
 		for k := 0; k < 65536; k++ {
 			if err := store.Set(trace.Key(uint64(k)), value); err != nil {
 				b.Fatal(err)
@@ -152,7 +152,7 @@ func BenchmarkKillRefill(b *testing.B) {
 	value := make([]byte, 64)
 	for i := 0; i < b.N; i++ {
 		sma := core.New(core.Config{Machine: pages.NewPool(0)})
-		store := kvstore.NewFromConfig(kvstore.Config{SMA: sma})
+		store := kvstore.New(sma)
 		for k := 0; k < 65536; k++ {
 			if err := store.Set(trace.Key(uint64(k)), value); err != nil {
 				b.Fatal(err)
@@ -389,7 +389,7 @@ func BenchmarkSoftSortedMapPutGet(b *testing.B) {
 // TCP loopback (the serving stack of cmd/softkv).
 func BenchmarkKVServerLoopback(b *testing.B) {
 	sma := core.New(core.Config{Machine: pages.NewPool(0)})
-	store := kvstore.NewFromConfig(kvstore.Config{SMA: sma})
+	store := kvstore.New(sma)
 	defer store.Close()
 	srv := kvstore.NewServer(store, func(string, ...any) {})
 	addr, err := srv.Listen("tcp", "127.0.0.1:0")

@@ -14,10 +14,10 @@ import (
 // once, runs a whole batch of operations against the SDS with zero
 // per-operation mutex traffic, and releases it when the ring drains.
 //
-// Cooperation instead of starvation: everything else in the process —
-// reclamation demands above all — still takes the lock through
-// Context.lock(), which advertises the waiter in a counter the owner
-// polls (Contended/Yield). The owner hands the lock over between
+// Cooperation instead of starvation: every blocking acquisition in the
+// process — reclamation demands above all, and other Owned handles —
+// goes through Context.lock(), which advertises the waiter in a counter
+// the holder polls (Contended/Yield). The owner hands the lock over between
 // commands, so "eviction never races command execution": reclaim runs
 // only in the windows the owner explicitly opens, never mid-operation.
 //
@@ -34,7 +34,7 @@ type Owned struct {
 
 	// waitNs accumulates time spent blocked inside Acquire; stallNs
 	// accumulates contended-Yield windows (the lock handed over to a
-	// reclamation demand or legacy locker and re-taken). Plain fields,
+	// reclamation demand or another locker and re-taken). Plain fields,
 	// not atomics: an Owned belongs to exactly one goroutine, and
 	// latency-attribution readers take per-command deltas on that same
 	// goroutine. Both are accounted only on paths that already block, so
@@ -85,12 +85,15 @@ func (o *Owned) Acquire() error { return o.acquire(true) }
 func (o *Owned) acquire(timed bool) error {
 	c := o.ctx
 	if !c.mu.TryLock() {
+		// Block the waiter-visible way (Context.lock): the current holder —
+		// an owner mid-drain — sees the waiter at its next Yield instead of
+		// finishing its whole ring first.
 		if timed {
 			t0 := time.Now()
-			c.mu.Lock()
+			c.lock()
 			o.waitNs += time.Since(t0).Nanoseconds()
 		} else {
-			c.mu.Lock()
+			c.lock()
 		}
 	}
 	if c.closed {
@@ -144,7 +147,7 @@ func (o *Owned) Contended() bool { return o.ctx.lockers.Load() != 0 }
 // Yield ensures the lock is held, handing it over first if someone is
 // waiting. Owners call it between commands: uncontended it is a single
 // atomic load; contended it releases, reschedules, and re-acquires, so a
-// reclamation demand (or any legacy locker) gets its turn. It fails with
+// reclamation demand (or any other waiter) gets its turn. It fails with
 // ErrClosed when the context closed while the lock was away.
 func (o *Owned) Yield() error {
 	if !o.held {

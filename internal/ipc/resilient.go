@@ -26,22 +26,6 @@ type Process interface {
 	ResetBudget(n int)
 }
 
-// ResilientConfig configures DialResilientConfig.
-//
-// Deprecated: use DialResilient with DialOptions (WithBackoff, WithLogf,
-// WithDialTimeout) instead of positional config growth.
-type ResilientConfig struct {
-	Network string
-	Addr    string
-	Name    string
-	// Backoff is the initial reconnect delay (default 100ms), doubling
-	// to MaxBackoff (default 5s).
-	Backoff    time.Duration
-	MaxBackoff time.Duration
-	// Logf (nil = log.Printf) receives connection lifecycle messages.
-	Logf func(string, ...any)
-}
-
 // Resilient is a daemon client that survives daemon restarts: when the
 // connection drops it redials with backoff, re-registers, and resyncs
 // the process's budget with the (possibly fresh) daemon. Budget calls
@@ -89,14 +73,6 @@ func DialResilient(network, addr, name string, proc Process, opts ...DialOption)
 	r.cli = cli
 	go r.watch(cli)
 	return r, nil
-}
-
-// DialResilientConfig is the positional-config form of DialResilient.
-//
-// Deprecated: use DialResilient with DialOptions.
-func DialResilientConfig(cfg ResilientConfig, proc Process) (*Resilient, error) {
-	return DialResilient(cfg.Network, cfg.Addr, cfg.Name, proc,
-		WithBackoff(cfg.Backoff, cfg.MaxBackoff), WithLogf(cfg.Logf))
 }
 
 // dial performs one connection attempt with the client's options.

@@ -151,10 +151,7 @@ func TestResilientClose(t *testing.T) {
 	_, srv := startServerOn(t, addr, smd.Config{TotalPages: 100})
 	defer srv.Close()
 	sma := core.New(core.Config{Machine: pages.NewPool(0)})
-	rc, err := DialResilientConfig(ResilientConfig{
-		Network: "tcp", Addr: addr, Name: "p",
-		Logf: func(string, ...any) {},
-	}, sma)
+	rc, err := DialResilient("tcp", addr, "p", sma, WithLogf(func(string, ...any) {}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,10 +31,10 @@ func TestReplyZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestDispatchZeroAllocsGET pins the whole server-side GET hot path
-// (parse + dispatch + reply) minus the store lookup's own allocations
-// at the documented floor: the only allocation is the key's
-// string(args[1]) conversion inside dispatch.
+// TestDispatchZeroAllocsGET pins the whole server-side depth-1 GET path
+// (parse + enqueue + settle + reply) at the documented floor: the only
+// allocation is the key's string(args[1]) conversion into its batch
+// slot.
 func TestDispatchZeroAllocsGET(t *testing.T) {
 	st, _ := newStore(t, 0)
 	if err := st.Set("bench-key", bytes.Repeat([]byte("v"), 64)); err != nil {
@@ -45,6 +45,7 @@ func TestDispatchZeroAllocsGET(t *testing.T) {
 	rd := bytes.NewReader(payload)
 	cr := newCmdReader(bufio.NewReader(rd))
 	rw := newRespWriter(bufio.NewWriterSize(io.Discard, 4096))
+	ce := srv.newConnExec()
 	n := testing.AllocsPerRun(200, func() {
 		rd.Reset(payload)
 		cr.lr.r.Reset(rd)
@@ -52,14 +53,15 @@ func TestDispatchZeroAllocsGET(t *testing.T) {
 		if err != nil {
 			panic(err)
 		}
-		srv.execute(rw, canonicalCommand(args[0]), args)
+		ce.serve(rw, canonicalCommand(args[0]), args)
+		ce.settle(rw)
 		if err := rw.flush(); err != nil {
 			panic(err)
 		}
 	})
-	// The value comes out of the store via GetAppend into the
-	// connection's scratch, so the whole round trip's only allocation
-	// is the key's string(args[1]) conversion.
+	// The value comes out of the store into the batch slot's reused
+	// scratch, so the whole round trip's only allocation is the key's
+	// string(args[1]) conversion.
 	if n > 1 {
 		t.Fatalf("GET round trip allocates %.1f allocs/op, want <= 1", n)
 	}
@@ -118,7 +120,7 @@ func BenchmarkReply(b *testing.B) {
 
 func BenchmarkDispatchGET(b *testing.B) {
 	sma := core.New(core.Config{Machine: pages.NewPool(0)})
-	st := NewFromConfig(Config{SMA: sma})
+	st := New(sma)
 	b.Cleanup(st.Close)
 	if err := st.Set("bench-key", bytes.Repeat([]byte("v"), 256)); err != nil {
 		b.Fatal(err)
@@ -128,6 +130,7 @@ func BenchmarkDispatchGET(b *testing.B) {
 	rd := bytes.NewReader(payload)
 	cr := newCmdReader(bufio.NewReader(rd))
 	rw := newRespWriter(bufio.NewWriterSize(io.Discard, 4096))
+	ce := srv.newConnExec()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -137,7 +140,8 @@ func BenchmarkDispatchGET(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		srv.execute(rw, canonicalCommand(args[0]), args)
+		ce.serve(rw, canonicalCommand(args[0]), args)
+		ce.settle(rw)
 		if err := rw.flush(); err != nil {
 			b.Fatal(err)
 		}

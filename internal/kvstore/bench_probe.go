@@ -88,7 +88,7 @@ func DispatchProbe() (probe, cleanup func()) {
 
 // LockFreeGetProbe returns a closure that serves one single-key GET
 // through the full dispatch path (Batch.Exec single-command fast path →
-// Store.Do → Store.GetAppend) on a lock-free store, plus a stats func
+// Store.Do's optimistic probe) on a lock-free store, plus a stats func
 // and a cleanup func. Shaped for testing.AllocsPerRun: the reusable
 // Batch and epoch-protected optimistic read make a hit cost at most the
 // one value-copy allocation. stats exposes the store's lock-free

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"softmem/internal/core"
+	"softmem/internal/sds"
 )
 
 // Op names one store operation in the typed dispatch interface. The RESP
@@ -145,7 +146,11 @@ func (b *Batch) Add(op Op, key string) int {
 	}
 	c := &b.cmds[i]
 	val := c.Val[:0] // keep the slot's scratch across reuse
-	*c = Command{Op: op, Key: key, Val: val, shard: int32(b.s.shardIdx(key))}
+	// Zero, then assign field by field: a Command literal would be built
+	// in a temporary and copied in, and that copy's wide loads stall on
+	// the narrow stores just made (~40 ns per command, measured).
+	*c = Command{}
+	c.Op, c.Key, c.Val, c.shard = op, key, val, int32(b.s.shardIdx(key))
 	return i
 }
 
@@ -233,50 +238,82 @@ func (b *Batch) Exec() error {
 	return nil
 }
 
-// Do executes one command inline on the calling goroutine through the
-// store's direct methods (which serialize against the shard owners via
-// the heap locks). It is the single-command fast path Exec uses and the
-// facade's one-shot entry point; results land in c and c.Err is
-// returned.
+// Do executes one command inline on the calling goroutine: it takes the
+// key's shard lock through a stack-local core.Owned (visible to an owner
+// mid-drain, which hands over at its next Yield), runs the same exec the
+// shard owners run, and releases. It is the single-command path Exec
+// uses, what every direct Store method wraps, and the facade's one-shot
+// entry point; results land in c and c.Err is returned.
+//
+// GET and EXISTS first try the optimistic lock-free probe — zero
+// mutexes, zero Owned acquisitions, epoch-protected byte copy. This is
+// the only place the probe is issued: callers that already hold the
+// shard lock (owners, caller-runs groups) read under it instead. The
+// locked path runs only when the probe cannot decide (condemned entry,
+// reader-slot exhaustion), when a pending TTL expiry must be collected,
+// or when a miss must consult the spill tier for a promotion.
 func (s *Store) Do(c *Command) error {
-	switch c.Op {
-	case OpGet:
-		c.Val, c.Ok, c.Err = s.GetAppend(c.Val[:0], c.Key)
-	case OpSet:
-		c.Err = s.Set(c.Key, c.Arg)
-	case OpDel:
-		c.Ok, c.Err = s.Del(c.Key)
-		if c.Ok {
-			c.N = 1
-		}
-	case OpIncr:
-		c.N, c.Err = s.Incr(c.Key, c.Delta)
-	case OpAppend:
-		var n int
-		n, c.Err = s.Append(c.Key, c.Arg)
-		c.N = int64(n)
-	case OpStrLen:
-		c.N = int64(s.StrLen(c.Key))
-	case OpExists:
-		c.Ok = s.Exists(c.Key)
-	case OpExpire:
-		c.Ok = s.Expire(c.Key, time.Duration(c.Delta))
-	case OpTTL:
-		d, exists, hasTTL := s.TTL(c.Key)
-		c.Ok = exists
-		if hasTTL {
-			c.N = int64(d)
-		} else {
-			c.N = -1
-		}
-	case OpPersist:
-		c.Ok = s.Persist(c.Key)
-	case opSweep:
-		c.N = int64(s.sweepShardDirect(int(c.shard)))
-	default:
-		c.Err = errUnknownOp(c.Op)
+	c.Ok, c.N, c.Err, c.phaseNs = false, 0, nil, [numCmdPhases]int64{}
+	sh := s.shard(c.Key)
+	if c.Op == opSweep {
+		sh = s.shards[c.shard]
 	}
+	a := s.attrib.Load()
+	if c.Op == OpGet || c.Op == OpExists {
+		var t0 time.Time
+		if a != nil {
+			t0 = time.Now()
+		}
+		if s.probe(sh, c) {
+			if a != nil {
+				// A lock-free read is all execution: no queue, no lock.
+				c.phaseNs[phaseExec] = time.Since(t0).Nanoseconds()
+				a.observeCmd(c)
+			}
+			return nil
+		}
+	}
+	o := sh.ht.Context().Own()
+	s.run(a, o, sh, c, 0)
+	o.Release()
 	return c.Err
+}
+
+// probe is the optimistic lock-free read for GET and EXISTS, reporting
+// whether it settled the command.
+func (s *Store) probe(sh *shard, c *Command) bool {
+	get := c.Op == OpGet
+	if sh.ttl.due(c.Key) {
+		// The deadline is due. If the key is confirmed absent from both
+		// tiers (already revoked, deleted, or collected) there is nothing
+		// to expire, so the miss stays lock-free: drop the stale deadline
+		// without touching the shard's heap lock, exactly as expire would
+		// (no expiry is counted for absent keys).
+		if sh.ht.ContainsLockFree(c.Key) != sds.LookupMiss || (s.spill != nil && s.spill.Contains(c.Key)) {
+			return false
+		}
+		sh.ttl.clear(c.Key)
+		if get {
+			c.Val = c.Val[:0]
+			s.countRead(false)
+		}
+		return true
+	}
+	if !get {
+		// Only a hit is final: a miss or retry still has the condemned
+		// races and the spill tier to settle under the lock.
+		c.Ok = sh.ht.ContainsLockFree(c.Key) == sds.LookupHit
+		return c.Ok
+	}
+	v, res := sh.ht.GetAppendLockFree(c.Val[:0], c.Key)
+	// A definite miss with a spill tier attached still needs the locked
+	// promotion path.
+	if res == sds.LookupRetry || (res == sds.LookupMiss && s.spill != nil) {
+		return false
+	}
+	c.Val, c.Ok = v, res == sds.LookupHit
+	s.countRead(c.Ok)
+	return true
 }
 
 func errUnknownOp(op Op) error {

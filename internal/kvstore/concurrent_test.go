@@ -19,7 +19,7 @@ import (
 func TestStoreConcurrentSharded(t *testing.T) {
 	machine := pages.NewPool(0)
 	sma := core.New(core.Config{Machine: machine})
-	st := NewFromConfig(Config{SMA: sma, Shards: 8, Policy: sds.EvictLRU})
+	st := New(sma, WithShards(8), WithPolicy(sds.EvictLRU))
 
 	stop := make(chan struct{})
 	var bg sync.WaitGroup
@@ -122,7 +122,7 @@ func TestStoreConcurrentSharded(t *testing.T) {
 func TestStoreShardRouting(t *testing.T) {
 	for _, shards := range []int{1, 3, 8} {
 		sma := core.New(core.Config{Machine: pages.NewPool(0)})
-		st := NewFromConfig(Config{SMA: sma, Shards: shards})
+		st := New(sma, WithShards(shards))
 		want := shards
 		if want <= 1 {
 			want = 1

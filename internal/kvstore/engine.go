@@ -1,6 +1,7 @@
 package kvstore
 
 import (
+	"fmt"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -22,7 +23,7 @@ const defaultOwnerQueue = 256
 // command ring. The owner goroutine is the only executor of ring work,
 // so per-shard command execution is single-writer (shared-nothing); the
 // shard's heap lock is held by the owner across whole batches and
-// yielded cooperatively to reclamation demands and legacy callers.
+// yielded cooperatively to reclamation demands and inline callers.
 type shard struct {
 	ht    *sds.SoftHashTable[string]
 	ttl   *ttlTable
@@ -31,23 +32,24 @@ type shard struct {
 	label string // decimal shard index, preformatted for pprof labels
 
 	// Owner-side telemetry (read by EngineStats/metrics).
-	cmds    atomic.Int64 // commands executed by the owner
-	batches atomic.Int64 // shard batches drained from the ring
+	cmds    atomic.Int64 // commands executed under the shard's owned lock
+	batches atomic.Int64 // shard batches executed (owner or caller-runs)
 	busyNs  atomic.Int64 // cumulative wall time the owner spent executing
 }
 
 // EngineStats is a snapshot of the execution engine's own accounting,
 // aggregated over every shard owner.
 type EngineStats struct {
-	// Commands and Batches are ring work executed by owners; their ratio
-	// is the realized batching factor.
+	// Commands counts every command executed under a shard's owned lock
+	// (by owners, caller-runs groups and Store.Do alike; lock-free read
+	// hits take no lock and are not counted). Batches counts the shard
+	// groups among them.
 	Commands int64
 	Batches  int64
-	// LockAcquisitions counts shard heap-lock acquisitions by executors
-	// (owner goroutines and caller-runs batches alike).
-	// Commands/LockAcquisitions is the lock-amortization evidence: a
-	// single-key GET or SET executed under an owned lock acquires no
-	// mutex of its own.
+	// LockAcquisitions counts shard heap-lock acquisitions by those same
+	// executors. Commands/LockAcquisitions is the lock-amortization
+	// evidence: 1 for a stream of direct calls, the group size for
+	// pipelined batches.
 	LockAcquisitions int64
 	// BusyNs is cumulative owner execution time; divided by wall time and
 	// shard count it is owner utilization.
@@ -120,7 +122,7 @@ func (s *Store) stopEngine() {
 // run-to-completion, draining opportunistically while work keeps
 // arriving so the lock is amortized over as many commands as possible.
 // Between commands it yields the lock to any waiter (reclamation
-// demands, stats, legacy direct calls) via the context's contention
+// demands, stats, Store.Do callers) via the context's contention
 // counter — one atomic load when uncontended.
 func (s *Store) ownerLoop(sh *shard) {
 	defer s.ownerWG.Done()
@@ -161,91 +163,116 @@ func (s *Store) ownerLoop(sh *shard) {
 // runShardBatch executes one shard batch's commands in order and
 // completes it against the owning Batch. The heap lock is taken at most
 // once for the whole slice (Yield re-takes it only when contended or
-// dropped by a slow path). With attribution enabled the timed twin
-// stamps each command's phase span; the disabled path is unchanged —
-// one atomic pointer load, no clock reads beyond what existed before.
+// dropped by a slow path). With attribution enabled the group's ring
+// wait is charged to every command as queue time.
 func (s *Store) runShardBatch(o *core.Owned, sh *shard, g *shardBatch) {
 	b := g.b
-	var ran int
-	if a := s.attrib.Load(); a != nil {
-		ran = s.runTimed(a, o, sh, g)
-	} else {
-		for _, ci := range g.idxs {
-			c := &b.cmds[ci]
-			if err := o.Yield(); err != nil {
-				c.Err = err
-				continue
-			}
-			s.execLabeled(o, sh, c)
-			ran++
+	a := s.attrib.Load()
+	queueNs := int64(0)
+	if a != nil && g.submitNs != 0 {
+		if queueNs = nowNanos() - g.submitNs; queueNs < 0 {
+			queueNs = 0
 		}
 	}
+	for _, ci := range g.idxs {
+		s.run(a, o, sh, &b.cmds[ci], queueNs)
+	}
 	g.idxs = g.idxs[:0]
-	sh.cmds.Add(int64(ran))
 	sh.batches.Add(1)
 	if b.pending.Add(-1) == 0 {
 		b.done <- struct{}{}
 	}
 }
 
-// runTimed is runShardBatch's attribution-enabled body: the group's ring
-// wait is charged to every command as queue time, and around each
-// command the Owned handle's wait/stall deltas split the wall time into
-// lock wait, reclaim-yield stall, spill promotion (stamped inside
-// ownedLookup), and the execution residual.
-func (s *Store) runTimed(a *attribState, o *core.Owned, sh *shard, g *shardBatch) int {
-	b := g.b
-	queueNs := int64(0)
-	if g.submitNs != 0 {
-		if queueNs = nowNanos() - g.submitNs; queueNs < 0 {
-			queueNs = 0
-		}
-		g.submitNs = 0
-	}
-	ran := 0
-	for _, ci := range g.idxs {
-		c := &b.cmds[ci]
+// run executes one command under o — the per-command body every entry
+// point shares: shard owners and caller-runs groups arrive holding the
+// lock, Store.Do arrives with a fresh handle, and Yield covers both
+// (acquire when unheld, hand over when contended). With attribution
+// enabled (a != nil) the Owned handle's wait/stall deltas split the
+// command's wall time into lock wait, reclaim-yield stall, spill
+// promotion (stamped inside lookup) and the execution residual; the
+// disabled path reads no clock.
+func (s *Store) run(a *attribState, o *core.Owned, sh *shard, c *Command, queueNs int64) {
+	var t0 time.Time
+	var w0, y0 int64
+	if a != nil {
 		c.phaseNs[phaseQueue] = queueNs
-		w0, y0 := o.WaitNanos(), o.StallNanos()
-		t0 := time.Now()
-		if err := o.Yield(); err != nil {
-			c.Err = err
-			continue
-		}
-		s.execLabeled(o, sh, c)
-		wall := time.Since(t0).Nanoseconds()
-		c.phaseNs[phaseLockWait] = o.WaitNanos() - w0
-		c.phaseNs[phaseYieldStall] = o.StallNanos() - y0
-		exec := wall - c.phaseNs[phaseLockWait] - c.phaseNs[phaseYieldStall] - c.phaseNs[phaseSpillPromote]
-		if exec < 0 {
-			exec = 0
-		}
-		c.phaseNs[phaseExec] = exec
-		a.observeCmd(c)
-		ran++
+		t0, w0, y0 = time.Now(), o.WaitNanos(), o.StallNanos()
 	}
-	return ran
+	if err := o.Yield(); err != nil {
+		c.Err = err
+		return
+	}
+	s.execLabeled(o, sh, c)
+	if a == nil {
+		return
+	}
+	wall := time.Since(t0).Nanoseconds()
+	c.phaseNs[phaseLockWait] = o.WaitNanos() - w0
+	c.phaseNs[phaseYieldStall] = o.StallNanos() - y0
+	exec := wall - c.phaseNs[phaseLockWait] - c.phaseNs[phaseYieldStall] - c.phaseNs[phaseSpillPromote]
+	if exec < 0 {
+		exec = 0
+	}
+	c.phaseNs[phaseExec] = exec
+	a.observeCmd(c)
 }
 
-// ownedExpireIfDue handles lazy TTL expiry from the owner. The check is
-// one atomic load while the shard has no TTLs; an actually-due key takes
-// the legacy expiry path (spill purge included) with the lock dropped,
-// since that path re-enters the shard through its public methods.
-func (s *Store) ownedExpireIfDue(o *core.Owned, sh *shard, key string) error {
+// expire collects key if its TTL deadline has passed: the one expiry
+// body, used lazily per key and by the sweep. The due check is one
+// atomic load while the shard has no TTLs. With a spill tier the demoted
+// record is purged too, so expiry cannot be undone by a later promotion.
+func (s *Store) expire(o *core.Owned, sh *shard, key string) bool {
 	if !sh.ttl.due(key) {
-		return nil
+		return false
 	}
-	o.Release()
-	s.expireIfDue(key)
-	return o.Acquire()
+	sh.ttl.clear(key)
+	removed, _ := sh.ht.DeleteOwned(o, key)
+	if s.spill != nil {
+		removed = s.spill.Drop(key) || removed
+		s.promoMarkDeleted(key)
+	}
+	if removed {
+		s.expired.Add(1)
+	}
+	return removed
 }
 
-// ownedLookup reads key under the owned lock, falling back to the spill
-// promotion path (lock dropped — it re-enters via ht.Put) on a miss.
+// countRead bumps the read counters for one GET-family lookup.
+func (s *Store) countRead(hit bool) {
+	s.gets.Add(1)
+	if hit {
+		s.hits.Add(1)
+	} else {
+		s.misses.Add(1)
+	}
+}
+
+// present reports whether key lives in the hot tier or the spill tier,
+// without promoting it.
+func (s *Store) present(o *core.Owned, sh *shard, key string) bool {
+	return sh.ht.ContainsOwned(o, key) || (s.spill != nil && s.spill.Contains(key))
+}
+
+// lookup reads key under the owned lock, faulting it in from the spill
+// tier on a miss (the transparent promotion path). The disk read runs
+// with the shard lock dropped; the promoted value is re-inserted through
+// PutOwned — the normal soft-allocation/budget path — so the spill tier
+// never bypasses the daemon's arbitration. If the re-insert fails under
+// pressure the value is demoted straight back so it stays recoverable,
+// and the caller still gets it either way.
+//
+// A Del that lands between Promote (which removes the spill record) and
+// the re-insert sees the key in neither tier; without coordination the
+// re-insert would resurrect the deleted key. The promo registration
+// closes that: the Del marks it, and the re-insert is rolled back —
+// this read linearizes just before the Del, so the caller still gets the
+// value while the store stays deleted.
+//
 // With attribution enabled the promotion window is stamped into the
-// command's span, minus its own lock re-acquisition (which the caller
-// already accounts as lock wait).
-func (s *Store) ownedLookup(o *core.Owned, sh *shard, c *Command, dst []byte, key string) ([]byte, bool, error) {
+// command's span, minus its own lock re-acquisition (which run already
+// accounts as lock wait).
+func (s *Store) lookup(o *core.Owned, sh *shard, c *Command, dst []byte, key string) ([]byte, bool, error) {
 	v, ok, err := sh.ht.GetAppendOwned(o, dst, key)
 	if err != nil || ok || s.spill == nil {
 		return v, ok, err
@@ -256,44 +283,96 @@ func (s *Store) ownedLookup(o *core.Owned, sh *shard, c *Command, dst []byte, ke
 	if timed {
 		t0, w0 = time.Now(), o.WaitNanos()
 	}
+	p0 := s.now()
+	p := s.promoBegin(key)
 	o.Release()
-	v, ok, err = s.lookupAppend(dst, sh.ht, key)
-	if aerr := o.Acquire(); aerr != nil && err == nil {
-		err = aerr
+	sv, found := s.spill.Promote(key)
+	err = o.Acquire()
+	if found {
+		s.promotions.Add(1)
+		// PutOwned re-takes the lock itself when the Acquire above failed,
+		// and then fails the same way; it returns holding it on success.
+		perr := sh.ht.PutOwned(o, key, sv)
+		if deleted := s.promoEnd(key, p); deleted && perr == nil {
+			_, _ = sh.ht.DeleteOwned(o, key)
+		} else if !deleted && perr != nil {
+			_ = s.spill.Demote(key, sv)
+		}
+		v = append(dst, sv...)
+	} else {
+		s.promoEnd(key, p)
 	}
+	s.promoteNs.Add(s.now().Sub(p0).Nanoseconds())
 	if timed {
 		if d := time.Since(t0).Nanoseconds() - (o.WaitNanos() - w0); d > 0 {
 			c.phaseNs[phaseSpillPromote] = d
 		}
 	}
-	return v, ok, err
+	return v, found, err
 }
 
-// execOwned executes one command on its shard owner. Single-key GET and
-// SET stay entirely under the batch-held heap lock: no mutex is
-// acquired per command (TTL checks are one atomic load while the shard
-// has no deadlines; counters are atomics). Spill interactions take the
-// sink's own locks in the same ctx→spill order the reclaim path uses.
-func (s *Store) execOwned(o *core.Owned, sh *shard, c *Command) {
-	switch c.Op {
-	case OpGet:
-		if err := s.ownedExpireIfDue(o, sh, c.Key); err != nil {
+// maxRMWRetries bounds how often one INCR/APPEND redoes its read because
+// the put's allocation had to drop the shard lock; past it the command
+// fails as exhausted rather than spin under sustained pressure.
+const maxRMWRetries = 8
+
+// rmw runs c's read-modify-write under the owned lock: modify maps the
+// current value (ok=false when absent) to the next one. The read and the
+// index update share one hold of the lock — PutOwnedIfHeld refuses to
+// store when its allocation had to drop it, and the read is redone — so
+// concurrent updates are never lost, on any entry point.
+func (s *Store) rmw(o *core.Owned, sh *shard, c *Command, modify func(cur []byte, ok bool) ([]byte, error)) {
+	s.expire(o, sh, c.Key)
+	for attempt := 0; ; attempt++ {
+		cur, ok, err := s.lookup(o, sh, c, c.Val[:0], c.Key)
+		c.Val = cur[:0]
+		if err != nil {
 			c.Err = err
 			return
 		}
-		s.gets.Add(1)
-		c.Val, c.Ok, c.Err = s.ownedLookup(o, sh, c, c.Val[:0], c.Key)
-		if c.Ok {
-			s.hits.Add(1)
-		} else {
-			s.misses.Add(1)
+		s.countRead(ok)
+		next, err := modify(cur, ok)
+		if err != nil {
+			c.Err = err
+			return
 		}
+		s.sets.Add(1)
+		stored, err := sh.ht.PutOwnedIfHeld(o, c.Key, next)
+		if stored || err != nil {
+			c.Err = err
+			return
+		}
+		if attempt == maxRMWRetries {
+			c.Err = fmt.Errorf("%w: shard lock lost to allocation %d times", core.ErrExhausted, attempt+1)
+			return
+		}
+	}
+}
+
+// exec executes one command under the shard's owned heap lock. It is the
+// only implementation of the keyed string commands: shard owners,
+// caller-runs Batch groups and Store.Do (hence every direct method and
+// both RESP modes) all arrive here through run. No mutex is acquired per
+// command (TTL checks are one atomic load while the shard has no
+// deadlines; counters are atomics). Spill interactions take the sink's
+// own locks in the same ctx→spill order the reclaim path uses.
+func (s *Store) exec(o *core.Owned, sh *shard, c *Command) {
+	sh.cmds.Add(1)
+	switch c.Op {
+	case OpGet:
+		s.expire(o, sh, c.Key)
+		c.Val, c.Ok, c.Err = s.lookup(o, sh, c, c.Val[:0], c.Key)
+		s.countRead(c.Ok)
 	case OpSet:
 		s.sets.Add(1)
-		// Drop before Put, as Store.Set does; under the owned lock no
-		// reclamation can demote the fresh value in between.
-		s.dropSpilled(c.Key)
-		s.promoClearDeleted(c.Key)
+		// Drop before Put: the reverse order races with a reclamation that
+		// demotes the fresh value between the two steps (PutOwned's
+		// allocation can drop the lock), and the Drop would then destroy
+		// the only copy.
+		if s.spill != nil {
+			s.spill.Drop(c.Key)
+			s.promoClearDeleted(c.Key)
+		}
 		c.Err = sh.ht.PutOwned(o, c.Key, c.Arg)
 	case OpDel:
 		s.dels.Add(1)
@@ -304,6 +383,8 @@ func (s *Store) execOwned(o *core.Owned, sh *shard, c *Command) {
 				removed = true
 			}
 			s.spill.Drop(c.Key)
+			// A value mid-promotion is in neither tier right now; flag the
+			// in-flight promotion so its re-insert is rolled back.
 			s.promoMarkDeleted(c.Key)
 		}
 		c.Ok, c.Err = removed, err
@@ -311,123 +392,65 @@ func (s *Store) execOwned(o *core.Owned, sh *shard, c *Command) {
 			c.N = 1
 		}
 	case OpIncr:
-		if err := s.ownedExpireIfDue(o, sh, c.Key); err != nil {
-			c.Err = err
-			return
-		}
-		s.gets.Add(1)
-		cur, ok, err := s.ownedLookup(o, sh, c, c.Val[:0], c.Key)
-		c.Val = cur[:0]
-		if err != nil {
-			c.Err = err
-			return
-		}
-		n := int64(0)
-		if ok {
-			s.hits.Add(1)
-			n, err = strconv.ParseInt(string(cur), 10, 64)
-			if err != nil {
-				c.Err = errNotInteger(c.Key)
-				return
+		s.rmw(o, sh, c, func(cur []byte, ok bool) ([]byte, error) {
+			n := int64(0)
+			if ok {
+				var err error
+				if n, err = strconv.ParseInt(string(cur), 10, 64); err != nil {
+					return nil, errNotInteger(c.Key)
+				}
 			}
-		} else {
-			s.misses.Add(1)
-		}
-		n += c.Delta
-		s.sets.Add(1)
-		var nb [20]byte
-		c.Err = sh.ht.PutOwned(o, c.Key, strconv.AppendInt(nb[:0], n, 10))
-		c.N = n
+			c.N = n + c.Delta
+			// cur is parsed and done with: format into the same scratch.
+			next := strconv.AppendInt(cur[:0], c.N, 10)
+			c.Val = next[:0]
+			return next, nil
+		})
 	case OpAppend:
-		if err := s.ownedExpireIfDue(o, sh, c.Key); err != nil {
-			c.Err = err
-			return
-		}
-		s.gets.Add(1)
-		cur, ok, err := s.ownedLookup(o, sh, c, c.Val[:0], c.Key)
-		if err != nil {
-			c.Val = cur[:0]
-			c.Err = err
-			return
-		}
-		if ok {
-			s.hits.Add(1)
-		} else {
-			s.misses.Add(1)
-		}
-		next := append(cur, c.Arg...)
-		c.Val = next[:0] // keep the (possibly grown) scratch
-		s.sets.Add(1)
-		if err := sh.ht.PutOwned(o, c.Key, next); err != nil {
-			c.Err = err
-			return
-		}
-		c.N = int64(len(next))
+		s.rmw(o, sh, c, func(cur []byte, _ bool) ([]byte, error) {
+			next := append(cur, c.Arg...)
+			c.Val = next[:0] // keep the (possibly grown) scratch
+			c.N = int64(len(next))
+			return next, nil
+		})
 	case OpStrLen:
-		if err := s.ownedExpireIfDue(o, sh, c.Key); err != nil {
-			c.Err = err
-			return
-		}
-		v, ok, err := s.ownedLookup(o, sh, c, c.Val[:0], c.Key)
+		s.expire(o, sh, c.Key)
+		v, ok, err := s.lookup(o, sh, c, c.Val[:0], c.Key)
 		c.Val = v[:0]
-		if err != nil || !ok {
-			c.N = 0
-			return
+		if err == nil && ok {
+			c.N = int64(len(v))
 		}
-		c.N = int64(len(v))
 	case OpExists:
-		if err := s.ownedExpireIfDue(o, sh, c.Key); err != nil {
-			c.Err = err
-			return
-		}
-		c.Ok = sh.ht.ContainsOwned(o, c.Key) || (s.spill != nil && s.spill.Contains(c.Key))
+		s.expire(o, sh, c.Key)
+		c.Ok = s.present(o, sh, c.Key)
 	case OpExpire:
-		if sh.ht.ContainsOwned(o, c.Key) || (s.spill != nil && s.spill.Contains(c.Key)) {
+		if s.present(o, sh, c.Key) {
 			sh.ttl.set(c.Key, s.now().Add(time.Duration(c.Delta)))
 			c.Ok = true
 		}
 	case OpTTL:
-		if err := s.ownedExpireIfDue(o, sh, c.Key); err != nil {
-			c.Err = err
+		s.expire(o, sh, c.Key)
+		if c.Ok = s.present(o, sh, c.Key); !c.Ok {
 			return
 		}
-		if !sh.ht.ContainsOwned(o, c.Key) && !(s.spill != nil && s.spill.Contains(c.Key)) {
-			c.Ok = false
-			return
-		}
-		c.Ok = true
 		if d, hasTTL := sh.ttl.remaining(c.Key); hasTTL {
 			c.N = int64(d)
 		} else {
 			c.N = -1
 		}
 	case OpPersist:
-		if sh.ht.ContainsOwned(o, c.Key) || (s.spill != nil && s.spill.Contains(c.Key)) {
+		if s.present(o, sh, c.Key) {
 			c.Ok = sh.ttl.clear(c.Key)
 		}
 	case opSweep:
-		c.N = int64(s.sweepShardOwned(o, sh))
+		// Delivered like any command, so the sweep never races the shard's
+		// command stream.
+		for _, key := range sh.ttl.expired() {
+			if s.expire(o, sh, key) {
+				c.N++
+			}
+		}
 	default:
 		c.Err = errUnknownOp(c.Op)
 	}
-}
-
-// sweepShardOwned collects the shard's expired keys under the owned
-// lock; delivered through the ring, so expiry never races the shard's
-// command stream.
-func (s *Store) sweepShardOwned(o *core.Owned, sh *shard) int {
-	n := 0
-	for _, key := range sh.ttl.expired() {
-		sh.ttl.clear(key)
-		removed, _ := sh.ht.DeleteOwned(o, key)
-		if s.spill != nil {
-			removed = s.spill.Drop(key) || removed
-			s.promoMarkDeleted(key)
-		}
-		if removed {
-			s.expired.Add(1)
-			n++
-		}
-	}
-	return n
 }

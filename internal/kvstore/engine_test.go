@@ -12,9 +12,8 @@ import (
 	"softmem/internal/pages"
 )
 
-// TestNewOptions exercises the functional-options constructor and the
-// deprecated Config shim side by side: both must produce working stores
-// with the requested shard count.
+// TestNewOptions exercises the functional-options constructor: the
+// requested shard count and ring size take effect on a working store.
 func TestNewOptions(t *testing.T) {
 	sma := core.New(core.Config{Machine: pages.NewPool(0)})
 	st := New(sma, WithName("opts"), WithShards(4), WithOwnerQueue(8))
@@ -26,16 +25,6 @@ func TestNewOptions(t *testing.T) {
 		t.Fatalf("WithOwnerQueue(8): ring %d", st.ringSize)
 	}
 	if err := st.Set("k", []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-
-	sma2 := core.New(core.Config{Machine: pages.NewPool(0)})
-	st2 := NewFromConfig(Config{SMA: sma2, Name: "shim", Shards: 2})
-	defer st2.Close()
-	if got := len(st2.shards); got != 2 {
-		t.Fatalf("NewFromConfig shards: %d", got)
-	}
-	if err := st2.Set("k", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -52,8 +52,11 @@ func FuzzReadReply(f *testing.F) {
 	})
 }
 
-// FuzzServerCommand drives the full server execute path with arbitrary
-// argument vectors: no panic, and the store stays consistent.
+// FuzzServerCommand drives the full server path with arbitrary argument
+// vectors, each at depth 1 (enqueue one, settle at once) and pipelined
+// behind a write to the same key on a second store: no panic, one reply
+// per command, byte-identical replies in both modes, and the store stays
+// consistent.
 func FuzzServerCommand(f *testing.F) {
 	f.Add("SET k v")
 	f.Add("GET k")
@@ -62,9 +65,9 @@ func FuzzServerCommand(f *testing.F) {
 	f.Add("DEL a b")
 	f.Add("APPEND k \x00\xff")
 	f.Add("MSET a")
+	f.Add("EXPIRE k -1")
+	f.Add("decrby k x")
 	f.Fuzz(func(t *testing.T, line string) {
-		st, _ := newStore(t, 64)
-		srv := NewServer(st, func(string, ...any) {})
 		fields := strings.Fields(line)
 		if len(fields) == 0 {
 			return
@@ -73,16 +76,36 @@ func FuzzServerCommand(f *testing.F) {
 		for i, a := range fields {
 			args[i] = []byte(a)
 		}
-		var out bytes.Buffer
-		rw := newRespWriter(bufio.NewWriter(&out))
-		srv.execute(rw, canonicalCommand(args[0]), args)
-		rw.flush()
-		if out.Len() == 0 {
-			t.Fatal("command produced no reply")
+		// The preamble gives keyed commands something to hit; the fuzzed
+		// command follows it either settled apart or in the same batch.
+		script := [][][]byte{{[]byte("SET"), []byte("k"), []byte("7")}, args}
+		run := func(pipelined bool) []byte {
+			st, _ := newStore(t, 64)
+			ce := NewServer(st, func(string, ...any) {}).newConnExec()
+			var out bytes.Buffer
+			rw := newRespWriter(bufio.NewWriter(&out))
+			for _, a := range script {
+				ce.serve(rw, canonicalCommand(a[0]), a)
+				if !pipelined {
+					ce.settle(rw)
+				}
+			}
+			ce.settle(rw)
+			if err := rw.flush(); err != nil {
+				t.Fatal(err)
+			}
+			// Store must still respond after arbitrary commands.
+			if err := st.Set("sanity", []byte("1")); err != nil {
+				t.Fatalf("store broken after %q: %v", line, err)
+			}
+			return out.Bytes()
 		}
-		// Store must still respond after arbitrary commands.
-		if err := st.Set("sanity", []byte("1")); err != nil {
-			t.Fatalf("store broken after %q: %v", line, err)
+		serial, piped := run(false), run(true)
+		if len(serial) <= len("+OK\r\n") {
+			t.Fatalf("command %q produced no reply: %q", line, serial)
+		}
+		if !bytes.Equal(serial, piped) {
+			t.Fatalf("depth-1 and pipelined replies differ for %q:\nserial: %q\npiped:  %q", line, serial, piped)
 		}
 	})
 }

@@ -17,7 +17,7 @@ import (
 func newStore(t *testing.T, machinePages int) (*Store, *core.SMA) {
 	t.Helper()
 	sma := core.New(core.Config{Machine: pages.NewPool(machinePages)})
-	st := NewFromConfig(Config{SMA: sma})
+	st := New(sma)
 	t.Cleanup(st.Close)
 	return st, sma
 }
@@ -63,7 +63,7 @@ func TestStoreFlushAll(t *testing.T) {
 func TestStoreReclaimReturnsNotFound(t *testing.T) {
 	st, sma := newStore(t, 0)
 	var evicted []string
-	st2 := NewFromConfig(Config{SMA: sma, Name: "second", OnReclaim: func(k string) { evicted = append(evicted, k) }})
+	st2 := New(sma, WithName("second"), WithOnReclaim(func(k string) { evicted = append(evicted, k) }))
 	defer st2.Close()
 	_ = st
 	val := make([]byte, 4096)
@@ -258,7 +258,7 @@ func TestServerReclamationVisibleToClients(t *testing.T) {
 
 func TestCleanupWorkRuns(t *testing.T) {
 	sma := core.New(core.Config{Machine: pages.NewPool(0)})
-	st := NewFromConfig(Config{SMA: sma, CleanupWork: 1000})
+	st := New(sma, WithCleanupWork(1000))
 	defer st.Close()
 	st.Set("k", make([]byte, 4096))
 	if released := sma.HandleDemand(1); released != 1 {
@@ -271,7 +271,7 @@ func TestCleanupWorkRuns(t *testing.T) {
 
 func TestStoreLRUPolicy(t *testing.T) {
 	sma := core.New(core.Config{Machine: pages.NewPool(0)})
-	st := NewFromConfig(Config{SMA: sma, Policy: sds.EvictLRU})
+	st := New(sma, WithPolicy(sds.EvictLRU))
 	defer st.Close()
 	val := make([]byte, 4096)
 	st.Set("old", val)
@@ -443,7 +443,7 @@ func TestTTLExpiry(t *testing.T) {
 	now := time.Unix(1000, 0)
 	clock := func() time.Time { return now }
 	sma := core.New(core.Config{Machine: pages.NewPool(0)})
-	st := NewFromConfig(Config{SMA: sma, Clock: clock})
+	st := New(sma, WithClock(clock))
 	defer st.Close()
 
 	st.Set("k", []byte("v"))
@@ -477,7 +477,7 @@ func TestTTLExpiry(t *testing.T) {
 func TestTTLPersist(t *testing.T) {
 	now := time.Unix(1000, 0)
 	sma := core.New(core.Config{Machine: pages.NewPool(0)})
-	st := NewFromConfig(Config{SMA: sma, Clock: func() time.Time { return now }})
+	st := New(sma, WithClock(func() time.Time { return now }))
 	defer st.Close()
 	st.Set("k", []byte("v"))
 	st.Expire("k", 5*time.Second)
@@ -503,7 +503,7 @@ func TestTTLPersist(t *testing.T) {
 func TestTTLSweep(t *testing.T) {
 	now := time.Unix(1000, 0)
 	sma := core.New(core.Config{Machine: pages.NewPool(0)})
-	st := NewFromConfig(Config{SMA: sma, Clock: func() time.Time { return now }})
+	st := New(sma, WithClock(func() time.Time { return now }))
 	defer st.Close()
 	for i := 0; i < 10; i++ {
 		key := string(rune('a' + i))
@@ -524,7 +524,7 @@ func TestTTLSweep(t *testing.T) {
 func TestTTLClearedOnDeleteAndReclaim(t *testing.T) {
 	now := time.Unix(1000, 0)
 	sma := core.New(core.Config{Machine: pages.NewPool(0)})
-	st := NewFromConfig(Config{SMA: sma, Clock: func() time.Time { return now }})
+	st := New(sma, WithClock(func() time.Time { return now }))
 	defer st.Close()
 	st.Set("k", make([]byte, 4096))
 	st.Expire("k", time.Second)
@@ -666,7 +666,7 @@ func TestHashFieldOps(t *testing.T) {
 
 func TestHashReclamationCleansFieldIndex(t *testing.T) {
 	sma := core.New(core.Config{Machine: pages.NewPool(0)})
-	st := NewFromConfig(Config{SMA: sma})
+	st := New(sma)
 	defer st.Close()
 	val := make([]byte, 4096)
 	for i := 0; i < 8; i++ {
@@ -779,7 +779,7 @@ func TestListOps(t *testing.T) {
 
 func TestListReclaimDropsOldestInsertions(t *testing.T) {
 	sma := core.New(core.Config{Machine: pages.NewPool(0)})
-	st := NewFromConfig(Config{SMA: sma})
+	st := New(sma)
 	defer st.Close()
 	val := make([]byte, 4096)
 	for i := 0; i < 8; i++ {

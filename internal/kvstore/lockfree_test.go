@@ -176,23 +176,6 @@ func TestLockFreeGetValues(t *testing.T) {
 	}
 }
 
-// TestLockFreeDisabledOption pins the A/B switch: WithLockFreeReads(false)
-// keeps every shard on the locked path.
-func TestLockFreeDisabledOption(t *testing.T) {
-	sma := core.New(core.Config{Machine: pages.NewPool(0)})
-	st := New(sma, WithName("lf-off"), WithLockFreeReads(false))
-	defer st.Close()
-	if err := st.Set("k", []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	if v, ok, err := st.Get("k"); err != nil || !ok || string(v) != "v" {
-		t.Fatalf("Get = %q, %v, %v", v, ok, err)
-	}
-	if h, m, f, c := st.lockFreeTotals(); h != 0 || m != 0 || f != 0 || c != 0 {
-		t.Fatalf("disabled store used the optimistic path: %d %d %d %d", h, m, f, c)
-	}
-}
-
 // TestLockFreeTTLExpiry pins that the optimistic fast path cannot serve
 // a value past its TTL deadline: once due, the read detours through the
 // locked expiry path.

@@ -49,12 +49,6 @@ func WithSpill(sp *spill.Store) Option { return func(c *Config) { c.Spill = sp }
 // ErrOverloaded instead of blocking connection readers.
 func WithOwnerQueue(n int) Option { return func(c *Config) { c.OwnerQueue = n } }
 
-// WithLockFreeReads toggles the epoch-protected optimistic GET path on
-// the string shards (default on; ignored under EvictLRU).
-func WithLockFreeReads(on bool) Option {
-	return func(c *Config) { c.DisableLockFreeReads = !on }
-}
-
 // WithSlowLog tunes the slow-request log kept once attribution is
 // enabled via RegisterMetrics: commands slower than threshold land in a
 // ring of size entries with their full phase breakdown (defaults 10ms,

@@ -242,11 +242,6 @@ func asciiSpace(c byte) bool {
 type respWriter struct {
 	w   *bufio.Writer
 	num []byte
-	// val is the server's per-connection value scratch: dispatch reads
-	// stored values into it (Store.GetAppend) and writes them out
-	// before the next command reuses it, so a GET hit allocates only
-	// its key string.
-	val []byte
 }
 
 func newRespWriter(w *bufio.Writer) *respWriter {

@@ -127,31 +127,6 @@ func (c *countingConn) Write(p []byte) (int, error) {
 	return c.Conn.Write(p)
 }
 
-// pipelineScript is the command mix for the coalescing test: writes,
-// reads, numeric ops, a per-command server error (wrong arity), and an
-// unknown command, so the oracle comparison covers every reply type.
-func pipelineScript(n int) [][]string {
-	var cmds [][]string
-	for i := 0; i < n; i++ {
-		key := fmt.Sprintf("k%d", i%8)
-		switch i % 6 {
-		case 0:
-			cmds = append(cmds, []string{"SET", key, fmt.Sprintf("value-%d", i)})
-		case 1:
-			cmds = append(cmds, []string{"GET", key})
-		case 2:
-			cmds = append(cmds, []string{"INCR", "ctr"})
-		case 3:
-			cmds = append(cmds, []string{"GET", "missing-key"})
-		case 4:
-			cmds = append(cmds, []string{"SET"}) // arity error: "-ERR ..."
-		default:
-			cmds = append(cmds, []string{"BOGUS", key})
-		}
-	}
-	return cmds
-}
-
 // runScript drives srv.serveConn over a pipe, writing the commands in
 // batches of batch (batch <= 1 means one command per write, waiting for
 // each reply: the per-command-flush oracle). It returns the raw reply
@@ -170,10 +145,18 @@ func runScript(t *testing.T, srv *Server, cmds [][]string, batch int) ([]byte, i
 	rr := replyReader{lr: lineReader{r: bufio.NewReader(io.TeeReader(clientEnd, &raw))}}
 	readReplies := func(n int) {
 		for i := 0; i < n; i++ {
-			if _, _, err := rr.read(); err != nil {
-				if _, isReply := err.(ReplyError); !isReply {
-					t.Errorf("reply %d: %v", i, err)
-					return
+			// An array reply (MGET) is its header plus that many elements.
+			elems := 1
+			if b, err := rr.lr.r.Peek(1); err == nil && b[0] == '*' {
+				hdr, _ := rr.lr.readLine()
+				elems, _ = asciiInt(hdr[1:])
+			}
+			for ; elems > 0; elems-- {
+				if _, _, err := rr.read(); err != nil {
+					if _, isReply := err.(ReplyError); !isReply {
+						t.Errorf("reply %d: %v", i, err)
+						return
+					}
 				}
 			}
 		}
@@ -200,38 +183,6 @@ func runScript(t *testing.T, srv *Server, cmds [][]string, batch int) ([]byte, i
 	clientEnd.Close()
 	<-done
 	return raw.Bytes(), cc.writes.Load()
-}
-
-// TestPipelinedRepliesMatchOracle writes N commands per batch and
-// asserts the replies are byte-identical to a per-command-flush oracle
-// run, in order, while the server issues far fewer writes than replies.
-func TestPipelinedRepliesMatchOracle(t *testing.T) {
-	const n = 96
-	cmds := pipelineScript(n)
-
-	oracleStore, _ := newStore(t, 0)
-	oracleSrv := NewServer(oracleStore, func(string, ...any) {})
-	oracleBytes, oracleWrites := runScript(t, oracleSrv, cmds, 1)
-	if oracleWrites < int64(n) {
-		t.Fatalf("oracle coalesced: %d writes for %d commands", oracleWrites, n)
-	}
-
-	pipeStore, _ := newStore(t, 0)
-	pipeSrv := NewServer(pipeStore, func(string, ...any) {})
-	pipeBytes, pipeWrites := runScript(t, pipeSrv, cmds, n)
-
-	if !bytes.Equal(pipeBytes, oracleBytes) {
-		t.Fatalf("pipelined replies diverge from oracle:\npipelined: %q\noracle:    %q", pipeBytes, oracleBytes)
-	}
-	if pipeWrites >= int64(n)/4 {
-		t.Fatalf("pipelined path not coalescing: %d writes for %d commands", pipeWrites, n)
-	}
-	if pipeSrv.flushCoalesced.Load() == 0 {
-		t.Fatal("flushCoalesced counter did not advance")
-	}
-	if oracleSrv.flushCoalesced.Load() != 0 {
-		t.Fatalf("oracle run coalesced %d flushes", oracleSrv.flushCoalesced.Load())
-	}
 }
 
 func TestLoadGenDefaults(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 	"log"
 	"net"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -124,22 +125,25 @@ func (s *Server) Close() {
 }
 
 // serveConn runs one connection's read-route-reply loop. Keyed string
-// commands are not executed inline: the reader parses RESP, routes each
-// command by key hash into a per-connection Batch (multi-key MGET/MSET/
-// DEL split per shard), and settles the batch — submit to the shard
-// owner rings, wait, write the rejoined replies in command order — only
-// when the pipeline runs dry or the batch fills. Non-keyed commands
-// (PING, INFO, KEYS, hash/list ops, ...) settle first, then execute
-// inline, so per-connection reply order is always the request order.
+// commands are never executed here: the reader parses RESP, routes each
+// command through the command table into a per-connection Batch
+// (multi-key MGET/MSET/DEL split per shard), and settles the batch —
+// execute, write the rejoined replies in command order — only when the
+// pipeline runs dry or the batch fills. A serial client is the same
+// path with a pipeline of one: enqueue one command, settle at once (a
+// one-command Batch.Exec is Store.Do, so no ring hop and no goroutine
+// handoff). Everything else (PING, INFO, KEYS, hash/list ops, ...)
+// settles first, then runs inline, so per-connection reply order is
+// always the request order.
 //
-// Flushes stay coalesced exactly as before: the reply buffer goes out
-// when no further pipelined input is already buffered, so a burst of N
-// pipelined commands costs one batch settle and one write syscall.
+// Flushes stay coalesced: the reply buffer goes out when no further
+// pipelined input is already buffered, so a burst of N pipelined
+// commands costs one batch settle and one write syscall.
 func (s *Server) serveConn(nc net.Conn) {
 	defer nc.Close()
 	cr := newCmdReader(bufio.NewReaderSize(nc, connBufSize))
 	rw := newRespWriter(bufio.NewWriterSize(nc, connBufSize))
-	ce := &connExec{s: s, batch: s.store.NewBatch()}
+	ce := s.newConnExec()
 	for {
 		args, err := cr.ReadCommand()
 		if err != nil {
@@ -148,29 +152,7 @@ func (s *Server) serveConn(nc net.Conn) {
 		if len(args) == 0 {
 			continue
 		}
-		quit := false
-		cmd := canonicalCommand(args[0])
-		if h := s.hook(); h != nil && h.Claim(cmd, args) {
-			// Cluster-claimed command (redirect, replica apply, admin):
-			// settle queued work first so per-connection reply order is
-			// preserved, then let the hook write its reply. Session-aware
-			// hooks get the connection's session (WAIT answers relative
-			// to this connection's own writes).
-			ce.settle(rw)
-			if sh, ok := h.(SessionClusterHook); ok {
-				sh.HandleSession(ce.session(h), cmd, args, rw)
-			} else {
-				h.Handle(cmd, args, rw)
-			}
-		} else if len(ce.specs) == 0 && cr.buffered() == 0 {
-			// Serial client (no pipelined input, nothing queued): skip
-			// the batch machinery and execute inline — the unpipelined
-			// round trip stays identical to the pre-engine hot path.
-			quit = s.executeConn(ce, rw, cmd, args)
-		} else if !ce.enqueue(cmd, args) {
-			ce.settle(rw)
-			quit = s.executeConn(ce, rw, cmd, args)
-		}
+		quit := ce.serve(rw, canonicalCommand(args[0]), args)
 		if quit || cr.buffered() == 0 {
 			ce.settle(rw)
 			if err := rw.flush(); err != nil {
@@ -196,19 +178,170 @@ const (
 	maxBatchArena    = 1 << 20
 )
 
-// replySpec reply kinds: how one RESP command's reply is rebuilt from
-// its slice of batch command slots.
+// Reply kinds: how one RESP command's reply is rebuilt from its slice
+// of batch command slots.
 const (
-	rkStatus uint8 = iota // +OK unless the command failed (SET)
-	rkBulk                // nil or bulk value (GET)
-	rkInt                 // integer from N (INCR family, APPEND, STRLEN)
-	rkBool                // :0/:1 from Ok (EXISTS, EXPIRE, PERSIST)
-	rkTTL                 // Redis TTL semantics from Ok/N
-	rkMGet                // array of bulks over the range (MGET)
-	rkMSet                // +OK when every Set in the range succeeded
-	rkDelSum              // sum of per-key removals (DEL)
-	rkErr                 // pre-formed parse/arity error, no commands
+	rkOK   uint8 = iota // +OK when every slot succeeded (SET, MSET)
+	rkBulk              // nil or bulk value (GET)
+	rkInt               // sum of N over the slots (INCR family, APPEND, STRLEN; DEL's removals)
+	rkBool              // :0/:1 from Ok (EXISTS, EXPIRE, PERSIST)
+	rkTTL               // Redis TTL semantics from Ok/N
+	rkMGet              // array of bulks over the slots (MGET)
+	rkErr               // pre-formed parse/arity error, no slots
 )
+
+// commandSpec describes one RESP command. A keyed string command
+// (op != 0) is described completely — arity, the Op its batch slots
+// carry, how its arguments decode into slots, the reply rebuilt from
+// them — so routing (enqueue), replying (writeReply), the cmd metric
+// label set and the pprof op names all read this one table, and serial
+// and pipelined serving cannot drift apart. Commands with op == 0
+// (non-keyed, list, hash, admin, cluster) run inline in dispatch; the
+// table only makes their names known.
+type commandSpec struct {
+	name string
+	op   Op
+	// arity is the exact len(args), or when negative the minimum.
+	arity int
+	// decode queues the command's slots on ce.batch. It validates before
+	// it queues: a non-empty error message means nothing was queued.
+	decode func(ce *connExec, sp *commandSpec, args [][]byte) (errMsg string)
+	reply  uint8
+	// sign is the INCR family's delta sign (the whole delta for INCR/DECR).
+	sign     int64
+	arityMsg string // default "wrong number of arguments for '<name>'"
+}
+
+// commandList is the command table's source. Where several commands
+// share an Op, the first names it in pprof labels.
+var commandList = []commandSpec{
+	{name: "GET", op: OpGet, arity: 2, decode: decodeKey, reply: rkBulk},
+	{name: "SET", op: OpSet, arity: 3, decode: decodeValue, reply: rkOK},
+	{name: "DEL", op: OpDel, arity: -2, decode: decodeKeys, reply: rkInt},
+	{name: "INCR", op: OpIncr, arity: 2, decode: decodeKey, reply: rkInt, sign: 1, arityMsg: "wrong number of arguments"},
+	{name: "DECR", op: OpIncr, arity: 2, decode: decodeKey, reply: rkInt, sign: -1, arityMsg: "wrong number of arguments"},
+	{name: "INCRBY", op: OpIncr, arity: 3, decode: decodeDelta, reply: rkInt, sign: 1, arityMsg: "wrong number of arguments"},
+	{name: "DECRBY", op: OpIncr, arity: 3, decode: decodeDelta, reply: rkInt, sign: -1, arityMsg: "wrong number of arguments"},
+	{name: "APPEND", op: OpAppend, arity: 3, decode: decodeValue, reply: rkInt},
+	{name: "STRLEN", op: OpStrLen, arity: 2, decode: decodeKey, reply: rkInt},
+	{name: "EXISTS", op: OpExists, arity: 2, decode: decodeKey, reply: rkBool},
+	{name: "EXPIRE", op: OpExpire, arity: 3, decode: decodeSeconds, reply: rkBool},
+	{name: "TTL", op: OpTTL, arity: 2, decode: decodeKey, reply: rkTTL},
+	{name: "PERSIST", op: OpPersist, arity: 2, decode: decodeKey, reply: rkBool},
+	{name: "MGET", op: OpGet, arity: -2, decode: decodeKeys, reply: rkMGet},
+	{name: "MSET", op: OpSet, arity: -3, decode: decodePairs, reply: rkOK},
+
+	{name: "PING"}, {name: "QUIT"}, {name: "KEYS"}, {name: "DBSIZE"}, {name: "FLUSHALL"}, {name: "INFO"},
+	{name: "LPUSH"}, {name: "RPUSH"}, {name: "LPOP"}, {name: "RPOP"}, {name: "LLEN"}, {name: "LRANGE"},
+	{name: "HSET"}, {name: "HGET"}, {name: "HDEL"}, {name: "HLEN"}, {name: "HEXISTS"}, {name: "HGETALL"},
+	// Cluster-mode commands, served by the installed ClusterHook.
+	{name: "CLUSTER"}, {name: "RSET"}, {name: "RDEL"}, {name: "WAIT"},
+}
+
+// commandTable indexes commandList by canonical name; opNames names each
+// Op for pprof labels. Both are filled once, here.
+var (
+	commandTable = make(map[string]*commandSpec, len(commandList))
+	opNames      = [opSweep + 1]string{opSweep: "SWEEP"}
+)
+
+func init() {
+	for i := range commandList {
+		sp := &commandList[i]
+		if sp.arityMsg == "" {
+			sp.arityMsg = "wrong number of arguments for '" + strings.ToLower(sp.name) + "'"
+		}
+		if sp.op != 0 && opNames[sp.op] == "" {
+			opNames[sp.op] = sp.name
+		}
+		commandTable[sp.name] = sp
+	}
+}
+
+// unknownCommand stands in for names the table does not hold: no name
+// (cluster hooks see ""; metrics label it OTHER) and no op.
+var unknownCommand commandSpec
+
+// canonicalCommand resolves args[0], case-insensitively, to its table
+// entry (unknownCommand when absent) without mutating the argument or
+// allocating: the m[string(b)] lookup compiles without a copy. This is
+// the only map probe a command pays.
+func canonicalCommand(name []byte) *commandSpec {
+	var up [32]byte // longer than every known command
+	if len(name) > len(up) {
+		return &unknownCommand
+	}
+	for i, c := range name {
+		if 'a' <= c && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		up[i] = c
+	}
+	if sp := commandTable[string(up[:len(name)])]; sp != nil {
+		return sp
+	}
+	return &unknownCommand
+}
+
+// The argument decoders. Keys are copied by their string conversion;
+// values are copied into the connection's arena, because a batch
+// outlives the read of the next pipelined command.
+
+// decodeKey: <cmd> key.
+func decodeKey(ce *connExec, sp *commandSpec, args [][]byte) string {
+	b := ce.batch
+	b.Cmd(b.Add(sp.op, string(args[1]))).Delta = sp.sign
+	return ""
+}
+
+// decodeValue: <cmd> key value.
+func decodeValue(ce *connExec, sp *commandSpec, args [][]byte) string {
+	b := ce.batch
+	b.Cmd(b.Add(sp.op, string(args[1]))).Arg = ce.copyVal(args[2])
+	return ""
+}
+
+// decodeDelta: <cmd> key integer.
+func decodeDelta(ce *connExec, sp *commandSpec, args [][]byte) string {
+	n, ok := asciiInt(args[2])
+	if !ok {
+		return "value is not an integer or out of range"
+	}
+	b := ce.batch
+	b.Cmd(b.Add(sp.op, string(args[1]))).Delta = sp.sign * int64(n)
+	return ""
+}
+
+// decodeSeconds: <cmd> key seconds.
+func decodeSeconds(ce *connExec, sp *commandSpec, args [][]byte) string {
+	secs, ok := asciiInt(args[2])
+	if !ok || secs < 0 {
+		return "invalid expire time"
+	}
+	b := ce.batch
+	b.Cmd(b.Add(sp.op, string(args[1]))).Delta = int64(secs) * int64(time.Second)
+	return ""
+}
+
+// decodeKeys: <cmd> key [key ...], one slot per key.
+func decodeKeys(ce *connExec, sp *commandSpec, args [][]byte) string {
+	for _, k := range args[1:] {
+		ce.batch.Add(sp.op, string(k))
+	}
+	return ""
+}
+
+// decodePairs: <cmd> key value [key value ...], one slot per pair.
+func decodePairs(ce *connExec, sp *commandSpec, args [][]byte) string {
+	if len(args)%2 != 1 {
+		return sp.arityMsg
+	}
+	b := ce.batch
+	for i := 1; i < len(args); i += 2 {
+		b.Cmd(b.Add(sp.op, string(args[i]))).Arg = ce.copyVal(args[i+1])
+	}
+	return ""
+}
 
 // replySpec maps one pipelined RESP command onto the batch: the command
 // slots [start, start+n) and the reply shape to rebuild from them.
@@ -240,12 +373,16 @@ type connExec struct {
 	sess     ClusterSession
 }
 
+// newConnExec returns one connection's routing state.
+func (s *Server) newConnExec() *connExec {
+	return &connExec{s: s, batch: s.store.NewBatch()}
+}
+
 // session returns the connection's session for h, minting it on first
-// use (nil for hooks without session support, and on the nil receiver —
-// direct execute calls carry no connection).
+// use (nil for hooks without session support).
 func (ce *connExec) session(h ClusterHook) ClusterSession {
 	sh, ok := h.(SessionClusterHook)
-	if !ok || ce == nil {
+	if !ok {
 		return nil
 	}
 	if ce.sess == nil || ce.sessHook != h {
@@ -263,134 +400,53 @@ func (ce *connExec) copyVal(v []byte) []byte {
 	return ce.arena[off:len(ce.arena):len(ce.arena)]
 }
 
-func (ce *connExec) spec(kind uint8, cmd string, start, n int) bool {
-	ce.specs = append(ce.specs, replySpec{kind: kind, cmd: cmd, start: int32(start), n: int32(n)})
-	return true
-}
-
-func (ce *connExec) errSpec(cmd, msg string) bool {
-	ce.specs = append(ce.specs, replySpec{kind: rkErr, cmd: cmd, errMsg: msg, start: int32(ce.batch.Len())})
-	return true
-}
-
 // full reports whether the batch should settle before more input.
 func (ce *connExec) full() bool {
 	return ce.batch.Len() >= maxBatchCommands || len(ce.arena) >= maxBatchArena
 }
 
-// enqueue routes one parsed command into the batch, reporting false for
-// commands that must run inline (non-keyed, list/hash, admin). Arity
-// and argument errors are recorded as pre-formed error specs so they
-// hold their place in the reply order without touching the engine.
-func (ce *connExec) enqueue(cmd string, args [][]byte) bool {
-	b := ce.batch
-	switch cmd {
-	case "SET":
-		if len(args) != 3 {
-			return ce.errSpec(cmd, "wrong number of arguments for 'set'")
+// serve routes one parsed command and reports whether the connection
+// should close. A cluster-claimed command (redirect, replica apply,
+// admin) and an inline command both settle the queued work first, so
+// per-connection reply order is preserved. The argument slices are owned
+// by the caller's cmdReader and are only valid for the duration of the
+// call.
+func (ce *connExec) serve(rw *respWriter, sp *commandSpec, args [][]byte) (quit bool) {
+	if h := ce.s.hook(); h != nil && h.Claim(sp.name, args) {
+		ce.settle(rw)
+		// Session-aware hooks get the connection's session (WAIT answers
+		// relative to this connection's own writes).
+		if sh, ok := h.(SessionClusterHook); ok {
+			sh.HandleSession(ce.session(h), sp.name, args, rw)
+		} else {
+			h.Handle(sp.name, args, rw)
 		}
-		i := b.Set(string(args[1]), ce.copyVal(args[2]))
-		return ce.spec(rkStatus, cmd, i, 1)
-	case "GET":
-		if len(args) != 2 {
-			return ce.errSpec(cmd, "wrong number of arguments for 'get'")
-		}
-		i := b.Get(string(args[1]))
-		return ce.spec(rkBulk, cmd, i, 1)
-	case "MSET":
-		if len(args) < 3 || len(args)%2 != 1 {
-			return ce.errSpec(cmd, "wrong number of arguments for 'mset'")
-		}
-		start := b.Len()
-		for i := 1; i < len(args); i += 2 {
-			b.Set(string(args[i]), ce.copyVal(args[i+1]))
-		}
-		return ce.spec(rkMSet, cmd, start, (len(args)-1)/2)
-	case "MGET":
-		if len(args) < 2 {
-			return ce.errSpec(cmd, "wrong number of arguments for 'mget'")
-		}
-		start := b.Len()
-		for _, k := range args[1:] {
-			b.Get(string(k))
-		}
-		return ce.spec(rkMGet, cmd, start, len(args)-1)
-	case "DEL":
-		if len(args) < 2 {
-			return ce.errSpec(cmd, "wrong number of arguments for 'del'")
-		}
-		start := b.Len()
-		for _, k := range args[1:] {
-			b.Del(string(k))
-		}
-		return ce.spec(rkDelSum, cmd, start, len(args)-1)
-	case "INCR", "DECR", "INCRBY", "DECRBY":
-		delta := 1
-		switch {
-		case cmd == "INCR" || cmd == "DECR":
-			if len(args) != 2 {
-				return ce.errSpec(cmd, "wrong number of arguments")
-			}
-		default:
-			if len(args) != 3 {
-				return ce.errSpec(cmd, "wrong number of arguments")
-			}
-			n, ok := asciiInt(args[2])
-			if !ok {
-				return ce.errSpec(cmd, "value is not an integer or out of range")
-			}
-			delta = n
-		}
-		if cmd == "DECR" || cmd == "DECRBY" {
-			delta = -delta
-		}
-		i := b.Add(OpIncr, string(args[1]))
-		b.Cmd(i).Delta = int64(delta)
-		return ce.spec(rkInt, cmd, i, 1)
-	case "APPEND":
-		if len(args) != 3 {
-			return ce.errSpec(cmd, "wrong number of arguments for 'append'")
-		}
-		i := b.Add(OpAppend, string(args[1]))
-		b.Cmd(i).Arg = ce.copyVal(args[2])
-		return ce.spec(rkInt, cmd, i, 1)
-	case "STRLEN":
-		if len(args) != 2 {
-			return ce.errSpec(cmd, "wrong number of arguments for 'strlen'")
-		}
-		i := b.Add(OpStrLen, string(args[1]))
-		return ce.spec(rkInt, cmd, i, 1)
-	case "EXISTS":
-		if len(args) != 2 {
-			return ce.errSpec(cmd, "wrong number of arguments for 'exists'")
-		}
-		i := b.Add(OpExists, string(args[1]))
-		return ce.spec(rkBool, cmd, i, 1)
-	case "EXPIRE":
-		if len(args) != 3 {
-			return ce.errSpec(cmd, "wrong number of arguments for 'expire'")
-		}
-		secs, ok := asciiInt(args[2])
-		if !ok || secs < 0 {
-			return ce.errSpec(cmd, "invalid expire time")
-		}
-		i := b.Add(OpExpire, string(args[1]))
-		b.Cmd(i).Delta = int64(secs) * int64(time.Second)
-		return ce.spec(rkBool, cmd, i, 1)
-	case "TTL":
-		if len(args) != 2 {
-			return ce.errSpec(cmd, "wrong number of arguments for 'ttl'")
-		}
-		i := b.Add(OpTTL, string(args[1]))
-		return ce.spec(rkTTL, cmd, i, 1)
-	case "PERSIST":
-		if len(args) != 2 {
-			return ce.errSpec(cmd, "wrong number of arguments for 'persist'")
-		}
-		i := b.Add(OpPersist, string(args[1]))
-		return ce.spec(rkBool, cmd, i, 1)
+		return false
 	}
-	return false
+	if ce.enqueue(sp, args) {
+		return false
+	}
+	ce.settle(rw)
+	return ce.s.inline(rw, sp.name, args)
+}
+
+// enqueue routes one parsed command into the batch, reporting false for
+// commands that must run inline (op == 0). Arity and argument errors are
+// recorded as pre-formed error specs so they hold their place in the
+// reply order without touching the engine.
+func (ce *connExec) enqueue(sp *commandSpec, args [][]byte) bool {
+	if sp.op == 0 {
+		return false
+	}
+	rs := replySpec{kind: sp.reply, cmd: sp.name, start: int32(ce.batch.Len())}
+	if n := len(args); n != sp.arity && (sp.arity > 0 || n < -sp.arity) {
+		rs.kind, rs.errMsg = rkErr, sp.arityMsg
+	} else if msg := sp.decode(ce, sp, args); msg != "" {
+		rs.kind, rs.errMsg = rkErr, msg
+	}
+	rs.n = int32(ce.batch.Len()) - rs.start
+	ce.specs = append(ce.specs, rs)
+	return true
 }
 
 // settle executes the queued batch against the shard owners and writes
@@ -418,7 +474,7 @@ func (ce *connExec) settle(rw *respWriter) {
 				m.observe(ce.specs[i].cmd, per)
 			}
 			if a != nil {
-				ce.recordSlow(a, &ce.specs[i], int64(per))
+				ce.recordSlow(a, &ce.specs[i])
 			}
 		}
 	}
@@ -433,14 +489,10 @@ func (ce *connExec) settle(rw *respWriter) {
 // recordSlow feeds one settled RESP command into the slow-request log
 // when it crossed the threshold. The breakdown is the slowest of the
 // command's batch slots (an MGET's worst constituent — request latency
-// tracks the slowest shard, the others overlap it). fallbackNs, the
-// per-spec share of the settle's wall time, covers slots that executed
-// outside the engine and carry no span (single-command batches run
-// inline via Store.Do): those report exec-only.
-func (ce *connExec) recordSlow(a *attribState, sp *replySpec, fallbackNs int64) {
-	if sp.kind == rkErr {
-		return
-	}
+// tracks the slowest shard, the others overlap it). Every executed slot
+// carries a span, whichever entry point ran it; slots that never
+// executed (error specs, shed commands) have none and record nothing.
+func (ce *connExec) recordSlow(a *attribState, sp *replySpec) {
 	cmds := ce.batch.cmds
 	var best *Command
 	var bestTotal int64
@@ -454,13 +506,7 @@ func (ce *connExec) recordSlow(a *attribState, sp *replySpec, fallbackNs int64) 
 			bestTotal, best = t, c
 		}
 	}
-	if best == nil {
-		if fallbackNs >= a.slow.thresholdNs {
-			a.slow.record(SlowEntry{Cmd: sp.cmd, TotalNs: fallbackNs, ExecNs: fallbackNs})
-		}
-		return
-	}
-	if bestTotal < a.slow.thresholdNs {
+	if best == nil || bestTotal < a.slow.thresholdNs {
 		return
 	}
 	a.slow.record(SlowEntry{
@@ -476,8 +522,8 @@ func (ce *connExec) recordSlow(a *attribState, sp *replySpec, fallbackNs int64) 
 }
 
 // cmdError maps a command failure to its RESP reply: ErrOverloaded
-// becomes -BUSY (shed load, retry), everything else the -ERR text the
-// inline dispatch would have produced.
+// becomes -BUSY (shed load, retry), everything else an -ERR with the
+// error's text (a failed write says what it ran out of).
 func cmdError(rw *respWriter, err error, isSet bool) {
 	if err == ErrOverloaded {
 		rw.busy()
@@ -492,49 +538,41 @@ func cmdError(rw *respWriter, err error, isSet bool) {
 
 // writeReply rebuilds one RESP command's reply from its batch slots.
 func (ce *connExec) writeReply(rw *respWriter, sp *replySpec) {
-	cmds := ce.batch.cmds
+	cmds := ce.batch.cmds[sp.start : sp.start+sp.n]
+	if sp.kind != rkMGet {
+		// The first failed slot is the reply (an error spec has no slots).
+		for i := range cmds {
+			if err := cmds[i].Err; err != nil {
+				cmdError(rw, err, sp.kind == rkOK)
+				return
+			}
+		}
+	}
 	switch sp.kind {
 	case rkErr:
 		rw.error(sp.errMsg)
-	case rkStatus:
-		if c := &cmds[sp.start]; c.Err != nil {
-			cmdError(rw, c.Err, true)
-		} else {
-			rw.simple("OK")
-		}
-	case rkBulk:
-		c := &cmds[sp.start]
-		switch {
-		case c.Err == ErrOverloaded:
-			rw.busy()
-		case c.Err != nil:
-			rw.error(c.Err.Error())
-		case !c.Ok:
-			rw.nilReply()
-		default:
-			rw.bulk(c.Val)
-		}
+	case rkOK:
+		rw.simple("OK")
 	case rkInt:
-		if c := &cmds[sp.start]; c.Err != nil {
-			cmdError(rw, c.Err, false)
+		n := int64(0)
+		for i := range cmds {
+			n += cmds[i].N
+		}
+		rw.integer(n)
+	case rkBulk:
+		if c := &cmds[0]; c.Ok {
+			rw.bulk(c.Val)
 		} else {
-			rw.integer(c.N)
+			rw.nilReply()
 		}
 	case rkBool:
-		c := &cmds[sp.start]
-		switch {
-		case c.Err != nil:
-			cmdError(rw, c.Err, false)
-		case c.Ok:
+		if cmds[0].Ok {
 			rw.integer(1)
-		default:
+		} else {
 			rw.integer(0)
 		}
 	case rkTTL:
-		c := &cmds[sp.start]
-		switch {
-		case c.Err != nil:
-			cmdError(rw, c.Err, false)
+		switch c := &cmds[0]; {
 		case !c.Ok:
 			rw.integer(-2)
 		case c.N < 0:
@@ -546,91 +584,35 @@ func (ce *connExec) writeReply(rw *respWriter, sp *replySpec) {
 	case rkMGet:
 		// A shed sub-command fails the whole MGET as -BUSY (an array
 		// with silently-absent values would be indistinguishable from
-		// misses); other per-key errors degrade to nil like the inline
-		// path always did.
-		for i := sp.start; i < sp.start+sp.n; i++ {
+		// misses); other per-key errors degrade to nil.
+		for i := range cmds {
 			if cmds[i].Err == ErrOverloaded {
 				rw.busy()
 				return
 			}
 		}
-		rw.arrayHeader(int(sp.n))
-		for i := sp.start; i < sp.start+sp.n; i++ {
-			c := &cmds[i]
-			if c.Err != nil || !c.Ok {
+		rw.arrayHeader(len(cmds))
+		for i := range cmds {
+			if c := &cmds[i]; c.Err != nil || !c.Ok {
 				rw.nilReply()
-				continue
-			}
-			rw.bulk(c.Val)
-		}
-	case rkMSet:
-		for i := sp.start; i < sp.start+sp.n; i++ {
-			if cmds[i].Err != nil {
-				cmdError(rw, cmds[i].Err, true)
-				return
+			} else {
+				rw.bulk(c.Val)
 			}
 		}
-		rw.simple("OK")
-	case rkDelSum:
-		n := int64(0)
-		for i := sp.start; i < sp.start+sp.n; i++ {
-			c := &cmds[i]
-			if c.Err != nil {
-				cmdError(rw, c.Err, false)
-				return
-			}
-			n += c.N
-		}
-		rw.integer(n)
 	}
 }
 
-// commandNames interns the canonical uppercase command names so dispatch
-// can map a case-folded byte-slice command to one shared string without
-// allocating (the m[string(b)] lookup compiles without a copy).
-var commandNames = func() map[string]string {
-	m := make(map[string]string, len(knownCommands))
-	for c := range knownCommands {
-		m[c] = c
-	}
-	return m
-}()
-
-// canonicalCommand resolves args[0] to its canonical uppercase name
-// ("" when unknown) without mutating the argument or allocating.
-func canonicalCommand(name []byte) string {
-	var up [32]byte // longer than every known command
-	if len(name) > len(up) {
-		return ""
-	}
-	for i, c := range name {
-		if 'a' <= c && c <= 'z' {
-			c -= 'a' - 'A'
-		}
-		up[i] = c
-	}
-	return commandNames[string(up[:len(name)])]
-}
-
-// execute runs one command, writing its reply, and reports whether the
-// connection should close. The argument slices are owned by the caller's
-// cmdReader and are only valid for the duration of the call: values are
-// copied into soft memory by the store, and keys are copied by their
-// string conversion at each store call site.
-func (s *Server) execute(rw *respWriter, cmd string, args [][]byte) (quit bool) {
-	return s.executeConn(nil, rw, cmd, args)
-}
-
-// executeConn is execute carrying the connection state (nil outside
-// serveConn), so inline writes can feed a session-aware cluster hook.
-func (s *Server) executeConn(ce *connExec, rw *respWriter, cmd string, args [][]byte) (quit bool) {
+// inline runs one command that is not in the keyed table's executable
+// half (non-keyed, list, hash, admin), writing its reply. With metrics
+// or attribution armed it is timed; its whole wall time is exec.
+func (s *Server) inline(rw *respWriter, cmd string, args [][]byte) (quit bool) {
 	m := s.met.Load()
 	a := s.store.attrib.Load()
 	if m == nil && a == nil {
-		return s.dispatch(ce, rw, cmd, args)
+		return s.dispatch(rw, cmd, args)
 	}
 	t0 := time.Now()
-	quit = s.dispatch(ce, rw, cmd, args)
+	quit = s.dispatch(rw, cmd, args)
 	d := time.Since(t0)
 	if m != nil {
 		m.observe(cmd, d)
@@ -641,159 +623,16 @@ func (s *Server) executeConn(ce *connExec, rw *respWriter, cmd string, args [][]
 	return quit
 }
 
-func (s *Server) dispatch(ce *connExec, rw *respWriter, cmd string, args [][]byte) (quit bool) {
+// dispatch executes the commands the batch path does not carry. The
+// keyed string commands are not here: they are described by the command
+// table and executed by Store.exec.
+func (s *Server) dispatch(rw *respWriter, cmd string, args [][]byte) (quit bool) {
 	switch cmd {
 	case "PING":
 		rw.simple("PONG")
 	case "QUIT":
 		rw.simple("OK")
 		return true
-	case "SET":
-		if len(args) != 3 {
-			rw.error("wrong number of arguments for 'set'")
-			return false
-		}
-		if err := s.store.Set(string(args[1]), args[2]); err != nil {
-			rw.error("soft memory exhausted: " + err.Error())
-			return false
-		}
-		if h := s.hook(); h != nil {
-			applyHook(h, ce.session(h), OpSet, string(args[1]), args[2])
-		}
-		rw.simple("OK")
-	case "GET":
-		if len(args) != 2 {
-			rw.error("wrong number of arguments for 'get'")
-			return false
-		}
-		v, ok, err := s.store.GetAppend(rw.val[:0], string(args[1]))
-		rw.val = v[:0]
-		switch {
-		case err != nil:
-			rw.error(err.Error())
-		case !ok:
-			rw.nilReply()
-		default:
-			rw.bulk(v)
-		}
-	case "MSET":
-		if len(args) < 3 || len(args)%2 != 1 {
-			rw.error("wrong number of arguments for 'mset'")
-			return false
-		}
-		h := s.hook()
-		sess := ce.session(h)
-		for i := 1; i < len(args); i += 2 {
-			if err := s.store.Set(string(args[i]), args[i+1]); err != nil {
-				rw.error("soft memory exhausted: " + err.Error())
-				return false
-			}
-			if h != nil {
-				applyHook(h, sess, OpSet, string(args[i]), args[i+1])
-			}
-		}
-		rw.simple("OK")
-	case "MGET":
-		if len(args) < 2 {
-			rw.error("wrong number of arguments for 'mget'")
-			return false
-		}
-		rw.arrayHeader(len(args) - 1)
-		for _, k := range args[1:] {
-			v, ok, err := s.store.GetAppend(rw.val[:0], string(k))
-			rw.val = v[:0]
-			if err != nil || !ok {
-				rw.nilReply()
-				continue
-			}
-			rw.bulk(v)
-		}
-	case "INCR", "DECR", "INCRBY", "DECRBY":
-		delta := 1
-		switch {
-		case cmd == "INCR" || cmd == "DECR":
-			if len(args) != 2 {
-				rw.error("wrong number of arguments")
-				return false
-			}
-		default:
-			if len(args) != 3 {
-				rw.error("wrong number of arguments")
-				return false
-			}
-			n, ok := asciiInt(args[2])
-			if !ok {
-				rw.error("value is not an integer or out of range")
-				return false
-			}
-			delta = n
-		}
-		if cmd == "DECR" || cmd == "DECRBY" {
-			delta = -delta
-		}
-		n, err := s.store.Incr(string(args[1]), int64(delta))
-		if err != nil {
-			rw.error(err.Error())
-			return false
-		}
-		rw.integer(n)
-	case "APPEND":
-		if len(args) != 3 {
-			rw.error("wrong number of arguments for 'append'")
-			return false
-		}
-		n, err := s.store.Append(string(args[1]), args[2])
-		if err != nil {
-			rw.error(err.Error())
-			return false
-		}
-		rw.integer(int64(n))
-	case "EXPIRE":
-		if len(args) != 3 {
-			rw.error("wrong number of arguments for 'expire'")
-			return false
-		}
-		secs, ok := asciiInt(args[2])
-		if !ok || secs < 0 {
-			rw.error("invalid expire time")
-			return false
-		}
-		if s.store.Expire(string(args[1]), time.Duration(secs)*time.Second) {
-			rw.integer(1)
-		} else {
-			rw.integer(0)
-		}
-	case "TTL":
-		if len(args) != 2 {
-			rw.error("wrong number of arguments for 'ttl'")
-			return false
-		}
-		d, exists, hasTTL := s.store.TTL(string(args[1]))
-		switch {
-		case !exists:
-			rw.integer(-2)
-		case !hasTTL:
-			rw.integer(-1)
-		default:
-			// Round up, as Redis does: a fresh EXPIRE k 100 reports 100.
-			rw.integer(int64((d + time.Second - 1) / time.Second))
-		}
-	case "PERSIST":
-		if len(args) != 2 {
-			rw.error("wrong number of arguments for 'persist'")
-			return false
-		}
-		if s.store.Persist(string(args[1])) {
-			rw.integer(1)
-		} else {
-			rw.integer(0)
-		}
-	case "STRLEN":
-		if len(args) != 2 {
-			rw.error("wrong number of arguments for 'strlen'")
-			return false
-		}
-		rw.integer(int64(s.store.StrLen(string(args[1]))))
 	case "LPUSH", "RPUSH":
 		if len(args) < 3 {
 			rw.error("wrong number of arguments")
@@ -937,38 +776,6 @@ func (s *Server) dispatch(ce *connExec, rw *respWriter, cmd string, args [][]byt
 		for _, f := range fields {
 			rw.bulkString(f)
 			rw.bulk(all[f])
-		}
-	case "DEL":
-		if len(args) < 2 {
-			rw.error("wrong number of arguments for 'del'")
-			return false
-		}
-		n := int64(0)
-		h := s.hook()
-		sess := ce.session(h)
-		for _, k := range args[1:] {
-			removed, err := s.store.Del(string(k))
-			if err != nil {
-				rw.error(err.Error())
-				return false
-			}
-			if removed {
-				n++
-			}
-			if h != nil {
-				applyHook(h, sess, OpDel, string(k), nil)
-			}
-		}
-		rw.integer(n)
-	case "EXISTS":
-		if len(args) != 2 {
-			rw.error("wrong number of arguments for 'exists'")
-			return false
-		}
-		if s.store.Exists(string(args[1])) {
-			rw.integer(1)
-		} else {
-			rw.integer(0)
 		}
 	case "KEYS":
 		if len(args) != 2 {

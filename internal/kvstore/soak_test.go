@@ -31,7 +31,7 @@ func TestSoakSpill(t *testing.T) {
 	defer sp.Close()
 
 	sma := core.New(core.Config{Machine: pages.NewPool(0)})
-	st := NewFromConfig(Config{SMA: sma, Shards: 4, Spill: sp})
+	st := New(sma, WithShards(4), WithSpill(sp))
 	defer st.Close()
 
 	srv := NewServer(st, t.Logf)

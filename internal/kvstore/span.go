@@ -104,10 +104,11 @@ func (a *attribState) observeCmd(c *Command) {
 	}
 }
 
-// observeInline attributes one serially executed command (the
-// unpipelined fast path, which bypasses the engine): its whole wall time
-// is exec, and it still lands in the slowlog past the threshold. The key
-// is extracted (and allocated) only when the entry is actually recorded.
+// observeInline attributes one command that Server.dispatch ran inline
+// (non-keyed, list, hash, admin — the keyed string commands carry real
+// spans from run): its whole wall time is exec, and it still lands in
+// the slowlog past the threshold. The key is extracted (and allocated)
+// only when the entry is actually recorded.
 func (a *attribState) observeInline(cmd string, args [][]byte, d time.Duration) {
 	a.phases[phaseExec].ObserveDuration(d)
 	if n := d.Nanoseconds(); n >= a.slow.thresholdNs {
@@ -200,21 +201,13 @@ var profLabels atomic.Bool
 // execution on shard owners and caller-runs batches.
 func EnableProfilerLabels() { profLabels.Store(true) }
 
-// opNames names each Op for pprof labels.
-var opNames = [...]string{
-	OpGet: "GET", OpSet: "SET", OpDel: "DEL", OpIncr: "INCR",
-	OpAppend: "APPEND", OpStrLen: "STRLEN", OpExists: "EXISTS",
-	OpExpire: "EXPIRE", OpTTL: "TTL", OpPersist: "PERSIST",
-	opSweep: "SWEEP",
-}
-
 // execLabeled runs one command, wrapping it in pprof labels when -pprof
-// enabled them; otherwise it is a single atomic load over execOwned.
+// enabled them; otherwise it is a single atomic load over exec.
 func (s *Store) execLabeled(o *core.Owned, sh *shard, c *Command) {
 	if !profLabels.Load() {
-		s.execOwned(o, sh, c)
+		s.exec(o, sh, c)
 		return
 	}
 	pprof.Do(context.Background(), pprof.Labels("cmd", opNames[c.Op], "shard", sh.label),
-		func(context.Context) { s.execOwned(o, sh, c) })
+		func(context.Context) { s.exec(o, sh, c) })
 }

@@ -22,7 +22,7 @@ import (
 func newAttribStore(t *testing.T, threshold time.Duration, size int) (*Store, *metrics.Registry) {
 	t.Helper()
 	sma := core.New(core.Config{Machine: pages.NewPool(0)})
-	st := NewFromConfig(Config{SMA: sma, SlowLogThreshold: threshold, SlowLogSize: size})
+	st := New(sma, WithSlowLog(threshold, size))
 	t.Cleanup(st.Close)
 	reg := metrics.NewRegistry()
 	st.RegisterMetrics(reg)
@@ -86,8 +86,11 @@ func TestServerSlowLogEndToEnd(t *testing.T) {
 	if st.SlowLog() == nil {
 		t.Fatal("SlowLog() = nil with attribution armed")
 	}
-	srv.execute(rw, "SET", [][]byte{[]byte("SET"), []byte("k"), []byte("v")})
-	srv.execute(rw, "GET", [][]byte{[]byte("GET"), []byte("k")})
+	ce := srv.newConnExec()
+	for _, args := range [][][]byte{{[]byte("SET"), []byte("k"), []byte("v")}, {[]byte("GET"), []byte("k")}} {
+		ce.serve(rw, canonicalCommand(args[0]), args)
+		ce.settle(rw)
+	}
 	entries := st.SlowLog()
 	if len(entries) != 2 {
 		t.Fatalf("slowlog entries = %d, want 2 at 1ns threshold", len(entries))
@@ -135,7 +138,7 @@ func TestBatchPhasesObserved(t *testing.T) {
 // and is a safe no-op while attribution is disarmed.
 func TestObserveReplHop(t *testing.T) {
 	sma := core.New(core.Config{Machine: pages.NewPool(0)})
-	st := NewFromConfig(Config{SMA: sma})
+	st := New(sma)
 	t.Cleanup(st.Close)
 	st.ObserveReplHop(time.Millisecond) // disarmed: must not panic
 
@@ -205,7 +208,7 @@ func phaseCount(t *testing.T, reg *metrics.Registry, phase string) float64 {
 // the owner polls.
 func TestContendedPhasesRecorded(t *testing.T) {
 	sma := core.New(core.Config{Machine: pages.NewPool(0)})
-	st := NewFromConfig(Config{SMA: sma, Shards: 1})
+	st := New(sma, WithShards(1))
 	t.Cleanup(st.Close)
 	reg := metrics.NewRegistry()
 	st.RegisterMetrics(reg)

@@ -11,7 +11,7 @@ import (
 	"softmem/internal/spill"
 )
 
-func newSpillStore(t *testing.T, cfg Config) (*Store, *core.SMA, *spill.Store) {
+func newSpillStore(t *testing.T, opts ...Option) (*Store, *core.SMA, *spill.Store) {
 	t.Helper()
 	sp, err := spill.Open(spill.Config{Dir: t.TempDir(), CompactInterval: -1})
 	if err != nil {
@@ -20,9 +20,7 @@ func newSpillStore(t *testing.T, cfg Config) (*Store, *core.SMA, *spill.Store) {
 	t.Cleanup(sp.Close)
 	sma := core.New(core.Config{Machine: pages.NewPool(0)})
 	sma.SetSpillReporter(sp.BytesOnDisk)
-	cfg.SMA = sma
-	cfg.Spill = sp
-	st := NewFromConfig(cfg)
+	st := New(sma, append(opts, WithSpill(sp))...)
 	t.Cleanup(st.Close)
 	return st, sma, sp
 }
@@ -33,7 +31,7 @@ func newSpillStore(t *testing.T, cfg Config) (*Store, *core.SMA, *spill.Store) {
 // of the demoted ones back via transparent promotion.
 func TestSpillDemotionRecovery(t *testing.T) {
 	var demoted []string
-	st, sma, sp := newSpillStore(t, Config{OnReclaim: func(k string) { demoted = append(demoted, k) }})
+	st, sma, sp := newSpillStore(t, WithOnReclaim(func(k string) { demoted = append(demoted, k) }))
 
 	const keys = 64
 	val := func(i int) []byte { return []byte(fmt.Sprintf("value-%03d-%s", i, string(make([]byte, 900)))) }
@@ -102,7 +100,7 @@ func TestSpillDemotionRecovery(t *testing.T) {
 func TestSpillDisabledDropSemantics(t *testing.T) {
 	var reclaimed []string
 	sma := core.New(core.Config{Machine: pages.NewPool(0)})
-	st := NewFromConfig(Config{SMA: sma, OnReclaim: func(k string) { reclaimed = append(reclaimed, k) }})
+	st := New(sma, WithOnReclaim(func(k string) { reclaimed = append(reclaimed, k) }))
 	defer st.Close()
 
 	val := make([]byte, 1024)
@@ -134,7 +132,7 @@ func TestSpillDisabledDropSemantics(t *testing.T) {
 // TestSpillWriteInvalidatesDemoted: a fresh SET and a DEL must both
 // supersede a demoted copy.
 func TestSpillWriteInvalidatesDemoted(t *testing.T) {
-	st, _, sp := newSpillStore(t, Config{})
+	st, _, sp := newSpillStore(t)
 	if err := st.Set("k", []byte("old")); err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +142,7 @@ func TestSpillWriteInvalidatesDemoted(t *testing.T) {
 	}
 	sink := sp.Sink("kvstore")
 	sink.OnReclaim("k", []byte("old")) // as if reclaimed
-	if _, err := st.table("k").Delete("k"); err != nil {
+	if _, err := st.shard("k").ht.Delete("k"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -175,7 +173,7 @@ func TestSpillWriteInvalidatesDemoted(t *testing.T) {
 // must flag the promotion so its re-insert is rolled back — otherwise
 // the deleted key resurrects in the hot tier.
 func TestSpillPromotionDeleteRollback(t *testing.T) {
-	st, _, sp := newSpillStore(t, Config{})
+	st, _, sp := newSpillStore(t)
 	sink := sp.Sink("kvstore")
 	sink.OnReclaim("k", []byte("v")) // value lives only on disk
 
@@ -188,14 +186,14 @@ func TestSpillPromotionDeleteRollback(t *testing.T) {
 	if _, err := st.Del("k"); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.table("k").Put("k", sv); err != nil {
+	if err := st.shard("k").ht.Put("k", sv); err != nil {
 		t.Fatal(err)
 	}
 	if !st.promoEnd("k", p) {
 		t.Fatal("Del during in-flight promotion was not flagged")
 	}
 	// lookup's rollback path:
-	if _, err := st.table("k").Delete("k"); err != nil {
+	if _, err := st.shard("k").ht.Delete("k"); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok, _ := st.Get("k"); ok {
@@ -227,7 +225,7 @@ func TestSpillPromotionDeleteRollback(t *testing.T) {
 // that live only in the spill tier; whatever the interleaving, a key
 // must never survive its deletion.
 func TestSpillPromotionDeleteRace(t *testing.T) {
-	st, _, sp := newSpillStore(t, Config{})
+	st, _, sp := newSpillStore(t)
 	sink := sp.Sink("kvstore")
 	for i := 0; i < 200; i++ {
 		key := fmt.Sprintf("k%03d", i)
@@ -249,7 +247,7 @@ func TestSpillTTLSurvivesDemotion(t *testing.T) {
 	now := time.Unix(1000, 0)
 	clock := func() time.Time { return now }
 	var demoted []string
-	st, sma, _ := newSpillStore(t, Config{Clock: clock, OnReclaim: func(k string) { demoted = append(demoted, k) }})
+	st, sma, _ := newSpillStore(t, WithClock(clock), WithOnReclaim(func(k string) { demoted = append(demoted, k) }))
 
 	val := make([]byte, 2048)
 	for i := 0; i < 16; i++ {
@@ -287,7 +285,7 @@ func TestSpillTTLSurvivesDemotion(t *testing.T) {
 // Shards > 1, store-global totals equal the sum over PerShard.
 func TestPerShardStatsAggregate(t *testing.T) {
 	sma := core.New(core.Config{Machine: pages.NewPool(0)})
-	st := NewFromConfig(Config{SMA: sma, Shards: 4})
+	st := New(sma, WithShards(4))
 	defer st.Close()
 
 	val := make([]byte, 512)
@@ -331,7 +329,7 @@ func TestPerShardStatsAggregate(t *testing.T) {
 // tags demotions onto the active demand trace: a traced demand returns a
 // "spill_demote" span with the demoted record count and payload bytes.
 func TestSpillDemoteSpanOnTracedDemand(t *testing.T) {
-	st, sma, _ := newSpillStore(t, Config{})
+	st, sma, _ := newSpillStore(t)
 	const keys = 64
 	for i := 0; i < keys; i++ {
 		if err := st.Set(fmt.Sprintf("k%03d", i), []byte(fmt.Sprintf("value-%03d-%s", i, string(make([]byte, 900))))); err != nil {

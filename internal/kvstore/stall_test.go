@@ -21,10 +21,8 @@ func TestStallNanosCountsSpillPromotions(t *testing.T) {
 		return now
 	}
 	var demoted []string
-	st, sma, _ := newSpillStore(t, Config{
-		Clock:     clock,
-		OnReclaim: func(k string) { demoted = append(demoted, k) },
-	})
+	st, sma, _ := newSpillStore(t, WithClock(clock),
+		WithOnReclaim(func(k string) { demoted = append(demoted, k) }))
 
 	for i := 0; i < 64; i++ {
 		if err := st.Set(fmt.Sprintf("k%03d", i), make([]byte, 900)); err != nil {

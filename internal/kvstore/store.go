@@ -43,10 +43,8 @@ import (
 // platforms.
 const keyOverheadBytes = 64
 
-// Config parameterizes a Store.
+// Config is what the Options fill in; New applies the defaults.
 type Config struct {
-	// SMA is the owning process's soft memory allocator (required).
-	SMA *core.SMA
 	// Name labels the store's SDS context. Default "kvstore".
 	Name string
 	// Policy selects the eviction order under reclamation. Default
@@ -85,15 +83,6 @@ type Config struct {
 	SlowLogThreshold time.Duration
 	// SlowLogSize bounds the slow-request log ring (default 128).
 	SlowLogSize int
-	// DisableLockFreeReads turns off the epoch-protected optimistic GET
-	// path on the string shards. By default (false) single-key GETs are
-	// served with zero locks: the shard table publishes values to an
-	// atomic reader index and revocation rides the epoch grace period
-	// (see internal/sds and internal/epoch). Under EvictLRU, recency is
-	// kept by lazily-sampled per-entry clock stamps so the optimistic
-	// path engages there too (eviction order becomes approximate). The
-	// flag exists for A/B overhead measurements.
-	DisableLockFreeReads bool
 }
 
 // Stats is the store's unified observability snapshot: operation
@@ -116,7 +105,7 @@ type Stats struct {
 	// epoch-protected optimistic path with zero locks; LockFreeFallbacks
 	// and CondemnedRetries count optimistic attempts that had to take
 	// the locked path (reader-slot exhaustion vs a value revoked
-	// mid-read). All zero when lock-free reads are disabled.
+	// mid-read).
 	LockFreeHits      int64 `json:",omitempty"`
 	LockFreeMisses    int64 `json:",omitempty"`
 	LockFreeFallbacks int64 `json:",omitempty"`
@@ -146,10 +135,12 @@ type ShardStats struct {
 }
 
 // Store is an embeddable soft-memory key-value store. All methods are
-// safe for concurrent use. String commands execute on per-shard owner
-// goroutines (see engine.go) when submitted through the Batch dispatch
-// interface; the direct methods below serialize against the owners
-// through each shard's heap lock.
+// safe for concurrent use. Every keyed string command has one
+// implementation, exec (engine.go), which runs under the key's shard
+// heap lock held through a core.Owned: Batch groups run it on the
+// submitting goroutine or the shard's owner goroutine, and the direct
+// methods below are thin wrappers that fill a Command and call Do, which
+// takes the same lock inline for one command.
 type Store struct {
 	shards      []*shard
 	shardMask   uint64
@@ -190,22 +181,19 @@ type Store struct {
 // New creates a store backed by soft hash tables in sma, tuned by
 // functional options — kvstore.New(sma, kvstore.WithShards(8),
 // kvstore.WithSpill(sp)) — mirroring ipc.Dial's DialOptions pattern.
+//
+// Single-key GETs are served with zero locks: each shard table publishes
+// values to an atomic reader index and revocation rides the epoch grace
+// period (see internal/sds and internal/epoch). Under EvictLRU, recency
+// is kept by lazily-sampled per-entry clock stamps so the optimistic
+// path engages there too (eviction order becomes approximate).
 func New(sma *core.SMA, opts ...Option) *Store {
-	cfg := Config{SMA: sma}
+	if sma == nil {
+		panic("kvstore: New needs an SMA")
+	}
+	var cfg Config
 	for _, opt := range opts {
 		opt(&cfg)
-	}
-	return NewFromConfig(cfg)
-}
-
-// NewFromConfig creates a store from a literal Config.
-//
-// Deprecated: use New with functional options. NewFromConfig remains so
-// existing callers migrate incrementally; it will not grow new fields'
-// validation beyond what the options enforce.
-func NewFromConfig(cfg Config) *Store {
-	if cfg.SMA == nil {
-		panic("kvstore: Config.SMA is required")
 	}
 	name := cfg.Name
 	if name == "" {
@@ -254,7 +242,7 @@ func NewFromConfig(cfg Config) *Store {
 				s.spill.OnReclaim(key, value)
 			}
 			// Tag the demotion onto the active reclaim trace, if any.
-			cfg.SMA.NoteDemand("spill_demote", 1, int64(len(value)))
+			sma.NoteDemand("spill_demote", 1, int64(len(value)))
 		} else {
 			// No spill tier, or the fault point vetoed the demotion (a
 			// revocation whose last-chance persist never happens): the
@@ -280,12 +268,12 @@ func NewFromConfig(cfg Config) *Store {
 		if nshards > 1 {
 			shardName = fmt.Sprintf("%s/%d", name, i)
 		}
-		ht := sds.NewSoftHashTable[string](cfg.SMA, shardName, sds.HashTableConfig[string]{
+		ht := sds.NewSoftHashTable[string](sma, shardName, sds.HashTableConfig[string]{
 			Policy:        cfg.Policy,
 			Priority:      cfg.Priority,
 			KeyBytes:      func(k string) int { return len(k) + keyOverheadBytes },
 			OnReclaim:     onReclaim,
-			LockFreeReads: !cfg.DisableLockFreeReads,
+			LockFreeReads: true,
 		})
 		s.shards[i] = &shard{
 			ht:    ht,
@@ -295,7 +283,7 @@ func NewFromConfig(cfg Config) *Store {
 			label: strconv.Itoa(i),
 		}
 	}
-	hashTable := sds.NewSoftHashTable[hashField](cfg.SMA, name+"-hashes", sds.HashTableConfig[hashField]{
+	hashTable := sds.NewSoftHashTable[hashField](sma, name+"-hashes", sds.HashTableConfig[hashField]{
 		Policy:   cfg.Policy,
 		Priority: cfg.Priority,
 		KeyBytes: func(f hashField) int { return len(f.key) + len(f.field) + keyOverheadBytes },
@@ -305,7 +293,7 @@ func NewFromConfig(cfg Config) *Store {
 		},
 	})
 	s.hashes = newHashStore(hashTable)
-	listTable := sds.NewSoftHashTable[listElem](cfg.SMA, name+"-lists", sds.HashTableConfig[listElem]{
+	listTable := sds.NewSoftHashTable[listElem](sma, name+"-lists", sds.HashTableConfig[listElem]{
 		Policy:   cfg.Policy,
 		Priority: cfg.Priority,
 		KeyBytes: seqKeyBytes,
@@ -338,9 +326,6 @@ func (s *Store) shardIdx(key string) int {
 
 // shard routes a key to its shard.
 func (s *Store) shard(key string) *shard { return s.shards[s.shardIdx(key)] }
-
-// table routes a key to its shard's hash table.
-func (s *Store) table(key string) *sds.SoftHashTable[string] { return s.shard(key).ht }
 
 // promo tracks one key's in-flight spill promotions so a concurrent
 // deletion is not lost while the value travels between tiers.
@@ -407,72 +392,15 @@ func (s *Store) promoClearDeleted(key string) {
 	s.promoMu.Unlock()
 }
 
-// lookup reads key from the hot tier, faulting it in from the spill
-// tier on a miss (the transparent promotion path). A promoted value is
-// re-inserted through ht.Put — the normal soft-allocation/budget path —
-// so the spill tier never bypasses the daemon's arbitration; if the
-// re-insert fails under pressure, the value is demoted straight back so
-// it stays recoverable, and the caller still gets it either way.
-//
-// A Del that lands between Promote (which removes the spill record) and
-// the re-insert sees the key in neither tier; without coordination the
-// re-insert would resurrect the deleted key. The promo registration
-// closes that: the Del marks it, and the re-insert is rolled back —
-// this Get linearizes just before the Del, so the caller still gets the
-// value while the store stays deleted.
-func (s *Store) lookup(ht *sds.SoftHashTable[string], key string) ([]byte, bool, error) {
-	return s.lookupAppend(nil, ht, key)
-}
-
-// lookupAppend is lookup appending into dst (nil dst allocates as
-// lookup always did). The hot in-memory hit avoids a per-call value
-// allocation by reusing dst's capacity.
-func (s *Store) lookupAppend(dst []byte, ht *sds.SoftHashTable[string], key string) ([]byte, bool, error) {
-	v, ok, err := ht.GetAppend(dst, key)
-	if err != nil || ok || s.spill == nil {
-		return v, ok, err
-	}
-	t0 := s.now()
-	p := s.promoBegin(key)
-	sv, ok := s.spill.Promote(key)
-	if !ok {
-		s.promoEnd(key, p)
-		s.promoteNs.Add(s.now().Sub(t0).Nanoseconds())
-		return dst, false, nil
-	}
-	s.promotions.Add(1)
-	perr := ht.Put(key, sv)
-	if s.promoEnd(key, p) {
-		_, _ = ht.Delete(key)
-	} else if perr != nil {
-		_ = s.spill.Demote(key, sv)
-	}
-	s.promoteNs.Add(s.now().Sub(t0).Nanoseconds())
-	if dst == nil {
-		return sv, true, nil
-	}
-	return append(dst, sv...), true, nil
-}
-
-// dropSpilled invalidates key's spill record so a stale demoted value
-// cannot shadow a fresh write or survive a deletion.
-func (s *Store) dropSpilled(key string) {
-	if s.spill != nil {
-		s.spill.Drop(key)
-	}
-}
-
 // Set stores value under key, replacing any existing value. It returns
 // core.ErrExhausted when soft memory cannot be obtained even after
 // machine-wide reclamation.
 func (s *Store) Set(key string, value []byte) error {
-	s.sets.Add(1)
-	// Drop before Put: the reverse order races with a reclamation that
-	// demotes the fresh value between the two steps, and the Drop would
-	// then destroy the only copy.
-	s.dropSpilled(key)
-	s.promoClearDeleted(key)
-	return s.table(key).Put(key, value)
+	// Here and in the wrappers below the Command is assigned field by
+	// field, not written as a literal, for the reason given in Batch.Add.
+	var c Command
+	c.Op, c.Key, c.Arg = OpSet, key, value
+	return s.Do(&c)
 }
 
 // Get returns a copy of the value under key; ok is false on miss —
@@ -483,154 +411,66 @@ func (s *Store) Get(key string) (value []byte, ok bool, err error) {
 }
 
 // GetAppend is Get appending the value to dst and returning the
-// extended slice. The RESP hot path calls it with a per-connection
-// scratch so a cache hit allocates nothing; the result aliases dst's
-// backing array and is only valid until dst's next reuse.
-//
-// On a lock-free shard (the default) the read is served optimistically
-// first: zero mutexes, zero Owned acquisitions, epoch-protected byte
-// copy. The locked path only runs when the optimistic read cannot
-// complete (condemned entry, reader-slot exhaustion), when the key has
-// a pending TTL expiry to collect, or when a miss must consult the
-// spill tier for a promotion.
+// extended slice. Hot callers pass a reused scratch (dst[:0]) so a cache
+// hit allocates nothing; the result aliases dst's backing array and is
+// only valid until dst's next reuse.
 func (s *Store) GetAppend(dst []byte, key string) (value []byte, ok bool, err error) {
-	sh := s.shard(key)
-	if sh.ht.LockFree() {
-		if !sh.ttl.due(key) {
-			v, res := sh.ht.GetAppendLockFree(dst, key)
-			switch res {
-			case sds.LookupHit:
-				s.gets.Add(1)
-				s.hits.Add(1)
-				return v, true, nil
-			case sds.LookupMiss:
-				if s.spill == nil {
-					s.gets.Add(1)
-					s.misses.Add(1)
-					return v, false, nil
-				}
-				// A definite miss with a spill tier attached still needs the
-				// locked promotion path below.
-			}
-		} else if res := sh.ht.ContainsLockFree(key); res == sds.LookupMiss &&
-			(s.spill == nil || !s.spill.Contains(key)) {
-			// The deadline is due but the key is confirmed absent from both
-			// tiers (already revoked, deleted, or collected): there is
-			// nothing to expire, so the miss stays lock-free — drop the
-			// stale deadline without touching the shard's heap lock, exactly
-			// as expireIfDue would (no expiry is counted for absent keys).
-			sh.ttl.clear(key)
-			s.gets.Add(1)
-			s.misses.Add(1)
-			return dst, false, nil
-		}
+	var c Command
+	c.Op, c.Key, c.Val = OpGet, key, dst[len(dst):]
+	err = s.Do(&c)
+	if len(dst) == 0 {
+		return c.Val, c.Ok, err
 	}
-	s.expireIfDue(key)
-	s.gets.Add(1)
-	value, ok, err = s.lookupAppend(dst, sh.ht, key)
-	if ok {
-		s.hits.Add(1)
-	} else {
-		s.misses.Add(1)
-	}
-	return value, ok, err
+	// c.Val is dst's own tail when the value fit its capacity (the append
+	// then copies it onto itself) and a separate buffer when it did not.
+	return append(dst, c.Val...), c.Ok, err
 }
 
 // Del removes key, reporting whether it existed.
 func (s *Store) Del(key string) (bool, error) {
-	s.dels.Add(1)
-	sh := s.shard(key)
-	sh.ttl.clear(key)
-	existed, err := sh.ht.Delete(key)
-	if s.spill != nil {
-		if s.spill.Contains(key) {
-			existed = true
-		}
-		s.spill.Drop(key)
-		// A value mid-promotion is in neither tier right now; flag the
-		// in-flight promotion so its re-insert is rolled back.
-		s.promoMarkDeleted(key)
-	}
-	return existed, err
+	var c Command
+	c.Op, c.Key = OpDel, key
+	err := s.Do(&c)
+	return c.Ok, err
 }
 
 // Exists reports whether key is present (hot tier or spilled).
 func (s *Store) Exists(key string) bool {
-	sh := s.shard(key)
-	if sh.ht.LockFree() && !sh.ttl.due(key) {
-		if sh.ht.ContainsLockFree(key) == sds.LookupHit {
-			return true
-		}
-		// Miss or retry: the locked path settles condemned races and the
-		// spill tier.
-	}
-	s.expireIfDue(key)
-	if sh.ht.Contains(key) {
-		return true
-	}
-	return s.spill != nil && s.spill.Contains(key)
+	var c Command
+	c.Op, c.Key = OpExists, key
+	_ = s.Do(&c) // a closed store holds no keys
+	return c.Ok
 }
 
 // Incr adjusts the integer stored at key by delta, creating it at delta
 // if absent, and returns the new value. It fails if the current value is
-// not an integer.
+// not an integer. Concurrent Incrs of one key never lose an update.
 func (s *Store) Incr(key string, delta int64) (int64, error) {
-	s.expireIfDue(key)
-	s.gets.Add(1)
-	ht := s.table(key)
-	cur, ok, err := s.lookup(ht, key)
-	if err != nil {
+	var c Command
+	c.Op, c.Key, c.Delta = OpIncr, key, delta
+	if err := s.Do(&c); err != nil {
 		return 0, err
 	}
-	n := int64(0)
-	if ok {
-		s.hits.Add(1)
-		n, err = strconv.ParseInt(string(cur), 10, 64)
-		if err != nil {
-			return 0, errNotInteger(key)
-		}
-	} else {
-		s.misses.Add(1)
-	}
-	n += delta
-	s.sets.Add(1)
-	if err := ht.Put(key, []byte(strconv.FormatInt(n, 10))); err != nil {
-		return 0, err
-	}
-	return n, nil
+	return c.N, nil
 }
 
 // Append appends data to the value at key (creating it if absent) and
 // returns the new length.
 func (s *Store) Append(key string, data []byte) (int, error) {
-	s.expireIfDue(key)
-	s.gets.Add(1)
-	ht := s.table(key)
-	cur, ok, err := s.lookup(ht, key)
-	if err != nil {
+	var c Command
+	c.Op, c.Key, c.Arg = OpAppend, key, data
+	if err := s.Do(&c); err != nil {
 		return 0, err
 	}
-	if ok {
-		s.hits.Add(1)
-	} else {
-		s.misses.Add(1)
-	}
-	next := append(cur, data...)
-	s.sets.Add(1)
-	if err := ht.Put(key, next); err != nil {
-		return 0, err
-	}
-	return len(next), nil
+	return int(c.N), nil
 }
 
 // StrLen returns the length of the value at key (0 if absent).
 func (s *Store) StrLen(key string) int {
-	s.expireIfDue(key)
-	v, ok, err := s.lookup(s.table(key), key)
-	if err != nil || !ok {
-		return 0
-	}
-	return len(v)
+	var c Command
+	c.Op, c.Key = OpStrLen, key
+	_ = s.Do(&c) // unreadable counts as absent
+	return int(c.N)
 }
 
 // Keys returns the keys matching a glob pattern (path.Match syntax,

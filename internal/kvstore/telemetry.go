@@ -50,16 +50,16 @@ func (s *Store) RegisterMetrics(r *metrics.Registry) {
 	counter("softmem_kv_overloaded_total",
 		"commands shed with ErrOverloaded because a shard owner's ring was full", &s.overloaded)
 	r.CounterFunc("softmem_kv_owner_commands_total",
-		"commands executed by shard owner goroutines",
+		"commands executed under a shard's owned heap lock (owners, caller-runs groups and inline calls)",
 		func() int64 { return s.EngineStats().Commands })
 	r.CounterFunc("softmem_kv_owner_batches_total",
-		"shard batches executed by shard owner goroutines",
+		"shard batch groups executed (owner goroutine or caller-runs)",
 		func() int64 { return s.EngineStats().Batches })
 	r.CounterFunc("softmem_kv_owner_busy_ns_total",
 		"nanoseconds shard owners spent executing (vs blocked on their rings)",
 		func() int64 { return s.EngineStats().BusyNs })
 	r.CounterFunc("softmem_kv_owner_lock_acquisitions_total",
-		"times shard owners (re)took their heap lock; commands-per-acquisition is the lock-amortization factor",
+		"times a command executor (re)took a shard heap lock; commands-per-acquisition is the lock-amortization factor",
 		func() int64 { return s.EngineStats().LockAcquisitions })
 	r.GaugeFunc("softmem_kv_ring_depth",
 		"shard batches queued in owner command rings, summed across shards",
@@ -85,23 +85,12 @@ type cmdMetrics struct {
 	m   sync.Map // command -> *metrics.Histogram
 }
 
-// knownCommands bounds the cmd label's cardinality: client-supplied
-// command names that the server does not implement collapse to "OTHER"
-// instead of minting a time series each.
-var knownCommands = map[string]bool{
-	"PING": true, "QUIT": true, "SET": true, "GET": true, "MSET": true,
-	"MGET": true, "INCR": true, "DECR": true, "INCRBY": true, "DECRBY": true,
-	"APPEND": true, "EXPIRE": true, "TTL": true, "PERSIST": true, "STRLEN": true,
-	"LPUSH": true, "RPUSH": true, "LPOP": true, "RPOP": true, "LLEN": true,
-	"LRANGE": true, "HSET": true, "HGET": true, "HDEL": true, "HLEN": true,
-	"HEXISTS": true, "HGETALL": true, "DEL": true, "EXISTS": true, "KEYS": true,
-	"DBSIZE": true, "FLUSHALL": true, "INFO": true,
-	// Cluster-mode commands, served by the installed ClusterHook.
-	"CLUSTER": true, "RSET": true, "RDEL": true, "WAIT": true,
-}
-
+// observe records one command's latency. The command table bounds the
+// cmd label's cardinality: cmd is a table name, or "" for a
+// client-supplied name the server does not implement, which collapses to
+// "OTHER" instead of minting a time series each.
 func (c *cmdMetrics) observe(cmd string, d time.Duration) {
-	if !knownCommands[cmd] {
+	if cmd == "" {
 		cmd = "OTHER"
 	}
 	if h, ok := c.m.Load(cmd); ok {

@@ -97,78 +97,30 @@ func (t *ttlTable) expired() []string {
 // Expire sets key's time-to-live, reporting whether the key exists
 // (demoted-but-spilled keys count as existing).
 func (s *Store) Expire(key string, d time.Duration) bool {
-	if !s.present(key) {
-		return false
-	}
-	s.shard(key).ttl.set(key, s.now().Add(d))
-	return true
-}
-
-// present reports whether key lives in the hot tier or the spill tier,
-// without promoting it.
-func (s *Store) present(key string) bool {
-	if s.table(key).Contains(key) {
-		return true
-	}
-	return s.spill != nil && s.spill.Contains(key)
+	var c Command
+	c.Op, c.Key, c.Delta = OpExpire, key, int64(d)
+	_ = s.Do(&c) // a closed store holds no keys
+	return c.Ok
 }
 
 // TTL reports key's remaining time-to-live. exists is false for missing
 // keys; hasTTL is false for keys without a deadline.
 func (s *Store) TTL(key string) (d time.Duration, exists, hasTTL bool) {
-	s.expireIfDue(key)
-	if !s.present(key) {
-		return 0, false, false
+	var c Command
+	c.Op, c.Key = OpTTL, key
+	_ = s.Do(&c) // a closed store holds no keys
+	if !c.Ok || c.N < 0 {
+		return 0, c.Ok, false
 	}
-	d, hasTTL = s.shard(key).ttl.remaining(key)
-	return d, true, hasTTL
+	return time.Duration(c.N), true, true
 }
 
 // Persist removes key's time-to-live, reporting whether one was removed.
 func (s *Store) Persist(key string) bool {
-	if !s.present(key) {
-		return false
-	}
-	return s.shard(key).ttl.clear(key)
-}
-
-// expireIfDue lazily removes an expired key, freeing its soft memory.
-// With a spill tier, an expired key's demoted record is purged too, so
-// expiry cannot be undone by a later promotion.
-func (s *Store) expireIfDue(key string) {
-	sh := s.shard(key)
-	if sh.ttl.due(key) {
-		sh.ttl.clear(key)
-		removed, _ := sh.ht.Delete(key)
-		if s.spill != nil {
-			removed = s.spill.Drop(key) || removed
-			s.promoMarkDeleted(key)
-		}
-		if removed {
-			s.expired.Add(1)
-		}
-	}
-}
-
-// sweepShardDirect is one shard's sweep through the store's direct
-// methods — the single-shard fallback when the sweep does not go
-// through the owner ring.
-func (s *Store) sweepShardDirect(si int) int {
-	sh := s.shards[si]
-	n := 0
-	for _, key := range sh.ttl.expired() {
-		sh.ttl.clear(key)
-		removed, _ := sh.ht.Delete(key)
-		if s.spill != nil {
-			removed = s.spill.Drop(key) || removed
-			s.promoMarkDeleted(key)
-		}
-		if removed {
-			s.expired.Add(1)
-			n++
-		}
-	}
-	return n
+	var c Command
+	c.Op, c.Key = OpPersist, key
+	_ = s.Do(&c) // a closed store holds no keys
+	return c.Ok
 }
 
 // SweepExpired removes every expired key, returning how many were

@@ -180,37 +180,35 @@ func (t *SoftHashTable[K]) Put(key K, value []byte) error {
 	if err != nil {
 		return err
 	}
-	var replacedRef alloc.Ref
-	var isNew bool
-	err = t.ctx.Do(func(tx *core.Tx) error {
-		if e, ok := t.entries[key]; ok {
-			replacedRef = e.ref
-			e.ref = ref
-			// Publishing the new box unpublishes the old one in the same
-			// atomic store; the old ref is epoch-retired after it, so
-			// readers mid-copy on the old value stay covered.
-			if err := t.publishBox(tx, e, len(value)); err != nil {
-				return err
-			}
-			t.touch(e)
-			return tx.Free(replacedRef)
-		}
-		e := &htEntry[K]{key: key, ref: ref}
-		if err := t.publishBox(tx, e, len(value)); err != nil {
+	return t.ctx.Do(func(tx *core.Tx) error { return t.putLocked(tx, key, ref, len(value)) })
+}
+
+// putLocked installs ref (size bytes, fully written) as key's value
+// inside a locked section: the one index-update body behind Put and the
+// Owned put variants.
+func (t *SoftHashTable[K]) putLocked(tx *core.Tx, key K, ref alloc.Ref, size int) error {
+	if e, ok := t.entries[key]; ok {
+		replaced := e.ref
+		e.ref = ref
+		// Publishing the new box unpublishes the old one in the same
+		// atomic store; the old ref is epoch-retired after it, so
+		// readers mid-copy on the old value stay covered.
+		if err := t.publishBox(tx, e, size); err != nil {
 			return err
 		}
-		t.entries[key] = e
-		t.linkTail(e)
-		if t.lockFree {
-			t.idxInsert(e)
-		}
-		isNew = true
-		return nil
-	})
-	if err != nil {
+		t.touch(e)
+		return tx.Free(replaced)
+	}
+	e := &htEntry[K]{key: key, ref: ref}
+	if err := t.publishBox(tx, e, size); err != nil {
 		return err
 	}
-	if isNew && t.keyBytes != nil {
+	t.entries[key] = e
+	t.linkTail(e)
+	if t.lockFree {
+		t.idxInsert(e)
+	}
+	if t.keyBytes != nil {
 		t.sma.AddTraditionalBytes(int64(t.keyBytes(key)))
 	}
 	return nil
@@ -219,23 +217,7 @@ func (t *SoftHashTable[K]) Put(key K, value []byte) error {
 // Get returns a copy of the value under key. ok is false if the key is
 // absent — including when its value was reclaimed under memory pressure.
 func (t *SoftHashTable[K]) Get(key K) (value []byte, ok bool, err error) {
-	err = t.ctx.Do(func(tx *core.Tx) error {
-		e, present := t.entries[key]
-		if !present {
-			return nil
-		}
-		v, err := tx.Append(nil, e.ref)
-		if err != nil {
-			return err
-		}
-		value = v
-		ok = true
-		if t.policy == EvictLRU {
-			t.touch(e)
-		}
-		return nil
-	})
-	return value, ok, err
+	return t.GetAppend(nil, key)
 }
 
 // GetAppend appends the value under key to dst and returns the
@@ -244,23 +226,27 @@ func (t *SoftHashTable[K]) Get(key K) (value []byte, ok bool, err error) {
 // lookup; the result aliases dst's backing array.
 func (t *SoftHashTable[K]) GetAppend(dst []byte, key K) (value []byte, ok bool, err error) {
 	value = dst
-	err = t.ctx.Do(func(tx *core.Tx) error {
-		e, present := t.entries[key]
-		if !present {
-			return nil
-		}
-		v, err := tx.Append(value, e.ref)
-		if err != nil {
-			return err
-		}
-		value = v
-		ok = true
-		if t.policy == EvictLRU {
-			t.touch(e)
-		}
-		return nil
+	err = t.ctx.Do(func(tx *core.Tx) (gerr error) {
+		value, ok, gerr = t.getLocked(tx, dst, key)
+		return gerr
 	})
 	return value, ok, err
+}
+
+// getLocked is the one read body behind GetAppend and GetAppendOwned.
+func (t *SoftHashTable[K]) getLocked(tx *core.Tx, dst []byte, key K) ([]byte, bool, error) {
+	e, present := t.entries[key]
+	if !present {
+		return dst, false, nil
+	}
+	v, err := tx.Append(dst, e.ref)
+	if err != nil {
+		return dst, false, err
+	}
+	if t.policy == EvictLRU {
+		t.touch(e)
+	}
+	return v, true, nil
 }
 
 // GetPinned returns zero-copy access to the value under key, pinned
@@ -291,36 +277,46 @@ func (t *SoftHashTable[K]) GetPinned(key K) (pin *core.Pin, ok bool, err error) 
 func (t *SoftHashTable[K]) Contains(key K) bool {
 	found := false
 	_ = t.ctx.Do(func(*core.Tx) error {
-		_, found = t.entries[key]
+		found = t.has(key)
 		return nil
 	})
 	return found
 }
 
+// has is the membership probe inside a locked section.
+func (t *SoftHashTable[K]) has(key K) bool {
+	_, ok := t.entries[key]
+	return ok
+}
+
 // Delete removes key, reporting whether it was present.
-func (t *SoftHashTable[K]) Delete(key K) (bool, error) {
-	removed := false
-	err := t.ctx.Do(func(tx *core.Tx) error {
-		e, ok := t.entries[key]
-		if !ok {
-			return nil
-		}
-		t.unlink(e)
-		delete(t.entries, key)
-		if t.lockFree {
-			t.condemn(e)
-			t.idxDelete(key)
-		}
-		removed = true
-		return tx.Free(e.ref)
+func (t *SoftHashTable[K]) Delete(key K) (removed bool, err error) {
+	err = t.ctx.Do(func(tx *core.Tx) (derr error) {
+		removed, derr = t.deleteLocked(tx, key)
+		return derr
 	})
-	if err != nil {
+	return removed, err
+}
+
+// deleteLocked is the one removal body behind Delete and DeleteOwned.
+func (t *SoftHashTable[K]) deleteLocked(tx *core.Tx, key K) (bool, error) {
+	e, ok := t.entries[key]
+	if !ok {
+		return false, nil
+	}
+	t.unlink(e)
+	delete(t.entries, key)
+	if t.lockFree {
+		t.condemn(e)
+		t.idxDelete(key)
+	}
+	if err := tx.Free(e.ref); err != nil {
 		return false, err
 	}
-	if removed && t.keyBytes != nil {
+	if t.keyBytes != nil {
 		t.sma.AddTraditionalBytes(-int64(t.keyBytes(key)))
 	}
-	return removed, nil
+	return true, nil
 }
 
 // Len returns the number of entries.
@@ -379,12 +375,13 @@ func (t *SoftHashTable[K]) Close() {
 	t.ctx.Close()
 }
 
-// Owned variants: the shard-owner execution engine in internal/kvstore
-// holds the table's heap lock across whole command batches through a
-// core.Owned and calls these instead of the Do-based methods above, so a
-// single-key operation costs zero mutex acquisitions. Each validates the
-// handle against the table's own context (o.Tx panics on a mismatch) and
-// runs the same index logic as its locked counterpart.
+// Owned variants: the kvstore's command path holds the table's heap
+// lock through a core.Owned — across whole batches on a shard owner, for
+// one command on a direct call — and uses these instead of the Do-based
+// methods above, so an operation costs zero mutex acquisitions of its
+// own. Each validates the handle against the table's own context (o.Tx
+// panics on a mismatch) and runs the same locked body as its
+// counterpart.
 
 // PutOwned is Put under an already-owned heap lock. The allocation slow
 // path may drop and re-take the lock (daemon round-trips); the index
@@ -395,79 +392,42 @@ func (t *SoftHashTable[K]) PutOwned(o *core.Owned, key K, value []byte) error {
 	if err != nil {
 		return err
 	}
+	return t.putLocked(o.Tx(t.ctx), key, ref, len(value))
+}
+
+// PutOwnedIfHeld is PutOwned for read-modify-write callers, whose value
+// derives from a read made under this same hold of the lock. When the
+// allocation slow path had to drop the lock, that read may be stale: the
+// allocation is freed, the index is left untouched and stored is false,
+// so the caller redoes its read instead of writing a stale value.
+func (t *SoftHashTable[K]) PutOwnedIfHeld(o *core.Owned, key K, value []byte) (stored bool, err error) {
+	held := o.Acquisitions()
+	ref, err := o.AllocData(value)
+	if err != nil {
+		return false, err
+	}
 	tx := o.Tx(t.ctx)
-	if e, ok := t.entries[key]; ok {
-		replaced := e.ref
-		e.ref = ref
-		if err := t.publishBox(tx, e, len(value)); err != nil {
-			return err
-		}
-		t.touch(e)
-		return tx.Free(replaced)
+	if o.Acquisitions() != held {
+		return false, tx.Free(ref)
 	}
-	e := &htEntry[K]{key: key, ref: ref}
-	if err := t.publishBox(tx, e, len(value)); err != nil {
-		return err
-	}
-	t.entries[key] = e
-	t.linkTail(e)
-	if t.lockFree {
-		t.idxInsert(e)
-	}
-	if t.keyBytes != nil {
-		t.sma.AddTraditionalBytes(int64(t.keyBytes(key)))
-	}
-	return nil
+	return true, t.putLocked(tx, key, ref, len(value))
 }
 
 // GetAppendOwned is GetAppend under an already-owned heap lock: zero
 // mutex traffic, value appended into dst's capacity.
 func (t *SoftHashTable[K]) GetAppendOwned(o *core.Owned, dst []byte, key K) (value []byte, ok bool, err error) {
-	tx := o.Tx(t.ctx)
-	value = dst
-	e, present := t.entries[key]
-	if !present {
-		return value, false, nil
-	}
-	v, err := tx.Append(value, e.ref)
-	if err != nil {
-		return value, false, err
-	}
-	value = v
-	if t.policy == EvictLRU {
-		t.touch(e)
-	}
-	return value, true, nil
+	return t.getLocked(o.Tx(t.ctx), dst, key)
 }
 
 // DeleteOwned is Delete under an already-owned heap lock.
 func (t *SoftHashTable[K]) DeleteOwned(o *core.Owned, key K) (bool, error) {
-	tx := o.Tx(t.ctx)
-	e, ok := t.entries[key]
-	if !ok {
-		return false, nil
-	}
-	t.unlink(e)
-	delete(t.entries, key)
-	if t.lockFree {
-		t.condemn(e)
-		t.idxDelete(key)
-	}
-	err := tx.Free(e.ref)
-	if err != nil {
-		return false, err
-	}
-	if t.keyBytes != nil {
-		t.sma.AddTraditionalBytes(-int64(t.keyBytes(key)))
-	}
-	return true, nil
+	return t.deleteLocked(o.Tx(t.ctx), key)
 }
 
 // ContainsOwned is Contains under an already-owned heap lock.
 func (t *SoftHashTable[K]) ContainsOwned(o *core.Owned, key K) bool {
 	_ = o.Tx(t.ctx) // ownership check only
-	_, found := t.entries[key]
-	return found
+	return t.has(key)
 }
 
 // linkTail appends e at the tail (most recent / newest position).

@@ -33,7 +33,7 @@ func TestSoakMixedWorkload(t *testing.T) {
 
 	// Process 1: a KV cache.
 	kvSMA := mk("kv")
-	store := kvstore.NewFromConfig(kvstore.Config{SMA: kvSMA, Policy: sds.EvictLRU})
+	store := kvstore.New(kvSMA, kvstore.WithPolicy(sds.EvictLRU))
 	defer store.Close()
 
 	// Process 2: an ML trainer.

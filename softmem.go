@@ -173,8 +173,6 @@ func NewSoftBuffer(sma *SMA, name string, cfg BufferConfig) *SoftBuffer {
 type (
 	// KVStore is the Redis-like soft-memory store from the paper's §5.
 	KVStore = kvstore.Store
-	// KVConfig parameterizes a KVStore.
-	KVConfig = kvstore.Config
 	// KVStats is a KVStore's unified observability snapshot.
 	KVStats = kvstore.Stats
 	// KVOption tunes a KVStore at construction (see NewKV).
@@ -225,12 +223,6 @@ var (
 //
 //	store := softmem.NewKV(sma, softmem.KVWithShards(8))
 func NewKV(sma *SMA, opts ...KVOption) *KVStore { return kvstore.New(sma, opts...) }
-
-// NewKVStore returns a Redis-like store whose values live in soft
-// memory.
-//
-// Deprecated: use NewKV with functional options.
-func NewKVStore(cfg KVConfig) *KVStore { return kvstore.NewFromConfig(cfg) }
 
 // Spill tier (internal/spill): compressed disk demotion for reclaimed
 // soft data, with transparent promotion on miss.

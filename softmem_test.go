@@ -55,7 +55,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 func TestFacadeKVStoreAndErrors(t *testing.T) {
 	machine := NewPool(0)
 	sma := New(Config{Machine: machine})
-	kv := NewKVStore(KVConfig{SMA: sma, Shards: 4})
+	kv := NewKV(sma, KVWithShards(4))
 	if err := kv.Set("k", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
