@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build vet test race race-hot bench-check loc metrics-lint lint lint-install fmt-check chaos chaos-cluster chaos-qos cluster-smoke soak-spill bench bench-all experiments cover fmt clean
+.PHONY: all check build vet test race race-hot bench-check bench-pair loc metrics-lint lint lint-install fmt-check chaos chaos-cluster chaos-qos cluster-smoke soak-spill bench bench-all experiments cover fmt clean
 
 # Pinned linter versions. CI installs exactly these (the lint job runs
 # `make lint-install`); bump them deliberately, in one place.
@@ -72,6 +72,21 @@ race-hot:
 bench-check:
 	$(GO) vet -C bench ./...
 	$(GO) test -C bench ./...
+
+# Same-session A/B for a performance claim (ROADMAP item 3b):
+# `make bench-pair W=kv_direct_mixed [REF=<commit>] [N=10] [SEED=1]
+# [SECONDS=24]` checks REF out as a git worktree under .bench_build/,
+# runs `bash bench/run.sh --workload W` on it and on the working tree in
+# alternating order, and prints per end-to-end metric both medians and
+# quartiles and the pairs won; non-zero exit when a median is worse than
+# its bound in BENCHMARK.json. REF defaults to HEAD when the tree is
+# dirty, else HEAD~1. See cmd/benchpair.
+N ?= 10
+SEED ?= 1
+SECONDS ?= 24
+bench-pair:
+	@test -n "$(W)" || { echo "usage: make bench-pair W=<workload> [REF=<commit>] [N=10] [SEED=1] [SECONDS=24]"; exit 2; }
+	$(GO) run ./cmd/benchpair -workload $(W) $(if $(REF),-ref $(REF)) -n $(N) -seed $(SEED) -seconds $(SECONDS)
 
 # Non-test Go line counts the simplicity issues quote: the kvstore
 # package, and the repository outside the benchmark module.

@@ -1,0 +1,254 @@
+// Command benchpair is the same-session A/B the choosing-metrics rules
+// ask of a performance claim: it checks a reference commit out beside the
+// working tree (a git worktree under .bench_build/), runs one benchmark
+// workload on both — `bash bench/run.sh`, which each checkout builds from
+// its own source — in alternating order, and prints per end-to-end metric
+// both medians, both quartile pairs, the relative change and how many
+// pairs the change won. It only invokes the benchmark; it shares no code
+// with it.
+//
+// Exit status 1 when the change's median is worse than the reference's by
+// more than the metric's bound in BENCHMARK.json, when a run reports
+// itself incorrect, or when the change fails a larger share of its
+// operations than the reference; 2 on a set-up error.
+//
+// Usage: benchpair -workload <name> [-ref <commit>] [-n 10] [-seed 1] [-seconds 24]
+//
+// Without -ref the reference is HEAD when the working tree differs from
+// it (the change is not committed yet) and HEAD~1 when it does not.
+package main
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"flag"
+	"fmt"
+	"os"
+	"os/exec"
+	"os/signal"
+	"path/filepath"
+	"slices"
+	"strconv"
+	"strings"
+	"syscall"
+)
+
+// boundedMetric is one end_to_end entry of BENCHMARK.json.
+type boundedMetric struct {
+	Name   string  `json:"name"`
+	Unit   string  `json:"unit"`
+	Better string  `json:"better"`
+	Bound  float64 `json:"bound"`
+}
+
+// result is the last stdout line of one benchmark run.
+type result struct {
+	Correct   bool  `json:"correct"`
+	Attempted int64 `json:"attempted"`
+	Failed    int64 `json:"failed"`
+	Metrics   map[string]struct {
+		Value float64 `json:"value"`
+	} `json:"metrics"`
+}
+
+// side collects one checkout's runs.
+type side struct {
+	name, root        string
+	values            map[string][]float64 // metric -> one value per pair
+	attempted, failed int64
+}
+
+func main() {
+	workload := flag.String("workload", "", "benchmark workload to run (a name from BENCHMARK.json)")
+	ref := flag.String("ref", "", "reference commit (default: HEAD if the tree is dirty, else HEAD~1)")
+	n := flag.Int("n", 10, "parent/change pairs")
+	seed := flag.Int64("seed", 1, "workload seed, the same on both sides")
+	seconds := flag.Float64("seconds", 24, "run length handed to the benchmark")
+	flag.Parse()
+	if *workload == "" || *n < 1 {
+		flag.Usage()
+		os.Exit(2)
+	}
+	// An interrupt stops the run in progress and still removes the worktree.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	ok, err := run(ctx, *workload, *ref, *n, *seed, *seconds)
+	stop()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "benchpair: %v\n", err)
+		os.Exit(2)
+	}
+	if !ok {
+		os.Exit(1)
+	}
+}
+
+// git runs one git command in dir and returns its trimmed stdout.
+func git(dir string, args ...string) (string, error) {
+	cmd := exec.Command("git", args...)
+	cmd.Dir = dir
+	cmd.Stderr = os.Stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return "", fmt.Errorf("git %s: %w", strings.Join(args, " "), err)
+	}
+	return strings.TrimSpace(string(out)), nil
+}
+
+func run(ctx context.Context, workload, ref string, n int, seed int64, seconds float64) (bool, error) {
+	root, err := git(".", "rev-parse", "--show-toplevel")
+	if err != nil {
+		return false, err
+	}
+	if ref == "" {
+		dirty, err := git(root, "status", "--porcelain")
+		if err != nil {
+			return false, err
+		}
+		if ref = "HEAD~1"; dirty != "" {
+			ref = "HEAD"
+		}
+	}
+	sha, err := git(root, "rev-parse", "--verify", ref+"^{commit}")
+	if err != nil {
+		return false, err
+	}
+	var metrics struct {
+		EndToEnd []boundedMetric `json:"end_to_end"`
+	}
+	data, err := os.ReadFile(filepath.Join(root, "BENCHMARK.json"))
+	if err != nil {
+		return false, err
+	}
+	if err := json.Unmarshal(data, &metrics); err != nil {
+		return false, fmt.Errorf("BENCHMARK.json: %w", err)
+	}
+
+	refRoot := filepath.Join(root, ".bench_build", "pair-"+sha[:12])
+	if _, err := os.Stat(refRoot); err == nil {
+		// Left by a run that was killed before it could clean up.
+		if _, err := git(root, "worktree", "remove", "--force", refRoot); err != nil {
+			return false, err
+		}
+	}
+	if _, err := git(root, "worktree", "add", "--force", "--detach", refRoot, sha); err != nil {
+		return false, err
+	}
+	defer func() {
+		if _, err := git(root, "worktree", "remove", "--force", refRoot); err != nil {
+			fmt.Fprintf(os.Stderr, "benchpair: %v\n", err)
+		}
+	}()
+
+	parent := &side{name: "parent", root: refRoot, values: map[string][]float64{}}
+	change := &side{name: "change", root: root, values: map[string][]float64{}}
+	fmt.Printf("# workload=%s parent=%s change=working tree of %s pairs=%d seed=%d seconds=%g\n",
+		workload, sha[:12], root, n, seed, seconds)
+	correct := true
+	for i := range n {
+		order := []*side{parent, change}
+		if i%2 == 1 {
+			order = []*side{change, parent}
+		}
+		for _, s := range order {
+			res, err := s.bench(ctx, workload, seed, seconds)
+			if err != nil {
+				return false, err
+			}
+			correct = correct && res.Correct
+			fmt.Printf("pair=%d side=%s correct=%t failed=%d ops_per_s=%g\n",
+				i+1, s.name, res.Correct, res.Failed, res.Metrics["ops_per_s"].Value)
+		}
+	}
+
+	ok := correct
+	if !correct {
+		fmt.Println("FAIL: a run reported correct=false")
+	}
+	if pf, cf := ratio(float64(parent.failed), float64(parent.attempted)), ratio(float64(change.failed), float64(change.attempted)); cf > pf {
+		fmt.Printf("FAIL: change failed %.6f of its operations, parent %.6f\n", cf, pf)
+		ok = false
+	}
+	for _, m := range metrics.EndToEnd {
+		p, c := parent.values[m.Name], change.values[m.Name]
+		if len(p) == 0 || len(c) == 0 {
+			continue
+		}
+		pq1, pq2, pq3 := quartiles(p)
+		cq1, cq2, cq3 := quartiles(c)
+		wins, losses := 0, 0
+		for i := range p {
+			switch d := c[i] - p[i]; {
+			case d == 0:
+			case (d > 0) == (m.Better == "higher"):
+				wins++
+			default:
+				losses++
+			}
+		}
+		// worse is the relative move of the median in the bad direction.
+		worse := ratio(pq2-cq2, pq2)
+		if m.Better == "lower" {
+			worse = -worse
+		}
+		verdict := "ok"
+		if worse > m.Bound {
+			verdict = "REGRESSED"
+			ok = false
+		}
+		fmt.Printf("workload=%s metric=%s unit=%s better=%s parent=%g [%g, %g] change=%g [%g, %g] change_vs_parent=%+.2f%% parent_iqr=%.2f%% wins=%d losses=%d of %d bound=%g %s\n",
+			workload, m.Name, m.Unit, m.Better, pq2, pq1, pq3, cq2, cq1, cq3,
+			100*ratio(cq2-pq2, pq2), 100*ratio(pq3-pq1, pq2), wins, losses, len(p), m.Bound, verdict)
+	}
+	return ok, nil
+}
+
+// bench runs the workload once in the side's checkout and records it.
+func (s *side) bench(ctx context.Context, workload string, seed int64, seconds float64) (result, error) {
+	cmd := exec.CommandContext(ctx, "bash", "bench/run.sh", "--workload", workload,
+		"--seed", strconv.FormatInt(seed, 10),
+		"--seconds", strconv.FormatFloat(seconds, 'g', -1, 64), "--trace", "0")
+	cmd.Dir = s.root
+	cmd.Stderr = os.Stderr
+	out, err := cmd.Output()
+	var res result
+	if ctx.Err() != nil {
+		return res, ctx.Err()
+	}
+	// A run that fails operations exits non-zero and still prints its
+	// result; only a run with no result line is a set-up error.
+	lines := bytes.Split(bytes.TrimSpace(out), []byte("\n"))
+	if jerr := json.Unmarshal(lines[len(lines)-1], &res); jerr != nil {
+		return res, fmt.Errorf("%s run of %s printed no result (%v): %v", s.name, workload, err, jerr)
+	}
+	for name, m := range res.Metrics {
+		s.values[name] = append(s.values[name], m.Value)
+	}
+	s.attempted += res.Attempted
+	s.failed += res.Failed
+	return res, nil
+}
+
+func ratio(a, b float64) float64 {
+	if b == 0 {
+		return 0
+	}
+	return a / b
+}
+
+// quartiles returns the cut points Python's statistics.quantiles(n=4)
+// gives — the rule the benchmark's own --repeat report uses.
+func quartiles(values []float64) (q1, q2, q3 float64) {
+	d := slices.Clone(values)
+	slices.Sort(d)
+	if len(d) < 2 {
+		return d[0], d[0], d[0]
+	}
+	at := func(i int) float64 {
+		m := len(d) + 1
+		j := min(max(i*m/4, 1), len(d)-1)
+		delta := float64(i*m - j*4)
+		return (d[j-1]*(4-delta) + d[j]*delta) / 4
+	}
+	return at(1), at(2), at(3)
+}

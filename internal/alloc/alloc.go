@@ -32,6 +32,11 @@ var (
 	ErrInvalidRef = errors.New("alloc: invalid ref (freed or reclaimed)")
 	// ErrBadSize reports a non-positive allocation size.
 	ErrBadSize = errors.New("alloc: allocation size must be positive")
+	// ErrMultiPage is Bytes' answer for a live allocation that spans
+	// several pages and so has no single backing slice: read it through
+	// Segments, AppendTo or ReadAt/WriteAt. A sentinel, so asking "one
+	// segment or many" costs no allocation.
+	ErrMultiPage = errors.New("alloc: allocation spans pages; use Segments, AppendTo or ReadAt/WriteAt")
 )
 
 // classes are the slot sizes available within a page. Sizes were chosen so
@@ -394,13 +399,9 @@ func (h *Heap) Retire(ref Ref, stamp uint64) (int, error) {
 // free list — possibly retiring the page onto the heap's free-page
 // list — and drained span pages return to the source.
 func (h *Heap) DrainLimbo(safe uint64) int {
-	drained := 0
-	for len(h.limbo) > 0 && h.limbo[0].stamp < safe {
-		e := h.limbo[0]
-		h.limbo[0] = limboEntry{}
-		h.limbo = h.limbo[1:]
-		h.stats.LimboAllocs--
-		drained++
+	n := 0
+	for ; n < len(h.limbo) && h.limbo[n].stamp < safe; n++ {
+		e := h.limbo[n]
 		if e.span {
 			h.stats.LimboPages -= len(e.pgs)
 			h.stats.PagesHeld -= len(e.pgs)
@@ -420,17 +421,39 @@ func (h *Heap) DrainLimbo(safe uint64) int {
 			h.retireEmptyPage(m)
 		}
 	}
-	if len(h.limbo) == 0 && cap(h.limbo) > 64 {
-		h.limbo = nil // drop the drifting backing array
+	if n == 0 {
+		return 0
 	}
-	return drained
+	h.stats.LimboAllocs -= n
+	// Close the gap in place: slicing the drained head off instead would
+	// walk the queue down its backing array and reallocate it every few
+	// batches.
+	rest := copy(h.limbo, h.limbo[n:])
+	clear(h.limbo[rest:])
+	h.limbo = h.limbo[:rest]
+	if rest == 0 && cap(h.limbo) > 64 {
+		h.limbo = nil // drop an array sized by a burst
+	}
+	return n
 }
 
 // LimboPending returns how many retirements await their grace period.
 func (h *Heap) LimboPending() int { return h.stats.LimboAllocs }
 
+// LimboPages returns how many whole pages (retired spans) limbo holds.
+func (h *Heap) LimboPages() int { return h.stats.LimboPages }
+
+// NeedsPage reports whether Alloc(size) would have to lease from the
+// page source: always for a multi-page span, and for a slot size whose
+// class has no partial page while the heap holds no free page either.
+func (h *Heap) NeedsPage(size int) bool {
+	ci := classFor(size)
+	return ci < 0 || (len(h.partial[ci]) == 0 && len(h.free) == 0)
+}
+
 // Bytes returns the live allocation's backing bytes (length = requested
 // size). The slice is valid until the allocation is freed or reclaimed.
+// A multi-page span has no single slice and returns ErrMultiPage.
 func (h *Heap) Bytes(ref Ref) ([]byte, error) {
 	if sm, ok := h.spans[ref.page]; ok && sm.gen == ref.gen {
 		// Large allocations span pages; expose them as a copy-free slice
@@ -438,7 +461,7 @@ func (h *Heap) Bytes(ref Ref) ([]byte, error) {
 		if len(sm.pgs) == 1 {
 			return sm.pgs[0].Bytes()[:sm.userSize], nil
 		}
-		return nil, fmt.Errorf("alloc: use ReadAt/WriteAt for multi-page allocation %v", ref)
+		return nil, ErrMultiPage
 	}
 	m, ok := h.metas[ref.page]
 	if !ok || int(ref.slot) >= len(m.gens) || m.gens[ref.slot] != ref.gen || ref.gen%2 == 0 {

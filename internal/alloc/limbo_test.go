@@ -187,3 +187,54 @@ func TestSegmentsInvalidRef(t *testing.T) {
 		t.Fatalf("Segments(freed) err = %v, want ErrInvalidRef", err)
 	}
 }
+
+// TestBytesMultiPageSentinel: Bytes answers a multi-page span with the
+// ErrMultiPage sentinel — the non-allocating "one segment or many"
+// question a publisher asks on every value.
+func TestBytesMultiPageSentinel(t *testing.T) {
+	h := New(PoolSource{Pool: pages.NewPool(0)})
+	span, err := h.Alloc(2*pages.Size + 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.Bytes(span); err != ErrMultiPage {
+		t.Fatalf("Bytes(span) err = %v, want ErrMultiPage", err)
+	}
+	if n := testing.AllocsPerRun(100, func() { _, _ = h.Bytes(span) }); n != 0 {
+		t.Fatalf("Bytes(span) allocates %.0f times, want 0", n)
+	}
+	onePage, err := h.Alloc(pages.Size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b, err := h.Bytes(onePage); err != nil || len(b) != pages.Size {
+		t.Fatalf("Bytes(one page) = %d bytes, %v", len(b), err)
+	}
+}
+
+// TestNeedsPage: NeedsPage predicts exactly the allocations that lease
+// from the page source.
+func TestNeedsPage(t *testing.T) {
+	pool := pages.NewPool(0)
+	h := New(PoolSource{Pool: pool})
+	expect := func(size int, want bool) {
+		t.Helper()
+		got := h.NeedsPage(size)
+		before := h.PagesHeld()
+		if _, err := h.Alloc(size); err != nil {
+			t.Fatal(err)
+		}
+		if leased := h.PagesHeld() > before; got != want || leased != want {
+			t.Fatalf("NeedsPage(%d) = %t, Alloc leased = %t, want %t", size, got, leased, want)
+		}
+	}
+	expect(1000, true)                  // empty heap
+	expect(1000, false)                 // the class's partial page has slots
+	expect(100, true)                   // another class, no free page to carve
+	expect(pages.Size+1, true)          // spans always lease
+	ref, _ := h.Alloc(2048)             // a third class: leases
+	if err := h.Free(ref); err != nil { // and leaves a wholly free page behind
+		t.Fatal(err)
+	}
+	expect(16, false) // carved from the heap's own free page
+}

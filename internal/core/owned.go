@@ -202,7 +202,7 @@ func (o *Owned) allocData(data []byte) (alloc.Ref, error) {
 				return alloc.Ref{}, err
 			}
 		}
-		ref, err := c.heap.Alloc(len(data))
+		ref, err := c.allocLocked(len(data))
 		if err == nil {
 			if werr := c.heap.WriteAt(ref, data, 0); werr != nil {
 				return alloc.Ref{}, werr

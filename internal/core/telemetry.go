@@ -124,10 +124,10 @@ func (s *SMA) RegisterMetrics(r *metrics.Registry) {
 	r.GaugeFunc("softmem_sma_epoch_global", "global epoch of the lock-free read domain", func() float64 {
 		return float64(s.epochs.Current())
 	})
-	r.GaugeFunc("softmem_sma_epoch_lag", "epochs the slowest registered lock-free reader trails the global epoch (0 when idle; persistently high means a stuck reader pins limbo)", func() float64 {
+	r.GaugeFunc("softmem_sma_epoch_lag", "epochs the slowest registered lock-free reader trails the global epoch (0 when idle; a stuck reader shows as lag high and limbo above the batch)", func() float64 {
 		return float64(s.epochs.Lag())
 	})
-	r.GaugeFunc("softmem_sma_epoch_limbo_allocs", "retirements awaiting their epoch grace period, summed across contexts", func() float64 {
+	r.GaugeFunc("softmem_sma_epoch_limbo_allocs", "retirements awaiting their epoch grace period, summed across contexts (at rest anywhere below one batch of 32 per context)", func() float64 {
 		n := 0
 		for _, c := range s.snapshotContexts() {
 			c.lock()

@@ -66,9 +66,6 @@ func NewDomain() *Domain {
 func (d *Domain) Enter(hint uint64) (int, bool) {
 	e := d.global.Load()
 	start := int(hint) & (NumSlots - 1)
-	if start < 0 {
-		start = -start
-	}
 	for i := 0; i < NumSlots; i++ {
 		idx := (start + i) & (NumSlots - 1)
 		if d.slots[idx].epoch.CompareAndSwap(0, e) {
@@ -89,10 +86,28 @@ func (d *Domain) Exit(i int) {
 // what the safety argument above relies on.
 func (d *Domain) Current() uint64 { return d.global.Load() }
 
-// Advance bumps the global epoch and returns the new value. Owners call
-// it at yield points (lock release, reclaim rounds) so grace periods
-// expire without a dedicated background thread.
+// Advance bumps the global epoch and returns the new value. Heap owners
+// call it where they are about to look at limbo — a lock hand-back that
+// finds a batch of retirements, an allocation about to lease a page, a
+// reclaim round — so grace periods expire without a dedicated
+// background thread.
 func (d *Domain) Advance() uint64 { return d.global.Add(1) }
+
+// scan walks the reader slots once and returns the oldest epoch any
+// registered reader entered at (0 when none is registered) and how many
+// are registered. It is the one announcement scan behind the grace
+// check and both telemetry readings.
+func (d *Domain) scan() (oldest uint64, readers int) {
+	for i := range d.slots {
+		if e := d.slots[i].epoch.Load(); e != 0 {
+			readers++
+			if oldest == 0 || e < oldest {
+				oldest = e
+			}
+		}
+	}
+	return oldest, readers
+}
 
 // SafeBefore returns the exclusive upper bound of drained epochs: every
 // retirement stamped strictly below it is unobservable by any present
@@ -100,28 +115,17 @@ func (d *Domain) Advance() uint64 { return d.global.Add(1) }
 // global+1 (a stamp equal to the current epoch is still drainable only
 // when nobody holds it — hence the strict comparison at the caller).
 func (d *Domain) SafeBefore() uint64 {
-	min := uint64(0)
-	for i := range d.slots {
-		if e := d.slots[i].epoch.Load(); e != 0 && (min == 0 || e < min) {
-			min = e
-		}
+	if oldest, _ := d.scan(); oldest != 0 {
+		return oldest
 	}
-	if min == 0 {
-		return d.global.Load() + 1
-	}
-	return min
+	return d.global.Load() + 1
 }
 
 // ActiveReaders counts currently claimed slots (telemetry only; the
 // value is advisory under concurrency).
 func (d *Domain) ActiveReaders() int {
-	n := 0
-	for i := range d.slots {
-		if d.slots[i].epoch.Load() != 0 {
-			n++
-		}
-	}
-	return n
+	_, readers := d.scan()
+	return readers
 }
 
 // Lag reports how many epochs the slowest active reader trails the
@@ -129,16 +133,11 @@ func (d *Domain) ActiveReaders() int {
 // lag means a stuck reader is pinning limbo pages.
 func (d *Domain) Lag() uint64 {
 	g := d.global.Load()
-	min := uint64(0)
-	for i := range d.slots {
-		if e := d.slots[i].epoch.Load(); e != 0 && (min == 0 || e < min) {
-			min = e
-		}
-	}
-	if min == 0 || min >= g {
+	oldest, _ := d.scan()
+	if oldest == 0 || oldest >= g {
 		return 0
 	}
-	return g - min
+	return g - oldest
 }
 
 // NoteDeferred adds n pages to the cumulative deferred-recycling

@@ -147,3 +147,22 @@ func BenchmarkDispatchGET(b *testing.B) {
 		}
 	}
 }
+
+// TestReplacingSetAllocs pins a replacing Store.Set at one Go
+// allocation: the box that publishes the value's bytes, inline, to the
+// lock-free readers. (Two when the box pointed at a separately
+// allocated segment list.)
+func TestReplacingSetAllocs(t *testing.T) {
+	st, _ := newStore(t, 0)
+	val := bytes.Repeat([]byte("v"), 256)
+	if err := st.Set("k", val); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(500, func() {
+		if err := st.Set("k", val); err != nil {
+			panic(err)
+		}
+	}); n > 1 {
+		t.Fatalf("replacing Store.Set does %.2f Go allocations, want <= 1", n)
+	}
+}

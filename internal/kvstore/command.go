@@ -295,7 +295,7 @@ func (s *Store) probe(sh *shard, c *Command) bool {
 		sh.ttl.clear(c.Key)
 		if get {
 			c.Val = c.Val[:0]
-			s.countRead(false)
+			sh.countRead(false)
 		}
 		return true
 	}
@@ -312,7 +312,7 @@ func (s *Store) probe(sh *shard, c *Command) bool {
 		return false
 	}
 	c.Val, c.Ok = v, res == sds.LookupHit
-	s.countRead(c.Ok)
+	sh.countRead(c.Ok)
 	return true
 }
 

@@ -31,6 +31,19 @@ type shard struct {
 	owned *core.Owned
 	label string // decimal shard index, preformatted for pprof labels
 
+	// The fields above are written once and loaded by every core on
+	// every command; the pad keeps the counters below, which every
+	// command writes, off their cache line.
+	_ [64]byte
+
+	// Operation counters, summed over the shards by Stats and /metrics
+	// (Gets = hits + misses). They live here, not on the Store, so cores
+	// serving different shards do not bounce one store-wide line.
+	hits   atomic.Int64
+	misses atomic.Int64
+	sets   atomic.Int64
+	dels   atomic.Int64
+
 	// Owner-side telemetry (read by EngineStats/metrics).
 	cmds    atomic.Int64 // commands executed under the shard's owned lock
 	batches atomic.Int64 // shard batches executed (owner or caller-runs)
@@ -238,13 +251,12 @@ func (s *Store) expire(o *core.Owned, sh *shard, key string) bool {
 	return removed
 }
 
-// countRead bumps the read counters for one GET-family lookup.
-func (s *Store) countRead(hit bool) {
-	s.gets.Add(1)
+// countRead bumps the shard's read counters for one GET-family lookup.
+func (sh *shard) countRead(hit bool) {
 	if hit {
-		s.hits.Add(1)
+		sh.hits.Add(1)
 	} else {
-		s.misses.Add(1)
+		sh.misses.Add(1)
 	}
 }
 
@@ -330,13 +342,13 @@ func (s *Store) rmw(o *core.Owned, sh *shard, c *Command, modify func(cur []byte
 			c.Err = err
 			return
 		}
-		s.countRead(ok)
+		sh.countRead(ok)
 		next, err := modify(cur, ok)
 		if err != nil {
 			c.Err = err
 			return
 		}
-		s.sets.Add(1)
+		sh.sets.Add(1)
 		stored, err := sh.ht.PutOwnedIfHeld(o, c.Key, next)
 		if stored || err != nil {
 			c.Err = err
@@ -362,9 +374,9 @@ func (s *Store) exec(o *core.Owned, sh *shard, c *Command) {
 	case OpGet:
 		s.expire(o, sh, c.Key)
 		c.Val, c.Ok, c.Err = s.lookup(o, sh, c, c.Val[:0], c.Key)
-		s.countRead(c.Ok)
+		sh.countRead(c.Ok)
 	case OpSet:
-		s.sets.Add(1)
+		sh.sets.Add(1)
 		// Drop before Put: the reverse order races with a reclamation that
 		// demotes the fresh value between the two steps (PutOwned's
 		// allocation can drop the lock), and the Drop would then destroy
@@ -375,7 +387,7 @@ func (s *Store) exec(o *core.Owned, sh *shard, c *Command) {
 		}
 		c.Err = sh.ht.PutOwned(o, c.Key, c.Arg)
 	case OpDel:
-		s.dels.Add(1)
+		sh.dels.Add(1)
 		sh.ttl.clear(c.Key)
 		removed, err := sh.ht.DeleteOwned(o, c.Key)
 		if s.spill != nil {

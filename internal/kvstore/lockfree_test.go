@@ -219,10 +219,15 @@ func TestEpochReclaimRace(t *testing.T) {
 	for i := 0; i < keys; i++ {
 		_ = st.Set(fmt.Sprintf("k%d", i), val(i))
 	}
+	// The hot writer's keys (below) carry small values: their size class
+	// has slots to spare, so their retirements reach the limbo batch
+	// instead of being drained one by one ahead of a page lease.
+	hotKey := func(i int) string { return fmt.Sprintf("hot%d", i%2) }
+	hotVal := func(i int) []byte { return []byte(fmt.Sprintf("hot-value-%d-%[1]d-%[1]d", i%2)) }
 
 	var stop atomic.Bool
 	var wg sync.WaitGroup
-	var lockFreeHits atomic.Int64
+	var lockFreeHits, hotSets atomic.Int64
 
 	// Lock-free readers.
 	for r := 0; r < 3; r++ {
@@ -238,6 +243,11 @@ func TestEpochReclaimRace(t *testing.T) {
 				}
 				if ok && !bytes.Equal(v, val(k)) {
 					t.Errorf("torn read for k%d: %d bytes", k, len(v))
+					return
+				}
+				v, ok, err = st.GetAppend(v[:0], hotKey(i))
+				if err == nil && ok && !bytes.Equal(v, hotVal(i)) {
+					t.Errorf("torn read for %s: %q", hotKey(i), v)
 					return
 				}
 				dst = v
@@ -264,9 +274,21 @@ func TestEpochReclaimRace(t *testing.T) {
 			_ = st.Set(fmt.Sprintf("k%d", k), val(k))
 		}
 	}()
+	// Hot-key writer: replaces two keys as fast as it can, so their
+	// shards' limbo fills to the batch between demands and the batched
+	// drain on a SET's lock hand-back runs beside the copying readers.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; !stop.Load(); i++ {
+			if st.Set(hotKey(i), hotVal(i)) == nil {
+				hotSets.Add(1)
+			}
+		}
+	}()
 
 	deadline := time.Now().Add(10 * time.Second)
-	for i := 0; i < 500 || (lockFreeHits.Load() == 0 && time.Now().Before(deadline)); i++ {
+	for i := 0; i < 500 || ((lockFreeHits.Load() == 0 || hotSets.Load() < 2000) && time.Now().Before(deadline)); i++ {
 		sma.HandleDemand(2)
 		h, _, _, _ := st.lockFreeTotals()
 		lockFreeHits.Store(h)

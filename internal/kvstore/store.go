@@ -151,11 +151,6 @@ type Store struct {
 	promoMu     sync.Mutex
 	promos      map[string]*promo // keys with an in-flight spill promotion
 	expired     atomic.Int64
-	sets        atomic.Int64
-	gets        atomic.Int64
-	hits        atomic.Int64
-	misses      atomic.Int64
-	dels        atomic.Int64
 	reclaimed   atomic.Int64
 	promotions  atomic.Int64
 	promoteNs   atomic.Int64 // serving time spent inside spill promotions
@@ -547,11 +542,6 @@ func (s *Store) FlushAll() error {
 // PerShard carries the per-shard breakdown they aggregate.
 func (s *Store) Stats() Stats {
 	st := Stats{
-		Sets:       s.sets.Load(),
-		Gets:       s.gets.Load(),
-		Hits:       s.hits.Load(),
-		Misses:     s.misses.Load(),
-		Dels:       s.dels.Load(),
 		Reclaimed:  s.reclaimed.Load(),
 		Expired:    s.expired.Load(),
 		Entries:    s.Len(),
@@ -561,12 +551,17 @@ func (s *Store) Stats() Stats {
 		PerShard:   make([]ShardStats, len(s.shards)),
 	}
 	for i, sh := range s.shards {
+		st.Sets += sh.sets.Load()
+		st.Hits += sh.hits.Load()
+		st.Misses += sh.misses.Load()
+		st.Dels += sh.dels.Load()
 		st.PerShard[i] = ShardStats{
 			Entries:   sh.ht.Len(),
 			Reclaimed: sh.ht.Reclaimed(),
 			Heap:      sh.ht.Context().HeapStats(),
 		}
 	}
+	st.Gets = st.Hits + st.Misses
 	st.LockFreeHits, st.LockFreeMisses, st.LockFreeFallbacks, st.CondemnedRetries = s.lockFreeTotals()
 	if s.spill != nil {
 		st.SpilledEntries = s.spill.Len()

@@ -15,11 +15,21 @@ func (s *Store) RegisterMetrics(r *metrics.Registry) {
 	counter := func(name, help string, v *atomic.Int64) {
 		r.CounterFunc(name, help, v.Load)
 	}
-	counter("softmem_kv_sets_total", "SET-family writes", &s.sets)
-	counter("softmem_kv_gets_total", "GET-family reads", &s.gets)
-	counter("softmem_kv_hits_total", "reads that found the key", &s.hits)
-	counter("softmem_kv_misses_total", "reads that missed", &s.misses)
-	counter("softmem_kv_dels_total", "deletions", &s.dels)
+	// The operation counters live on the shards; each series is their sum.
+	perShard := func(name, help string, v func(*shard) int64) {
+		r.CounterFunc(name, help, func() int64 {
+			n := int64(0)
+			for _, sh := range s.shards {
+				n += v(sh)
+			}
+			return n
+		})
+	}
+	perShard("softmem_kv_sets_total", "SET-family writes", func(sh *shard) int64 { return sh.sets.Load() })
+	perShard("softmem_kv_gets_total", "GET-family reads", func(sh *shard) int64 { return sh.hits.Load() + sh.misses.Load() })
+	perShard("softmem_kv_hits_total", "reads that found the key", func(sh *shard) int64 { return sh.hits.Load() })
+	perShard("softmem_kv_misses_total", "reads that missed", func(sh *shard) int64 { return sh.misses.Load() })
+	perShard("softmem_kv_dels_total", "deletions", func(sh *shard) int64 { return sh.dels.Load() })
 	counter("softmem_kv_reclaimed_total", "entries revoked under memory pressure", &s.reclaimed)
 	counter("softmem_kv_expired_total", "entries collected by TTL expiry", &s.expired)
 	counter("softmem_kv_promotions_total", "reads served by faulting a value in from the spill tier", &s.promotions)

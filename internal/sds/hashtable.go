@@ -152,15 +152,15 @@ func (t *SoftHashTable[K]) LockFree() bool { return t.lockFree }
 // publishBox builds and publishes the value box for e under the heap
 // lock (no-op on non-lock-free tables). It must run after the value
 // bytes are fully written and before any reader can need them.
-func (t *SoftHashTable[K]) publishBox(tx *core.Tx, e *htEntry[K], size int) error {
+func (t *SoftHashTable[K]) publishBox(tx *core.Tx, e *htEntry[K]) error {
 	if !t.lockFree {
 		return nil
 	}
-	segs, err := tx.Segments(e.ref)
+	box, err := newBox(tx, e.ref)
 	if err != nil {
 		return err
 	}
-	e.box.Store(&valBox{segs: segs, size: size})
+	e.box.Store(box)
 	return nil
 }
 
@@ -180,27 +180,27 @@ func (t *SoftHashTable[K]) Put(key K, value []byte) error {
 	if err != nil {
 		return err
 	}
-	return t.ctx.Do(func(tx *core.Tx) error { return t.putLocked(tx, key, ref, len(value)) })
+	return t.ctx.Do(func(tx *core.Tx) error { return t.putLocked(tx, key, ref) })
 }
 
-// putLocked installs ref (size bytes, fully written) as key's value
+// putLocked installs ref (fully written) as key's value
 // inside a locked section: the one index-update body behind Put and the
 // Owned put variants.
-func (t *SoftHashTable[K]) putLocked(tx *core.Tx, key K, ref alloc.Ref, size int) error {
+func (t *SoftHashTable[K]) putLocked(tx *core.Tx, key K, ref alloc.Ref) error {
 	if e, ok := t.entries[key]; ok {
 		replaced := e.ref
 		e.ref = ref
 		// Publishing the new box unpublishes the old one in the same
 		// atomic store; the old ref is epoch-retired after it, so
 		// readers mid-copy on the old value stay covered.
-		if err := t.publishBox(tx, e, size); err != nil {
+		if err := t.publishBox(tx, e); err != nil {
 			return err
 		}
 		t.touch(e)
 		return tx.Free(replaced)
 	}
 	e := &htEntry[K]{key: key, ref: ref}
-	if err := t.publishBox(tx, e, size); err != nil {
+	if err := t.publishBox(tx, e); err != nil {
 		return err
 	}
 	t.entries[key] = e
@@ -392,7 +392,7 @@ func (t *SoftHashTable[K]) PutOwned(o *core.Owned, key K, value []byte) error {
 	if err != nil {
 		return err
 	}
-	return t.putLocked(o.Tx(t.ctx), key, ref, len(value))
+	return t.putLocked(o.Tx(t.ctx), key, ref)
 }
 
 // PutOwnedIfHeld is PutOwned for read-modify-write callers, whose value
@@ -410,7 +410,7 @@ func (t *SoftHashTable[K]) PutOwnedIfHeld(o *core.Owned, key K, value []byte) (s
 	if o.Acquisitions() != held {
 		return false, tx.Free(ref)
 	}
-	return true, t.putLocked(tx, key, ref, len(value))
+	return true, t.putLocked(tx, key, ref)
 }
 
 // GetAppendOwned is GetAppend under an already-owned heap lock: zero

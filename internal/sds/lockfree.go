@@ -1,9 +1,13 @@
 package sds
 
 import (
+	"errors"
 	"hash/maphash"
 	"runtime"
 	"sync/atomic"
+
+	"softmem/internal/alloc"
+	"softmem/internal/core"
 )
 
 // Lock-free read support for SoftHashTable (and the sorted map's
@@ -39,15 +43,44 @@ import (
 // slot BEFORE falling back, so a reclaimer holding the heap lock never
 // waits on a reader that is itself waiting for that lock.
 
-// valBox is the immutable published view of one value.
+// valBox is the immutable published view of one value. A value that
+// sits in one page — every slot allocation, so nearly every value — is
+// carried inline in one: publishing it is a single Go allocation and a
+// reader reaches the bytes without a dependent load through a segment
+// list. Only a multi-page span uses segs (one page-backed segment per
+// page; one is then nil).
 type valBox struct {
-	segs [][]byte // page-backed, captured at publication via Tx.Segments
-	size int      // total bytes across segs
+	one  []byte
+	segs [][]byte
+}
+
+// newBox captures ref's page-backed bytes for publication. It must run
+// inside the locked section, after the value bytes are fully written.
+func newBox(tx *core.Tx, ref alloc.Ref) (*valBox, error) {
+	b, err := tx.Bytes(ref)
+	if err == nil {
+		return &valBox{one: b}, nil
+	}
+	if !errors.Is(err, alloc.ErrMultiPage) {
+		return nil, err
+	}
+	segs, err := tx.Segments(ref)
+	if err != nil {
+		return nil, err
+	}
+	return &valBox{segs: segs}, nil
 }
 
 // appendBox appends the box's bytes to dst with at most one grow.
 func appendBox(dst []byte, b *valBox) []byte {
-	if n := len(dst) + b.size; cap(dst) < n {
+	if b.segs == nil {
+		return append(dst, b.one...)
+	}
+	size := 0
+	for _, seg := range b.segs {
+		size += len(seg)
+	}
+	if n := len(dst) + size; cap(dst) < n {
 		grown := make([]byte, len(dst), n)
 		copy(grown, dst)
 		dst = grown

@@ -172,15 +172,26 @@ func TestHashTableLockFreeReclaimRace(t *testing.T) {
 
 	const keys = 128
 	const valSize = 400
-	for k := 0; k < keys; k++ {
-		if err := ht.Put(k, lfValue(k, valSize)); err != nil {
+	// Keys keys and keys+1 are the hot writer's (below): small values, so
+	// their size class has slots to spare and their retirements reach the
+	// limbo batch instead of being drained one by one ahead of a page
+	// lease.
+	const hotKeys, hotSize = 2, 40
+	sizeOf := func(k int) int {
+		if k >= keys {
+			return hotSize
+		}
+		return valSize
+	}
+	for k := 0; k < keys+hotKeys; k++ {
+		if err := ht.Put(k, lfValue(k, sizeOf(k))); err != nil {
 			t.Fatal(err)
 		}
 	}
 
 	var stop atomic.Bool
 	var wg sync.WaitGroup
-	var hits atomic.Int64
+	var hits, hotPuts atomic.Int64
 
 	for r := 0; r < 4; r++ {
 		wg.Add(1)
@@ -188,10 +199,10 @@ func TestHashTableLockFreeReclaimRace(t *testing.T) {
 			defer wg.Done()
 			var dst []byte
 			for i := 0; !stop.Load(); i++ {
-				k := (i*7 + seed*31) % keys
+				k := (i*7 + seed*31) % (keys + hotKeys)
 				v, res := ht.GetAppendLockFree(dst[:0], k)
 				if res == LookupHit {
-					checkLfValue(t, k, v, valSize)
+					checkLfValue(t, k, v, sizeOf(k))
 					hits.Add(1)
 				}
 				dst = v
@@ -210,6 +221,23 @@ func TestHashTableLockFreeReclaimRace(t *testing.T) {
 			}
 		}
 	}()
+	// Hot-key writer: replaces the same two keys as fast as it can, so
+	// retirements pile up to the limbo batch between demands and the
+	// batched drain on its lock hand-backs runs beside the copying
+	// readers (a replaced entry moves to the young end of the eviction
+	// order, so reclamation rarely takes these keys away).
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; !stop.Load(); i++ {
+			k := keys + i%hotKeys
+			if err := ht.Put(k, lfValue(k, hotSize)); err != nil {
+				t.Errorf("hot put: %v", err)
+				return
+			}
+			hotPuts.Add(1)
+		}
+	}()
 	// Reclaimer: demand pages so the eviction path condemns and
 	// epoch-retires live entries.
 	wg.Add(1)
@@ -221,7 +249,7 @@ func TestHashTableLockFreeReclaimRace(t *testing.T) {
 	}()
 
 	deadline := time.Now().Add(10 * time.Second)
-	for i := 0; i < 400 || (hits.Load() == 0 && time.Now().Before(deadline)); i++ {
+	for i := 0; i < 400 || ((hits.Load() == 0 || hotPuts.Load() < 2000) && time.Now().Before(deadline)); i++ {
 		s.HandleDemand(1)
 	}
 	stop.Store(true)
@@ -312,22 +340,33 @@ func TestSortedMapLockFreeReclaimDuringRange(t *testing.T) {
 
 	const keys = 256
 	const valSize = 600
-	for k := 0; k < keys; k++ {
-		if err := m.Put(k, lfValue(k, valSize)); err != nil {
+	// Keys keys and keys+1 are the hot writer's (below): small values, so
+	// their size class has slots to spare and their retirements reach the
+	// limbo batch instead of being drained one by one ahead of a page
+	// lease.
+	const hotKeys, hotSize = 2, 40
+	sizeOf := func(k int) int {
+		if k >= keys {
+			return hotSize
+		}
+		return valSize
+	}
+	for k := 0; k < keys+hotKeys; k++ {
+		if err := m.Put(k, lfValue(k, sizeOf(k))); err != nil {
 			t.Fatal(err)
 		}
 	}
 
 	var stop atomic.Bool
 	var wg sync.WaitGroup
-	var observed atomic.Int64
+	var observed, hotPuts atomic.Int64
 	for r := 0; r < 3; r++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for !stop.Load() {
-				err := m.Range(0, keys, func(k int, v []byte) bool {
-					checkLfValue(t, k, v, valSize)
+				err := m.Range(0, keys+hotKeys, func(k int, v []byte) bool {
+					checkLfValue(t, k, v, sizeOf(k))
 					observed.Add(1)
 					return true
 				})
@@ -350,12 +389,28 @@ func TestSortedMapLockFreeReclaimDuringRange(t *testing.T) {
 			}
 		}
 	}()
+	// Hot-key writer at the high end, which low-end reclamation reaches
+	// last: its retirements pile up to the limbo batch between demands,
+	// so the batched drain on its lock hand-backs runs beside the
+	// copying scanners.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; !stop.Load(); i++ {
+			k := keys + i%hotKeys
+			if err := m.Put(k, lfValue(k, hotSize)); err != nil {
+				t.Errorf("hot put: %v", err)
+				return
+			}
+			hotPuts.Add(1)
+		}
+	}()
 
 	// Keep the revocation pressure on until the scanners have provably
 	// overlapped with it (bounded so a wedged scanner can't hang the
 	// test).
 	deadline := time.Now().Add(10 * time.Second)
-	for i := 0; i < 300 || (observed.Load() == 0 && time.Now().Before(deadline)); i++ {
+	for i := 0; i < 300 || ((observed.Load() == 0 || hotPuts.Load() < 2000) && time.Now().Before(deadline)); i++ {
 		s.HandleDemand(2)
 	}
 	stop.Store(true)
@@ -475,6 +530,100 @@ func TestHashTableLockFreeLRUSecondChance(t *testing.T) {
 		if _, res := ht.GetAppendLockFree(nil, k); res != LookupHit {
 			t.Fatalf("hot key %d evicted despite lock-free recency (res %v)", k, res)
 		}
+	}
+	if err := s.VerifyIntegrity(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLimboNeverGrowsHeap: replacing one key over and over, with no
+// reader registered, must hold exactly the pages an eager
+// drain-on-every-hand-back held — batching retirements is allowed to
+// delay recycling, never to make the heap lease a page (and so ask for
+// budget, or provoke a reclaim) that the retired slots would have
+// covered.
+func TestLimboNeverGrowsHeap(t *testing.T) {
+	// pagesHeld is what a drain on every hand-back ends on and never
+	// exceeds after a Put (measured at the commit that still had it): the
+	// live value beside the one replacing it — one page of slots, two
+	// whole-page slots, or one two-page span once the old span's
+	// hand-back has drained it.
+	for _, tc := range []struct{ size, pagesHeld int }{
+		{100, 1}, {1000, 1}, {4096, 2}, {6000, 2},
+	} {
+		s := newSMA()
+		ht := NewSoftHashTable[string](s, "limbo-growth", HashTableConfig[string]{LockFreeReads: true})
+		peak := 0
+		for i := 0; i < 10000; i++ {
+			if err := ht.Put("k", lfValue(i, tc.size)); err != nil {
+				t.Fatal(err)
+			}
+			if held := ht.Context().HeapStats().PagesHeld; held > peak {
+				peak = held
+			}
+		}
+		st := ht.Context().HeapStats()
+		if st.PagesHeld != tc.pagesHeld || peak != tc.pagesHeld {
+			t.Errorf("size %d: %d pages held at the end (peak %d), want %d: %+v", tc.size, st.PagesHeld, peak, tc.pagesHeld, st)
+		}
+		ht.Close()
+		s.Close()
+	}
+}
+
+// TestParkedReaderPinsPastBatches parks a reader between Enter and Exit
+// on a value it has loaded, then replaces that key (and churns others)
+// through many limbo batches. Batched ratchets look less often than the
+// per-hand-back ratchet did but accept nothing it refused: the reader's
+// bytes stay intact however many batches go by, everything retired
+// since it entered waits, and limbo drains once it exits.
+func TestParkedReaderPinsPastBatches(t *testing.T) {
+	s := newSMA()
+	defer s.Close()
+	ht := NewSoftHashTable[int](s, "parked", HashTableConfig[int]{LockFreeReads: true})
+	defer ht.Close()
+	const valSize = 400
+	for k := 0; k < 8; k++ {
+		if err := ht.Put(k, lfValue(k, valSize)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	slot, ok := ht.dom.Enter(7)
+	if !ok {
+		t.Fatal("Enter failed")
+	}
+	var box *valBox
+	_ = ht.ctx.Do(func(*core.Tx) error { // the entries map needs the lock; the box does not
+		box = ht.entries[0].box.Load()
+		return nil
+	})
+	if box == nil {
+		t.Fatal("no published box to park on")
+	}
+
+	// Every replacement writes different bytes into whatever slot it
+	// gets, so a recycled slot under the parked reader would show.
+	const rounds = 20 * 32 // many batches, whatever the batch constant
+	for i := 1; i <= rounds; i++ {
+		if err := ht.Put(i%8, lfValue(i%8+8*i, valSize)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkLfValue(t, 0, appendBox(nil, box), valSize)
+	if got := ht.ctx.HeapStats().LimboAllocs; got < rounds {
+		t.Fatalf("limbo = %d with a reader parked since before %d retirements", got, rounds)
+	}
+
+	ht.dom.Exit(slot)
+	// The next hand-back finds a backlog far past the batch and the
+	// grace period open. (The exact bound at rest is core's to pin:
+	// TestEpochLimboBounded.)
+	if err := ht.Put(0, lfValue(0, valSize)); err != nil {
+		t.Fatal(err)
+	}
+	if got := ht.ctx.HeapStats().LimboAllocs; got >= rounds/4 {
+		t.Fatalf("limbo = %d after the parked reader exited and a write handed the lock back", got)
 	}
 	if err := s.VerifyIntegrity(); err != nil {
 		t.Fatal(err)

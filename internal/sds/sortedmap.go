@@ -124,15 +124,15 @@ func (m *SoftSortedMap[K]) randomLevel() int {
 // publishBox builds and publishes the value box for n under the locked
 // section (no-op on non-lock-free maps). It must run after the value
 // bytes are fully written and before any reader can need them.
-func (m *SoftSortedMap[K]) publishBox(tx *core.Tx, n *smNode[K], size int) error {
+func (m *SoftSortedMap[K]) publishBox(tx *core.Tx, n *smNode[K]) error {
 	if !m.lockFree {
 		return nil
 	}
-	segs, err := tx.Segments(n.ref)
+	box, err := newBox(tx, n.ref)
 	if err != nil {
 		return err
 	}
-	n.box.Store(&valBox{segs: segs, size: size})
+	n.box.Store(box)
 	return nil
 }
 
@@ -176,14 +176,14 @@ func (m *SoftSortedMap[K]) Put(key K, value []byte) error {
 			// Publishing the new box unpublishes the old one in the same
 			// atomic store; the old ref is epoch-retired after it, so
 			// readers mid-copy on the old value stay covered.
-			if err := m.publishBox(tx, n, len(value)); err != nil {
+			if err := m.publishBox(tx, n); err != nil {
 				return err
 			}
 			return tx.Free(old)
 		}
 		lvl := m.randomLevel()
 		node := &smNode[K]{key: key, ref: ref, next: make([]atomic.Pointer[smNode[K]], lvl)}
-		if err := m.publishBox(tx, node, len(value)); err != nil {
+		if err := m.publishBox(tx, node); err != nil {
 			return err
 		}
 		// The node is fully initialized (box published, forward pointers
