@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build vet test race race-hot bench-check bench-pair loc metrics-lint lint lint-install fmt-check chaos chaos-cluster chaos-qos cluster-smoke soak-spill bench bench-all experiments cover fmt clean
+.PHONY: all check build vet test race race-hot race-stress bench-check bench-pair loc metrics-lint lint lint-install fmt-check chaos chaos-cluster chaos-qos cluster-smoke soak-spill bench bench-all experiments cover fmt clean
 
 # Pinned linter versions. CI installs exactly these (the lint job runs
 # `make lint-install`); bump them deliberately, in one place.
@@ -64,6 +64,30 @@ race:
 # of `make race`, wired into `make check`).
 race-hot:
 	$(GO) test -race ./internal/core ./internal/sds ./internal/kvstore ./internal/spill
+
+# The reclaim stress list, by name: lock-free readers racing revocation
+# (condemn + epoch-retire), the page-wise victim order, the tier deal and
+# the model-checked histories under demands are the interleavings a
+# pinned GOMAXPROCS shakes out (CI runs this at 1, 2 and 4). A name that
+# matches no test would silently shrink a -run filter, so the target
+# fails unless every name in the list ran and passed.
+STRESS_TESTS = TestEpochReclaimRace TestHashTableLockFreeReclaimRace \
+	TestSortedMapLockFreeReclaimDuringRange TestEpochRetireDefersAndDrains \
+	TestEpochRetireDemandDrain TestEpochLimboBounded \
+	TestParkedReaderPinsPastBatches TestLimboNeverGrowsHeap \
+	TestReclaimTakesWholePagesInAgeOrder TestPinnedTenantVetoesItsPage \
+	TestSecondChanceTenantVetoesItsPage TestTierDealSharesTheDemand \
+	TestTierDealSkipsTheDry TestTierDealContainsAPanic \
+	TestReclaimDoesNotAskTwiceForPagesInLimbo TestReclaimOrderIsStoreWide \
+	TestReclaimOrderMixedSizes TestEveryEntryPointUnderReclaim
+empty :=
+space := $(empty) $(empty)
+race-stress:
+	@out="$$($(GO) test -race -count=2 -v -run '^($(subst $(space),|,$(strip $(STRESS_TESTS))))$$' ./internal/core ./internal/sds ./internal/kvstore 2>&1)"; status=$$?; \
+	echo "$$out" | grep -E '^(--- |ok|FAIL|panic)'; \
+	for t in $(STRESS_TESTS); do \
+		echo "$$out" | grep -q -e "^--- PASS: $$t " || { echo "race-stress: $$t did not run and pass"; status=1; }; \
+	done; exit $$status
 
 # bench/ is a module of its own (it is what BENCHMARK.json runs), so
 # `go build ./...` and `go test ./...` at the root never compile it.

@@ -291,23 +291,57 @@ type traceLog struct {
 		DurNs     int64     `json:"dur_ns"`
 		Outcome   string    `json:"outcome"`
 		Hops      []struct {
-			Kind     string `json:"kind"`
-			Proc     int    `json:"proc"`
-			Name     string `json:"name"`
-			Asked    int    `json:"asked"`
-			Released int    `json:"released"`
-			DurNs    int64  `json:"dur_ns"`
-			Spans    []struct {
-				Kind   string `json:"kind"`
-				Name   string `json:"name"`
-				Pages  int    `json:"pages"`
-				Allocs int64  `json:"allocs"`
-				Count  int    `json:"count"`
-				Bytes  int64  `json:"bytes"`
-				DurNs  int64  `json:"dur_ns"`
-			} `json:"spans"`
+			Kind     string      `json:"kind"`
+			Proc     int         `json:"proc"`
+			Name     string      `json:"name"`
+			Asked    int         `json:"asked"`
+			Released int         `json:"released"`
+			DurNs    int64       `json:"dur_ns"`
+			Spans    []traceSpan `json:"spans"`
 		} `json:"hops"`
 	} `json:"traces"`
+}
+
+// traceSpan mirrors core.DemandSpan, the process-side step of a demand.
+type traceSpan struct {
+	Kind           string `json:"kind"`
+	Name           string `json:"name"`
+	Pages          int    `json:"pages"`
+	Allocs         int64  `json:"allocs"`
+	Count          int    `json:"count"`
+	Bytes          int64  `json:"bytes"`
+	DurNs          int64  `json:"dur_ns"`
+	OldestVictim   uint64 `json:"oldest_victim"`
+	NewestVictim   uint64 `json:"newest_victim"`
+	OldestSurvivor uint64 `json:"oldest_survivor"`
+}
+
+// sdsSpanLines renders one SDS's share of a demand: what it cost in
+// entries per page and, for an SDS that reports its victims' ages, how
+// old they were. Victims are whole pages, so some are younger than the
+// oldest survivor; the span is flagged when they reach further past it
+// than one page holds, which means values of very different ages share
+// pages (or old pages are being vetoed by pins).
+func sdsSpanLines(sp traceSpan) []string {
+	line := fmt.Sprintf("sds %s: %d pages, %d allocs revoked", sp.Name, sp.Pages, sp.Allocs)
+	perPage := int64(0)
+	if sp.Pages > 0 {
+		perPage = (sp.Allocs + int64(sp.Pages) - 1) / int64(sp.Pages)
+		line += fmt.Sprintf(" (%.1f/page)", float64(sp.Allocs)/float64(sp.Pages))
+	}
+	lines := []string{line + " in " + fmtDur(sp.DurNs)}
+	if sp.OldestVictim == 0 {
+		return lines
+	}
+	ages := fmt.Sprintf("  victims aged %d..%d", sp.OldestVictim, sp.NewestVictim)
+	if sp.OldestSurvivor == 0 {
+		return append(lines, ages+", nothing left behind")
+	}
+	ages += fmt.Sprintf(", oldest survivor %d", sp.OldestSurvivor)
+	if past := int64(sp.NewestVictim) - int64(sp.OldestSurvivor); past > perPage {
+		ages += fmt.Sprintf("  <- newest victim is %d entries younger than the oldest survivor, a page holds %d", past, perPage)
+	}
+	return append(lines, ages)
 }
 
 func decodeTraces(body []byte) traceLog {
@@ -358,8 +392,9 @@ func printTrace(body []byte, id uint64) {
 				case "freepool":
 					fmt.Printf("        freepool: %d pages in %s\n", sp.Pages, fmtDur(sp.DurNs))
 				case "sds":
-					fmt.Printf("        sds %s: %d pages, %d allocs revoked in %s\n",
-						sp.Name, sp.Pages, sp.Allocs, fmtDur(sp.DurNs))
+					for _, line := range sdsSpanLines(sp) {
+						fmt.Printf("        %s\n", line)
+					}
 				default:
 					fmt.Printf("        %s: %d records, %d bytes\n", sp.Kind, sp.Count, sp.Bytes)
 				}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -168,5 +169,31 @@ func TestRenderQoSVictimOrderTable(t *testing.T) {
 	}
 	if got, err := renderQoS([]byte(`{"qos":[]}`)); err != nil || !strings.Contains(got, "no processes") {
 		t.Fatalf("empty payload render = %q, %v", got, err)
+	}
+}
+
+func TestSDSSpanLines(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		sp   traceSpan
+		want []string
+	}{
+		{"no ages", traceSpan{Name: "list", Pages: 2, Allocs: 5, DurNs: 3000},
+			[]string{"sds list: 2 pages, 5 allocs revoked (2.5/page) in 3µs"}},
+		{"in order", traceSpan{Name: "kvstore/0", Pages: 16, Allocs: 64, DurNs: 412000, OldestVictim: 1, NewestVictim: 64, OldestSurvivor: 65},
+			[]string{"sds kvstore/0: 16 pages, 64 allocs revoked (4.0/page) in 412µs", "  victims aged 1..64, oldest survivor 65"}},
+		{"a page mate", traceSpan{Name: "kvstore/0", Pages: 1, Allocs: 4, OldestVictim: 10, NewestVictim: 14, OldestSurvivor: 11},
+			[]string{"sds kvstore/0: 1 pages, 4 allocs revoked (4.0/page) in 0s", "  victims aged 10..14, oldest survivor 11"}},
+		{"far apart", traceSpan{Name: "kvstore/1", Pages: 2, Allocs: 8, OldestVictim: 10, NewestVictim: 900, OldestSurvivor: 12},
+			[]string{"sds kvstore/1: 2 pages, 8 allocs revoked (4.0/page) in 0s",
+				"  victims aged 10..900, oldest survivor 12  <- newest victim is 888 entries younger than the oldest survivor, a page holds 4"}},
+		{"emptied", traceSpan{Name: "kvstore", Pages: 1, Allocs: 3, OldestVictim: 1, NewestVictim: 3},
+			[]string{"sds kvstore: 1 pages, 3 allocs revoked (3.0/page) in 0s", "  victims aged 1..3, nothing left behind"}},
+		{"frees but no page yet", traceSpan{Name: "q", Allocs: 2},
+			[]string{"sds q: 0 pages, 2 allocs revoked in 0s"}},
+	} {
+		if got := sdsSpanLines(tc.sp); !slices.Equal(got, tc.want) {
+			t.Errorf("%s:\n got %q\nwant %q", tc.name, got, tc.want)
+		}
 	}
 }

@@ -107,14 +107,27 @@ func (r Ref) IsNil() bool { return r == Ref{} }
 // String renders the ref for diagnostics.
 func (r Ref) String() string { return fmt.Sprintf("ref{p%d s%d g%d}", r.page, r.slot, r.gen) }
 
+// Owner is what an SDS hangs on a live allocation so that the heap can
+// answer "who else lives on this page" (Tenants): the heap gives memory
+// back a page at a time, so a reclaimer has to choose its victims a page
+// at a time. The heap never looks inside an owner beyond asking which
+// allocation it believes it owns, which VerifyOwners checks.
+type Owner interface {
+	OwnedRef() Ref
+}
+
 // pageMeta tracks one slotted page owned by a heap.
 type pageMeta struct {
-	page       *pages.Page
-	class      int
-	used       int
-	freeSlots  []uint16
-	gens       []uint32 // odd = live
-	userSizes  []int32
+	page      *pages.Page
+	class     int
+	used      int
+	freeSlots []uint16
+	gens      []uint32 // odd = live
+	userSizes []int32
+	// owners holds the per-slot Owner, nil for a slot nobody adopted. It
+	// is allocated by the page's first SetOwner, so heaps whose SDS never
+	// registers owners pay nothing for it.
+	owners     []Owner
 	partialIdx int // index into heap.partial[class], -1 when absent
 }
 
@@ -123,6 +136,7 @@ type spanMeta struct {
 	pgs      []*pages.Page
 	gen      uint32
 	userSize int
+	owner    Owner
 }
 
 // limboEntry is one retirement whose physical recycling is deferred
@@ -156,8 +170,12 @@ type Stats struct {
 
 // Heap is a size-class allocator over pages from a PageSource.
 type Heap struct {
-	src     PageSource
-	metas   map[pages.ID]*pageMeta
+	src   PageSource
+	metas map[pages.ID]*pageMeta
+	// last is the page of the most recent slot Alloc. What follows an
+	// allocation — the write, the publication, the owner — names that same
+	// page, so liveSlot tries it before probing metas.
+	last    *pageMeta
 	spans   map[pages.ID]*spanMeta
 	partial [][]*pageMeta       // per class: pages with at least one free slot
 	free    []*pages.Page       // fully-free pages not yet returned to the source
@@ -205,6 +223,7 @@ func (h *Heap) Alloc(size int) (Ref, error) {
 	}
 	m.gens[slot]++ // now odd: live
 	m.userSizes[slot] = int32(size)
+	h.last = m
 	h.stats.LiveAllocs++
 	h.stats.TotalAllocs++
 	h.stats.LiveBytes += int64(size)
@@ -294,6 +313,30 @@ func (h *Heap) removePartial(m *pageMeta) {
 	m.partialIdx = -1
 }
 
+// liveSlot returns the page holding ref's slot, or nil unless ref names a
+// live slot allocation (spans are looked up in h.spans by their callers).
+func (h *Heap) liveSlot(ref Ref) *pageMeta {
+	m := h.last
+	if m == nil || m.page.ID() != ref.page {
+		if m = h.metas[ref.page]; m == nil {
+			return nil
+		}
+	}
+	if int(ref.slot) >= len(m.gens) || m.gens[ref.slot] != ref.gen || ref.gen%2 == 0 {
+		return nil
+	}
+	return m
+}
+
+// kill ends a live slot's generation (now even: dead) and drops its
+// owner: an owner word never outlives its slot.
+func (m *pageMeta) kill(slot uint16) {
+	m.gens[slot]++
+	if m.owners != nil {
+		m.owners[slot] = nil
+	}
+}
+
 // Free releases the allocation named by ref. Freeing the last allocation
 // on a page moves the page to the heap's free list, where
 // ReleaseFreePages can return it to the source (the paper's
@@ -310,11 +353,11 @@ func (h *Heap) Free(ref Ref) error {
 		h.stats.PagesHeld -= n
 		return nil
 	}
-	m, ok := h.metas[ref.page]
-	if !ok || int(ref.slot) >= len(m.gens) || m.gens[ref.slot] != ref.gen || ref.gen%2 == 0 {
+	m := h.liveSlot(ref)
+	if m == nil {
 		return fmt.Errorf("%w: %v", ErrInvalidRef, ref)
 	}
-	m.gens[ref.slot]++ // now even: dead
+	m.kill(ref.slot)
 	m.freeSlots = append(m.freeSlots, ref.slot)
 	m.used--
 	h.stats.LiveAllocs--
@@ -335,6 +378,9 @@ func (h *Heap) Free(ref Ref) error {
 func (h *Heap) retireEmptyPage(m *pageMeta) {
 	h.removePartial(m)
 	delete(h.metas, m.page.ID())
+	if h.last == m {
+		h.last = nil
+	}
 	var max uint32
 	for _, g := range m.gens {
 		if g > max {
@@ -375,11 +421,11 @@ func (h *Heap) Retire(ref Ref, stamp uint64) (int, error) {
 		h.stats.DeferredOps++
 		return len(sm.pgs), nil
 	}
-	m, ok := h.metas[ref.page]
-	if !ok || int(ref.slot) >= len(m.gens) || m.gens[ref.slot] != ref.gen || ref.gen%2 == 0 {
+	m := h.liveSlot(ref)
+	if m == nil {
 		return 0, fmt.Errorf("%w: %v", ErrInvalidRef, ref)
 	}
-	m.gens[ref.slot]++ // now even: dead — the ref is invalid immediately
+	m.kill(ref.slot) // the ref is invalid immediately; limbo keeps the bytes, not the owner
 	h.stats.LiveAllocs--
 	h.stats.TotalFrees++
 	h.stats.LiveBytes -= int64(m.userSizes[ref.slot])
@@ -463,8 +509,8 @@ func (h *Heap) Bytes(ref Ref) ([]byte, error) {
 		}
 		return nil, ErrMultiPage
 	}
-	m, ok := h.metas[ref.page]
-	if !ok || int(ref.slot) >= len(m.gens) || m.gens[ref.slot] != ref.gen || ref.gen%2 == 0 {
+	m := h.liveSlot(ref)
+	if m == nil {
 		return nil, fmt.Errorf("%w: %v", ErrInvalidRef, ref)
 	}
 	off := int(ref.slot) * classes[m.class]
@@ -597,8 +643,8 @@ func (h *Heap) Size(ref Ref) (int, error) {
 	if sm, ok := h.spans[ref.page]; ok && sm.gen == ref.gen {
 		return sm.userSize, nil
 	}
-	m, ok := h.metas[ref.page]
-	if !ok || int(ref.slot) >= len(m.gens) || m.gens[ref.slot] != ref.gen || ref.gen%2 == 0 {
+	m := h.liveSlot(ref)
+	if m == nil {
 		return 0, fmt.Errorf("%w: %v", ErrInvalidRef, ref)
 	}
 	return int(m.userSizes[ref.slot]), nil
@@ -611,8 +657,8 @@ func (h *Heap) SlotSize(ref Ref) (int, error) {
 	if sm, ok := h.spans[ref.page]; ok && sm.gen == ref.gen {
 		return len(sm.pgs) * pages.Size, nil
 	}
-	m, ok := h.metas[ref.page]
-	if !ok || int(ref.slot) >= len(m.gens) || m.gens[ref.slot] != ref.gen || ref.gen%2 == 0 {
+	m := h.liveSlot(ref)
+	if m == nil {
 		return 0, fmt.Errorf("%w: %v", ErrInvalidRef, ref)
 	}
 	return classes[m.class], nil
@@ -622,6 +668,77 @@ func (h *Heap) SlotSize(ref Ref) (int, error) {
 func (h *Heap) Live(ref Ref) bool {
 	_, err := h.Size(ref)
 	return err == nil
+}
+
+// SetOwner records o as the owner of the live allocation ref. The heap
+// drops it again when the allocation dies (Free, Retire, Reset).
+func (h *Heap) SetOwner(ref Ref, o Owner) error {
+	if sm, ok := h.spans[ref.page]; ok && sm.gen == ref.gen {
+		sm.owner = o
+		return nil
+	}
+	m := h.liveSlot(ref)
+	if m == nil {
+		return fmt.Errorf("%w: %v", ErrInvalidRef, ref)
+	}
+	if m.owners == nil {
+		m.owners = make([]Owner, len(m.gens))
+	}
+	m.owners[ref.slot] = o
+	return nil
+}
+
+// Tenants appends to dst the owner of every live allocation that would
+// have to die for ref's pages to come free — ref's own included, nil for
+// an allocation nobody adopted — and reports how many pages that is: the
+// live slots of ref's page, or a multi-page span alone on its pages.
+func (h *Heap) Tenants(ref Ref, dst []Owner) (tenants []Owner, npages int, err error) {
+	if sm, ok := h.spans[ref.page]; ok && sm.gen == ref.gen {
+		return append(dst, sm.owner), len(sm.pgs), nil
+	}
+	m := h.liveSlot(ref)
+	if m == nil {
+		return dst, 0, fmt.Errorf("%w: %v", ErrInvalidRef, ref)
+	}
+	for slot, g := range m.gens {
+		if g%2 == 0 {
+			continue
+		}
+		var o Owner
+		if m.owners != nil {
+			o = m.owners[slot]
+		}
+		dst = append(dst, o)
+	}
+	return dst, 1, nil
+}
+
+// VerifyOwners checks the owner words against the allocations they sit
+// on: an owner's ref names exactly its slot, and no dead slot has one.
+func (h *Heap) VerifyOwners() error {
+	for id, m := range h.metas {
+		for slot, o := range m.owners {
+			if o == nil {
+				continue
+			}
+			at := Ref{page: id, slot: uint16(slot), gen: m.gens[slot]}
+			if at.gen%2 == 0 {
+				return fmt.Errorf("alloc: owner of %v outlived dead slot %v", o.OwnedRef(), at)
+			}
+			if got := o.OwnedRef(); got != at {
+				return fmt.Errorf("alloc: slot %v is owned by the holder of %v", at, got)
+			}
+		}
+	}
+	for id, sm := range h.spans {
+		if sm.owner == nil {
+			continue
+		}
+		if at, got := (Ref{page: id, gen: sm.gen}), sm.owner.OwnedRef(); got != at {
+			return fmt.Errorf("alloc: span %v is owned by the holder of %v", at, got)
+		}
+	}
+	return nil
 }
 
 // ReleaseFreePages returns up to max fully-free pages to the page source
@@ -651,6 +768,7 @@ func (h *Heap) ReleaseFreePages(max int) int {
 // by SDSs (like the paper's SoftArray) that surrender everything at once.
 func (h *Heap) Reset() {
 	var all []*pages.Page
+	h.last = nil
 	for id, m := range h.metas {
 		all = append(all, m.page)
 		delete(h.metas, id)

@@ -274,12 +274,21 @@ func (c *Context) trimHeapLocked() {
 	}
 }
 
+// demandGrace is how long a demand waits, per context, for lock-free
+// readers to leave the epoch so that retired pages can drain. A reader
+// is inside only to copy one value; it stays longer only when its
+// thread has lost the processor, which lasts a scheduler timeslice or a
+// few. Giving up earlier fails the demand — the daemon then denies
+// whoever needed the pages — although the data is already revoked; the
+// wait holds this context's lock, and is a small part of the 30 s the
+// daemon allows a demand.
+const demandGrace = 100 * time.Millisecond
+
 // drainEpochLocked pushes limbo retirements out under a demand: advance
 // the epoch, drain what the grace period covers, and briefly reschedule
 // to let registered readers exit (they never need c.mu, so they make
-// progress while the reclaimer holds it). The shared deadline bounds
-// the demand's stall on a straggling reader; whatever stays in limbo
-// surfaces on a later trim or demand. Caller holds c.mu.
+// progress while the reclaimer holds it), until limbo is empty or the
+// deadline has passed. Caller holds c.mu.
 func (c *Context) drainEpochLocked(deadline time.Time) {
 	for c.heap.LimboPending() > 0 {
 		if c.ratchetLocked() > 0 {
@@ -454,8 +463,9 @@ func (c *Context) pinnedLocked(ref alloc.Ref) bool {
 // Context.Do and within a Reclaimer's Reclaim. A Tx must not escape the
 // function it was passed to.
 type Tx struct {
-	ctx   *Context
-	frees int // allocations freed, for SMA reclaim accounting
+	ctx     *Context
+	frees   int        // allocations freed, for SMA reclaim accounting
+	victims VictimAges // what the Reclaimer said of its victims' ages
 }
 
 // Free releases the allocation. Freeing a pinned allocation fails with
@@ -527,6 +537,24 @@ func (tx *Tx) Write(ref alloc.Ref, data []byte, off int) error {
 func (tx *Tx) Segments(ref alloc.Ref) ([][]byte, error) {
 	return tx.ctx.heap.Segments(ref)
 }
+
+// SetOwner records o as the owner of the live allocation, for Tenants to
+// hand back. The heap forgets it when the allocation is freed.
+func (tx *Tx) SetOwner(ref alloc.Ref, o alloc.Owner) error { return tx.ctx.heap.SetOwner(ref, o) }
+
+// Tenants appends to dst the owners of every live allocation on ref's
+// page (ref's own included, nil for one nobody adopted) and reports how
+// many pages come free if all of them die: 1, or a multi-page span's
+// length, which has ref as its only tenant. A Reclaimer picks its victims
+// through it, because pages are what a demand is paid in.
+func (tx *Tx) Tenants(ref alloc.Ref, dst []alloc.Owner) ([]alloc.Owner, int, error) {
+	return tx.ctx.heap.Tenants(ref, dst)
+}
+
+// NoteVictims lets a Reclaimer that orders its elements by a stamp say
+// which stamps this Reclaim call revoked and which is the oldest it left
+// behind; the demand's span carries them to `smdctl trace`.
+func (tx *Tx) NoteVictims(v VictimAges) { tx.victims.merge(v) }
 
 // Size returns the allocation's size in bytes.
 func (tx *Tx) Size(ref alloc.Ref) (int, error) { return tx.ctx.heap.Size(ref) }

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -76,9 +77,15 @@ type DaemonClient interface {
 // Reclaimer is implemented by every Soft Data Structure: given a byte
 // quota, free allocations (oldest/lowest-value first per the SDS's
 // policy), invoking the application callback before each free, and return
-// the number of bytes actually freed. Reclaim is called with the owning
-// Context's heap lock held; it must use only the Tx passed to it, never
-// the Context's public methods.
+// the number of slot bytes freed; 0 means the SDS has nothing more to
+// give. The quota is always a whole number of pages, because pages are
+// what a demand is paid in: an SDS that can see which allocations share
+// a page (Tx.Tenants) should choose whole pages and answer in whole
+// pages, counting those that come free only once the epoch grace period
+// lets their retired slots drain. The SMA counts the pages that really
+// leave the heap and asks again for the shortfall. Reclaim is called
+// with the owning Context's heap lock held; it must use only the Tx
+// passed to it, never the Context's public methods.
 type Reclaimer interface {
 	Reclaim(tx *Tx, bytes int) int
 }
@@ -338,6 +345,25 @@ func (s *SMA) snapshotContexts() []*Context {
 	return out
 }
 
+// snapshotTiers groups the contexts that can reclaim into tiers of equal
+// priority, in reclaim order and in registration order within a tier.
+func (s *SMA) snapshotTiers() [][]*Context {
+	s.regMu.Lock()
+	defer s.regMu.Unlock()
+	var tiers [][]*Context
+	for _, c := range s.contexts {
+		if c.reclaimer == nil {
+			continue
+		}
+		if n := len(tiers); n > 0 && tiers[n-1][0].priority == c.priority {
+			tiers[n-1] = append(tiers[n-1], c)
+		} else {
+			tiers = append(tiers, []*Context{c})
+		}
+	}
+	return tiers
+}
+
 // Close tears the SMA down: every context is closed (freeing its heap),
 // the free pool returns to the machine, and all budget is released to
 // the daemon. The SMA must not be used afterwards.
@@ -477,6 +503,11 @@ func (s *SMA) VerifyIntegrity() error {
 	for _, pg := range s.freePool {
 		if !pg.Held() {
 			return fmt.Errorf("core: free pool contains released page %d", pg.ID())
+		}
+	}
+	for _, c := range ctxs {
+		if err := c.heap.VerifyOwners(); err != nil {
+			return fmt.Errorf("core: context %q: %w", c.name, err)
 		}
 	}
 	return nil
@@ -764,12 +795,13 @@ func (s *SMA) OnPressure(fn func(PressureEvent)) {
 }
 
 // HandleDemand serves a reclamation demand from the daemon: release up to
-// demandPages pages back to the machine, first from the free pool, then by
-// walking SDS contexts in ascending priority. It returns the number of
-// pages actually released; the daemon shrinks the process budget by the
-// same amount. Safe to call from any goroutine; demands serialize on
-// demandMu and take each context's heap lock one at a time, so allocation
-// on other heaps proceeds while one SDS is being squeezed.
+// demandPages pages back to the machine, first from the free pool, then
+// from the SDS contexts one priority tier at a time, lowest first (see
+// reclaimFromTier). It returns the number of pages actually released; the
+// daemon shrinks the process budget by the same amount. Safe to call from
+// any goroutine; demands serialize on demandMu and take each context's
+// heap lock one at a time, so allocation on other heaps proceeds while
+// one SDS is being squeezed.
 func (s *SMA) HandleDemand(demandPages int) int {
 	released, _, _ := s.HandleDemandTraced(demandPages, 0)
 	return released
@@ -817,30 +849,21 @@ func (s *SMA) HandleDemandTraced(demandPages int, reclaimID uint64) (int, []Dema
 		s.poolMu.Unlock()
 	}
 
-	// Tier 1: SDS contexts, lowest priority first. Each SDS frees
-	// allocations until its heap has surrendered enough whole pages.
+	// Tier 1: the SDS contexts, lowest priority first; a higher priority
+	// is touched only once everything below it has run dry.
 	if released < demandPages {
-		for _, ctx := range s.snapshotContexts() {
+		turn := int(s.c.demandsServed.Load())
+		for _, tier := range s.snapshotTiers() {
 			if released >= demandPages {
 				break
 			}
-			if ctx.reclaimer == nil {
-				continue
+			for _, sp := range s.reclaimFromTier(tier, demandPages-released, turn) {
+				if sp.Pages > 0 || sp.Allocs > 0 {
+					tr.spans = append(tr.spans, sp)
+				}
+				released += sp.Pages
+				allocsFreed += sp.Allocs
 			}
-			t0 := time.Now()
-			pgs, frees := s.reclaimFromContext(ctx, demandPages-released)
-			d := time.Since(t0)
-			if m != nil {
-				m.sdsReclaim.ObserveDuration(d)
-			}
-			if pgs > 0 || frees > 0 {
-				tr.spans = append(tr.spans, DemandSpan{
-					Kind: "sds", Name: ctx.name, Pages: pgs, Allocs: frees,
-					DurNs: d.Nanoseconds(),
-				})
-			}
-			released += pgs
-			allocsFreed += frees
 		}
 	}
 
@@ -878,18 +901,74 @@ func (s *SMA) HandleDemandTraced(demandPages int, reclaimID uint64) (int, []Dema
 	return released, spans, &u
 }
 
+// reclaimFromTier takes quota pages from a tier of equal-priority
+// contexts as from one victim. The quota is dealt in rounds: a round
+// splits what is still missing evenly over the contexts still giving
+// (shares differ by a page at most), those that have given least asked
+// first, and a context that returns less than its share is dry and
+// leaves the deal, its shortfall going into the next round — until the
+// quota is met or every context is dry. So no context pays two pages
+// more than another that still had pages to give. turn rotates which
+// context is asked first, so the odd page of successive demands does
+// not always fall on the same one; a context whose heap holds no page
+// is left out from the start. A sharded store is N equal-priority
+// contexts holding an even mix of ages, so equal shares keep "oldest
+// first" true of the store and not of whichever shard registered first.
+// It returns one span per context, in tier order.
+func (s *SMA) reclaimFromTier(tier []*Context, quota, turn int) []DemandSpan {
+	spans := make([]DemandSpan, len(tier))
+	giving := make([]int, 0, len(tier))
+	for n := range tier {
+		i := (turn + n) % len(tier)
+		spans[i] = DemandSpan{Kind: "sds", Name: tier[i].name}
+		// An empty heap is dealt no share: its Reclaimer would return
+		// nothing and the others would be called a second time for it.
+		if tier[i].HeapStats().PagesHeld > 0 {
+			giving = append(giving, i)
+		}
+	}
+	for quota > 0 && len(giving) > 0 {
+		slices.SortStableFunc(giving, func(a, b int) int { return spans[a].Pages - spans[b].Pages })
+		undealt, still := quota, giving[:0]
+		for n, i := range giving {
+			ask := min((undealt+len(giving)-n-1)/(len(giving)-n), quota)
+			if ask <= 0 {
+				still = append(still, giving[n:]...) // not asked this round, still in the deal
+				break
+			}
+			undealt -= ask
+			got := s.reclaimFromContext(tier[i], ask, &spans[i])
+			quota -= got
+			if got >= ask {
+				still = append(still, i)
+			}
+		}
+		giving = still
+	}
+	return spans
+}
+
 // reclaimFromContext asks one SDS to free allocations until quota pages
 // have flowed from its heap to the machine, or the SDS runs dry. It takes
 // the context's heap lock for the duration; while it runs, every page the
 // heap releases — emptied slot pages and freed multi-page spans alike —
 // goes straight to the machine and is counted via ctx.drainReleased. It
-// returns the pages drained and the allocations freed (counted per
-// demand, so concurrent observers never see another demand's frees).
-func (s *SMA) reclaimFromContext(ctx *Context, quotaPages int) (drained int, frees int64) {
+// returns the pages drained and adds them, the allocations freed, the
+// victims' ages and the time all this took to sp (counted per demand, so
+// concurrent observers never see another demand's frees).
+func (s *SMA) reclaimFromContext(ctx *Context, quota int, sp *DemandSpan) (drained int) {
+	t0 := time.Now()
+	defer func() {
+		d := time.Since(t0)
+		sp.DurNs += d.Nanoseconds()
+		if m := s.met.Load(); m != nil {
+			m.sdsReclaim.ObserveDuration(d)
+		}
+	}()
 	ctx.lock()
 	defer ctx.mu.Unlock()
 	if ctx.closed {
-		return 0, 0
+		return 0
 	}
 	tx := &Tx{ctx: ctx}
 	ctx.demandDrain = true
@@ -903,50 +982,45 @@ func (s *SMA) reclaimFromContext(ctx *Context, quotaPages int) (drained int, fre
 	defer func() {
 		ctx.demandDrain = false
 		if r := recover(); r != nil {
-			frees += int64(tx.frees)
 			s.c.reclaimPanics.Add(1)
-			drained = ctx.drainReleased
 		}
-		s.c.allocsReclaimed.Add(frees)
+		drained = ctx.drainReleased
+		sp.Pages += drained
+		sp.Allocs += int64(tx.frees)
+		sp.VictimAges.merge(tx.victims)
+		s.c.allocsReclaimed.Add(int64(tx.frees))
 	}()
-	// Bounded rounds guard against a misbehaving Reclaimer that reports
-	// progress without ever emptying pages. Epoch-retired frees sit in
-	// limbo until the grace period passes, so each round first advances
-	// the epoch and drains what it can — WITHOUT this, a lock-free SDS's
-	// reclaimed bytes would never show up in drainReleased and the loop
-	// would keep evicting far past its quota. The shared deadline bounds
-	// how long the demand waits on a straggling reader; pages a timed-out
-	// drain leaves in limbo surface on a later trim or demand.
-	epochDeadline := time.Now().Add(2 * time.Millisecond)
-	for round := 0; round < 64; round++ {
+	// Epoch-retired frees sit in limbo until the grace period passes, so
+	// every round first advances the epoch and drains what it can, then
+	// takes the heap's free pages, and only then asks the SDS for what is
+	// still missing. While limbo holds anything no page can leave this
+	// heap whatever is freed, so the SDS is not asked: a page in limbo is
+	// already paid for in revoked data, and asking again would revoke
+	// more without releasing more. If demandGrace runs out first, what is
+	// in limbo surfaces on a later trim or demand.
+	epochDeadline := time.Now().Add(demandGrace)
+	for dry := false; ; {
 		ctx.drainEpochLocked(epochDeadline)
-		// Surrender already-free heap pages before disturbing live data.
-		if rem := quotaPages - ctx.drainReleased; rem > 0 {
+		if rem := quota - ctx.drainReleased; rem > 0 {
 			ctx.heap.ReleaseFreePages(rem)
 		}
-		if ctx.drainReleased >= quotaPages {
+		if ctx.drainReleased >= quota || dry || ctx.heap.LimboPending() > 0 {
 			break
 		}
-		wantBytes := (quotaPages - ctx.drainReleased) * pages.Size
 		// The callback fault point: delay= holds the demand cycle open
 		// (the daemon's CallTimeout bounds the damage), panic exercises
 		// the containment above, error abandons this SDS mid-drain.
 		if faultinject.Fire("core.reclaim.sds") == faultinject.Error {
 			break
 		}
-		freed := ctx.reclaimer.Reclaim(tx, wantBytes)
-		frees += int64(tx.frees)
-		tx.frees = 0
-		if freed <= 0 {
-			// SDS cannot free more; take whatever pages emptied out.
-			ctx.drainEpochLocked(epochDeadline)
-			if rem := quotaPages - ctx.drainReleased; rem > 0 {
-				ctx.heap.ReleaseFreePages(rem)
-			}
-			break
-		}
+		before := tx.frees
+		got := ctx.reclaimer.Reclaim(tx, (quota-ctx.drainReleased)*pages.Size)
+		// An SDS that reports progress without freeing anything would
+		// hold the demand here for ever; one that frees is done once it
+		// has nothing left.
+		dry = got <= 0 || tx.frees == before
 	}
-	return ctx.drainReleased, frees
+	return ctx.drainReleased
 }
 
 // ctxSource is the alloc.PageSource wired into each context's heap. All

@@ -28,6 +28,32 @@ type DemandSpan struct {
 	Bytes int64 `json:"bytes,omitempty"`
 	// DurNs is the hop's duration in nanoseconds.
 	DurNs int64 `json:"dur_ns,omitempty"`
+	// VictimAges says, for an "sds" span whose SDS orders its elements by
+	// a stamp, how old what it revoked was (see Tx.NoteVictims).
+	VictimAges
+}
+
+// VictimAges are positions in an SDS's own eviction order (lower is
+// older, 0 is "none"): the oldest and newest element a reclaim revoked
+// and the oldest it left behind. Victims are whole pages, so the newest
+// victim may be younger than the oldest survivor by as much as the ages
+// that share a page are apart — which is what the numbers are for.
+type VictimAges struct {
+	OldestVictim   uint64 `json:"oldest_victim,omitempty"`
+	NewestVictim   uint64 `json:"newest_victim,omitempty"`
+	OldestSurvivor uint64 `json:"oldest_survivor,omitempty"`
+}
+
+// merge folds a later Reclaim call's report into v.
+func (v *VictimAges) merge(w VictimAges) {
+	if w == (VictimAges{}) {
+		return
+	}
+	if w.OldestVictim != 0 && (v.OldestVictim == 0 || w.OldestVictim < v.OldestVictim) {
+		v.OldestVictim = w.OldestVictim
+	}
+	v.NewestVictim = max(v.NewestVictim, w.NewestVictim)
+	v.OldestSurvivor = w.OldestSurvivor
 }
 
 // demandTrace accumulates the spans of the demand in flight. Demands

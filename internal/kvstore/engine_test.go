@@ -308,9 +308,12 @@ func TestBatchOverloaded(t *testing.T) {
 	wg.Add(2)
 	go exec()
 	// Wait for the first batch to be popped by the owner (it blocks in
-	// Acquire with the ring empty again), then fill the ring.
+	// Acquire — the lock now has a waiter — with the ring empty again),
+	// then fill the ring. An empty ring alone also describes the moment
+	// before the first batch was submitted, and a second batch racing it
+	// into the one-slot ring is shed.
 	deadline := time.Now().Add(2 * time.Second)
-	for len(st.shards[0].ring) != 0 || st.shards[0].batches.Load() != 0 {
+	for len(st.shards[0].ring) != 0 || !st.shards[0].owned.Contended() {
 		if time.Now().After(deadline) {
 			t.Fatal("owner never popped the first batch")
 		}

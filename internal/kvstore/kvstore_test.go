@@ -538,7 +538,7 @@ func TestTTLClearedOnDeleteAndReclaim(t *testing.T) {
 	// Reclamation clears TTLs too.
 	st.Set("big", make([]byte, 4096))
 	st.Expire("big", time.Second)
-	sma.HandleDemand(1)
+	sma.HandleDemand(2) // "k" and "big" each have a page to themselves
 	st.Set("big", []byte("fresh"))
 	now = now.Add(time.Hour)
 	if _, ok, _ := st.Get("big"); !ok {

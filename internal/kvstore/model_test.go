@@ -1,11 +1,15 @@
 package kvstore
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
+	"io"
 	"math/rand"
+	"net"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -561,5 +565,229 @@ func TestEveryEntryPointMatchesModel(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// The reclaiming variant: four clients — direct calls, Batch, RESP at
+// depth 1 and at depth 16 — run at once against one store while demands
+// revoke pages under them. Each client works its own keys, so every
+// key's history is sequential and is replayed against the same model;
+// the one extra outcome a reply may show is "revoked ⇒ miss": the key
+// reads as absent although the model holds it, from then on it is
+// absent until set again, and the store must have reported (OnReclaim)
+// at least as many revocations of that key as the replay had to assume.
+// Anything else — a stale value, a value that comes back after a miss,
+// bytes of another key — matches neither model and fails.
+
+// reclaimScript is one client's seeded script over its own keys:
+// single-key commands only, values large enough that a few dozen fill
+// pages.
+func reclaimScript(client int, n int) [][]string {
+	rng := rand.New(rand.NewSource(int64(1600 + client)))
+	key := func() string { return fmt.Sprintf("c%d-k%02d", client, rng.Intn(48)) }
+	var script [][]string
+	for len(script) < n {
+		switch rng.Intn(12) {
+		case 0, 1, 2, 3:
+			v := strconv.Itoa(rng.Intn(2000) - 1000) // INCR-able
+			if rng.Intn(4) != 0 {
+				v = strings.Repeat(string(rune('a'+rng.Intn(26))), 200+rng.Intn(1200))
+			}
+			script = append(script, []string{"SET", key(), v})
+		case 4, 5, 6, 7:
+			script = append(script, []string{"GET", key()})
+		case 8:
+			script = append(script, []string{"DEL", key()})
+		case 9:
+			script = append(script, []string{"INCRBY", key(), strconv.Itoa(rng.Intn(9) + 1)})
+		case 10:
+			script = append(script, []string{"APPEND", key(), strings.Repeat("+", 1+rng.Intn(40))})
+		default:
+			script = append(script, []string{[]string{"STRLEN", "EXISTS"}[rng.Intn(2)], key()})
+		}
+	}
+	return script
+}
+
+// respReplies sends cmds over one connection, depth at a time, and
+// returns each command's raw reply (the scripts produce no arrays).
+func respReplies(srv *Server, cmds [][]string, depth int) ([][]byte, error) {
+	clientEnd, serverEnd := net.Pipe()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		srv.serveConn(serverEnd)
+	}()
+	defer func() {
+		clientEnd.Close()
+		<-done
+	}()
+	rd := bufio.NewReader(clientEnd)
+	replies := make([][]byte, 0, len(cmds))
+	for lo := 0; lo < len(cmds); lo += depth {
+		hi := min(lo+depth, len(cmds))
+		var req []byte
+		for _, c := range cmds[lo:hi] {
+			req = appendCommand(req, c...)
+		}
+		werr := make(chan error, 1)
+		go func() { _, err := clientEnd.Write(req); werr <- err }()
+		for range hi - lo {
+			line, err := rd.ReadBytes('\n')
+			if err != nil {
+				return nil, err
+			}
+			if n, isLen := modelInt(string(line[1 : len(line)-2])); line[0] == '$' && isLen && n >= 0 {
+				line = append(line, make([]byte, n+2)...)
+				if _, err := io.ReadFull(rd, line[len(line)-int(n)-2:]); err != nil {
+					return nil, err
+				}
+			}
+			replies = append(replies, line)
+		}
+		if err := <-werr; err != nil {
+			return nil, err
+		}
+	}
+	return replies, nil
+}
+
+func TestEveryEntryPointUnderReclaim(t *testing.T) {
+	const steps = 2500
+	for _, shards := range []int{1, 2, 8} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			var mu sync.Mutex
+			revocations := map[string]int{}
+			sma := core.New(core.Config{Machine: pages.NewPool(0)})
+			st := New(sma, WithShards(shards), WithOnReclaim(func(key string) {
+				mu.Lock()
+				revocations[key]++
+				mu.Unlock()
+			}))
+			defer st.Close()
+			srv := NewServer(st, func(string, ...any) {})
+
+			clients := []struct {
+				name string
+				run  func(cmds [][]string) ([][]byte, error)
+			}{
+				{"direct", func(cmds [][]string) ([][]byte, error) {
+					var out [][]byte
+					for _, args := range cmds {
+						sl := slots(args)
+						direct(st, &sl[0])
+						out = append(out, render(args[0], sl))
+					}
+					return out, nil
+				}},
+				{"batch", func(cmds [][]string) ([][]byte, error) {
+					var out [][]byte
+					b := st.NewBatch()
+					for lo := 0; lo < len(cmds); lo += 16 {
+						hi := min(lo+16, len(cmds))
+						for _, args := range cmds[lo:hi] {
+							c := slots(args)[0]
+							slot := b.Cmd(b.Add(c.Op, c.Key))
+							slot.Arg, slot.Delta = c.Arg, c.Delta
+						}
+						if err := b.Exec(); err != nil {
+							return nil, err
+						}
+						for i, args := range cmds[lo:hi] {
+							reply := render(args[0], b.cmds[i:i+1])
+							out = append(out, append([]byte(nil), reply...))
+						}
+						b.Reset()
+					}
+					return out, nil
+				}},
+				{"resp-depth1", func(cmds [][]string) ([][]byte, error) { return respReplies(srv, cmds, 1) }},
+				{"resp-depth16", func(cmds [][]string) ([][]byte, error) { return respReplies(srv, cmds, 16) }},
+			}
+
+			scripts := make([][][]string, len(clients))
+			replies := make([][][]byte, len(clients))
+			var wg sync.WaitGroup
+			for i, c := range clients {
+				scripts[i] = reclaimScript(i, steps)
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					var err error
+					if replies[i], err = c.run(scripts[i]); err != nil {
+						t.Errorf("%s: %v", c.name, err)
+					}
+				}()
+			}
+			stop := make(chan struct{})
+			demands := make(chan struct{})
+			go func() {
+				defer close(demands)
+				for n := 1; ; n++ {
+					select {
+					case <-stop:
+						return
+					case <-time.After(300 * time.Microsecond):
+						sma.HandleDemand(1 + n%3)
+					}
+				}
+			}()
+			wg.Wait()
+			close(stop)
+			<-demands
+			if t.Failed() {
+				return
+			}
+
+			assumed, hits := 0, 0
+			for i, c := range clients {
+				m := &model{data: map[string][]byte{}, dl: map[string]time.Time{}}
+				adopted := map[string]int{}
+				// replay applies args and returns the reply the model owes,
+				// or, if got differs from it, the reply it owes once the
+				// key's value has been revoked.
+				replay := func(args []string, got []byte) []byte {
+					_, had := m.data[args[1]]
+					want, _ := m.apply(args)
+					if bytes.Equal(got, want) || !had {
+						return want
+					}
+					delete(m.data, args[1])
+					adopted[args[1]]++
+					want, _ = m.apply(args)
+					return want
+				}
+				for j, args := range scripts[i] {
+					got := replies[i][j]
+					if want := replay(args, got); !bytes.Equal(got, want) {
+						t.Fatalf("%s step %d: %q replied %.60q, legal neither for the model nor for the model with the key revoked (%.60q)", c.name, j, args[:2], got, want)
+					}
+					if args[0] == "GET" && got[1] != '-' {
+						hits++
+					}
+				}
+				// What is left reads as the model says, or is revoked.
+				for k := 0; k < 48; k++ {
+					args := []string{"GET", fmt.Sprintf("c%d-k%02d", i, k)}
+					v, ok, err := st.Get(args[1])
+					if got := respBulk(v, ok); err != nil || !bytes.Equal(got, replay(args, got)) {
+						t.Fatalf("%s: final GET %s = %.60q (err %v), legal neither way", c.name, args[1], got, err)
+					}
+				}
+				for key, n := range adopted {
+					if n > revocations[key] {
+						t.Fatalf("%s: key %s read as revoked %d times, the store reported %d revocations", c.name, key, n, revocations[key])
+					}
+					assumed += n
+				}
+			}
+			if assumed == 0 || hits == 0 {
+				t.Fatalf("the run observed %d revocations and %d GET hits; it must see both to mean anything", assumed, hits)
+			}
+			t.Logf("%d revocations seen by the clients, %d GET hits", assumed, hits)
+			if err := sma.VerifyIntegrity(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

@@ -13,11 +13,13 @@
 //
 // The string table can be sharded (Config.Shards) into several
 // SoftHashTables, each with its own SDS context and heap lock, so
-// concurrent clients on different keys proceed in parallel. Sharding
-// trades global eviction order for throughput: each shard evicts
-// oldest/LRU-first within itself, so reclamation order across the whole
-// store is only approximately global. The default of one shard preserves
-// the exact store-wide order.
+// concurrent clients on different keys proceed in parallel. The shards
+// are equal-priority contexts, which a reclamation demand treats as one
+// victim: it is dealt across them in equal page counts and each gives up
+// the pages of its own oldest (or least recently used) entries, so what
+// a demand costs the store does not depend on the shard count. Victims
+// are whole pages: an entry goes when it is among the oldest or shares a
+// page with one that is.
 package kvstore
 
 import (
@@ -54,8 +56,7 @@ type Config struct {
 	Priority int
 	// Shards splits the string table into this many SoftHashTables
 	// (rounded up to a power of two), each with its own heap lock, so
-	// concurrent clients scale. Eviction order under reclamation becomes
-	// per-shard rather than store-global. Default 1.
+	// concurrent clients scale. Default 1.
 	Shards int
 	// OnReclaim runs for every entry revoked under memory pressure, after
 	// the store's own cleanup. Optional.

@@ -1,12 +1,15 @@
 package sds
 
 import (
+	"cmp"
 	"hash/maphash"
+	"slices"
 	"sync/atomic"
 
 	"softmem/internal/alloc"
 	"softmem/internal/core"
 	"softmem/internal/epoch"
+	"softmem/internal/pages"
 )
 
 // EvictPolicy selects which entries a SoftHashTable gives up first under
@@ -57,7 +60,11 @@ type SoftHashTable[K comparable] struct {
 	// Guarded by the context's locked sections.
 	entries    map[K]*htEntry[K]
 	head, tail *htEntry[K] // eviction order: head evicted first
+	links      uint64      // linkTail calls so far; the last one's seq
 	reclaimed  int64
+	// tenants and group are reclaim's scratch for one page's occupants.
+	tenants []alloc.Owner
+	group   []*htEntry[K]
 
 	// Lock-free read state (see lockfree.go). lockFree is set once at
 	// construction; when false none of the other fields are touched and
@@ -95,7 +102,17 @@ type htEntry[K comparable] struct {
 	// (writer-only, guarded by the heap lock): stamp != seen means the
 	// entry was read since the previous reclaim visit.
 	seen uint64
+	// seq is the entry's position in the eviction order: the table's link
+	// count when the entry was last linked at the tail, so list order is
+	// ascending seq. It is the age reclaim reports, and an entry relinked
+	// since a Reclaim call began (seq above the count at its start) is one
+	// that call gave a second chance.
+	seq uint64
 }
+
+// OwnedRef implements alloc.Owner: the entry is the owner word of the
+// slot its value sits in, which is how reclaim finds a page's tenants.
+func (e *htEntry[K]) OwnedRef() alloc.Ref { return e.ref }
 
 // HashTableConfig configures a SoftHashTable beyond basic Options.
 type HashTableConfig[K comparable] struct {
@@ -149,19 +166,19 @@ func NewSoftHashTable[K comparable](sma *core.SMA, name string, cfg HashTableCon
 // LockFree reports whether the table serves the lock-free read path.
 func (t *SoftHashTable[K]) LockFree() bool { return t.lockFree }
 
-// publishBox builds and publishes the value box for e under the heap
-// lock (no-op on non-lock-free tables). It must run after the value
-// bytes are fully written and before any reader can need them.
-func (t *SoftHashTable[K]) publishBox(tx *core.Tx, e *htEntry[K]) error {
-	if !t.lockFree {
-		return nil
+// publish makes e the owner of the slot e.ref names and, on a lock-free
+// table, builds and publishes its value box, under the heap lock. It must
+// run after the value bytes are fully written and before any reader can
+// need them.
+func (t *SoftHashTable[K]) publish(tx *core.Tx, e *htEntry[K]) error {
+	if t.lockFree {
+		box, err := newBox(tx, e.ref)
+		if err != nil {
+			return err
+		}
+		e.box.Store(box)
 	}
-	box, err := newBox(tx, e.ref)
-	if err != nil {
-		return err
-	}
-	e.box.Store(box)
-	return nil
+	return tx.SetOwner(e.ref, e)
 }
 
 // condemn unpublishes e's value ahead of a free. The nil store must
@@ -193,14 +210,14 @@ func (t *SoftHashTable[K]) putLocked(tx *core.Tx, key K, ref alloc.Ref) error {
 		// Publishing the new box unpublishes the old one in the same
 		// atomic store; the old ref is epoch-retired after it, so
 		// readers mid-copy on the old value stay covered.
-		if err := t.publishBox(tx, e); err != nil {
+		if err := t.publish(tx, e); err != nil {
 			return err
 		}
 		t.touch(e)
 		return tx.Free(replaced)
 	}
 	e := &htEntry[K]{key: key, ref: ref}
-	if err := t.publishBox(tx, e); err != nil {
+	if err := t.publish(tx, e); err != nil {
 		return err
 	}
 	t.entries[key] = e
@@ -304,12 +321,7 @@ func (t *SoftHashTable[K]) deleteLocked(tx *core.Tx, key K) (bool, error) {
 	if !ok {
 		return false, nil
 	}
-	t.unlink(e)
-	delete(t.entries, key)
-	if t.lockFree {
-		t.condemn(e)
-		t.idxDelete(key)
-	}
+	t.drop(e)
 	if err := tx.Free(e.ref); err != nil {
 		return false, err
 	}
@@ -432,6 +444,8 @@ func (t *SoftHashTable[K]) ContainsOwned(o *core.Owned, key K) bool {
 
 // linkTail appends e at the tail (most recent / newest position).
 func (t *SoftHashTable[K]) linkTail(e *htEntry[K]) {
+	t.links++
+	e.seq = t.links
 	e.prev = t.tail
 	e.next = nil
 	if t.tail != nil {
@@ -471,86 +485,144 @@ func (t *SoftHashTable[K]) touch(e *htEntry[K]) {
 	t.linkTail(e)
 }
 
-// reclaim evicts entries from the head of the eviction order until quota
-// bytes are freed, invoking the callback and cleaning the traditional
-// index for each. Pinned entries are skipped and survive. Runs under
-// the Context lock.
+// reclaim revokes whole pages, in the eviction order of their oldest
+// tenant, until the pages of a quota in bytes are free or pending in
+// limbo, and returns their size. The order picks the page and the page
+// picks the victims: the SMA can only give memory back a page at a time,
+// so the oldest evictable entry names a page and every entry whose value
+// shares it is revoked with it — oldest first — while their neighbours on
+// other pages, however old, stay. A multi-page value is a page group with one tenant.
+// A page is taken only if every tenant can go: a pinned tenant, or a slot
+// that is allocated but not yet installed in the table, vetoes it, and
+// its unpinned tenants survive with it, because revoking them would free
+// no page. Runs under the Context lock.
 //
 // Under EvictLRU with lock-free reads, list order alone understates
 // recency: optimistic readers cannot move list links, they only store
-// sampled access-clock stamps. Reclaim therefore runs a second-chance
-// (CLOCK) rotation: an entry whose stamp advanced since its previous
-// reclaim visit is rotated to the tail — once — instead of evicted, so
-// lock-free-hot entries demote coldest-first. The rotation budget is one
-// full table's worth; a second, rotation-free pass guarantees the quota
-// is still met when everything looks hot.
-func (t *SoftHashTable[K]) reclaim(tx *core.Tx, quota int) int {
-	freed := 0
+// sampled access-clock stamps. The first pass therefore gives second
+// chances (CLOCK): an entry whose stamp advanced since its previous
+// reclaim visit is relinked at the tail instead of named as a victim,
+// and a tenant spared by this call — before the walk reached its page or
+// when the page is looked at — vetoes the page like a pin. A second pass
+// that ignores hotness guarantees the quota is still met when everything
+// looks hot.
+func (t *SoftHashTable[K]) reclaim(tx *core.Tx, bytes int) int {
+	quota, taken := pages.BytesToPages(bytes), 0
+	var ages core.VictimAges
 	var keyBytesFreed int64
-	rotBudget := 0
+	called := t.links
 	passes := 1
 	if t.policy == EvictLRU && t.lockFree {
-		rotBudget = len(t.entries)
 		passes = 2
 	}
-	for pass := 0; pass < passes && freed < quota; pass++ {
-		for e := t.head; e != nil && freed < quota; {
-			next := e.next
-			if tx.Pinned(e.ref) {
+	for pass := 0; pass < passes && taken < quota; pass++ {
+		sparing := passes == 2 && pass == 0
+		// While sparing, every entry linked after the call began was
+		// spared by it, and they are all at the tail: the pass ends there.
+		for e := t.head; e != nil && taken < quota && !(sparing && e.seq > called); {
+			if next := e.next; sparing && t.spare(e) {
 				e = next
 				continue
 			}
-			if pass == 0 && rotBudget > 0 {
-				if s := e.stamp.Load(); s != e.seen {
-					// Second chance: read since the last visit. Relink
-					// directly (not touch) so the move does not itself
-					// advance the stamp and re-arm the entry.
-					e.seen = s
-					t.unlink(e)
-					t.linkTail(e)
-					rotBudget--
-					e = next
-					continue
-				}
-			}
-			size, err := tx.SlotSize(e.ref)
-			if err != nil {
-				t.unlink(e)
-				delete(t.entries, e.key)
-				if t.lockFree {
-					t.condemn(e)
-					t.idxDelete(e.key)
-				}
+			npages, err := t.pageGroup(tx, e, sparing, called)
+			if err != nil { // e's ref died under it: forget the entry
+				next := e.next
+				t.drop(e)
 				e = next
 				continue
 			}
-			if t.onReclaim != nil {
-				if v, err := tx.Append(nil, e.ref); err == nil {
-					t.onReclaim(e.key, v)
+			if npages == 0 {
+				e = e.next // read now: sparing a tenant may have moved it
+				continue
+			}
+			// e is the group's oldest: an older unpinned tenant would
+			// have named this page before e did.
+			prev := e.prev
+			if ages.OldestVictim == 0 || e.seq < ages.OldestVictim {
+				ages.OldestVictim = e.seq
+			}
+			for _, m := range t.group {
+				if t.onReclaim != nil {
+					if v, err := tx.Append(nil, m.ref); err == nil {
+						t.onReclaim(m.key, v)
+					}
 				}
+				// Revocation rides the epochs: condemn (unpublish) first,
+				// then epoch-retire. The page only reaches the SMA once the
+				// demand's drain observes the grace period past the retire
+				// stamp, so a reader mid-copy never sees its bytes recycled.
+				t.drop(m)
+				_ = tx.Free(m.ref) // live and unpinned, or pageGroup had vetoed
+				if t.keyBytes != nil {
+					keyBytesFreed += int64(t.keyBytes(m.key))
+				}
+				t.reclaimed++
+				ages.NewestVictim = max(ages.NewestVictim, m.seq)
 			}
-			// Revocation rides the epochs: condemn (unpublish) first, then
-			// epoch-retire. The pages only reach the SMA once the demand's
-			// drain observes the grace period past the retire stamp, so a
-			// reader mid-copy never sees its bytes recycled.
-			if t.lockFree {
-				t.condemn(e)
-				t.idxDelete(e.key)
+			taken += npages
+			if e = t.head; prev != nil {
+				e = prev.next
 			}
-			if err := tx.Free(e.ref); err == nil {
-				freed += size
-			}
-			t.unlink(e)
-			delete(t.entries, e.key)
-			if t.keyBytes != nil {
-				keyBytesFreed += int64(t.keyBytes(e.key))
-			}
-			t.reclaimed++
-			e = next
 		}
 	}
+	clear(t.tenants[:cap(t.tenants)]) // the scratch keeps no entry alive
+	clear(t.group[:cap(t.group)])
 	if keyBytesFreed > 0 {
 		t.sma.AddTraditionalBytes(-keyBytesFreed)
 	}
-	return freed
+	if ages.OldestVictim != 0 {
+		if t.head != nil {
+			ages.OldestSurvivor = t.head.seq
+		}
+		tx.NoteVictims(ages)
+	}
+	return taken * pages.Size
+}
+
+// spare gives e its second chance if it was read since reclaim last
+// visited it: it is relinked at the tail — directly, not through touch,
+// so the move does not itself advance the stamp and re-arm the entry.
+func (t *SoftHashTable[K]) spare(e *htEntry[K]) bool {
+	s := e.stamp.Load()
+	if s == e.seen {
+		return false
+	}
+	e.seen = s
+	t.unlink(e)
+	t.linkTail(e)
+	return true
+}
+
+// drop removes e from the index and the eviction order and unpublishes
+// its value; the caller frees e.ref afterwards.
+func (t *SoftHashTable[K]) drop(e *htEntry[K]) {
+	t.unlink(e)
+	delete(t.entries, e.key)
+	if t.lockFree {
+		t.condemn(e)
+		t.idxDelete(e.key)
+	}
+}
+
+// pageGroup fills t.group with the entries that must be revoked for e's
+// page (or span) to come free, oldest first, and returns how many pages
+// that frees: 0 if a tenant vetoes the page.
+func (t *SoftHashTable[K]) pageGroup(tx *core.Tx, e *htEntry[K], sparing bool, called uint64) (npages int, err error) {
+	t.tenants, npages, err = tx.Tenants(e.ref, t.tenants[:0])
+	if err != nil {
+		return 0, err
+	}
+	t.group = t.group[:0]
+	for _, o := range t.tenants {
+		m, owned := o.(*htEntry[K])
+		if !owned || tx.Pinned(m.ref) || sparing && m != e && (m.seq > called || t.spare(m)) {
+			npages = 0 // vetoed; the walk goes on so every hot tenant has its chance now
+			continue
+		}
+		t.group = append(t.group, m)
+	}
+	if npages > 0 {
+		slices.SortFunc(t.group, func(a, b *htEntry[K]) int { return cmp.Compare(a.seq, b.seq) })
+	}
+	return npages, nil
 }
