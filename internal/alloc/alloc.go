@@ -43,30 +43,40 @@ var (
 // consecutive classes differ by at most 50%, bounding internal
 // fragmentation, and so several interesting sizes (the paper's 1 KiB
 // stress allocations and 2 KiB list elements) map exactly.
-var classes = []int{16, 32, 48, 64, 96, 128, 192, 256, 384, 512, 768, 1024, 1360, 2048, 4096}
+var classes = [...]int{16, 32, 48, 64, 96, 128, 192, 256, 384, 512, 768, 1024, 1360, 2048, 4096}
 
 // MaxSlotSize is the largest allocation served from a shared page; larger
 // allocations get dedicated multi-page spans.
 const MaxSlotSize = pages.Size
 
-// classFor returns the index of the smallest class >= size, or -1 if the
-// size needs a multi-page span.
+// classOf maps (size+15)/16 to the index of the smallest class >= size.
+// Every class is a multiple of 16 and consecutive classes are at least 16
+// apart, so sizes that share a 16-byte step share a class and one step
+// moves up one class at most.
+var classOf = func() (t [MaxSlotSize/16 + 1]uint8) {
+	ci := 0
+	for i := range t {
+		if i*16 > classes[ci] {
+			ci++
+		}
+		t[i] = uint8(ci)
+	}
+	return t
+}()
+
+// classFor returns the index of the smallest class >= size (size > 0), or
+// -1 if the size needs a multi-page span.
 func classFor(size int) int {
 	if size > MaxSlotSize {
 		return -1
 	}
-	for i, c := range classes {
-		if size <= c {
-			return i
-		}
-	}
-	return -1
+	return int(classOf[(size+15)/16])
 }
 
 // ClassSize returns the rounded (slot) size an allocation of size bytes
 // occupies, counting multi-page spans at page granularity.
 func ClassSize(size int) int {
-	if i := classFor(size); i >= 0 {
+	if i := classFor(max(size, 1)); i >= 0 {
 		return classes[i]
 	}
 	return pages.BytesToPages(size) * pages.Size
@@ -93,10 +103,15 @@ func (s PoolSource) AcquirePages(n int) ([]*pages.Page, error) { return s.Pool.A
 // ReleasePages returns pages to the underlying pool.
 func (s PoolSource) ReleasePages(pgs []*pages.Page) { s.Pool.Release(pgs...) }
 
-// Ref is a generation-checked handle to a live allocation. The zero Ref is
-// nil and never names an allocation.
+// Ref is a generation-checked handle to a live allocation: the metadata
+// of the page it lives on, its slot there, and the slot's generation when
+// it was handed out. Resolving one is therefore a few loads, no lookup.
+// A Ref stays safe to present after its allocation died: the slot's
+// generation has moved on, or — when the whole page has left the heap —
+// the metadata it points at is dead and validates nothing ever again. The
+// zero Ref is nil and never names an allocation.
 type Ref struct {
-	page pages.ID
+	meta *pageMeta
 	slot uint16
 	gen  uint32
 }
@@ -105,7 +120,15 @@ type Ref struct {
 func (r Ref) IsNil() bool { return r == Ref{} }
 
 // String renders the ref for diagnostics.
-func (r Ref) String() string { return fmt.Sprintf("ref{p%d s%d g%d}", r.page, r.slot, r.gen) }
+func (r Ref) String() string {
+	var id pages.ID
+	if r.meta != nil {
+		id = r.meta.id
+	}
+	return fmt.Sprintf("ref{p%d s%d g%d}", id, r.slot, r.gen)
+}
+
+func invalidRef(ref Ref) error { return fmt.Errorf("%w: %v", ErrInvalidRef, ref) }
 
 // Owner is what an SDS hangs on a live allocation so that the heap can
 // answer "who else lives on this page" (Tenants): the heap gives memory
@@ -116,27 +139,59 @@ type Owner interface {
 	OwnedRef() Ref
 }
 
-// pageMeta tracks one slotted page owned by a heap.
+// slot is the per-slot state a Ref is checked against.
+type slot struct {
+	gen  uint32 // odd = live
+	size int32  // bytes the caller asked for
+}
+
+// span is the body of an allocation larger than a page: whole pages of
+// its own.
+type span struct {
+	pgs  []*pages.Page
+	size int
+}
+
+// pageMeta is what a Ref points at: one slotted page of a heap, or one
+// multi-page span, which is a page with a single tenant in slot 0. It
+// lives exactly as long as the page is carved this way: when the page
+// leaves the heap — emptied, Reset, span freed or retired — kill zeroes
+// it, and a page the heap carves again gets fresh metadata. A stale Ref
+// thus keeps a dead pageMeta (128 bytes) from the garbage collector,
+// never a page.
 type pageMeta struct {
-	page      *pages.Page
-	class     int
-	used      int
+	heap *Heap    // nil once dead: no Ref into this page validates again
+	id   pages.ID // of the (first) page, kept past death for diagnostics
+	page *pages.Page
+	span *span // nil for a slotted page
+	// class indexes classes; a span has none (-1).
+	class int32
+	used  int32 // slots live or in limbo
+	// freeSlots is nil for a span, whose one slot is taken for life.
 	freeSlots []uint16
-	gens      []uint32 // odd = live
-	userSizes []int32
+	slots     []slot
 	// owners holds the per-slot Owner, nil for a slot nobody adopted. It
 	// is allocated by the page's first SetOwner, so heaps whose SDS never
 	// registers owners pay nothing for it.
 	owners     []Owner
-	partialIdx int // index into heap.partial[class], -1 when absent
+	partialIdx int32 // index into heap.partial[class], -1 when absent
+	heldIdx    int32 // index into heap.held
 }
 
-// spanMeta tracks one multi-page span holding a single large allocation.
-type spanMeta struct {
-	pgs      []*pages.Page
-	gen      uint32
-	userSize int
-	owner    Owner
+// size returns the bytes the caller asked for in slot s.
+func (m *pageMeta) size(s uint16) int {
+	if m.span != nil {
+		return m.span.size
+	}
+	return int(m.slots[s].size)
+}
+
+// slotBytes returns the bytes one allocation on m occupies.
+func (m *pageMeta) slotBytes() int {
+	if m.span != nil {
+		return len(m.span.pgs) * pages.Size
+	}
+	return classes[m.class]
 }
 
 // limboEntry is one retirement whose physical recycling is deferred
@@ -148,9 +203,8 @@ type spanMeta struct {
 type limboEntry struct {
 	stamp uint64
 	pgs   []*pages.Page // span retirement: pages to release at drain
-	page  pages.ID      // slot retirement: the slot's page
+	m     *pageMeta     // slot retirement: the slot's page, alive while used counts the slot
 	slot  uint16
-	span  bool
 }
 
 // Stats is a snapshot of a heap's accounting.
@@ -170,18 +224,11 @@ type Stats struct {
 
 // Heap is a size-class allocator over pages from a PageSource.
 type Heap struct {
-	src   PageSource
-	metas map[pages.ID]*pageMeta
-	// last is the page of the most recent slot Alloc. What follows an
-	// allocation — the write, the publication, the owner — names that same
-	// page, so liveSlot tries it before probing metas.
-	last    *pageMeta
-	spans   map[pages.ID]*spanMeta
-	partial [][]*pageMeta       // per class: pages with at least one free slot
-	free    []*pages.Page       // fully-free pages not yet returned to the source
-	baseGen map[pages.ID]uint32 // generation floor for pages on the free list
-	limbo   []limboEntry        // FIFO, stamps non-decreasing
-	gen     uint32
+	src     PageSource
+	held    []*pageMeta               // every carved page and live span, for Reset and VerifyOwners
+	partial [len(classes)][]*pageMeta // per class: pages with at least one free slot
+	free    []*pages.Page             // fully-free pages not yet returned to the source
+	limbo   []limboEntry              // FIFO, stamps non-decreasing
 	stats   Stats
 }
 
@@ -190,13 +237,7 @@ func New(src PageSource) *Heap {
 	if src == nil {
 		panic("alloc: New with nil PageSource")
 	}
-	return &Heap{
-		src:     src,
-		metas:   make(map[pages.ID]*pageMeta),
-		spans:   make(map[pages.ID]*spanMeta),
-		partial: make([][]*pageMeta, len(classes)),
-		baseGen: make(map[pages.ID]uint32),
-	}
+	return &Heap{src: src}
 }
 
 // Alloc reserves size bytes and returns a handle to them. It returns the
@@ -210,25 +251,52 @@ func (h *Heap) Alloc(size int) (Ref, error) {
 	if ci < 0 {
 		return h.allocSpan(size)
 	}
-	m, err := h.partialPage(ci)
-	if err != nil {
-		h.stats.FailedAllocs++
-		return Ref{}, err
+	m := h.heldPage(ci)
+	if m == nil {
+		pgs, err := h.src.AcquirePages(1)
+		if err != nil {
+			h.stats.FailedAllocs++
+			return Ref{}, err
+		}
+		h.stats.PagesHeld++
+		m = h.carve(pgs[0], ci)
 	}
-	slot := m.freeSlots[len(m.freeSlots)-1]
+	return h.take(m, size), nil
+}
+
+// AllocHeld is Alloc out of the pages the heap already holds: ok is false,
+// and nothing has happened, where Alloc would lease from the page source
+// — always for a multi-page span, and for a slot size whose class has no
+// partial page while the heap holds no free page either. A caller with
+// retirements in limbo drains them at that point and only then calls
+// Alloc: the slot or page it needs may be waiting there.
+func (h *Heap) AllocHeld(size int) (ref Ref, ok bool) {
+	if size <= 0 || size > MaxSlotSize {
+		return Ref{}, false
+	}
+	m := h.heldPage(classFor(size))
+	if m == nil {
+		return Ref{}, false
+	}
+	return h.take(m, size), true
+}
+
+// take hands out the most recently freed slot of m, a page with one free.
+func (h *Heap) take(m *pageMeta, size int) Ref {
+	s := m.freeSlots[len(m.freeSlots)-1]
 	m.freeSlots = m.freeSlots[:len(m.freeSlots)-1]
 	m.used++
 	if len(m.freeSlots) == 0 {
 		h.removePartial(m)
 	}
-	m.gens[slot]++ // now odd: live
-	m.userSizes[slot] = int32(size)
-	h.last = m
+	st := &m.slots[s]
+	st.gen++ // now odd: live
+	st.size = int32(size)
 	h.stats.LiveAllocs++
 	h.stats.TotalAllocs++
 	h.stats.LiveBytes += int64(size)
-	h.stats.SlotBytes += int64(classes[ci])
-	return Ref{page: m.page.ID(), slot: slot, gen: m.gens[slot]}, nil
+	h.stats.SlotBytes += int64(classes[m.class])
+	return Ref{meta: m, slot: s, gen: st.gen}
 }
 
 // allocSpan serves an allocation larger than a page from a dedicated span.
@@ -239,66 +307,85 @@ func (h *Heap) allocSpan(size int) (Ref, error) {
 		h.stats.FailedAllocs++
 		return Ref{}, err
 	}
-	h.gen++
-	if h.gen%2 == 0 { // span gens must be odd (live)
-		h.gen++
+	m := &pageMeta{
+		heap:       h,
+		id:         pgs[0].ID(),
+		span:       &span{pgs: pgs, size: size},
+		class:      -1,
+		used:       1,
+		slots:      []slot{{gen: 1}},
+		partialIdx: -1,
 	}
-	sm := &spanMeta{pgs: pgs, gen: h.gen, userSize: size}
-	h.spans[pgs[0].ID()] = sm
+	h.hold(m)
 	h.stats.LiveAllocs++
 	h.stats.TotalAllocs++
 	h.stats.LiveBytes += int64(size)
 	h.stats.SlotBytes += int64(n * pages.Size)
 	h.stats.PagesHeld += n
-	return Ref{page: pgs[0].ID(), slot: 0, gen: sm.gen}, nil
+	return Ref{meta: m, gen: 1}, nil
 }
 
-// partialPage returns a page with a free slot in class ci, pulling from
-// the heap's free pages or the source as needed.
-func (h *Heap) partialPage(ci int) (*pageMeta, error) {
+// heldPage returns a page with a free slot in class ci out of what the
+// heap holds — the class's latest partial page, else a free page carved
+// for it — or nil when serving the class takes a page from the source.
+func (h *Heap) heldPage(ci int) *pageMeta {
 	if lst := h.partial[ci]; len(lst) > 0 {
-		return lst[len(lst)-1], nil
+		return lst[len(lst)-1]
 	}
-	var pg *pages.Page
-	if n := len(h.free); n > 0 {
-		pg = h.free[n-1]
-		h.free[n-1] = nil
-		h.free = h.free[:n-1]
-	} else {
-		pgs, err := h.src.AcquirePages(1)
-		if err != nil {
-			return nil, err
-		}
-		pg = pgs[0]
-		h.stats.PagesHeld++
+	n := len(h.free)
+	if n == 0 {
+		return nil
 	}
-	slots := pages.Size / classes[ci]
+	pg := h.free[n-1]
+	h.free[n-1] = nil
+	h.free = h.free[:n-1]
+	return h.carve(pg, ci)
+}
+
+// carve cuts pg into slots of class ci under fresh metadata: whatever
+// refs an earlier incarnation of the page handed out point at metadata
+// that died with it.
+func (h *Heap) carve(pg *pages.Page, ci int) *pageMeta {
+	n := pages.Size / classes[ci]
 	m := &pageMeta{
+		heap:       h,
+		id:         pg.ID(),
 		page:       pg,
-		class:      ci,
-		freeSlots:  make([]uint16, slots),
-		gens:       make([]uint32, slots),
-		userSizes:  make([]int32, slots),
+		class:      int32(ci),
+		freeSlots:  make([]uint16, n),
+		slots:      make([]slot, n),
 		partialIdx: -1,
 	}
-	// Pages recycled within the heap carry their generation floor forward
-	// so stale refs from an earlier incarnation can never validate.
-	if base, ok := h.baseGen[pg.ID()]; ok {
-		delete(h.baseGen, pg.ID())
-		for i := range m.gens {
-			m.gens[i] = base
-		}
+	for i := range m.freeSlots {
+		m.freeSlots[i] = uint16(n - 1 - i) // pop low slots first
 	}
-	for i := 0; i < slots; i++ {
-		m.freeSlots[i] = uint16(slots - 1 - i) // pop low slots first
-	}
-	h.metas[pg.ID()] = m
+	h.hold(m)
 	h.addPartial(m)
-	return m, nil
+	return m
 }
 
+func (h *Heap) hold(m *pageMeta) {
+	m.heldIdx = int32(len(h.held))
+	h.held = append(h.held, m)
+}
+
+// drop takes m off the heap's books and kills it: every Ref into it is
+// stale from here on, and it keeps no page and no owner alive.
+func (h *Heap) drop(m *pageMeta) {
+	last := len(h.held) - 1
+	moved := h.held[last]
+	h.held[m.heldIdx] = moved
+	moved.heldIdx = m.heldIdx
+	h.held[last] = nil
+	h.held = h.held[:last]
+	m.kill()
+}
+
+// kill leaves of m what a stale Ref needs to fail and to print itself.
+func (m *pageMeta) kill() { *m = pageMeta{id: m.id} }
+
 func (h *Heap) addPartial(m *pageMeta) {
-	m.partialIdx = len(h.partial[m.class])
+	m.partialIdx = int32(len(h.partial[m.class]))
 	h.partial[m.class] = append(h.partial[m.class], m)
 }
 
@@ -313,85 +400,66 @@ func (h *Heap) removePartial(m *pageMeta) {
 	m.partialIdx = -1
 }
 
-// liveSlot returns the page holding ref's slot, or nil unless ref names a
-// live slot allocation (spans are looked up in h.spans by their callers).
+// liveSlot returns the metadata ref points at, or nil unless ref names a
+// live allocation of this heap: metadata of another heap, or dead, fails
+// the first test whatever its slots once said.
 func (h *Heap) liveSlot(ref Ref) *pageMeta {
-	m := h.last
-	if m == nil || m.page.ID() != ref.page {
-		if m = h.metas[ref.page]; m == nil {
-			return nil
-		}
-	}
-	if int(ref.slot) >= len(m.gens) || m.gens[ref.slot] != ref.gen || ref.gen%2 == 0 {
+	m := ref.meta
+	if m == nil || m.heap != h || int(ref.slot) >= len(m.slots) || m.slots[ref.slot].gen != ref.gen || ref.gen%2 == 0 {
 		return nil
 	}
 	return m
 }
 
-// kill ends a live slot's generation (now even: dead) and drops its
-// owner: an owner word never outlives its slot.
-func (m *pageMeta) kill(slot uint16) {
-	m.gens[slot]++
+// die ends a live allocation logically: its generation (now even), its
+// owner word — an owner never outlives its slot — and its place in the
+// live accounting. What becomes of the memory is the caller's business:
+// Free recycles it now, Retire after a grace period.
+func (h *Heap) die(m *pageMeta, s uint16) {
+	h.stats.LiveAllocs--
+	h.stats.TotalFrees++
+	h.stats.LiveBytes -= int64(m.size(s))
+	h.stats.SlotBytes -= int64(m.slotBytes())
+	m.slots[s].gen++
 	if m.owners != nil {
-		m.owners[slot] = nil
+		m.owners[s] = nil
 	}
 }
 
-// Free releases the allocation named by ref. Freeing the last allocation
-// on a page moves the page to the heap's free list, where
+// recycle returns a dead slot to its page's free list. The page's last
+// slot takes the page with it: onto the heap's free list, where
 // ReleaseFreePages can return it to the source (the paper's
-// page-granularity reclamation).
-func (h *Heap) Free(ref Ref) error {
-	if sm, ok := h.spans[ref.page]; ok && sm.gen == ref.gen {
-		delete(h.spans, ref.page)
-		n := len(sm.pgs)
-		h.src.ReleasePages(sm.pgs)
-		h.stats.LiveAllocs--
-		h.stats.TotalFrees++
-		h.stats.LiveBytes -= int64(sm.userSize)
-		h.stats.SlotBytes -= int64(n * pages.Size)
-		h.stats.PagesHeld -= n
-		return nil
-	}
-	m := h.liveSlot(ref)
-	if m == nil {
-		return fmt.Errorf("%w: %v", ErrInvalidRef, ref)
-	}
-	m.kill(ref.slot)
-	m.freeSlots = append(m.freeSlots, ref.slot)
+// page-granularity reclamation), its metadata dead.
+func (h *Heap) recycle(m *pageMeta, s uint16) {
+	m.freeSlots = append(m.freeSlots, s)
 	m.used--
-	h.stats.LiveAllocs--
-	h.stats.TotalFrees++
-	h.stats.LiveBytes -= int64(m.userSizes[ref.slot])
-	h.stats.SlotBytes -= int64(classes[m.class])
 	if len(m.freeSlots) == 1 {
 		h.addPartial(m) // page was full, now partial
 	}
 	if m.used == 0 {
-		h.retireEmptyPage(m)
+		h.removePartial(m)
+		h.free = append(h.free, m.page)
+		h.drop(m)
 	}
-	return nil
 }
 
-// retireEmptyPage moves a fully-free page onto the heap's free list,
-// recording the generation floor future incarnations must start from.
-func (h *Heap) retireEmptyPage(m *pageMeta) {
-	h.removePartial(m)
-	delete(h.metas, m.page.ID())
-	if h.last == m {
-		h.last = nil
+// Free releases the allocation named by ref: a slot rejoins its page's
+// free list, a span's pages return to the source.
+func (h *Heap) Free(ref Ref) error {
+	m := h.liveSlot(ref)
+	if m == nil {
+		return invalidRef(ref)
 	}
-	var max uint32
-	for _, g := range m.gens {
-		if g > max {
-			max = g
-		}
+	h.die(m, ref.slot)
+	if m.span == nil {
+		h.recycle(m, ref.slot)
+		return nil
 	}
-	if max%2 != 0 {
-		max++ // floor must be even (dead) so fresh allocs become odd
-	}
-	h.baseGen[m.page.ID()] = max
-	h.free = append(h.free, m.page)
+	pgs := m.span.pgs
+	h.drop(m)
+	h.src.ReleasePages(pgs)
+	h.stats.PagesHeld -= len(pgs)
+	return nil
 }
 
 // Retire is the epoch-deferred Free: the allocation dies logically now
@@ -405,38 +473,29 @@ func (h *Heap) retireEmptyPage(m *pageMeta) {
 // the number of whole pages whose recycling was deferred (span pages;
 // slot retirements defer at sub-page granularity and report 0).
 func (h *Heap) Retire(ref Ref, stamp uint64) (int, error) {
+	m := h.liveSlot(ref)
+	if m == nil {
+		return 0, invalidRef(ref)
+	}
 	if n := len(h.limbo); n > 0 && h.limbo[n-1].stamp > stamp {
 		stamp = h.limbo[n-1].stamp
 	}
-	if sm, ok := h.spans[ref.page]; ok && sm.gen == ref.gen {
-		delete(h.spans, ref.page)
-		h.stats.LiveAllocs--
-		h.stats.TotalFrees++
-		h.stats.LiveBytes -= int64(sm.userSize)
-		h.stats.SlotBytes -= int64(len(sm.pgs) * pages.Size)
-		// PagesHeld stays: the span's pages are still leased until drain.
-		h.limbo = append(h.limbo, limboEntry{stamp: stamp, pgs: sm.pgs, span: true})
-		h.stats.LimboAllocs++
-		h.stats.LimboPages += len(sm.pgs)
-		h.stats.DeferredOps++
-		return len(sm.pgs), nil
-	}
-	m := h.liveSlot(ref)
-	if m == nil {
-		return 0, fmt.Errorf("%w: %v", ErrInvalidRef, ref)
-	}
-	m.kill(ref.slot) // the ref is invalid immediately; limbo keeps the bytes, not the owner
-	h.stats.LiveAllocs--
-	h.stats.TotalFrees++
-	h.stats.LiveBytes -= int64(m.userSizes[ref.slot])
-	h.stats.SlotBytes -= int64(classes[m.class])
-	// The slot is NOT returned to freeSlots and used is NOT decremented:
-	// the page cannot go empty (or hand this slot to a new allocation)
-	// while a reader may still be copying from it.
-	h.limbo = append(h.limbo, limboEntry{stamp: stamp, page: ref.page, slot: ref.slot})
+	h.die(m, ref.slot) // the ref is invalid immediately; limbo keeps the bytes, not the owner
 	h.stats.LimboAllocs++
 	h.stats.DeferredOps++
-	return 0, nil
+	if m.span == nil {
+		// The slot is NOT returned to freeSlots and used is NOT decremented:
+		// the page cannot go empty (or hand this slot to a new allocation)
+		// while a reader may still be copying from it.
+		h.limbo = append(h.limbo, limboEntry{stamp: stamp, m: m, slot: ref.slot})
+		return 0, nil
+	}
+	// PagesHeld stays: the span's pages are still leased until drain.
+	pgs := m.span.pgs
+	h.drop(m)
+	h.limbo = append(h.limbo, limboEntry{stamp: stamp, pgs: pgs})
+	h.stats.LimboPages += len(pgs)
+	return len(pgs), nil
 }
 
 // DrainLimbo completes the physical free of every limbo entry whose
@@ -448,24 +507,13 @@ func (h *Heap) DrainLimbo(safe uint64) int {
 	n := 0
 	for ; n < len(h.limbo) && h.limbo[n].stamp < safe; n++ {
 		e := h.limbo[n]
-		if e.span {
-			h.stats.LimboPages -= len(e.pgs)
-			h.stats.PagesHeld -= len(e.pgs)
-			h.src.ReleasePages(e.pgs)
+		if e.pgs == nil {
+			h.recycle(e.m, e.slot)
 			continue
 		}
-		m, ok := h.metas[e.page]
-		if !ok {
-			continue // page left the heap via Reset; nothing to complete
-		}
-		m.freeSlots = append(m.freeSlots, e.slot)
-		m.used--
-		if len(m.freeSlots) == 1 {
-			h.addPartial(m) // page was full, now partial
-		}
-		if m.used == 0 {
-			h.retireEmptyPage(m)
-		}
+		h.stats.LimboPages -= len(e.pgs)
+		h.stats.PagesHeld -= len(e.pgs)
+		h.src.ReleasePages(e.pgs)
 	}
 	if n == 0 {
 		return 0
@@ -489,32 +537,30 @@ func (h *Heap) LimboPending() int { return h.stats.LimboAllocs }
 // LimboPages returns how many whole pages (retired spans) limbo holds.
 func (h *Heap) LimboPages() int { return h.stats.LimboPages }
 
-// NeedsPage reports whether Alloc(size) would have to lease from the
-// page source: always for a multi-page span, and for a slot size whose
-// class has no partial page while the heap holds no free page either.
-func (h *Heap) NeedsPage(size int) bool {
-	ci := classFor(size)
-	return ci < 0 || (len(h.partial[ci]) == 0 && len(h.free) == 0)
+// view resolves ref, once, to its bytes (length = requested size): b for
+// a slot allocation, sp for a multi-page span, which has no single slice.
+// Every accessor below is this plus a copy.
+func (h *Heap) view(ref Ref) (b []byte, sp *span, err error) {
+	m := h.liveSlot(ref)
+	if m == nil {
+		return nil, nil, invalidRef(ref)
+	}
+	if m.span != nil {
+		return nil, m.span, nil
+	}
+	off := int(ref.slot) * classes[m.class]
+	return m.page.Bytes()[off : off+int(m.slots[ref.slot].size)], nil, nil
 }
 
 // Bytes returns the live allocation's backing bytes (length = requested
 // size). The slice is valid until the allocation is freed or reclaimed.
 // A multi-page span has no single slice and returns ErrMultiPage.
 func (h *Heap) Bytes(ref Ref) ([]byte, error) {
-	if sm, ok := h.spans[ref.page]; ok && sm.gen == ref.gen {
-		// Large allocations span pages; expose them as a copy-free slice
-		// only when they fit one page, else assemble on demand.
-		if len(sm.pgs) == 1 {
-			return sm.pgs[0].Bytes()[:sm.userSize], nil
-		}
+	b, sp, err := h.view(ref)
+	if sp != nil {
 		return nil, ErrMultiPage
 	}
-	m := h.liveSlot(ref)
-	if m == nil {
-		return nil, fmt.Errorf("%w: %v", ErrInvalidRef, ref)
-	}
-	off := int(ref.slot) * classes[m.class]
-	return m.page.Bytes()[off : off+int(m.userSizes[ref.slot])], nil
+	return b, err
 }
 
 // Segments returns the live allocation's backing bytes as a list of
@@ -525,24 +571,21 @@ func (h *Heap) Bytes(ref Ref) ([]byte, error) {
 // rewrites them while a registered reader copies. The segments are
 // valid until the allocation's retirement drains.
 func (h *Heap) Segments(ref Ref) ([][]byte, error) {
-	if sm, ok := h.spans[ref.page]; ok && sm.gen == ref.gen {
-		segs := make([][]byte, 0, len(sm.pgs))
-		rem := sm.userSize
-		for _, pg := range sm.pgs {
-			n := rem
-			if n > pages.Size {
-				n = pages.Size
-			}
-			segs = append(segs, pg.Bytes()[:n])
-			rem -= n
-		}
-		return segs, nil
-	}
-	b, err := h.Bytes(ref)
+	b, sp, err := h.view(ref)
 	if err != nil {
 		return nil, err
 	}
-	return [][]byte{b}, nil
+	if sp == nil {
+		return [][]byte{b}, nil
+	}
+	segs := make([][]byte, 0, len(sp.pgs))
+	rem := sp.size
+	for _, pg := range sp.pgs {
+		n := min(rem, pages.Size)
+		segs = append(segs, pg.Bytes()[:n])
+		rem -= n
+	}
+	return segs, nil
 }
 
 // AppendTo appends the live allocation's contents to dst and returns
@@ -550,72 +593,65 @@ func (h *Heap) Segments(ref Ref) ([][]byte, error) {
 // multi-page spans are assembled page by page into dst, so read paths
 // that copy anyway (SDS Get/GetAppend) stay valid for large values.
 func (h *Heap) AppendTo(dst []byte, ref Ref) ([]byte, error) {
-	if sm, ok := h.spans[ref.page]; ok && sm.gen == ref.gen && len(sm.pgs) > 1 {
-		off := len(dst)
-		if cap(dst)-off < sm.userSize {
-			grown := make([]byte, off, off+sm.userSize)
-			copy(grown, dst)
-			dst = grown
-		}
-		dst = dst[:off+sm.userSize]
-		copySpan(sm, dst[off:], 0, false)
-		return dst, nil
-	}
-	b, err := h.Bytes(ref)
+	b, sp, err := h.view(ref)
 	if err != nil {
 		return nil, err
 	}
-	return append(dst, b...), nil
+	if sp == nil {
+		return append(dst, b...), nil
+	}
+	off := len(dst)
+	if cap(dst)-off < sp.size {
+		grown := make([]byte, off, off+sp.size)
+		copy(grown, dst)
+		dst = grown
+	}
+	dst = dst[:off+sp.size]
+	sp.copy(dst[off:], 0, false)
+	return dst, nil
 }
 
 // WriteAt copies p into the allocation at the given offset. It works for
 // all allocation sizes, including multi-page spans.
 func (h *Heap) WriteAt(ref Ref, p []byte, off int) error {
-	size, err := h.Size(ref)
-	if err != nil {
-		return err
-	}
-	if off < 0 || off+len(p) > size {
-		return fmt.Errorf("alloc: WriteAt [%d,%d) outside allocation of %d bytes", off, off+len(p), size)
-	}
-	if sm, ok := h.spans[ref.page]; ok && sm.gen == ref.gen {
-		copySpan(sm, p, off, true)
-		return nil
-	}
-	b, err := h.Bytes(ref)
-	if err != nil {
-		return err
-	}
-	copy(b[off:], p)
-	return nil
+	return h.copyAt("WriteAt", ref, p, off, true)
 }
 
 // ReadAt copies from the allocation at the given offset into p.
 func (h *Heap) ReadAt(ref Ref, p []byte, off int) error {
-	size, err := h.Size(ref)
+	return h.copyAt("ReadAt", ref, p, off, false)
+}
+
+// copyAt copies between p and the allocation from offset off on; write
+// selects the direction.
+func (h *Heap) copyAt(op string, ref Ref, p []byte, off int, write bool) error {
+	b, sp, err := h.view(ref)
 	if err != nil {
 		return err
+	}
+	size := len(b)
+	if sp != nil {
+		size = sp.size
 	}
 	if off < 0 || off+len(p) > size {
-		return fmt.Errorf("alloc: ReadAt [%d,%d) outside allocation of %d bytes", off, off+len(p), size)
+		return fmt.Errorf("alloc: %s [%d,%d) outside allocation of %d bytes", op, off, off+len(p), size)
 	}
-	if sm, ok := h.spans[ref.page]; ok && sm.gen == ref.gen {
-		copySpan(sm, p, off, false)
-		return nil
+	switch {
+	case sp != nil:
+		sp.copy(p, off, write)
+	case write:
+		copy(b[off:], p)
+	default:
+		copy(p, b[off:])
 	}
-	b, err := h.Bytes(ref)
-	if err != nil {
-		return err
-	}
-	copy(p, b[off:])
 	return nil
 }
 
-// copySpan copies between p and a multi-page span starting at span offset
-// off; toSpan selects direction.
-func copySpan(sm *spanMeta, p []byte, off int, toSpan bool) {
+// copy copies between p and the span starting at span offset off; toSpan
+// selects direction.
+func (sp *span) copy(p []byte, off int, toSpan bool) {
 	rem := p
-	for _, pg := range sm.pgs {
+	for _, pg := range sp.pgs {
 		if off >= pages.Size {
 			off -= pages.Size
 			continue
@@ -640,49 +676,36 @@ func copySpan(sm *spanMeta, p []byte, off int, toSpan bool) {
 
 // Size returns the live allocation's requested size in bytes.
 func (h *Heap) Size(ref Ref) (int, error) {
-	if sm, ok := h.spans[ref.page]; ok && sm.gen == ref.gen {
-		return sm.userSize, nil
-	}
 	m := h.liveSlot(ref)
 	if m == nil {
-		return 0, fmt.Errorf("%w: %v", ErrInvalidRef, ref)
+		return 0, invalidRef(ref)
 	}
-	return int(m.userSizes[ref.slot]), nil
+	return m.size(ref.slot), nil
 }
 
 // SlotSize returns the bytes the live allocation actually occupies: its
 // size class, or whole pages for spans. Reclamation quotas are counted in
 // slot bytes, since those are what turn into free pages.
 func (h *Heap) SlotSize(ref Ref) (int, error) {
-	if sm, ok := h.spans[ref.page]; ok && sm.gen == ref.gen {
-		return len(sm.pgs) * pages.Size, nil
-	}
 	m := h.liveSlot(ref)
 	if m == nil {
-		return 0, fmt.Errorf("%w: %v", ErrInvalidRef, ref)
+		return 0, invalidRef(ref)
 	}
-	return classes[m.class], nil
+	return m.slotBytes(), nil
 }
 
 // Live reports whether ref names a live allocation.
-func (h *Heap) Live(ref Ref) bool {
-	_, err := h.Size(ref)
-	return err == nil
-}
+func (h *Heap) Live(ref Ref) bool { return h.liveSlot(ref) != nil }
 
 // SetOwner records o as the owner of the live allocation ref. The heap
 // drops it again when the allocation dies (Free, Retire, Reset).
 func (h *Heap) SetOwner(ref Ref, o Owner) error {
-	if sm, ok := h.spans[ref.page]; ok && sm.gen == ref.gen {
-		sm.owner = o
-		return nil
-	}
 	m := h.liveSlot(ref)
 	if m == nil {
-		return fmt.Errorf("%w: %v", ErrInvalidRef, ref)
+		return invalidRef(ref)
 	}
 	if m.owners == nil {
-		m.owners = make([]Owner, len(m.gens))
+		m.owners = make([]Owner, len(m.slots))
 	}
 	m.owners[ref.slot] = o
 	return nil
@@ -691,24 +714,25 @@ func (h *Heap) SetOwner(ref Ref, o Owner) error {
 // Tenants appends to dst the owner of every live allocation that would
 // have to die for ref's pages to come free — ref's own included, nil for
 // an allocation nobody adopted — and reports how many pages that is: the
-// live slots of ref's page, or a multi-page span alone on its pages.
+// live slots of ref's page in slot order, or a multi-page span alone on
+// its pages.
 func (h *Heap) Tenants(ref Ref, dst []Owner) (tenants []Owner, npages int, err error) {
-	if sm, ok := h.spans[ref.page]; ok && sm.gen == ref.gen {
-		return append(dst, sm.owner), len(sm.pgs), nil
-	}
 	m := h.liveSlot(ref)
 	if m == nil {
-		return dst, 0, fmt.Errorf("%w: %v", ErrInvalidRef, ref)
+		return dst, 0, invalidRef(ref)
 	}
-	for slot, g := range m.gens {
-		if g%2 == 0 {
+	for s := range m.slots {
+		if m.slots[s].gen%2 == 0 {
 			continue
 		}
 		var o Owner
 		if m.owners != nil {
-			o = m.owners[slot]
+			o = m.owners[s]
 		}
 		dst = append(dst, o)
+	}
+	if m.span != nil {
+		return dst, len(m.span.pgs), nil
 	}
 	return dst, 1, nil
 }
@@ -716,26 +740,22 @@ func (h *Heap) Tenants(ref Ref, dst []Owner) (tenants []Owner, npages int, err e
 // VerifyOwners checks the owner words against the allocations they sit
 // on: an owner's ref names exactly its slot, and no dead slot has one.
 func (h *Heap) VerifyOwners() error {
-	for id, m := range h.metas {
-		for slot, o := range m.owners {
+	for _, m := range h.held {
+		what := "slot"
+		if m.span != nil {
+			what = "span"
+		}
+		for s, o := range m.owners {
 			if o == nil {
 				continue
 			}
-			at := Ref{page: id, slot: uint16(slot), gen: m.gens[slot]}
+			at := Ref{meta: m, slot: uint16(s), gen: m.slots[s].gen}
 			if at.gen%2 == 0 {
 				return fmt.Errorf("alloc: owner of %v outlived dead slot %v", o.OwnedRef(), at)
 			}
 			if got := o.OwnedRef(); got != at {
-				return fmt.Errorf("alloc: slot %v is owned by the holder of %v", at, got)
+				return fmt.Errorf("alloc: %s %v is owned by the holder of %v", what, at, got)
 			}
-		}
-	}
-	for id, sm := range h.spans {
-		if sm.owner == nil {
-			continue
-		}
-		if at, got := (Ref{page: id, gen: sm.gen}), sm.owner.OwnedRef(); got != at {
-			return fmt.Errorf("alloc: span %v is owned by the holder of %v", at, got)
 		}
 	}
 	return nil
@@ -755,10 +775,7 @@ func (h *Heap) ReleaseFreePages(max int) int {
 	}
 	out := h.free[len(h.free)-n:]
 	h.src.ReleasePages(out)
-	for i := range out {
-		delete(h.baseGen, out[i].ID()) // pool never reuses IDs
-		out[i] = nil
-	}
+	clear(out)
 	h.free = h.free[:len(h.free)-n]
 	h.stats.PagesHeld -= n
 	return n
@@ -768,22 +785,21 @@ func (h *Heap) ReleaseFreePages(max int) int {
 // by SDSs (like the paper's SoftArray) that surrender everything at once.
 func (h *Heap) Reset() {
 	var all []*pages.Page
-	h.last = nil
-	for id, m := range h.metas {
-		all = append(all, m.page)
-		delete(h.metas, id)
-	}
-	for id, sm := range h.spans {
-		all = append(all, sm.pgs...)
-		delete(h.spans, id)
-	}
-	// Limbo span pages are still leased; slot entries belong to pages
-	// already collected via metas. A Reset tears down the whole SDS, so
-	// its readers are gone and the grace period is moot.
-	for _, e := range h.limbo {
-		if e.span {
-			all = append(all, e.pgs...)
+	for _, m := range h.held {
+		if m.span != nil {
+			all = append(all, m.span.pgs...)
+		} else {
+			all = append(all, m.page)
 		}
+		m.kill()
+	}
+	clear(h.held)
+	h.held = h.held[:0]
+	// Limbo span pages are still leased; slot entries belong to pages
+	// just collected. A Reset tears down the whole SDS, so its readers
+	// are gone and the grace period is moot.
+	for _, e := range h.limbo {
+		all = append(all, e.pgs...)
 	}
 	h.limbo = nil
 	h.stats.LimboAllocs = 0
@@ -792,9 +808,10 @@ func (h *Heap) Reset() {
 	if len(all) > 0 {
 		h.src.ReleasePages(all)
 	}
+	clear(h.free)
 	h.free = h.free[:0]
-	clear(h.baseGen)
 	for i := range h.partial {
+		clear(h.partial[i])
 		h.partial[i] = h.partial[i][:0]
 	}
 	h.stats.TotalFrees += int64(h.stats.LiveAllocs)

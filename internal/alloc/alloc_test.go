@@ -340,7 +340,7 @@ func TestResetReleasesEverything(t *testing.T) {
 }
 
 func TestRefString(t *testing.T) {
-	r := Ref{page: 3, slot: 2, gen: 1}
+	r := Ref{meta: &pageMeta{id: 3}, slot: 2, gen: 1}
 	if r.String() == "" || r.IsNil() {
 		t.Fatal("non-nil ref misreported")
 	}

@@ -212,29 +212,44 @@ func TestBytesMultiPageSentinel(t *testing.T) {
 	}
 }
 
-// TestNeedsPage: NeedsPage predicts exactly the allocations that lease
-// from the page source.
-func TestNeedsPage(t *testing.T) {
+// TestAllocHeld: AllocHeld serves exactly the allocations that need no
+// lease from the page source, and leaves the others to Alloc untouched.
+func TestAllocHeld(t *testing.T) {
 	pool := pages.NewPool(0)
 	h := New(PoolSource{Pool: pool})
-	expect := func(size int, want bool) {
+	expect := func(size int, held bool) {
 		t.Helper()
-		got := h.NeedsPage(size)
-		before := h.PagesHeld()
+		before := h.Stats()
+		_, ok := h.AllocHeld(size)
+		if ok != held {
+			t.Fatalf("AllocHeld(%d) = %t, want %t", size, ok, held)
+		}
+		if ok {
+			if h.PagesHeld() != before.PagesHeld {
+				t.Fatalf("AllocHeld(%d) leased a page", size)
+			}
+			return
+		}
+		if after := h.Stats(); after != before {
+			t.Fatalf("refused AllocHeld(%d) changed the heap: %+v -> %+v", size, before, after)
+		}
 		if _, err := h.Alloc(size); err != nil {
 			t.Fatal(err)
 		}
-		if leased := h.PagesHeld() > before; got != want || leased != want {
-			t.Fatalf("NeedsPage(%d) = %t, Alloc leased = %t, want %t", size, got, leased, want)
+		if h.PagesHeld() == before.PagesHeld {
+			t.Fatalf("AllocHeld(%d) refused an allocation that needed no lease", size)
 		}
 	}
-	expect(1000, true)                  // empty heap
-	expect(1000, false)                 // the class's partial page has slots
-	expect(100, true)                   // another class, no free page to carve
-	expect(pages.Size+1, true)          // spans always lease
+	expect(1000, false)                 // empty heap
+	expect(1000, true)                  // the class's partial page has slots
+	expect(100, false)                  // another class, no free page to carve
+	expect(pages.Size+1, false)         // spans always lease
 	ref, _ := h.Alloc(2048)             // a third class: leases
 	if err := h.Free(ref); err != nil { // and leaves a wholly free page behind
 		t.Fatal(err)
 	}
-	expect(16, false) // carved from the heap's own free page
+	expect(16, true) // carved from the heap's own free page
+	if _, ok := h.AllocHeld(0); ok {
+		t.Fatal("AllocHeld(0) succeeded")
+	}
 }

@@ -156,7 +156,7 @@ func TestOwnersDieWithTheirSlot(t *testing.T) {
 	if err := h.VerifyOwners(); err != nil {
 		t.Fatal(err)
 	}
-	if len(h.metas) != 0 || h.last != nil {
+	if len(h.held) != 0 {
 		t.Fatal("Reset left page metadata behind")
 	}
 }

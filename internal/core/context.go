@@ -31,7 +31,7 @@ type Context struct {
 	// mu guards the heap and everything below it. The allocation slow
 	// path (daemon round-trips) runs with mu dropped and retries.
 	//
-	// lockers counts goroutines currently waiting in lock(). An Owned
+	// lockers counts goroutines currently blocked in lock(). An Owned
 	// holder that retains mu across many operations polls it (Contended)
 	// and yields, so external lockers — reclamation demands above all —
 	// are never starved by a busy owner.
@@ -87,14 +87,31 @@ func (c *Context) SetPriority(p int) {
 	c.sma.regMu.Unlock()
 }
 
-// lock acquires the heap lock the waiter-visible way: the pending
-// acquisition is advertised through lockers so a shard owner holding the
-// lock across a command batch knows to yield. Every path that is not the
-// owner itself must come through here.
+// lock acquires the heap lock the waiter-visible way: a caller about to
+// block advertises itself through lockers, so a shard owner holding the
+// lock across a command batch knows to yield. A free lock costs the one
+// compare-and-swap and advertises nothing — there is nobody to tell.
+// Every path that is not the owner itself must come through here.
 func (c *Context) lock() {
+	if c.mu.TryLock() {
+		return
+	}
 	c.lockers.Add(1)
 	c.mu.Lock()
 	c.lockers.Add(-1)
+}
+
+// lockOpen is lock for an operation on the heap's contents: it fails with
+// ErrClosed, the lock not held, once Close has reset the heap. Every
+// public operation that resolves a Ref or allocates comes through here,
+// so none of them mistakes a closed context for a stale handle.
+func (c *Context) lockOpen() error {
+	c.lock()
+	if c.closed {
+		c.mu.Unlock()
+		return ErrClosed
+	}
+	return nil
 }
 
 // pagesNeeded is the worst-case page cost of an allocation, used to size
@@ -109,27 +126,31 @@ func pagesNeeded(size int) int {
 // Alloc reserves size bytes of soft memory, growing the process's budget
 // through the daemon as needed. It returns ErrExhausted when machine-wide
 // pressure cannot be relieved.
-func (c *Context) Alloc(size int) (alloc.Ref, error) {
+func (c *Context) Alloc(size int) (alloc.Ref, error) { return c.alloc(size, nil) }
+
+// AllocData reserves len(data) bytes and copies data into them, in one
+// locked section: no demand can revoke the allocation half-written.
+func (c *Context) AllocData(data []byte) (alloc.Ref, error) { return c.alloc(len(data), data) }
+
+func (c *Context) alloc(size int, data []byte) (alloc.Ref, error) {
 	if m := c.sma.met.Load(); m != nil {
 		t0 := time.Now()
-		ref, err := c.allocRetry(size)
+		ref, err := c.allocRetry(size, data)
 		m.alloc.ObserveDuration(time.Since(t0))
 		return ref, err
 	}
-	return c.allocRetry(size)
+	return c.allocRetry(size, data)
 }
 
 // allocRetry is the allocation loop: try the heap, and on budget or page
 // shortfalls drop the heap lock, consult the daemon, and retry.
-func (c *Context) allocRetry(size int) (alloc.Ref, error) {
+func (c *Context) allocRetry(size int, data []byte) (alloc.Ref, error) {
 	const maxRetries = 10
 	for attempt := 0; ; attempt++ {
-		c.lock()
-		if c.closed {
-			c.mu.Unlock()
-			return alloc.Ref{}, ErrClosed
+		if err := c.lockOpen(); err != nil {
+			return alloc.Ref{}, err
 		}
-		ref, err := c.allocLocked(size)
+		ref, err := c.allocLocked(size, data)
 		c.mu.Unlock()
 		if err == nil {
 			return ref, nil
@@ -154,20 +175,6 @@ func (c *Context) allocRetry(size int) (alloc.Ref, error) {
 	}
 }
 
-// AllocData reserves len(data) bytes and copies data into them.
-func (c *Context) AllocData(data []byte) (alloc.Ref, error) {
-	ref, err := c.Alloc(len(data))
-	if err != nil {
-		return alloc.Ref{}, err
-	}
-	if err := c.Write(ref, data, 0); err != nil {
-		// The write can only fail if the ref was reclaimed between the
-		// two calls; surface that as exhaustion-level failure.
-		return alloc.Ref{}, err
-	}
-	return ref, nil
-}
-
 // Free releases the allocation. Fully-freed pages above the retention
 // threshold flow back to the process free pool, and pool overflow returns
 // budget to the daemon. Freeing a pinned allocation fails with
@@ -183,7 +190,9 @@ func (c *Context) Free(ref alloc.Ref) error {
 }
 
 func (c *Context) free(ref alloc.Ref) error {
-	c.lock()
+	if err := c.lockOpen(); err != nil {
+		return err
+	}
 	if c.pinnedLocked(ref) {
 		c.mu.Unlock()
 		return ErrPinned
@@ -241,16 +250,32 @@ func (c *Context) ratchetLocked() int {
 	return c.heap.DrainLimbo(d.SafeBefore())
 }
 
-// allocLocked is heap.Alloc behind the second ratchet point: when the
-// allocation would make the heap lease a page while retirements sit in
-// limbo, drain first — the slot or free page it needs may be waiting
-// there. Limbo therefore never costs a page, a budget request or a
-// reclaim that an eager drain would have avoided. Caller holds c.mu.
-func (c *Context) allocLocked(size int) (alloc.Ref, error) {
-	if c.heap.LimboPending() > 0 && c.heap.NeedsPage(size) {
-		c.ratchetLocked()
+// allocLocked is heap.Alloc behind the second ratchet point, followed by
+// the write of data when there is any. With retirements in limbo the
+// heap is first asked to serve the allocation from the pages it holds;
+// only when that would take a lease is limbo drained — the slot or free
+// page needed may be waiting there — and the allocation made in full.
+// Limbo therefore never costs a page, a budget request or a reclaim that
+// an eager drain would have avoided. Caller holds c.mu.
+func (c *Context) allocLocked(size int, data []byte) (alloc.Ref, error) {
+	ref, held := alloc.Ref{}, false
+	if c.heap.LimboPending() > 0 {
+		if ref, held = c.heap.AllocHeld(size); !held {
+			c.ratchetLocked()
+		}
 	}
-	return c.heap.Alloc(size)
+	if !held {
+		var err error
+		if ref, err = c.heap.Alloc(size); err != nil {
+			return alloc.Ref{}, err
+		}
+	}
+	if data != nil {
+		if err := c.heap.WriteAt(ref, data, 0); err != nil {
+			return alloc.Ref{}, err
+		}
+	}
+	return ref, nil
 }
 
 // trimHeapLocked transfers free pages beyond the retention threshold from
@@ -303,44 +328,46 @@ func (c *Context) drainEpochLocked(deadline time.Time) {
 
 // Write copies data into the allocation at offset off.
 func (c *Context) Write(ref alloc.Ref, data []byte, off int) error {
-	c.lock()
+	if err := c.lockOpen(); err != nil {
+		return err
+	}
 	defer c.mu.Unlock()
 	return c.heap.WriteAt(ref, data, off)
 }
 
 // Read copies from the allocation at offset off into buf.
 func (c *Context) Read(ref alloc.Ref, buf []byte, off int) error {
-	c.lock()
+	if err := c.lockOpen(); err != nil {
+		return err
+	}
 	defer c.mu.Unlock()
 	return c.heap.ReadAt(ref, buf, off)
 }
 
 // ReadAll returns a copy of the allocation's contents.
 func (c *Context) ReadAll(ref alloc.Ref) ([]byte, error) {
-	c.lock()
+	if err := c.lockOpen(); err != nil {
+		return nil, err
+	}
 	defer c.mu.Unlock()
-	size, err := c.heap.Size(ref)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]byte, size)
-	if err := c.heap.ReadAt(ref, out, 0); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return c.heap.AppendTo(nil, ref)
 }
 
 // Size returns the allocation's size in bytes.
 func (c *Context) Size(ref alloc.Ref) (int, error) {
-	c.lock()
+	if err := c.lockOpen(); err != nil {
+		return 0, err
+	}
 	defer c.mu.Unlock()
 	return c.heap.Size(ref)
 }
 
-// Live reports whether ref names a live allocation (false after free or
-// reclamation).
+// Live reports whether ref names a live allocation (false after free,
+// reclamation or Close).
 func (c *Context) Live(ref alloc.Ref) bool {
-	c.lock()
+	if c.lockOpen() != nil {
+		return false
+	}
 	defer c.mu.Unlock()
 	return c.heap.Live(ref)
 }
@@ -351,10 +378,8 @@ func (c *Context) Live(ref alloc.Ref) bool {
 // so an index observed inside Do is never half-reclaimed. fn must not
 // call the Context's public methods (deadlock) nor block.
 func (c *Context) Do(fn func(tx *Tx) error) error {
-	c.lock()
-	if c.closed {
-		c.mu.Unlock()
-		return ErrClosed
+	if err := c.lockOpen(); err != nil {
+		return err
 	}
 	// The Tx is reused across Do calls (guarded by mu) because a fresh
 	// &Tx{} escapes through fn and would put one heap allocation on
@@ -438,11 +463,10 @@ func (p *Pin) Unpin() {
 // access to its bytes. Multi-page allocations cannot be pinned for
 // zero-copy access (use Read); they return an error.
 func (c *Context) Pin(ref alloc.Ref) (*Pin, error) {
-	c.lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return nil, ErrClosed
+	if err := c.lockOpen(); err != nil {
+		return nil, err
 	}
+	defer c.mu.Unlock()
 	b, err := c.heap.Bytes(ref)
 	if err != nil {
 		return nil, err

@@ -202,11 +202,8 @@ func (o *Owned) allocData(data []byte) (alloc.Ref, error) {
 				return alloc.Ref{}, err
 			}
 		}
-		ref, err := c.allocLocked(len(data))
+		ref, err := c.allocLocked(len(data), data)
 		if err == nil {
-			if werr := c.heap.WriteAt(ref, data, 0); werr != nil {
-				return alloc.Ref{}, werr
-			}
 			return ref, nil
 		}
 		if err != errNeedBudget && err != errNeedPages {
