@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build vet test race race-hot race-stress bench-check bench-pair loc metrics-lint lint lint-install fmt-check chaos chaos-cluster chaos-qos cluster-smoke soak-spill bench bench-all experiments cover fmt clean
+.PHONY: all check build vet test race race-hot race-stress bench-check bench-pair loc metrics-lint lint lint-install fmt-check chaos chaos-cluster chaos-qos cluster-smoke soak-spill experiments stress-paper cover fmt clean
 
 # Pinned linter versions. CI installs exactly these (the lint job runs
 # `make lint-install`); bump them deliberately, in one place.
@@ -152,30 +152,14 @@ cluster-smoke:
 soak-spill:
 	SOFTMEM_SOAK=1 $(GO) test -race -run TestSoakSpill -count=1 -v -timeout 10m ./internal/kvstore
 
-# Regenerate every table and figure from the paper (DESIGN.md E1-E10).
+# Regenerate every table and figure softbench produces (DESIGN.md E1-E11
+# and E14).
 experiments:
 	$(GO) run ./cmd/softbench -experiment all
 
 # Paper-scale stress table (E2-E4).
 stress-paper:
 	$(GO) run ./cmd/softbench -experiment stress -allocs 977000 -extra 500000
-
-# RESP hot-path benchmarks: the zero-allocation parse/reply/dispatch
-# microbenchmarks, then kvbench against an in-process loopback server
-# at pipeline depths 1 and 32, plus the GOMAXPROCS core-scaling sweep
-# (one shard owner per core; throughput must be monotonically
-# non-decreasing). Writes BENCH_kvstore.json with the committed pre-PR
-# baseline embedded, so the before/after comparison survives
-# regeneration.
-bench:
-	$(GO) test ./internal/kvstore -run '^$$' -bench 'BenchmarkParse|BenchmarkReply|BenchmarkDispatchGET|BenchmarkLockFreeGet|BenchmarkMixedReadReclaim' -benchmem
-	$(GO) run ./cmd/kvbench -inproc -conns 1 -requests 400000 -read 1.0 -pipeline 1,32 \
-		-sweep-cores 1,2,4 \
-		-baseline BENCH_kvstore_baseline.json -json BENCH_kvstore.json
-
-# The historical catch-all benchmark sweep.
-bench-all:
-	$(GO) test -bench=. -benchmem
 
 cover:
 	$(GO) test -cover ./internal/...

@@ -4,8 +4,6 @@ package softmem
 
 import (
 	"os"
-	"os/exec"
-	"path/filepath"
 	"strconv"
 	"testing"
 
@@ -19,17 +17,6 @@ import (
 // kill -9 of the KV server itself. The experiment harness asserts the
 // invariants; this test just wires binaries and reports violations.
 func TestChaosKillMidReclaim(t *testing.T) {
-	bin := t.TempDir()
-	build := func(name string) string {
-		out := filepath.Join(bin, name)
-		cmd := exec.Command("go", "build", "-o", out, "./cmd/"+name)
-		cmd.Env = os.Environ()
-		if msg, err := cmd.CombinedOutput(); err != nil {
-			t.Fatalf("build %s: %v\n%s", name, err, msg)
-		}
-		return out
-	}
-
 	seed := int64(1)
 	if s := os.Getenv("SOFTMEM_CHAOS_SEED"); s != "" {
 		v, err := strconv.ParseInt(s, 10, 64)
@@ -40,8 +27,8 @@ func TestChaosKillMidReclaim(t *testing.T) {
 	}
 
 	res, err := experiments.Chaos(experiments.ChaosConfig{
-		SMDBin:    build("smd"),
-		SoftKVBin: build("softkv"),
+		SMDBin:    binary(t, "smd"),
+		SoftKVBin: binary(t, "softkv"),
 		WorkDir:   t.TempDir(),
 		Seed:      seed,
 		Logf:      t.Logf,

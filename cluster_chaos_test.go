@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
-	"path/filepath"
 	"strconv"
 	"testing"
 	"time"
@@ -28,14 +27,6 @@ import (
 //     those whose owner was the killed node: the slot's replica was
 //     promoted and holds every acked value.
 func TestChaosClusterNodeKill(t *testing.T) {
-	bin := t.TempDir()
-	kvBin := filepath.Join(bin, "softkv")
-	build := exec.Command("go", "build", "-o", kvBin, "./cmd/softkv")
-	build.Env = os.Environ()
-	if msg, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("build softkv: %v\n%s", err, msg)
-	}
-
 	seed := int64(1)
 	if s := os.Getenv("SOFTMEM_CHAOS_SEED"); s != "" {
 		v, err := strconv.ParseInt(s, 10, 64)
@@ -50,7 +41,7 @@ func TestChaosClusterNodeKill(t *testing.T) {
 	t.Logf("seed=%d: victim crashes on heartbeat %d", seed, crashTick)
 
 	victimIdx := 2
-	resp, procs := clusterProcs(t, kvBin, 3, func(i int) []string {
+	resp, procs := clusterProcs(t, binary(t, "softkv"), 3, func(i int) []string {
 		if i != victimIdx {
 			return nil
 		}

@@ -2,10 +2,7 @@ package softmem
 
 import (
 	"fmt"
-	"net"
-	"os"
 	"os/exec"
-	"path/filepath"
 	"strings"
 	"syscall"
 	"testing"
@@ -20,18 +17,10 @@ import (
 // the running commands (callers own shutdown beyond the cleanup kill).
 func clusterProcs(t *testing.T, kvBin string, n int, extraArgs func(i int) []string) ([]string, []*exec.Cmd) {
 	t.Helper()
-	freeAddr := func() string {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer ln.Close()
-		return ln.Addr().String()
-	}
 	resp := make([]string, n)
 	peer := make([]string, n)
 	for i := 0; i < n; i++ {
-		resp[i], peer[i] = freeAddr(), freeAddr()
+		resp[i], peer[i] = freeAddr(t), freeAddr(t)
 	}
 	procs := make([]*exec.Cmd, n)
 	for i := 0; i < n; i++ {
@@ -48,34 +37,12 @@ func clusterProcs(t *testing.T, kvBin string, n int, extraArgs func(i int) []str
 		if extraArgs != nil {
 			args = append(args, extraArgs(i)...)
 		}
-		cmd := exec.Command(kvBin, args...)
-		cmd.Stderr = os.Stderr
-		if err := cmd.Start(); err != nil {
-			t.Fatal(err)
-		}
-		procs[i] = cmd
-		t.Cleanup(func() {
-			cmd.Process.Kill()
-			cmd.Wait()
-		})
+		procs[i] = startProc(t, kvBin, args...)
 		// Later nodes join through node 0, so each must be accepting
 		// before the next starts.
-		waitDialable(t, resp[i], 30*time.Second)
+		waitTCP(t, resp[i])
 	}
 	return resp, procs
-}
-
-func waitDialable(t *testing.T, addr string, timeout time.Duration) {
-	t.Helper()
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		if c, err := net.Dial("tcp", addr); err == nil {
-			c.Close()
-			return
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	t.Fatalf("%s never became dialable", addr)
 }
 
 // waitKnownNodes polls CLUSTER INFO until the node reports want members.
@@ -105,15 +72,7 @@ func TestClusterSmoke3Proc(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode: skips process-spawning smoke tests")
 	}
-	bin := t.TempDir()
-	kvBin := filepath.Join(bin, "softkv")
-	build := exec.Command("go", "build", "-o", kvBin, "./cmd/softkv")
-	build.Env = os.Environ()
-	if msg, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("build softkv: %v\n%s", err, msg)
-	}
-
-	resp, procs := clusterProcs(t, kvBin, 3, nil)
+	resp, procs := clusterProcs(t, binary(t, "softkv"), 3, nil)
 	for _, a := range resp {
 		waitKnownNodes(t, a, 3, 15*time.Second)
 	}

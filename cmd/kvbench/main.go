@@ -1,116 +1,42 @@
-// Command kvbench drives a YCSB-style workload against a softkv server
-// and reports throughput, hit rate, and latency percentiles — the
-// client-visible view of soft memory reclamation (GETs of reclaimed
-// entries miss; the cache refills from the "database").
+// Command kvbench is a RESP load generator: it drives a YCSB-style
+// workload against a softkv server and prints throughput, hit rate, and
+// latency percentiles — the client-visible view of soft memory
+// reclamation (GETs of reclaimed entries miss; the cache refills from
+// the "database"). It is an operator's tool, not a source of performance
+// claims: those come from `bash bench/run.sh` / `make bench-pair`.
 //
 // Usage:
 //
 //	kvbench -addr 127.0.0.1:6380 -requests 100000 -conns 8 -read 0.9
-//	kvbench -inproc -pipeline 1,32 -json BENCH_kvstore.json
+//	kvbench -inproc -conns 4 -pipeline 1,16 -read 0.5
 //
-// -pipeline takes a comma-separated list of depths; each runs the full
-// workload. -inproc spins up a loopback server backed by an unlimited
-// soft-memory store, so CI can measure the RESP hot path with no
-// external process. -json additionally writes the machine-readable
-// result (throughput, latency percentiles, and the parse/reply/dispatch
-// allocs-per-op probes) to the given file. -sweep-cores 1,2,4 appends a
-// GOMAXPROCS scaling sweep — a fresh in-process store per point with
-// one shard owner per core, driven through the typed Batch dispatch API
-// — to the report's core_sweep field. Requested core counts beyond
-// runtime.NumCPU are clamped (and marked by effective_cores): an
-// oversubscribed hardware thread measures OS timeslicing, not engine
-// scaling.
+// Flags:
+//
+//	-addr      softkv server address
+//	-conns     concurrent connections
+//	-requests  total operations per pipeline depth
+//	-read      GET fraction (the rest are SETs)
+//	-keys      keyspace size
+//	-skew      Zipf skew (> 1)
+//	-value     value size in bytes
+//	-seed      workload seed
+//	-pipeline  comma-separated pipeline depths; each runs the full workload
+//	-inproc    serve from a loopback server in this process, backed by an
+//	           unlimited soft-memory store, instead of -addr
 package main
 
 import (
-	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
-	"sync"
-	"testing"
-	"time"
 
 	"softmem/internal/core"
 	"softmem/internal/kvstore"
 	"softmem/internal/pages"
-	"softmem/internal/smd"
 )
-
-// runJSON is one workload execution in the -json report.
-type runJSON struct {
-	Pipeline   int     `json:"pipeline"`
-	Requests   int     `json:"requests"`
-	Conns      int     `json:"conns"`
-	OpsPerSec  float64 `json:"ops_per_sec"`
-	HitRate    float64 `json:"hit_rate"`
-	GetP50Ns   float64 `json:"get_p50_ns"`
-	GetP99Ns   float64 `json:"get_p99_ns"`
-	SetP50Ns   float64 `json:"set_p50_ns"`
-	SetP99Ns   float64 `json:"set_p99_ns"`
-	ElapsedSec float64 `json:"elapsed_sec"`
-	Overloaded int64   `json:"overloaded,omitempty"`
-}
-
-// sweepJSON is one GOMAXPROCS point of the -sweep-cores scaling sweep.
-// EffectiveCores is the point's clamped GOMAXPROCS (min of the requested
-// cores and runtime.NumCPU): oversubscribing a hardware thread measures
-// OS timeslicing, not engine scaling, so points beyond the machine's
-// parallelism reuse the measurement of their effective configuration.
-type sweepJSON struct {
-	Cores          int     `json:"cores"`
-	EffectiveCores int     `json:"effective_cores"`
-	Shards         int     `json:"shards"`
-	Pipeline       int     `json:"pipeline"`
-	OpsPerSec      float64 `json:"ops_per_sec"`
-}
-
-// reportJSON is the BENCH_kvstore.json payload for one kvbench
-// invocation.
-type reportJSON struct {
-	Benchmark           string  `json:"benchmark"`
-	ValueBytes          int     `json:"value_bytes"`
-	ReadFraction        float64 `json:"read_fraction"`
-	Keys                uint64  `json:"keys"`
-	Skew                float64 `json:"skew"`
-	CPUs                int     `json:"cpus"`
-	ParseAllocsPerOp    float64 `json:"parse_allocs_per_op"`
-	ReplyAllocsPerOp    float64 `json:"reply_allocs_per_op"`
-	DispatchAllocsPerOp float64 `json:"dispatch_allocs_per_op"`
-	// DispatchMutexEvents is the number of runtime mutex contention
-	// events a single-goroutine routed-GET run adds: the shard-owner
-	// engine's no-mutex-on-hot-path evidence.
-	DispatchMutexEvents int64 `json:"dispatch_mutex_events"`
-	// Lock-free GET probe: the epoch-protected optimistic read path's
-	// evidence and regression anchors. HitFraction must be 1.0 (every
-	// probe GET served with zero locks), MutexEvents 0, AllocsPerOp <= 1;
-	// OpsPerSec is guarded against the committed baseline alongside the
-	// run throughputs.
-	LockFreeGetAllocsPerOp float64 `json:"lockfree_get_allocs_per_op"`
-	LockFreeGetOpsPerSec   float64 `json:"lockfree_get_ops_per_sec"`
-	LockFreeGetMutexEvents int64   `json:"lockfree_get_mutex_events"`
-	LockFreeHitFraction    float64 `json:"lockfree_hit_fraction"`
-	// MixedReadReclaimOpsPerSec is GET throughput sustained while a
-	// reclamation-demand stream concurrently revokes and epoch-retires
-	// entries — the contention shape the epoch design exists for.
-	MixedReadReclaimOpsPerSec float64 `json:"mixed_read_reclaim_ops_per_sec"`
-	// Baseline is the -baseline file embedded verbatim: the committed
-	// "before" side of a before/after record, so regenerating the
-	// report keeps the comparison.
-	Baseline json.RawMessage `json:"baseline,omitempty"`
-	Runs     []runJSON       `json:"runs"`
-	// CoreSweep holds the -sweep-cores scaling results: a fresh store per
-	// point with shards == effective GOMAXPROCS (requested cores clamped
-	// to the machine's), driven through the typed Batch API. Throughput
-	// should be monotonically non-decreasing in cores — the
-	// shared-nothing engine's scaling evidence.
-	CoreSweep []sweepJSON `json:"core_sweep,omitempty"`
-}
 
 func main() {
 	var (
@@ -123,14 +49,7 @@ func main() {
 		value    = flag.Int("value", 256, "value size in bytes")
 		seed     = flag.Int64("seed", 1, "workload seed")
 		pipeline = flag.String("pipeline", "1", "comma-separated pipeline depths to run (1 = no pipelining)")
-		jsonPath = flag.String("json", "", "also write machine-readable results to this file")
-		baseline = flag.String("baseline", "", "JSON file embedded verbatim as the report's baseline field")
-		inproc   = flag.Bool("inproc", false, "benchmark an in-process loopback server instead of -addr")
-		sweep    = flag.String("sweep-cores", "", "comma-separated GOMAXPROCS values for an in-process core-scaling sweep (e.g. 1,2,4)")
-		trials   = flag.Int("trials", 3, "runs per pipeline depth; the best is reported (dampens scheduler noise)")
-		guardRef = flag.String("guard-baseline", "", "committed report JSON: exit nonzero if any matching-depth run regresses more than -guard-pct below its ops_per_sec")
-		guardPct = flag.Float64("guard-pct", 5, "allowed throughput regression in percent for -guard-baseline")
-		qosOn    = flag.Bool("qos", false, "with -inproc: attach an embedded daemon, tenant spec, and stall reporter (QoS-enabled hot path; default measures the QoS-disabled path)")
+		inproc   = flag.Bool("inproc", false, "drive an in-process loopback server instead of -addr")
 	)
 	flag.Parse()
 
@@ -141,20 +60,8 @@ func main() {
 
 	target := *addr
 	if *inproc {
-		sma := core.New(core.Config{Machine: pages.NewPool(0)})
-		store := kvstore.New(sma)
+		store := kvstore.New(core.New(core.Config{Machine: pages.NewPool(0)}))
 		defer store.Close()
-		if *qosOn {
-			// QoS-enabled variant: the full tenant plumbing is live — an
-			// embedded daemon with a tenant spec and the store's stall
-			// reporter — but the partition is big enough that no reclaim
-			// fires, isolating the instrumentation's own cost.
-			daemon := smd.NewDaemon(smd.Config{TotalPages: 1 << 24})
-			proc := daemon.Register("kvbench", sma)
-			daemon.SetTenant(proc, smd.TenantSpec{Tenant: "kvbench", Class: 1, SLOMs: 100})
-			sma.AttachDaemon(proc)
-			sma.SetStallReporter(store.StallNanos)
-		}
 		srv := kvstore.NewServer(store, func(string, ...any) {})
 		bound, err := srv.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
@@ -165,384 +72,24 @@ func main() {
 		target = bound.String()
 	}
 
-	var base json.RawMessage
-	if *baseline != "" {
-		buf, err := os.ReadFile(*baseline)
-		if err != nil {
-			log.Fatalf("kvbench: %v", err)
-		}
-		if !json.Valid(buf) {
-			log.Fatalf("kvbench: -baseline %s is not valid JSON", *baseline)
-		}
-		base = buf
-	}
-
-	report := reportJSON{
-		Benchmark:        "kvstore-resp-hotpath",
-		Baseline:         base,
-		ValueBytes:       *value,
-		ReadFraction:     *read,
-		Keys:             *keys,
-		Skew:             *skew,
-		CPUs:             runtime.NumCPU(),
-		ParseAllocsPerOp: testing.AllocsPerRun(200, kvstore.ParseProbe()),
-		ReplyAllocsPerOp: testing.AllocsPerRun(200, kvstore.ReplyProbe()),
-	}
-	{
-		probe, cleanup := kvstore.DispatchProbe()
-		report.DispatchAllocsPerOp = testing.AllocsPerRun(200, probe)
-		report.DispatchMutexEvents = kvstore.MutexContentionProbe(func() {
-			for i := 0; i < 200; i++ {
-				probe()
-			}
-		})
-		cleanup()
-	}
-	{
-		probe, stats, cleanup := kvstore.LockFreeGetProbe()
-		probe() // warm the reusable batch and scratch
-		report.LockFreeGetAllocsPerOp = testing.AllocsPerRun(200, probe)
-		h0, _, f0, c0 := stats()
-		const lfCalls = 1000000
-		// Best of -trials timed runs, like the pipelined loads: a ~100ms
-		// timed region per trial keeps one descheduling from dominating
-		// the reported number. Hit/fallback accounting spans all trials —
-		// the hit fraction must be 1.0 across every call made.
-		for trial := 0; trial < *trials; trial++ {
-			events := kvstore.MutexContentionProbe(func() {
-				start := time.Now()
-				for i := 0; i < lfCalls; i++ {
-					probe()
-				}
-				if ops := lfCalls / time.Since(start).Seconds(); ops > report.LockFreeGetOpsPerSec {
-					report.LockFreeGetOpsPerSec = ops
-				}
-			})
-			report.LockFreeGetMutexEvents += events
-		}
-		h1, _, f1, c1 := stats()
-		if den := (h1 - h0) + (f1 - f0) + (c1 - c0); den > 0 {
-			report.LockFreeHitFraction = float64(h1-h0) / float64(den)
-		}
-		cleanup()
-	}
-	for trial := 0; trial < *trials; trial++ {
-		if ops := runMixedReadReclaim(*value); ops > report.MixedReadReclaimOpsPerSec {
-			report.MixedReadReclaimOpsPerSec = ops
-		}
-	}
 	for _, depth := range depths {
-		var res kvstore.LoadGenResult
-		for trial := 0; trial < *trials; trial++ {
-			r, err := kvstore.RunLoad(kvstore.LoadGenConfig{
-				Addr:         target,
-				Conns:        *conns,
-				Requests:     *reqs,
-				ReadFraction: *read,
-				Keys:         *keys,
-				Skew:         *skew,
-				ValueBytes:   *value,
-				Pipeline:     depth,
-				Seed:         *seed,
-			})
-			if err != nil {
-				log.Fatalf("kvbench: pipeline=%d: %v", depth, err)
-			}
-			if trial == 0 || r.Throughput > res.Throughput {
-				res = r
-			}
+		res, err := kvstore.RunLoad(kvstore.LoadGenConfig{
+			Addr:         target,
+			Conns:        *conns,
+			Requests:     *reqs,
+			ReadFraction: *read,
+			Keys:         *keys,
+			Skew:         *skew,
+			ValueBytes:   *value,
+			Pipeline:     depth,
+			Seed:         *seed,
+		})
+		if err != nil {
+			log.Fatalf("kvbench: pipeline=%d: %v", depth, err)
 		}
 		fmt.Printf("pipeline=%d ", depth)
 		res.Fprint(os.Stdout)
-		report.Runs = append(report.Runs, runJSON{
-			Pipeline:   depth,
-			Requests:   res.Requests,
-			Conns:      *conns,
-			OpsPerSec:  res.Throughput,
-			HitRate:    res.HitRate(),
-			GetP50Ns:   res.GetLatency.Quantile(0.5),
-			GetP99Ns:   res.GetLatency.Quantile(0.99),
-			SetP50Ns:   res.SetLatency.Quantile(0.5),
-			SetP99Ns:   res.SetLatency.Quantile(0.99),
-			ElapsedSec: res.Elapsed.Seconds(),
-			Overloaded: res.Overloaded,
-		})
 	}
-	fmt.Printf("allocs/op: parse=%.1f reply=%.1f dispatch=%.1f mutex-events=%d\n",
-		report.ParseAllocsPerOp, report.ReplyAllocsPerOp,
-		report.DispatchAllocsPerOp, report.DispatchMutexEvents)
-	fmt.Printf("lockfree GET: %.0f ops/s allocs/op=%.1f hit-fraction=%.3f mutex-events=%d; mixed read/reclaim: %.0f ops/s\n",
-		report.LockFreeGetOpsPerSec, report.LockFreeGetAllocsPerOp,
-		report.LockFreeHitFraction, report.LockFreeGetMutexEvents,
-		report.MixedReadReclaimOpsPerSec)
-
-	if *sweep != "" {
-		cores, err := parseDepths(*sweep)
-		if err != nil {
-			log.Fatalf("kvbench: -sweep-cores: %v", err)
-		}
-		sweepDepth := depths[len(depths)-1]
-		measured := map[int]float64{}
-		for _, n := range cores {
-			eff := n
-			if max := runtime.NumCPU(); eff > max {
-				eff = max
-			}
-			ops, ok := measured[eff]
-			if !ok {
-				ops = runSweepPoint(eff, sweepDepth, *reqs, *value, *keys)
-				measured[eff] = ops
-			}
-			fmt.Printf("sweep cores=%d effective=%d shards=%d pipeline=%d throughput=%.0f ops/s\n",
-				n, eff, eff, sweepDepth, ops)
-			report.CoreSweep = append(report.CoreSweep, sweepJSON{
-				Cores: n, EffectiveCores: eff, Shards: eff,
-				Pipeline: sweepDepth, OpsPerSec: ops,
-			})
-		}
-	}
-
-	if *jsonPath != "" {
-		buf, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			log.Fatalf("kvbench: marshal: %v", err)
-		}
-		buf = append(buf, '\n')
-		if err := os.WriteFile(*jsonPath, buf, 0o644); err != nil {
-			log.Fatalf("kvbench: write %s: %v", *jsonPath, err)
-		}
-	}
-
-	if *guardRef != "" {
-		if err := guardCheck(*guardRef, *guardPct, &report); err != nil {
-			log.Fatalf("kvbench: overhead guard: %v", err)
-		}
-		fmt.Printf("overhead guard: within %.1f%% of %s\n", *guardPct, *guardRef)
-	}
-}
-
-// mixedReadReclaimOps is the fixed GET count of the mixed read/reclaim
-// measurement.
-const mixedReadReclaimOps = 200000
-
-// runMixedReadReclaim measures single-key GET throughput while a
-// reclamation-demand stream runs concurrently against the same store: a
-// writer keeps refilling what the demands revoke, so reads continually
-// race condemnation and epoch-deferred page recycling. This is the
-// workload the epoch-based read path is for; its throughput is committed
-// to the report so regressions in the read/reclaim interaction are
-// caught by the overhead guard's baseline diff.
-func runMixedReadReclaim(value int) float64 {
-	sma := core.New(core.Config{Machine: pages.NewPool(0)})
-	store := kvstore.New(sma, kvstore.WithName("mixed-bench"))
-	defer store.Close()
-
-	const keyN = 512
-	names := make([]string, keyN)
-	val := bytes.Repeat([]byte("v"), value)
-	for i := range names {
-		names[i] = fmt.Sprintf("mixed:%05d", i)
-		if err := store.Set(names[i], val); err != nil {
-			log.Fatalf("kvbench: mixed preload: %v", err)
-		}
-	}
-
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() { // demand stream: revoke (condemn + epoch-retire) entries
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				sma.HandleDemand(2)
-			}
-		}
-	}()
-	go func() { // writer refilling what the demands take
-		defer wg.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-				_ = store.Set(names[i%keyN], val)
-			}
-		}
-	}()
-
-	const readers = 4
-	var rg sync.WaitGroup
-	start := time.Now()
-	for d := 0; d < readers; d++ {
-		rg.Add(1)
-		go func(d int) {
-			defer rg.Done()
-			b := store.NewBatch()
-			for i := 0; i < mixedReadReclaimOps/readers; i++ {
-				b.Get(names[(i+d*keyN/readers)%keyN])
-				if err := b.Exec(); err != nil {
-					log.Fatalf("kvbench: mixed exec: %v", err)
-				}
-				b.Reset()
-			}
-		}(d)
-	}
-	rg.Wait()
-	elapsed := time.Since(start).Seconds()
-	close(stop)
-	wg.Wait()
-	return mixedReadReclaimOps / elapsed
-}
-
-// guardCheck is the overhead-guard gate: every measured run whose
-// pipeline depth also appears in the committed baseline report must
-// reach at least (100-pct)% of the baseline's ops_per_sec, and — when
-// the baseline records them — the lock-free GET throughput must clear
-// the same floor while its allocs-per-op must not grow. It fails closed
-// when no depth matches — a guard that silently compares nothing would
-// pass forever.
-func guardCheck(path string, pct float64, got *reportJSON) error {
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var ref reportJSON
-	if err := json.Unmarshal(buf, &ref); err != nil {
-		return fmt.Errorf("decode %s: %w", path, err)
-	}
-	refByDepth := make(map[int]float64, len(ref.Runs))
-	for _, r := range ref.Runs {
-		refByDepth[r.Pipeline] = r.OpsPerSec
-	}
-	matched := 0
-	for _, r := range got.Runs {
-		base, ok := refByDepth[r.Pipeline]
-		if !ok || base <= 0 {
-			continue
-		}
-		matched++
-		floor := base * (1 - pct/100)
-		if r.OpsPerSec < floor {
-			return fmt.Errorf("pipeline=%d: %.0f ops/s is %.1f%% below baseline %.0f (floor %.0f)",
-				r.Pipeline, r.OpsPerSec, 100*(1-r.OpsPerSec/base), base, floor)
-		}
-		fmt.Printf("overhead guard: pipeline=%d %.0f ops/s vs baseline %.0f (%+.1f%%)\n",
-			r.Pipeline, r.OpsPerSec, base, 100*(r.OpsPerSec/base-1))
-	}
-	if matched == 0 {
-		return fmt.Errorf("%s has no run matching any measured pipeline depth", path)
-	}
-	// Lock-free read-path guards, active once the committed baseline
-	// carries the fields (older baselines leave them zero). The
-	// throughput floors are deliberately loose gross tripwires — these
-	// are single-process microbenchmarks with real scheduler noise even
-	// at best-of-trials. The regressions that matter are caught exactly:
-	// a lock on the fast path shows up in allocs/op, mutex events, or
-	// the hit fraction, and a reader that starts serializing with
-	// reclamation collapses throughput far past any floor here.
-	microPct := 3 * pct
-	if base := ref.LockFreeGetOpsPerSec; base > 0 {
-		floor := base * (1 - microPct/100)
-		if got.LockFreeGetOpsPerSec < floor {
-			return fmt.Errorf("lock-free GET: %.0f ops/s is below baseline %.0f (floor %.0f)",
-				got.LockFreeGetOpsPerSec, base, floor)
-		}
-		fmt.Printf("overhead guard: lock-free GET %.0f ops/s vs baseline %.0f (%+.1f%%)\n",
-			got.LockFreeGetOpsPerSec, base, 100*(got.LockFreeGetOpsPerSec/base-1))
-		// Allocs-per-op is near-deterministic: any growth over the
-		// committed value is a real regression, not noise (0.01 absorbs
-		// AllocsPerRun's averaging of one-time warm-up allocations).
-		if got.LockFreeGetAllocsPerOp > ref.LockFreeGetAllocsPerOp+0.01 {
-			return fmt.Errorf("lock-free GET allocs/op regressed: %.2f vs baseline %.2f",
-				got.LockFreeGetAllocsPerOp, ref.LockFreeGetAllocsPerOp)
-		}
-		if got.LockFreeHitFraction < 1 {
-			return fmt.Errorf("lock-free GET hit fraction %.3f: probe reads fell back to the locked path",
-				got.LockFreeHitFraction)
-		}
-	}
-	if base := ref.MixedReadReclaimOpsPerSec; base > 0 {
-		// The mixed bench races nondeterministic reclaim scheduling, so
-		// its run-to-run spread is the widest of the suite; half the
-		// baseline separates noise from a reader/reclaimer serialization
-		// regression (which drops to locked-path throughput, far lower).
-		floor := base / 2
-		if got.MixedReadReclaimOpsPerSec < floor {
-			return fmt.Errorf("mixed read/reclaim: %.0f ops/s is below baseline %.0f (floor %.0f)",
-				got.MixedReadReclaimOpsPerSec, base, floor)
-		}
-		fmt.Printf("overhead guard: mixed read/reclaim %.0f ops/s vs baseline %.0f (%+.1f%%)\n",
-			got.MixedReadReclaimOpsPerSec, base, 100*(got.MixedReadReclaimOpsPerSec/base-1))
-	}
-	return nil
-}
-
-// sweepDrivers is the fixed concurrency of the core sweep: the offered
-// load is constant across points, so added cores can only help (or, on
-// a machine with fewer physical cores than GOMAXPROCS, do nothing) —
-// which is exactly the monotonicity the sweep asserts.
-const sweepDrivers = 4
-
-// runSweepPoint measures one core-scaling point of the shard-owner
-// engine: GOMAXPROCS pinned to n, a fresh store with n shards (one
-// owner per core), sweepDrivers goroutines each dispatching depth-sized
-// GET batches through the typed Batch API. No TCP — the sweep isolates
-// engine dispatch from loopback scheduling noise; the main runs cover
-// the full server path. Best of three trials.
-func runSweepPoint(n, depth, reqs, value int, keys uint64) float64 {
-	prev := runtime.GOMAXPROCS(n)
-	defer runtime.GOMAXPROCS(prev)
-
-	sma := core.New(core.Config{Machine: pages.NewPool(0)})
-	store := kvstore.New(sma, kvstore.WithShards(n))
-	defer store.Close()
-
-	keyN := int(keys)
-	if keyN > 4096 {
-		keyN = 4096
-	}
-	names := make([]string, keyN)
-	val := bytes.Repeat([]byte("v"), value)
-	for i := range names {
-		names[i] = fmt.Sprintf("sweep:%05d", i)
-		if err := store.Set(names[i], val); err != nil {
-			log.Fatalf("kvbench: sweep preload: %v", err)
-		}
-	}
-
-	best := 0.0
-	for trial := 0; trial < 3; trial++ {
-		var wg sync.WaitGroup
-		per := reqs / sweepDrivers
-		start := time.Now()
-		for d := 0; d < sweepDrivers; d++ {
-			wg.Add(1)
-			go func(d int) {
-				defer wg.Done()
-				b := store.NewBatch()
-				i := d * keyN / sweepDrivers
-				for done := 0; done < per; {
-					b.Reset()
-					for j := 0; j < depth && done < per; j++ {
-						b.Get(names[i%keyN])
-						i++
-						done++
-					}
-					if err := b.Exec(); err != nil {
-						log.Fatalf("kvbench: sweep exec: %v", err)
-					}
-				}
-			}(d)
-		}
-		wg.Wait()
-		if t := float64(reqs) / time.Since(start).Seconds(); t > best {
-			best = t
-		}
-	}
-	return best
 }
 
 func parseDepths(s string) ([]int, error) {

@@ -1,13 +1,10 @@
 package softmem
 
 import (
-	"net"
 	"os"
 	"os/exec"
-	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 )
 
 // TestBinariesSmoke runs each experiment binary at reduced scale and
@@ -92,49 +89,18 @@ func TestBinariesSmoke(t *testing.T) {
 	}
 }
 
-// TestKVBenchSmoke boots a standalone softkv and drives kvbench at it.
+// TestKVBenchSmoke drives kvbench, the RESP load generator, at a
+// standalone softkv and at its own in-process server.
 func TestKVBenchSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode: skips process-spawning smoke tests")
 	}
-	bin := t.TempDir()
-	buildBin := func(name string) string {
-		out := filepath.Join(bin, name)
-		cmd := exec.Command("go", "build", "-o", out, "./cmd/"+name)
-		cmd.Env = os.Environ()
-		if msg, err := cmd.CombinedOutput(); err != nil {
-			t.Fatalf("build %s: %v\n%s", name, err, msg)
-		}
-		return out
-	}
-	kvBin := buildBin("softkv")
-	benchBin := buildBin("kvbench")
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	ln.Close()
-	kv := exec.Command(kvBin, "-listen", addr)
-	kv.Stderr = os.Stderr
-	if err := kv.Start(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		kv.Process.Kill()
-		kv.Wait()
+	benchBin := binary(t, "kvbench")
+	addrs := startServing(t, binary(t, "softkv"), "softkv: serving RESP on", 1, func(a []string) []string {
+		return []string{"-listen", a[0]}
 	})
-	deadline := time.Now().Add(30 * time.Second)
-	for time.Now().Before(deadline) {
-		if c, err := net.Dial("tcp", addr); err == nil {
-			c.Close()
-			break
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
 	out, err := exec.Command(benchBin,
-		"-addr", addr, "-requests", "5000", "-conns", "2", "-keys", "500").CombinedOutput()
+		"-addr", addrs[0], "-requests", "5000", "-conns", "2", "-keys", "500").CombinedOutput()
 	if err != nil {
 		t.Fatalf("kvbench: %v\n%s", err, out)
 	}
@@ -142,6 +108,31 @@ func TestKVBenchSmoke(t *testing.T) {
 		if !strings.Contains(string(out), want) {
 			t.Fatalf("kvbench output missing %q:\n%s", want, out)
 		}
+	}
+
+	// The in-process mode at two depths with writes: one result line per
+	// depth.
+	out, err = exec.Command(benchBin,
+		"-inproc", "-requests", "5000", "-conns", "2", "-pipeline", "1,16", "-read", "0.5").CombinedOutput()
+	if err != nil {
+		t.Fatalf("kvbench -inproc: %v\n%s", err, out)
+	}
+	for _, depth := range []string{"pipeline=1 ", "pipeline=16 "} {
+		n := 0
+		for _, line := range strings.Split(string(out), "\n") {
+			if strings.HasPrefix(line, depth) && strings.Contains(line, "throughput") {
+				n++
+			}
+		}
+		if n != 1 {
+			t.Fatalf("kvbench -inproc printed %d %q result lines, want 1:\n%s", n, depth, out)
+		}
+	}
+
+	// kvbench reports nothing but what it prints: the report flags are
+	// gone, not ignored.
+	if out, err := exec.Command(benchBin, "-json", "x").CombinedOutput(); err == nil {
+		t.Fatalf("kvbench -json x succeeded:\n%s", out)
 	}
 }
 
@@ -151,45 +142,11 @@ func TestSMDCtlSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode: skips process-spawning smoke tests")
 	}
-	bin := t.TempDir()
-	buildBin := func(name string) string {
-		out := filepath.Join(bin, name)
-		cmd := exec.Command("go", "build", "-o", out, "./cmd/"+name)
-		cmd.Env = os.Environ()
-		if msg, err := cmd.CombinedOutput(); err != nil {
-			t.Fatalf("build %s: %v\n%s", name, err, msg)
-		}
-		return out
-	}
-	smdBin := buildBin("smd")
-	ctlBin := buildBin("smdctl")
-
-	free := func() string {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer ln.Close()
-		return ln.Addr().String()
-	}
-	listen, httpAddr := free(), free()
-	daemon := exec.Command(smdBin, "-listen", listen, "-mib", "8", "-stats", "0", "-http", httpAddr)
-	daemon.Stderr = os.Stderr
-	if err := daemon.Start(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		daemon.Process.Kill()
-		daemon.Wait()
+	ctlBin := binary(t, "smdctl")
+	addrs := startServing(t, binary(t, "smd"), "smd: arbitrating", 2, func(a []string) []string {
+		return []string{"-listen", a[0], "-mib", "8", "-stats", "0", "-http", a[1]}
 	})
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		if c, err := net.Dial("tcp", httpAddr); err == nil {
-			c.Close()
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+	httpAddr := addrs[1]
 	out, err := exec.Command(ctlBin, "-http", httpAddr).CombinedOutput()
 	if err != nil {
 		t.Fatalf("smdctl: %v\n%s", err, out)

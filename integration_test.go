@@ -2,10 +2,6 @@ package softmem
 
 import (
 	"fmt"
-	"net"
-	"os"
-	"os/exec"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -22,51 +18,15 @@ func TestMultiProcessReclamation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode: skips process-spawning integration test")
 	}
-	bin := t.TempDir()
-	build := func(name string) string {
-		out := filepath.Join(bin, name)
-		cmd := exec.Command("go", "build", "-o", out, "./cmd/"+name)
-		cmd.Env = os.Environ()
-		if msg, err := cmd.CombinedOutput(); err != nil {
-			t.Fatalf("build %s: %v\n%s", name, err, msg)
-		}
-		return out
-	}
-	smdBin := build("smd")
-	kvBin := build("softkv")
-
-	freePort := func() string {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer ln.Close()
-		return ln.Addr().String()
-	}
-	smdAddr := freePort()
-	kv1Addr := freePort()
-	kv2Addr := freePort()
-
-	start := func(path string, args ...string) *exec.Cmd {
-		cmd := exec.Command(path, args...)
-		cmd.Stdout = os.Stderr
-		cmd.Stderr = os.Stderr
-		if err := cmd.Start(); err != nil {
-			t.Fatalf("start %s: %v", path, err)
-		}
-		t.Cleanup(func() {
-			_ = cmd.Process.Kill()
-			_, _ = cmd.Process.Wait()
-		})
-		return cmd
-	}
+	smdBin, kvBin := binary(t, "smd"), binary(t, "softkv")
+	smdAddr, kv1Addr, kv2Addr := freeAddr(t), freeAddr(t), freeAddr(t)
 
 	// 8 MiB soft memory machine.
-	start(smdBin, "-listen", smdAddr, "-mib", "8", "-stats", "0", "-factor", "1.25")
+	startProc(t, smdBin, "-listen", smdAddr, "-mib", "8", "-stats", "0", "-factor", "1.25")
 	waitTCP(t, smdAddr)
-	start(kvBin, "-listen", kv1Addr, "-smd", smdAddr, "-name", "victim")
+	startProc(t, kvBin, "-listen", kv1Addr, "-smd", smdAddr, "-name", "victim")
 	waitTCP(t, kv1Addr)
-	start(kvBin, "-listen", kv2Addr, "-smd", smdAddr, "-name", "aggressor")
+	startProc(t, kvBin, "-listen", kv2Addr, "-smd", smdAddr, "-name", "aggressor")
 	waitTCP(t, kv2Addr)
 
 	cli1, err := kvstore.DialClient("tcp", kv1Addr)
@@ -131,21 +91,6 @@ func TestMultiProcessReclamation(t *testing.T) {
 	t.Logf("store1 shrank %d -> %d entries under cross-process pressure", entries, n1)
 }
 
-// waitTCP blocks until addr accepts connections.
-func waitTCP(t *testing.T, addr string) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		c, err := net.Dial("tcp", addr)
-		if err == nil {
-			c.Close()
-			return
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	t.Fatalf("nothing listening on %s", addr)
-}
-
 // TestDaemonRestartRecovery kills the daemon process and restarts it:
 // the KV server must reconnect, resync its budget, and cross-process
 // reclamation must work against the daemon's second incarnation.
@@ -153,48 +98,12 @@ func TestDaemonRestartRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode: skips process-spawning integration test")
 	}
-	bin := t.TempDir()
-	build := func(name string) string {
-		out := filepath.Join(bin, name)
-		cmd := exec.Command("go", "build", "-o", out, "./cmd/"+name)
-		cmd.Env = os.Environ()
-		if msg, err := cmd.CombinedOutput(); err != nil {
-			t.Fatalf("build %s: %v\n%s", name, err, msg)
-		}
-		return out
-	}
-	smdBin := build("smd")
-	kvBin := build("softkv")
+	smdBin, kvBin := binary(t, "smd"), binary(t, "softkv")
+	smdAddr, kv1Addr, kv2Addr := freeAddr(t), freeAddr(t), freeAddr(t)
 
-	freePort := func() string {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer ln.Close()
-		return ln.Addr().String()
-	}
-	smdAddr := freePort()
-	kv1Addr := freePort()
-	kv2Addr := freePort()
-
-	start := func(path string, args ...string) *exec.Cmd {
-		cmd := exec.Command(path, args...)
-		cmd.Stdout = os.Stderr
-		cmd.Stderr = os.Stderr
-		if err := cmd.Start(); err != nil {
-			t.Fatalf("start %s: %v", path, err)
-		}
-		t.Cleanup(func() {
-			_ = cmd.Process.Kill()
-			_, _ = cmd.Process.Wait()
-		})
-		return cmd
-	}
-
-	smd1 := start(smdBin, "-listen", smdAddr, "-mib", "8", "-stats", "0")
+	smd1 := startProc(t, smdBin, "-listen", smdAddr, "-mib", "8", "-stats", "0")
 	waitTCP(t, smdAddr)
-	start(kvBin, "-listen", kv1Addr, "-smd", smdAddr, "-name", "victim")
+	startProc(t, kvBin, "-listen", kv1Addr, "-smd", smdAddr, "-name", "victim")
 	waitTCP(t, kv1Addr)
 
 	cli1, err := kvstore.DialClient("tcp", kv1Addr)
@@ -213,7 +122,7 @@ func TestDaemonRestartRecovery(t *testing.T) {
 	// The daemon dies and a fresh incarnation takes over the address.
 	_ = smd1.Process.Kill()
 	_, _ = smd1.Process.Wait()
-	start(smdBin, "-listen", smdAddr, "-mib", "8", "-stats", "0")
+	startProc(t, smdBin, "-listen", smdAddr, "-mib", "8", "-stats", "0")
 	waitTCP(t, smdAddr)
 
 	// The store still serves reads throughout.
@@ -224,7 +133,7 @@ func TestDaemonRestartRecovery(t *testing.T) {
 	// Give the resilient client a moment to reconnect and resync, then
 	// apply pressure through a second process: reclamation must cross
 	// the NEW daemon.
-	start(kvBin, "-listen", kv2Addr, "-smd", smdAddr, "-name", "aggressor")
+	startProc(t, kvBin, "-listen", kv2Addr, "-smd", smdAddr, "-name", "aggressor")
 	waitTCP(t, kv2Addr)
 	cli2, err := kvstore.DialClient("tcp", kv2Addr)
 	if err != nil {

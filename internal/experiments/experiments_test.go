@@ -305,7 +305,7 @@ func TestFig2WriteCSV(t *testing.T) {
 
 func TestReclaimLatencyShape(t *testing.T) {
 	res := ReclaimLatency(LatencyConfig{
-		Entries: 8192, Demands: []int{1, 16, 64}, CleanupWorks: []int{0, 500}, Trials: 2,
+		Entries: 8192, Demands: []int{1, 16, 64}, CleanupWorks: []int{0, 500}, Trials: 5,
 	})
 	if len(res.Rows) != 6 {
 		t.Fatalf("%d rows", len(res.Rows))
@@ -313,12 +313,12 @@ func TestReclaimLatencyShape(t *testing.T) {
 	byKey := map[[2]int]LatencyRow{}
 	for _, r := range res.Rows {
 		byKey[[2]int{r.DemandPages, r.CleanupWork}] = r
-		if r.Mean <= 0 || r.Entries <= 0 {
+		if r.Latency <= 0 || r.Entries <= 0 {
 			t.Fatalf("degenerate row %+v", r)
 		}
 	}
 	// Bigger demands take longer in total.
-	if byKey[[2]int{64, 0}].Mean < byKey[[2]int{1, 0}].Mean {
+	if byKey[[2]int{64, 0}].Latency < byKey[[2]int{1, 0}].Latency {
 		t.Fatal("64-page demand faster than 1-page demand")
 	}
 	// Cleanup work dominates when present (the paper's Redis

@@ -3,6 +3,8 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"runtime"
+	"sort"
 	"time"
 
 	"softmem/internal/core"
@@ -44,11 +46,13 @@ func (c *LatencyConfig) setDefaults() {
 	}
 }
 
-// LatencyRow is one point of the E11 sweep.
+// LatencyRow is one point of the E11 sweep. Latency is the median over
+// the point's trials: a mean lets one descheduled 1-page trial outweigh
+// a whole 64-page row.
 type LatencyRow struct {
 	DemandPages int
 	CleanupWork int
-	Mean        time.Duration
+	Latency     time.Duration
 	PerPage     time.Duration
 	PerEntry    time.Duration
 	Entries     int64 // entries reclaimed per trial
@@ -66,53 +70,59 @@ func (r LatencyResult) Fprint(w io.Writer) {
 	for _, row := range r.Rows {
 		fmt.Fprintf(w, "%8d %9d %14s %12s %12s %9d\n",
 			row.DemandPages, row.CleanupWork,
-			row.Mean.Round(time.Microsecond), row.PerPage.Round(time.Nanosecond),
+			row.Latency.Round(time.Microsecond), row.PerPage.Round(time.Nanosecond),
 			row.PerEntry.Round(time.Nanosecond), row.Entries)
 	}
 }
 
 // ReclaimLatency runs E11: for each (demand size, cleanup work) point,
-// preload a fresh store and time HandleDemand.
+// preload a fresh store and time HandleDemand. Each round of trials
+// visits every point once, so a slow stretch of the machine lands on all
+// rows alike instead of on whichever row was being measured.
 func ReclaimLatency(cfg LatencyConfig) LatencyResult {
 	cfg.setDefaults()
-	var res LatencyResult
-	value := make([]byte, 64)
+	var rows []LatencyRow
 	for _, work := range cfg.CleanupWorks {
 		for _, demand := range cfg.Demands {
-			var total time.Duration
-			var entries int64
-			for trial := 0; trial < cfg.Trials; trial++ {
-				sma := core.New(core.Config{Machine: pages.NewPool(0)})
-				store := kvstore.New(sma, kvstore.WithCleanupWork(work))
-				keys := trace.NewSequentialKeys(uint64(cfg.Entries))
-				for i := 0; i < cfg.Entries; i++ {
-					if err := store.Set(trace.Key(keys.Next()), value); err != nil {
-						panic(fmt.Sprintf("latency: preload: %v", err))
-					}
-				}
-				start := time.Now()
-				released := sma.HandleDemand(demand)
-				total += time.Since(start)
-				if released < demand {
-					panic(fmt.Sprintf("latency: released %d of %d", released, demand))
-				}
-				entries += store.Stats().Reclaimed
-				store.Close()
-			}
-			mean := total / time.Duration(cfg.Trials)
-			perTrialEntries := entries / int64(cfg.Trials)
-			row := LatencyRow{
-				DemandPages: demand,
-				CleanupWork: work,
-				Mean:        mean,
-				PerPage:     mean / time.Duration(demand),
-				Entries:     perTrialEntries,
-			}
-			if perTrialEntries > 0 {
-				row.PerEntry = mean / time.Duration(perTrialEntries)
-			}
-			res.Rows = append(res.Rows, row)
+			rows = append(rows, LatencyRow{DemandPages: demand, CleanupWork: work})
 		}
 	}
-	return res
+	trials := make([][]time.Duration, len(rows))
+	value := make([]byte, 64)
+	for trial := 0; trial < cfg.Trials; trial++ {
+		for i := range rows {
+			row := &rows[i]
+			sma := core.New(core.Config{Machine: pages.NewPool(0)})
+			store := kvstore.New(sma, kvstore.WithCleanupWork(row.CleanupWork))
+			keys := trace.NewSequentialKeys(uint64(cfg.Entries))
+			for n := 0; n < cfg.Entries; n++ {
+				if err := store.Set(trace.Key(keys.Next()), value); err != nil {
+					panic(fmt.Sprintf("latency: preload: %v", err))
+				}
+			}
+			// Finish the preload's collection first: left running, it
+			// shares the CPUs with the timed demand and adds more to a
+			// trial than the cleanup work being compared.
+			runtime.GC()
+			start := time.Now()
+			released := sma.HandleDemand(row.DemandPages)
+			trials[i] = append(trials[i], time.Since(start))
+			if released < row.DemandPages {
+				panic(fmt.Sprintf("latency: released %d of %d", released, row.DemandPages))
+			}
+			row.Entries += store.Stats().Reclaimed
+			store.Close()
+		}
+	}
+	for i := range rows {
+		row, d := &rows[i], trials[i]
+		sort.Slice(d, func(a, b int) bool { return d[a] < d[b] })
+		row.Latency = (d[(len(d)-1)/2] + d[len(d)/2]) / 2
+		row.PerPage = row.Latency / time.Duration(row.DemandPages)
+		row.Entries /= int64(cfg.Trials)
+		if row.Entries > 0 {
+			row.PerEntry = row.Latency / time.Duration(row.Entries)
+		}
+	}
+	return LatencyResult{Rows: rows}
 }

@@ -4,13 +4,14 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"os"
 	"time"
 
 	"softmem/internal/alloc"
 	"softmem/internal/core"
 	"softmem/internal/pages"
 	"softmem/internal/sds"
-	"softmem/internal/swap"
+	"softmem/internal/spill"
 )
 
 // SwapConfig parameterizes E10, the drop-vs-swap comparison behind the
@@ -97,7 +98,8 @@ func (r SwapResult) Fprint(w io.Writer) {
 // SwapCompare runs E10: the same cache, pressure event, and access
 // stream under two reclamation strategies — dropping (the paper's soft
 // memory; misses refetch from the database) and spilling (AIFM/zswap
-// style; reclaimed data moves to a modelled far tier and faults back).
+// style; reclaimed data moves to the internal/spill disk tier, at a
+// modelled device cost, and faults back).
 func SwapCompare(cfg SwapConfig) SwapResult {
 	cfg.setDefaults()
 	var res SwapResult
@@ -148,46 +150,58 @@ func swapPoint(cfg SwapConfig, reref float64) SwapRow {
 		ht.Close()
 	}
 
-	// Strategy 2: spill to a far-memory device.
+	// Strategy 2: spill to the real disk tier (LRU, as a swapping cache
+	// would). What the tier did is real — every reclaimed entry is demoted
+	// to a record on disk and a miss promotes it back — but its cost is
+	// modelled, so E10 compares modelled costs on both sides and stays
+	// deterministic: DeviceLatency per demotion and per promotion plus
+	// DevicePerByte per value byte moved.
 	var swapCost time.Duration
 	{
+		dir, err := os.MkdirTemp("", "softmem-e10-")
+		if err != nil {
+			panic(err)
+		}
+		defer os.RemoveAll(dir)
+		// Uncompressed: the model charges every value byte moved, and the
+		// values are all zeros.
+		far, err := spill.Open(spill.Config{Dir: dir, CompactInterval: -1, CompressMin: -1})
+		if err != nil {
+			panic(err)
+		}
+		defer far.Close()
+
 		sma := core.New(core.Config{Machine: pages.NewPool(0)})
-		dev := swap.NewDevice(cfg.DeviceLatency, cfg.DevicePerByte)
 		var spilled []string
-		tab := swap.NewTable(sma, "swap", dev, 0)
-		// Track spill order via the device itself: record keys spilled.
-		// (Device has no order; reuse the drop run's key space by
-		// spilling deterministically: the table evicts LRU=insertion
-		// order here since nothing was touched.)
+		tab := sds.NewSoftSpillTable(sma, "swap", far.Sink("swap"), sds.HashTableConfig[string]{
+			Policy:    sds.EvictLRU,
+			OnReclaim: func(k string, _ []byte) { spilled = append(spilled, k) },
+		})
 		for i := 0; i < cfg.Entries; i++ {
 			if err := tab.Put(key(i), value); err != nil {
 				panic(err)
 			}
 		}
 		sma.HandleDemand(reclaimPages)
-		// The spilled set is whatever is on the device.
-		st := dev.Stats()
-		for i := 0; i < cfg.Entries && len(spilled) < int(st.Spills); i++ {
-			spilled = append(spilled, key(i)) // LRU = insertion order
-		}
 		spilledSet := map[string]bool{}
 		for _, k := range spilled {
 			spilledSet[k] = true
 		}
-		swapCost += tab.SpillCost() // paying the spill is part of the strategy
 		rng := rand.New(rand.NewSource(cfg.Seed))
 		for a := 0; a < cfg.Accesses; a++ {
 			k := pickKey(rng, reref, spilled, cfg.Entries, spilledSet, key)
-			_, cost, ok, err := tab.Get(k)
+			_, ok, err := tab.Get(k)
 			if err != nil {
 				panic(err)
 			}
-			swapCost += cost
 			if ok {
 				delete(spilledSet, k)
 			}
 		}
 		tab.Close()
+		st := far.Stats()
+		perMove := cfg.DeviceLatency + time.Duration(cfg.ValueBytes)*cfg.DevicePerByte
+		swapCost = time.Duration(st.Demotions+st.Promotions) * perMove
 	}
 
 	row := SwapRow{Reref: reref, DropCost: dropCost, SwapCost: swapCost, Winner: "drop"}

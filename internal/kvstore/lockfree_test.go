@@ -305,8 +305,8 @@ func TestEpochReclaimRace(t *testing.T) {
 }
 
 // BenchmarkLockFreeGet times the epoch-protected optimistic GET through
-// the full single-command dispatch path. ReportAllocs pins the ≤1
-// alloc/op budget the overhead guard enforces.
+// the full single-command dispatch path. ReportAllocs shows the ≤1
+// alloc/op budget TestLockFreeGetProbeZeroLocks enforces.
 func BenchmarkLockFreeGet(b *testing.B) {
 	probe, _, cleanup := LockFreeGetProbe()
 	b.Cleanup(cleanup)
