@@ -66,9 +66,10 @@ race-hot:
 	$(GO) test -race ./internal/core ./internal/sds ./internal/kvstore ./internal/spill
 
 # The reclaim stress list, by name: lock-free readers racing revocation
-# (condemn + epoch-retire), the page-wise victim order, the tier deal and
-# the model-checked histories under demands are the interleavings a
-# pinned GOMAXPROCS shakes out (CI runs this at 1, 2 and 4). A name that
+# (condemn + epoch-retire) and index rebuilds, the hash table against its
+# map model, the page-wise victim order, the tier deal and the
+# model-checked histories under demands are the interleavings a pinned
+# GOMAXPROCS shakes out (CI runs this at 1, 2 and 4). A name that
 # matches no test would silently shrink a -run filter, so the target
 # fails unless every name in the list ran and passed.
 STRESS_TESTS = TestEpochReclaimRace TestHashTableLockFreeReclaimRace \
@@ -79,7 +80,8 @@ STRESS_TESTS = TestEpochReclaimRace TestHashTableLockFreeReclaimRace \
 	TestSecondChanceTenantVetoesItsPage TestTierDealSharesTheDemand \
 	TestTierDealSkipsTheDry TestTierDealContainsAPanic \
 	TestReclaimDoesNotAskTwiceForPagesInLimbo TestReclaimOrderIsStoreWide \
-	TestReclaimOrderMixedSizes TestEveryEntryPointUnderReclaim
+	TestReclaimOrderMixedSizes TestEveryEntryPointUnderReclaim \
+	TestHashTablePutGetProperty TestHashTableLockFreeReadersAcrossRebuilds
 empty :=
 space := $(empty) $(empty)
 race-stress:
@@ -112,11 +114,13 @@ bench-pair:
 	@test -n "$(W)" || { echo "usage: make bench-pair W=<workload> [REF=<commit>] [N=10] [SEED=1] [SECONDS=24]"; exit 2; }
 	$(GO) run ./cmd/benchpair -workload $(W) $(if $(REF),-ref $(REF)) -n $(N) -seed $(SEED) -seconds $(SECONDS)
 
-# Non-test Go line counts the simplicity issues quote: the kvstore
-# package, and the repository outside the benchmark module.
+# Non-test Go line counts the simplicity issues quote: the kvstore and
+# sds packages, and the repository outside the benchmark module.
 loc:
 	@printf 'internal/kvstore non-test Go lines: '
 	@find internal/kvstore -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l
+	@printf 'internal/sds non-test Go lines: '
+	@find internal/sds -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l
 	@printf 'repo non-test Go lines outside bench/: '
 	@find . -path ./bench -prune -o -path ./.bench_build -prune -o -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l
 

@@ -60,6 +60,37 @@ func TestStoreFlushAll(t *testing.T) {
 	}
 }
 
+// TestFlushAllClearsDeadlines: a flushed key's deadline goes with it. It
+// used to stay in the shard's TTL table and expire whatever was stored
+// under that key next.
+func TestFlushAllClearsDeadlines(t *testing.T) {
+	for _, shards := range []int{1, 2, 8} {
+		now := time.Unix(5000, 0)
+		sma := core.New(core.Config{Machine: pages.NewPool(0)})
+		st := New(sma, WithShards(shards), WithClock(func() time.Time { return now }))
+		defer st.Close()
+		if err := st.Set("k", []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+		if !st.Expire("k", time.Second) {
+			t.Fatal("Expire refused")
+		}
+		if err := st.FlushAll(); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Set("k", []byte("v2")); err != nil {
+			t.Fatal(err)
+		}
+		if _, exists, hasTTL := st.TTL("k"); !exists || hasTTL {
+			t.Fatalf("shards=%d: TTL after FLUSHALL and SET: exists %v, hasTTL %v; want a key with no deadline", shards, exists, hasTTL)
+		}
+		now = now.Add(2 * time.Second)
+		if v, ok, err := st.Get("k"); err != nil || !ok || string(v) != "v2" {
+			t.Fatalf("shards=%d: Get past the flushed deadline = %q, %v, %v; want v2", shards, v, ok, err)
+		}
+	}
+}
+
 func TestStoreReclaimReturnsNotFound(t *testing.T) {
 	st, sma := newStore(t, 0)
 	var evicted []string

@@ -92,17 +92,9 @@ func TestLockFreeStaleTTLMissStaysLockFree(t *testing.T) {
 	st := New(sma, WithName("lf-stale-ttl"), WithClock(clock))
 	defer st.Close()
 
-	if err := st.Set("k", []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	if !st.Expire("k", time.Second) {
-		t.Fatal("Expire refused")
-	}
-	// FlushAll deletes the entry but leaves the deadline behind — the
-	// one path that strands a TTL on an absent key.
-	if err := st.FlushAll(); err != nil {
-		t.Fatal(err)
-	}
+	// A deadline on a key in neither tier: what spill-budget eviction of
+	// a demoted key leaves behind.
+	st.shard("k").ttl.set("k", now.Add(time.Second))
 	now = now.Add(2 * time.Second)
 
 	_, m0, _, _ := st.lockFreeTotals()

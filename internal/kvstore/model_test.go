@@ -234,13 +234,19 @@ func (m *model) apply(args []string) (reply []byte, valid bool) {
 		}
 		delete(m.dl, args[1])
 		return respInt(1), true
+	case "FLUSHALL":
+		clear(m.data)
+		clear(m.dl)
+		return []byte("+OK\r\n"), true
 	}
 	return respErr("unknown command '" + args[0] + "'"), false
 }
 
 // modelScript builds the seeded script: every keyed command, multi-key
 // forms, case-folded names, wrong arity, non-integer arguments, an
-// unknown command, clock advances and sweeps.
+// unknown command, clock advances and sweeps, and FLUSHALL — each one
+// over a key holding a deadline, which is set again afterwards and read
+// once the clock has passed the flushed deadline.
 func modelScript(seed int64, n int) []step {
 	rng := rand.New(rand.NewSource(seed))
 	key := func() string { return "k" + strconv.Itoa(rng.Intn(10)) }
@@ -261,6 +267,16 @@ func modelScript(seed int64, n int) []step {
 	for len(script) < n {
 		if rng.Intn(30) == 0 {
 			script = append(script, step{advance: time.Duration(rng.Intn(3000)) * time.Millisecond, sweep: rng.Intn(2) == 0})
+			continue
+		}
+		if rng.Intn(75) == 0 {
+			k := key()
+			script = append(script,
+				step{args: []string{"SET", k, val()}}, step{args: []string{"EXPIRE", k, "1"}},
+				step{args: []string{[]string{"FLUSHALL", "flushall"}[rng.Intn(2)]}},
+				step{args: []string{"SET", k, val()}}, step{args: []string{"TTL", k}},
+				step{advance: 2 * time.Second, sweep: rng.Intn(2) == 0},
+				step{args: []string{"GET", k}})
 			continue
 		}
 		var a []string
@@ -314,8 +330,20 @@ func modelScript(seed int64, n int) []step {
 	return script
 }
 
-// slots decodes a valid step into the typed commands it stands for —
-// the test's own decoding, independent of the server's table.
+// isFlush reports a FLUSHALL step: the one command of the script with no
+// typed form, which the direct and Batch runs issue as Store.FlushAll.
+func isFlush(args []string) bool { return strings.EqualFold(args[0], "FLUSHALL") }
+
+// flushAll is that call, rendered as the reply FLUSHALL owes.
+func flushAll(st *Store) []byte {
+	if err := st.FlushAll(); err != nil {
+		return respErr(err.Error())
+	}
+	return []byte("+OK\r\n")
+}
+
+// slots decodes a valid keyed step into the typed commands it stands for
+// — the test's own decoding, independent of the server's table.
 func slots(args []string) []Command {
 	one := func(op Op) []Command { return []Command{{Op: op, Key: args[1]}} }
 	switch name := strings.ToUpper(args[0]); name {
@@ -504,6 +532,10 @@ func TestEveryEntryPointMatchesModel(t *testing.T) {
 					if !valid[i] {
 						continue
 					}
+					if isFlush(args) {
+						check(t, args, flushAll(r.st), want[i])
+						continue
+					}
 					sl := slots(args)
 					for j := range sl {
 						direct(r.st, &sl[j])
@@ -517,19 +549,26 @@ func TestEveryEntryPointMatchesModel(t *testing.T) {
 			b := r.st.NewBatch()
 			r.segments(func(cmds [][]string, want [][]byte, valid []bool) {
 				// Up to 16 steps share one Exec, so single-key commands run
-				// in multi-command shard groups too.
-				for lo := 0; lo < len(cmds); lo += 16 {
-					hi := min(lo+16, len(cmds))
-					start := make([]int, hi-lo+1)
-					for i := lo; i < hi; i++ {
-						if valid[i] {
-							for _, c := range slots(cmds[i]) {
+				// in multi-command shard groups too. A FLUSHALL is not a
+				// Batch command: it ends the group before it.
+				for lo := 0; lo < len(cmds); {
+					if valid[lo] && isFlush(cmds[lo]) {
+						check(t, cmds[lo], flushAll(r.st), want[lo])
+						lo++
+						continue
+					}
+					hi := lo
+					var start []int
+					for ; hi < min(lo+16, len(cmds)) && !(valid[hi] && isFlush(cmds[hi])); hi++ {
+						start = append(start, b.Len())
+						if valid[hi] {
+							for _, c := range slots(cmds[hi]) {
 								slot := b.Cmd(b.Add(c.Op, c.Key))
 								slot.Arg, slot.Delta = c.Arg, c.Delta
 							}
 						}
-						start[i-lo+1] = b.Len()
 					}
+					start = append(start, b.Len())
 					if err := b.Exec(); err != nil {
 						t.Fatal(err)
 					}
@@ -539,6 +578,7 @@ func TestEveryEntryPointMatchesModel(t *testing.T) {
 						}
 					}
 					b.Reset()
+					lo = hi
 				}
 			})
 		})

@@ -179,8 +179,8 @@ type Store struct {
 // kvstore.WithSpill(sp)) — mirroring ipc.Dial's DialOptions pattern.
 //
 // Single-key GETs are served with zero locks: each shard table publishes
-// values to an atomic reader index and revocation rides the epoch grace
-// period (see internal/sds and internal/epoch). Under EvictLRU, recency
+// values to unlocked readers of its index and revocation rides the epoch
+// grace period (see internal/sds and internal/epoch). Under EvictLRU, recency
 // is kept by lazily-sampled per-entry clock stamps so the optimistic
 // path engages there too (eviction order becomes approximate).
 func New(sma *core.SMA, opts ...Option) *Store {
@@ -507,9 +507,11 @@ func (s *Store) Len() int {
 	return n
 }
 
-// FlushAll removes every entry.
+// FlushAll removes every entry and, with them, every deadline: one left
+// behind would expire whatever is next stored under its key.
 func (s *Store) FlushAll() error {
 	for _, sh := range s.shards {
+		sh.ttl.reset()
 		var keys []string
 		if err := sh.ht.Range(func(k string, _ []byte) bool {
 			keys = append(keys, k)

@@ -51,6 +51,14 @@ func (t *ttlTable) clear(key string) bool {
 	return ok
 }
 
+// reset drops every deadline.
+func (t *ttlTable) reset() {
+	t.mu.Lock()
+	clear(t.m)
+	t.n.Store(0)
+	t.mu.Unlock()
+}
+
 // due reports whether key has an expired deadline.
 func (t *ttlTable) due(key string) bool {
 	if t.n.Load() == 0 {

@@ -58,7 +58,7 @@ type SoftHashTable[K comparable] struct {
 	keyBytes  func(K) int
 
 	// Guarded by the context's locked sections.
-	entries    map[K]*htEntry[K]
+	n          int         // live entries: the eviction list's length
 	head, tail *htEntry[K] // eviction order: head evicted first
 	links      uint64      // linkTail calls so far; the last one's seq
 	reclaimed  int64
@@ -66,16 +66,17 @@ type SoftHashTable[K comparable] struct {
 	tenants []alloc.Owner
 	group   []*htEntry[K]
 
-	// Lock-free read state (see lockfree.go). lockFree is set once at
-	// construction; when false none of the other fields are touched and
-	// writers pay nothing. idx is the reader-visible probe array; tomb
-	// the shared deletion sentinel; dom the process epoch domain; seed
-	// the per-table hash seed; lf the unlocked-read counters.
+	// idx is the table's one index (see lockfree.go): a probe array
+	// written under the heap lock and read with or without it. tomb is its
+	// deletion sentinel, seed the per-table hash seed.
+	idx  atomic.Pointer[htIndex[K]]
+	tomb *htEntry[K]
+	seed maphash.Seed
+	// lockFree, set once at construction, is whether values are published
+	// to unlocked readers: boxes, the epoch domain dom and epoch-retired
+	// frees. lf counts those reads.
 	lockFree bool
-	idx      atomic.Pointer[htIndex[K]]
-	tomb     *htEntry[K]
 	dom      *epoch.Domain
-	seed     maphash.Seed
 	lf       lfStats
 	// clock is the table's access clock for lazy recency sampling:
 	// advanced (and stored into the entry's stamp) by sampled lock-free
@@ -85,6 +86,7 @@ type SoftHashTable[K comparable] struct {
 
 type htEntry[K comparable] struct {
 	key        K
+	hash       uint64 // hashKey(key): where the entry's probe chain starts
 	ref        alloc.Ref
 	prev, next *htEntry[K]
 	// box is the atomically-published immutable value view for lock-free
@@ -148,14 +150,14 @@ func NewSoftHashTable[K comparable](sma *core.SMA, name string, cfg HashTableCon
 		policy:    cfg.Policy,
 		onReclaim: cfg.OnReclaim,
 		keyBytes:  cfg.KeyBytes,
-		entries:   make(map[K]*htEntry[K]),
+		tomb:      &htEntry[K]{},
+		seed:      maphash.MakeSeed(),
 	}
+	t.idxRebuild()
 	t.ctx = sma.Register(name, cfg.Priority, reclaimerFunc(t.reclaim))
 	if cfg.LockFreeReads {
 		t.lockFree = true
-		t.tomb = &htEntry[K]{}
 		t.dom = sma.Epochs()
-		t.seed = maphash.MakeSeed()
 		// Every free on this context must defer recycling past the grace
 		// period, since any value may have been published to a reader.
 		t.ctx.EnableEpochRetire()
@@ -181,16 +183,6 @@ func (t *SoftHashTable[K]) publish(tx *core.Tx, e *htEntry[K]) error {
 	return tx.SetOwner(e.ref, e)
 }
 
-// condemn unpublishes e's value ahead of a free. The nil store must
-// precede the tx.Free (which reads the epoch stamp) — that ordering is
-// what guarantees any reader still copying the old box is covered by
-// the grace period. No-op on non-lock-free tables.
-func (t *SoftHashTable[K]) condemn(e *htEntry[K]) {
-	if t.lockFree {
-		e.box.Store(nil)
-	}
-}
-
 // Put stores value under key, replacing any previous value.
 func (t *SoftHashTable[K]) Put(key K, value []byte) error {
 	ref, err := t.ctx.AllocData(value)
@@ -204,7 +196,9 @@ func (t *SoftHashTable[K]) Put(key K, value []byte) error {
 // inside a locked section: the one index-update body behind Put and the
 // Owned put variants.
 func (t *SoftHashTable[K]) putLocked(tx *core.Tx, key K, ref alloc.Ref) error {
-	if e, ok := t.entries[key]; ok {
+	idx, h := t.idx.Load(), t.hashKey(key)
+	e, at := t.find(idx, h, key)
+	if e != nil {
 		replaced := e.ref
 		e.ref = ref
 		// Publishing the new box unpublishes the old one in the same
@@ -216,15 +210,12 @@ func (t *SoftHashTable[K]) putLocked(tx *core.Tx, key K, ref alloc.Ref) error {
 		t.touch(e)
 		return tx.Free(replaced)
 	}
-	e := &htEntry[K]{key: key, ref: ref}
+	e = &htEntry[K]{key: key, hash: h, ref: ref}
 	if err := t.publish(tx, e); err != nil {
 		return err
 	}
-	t.entries[key] = e
 	t.linkTail(e)
-	if t.lockFree {
-		t.idxInsert(e)
-	}
+	t.idxInsert(idx, at, e)
 	if t.keyBytes != nil {
 		t.sma.AddTraditionalBytes(int64(t.keyBytes(key)))
 	}
@@ -252,8 +243,8 @@ func (t *SoftHashTable[K]) GetAppend(dst []byte, key K) (value []byte, ok bool, 
 
 // getLocked is the one read body behind GetAppend and GetAppendOwned.
 func (t *SoftHashTable[K]) getLocked(tx *core.Tx, dst []byte, key K) ([]byte, bool, error) {
-	e, present := t.entries[key]
-	if !present {
+	e := t.lookup(key)
+	if e == nil {
 		return dst, false, nil
 	}
 	v, err := tx.Append(dst, e.ref)
@@ -272,8 +263,8 @@ func (t *SoftHashTable[K]) getLocked(tx *core.Tx, dst []byte, key K) ([]byte, bo
 // cannot be reclaimed, so pins must be short-lived.
 func (t *SoftHashTable[K]) GetPinned(key K) (pin *core.Pin, ok bool, err error) {
 	err = t.ctx.Do(func(tx *core.Tx) error {
-		e, present := t.entries[key]
-		if !present {
+		e := t.lookup(key)
+		if e == nil {
 			return nil
 		}
 		p, err := tx.Pin(e.ref)
@@ -301,10 +292,7 @@ func (t *SoftHashTable[K]) Contains(key K) bool {
 }
 
 // has is the membership probe inside a locked section.
-func (t *SoftHashTable[K]) has(key K) bool {
-	_, ok := t.entries[key]
-	return ok
-}
+func (t *SoftHashTable[K]) has(key K) bool { return t.lookup(key) != nil }
 
 // Delete removes key, reporting whether it was present.
 func (t *SoftHashTable[K]) Delete(key K) (removed bool, err error) {
@@ -317,8 +305,8 @@ func (t *SoftHashTable[K]) Delete(key K) (removed bool, err error) {
 
 // deleteLocked is the one removal body behind Delete and DeleteOwned.
 func (t *SoftHashTable[K]) deleteLocked(tx *core.Tx, key K) (bool, error) {
-	e, ok := t.entries[key]
-	if !ok {
+	e := t.lookup(key)
+	if e == nil {
 		return false, nil
 	}
 	t.drop(e)
@@ -335,7 +323,7 @@ func (t *SoftHashTable[K]) deleteLocked(tx *core.Tx, key K) (bool, error) {
 func (t *SoftHashTable[K]) Len() int {
 	n := 0
 	_ = t.ctx.Do(func(*core.Tx) error {
-		n = len(t.entries)
+		n = t.n
 		return nil
 	})
 	return n
@@ -373,7 +361,7 @@ func (t *SoftHashTable[K]) Reclaimed() int64 {
 func (t *SoftHashTable[K]) Context() *core.Context { return t.ctx }
 
 // Close frees the table's heap; the table must not be used afterwards.
-// On a lock-free table the reader index is unpublished first and the
+// On a lock-free table the index is unpublished first and the
 // epoch domain drained (bounded), so no optimistic reader is copying
 // from pages the teardown releases.
 func (t *SoftHashTable[K]) Close() {
@@ -444,6 +432,7 @@ func (t *SoftHashTable[K]) ContainsOwned(o *core.Owned, key K) bool {
 
 // linkTail appends e at the tail (most recent / newest position).
 func (t *SoftHashTable[K]) linkTail(e *htEntry[K]) {
+	t.n++
 	t.links++
 	e.seq = t.links
 	e.prev = t.tail
@@ -469,6 +458,7 @@ func (t *SoftHashTable[K]) unlink(e *htEntry[K]) {
 		t.tail = e.prev
 	}
 	e.prev, e.next = nil, nil
+	t.n--
 }
 
 // touch moves e to the tail (most recent). On lock-free tables it also
@@ -593,15 +583,17 @@ func (t *SoftHashTable[K]) spare(e *htEntry[K]) bool {
 	return true
 }
 
-// drop removes e from the index and the eviction order and unpublishes
-// its value; the caller frees e.ref afterwards.
+// drop removes e from the index and the eviction order and condemns
+// (unpublishes) its value; the caller frees e.ref afterwards. The nil
+// store must precede that tx.Free, which reads the epoch stamp: the
+// ordering is what guarantees any reader still copying the old box is
+// covered by the grace period.
 func (t *SoftHashTable[K]) drop(e *htEntry[K]) {
 	t.unlink(e)
-	delete(t.entries, e.key)
 	if t.lockFree {
-		t.condemn(e)
-		t.idxDelete(e.key)
+		e.box.Store(nil)
 	}
+	t.idxDelete(e)
 }
 
 // pageGroup fills t.group with the entries that must be revoked for e's

@@ -23,23 +23,26 @@ import (
 //     the ordering the grace period's safety argument requires (see
 //     internal/epoch).
 //
-//  2. htIndex: an open-addressing probe array of atomic entry pointers
-//     published via an atomic pointer. Writers mutate it only under the
-//     table's heap lock (plain atomic stores suffice — readers only
-//     load); resizes build a fresh array and publish it, leaving the
-//     old array frozen and still valid for readers that loaded it
-//     earlier. A completed insert is always present in the published
-//     index, so a lock-free miss is linearizable: any insert it failed
-//     to observe was concurrent, and the read legally orders first.
+//  2. htIndex: the table's one index, an open-addressing probe array of
+//     atomic entry pointers published via an atomic pointer. find is
+//     the one walk of it, for writers and readers alike. Writers mutate
+//     it only under the table's heap lock (plain atomic stores suffice —
+//     readers only load); resizes build a fresh array and publish it,
+//     leaving the old array frozen and still valid for readers that
+//     loaded it earlier. A completed insert is always present in the
+//     published index, so a lock-free miss is linearizable: any insert
+//     it failed to observe was concurrent, and the read legally orders
+//     first.
 //
 //  3. The epoch domain (core.SMA.Epochs): a reader registers before
 //     loading a box and exits after the copy; retirement stamps and the
 //     strict grace check keep its bytes unrecycled meanwhile.
 //
 // The fallback ladder: a reader that cannot complete optimistically —
-// nil published index (lock-free off, or table closing), reader-slot
-// exhaustion, or a condemned (nil-box) entry — reports LookupRetry and
-// the caller takes the locked path. Readers always exit their epoch
+// a table built without LockFreeReads (its values are unpublished and its
+// context recycles a freed slot at once), a table closing (nil index),
+// reader-slot exhaustion, or a condemned (nil-box) entry — reports
+// LookupRetry and the caller takes the locked path. Readers always exit their epoch
 // slot BEFORE falling back, so a reclaimer holding the heap lock never
 // waits on a reader that is itself waiting for that lock.
 
@@ -107,8 +110,8 @@ const (
 	LookupRetry
 )
 
-// htIndex is one generation of the reader-visible probe array. len of
-// buckets is a power of two. used (live entries plus tombstones) is
+// htIndex is one generation of the table's probe array. len of buckets
+// is a power of two. used (live entries plus tombstones) is
 // writer-only state guarded by the table's heap lock.
 type htIndex[K comparable] struct {
 	buckets []atomic.Pointer[htEntry[K]]
@@ -116,6 +119,10 @@ type htIndex[K comparable] struct {
 }
 
 const htIndexMinSize = 64
+
+// htIndexLoadNum/htIndexLoadDen bound used over len(buckets): an insert
+// that would cross it rebuilds the index (DESIGN.md has the runs).
+const htIndexLoadNum, htIndexLoadDen = 3, 4
 
 // recencySampleRate is the lock-free hit sampling period for EvictLRU
 // recency stamps: one hit in this many (power of two) stores the table
@@ -146,6 +153,39 @@ func (t *SoftHashTable[K]) hashKey(key K) uint64 {
 	return maphash.Comparable(t.seed, key)
 }
 
+// find is the one walk of a probe chain by key: from h's bucket of idx
+// to key's entry, or to nil and the bucket an insert of key should take —
+// the first tombstone on the chain, else the empty bucket that ended it.
+// Writers call it under the heap lock; readers call it without, possibly
+// on a generation a resize has since replaced, which is why the walk is
+// bounded by the array's length.
+func (t *SoftHashTable[K]) find(idx *htIndex[K], h uint64, key K) (e *htEntry[K], insertAt int) {
+	insertAt = -1
+	mask := uint64(len(idx.buckets) - 1)
+	for i, probes := h&mask, 0; probes <= int(mask); i, probes = (i+1)&mask, probes+1 {
+		e = idx.buckets[i].Load()
+		if e != nil && e != t.tomb {
+			if e.hash == h && e.key == key {
+				return e, -1
+			}
+			continue
+		}
+		if insertAt < 0 {
+			insertAt = int(i)
+		}
+		if e == nil {
+			break
+		}
+	}
+	return nil, insertAt
+}
+
+// lookup is find for the locked paths that only read: key's entry, or nil.
+func (t *SoftHashTable[K]) lookup(key K) *htEntry[K] {
+	e, _ := t.find(t.idx.Load(), t.hashKey(key), key)
+	return e
+}
+
 // GetAppendLockFree is the optimistic read path: no mutex, no Owned
 // acquisition, no heap-lock traffic. It appends the value under key to
 // dst and reports the outcome; on LookupRetry the caller must use a
@@ -168,43 +208,36 @@ func (t *SoftHashTable[K]) GetAppendLockFree(dst []byte, key K) ([]byte, LookupR
 		t.lf.fallbacks.Add(1)
 		return dst, LookupRetry
 	}
-	mask := uint64(len(idx.buckets) - 1)
-	for i, probes := h&mask, 0; probes <= int(mask); i, probes = (i+1)&mask, probes+1 {
-		e := idx.buckets[i].Load()
-		if e == nil {
-			break // end of probe chain: definite miss
-		}
-		if e == t.tomb || e.key != key {
-			continue
-		}
-		box := e.box.Load()
-		if box == nil {
-			// Condemned: the entry was deleted, replaced, or revoked
-			// between the index probe and the box load. The locked path
-			// resolves what the key's current state really is.
-			t.dom.Exit(slot)
-			t.lf.condemned.Add(1)
-			return dst, LookupRetry
-		}
-		dst = appendBox(dst, box)
+	e, _ := t.find(idx, h, key)
+	if e == nil {
 		t.dom.Exit(slot)
-		// Lazy recency sampling: one hit in recencySampleRate advances the
-		// table clock into the entry's stamp. A lock-free read cannot move
-		// LRU list links; the stamp is what EvictLRU reclaim's
-		// second-chance rotation reads instead. A never-stamped entry
-		// (stamp 0) is stamped on its first hit so even a single read
-		// deterministically registers recency; after that, sampling keeps
-		// the common case at the one atomic add the hits counter already
-		// paid plus a read-only stamp load. Non-LRU tables skip the branch.
-		if n := t.lf.hits.Add(1); t.policy == EvictLRU &&
-			(n&(recencySampleRate-1) == 0 || e.stamp.Load() == 0) {
-			e.stamp.Store(t.clock.Add(1))
-		}
-		return dst, LookupHit
+		t.lf.misses.Add(1)
+		return dst, LookupMiss
 	}
+	box := e.box.Load()
+	if box == nil {
+		// Condemned: the entry was deleted, replaced, or revoked between
+		// the index probe and the box load. The locked path resolves what
+		// the key's current state really is.
+		t.dom.Exit(slot)
+		t.lf.condemned.Add(1)
+		return dst, LookupRetry
+	}
+	dst = appendBox(dst, box)
 	t.dom.Exit(slot)
-	t.lf.misses.Add(1)
-	return dst, LookupMiss
+	// Lazy recency sampling: one hit in recencySampleRate advances the
+	// table clock into the entry's stamp. A lock-free read cannot move
+	// LRU list links; the stamp is what EvictLRU reclaim's second-chance
+	// rotation reads instead. A never-stamped entry (stamp 0) is stamped
+	// on its first hit so even a single read deterministically registers
+	// recency; after that, sampling keeps the common case at the one
+	// atomic add the hits counter already paid plus a read-only stamp
+	// load. Non-LRU tables skip the branch.
+	if n := t.lf.hits.Add(1); t.policy == EvictLRU &&
+		(n&(recencySampleRate-1) == 0 || e.stamp.Load() == 0) {
+		e.stamp.Store(t.clock.Add(1))
+	}
+	return dst, LookupHit
 }
 
 // ContainsLockFree probes for key without locks. LookupHit means the
@@ -223,24 +256,16 @@ func (t *SoftHashTable[K]) ContainsLockFree(key K) LookupResult {
 		t.lf.fallbacks.Add(1)
 		return LookupRetry
 	}
-	h := t.hashKey(key)
-	mask := uint64(len(idx.buckets) - 1)
-	for i, probes := h&mask, 0; probes <= int(mask); i, probes = (i+1)&mask, probes+1 {
-		e := idx.buckets[i].Load()
-		if e == nil {
-			break // end of probe chain: definite miss
-		}
-		if e == t.tomb || e.key != key {
-			continue
-		}
-		if e.box.Load() == nil {
-			t.lf.condemned.Add(1)
-			return LookupRetry
-		}
-		return LookupHit
+	e, _ := t.find(idx, t.hashKey(key), key)
+	switch {
+	case e == nil:
+		t.lf.misses.Add(1)
+		return LookupMiss
+	case e.box.Load() == nil:
+		t.lf.condemned.Add(1)
+		return LookupRetry
 	}
-	t.lf.misses.Add(1)
-	return LookupMiss
+	return LookupHit
 }
 
 // ScanLockFree iterates the published index without taking the heap
@@ -288,74 +313,57 @@ func (t *SoftHashTable[K]) ScanLockFree(fn func(key K, value []byte) bool) bool 
 	return true
 }
 
-// idxInsert publishes a fully-initialized entry (non-nil box) into the
-// reader index, growing it when load crosses 3/4. Caller holds the heap
-// lock; the entry must already be in the writer map.
-func (t *SoftHashTable[K]) idxInsert(e *htEntry[K]) {
-	idx := t.idx.Load()
-	if idx == nil || (idx.used+1)*4 > len(idx.buckets)*3 {
-		// The rebuild reinserts from the writer map, which already holds
-		// e — adding it again here would duplicate it in the index.
-		t.idxRebuild()
-		return
-	}
-	mask := uint64(len(idx.buckets) - 1)
-	for i := t.hashKey(e.key) & mask; ; i = (i + 1) & mask {
-		cur := idx.buckets[i].Load()
-		if cur == nil {
-			idx.used++
-			idx.buckets[i].Store(e)
+// idxInsert stores a fully-initialized, already linked entry (box
+// published, on a lock-free table) into the bucket find chose for it.
+// Taking an empty bucket past the load bound rebuilds instead, from the
+// eviction list, which already holds e. Caller holds the heap lock.
+func (t *SoftHashTable[K]) idxInsert(idx *htIndex[K], at int, e *htEntry[K]) {
+	if idx.buckets[at].Load() == nil { // else a tombstone: used already counts it
+		if (idx.used+1)*htIndexLoadDen > len(idx.buckets)*htIndexLoadNum {
+			t.idxRebuild()
 			return
 		}
-		if cur == t.tomb {
-			// Tombstone reuse: used already counts it.
-			idx.buckets[i].Store(e)
-			return
-		}
+		idx.used++
 	}
+	idx.buckets[at].Store(e)
 }
 
-// idxDelete replaces key's bucket with the tombstone so reader probe
-// chains stay intact. Caller holds the heap lock and must have stored
-// nil into the entry's box already (or do so before retiring the ref).
-func (t *SoftHashTable[K]) idxDelete(key K) {
+// idxDelete replaces e's bucket, found by pointer identity along e's
+// own chain, with the tombstone, so chains that run through it stay
+// intact. Caller holds the heap lock and has condemned e already.
+func (t *SoftHashTable[K]) idxDelete(e *htEntry[K]) {
 	idx := t.idx.Load()
-	if idx == nil {
-		return
-	}
 	mask := uint64(len(idx.buckets) - 1)
-	for i, probes := t.hashKey(key)&mask, 0; probes <= int(mask); i, probes = (i+1)&mask, probes+1 {
-		cur := idx.buckets[i].Load()
-		if cur == nil {
-			return // absent (insert predates lock-free enablement)
-		}
-		if cur != t.tomb && cur.key == key {
+	for i := e.hash & mask; ; i = (i + 1) & mask {
+		switch idx.buckets[i].Load() {
+		case e:
 			idx.buckets[i].Store(t.tomb)
 			return
+		case nil:
+			panic("sds: linked hash table entry missing from the index")
 		}
 	}
 }
 
-// idxRebuild publishes a fresh index sized for the live entry count,
-// dropping accumulated tombstones. The old array is left untouched for
+// idxRebuild publishes a fresh index sized for the live entries and one
+// more, dropping accumulated tombstones: it reinserts the eviction list
+// by each entry's stored hash and leaves the old array untouched for
 // readers that already loaded it. Caller holds the heap lock.
-func (t *SoftHashTable[K]) idxRebuild() *htIndex[K] {
+func (t *SoftHashTable[K]) idxRebuild() {
 	size := htIndexMinSize
-	for size*3 < (len(t.entries)+1)*4 {
+	for (t.n+1)*htIndexLoadDen > size*htIndexLoadNum {
 		size *= 2
 	}
-	fresh := &htIndex[K]{buckets: make([]atomic.Pointer[htEntry[K]], size), used: len(t.entries)}
+	fresh := &htIndex[K]{buckets: make([]atomic.Pointer[htEntry[K]], size), used: t.n}
 	mask := uint64(size - 1)
-	for _, e := range t.entries {
-		for i := t.hashKey(e.key) & mask; ; i = (i + 1) & mask {
-			if fresh.buckets[i].Load() == nil {
-				fresh.buckets[i].Store(e)
-				break
-			}
+	for e := t.head; e != nil; e = e.next {
+		i := e.hash & mask
+		for fresh.buckets[i].Load() != nil {
+			i = (i + 1) & mask
 		}
+		fresh.buckets[i].Store(e)
 	}
 	t.idx.Store(fresh)
-	return fresh
 }
 
 // drainReaders waits (bounded) for every registered reader to exit the

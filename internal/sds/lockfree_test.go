@@ -594,8 +594,8 @@ func TestParkedReaderPinsPastBatches(t *testing.T) {
 		t.Fatal("Enter failed")
 	}
 	var box *valBox
-	_ = ht.ctx.Do(func(*core.Tx) error { // the entries map needs the lock; the box does not
-		box = ht.entries[0].box.Load()
+	_ = ht.ctx.Do(func(*core.Tx) error { // lookup belongs under the lock; the box does not
+		box = ht.lookup(0).box.Load()
 		return nil
 	})
 	if box == nil {

@@ -341,14 +341,14 @@ func TestIntegrityChecksOwners(t *testing.T) {
 	}
 	var saved alloc.Ref
 	_ = ht.ctx.Do(func(*core.Tx) error {
-		saved, ht.entries[0].ref = ht.entries[0].ref, ht.entries[1].ref
+		saved, ht.lookup(0).ref = ht.lookup(0).ref, ht.lookup(1).ref
 		return nil
 	})
 	if err := sma.VerifyIntegrity(); err == nil {
 		t.Fatal("VerifyIntegrity accepted an entry whose ref names another entry's slot")
 	}
 	_ = ht.ctx.Do(func(*core.Tx) error {
-		ht.entries[0].ref = saved
+		ht.lookup(0).ref = saved
 		return nil
 	})
 	if err := sma.VerifyIntegrity(); err != nil {

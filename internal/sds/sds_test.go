@@ -569,39 +569,6 @@ func TestEvictPolicyString(t *testing.T) {
 	}
 }
 
-// Property: hash table Get returns exactly what Put stored, for any
-// key/value set that was not reclaimed.
-func TestHashTablePutGetProperty(t *testing.T) {
-	f := func(keys []uint32, val []byte) bool {
-		ht := NewSoftHashTable[uint32](newSMA(), "ht", HashTableConfig[uint32]{})
-		defer ht.Close()
-		if len(val) == 0 {
-			val = []byte{0}
-		}
-		want := map[uint32][]byte{}
-		for i, k := range keys {
-			v := append([]byte{byte(i)}, val...)
-			if err := ht.Put(k, v); err != nil {
-				return false
-			}
-			want[k] = v
-		}
-		if ht.Len() != len(want) {
-			return false
-		}
-		for k, v := range want {
-			got, ok, err := ht.Get(k)
-			if err != nil || !ok || string(got) != string(v) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Property: under any sequence of demands, the list never exposes a
 // reclaimed element and Len matches Each.
 func TestListConsistencyUnderDemandProperty(t *testing.T) {
