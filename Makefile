@@ -44,7 +44,8 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # Verify metric registrations against docs/OBSERVABILITY.md: naming
-# convention, no duplicate registrations, catalogue complete both ways.
+# convention, no duplicate registrations, catalogue complete both ways,
+# and every series smdctl or the experiments read by name is produced.
 metrics-lint:
 	$(GO) run ./cmd/metricslint
 
@@ -115,7 +116,7 @@ bench-pair:
 	$(GO) run ./cmd/benchpair -workload $(W) $(if $(REF),-ref $(REF)) -n $(N) -seed $(SEED) -seconds $(SECONDS)
 
 # Non-test Go line counts the simplicity issues quote: the kvstore and
-# sds packages, and the repository outside the benchmark module.
+# sds packages, the repository outside the benchmark module, and smdctl.
 loc:
 	@printf 'internal/kvstore non-test Go lines: '
 	@find internal/kvstore -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l
@@ -123,6 +124,8 @@ loc:
 	@find internal/sds -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l
 	@printf 'repo non-test Go lines outside bench/: '
 	@find . -path ./bench -prune -o -path ./.bench_build -prune -o -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l
+	@printf 'cmd/smdctl non-test Go lines: '
+	@find cmd/smdctl -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l
 
 # Crash-recovery chaos suite (DESIGN.md "Chaos invariants"): real smd
 # and softkv processes, the daemon killed by an armed fault point

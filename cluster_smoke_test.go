@@ -10,6 +10,7 @@ import (
 
 	"softmem/internal/clusterkv"
 	"softmem/internal/kvstore"
+	"softmem/internal/smd"
 )
 
 // clusterProcs boots a real n-process softkv cluster: node 0 bootstraps,
@@ -72,7 +73,10 @@ func TestClusterSmoke3Proc(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode: skips process-spawning smoke tests")
 	}
-	resp, procs := clusterProcs(t, binary(t, "softkv"), 3, nil)
+	status := []string{freeAddr(t), freeAddr(t), freeAddr(t)}
+	resp, procs := clusterProcs(t, binary(t, "softkv"), 3, func(i int) []string {
+		return []string{"-http", status[i]}
+	})
 	for _, a := range resp {
 		waitKnownNodes(t, a, 3, 15*time.Second)
 	}
@@ -112,6 +116,33 @@ func TestClusterSmoke3Proc(t *testing.T) {
 		if err != nil || sz == 0 {
 			t.Fatalf("node %s DBSIZE = %d, %v", a, sz, err)
 		}
+	}
+
+	// The operator's views of the ring: `smdctl cluster` on one node names
+	// its peers, and `top -cluster` reaches every node through the status
+	// addresses gossip spread.
+	wantAll(t, "cluster", smdctl(t, "-http", status[0], "cluster"),
+		"node "+resp[0], "3 nodes", resp[1], resp[2], "federation:")
+	cs := strictJSON[clusterkv.Status](t, smdctl(t, "-http", status[0], "-json", "cluster"))
+	if cs.Self != resp[0] || len(cs.Peers) != 2 || len(cs.Nodes) != 3 || cs.ReplSent == 0 {
+		t.Fatalf("cluster payload = %+v", cs)
+	}
+	var top string
+	eventually(t, "top -cluster to reach every node", func() bool {
+		top = smdctl(t, "-http", status[0], "-iterations", "1", "top", "-cluster")
+		return !strings.Contains(top, "unreachable")
+	})
+	wantAll(t, "top -cluster", top, "3 nodes", resp[0], resp[1], resp[2])
+	// The embedded daemon serves its endpoints beside the node's own
+	// /statusz, its ledger at /smd.
+	if st := strictJSON[smd.Status](t, httpGet(t, status[1], "/smd")); len(st.Procs) != 1 || st.Stats.TotalPages != 2048 {
+		t.Fatalf("embedded daemon's /smd = %+v", st)
+	}
+	strictJSON[smd.QoSTable](t, httpGet(t, status[1], "/qos"))
+	strictJSON[smd.EventLog](t, httpGet(t, status[1], "/events"))
+	strictJSON[smd.TraceLog](t, httpGet(t, status[1], "/traces"))
+	if ks := strictJSON[kvstore.Status](t, httpGet(t, status[1], "/statusz")); ks.Store.Sets == 0 {
+		t.Fatalf("node's /statusz = %+v", ks)
 	}
 
 	// Clean shutdown: SIGTERM, exit status 0.

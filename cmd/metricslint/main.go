@@ -9,13 +9,18 @@
 //     names, in both directions;
 //   - every `phase` label value constructed in code (a composite literal
 //     with Name: "phase") must be documented in the catalogue as
-//     phase="<value>", and vice versa.
+//     phase="<value>", and vice versa;
+//   - every softmem_* name the readers (cmd/smdctl, internal/experiments)
+//     look up must be a series some registration produces — a registered
+//     name, or a histogram's _sum or _count — so a renamed metric fails
+//     here instead of rendering a silent zero in `smdctl top`.
 //
-// It scans non-test .go files that import softmem/internal/metrics and
-// treats a string literal starting with "softmem_" in the first argument
-// of any call as a registration (this also catches names routed through
-// local registration helpers). Exit status 1 on any finding, so it can
-// gate `make check`.
+// It scans non-test .go files. In one that imports
+// softmem/internal/metrics, a string literal starting with "softmem_" in
+// the first argument of any call is a registration (this also catches
+// names routed through local registration helpers); under a reader
+// directory every such literal, wherever it stands, is a read instead.
+// Exit status 1 on any finding, so it can gate `make check`.
 //
 // Usage: metricslint [repo root, default "."]
 package main
@@ -26,10 +31,11 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"maps"
 	"os"
 	"path/filepath"
 	"regexp"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -38,6 +44,10 @@ const (
 	metricsImport = "softmem/internal/metrics"
 	docPath       = "docs/OBSERVABILITY.md"
 )
+
+// readerDirs hold the code that looks series up by name and registers
+// none.
+var readerDirs = []string{"cmd/smdctl", "internal/experiments"}
 
 var (
 	validName = regexp.MustCompile(`^softmem_[a-z0-9_]+$`)
@@ -50,18 +60,14 @@ func main() {
 	if len(os.Args) > 1 {
 		root = os.Args[1]
 	}
-	sites, phases, err := collect(root)
+	sites, phases, produced, reads, err := collect(root)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "metricslint: %v\n", err)
 		os.Exit(2)
 	}
 
 	var problems []string
-	names := make([]string, 0, len(sites))
-	for name := range sites {
-		names = append(names, name)
-	}
-	sort.Strings(names)
+	names := slices.Sorted(maps.Keys(sites))
 	for _, name := range names {
 		if !validName.MatchString(name) {
 			problems = append(problems, fmt.Sprintf("%s: invalid metric name %q (want %s)",
@@ -77,6 +83,13 @@ func main() {
 		}
 	}
 
+	for _, name := range slices.Sorted(maps.Keys(reads)) {
+		if !produced[name] {
+			problems = append(problems, fmt.Sprintf("%s: reads %q, a series no registration produces",
+				reads[name][0], name))
+		}
+	}
+
 	documented, docPhases, err := docNames(filepath.Join(root, docPath))
 	if err != nil {
 		problems = append(problems, fmt.Sprintf("cannot read metric catalogue: %v", err))
@@ -87,35 +100,20 @@ func main() {
 					sites[name][0], name, docPath))
 			}
 		}
-		docSorted := make([]string, 0, len(documented))
-		for name := range documented {
-			docSorted = append(docSorted, name)
-		}
-		sort.Strings(docSorted)
-		for _, name := range docSorted {
+		for _, name := range slices.Sorted(maps.Keys(documented)) {
 			if _, ok := sites[name]; !ok {
 				problems = append(problems, fmt.Sprintf("%s documents %q, which no code registers",
 					docPath, name))
 			}
 		}
 
-		phaseSorted := make([]string, 0, len(phases))
-		for v := range phases {
-			phaseSorted = append(phaseSorted, v)
-		}
-		sort.Strings(phaseSorted)
-		for _, v := range phaseSorted {
+		for _, v := range slices.Sorted(maps.Keys(phases)) {
 			if !docPhases[v] {
 				problems = append(problems, fmt.Sprintf("%s: phase label value %q is not documented in %s (want a phase=%q row)",
 					phases[v][0], v, docPath, v))
 			}
 		}
-		docPhaseSorted := make([]string, 0, len(docPhases))
-		for v := range docPhases {
-			docPhaseSorted = append(docPhaseSorted, v)
-		}
-		sort.Strings(docPhaseSorted)
-		for _, v := range docPhaseSorted {
+		for _, v := range slices.Sorted(maps.Keys(docPhases)) {
 			if _, ok := phases[v]; !ok {
 				problems = append(problems, fmt.Sprintf("%s documents phase=%q, which no code constructs",
 					docPath, v))
@@ -133,13 +131,17 @@ func main() {
 }
 
 // collect maps each softmem_* metric name to the positions of its
-// registration call sites, and each phase label value to the positions
-// of the composite literals constructing it.
-func collect(root string) (map[string][]token.Position, map[string][]token.Position, error) {
-	sites := make(map[string][]token.Position)
-	phases := make(map[string][]token.Position)
+// registration call sites, each phase label value to the positions of
+// the composite literals constructing it, and each name a reader looks
+// up to the positions of those literals; produced is the set of series
+// names the registrations expose.
+func collect(root string) (sites, phases map[string][]token.Position, produced map[string]bool, reads map[string][]token.Position, err error) {
+	sites = make(map[string][]token.Position)
+	phases = make(map[string][]token.Position)
+	produced = make(map[string]bool)
+	reads = make(map[string][]token.Position)
 	fset := token.NewFileSet()
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
@@ -157,6 +159,18 @@ func collect(root string) (map[string][]token.Position, map[string][]token.Posit
 		if err != nil {
 			return fmt.Errorf("parse %s: %w", path, err)
 		}
+		rel, _ := filepath.Rel(root, path)
+		if slices.Contains(readerDirs, filepath.ToSlash(filepath.Dir(rel))) {
+			ast.Inspect(file, func(n ast.Node) bool {
+				if lit, ok := n.(*ast.BasicLit); ok {
+					if name, ok := metricLiteral(lit); ok {
+						reads[name] = append(reads[name], fset.Position(lit.Pos()))
+					}
+				}
+				return true
+			})
+			return nil
+		}
 		if !importsMetrics(file) {
 			return nil
 		}
@@ -166,15 +180,15 @@ func collect(root string) (map[string][]token.Position, map[string][]token.Posit
 				if len(node.Args) == 0 {
 					return true
 				}
-				lit, ok := node.Args[0].(*ast.BasicLit)
-				if !ok || lit.Kind != token.STRING {
+				name, ok := metricLiteral(node.Args[0])
+				if !ok {
 					return true
 				}
-				name, err := strconv.Unquote(lit.Value)
-				if err != nil || !strings.HasPrefix(name, "softmem_") {
-					return true
+				sites[name] = append(sites[name], fset.Position(node.Args[0].Pos()))
+				produced[name] = true
+				if sel, ok := node.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Histogram" {
+					produced[name+"_sum"], produced[name+"_count"] = true, true
 				}
-				sites[name] = append(sites[name], fset.Position(lit.Pos()))
 			case *ast.CompositeLit:
 				if v, pos, ok := phaseLabelValue(node, fset); ok {
 					phases[v] = append(phases[v], pos)
@@ -184,7 +198,18 @@ func collect(root string) (map[string][]token.Position, map[string][]token.Posit
 		})
 		return nil
 	})
-	return sites, phases, err
+	return sites, phases, produced, reads, err
+}
+
+// metricLiteral reports whether e is a string literal naming a softmem_*
+// series, and the name.
+func metricLiteral(e ast.Expr) (string, bool) {
+	lit, ok := e.(*ast.BasicLit)
+	if !ok || lit.Kind != token.STRING {
+		return "", false
+	}
+	name, err := strconv.Unquote(lit.Value)
+	return name, err == nil && strings.HasPrefix(name, "softmem_")
 }
 
 // phaseLabelValue recognizes a metrics.Label-shaped composite literal

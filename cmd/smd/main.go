@@ -93,24 +93,9 @@ func main() {
 		}
 		hist := reg.StartHistory(time.Second, 120)
 		defer hist.Close()
-		stSrv, stAddr, err := statusz.ServeHandlers(*httpAddr, map[string]func() any{
-			"statusz": func() any {
-				return map[string]any{
-					"stats": daemon.Stats(),
-					"procs": daemon.Snapshot(),
-				}
-			},
-			"events": func() any {
-				return map[string]any{"events": daemon.Events()}
-			},
-			"traces": func() any {
-				return map[string]any{"traces": daemon.Traces()}
-			},
-			"qos": func() any {
-				return map[string]any{"qos": daemon.QoSSnapshot()}
-			},
-			"metrics/history": func() any { return hist.Dump() },
-		}, raw)
+		endpoints := daemon.Endpoints()
+		endpoints["metrics/history"] = func() any { return hist.Dump() }
+		stSrv, stAddr, err := statusz.ServeHandlers(*httpAddr, endpoints, raw)
 		if err != nil {
 			log.Fatalf("smd: %v", err)
 		}

@@ -255,11 +255,7 @@ func main() {
 	if *httpAddr != "" {
 		endpoints := map[string]func() any{
 			"statusz": func() any {
-				return map[string]any{
-					"store":    store.Stats(),
-					"sma":      sma.Stats(),
-					"contexts": sma.Contexts(),
-				}
+				return kvstore.Status{Contexts: sma.Contexts(), SMA: sma.Stats(), Store: store.Stats()}
 			},
 			"slowlog": func() any { return store.SlowLog() },
 		}
@@ -270,22 +266,18 @@ func main() {
 			endpoints["cluster"] = func() any { return node.Status() }
 		}
 		if daemon != nil {
-			endpoints["smd"] = func() any {
-				return map[string]any{
-					"stats": daemon.Stats(),
-					"procs": daemon.Snapshot(),
+			// The embedded daemon's endpoints, its ledger at /smd: /statusz
+			// is this process's own.
+			for path, fn := range daemon.Endpoints() {
+				if path == "statusz" {
+					path = "smd"
 				}
-			}
-			endpoints["qos"] = func() any {
-				return map[string]any{"qos": daemon.QoSSnapshot()}
+				endpoints[path] = fn
 			}
 		}
 		if spillStore != nil {
 			endpoints["spill"] = func() any {
-				return map[string]any{
-					"stats":         spillStore.Stats(),
-					"bytes_on_disk": spillStore.BytesOnDisk(),
-				}
+				return spill.Status{BytesOnDisk: spillStore.BytesOnDisk(), Stats: spillStore.Stats()}
 			}
 		}
 		raw := map[string]http.Handler{"metrics": reg.Handler()}

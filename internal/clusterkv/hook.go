@@ -13,7 +13,7 @@ import (
 // command whose key this node does not own (answered with -MOVED), and
 // it observes locally applied writes to feed the replication fan-out.
 
-var _ kvstore.SessionClusterHook = (*Node)(nil)
+var _ kvstore.ClusterHook = (*Node)(nil)
 
 // Key-argument schemes for routed commands.
 const (
@@ -36,18 +36,6 @@ var keyedCmds = map[string]int{
 	"HEXISTS": keySingle, "HGETALL": keySingle,
 	"DEL": keyAll, "MGET": keyAll,
 	"MSET": keyPairs,
-}
-
-// slotForKeyBytes is SlotForKey without the string conversion, for the
-// per-command claim check.
-func slotForKeyBytes(b []byte) int {
-	const prime = 1099511628211
-	h := uint64(14695981039346656037)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= prime
-	}
-	return int(h % NumSlots)
 }
 
 // Claim implements kvstore.ClusterHook.
@@ -73,18 +61,18 @@ func (n *Node) firstRemote(r *Ring, cmd string, args [][]byte) int {
 	}
 	switch scheme {
 	case keySingle:
-		if len(args) >= 2 && r.Owner(slotForKeyBytes(args[1])) != n.cfg.Addr {
+		if len(args) >= 2 && r.Owner(SlotForKey(args[1])) != n.cfg.Addr {
 			return 1
 		}
 	case keyAll:
 		for i := 1; i < len(args); i++ {
-			if r.Owner(slotForKeyBytes(args[i])) != n.cfg.Addr {
+			if r.Owner(SlotForKey(args[i])) != n.cfg.Addr {
 				return i
 			}
 		}
 	case keyPairs:
 		for i := 1; i+1 < len(args); i += 2 {
-			if r.Owner(slotForKeyBytes(args[i])) != n.cfg.Addr {
+			if r.Owner(SlotForKey(args[i])) != n.cfg.Addr {
 				return i
 			}
 		}
@@ -92,8 +80,10 @@ func (n *Node) firstRemote(r *Ring, cmd string, args [][]byte) int {
 	return -1
 }
 
-// Handle implements kvstore.ClusterHook.
-func (n *Node) Handle(cmd string, args [][]byte, rw kvstore.ReplyWriter) {
+// Handle implements kvstore.ClusterHook. WAIT answers against the
+// session's own replicated writes; every other claimed command is
+// session-independent.
+func (n *Node) Handle(sess kvstore.ClusterSession, cmd string, args [][]byte, rw kvstore.ReplyWriter) {
 	switch cmd {
 	case "RSET":
 		// Replica apply: bypasses routing (the owner sent it here) and
@@ -132,17 +122,7 @@ func (n *Node) Handle(cmd string, args [][]byte, rw kvstore.ReplyWriter) {
 			rw.WriteInteger(0)
 		}
 	case "WAIT":
-		// WAIT without a session (a direct Handle call): fall back to the
-		// drain-everything check. The reply is conservative — with no
-		// session there is no record of which sender holds the caller's
-		// writes, so if ANY sender is still undrained the reply is 0.
-		// Connections served by the kvstore server go through
-		// HandleSession instead, which answers per-session.
-		acked, total := n.repl.wait(waitTimeout(args))
-		if acked < total {
-			acked = 0
-		}
-		rw.WriteInteger(int64(acked))
+		n.handleWait(sess, args, rw)
 	case "CLUSTER":
 		n.handleClusterCmd(args, rw)
 	default:
@@ -159,7 +139,7 @@ func (n *Node) Handle(cmd string, args [][]byte, rw kvstore.ReplyWriter) {
 			rw.WriteError("ERR wrong number of arguments")
 			return
 		}
-		slot := slotForKeyBytes(args[i])
+		slot := SlotForKey(args[i])
 		n.met.moved.Add(1)
 		rw.WriteError(movedReply(slot, r.Owner(slot)))
 	}
@@ -193,7 +173,7 @@ func (n *Node) handleClusterCmd(args [][]byte, rw kvstore.ReplyWriter) {
 			rw.WriteError("ERR wrong number of arguments for 'cluster slot'")
 			return
 		}
-		slot := slotForKeyBytes(args[2])
+		slot := SlotForKey(args[2])
 		rw.WriteBulkString(fmt.Sprintf("%d %s %s", slot, r.Owner(slot), r.Replica(slot)))
 	default:
 		rw.WriteError("ERR unknown CLUSTER subcommand '" + sub + "'")
@@ -239,19 +219,8 @@ func waitTimeout(args [][]byte) time.Duration {
 	return timeout
 }
 
-// NewSession implements kvstore.SessionClusterHook.
+// NewSession implements kvstore.ClusterHook.
 func (n *Node) NewSession() kvstore.ClusterSession { return &replSession{} }
-
-// HandleSession implements kvstore.SessionClusterHook: WAIT answers
-// against the session's own replicated writes; every other claimed
-// command is session-independent and falls through to Handle.
-func (n *Node) HandleSession(sess kvstore.ClusterSession, cmd string, args [][]byte, rw kvstore.ReplyWriter) {
-	if cmd == "WAIT" {
-		n.handleWait(sess, args, rw)
-		return
-	}
-	n.Handle(cmd, args, rw)
-}
 
 // handleWait serves WAIT <numreplicas> <timeout-ms>: block until every
 // replica holding one of the session's writes has acked the last of
@@ -274,23 +243,12 @@ func (n *Node) handleWait(sess kvstore.ClusterSession, args [][]byte, rw kvstore
 	rw.WriteInteger(int64(n.repl.waitSession(rs.last, waitTimeout(args))))
 }
 
-// OnApply implements kvstore.ClusterHook (session-less callers).
-func (n *Node) OnApply(op kvstore.Op, key string, val []byte) {
-	n.onApply(nil, op, key, val)
-}
-
-// OnApplySession implements kvstore.SessionClusterHook.
-func (n *Node) OnApplySession(sess kvstore.ClusterSession, op kvstore.Op, key string, val []byte) {
-	rs, _ := sess.(*replSession)
-	n.onApply(rs, op, key, val)
-}
-
-// onApply hands every locally applied write on an owned slot to the
-// slot successor's sender, recording the enqueue on the session (when
-// there is one) so WAIT can answer per-connection. Values are copied
-// (the server's buffers are reused); replica applies never land here
-// because the hook writes them straight to the store.
-func (n *Node) onApply(sess *replSession, op kvstore.Op, key string, val []byte) {
+// OnApply implements kvstore.ClusterHook: it hands every locally applied
+// write on an owned slot to the slot successor's sender, recording the
+// enqueue on the session so WAIT can answer per-connection. Values are
+// copied (the server's buffers are reused); replica applies never land
+// here because the hook writes them straight to the store.
+func (n *Node) OnApply(sess kvstore.ClusterSession, op kvstore.Op, key string, val []byte) {
 	r := n.ring.Load()
 	if r == nil || len(r.Table.Nodes) <= 1 {
 		return
@@ -309,10 +267,10 @@ func (n *Node) onApply(sess *replSession, op kvstore.Op, key string, val []byte)
 	}
 	n.met.replSent.Add(1)
 	sender, seq, ok := n.repl.enqueue(rep, e)
-	if sess != nil && sender != nil {
+	if rs, _ := sess.(*replSession); rs != nil && sender != nil {
 		if !ok {
 			seq = droppedSeq
 		}
-		sess.record(sender, seq)
+		rs.record(sender, seq)
 	}
 }

@@ -111,25 +111,6 @@ func (r *replicator) retarget(t ipc.ClusterTable) {
 	}
 }
 
-// wait blocks until every sender has acked all writes enqueued before
-// the call, or the deadline passes. It returns how many senders fully
-// acked and how many were waited on.
-func (r *replicator) wait(timeout time.Duration) (acked, total int) {
-	r.mu.Lock()
-	senders := make([]*replSender, 0, len(r.senders))
-	for _, s := range r.senders {
-		senders = append(senders, s)
-	}
-	r.mu.Unlock()
-	deadline := time.Now().Add(timeout)
-	for _, s := range senders {
-		if s.waitDrained(deadline) {
-			acked++
-		}
-	}
-	return acked, len(senders)
-}
-
 func (r *replicator) close() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -183,26 +164,6 @@ func (s *replSender) ackedAtLeast(seq uint64) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.ackSeq >= seq
-}
-
-// waitDrained blocks until everything enqueued before the call has been
-// acked, reporting false on deadline or sender shutdown.
-func (s *replSender) waitDrained(deadline time.Time) bool {
-	s.mu.Lock()
-	target := s.enqSeq
-	s.mu.Unlock()
-	for {
-		s.mu.Lock()
-		ok, closed := s.ackSeq >= target, s.closed
-		s.mu.Unlock()
-		if ok {
-			return true
-		}
-		if closed || !time.Now().Before(deadline) {
-			return false
-		}
-		time.Sleep(time.Millisecond)
-	}
 }
 
 func (s *replSender) close() {

@@ -34,10 +34,10 @@ const NumSlots = 16384
 // points sorted per membership change).
 const DefaultVnodes = 512
 
-// fnv64a is FNV-1a over a string: the ring's one hash function, chosen
-// for determinism across processes (no per-process seed) and zero
-// allocation.
-func fnv64a(s string) uint64 {
+// fnv64a is FNV-1a over a string or byte slice: the ring's one hash
+// function, chosen for determinism across processes (no per-process
+// seed) and zero allocation.
+func fnv64a[T string | []byte](s T) uint64 {
 	const (
 		offset = 14695981039346656037
 		prime  = 1099511628211
@@ -50,8 +50,10 @@ func fnv64a(s string) uint64 {
 	return h
 }
 
-// SlotForKey maps a key to its slot.
-func SlotForKey(key string) int {
+// SlotForKey maps a key to its slot. It takes the key in either form:
+// the per-command claim check holds parser-owned bytes and must not
+// allocate.
+func SlotForKey[T string | []byte](key T) int {
 	return int(fnv64a(key) % NumSlots)
 }
 

@@ -135,7 +135,7 @@ func TestSingleNodeRing(t *testing.T) {
 // changes across versions (persisted clusters depend on it).
 func TestSlotForKeyStable(t *testing.T) {
 	for _, key := range []string{"", "a", "hello", "user:1000"} {
-		if got, want := SlotForKey(key), slotForKeyBytes([]byte(key)); got != want {
+		if got, want := SlotForKey(key), SlotForKey([]byte(key)); got != want {
 			t.Fatalf("SlotForKey(%q) = %d, bytes variant %d", key, got, want)
 		}
 		if s := SlotForKey(key); s < 0 || s >= NumSlots {
@@ -144,6 +144,11 @@ func TestSlotForKeyStable(t *testing.T) {
 	}
 	if SlotForKey("hello") == SlotForKey("world") && SlotForKey("a") == SlotForKey("b") {
 		t.Fatal("suspiciously colliding slot hash")
+	}
+	// The claim check hashes parser-owned bytes once per command.
+	key := []byte("user:1000")
+	if n := testing.AllocsPerRun(100, func() { _ = SlotForKey(key) }); n != 0 {
+		t.Fatalf("SlotForKey([]byte) allocates %v times", n)
 	}
 }
 

@@ -16,6 +16,8 @@ import (
 
 	"softmem/internal/faultinject"
 	"softmem/internal/kvstore"
+	"softmem/internal/metrics"
+	"softmem/internal/smd"
 )
 
 // ChaosConfig parameterizes the crash-recovery chaos run: real smd and
@@ -220,29 +222,16 @@ func fetchMetric(url, name string) (float64, bool, error) {
 		return 0, false, err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
+	series, err := metrics.ParseText(resp.Body)
 	if err != nil {
 		return 0, false, err
 	}
 	total, found := 0.0, false
-	for _, line := range strings.Split(string(body), "\n") {
-		if !strings.HasPrefix(line, name) {
-			continue
+	for _, s := range series {
+		if s.Name == name {
+			total += s.Value
+			found = true
 		}
-		rest := line[len(name):]
-		if rest != "" && rest[0] != ' ' && rest[0] != '{' {
-			continue // longer metric name sharing the prefix
-		}
-		fields := strings.Fields(line)
-		if len(fields) < 2 {
-			continue
-		}
-		v, err := strconv.ParseFloat(fields[len(fields)-1], 64)
-		if err != nil {
-			continue
-		}
-		total += v
-		found = true
 	}
 	return total, found, nil
 }
@@ -466,12 +455,7 @@ func Chaos(cfg ChaosConfig) (ChaosResult, error) {
 	}
 	t0 := time.Now()
 	resyncBudget := time.Duration(cfg.MaxResyncRounds) * time.Duration(cfg.BackoffMaxMs) * time.Millisecond
-	var smdStatus struct {
-		Stats struct {
-			Procs         int
-			ReclaimEvents int64
-		} `json:"stats"`
-	}
+	var smdStatus smd.Status
 	for {
 		if err := fetchJSON("http://"+smdHTTP+"/statusz", &smdStatus); err == nil && smdStatus.Stats.Procs >= 2 {
 			break
@@ -492,13 +476,7 @@ func Chaos(cfg ChaosConfig) (ChaosResult, error) {
 	// Phase 5: pressure against the new incarnation until it completes a
 	// traced reclaim cycle of its own.
 	cfg.Logf("chaos: phase 5: reclaim across the restarted daemon")
-	var traces struct {
-		Traces []struct {
-			ID      uint64 `json:"id"`
-			Outcome string `json:"outcome"`
-			DurNs   int64  `json:"dur_ns"`
-		} `json:"traces"`
-	}
+	var traces smd.TraceLog
 	for i := 0; i < cfg.Entries*2; i++ {
 		if err := acli.Set(fmt.Sprintf("q%05d", i), value); err != nil {
 			time.Sleep(10 * time.Millisecond)
@@ -519,12 +497,7 @@ func Chaos(cfg ChaosConfig) (ChaosResult, error) {
 			fail("trace %d inconsistent after restart: outcome=%q dur=%d", tr.ID, tr.Outcome, tr.DurNs)
 		}
 	}
-	var victimStatus struct {
-		SMA struct {
-			DemandsServed int64
-			ReclaimPanics int64
-		} `json:"sma"`
-	}
+	var victimStatus kvstore.Status
 	if err := fetchJSON("http://"+victimHTTP+"/statusz", &victimStatus); err == nil {
 		res.DemandsServed = victimStatus.SMA.DemandsServed
 	}

@@ -33,40 +33,27 @@ type ClusterHook interface {
 	// (cmd is the canonical uppercase name, "" when unknown). Claimed
 	// commands bypass the store entirely; Claim must not write replies.
 	Claim(cmd string, args [][]byte) bool
+	// NewSession mints one connection's session state.
+	NewSession() ClusterSession
 	// Handle serves a claimed command, writing exactly one reply. The
 	// argument slices are parser-owned and valid only for the call.
-	Handle(cmd string, args [][]byte, rw ReplyWriter)
+	Handle(sess ClusterSession, cmd string, args [][]byte, rw ReplyWriter)
 	// OnApply observes one locally applied write (OpSet with its value,
 	// or OpDel) after it succeeded, in per-connection apply order. The
 	// key and value are only valid for the call; the hook copies what
 	// it keeps.
-	OnApply(op Op, key string, val []byte)
+	OnApply(sess ClusterSession, op Op, key string, val []byte)
 }
 
-// ClusterSession is an opaque per-connection state handle minted by a
-// SessionClusterHook. The server keeps one per connection and passes it
-// back on every session-aware hook call; only the hook looks inside.
-// Sessions are confined to their connection's goroutine, so hooks need
-// no locking for state reached only through the session.
+// ClusterSession is an opaque per-connection state handle minted by the
+// ClusterHook, for commands whose reply depends on what THIS connection
+// did — WAIT must report how many replicas hold the session's own
+// writes, not whether every replication queue on the node happens to be
+// drained. The server keeps one per connection and passes it back on
+// every Handle and OnApply; only the hook looks inside. Sessions are
+// confined to their connection's goroutine, so hooks need no locking for
+// state reached only through the session.
 type ClusterSession any
-
-// SessionClusterHook extends ClusterHook with per-connection sessions,
-// for commands whose reply depends on what THIS connection did — WAIT
-// must report how many replicas hold the session's own writes, not
-// whether every replication queue on the node happens to be drained.
-// When the installed hook implements it, the server routes claimed
-// commands through HandleSession and applied writes through
-// OnApplySession, both with the connection's session; plain ClusterHook
-// users are untouched.
-type SessionClusterHook interface {
-	ClusterHook
-	// NewSession mints one connection's session state.
-	NewSession() ClusterSession
-	// HandleSession is Handle with the connection's session.
-	HandleSession(sess ClusterSession, cmd string, args [][]byte, rw ReplyWriter)
-	// OnApplySession is OnApply with the connection's session.
-	OnApplySession(sess ClusterSession, op Op, key string, val []byte)
-}
 
 // SetCluster installs (or, with nil, removes) the server's cluster
 // hook. Safe to call while serving; connections pick the change up on
@@ -76,16 +63,13 @@ func (s *Server) SetCluster(h ClusterHook) {
 		s.cluster.Store(nil)
 		return
 	}
-	s.cluster.Store(&clusterHookBox{h: h})
+	s.cluster.Store(&h)
 }
-
-// clusterHookBox wraps the hook interface for atomic.Pointer.
-type clusterHookBox struct{ h ClusterHook }
 
 // hook returns the installed cluster hook, nil when clustering is off.
 func (s *Server) hook() ClusterHook {
-	if b := s.cluster.Load(); b != nil {
-		return b.h
+	if h := s.cluster.Load(); h != nil {
+		return *h
 	}
 	return nil
 }
@@ -100,19 +84,9 @@ func onApplyBatch(h ClusterHook, sess ClusterSession, cmds []Command) {
 		}
 		switch c.Op {
 		case OpSet, OpDel:
-			applyHook(h, sess, c.Op, c.Key, c.Arg)
+			h.OnApply(sess, c.Op, c.Key, c.Arg)
 		}
 	}
-}
-
-// applyHook forwards one locally applied write to the hook, preferring
-// the session-aware variant when the hook provides it.
-func applyHook(h ClusterHook, sess ClusterSession, op Op, key string, val []byte) {
-	if sh, ok := h.(SessionClusterHook); ok {
-		sh.OnApplySession(sess, op, key, val)
-		return
-	}
-	h.OnApply(op, key, val)
 }
 
 // IsMoved reports whether err is a cluster redirect ("MOVED <slot>

@@ -10,13 +10,12 @@ import (
 	"softmem/internal/sds"
 )
 
-// defaultOwnerQueue is the per-shard command ring capacity (in shard
-// batches, not commands). Sized so a deep pipeline across many
-// connections queues without shedding, while a stalled shard sheds load
-// as -BUSY instead of absorbing unbounded memory: at the default, a
-// shard can hold 256 in-flight batch slices before submitters see
-// ErrOverloaded.
-const defaultOwnerQueue = 256
+// ownerQueue is the per-shard command ring capacity (in shard batches,
+// not commands). Sized so a deep pipeline across many connections queues
+// without shedding, while a stalled shard sheds load as -BUSY instead of
+// absorbing unbounded memory: a shard can hold 256 in-flight batch
+// slices before submitters see ErrOverloaded.
+const ownerQueue = 256
 
 // shard is one string-table shard plus its execution state: the soft
 // hash table, the shard-local TTL table, and the owner's bounded MPSC
@@ -70,14 +69,13 @@ type EngineStats struct {
 	// Overloaded counts commands shed with ErrOverloaded.
 	Overloaded int64
 	// Queued is the current total ring depth (shard batches waiting);
-	// RingCap is the per-shard capacity.
-	Queued  int
-	RingCap int
+	// each shard's ring holds ownerQueue of them.
+	Queued int
 }
 
 // EngineStats returns the engine's current counters.
 func (s *Store) EngineStats() EngineStats {
-	st := EngineStats{Overloaded: s.overloaded.Load(), RingCap: s.ringSize}
+	st := EngineStats{Overloaded: s.overloaded.Load()}
 	for _, sh := range s.shards {
 		st.Commands += sh.cmds.Load()
 		st.Batches += sh.batches.Load()
@@ -385,7 +383,11 @@ func (s *Store) exec(o *core.Owned, sh *shard, c *Command) {
 			s.spill.Drop(c.Key)
 			s.promoClearDeleted(c.Key)
 		}
-		c.Err = sh.ht.PutOwned(o, c.Key, c.Arg)
+		if c.Err = sh.ht.PutOwned(o, c.Key, c.Arg); c.Err == nil {
+			// A successful SET discards the key's deadline (Redis's rule):
+			// a lapsed one would otherwise expire the new value.
+			sh.ttl.clear(c.Key)
+		}
 	case OpDel:
 		sh.dels.Add(1)
 		sh.ttl.clear(c.Key)

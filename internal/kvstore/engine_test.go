@@ -13,16 +13,17 @@ import (
 )
 
 // TestNewOptions exercises the functional-options constructor: the
-// requested shard count and ring size take effect on a working store.
+// requested shard count takes effect on a working store, whose rings
+// have the one capacity there is.
 func TestNewOptions(t *testing.T) {
 	sma := core.New(core.Config{Machine: pages.NewPool(0)})
-	st := New(sma, WithName("opts"), WithShards(4), WithOwnerQueue(8))
+	st := New(sma, WithName("opts"), WithShards(4))
 	defer st.Close()
 	if got := len(st.shards); got != 4 {
 		t.Fatalf("WithShards(4): %d shards", got)
 	}
-	if st.ringSize != 8 {
-		t.Fatalf("WithOwnerQueue(8): ring %d", st.ringSize)
+	if got := cap(st.shards[0].ring); got != ownerQueue {
+		t.Fatalf("ring capacity %d, want %d", got, ownerQueue)
 	}
 	if err := st.Set("k", []byte("v")); err != nil {
 		t.Fatal(err)
@@ -269,7 +270,7 @@ func TestEngineRace(t *testing.T) {
 // the submitter.
 func TestBatchOverloaded(t *testing.T) {
 	sma := core.New(core.Config{Machine: pages.NewPool(0)})
-	st := New(sma, WithName("overload"), WithShards(1), WithOwnerQueue(1))
+	st := newWithRing(sma, Config{Name: "overload", Shards: 1}, 1)
 	defer st.Close()
 	if err := st.Set("k", []byte("v")); err != nil {
 		t.Fatal(err)

@@ -577,6 +577,40 @@ func TestTTLClearedOnDeleteAndReclaim(t *testing.T) {
 	}
 }
 
+// TestSetDiscardsTTL: a successful SET discards the key's deadline, so
+// an acknowledged write is not collected by the TTL of the value it
+// replaced — lapsed but never read or swept, or still running.
+func TestSetDiscardsTTL(t *testing.T) {
+	now := time.Unix(1000, 0)
+	sma := core.New(core.Config{Machine: pages.NewPool(0)})
+	st := New(sma, WithClock(func() time.Time { return now }))
+	defer st.Close()
+	st.Set("k", []byte("v1"))
+	st.Expire("k", time.Second)
+	now = now.Add(2 * time.Second)
+	st.Set("k", []byte("v2"))
+	if v, ok, _ := st.Get("k"); !ok || string(v) != "v2" {
+		t.Fatalf("GET after SET over a lapsed TTL = %q, %v; the acknowledged write is lost", v, ok)
+	}
+	st.Set("j", []byte("v1"))
+	st.Expire("j", 10*time.Second)
+	st.Set("j", []byte("v2"))
+	if d, exists, hasTTL := st.TTL("j"); !exists || hasTTL {
+		t.Fatalf("TTL after SET = %v, exists %v, hasTTL %v; want no deadline", d, exists, hasTTL)
+	}
+	// INCR and APPEND modify the value in place and keep its deadline.
+	st.Set("n", []byte("1"))
+	st.Expire("n", 10*time.Second)
+	st.Incr("n", 1)
+	st.Append("n", []byte("0"))
+	if d, _, hasTTL := st.TTL("n"); !hasTTL || d != 10*time.Second {
+		t.Fatalf("TTL after INCR/APPEND = %v, hasTTL %v; want the 10s deadline kept", d, hasTTL)
+	}
+	if n := st.SweepExpired(); n != 0 || st.Expired() != 0 {
+		t.Fatalf("sweep collected %d keys, Expired = %d; nothing is due", n, st.Expired())
+	}
+}
+
 func TestServerTTLCommands(t *testing.T) {
 	_, addr, _, _ := startKV(t)
 	nc, err := net.Dial("tcp", addr)

@@ -109,6 +109,7 @@ func (m *model) apply(args []string) (reply []byte, valid bool) {
 			return reply, false
 		}
 		m.data[args[1]] = []byte(args[2])
+		delete(m.dl, args[1]) // a SET discards the key's deadline
 		return []byte("+OK\r\n"), true
 	case "MSET":
 		if !arity(n >= 3 && n%2 == 1) {
@@ -116,6 +117,7 @@ func (m *model) apply(args []string) (reply []byte, valid bool) {
 		}
 		for i := 1; i < n; i += 2 {
 			m.data[args[i]] = []byte(args[i+1])
+			delete(m.dl, args[i])
 		}
 		return []byte("+OK\r\n"), true
 	case "GET":
@@ -244,9 +246,9 @@ func (m *model) apply(args []string) (reply []byte, valid bool) {
 
 // modelScript builds the seeded script: every keyed command, multi-key
 // forms, case-folded names, wrong arity, non-integer arguments, an
-// unknown command, clock advances and sweeps, and FLUSHALL — each one
-// over a key holding a deadline, which is set again afterwards and read
-// once the clock has passed the flushed deadline.
+// unknown command, clock advances and sweeps, FLUSHALL — each one over
+// a key holding a deadline, which is set again afterwards and read once
+// the clock has passed the flushed deadline — and a SET over a deadline.
 func modelScript(seed int64, n int) []step {
 	rng := rand.New(rand.NewSource(seed))
 	key := func() string { return "k" + strconv.Itoa(rng.Intn(10)) }
@@ -277,6 +279,18 @@ func modelScript(seed int64, n int) []step {
 				step{args: []string{"SET", k, val()}}, step{args: []string{"TTL", k}},
 				step{advance: 2 * time.Second, sweep: rng.Intn(2) == 0},
 				step{args: []string{"GET", k}})
+			continue
+		}
+		if rng.Intn(75) == 0 {
+			// A SET discards the key's deadline, lapsed and not yet
+			// collected (no read, no sweep in between) or still running.
+			k, j := key(), key()
+			script = append(script,
+				step{args: []string{"SET", k, val()}}, step{args: []string{"EXPIRE", k, "1"}},
+				step{advance: 2 * time.Second},
+				step{args: []string{"SET", k, val()}}, step{args: []string{"GET", k}},
+				step{args: []string{"SET", j, val()}}, step{args: []string{"EXPIRE", j, "10"}},
+				step{args: []string{[]string{"SET", "MSET"}[rng.Intn(2)], j, val()}}, step{args: []string{"TTL", j}})
 			continue
 		}
 		var a []string

@@ -44,11 +44,6 @@ func WithClock(now func() time.Time) Option { return func(c *Config) { c.Clock =
 // demote to compressed disk records and promote back on GET misses.
 func WithSpill(sp *spill.Store) Option { return func(c *Config) { c.Spill = sp } }
 
-// WithOwnerQueue bounds each shard owner's command ring to n shard
-// batches (default 256); a full ring sheds submissions with
-// ErrOverloaded instead of blocking connection readers.
-func WithOwnerQueue(n int) Option { return func(c *Config) { c.OwnerQueue = n } }
-
 // WithSlowLog tunes the slow-request log kept once attribution is
 // enabled via RegisterMetrics: commands slower than threshold land in a
 // ring of size entries with their full phase breakdown (defaults 10ms,

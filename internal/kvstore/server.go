@@ -36,7 +36,7 @@ type Server struct {
 	// cluster, when set, intercepts commands for the cluster layer
 	// (MOVED redirects, replica applies) and observes local writes for
 	// replication. Nil in single-node deployments.
-	cluster atomic.Pointer[clusterHookBox]
+	cluster atomic.Pointer[ClusterHook]
 
 	mu    sync.Mutex
 	ln    net.Listener
@@ -366,9 +366,9 @@ type connExec struct {
 	batch *Batch
 	specs []replySpec
 	arena []byte
-	// Session state for a SessionClusterHook, minted lazily and re-minted
-	// if SetCluster swaps the hook mid-connection (sessHook is the raw
-	// hook the session belongs to).
+	// The connection's ClusterHook session, minted lazily and re-minted
+	// if SetCluster swaps the hook mid-connection (sessHook is the hook
+	// the session belongs to).
 	sessHook ClusterHook
 	sess     ClusterSession
 }
@@ -379,14 +379,10 @@ func (s *Server) newConnExec() *connExec {
 }
 
 // session returns the connection's session for h, minting it on first
-// use (nil for hooks without session support).
+// use.
 func (ce *connExec) session(h ClusterHook) ClusterSession {
-	sh, ok := h.(SessionClusterHook)
-	if !ok {
-		return nil
-	}
 	if ce.sess == nil || ce.sessHook != h {
-		ce.sess = sh.NewSession()
+		ce.sess = h.NewSession()
 		ce.sessHook = h
 	}
 	return ce.sess
@@ -414,13 +410,7 @@ func (ce *connExec) full() bool {
 func (ce *connExec) serve(rw *respWriter, sp *commandSpec, args [][]byte) (quit bool) {
 	if h := ce.s.hook(); h != nil && h.Claim(sp.name, args) {
 		ce.settle(rw)
-		// Session-aware hooks get the connection's session (WAIT answers
-		// relative to this connection's own writes).
-		if sh, ok := h.(SessionClusterHook); ok {
-			sh.HandleSession(ce.session(h), sp.name, args, rw)
-		} else {
-			h.Handle(sp.name, args, rw)
-		}
+		h.Handle(ce.session(h), sp.name, args, rw)
 		return false
 	}
 	if ce.enqueue(sp, args) {
@@ -509,16 +499,11 @@ func (ce *connExec) recordSlow(a *attribState, sp *replySpec) {
 	if best == nil || bestTotal < a.slow.thresholdNs {
 		return
 	}
-	a.slow.record(SlowEntry{
-		Cmd:            sp.cmd,
-		Key:            best.Key,
-		TotalNs:        bestTotal,
-		QueueNs:        best.phaseNs[phaseQueue],
-		LockWaitNs:     best.phaseNs[phaseLockWait],
-		YieldStallNs:   best.phaseNs[phaseYieldStall],
-		SpillPromoteNs: best.phaseNs[phaseSpillPromote],
-		ExecNs:         best.phaseNs[phaseExec],
-	})
+	e := SlowEntry{Cmd: sp.cmd, Key: best.Key, TotalNs: bestTotal}
+	for i, ns := range best.phaseNs {
+		*e.phase(i) = ns
+	}
+	a.slow.record(e)
 }
 
 // cmdError maps a command failure to its RESP reply: ErrOverloaded

@@ -136,6 +136,47 @@ type SlowEntry struct {
 	ExecNs         int64  `json:"exec_ns,omitempty"`
 }
 
+// SlowColumns heads the per-command phases' columns in `smdctl slowlog`,
+// in the order PhaseNs lists them.
+var SlowColumns = [numCmdPhases]string{
+	phaseQueue:        "queue",
+	phaseLockWait:     "lockwait",
+	phaseYieldStall:   "stall",
+	phaseSpillPromote: "promote",
+	phaseExec:         "exec",
+}
+
+// phase returns the entry's field for per-command phase i.
+func (e *SlowEntry) phase(i int) *int64 {
+	return [numCmdPhases]*int64{
+		phaseQueue:        &e.QueueNs,
+		phaseLockWait:     &e.LockWaitNs,
+		phaseYieldStall:   &e.YieldStallNs,
+		phaseSpillPromote: &e.SpillPromoteNs,
+		phaseExec:         &e.ExecNs,
+	}[i]
+}
+
+// PhaseNs returns the entry's phase breakdown in span order.
+func (e SlowEntry) PhaseNs() (ns [numCmdPhases]int64) {
+	for i := range ns {
+		ns[i] = *e.phase(i)
+	}
+	return ns
+}
+
+// Dominant names the slow request's largest recorded phase — the first
+// place to look when triaging it. Execution wins a tie.
+func (e SlowEntry) Dominant() string {
+	ns, best := e.PhaseNs(), phaseExec
+	for i := range ns {
+		if ns[i] > ns[best] {
+			best = i
+		}
+	}
+	return phaseLabels[best].Value
+}
+
 // slowLog is a lock-free ring of the last N requests over the latency
 // threshold, Redis SLOWLOG style but with phase attribution. Writers
 // claim a slot by sequence and publish a fresh entry with one atomic

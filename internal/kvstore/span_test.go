@@ -48,6 +48,36 @@ func TestSlowLogRingNewestFirst(t *testing.T) {
 	}
 }
 
+// TestSlowEntryDominant: the dominant phase is the largest one, named by
+// its phase label; execution wins a tie, an empty entry included. Every
+// per-command phase of the span is a column of the entry, in span order.
+func TestSlowEntryDominant(t *testing.T) {
+	for _, c := range []struct {
+		e    SlowEntry
+		want string
+	}{
+		{SlowEntry{ExecNs: 10}, "exec"},
+		{SlowEntry{ExecNs: 10, YieldStallNs: 900}, "yield_stall"},
+		{SlowEntry{QueueNs: 50, LockWaitNs: 60, ExecNs: 10}, "lock_wait"},
+		{SlowEntry{SpillPromoteNs: 500, QueueNs: 499}, "spill_promote"},
+		{SlowEntry{QueueNs: 7, ExecNs: 7}, "exec"},
+		{SlowEntry{}, "exec"},
+	} {
+		if got := c.e.Dominant(); got != c.want {
+			t.Errorf("%+v.Dominant() = %q, want %q", c.e, got, c.want)
+		}
+	}
+	e := SlowEntry{QueueNs: 11, LockWaitNs: 12, YieldStallNs: 13, SpillPromoteNs: 14, ExecNs: 15}
+	if got, want := e.PhaseNs(), [numCmdPhases]int64{11, 12, 13, 14, 15}; got != want {
+		t.Errorf("PhaseNs = %v, want %v", got, want)
+	}
+	for i, c := range SlowColumns {
+		if c == "" {
+			t.Errorf("phase %s has no column heading", phaseLabels[i].Value)
+		}
+	}
+}
+
 // TestSlowLogInlineThreshold: the serial (unpipelined) dispatch path
 // records exec-only entries, and only past the threshold.
 func TestSlowLogInlineThreshold(t *testing.T) {

@@ -74,16 +74,21 @@ type Config struct {
 	// promotes the value back through the normal soft-allocation path.
 	// Nil preserves exact drop semantics.
 	Spill *spill.Store
-	// OwnerQueue bounds each shard owner's command ring (in shard
-	// batches). 0 means the default; a full ring sheds submissions with
-	// ErrOverloaded instead of blocking connection readers.
-	OwnerQueue int
 	// SlowLogThreshold is the latency past which a command lands in the
 	// slow-request log once attribution is enabled (RegisterMetrics).
 	// 0 means the 10ms default.
 	SlowLogThreshold time.Duration
 	// SlowLogSize bounds the slow-request log ring (default 128).
 	SlowLogSize int
+}
+
+// Status is the /statusz payload of a process serving a Store: the
+// store's snapshot, its SMA's, and the SMA's contexts in reclamation
+// order. Fields are declared in the alphabetical order of their keys.
+type Status struct {
+	Contexts []core.ContextInfo `json:"contexts"`
+	SMA      core.Stats         `json:"sma"`
+	Store    Stats              `json:"store"`
 }
 
 // Stats is the store's unified observability snapshot: operation
@@ -167,7 +172,6 @@ type Store struct {
 	// Execution engine lifecycle: submitMu (submitter-side only)
 	// excludes submissions against Close; stopOwners stops the owner
 	// goroutines, which drain their rings before exiting.
-	ringSize   int
 	stopOwners chan struct{}
 	ownerWG    sync.WaitGroup
 	submitMu   sync.RWMutex
@@ -191,6 +195,12 @@ func New(sma *core.SMA, opts ...Option) *Store {
 	for _, opt := range opts {
 		opt(&cfg)
 	}
+	return newWithRing(sma, cfg, ownerQueue)
+}
+
+// newWithRing is New with the per-shard ring capacity as an argument: the
+// shed test builds a store whose rings hold one batch.
+func newWithRing(sma *core.SMA, cfg Config, ringSize int) *Store {
 	name := cfg.Name
 	if name == "" {
 		name = "kvstore"
@@ -201,15 +211,11 @@ func New(sma *core.SMA, opts ...Option) *Store {
 	} else if nshards&(nshards-1) != 0 {
 		nshards = 1 << bits.Len(uint(nshards))
 	}
-	ringSize := cfg.OwnerQueue
-	if ringSize <= 0 {
-		ringSize = defaultOwnerQueue
-	}
 	now := cfg.Clock
 	if now == nil {
 		now = time.Now
 	}
-	s := &Store{now: now, ringSize: ringSize}
+	s := &Store{now: now}
 	s.slowThresholdNs = (10 * time.Millisecond).Nanoseconds()
 	if cfg.SlowLogThreshold > 0 {
 		s.slowThresholdNs = cfg.SlowLogThreshold.Nanoseconds()

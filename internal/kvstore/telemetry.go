@@ -73,13 +73,7 @@ func (s *Store) RegisterMetrics(r *metrics.Registry) {
 		func() int64 { return s.EngineStats().LockAcquisitions })
 	r.GaugeFunc("softmem_kv_ring_depth",
 		"shard batches queued in owner command rings, summed across shards",
-		func() float64 {
-			depth := 0
-			for _, sh := range s.shards {
-				depth += len(sh.ring)
-			}
-			return float64(depth)
-		})
+		func() float64 { return float64(s.EngineStats().Queued) })
 
 	// Enabling the registry also arms latency attribution: per-phase
 	// histograms and the slow-request log. Until this store, the engine's

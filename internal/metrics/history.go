@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"strings"
 	"sync"
 	"time"
 )
@@ -114,18 +113,14 @@ func (h *History) Dump() HistoryDump {
 	return HistoryDump{IntervalNs: h.interval.Nanoseconds(), Snapshots: out}
 }
 
-// snapshotValues flattens the registry's current state into exposition-
-// keyed values, reusing the same label rendering the text format uses so
-// history keys and scraped series names always agree.
+// snapshotValues flattens the registry's current state into values
+// keyed by SeriesKey, so history keys and scraped series names always
+// agree.
 func (r *Registry) snapshotValues() map[string]float64 {
 	fams := r.snapshot()
 	out := make(map[string]float64, 4*len(fams))
-	var b strings.Builder
 	key := func(name string, labels []Label, extra ...Label) string {
-		b.Reset()
-		b.WriteString(name)
-		writeLabels(&b, labels, extra...)
-		return b.String()
+		return SeriesKey(name, append(labels[:len(labels):len(labels)], extra...)...)
 	}
 	for _, f := range fams {
 		if f.collect != nil {

@@ -477,6 +477,12 @@ func (s *Store) BytesOnDisk() int64 {
 	return s.size
 }
 
+// Status is the /spill payload of a process with a spill tier.
+type Status struct {
+	BytesOnDisk int64                 `json:"bytes_on_disk"`
+	Stats       metrics.SpillSnapshot `json:"stats"`
+}
+
 // Stats snapshots the store's instrumentation registry.
 func (s *Store) Stats() metrics.SpillSnapshot {
 	return s.m.Snapshot()

@@ -36,24 +36,14 @@ type Server struct {
 	srv *http.Server
 }
 
-// Serve starts serving fn's snapshots at http://addr/statusz (and /) in
-// a background goroutine, returning the bound address.
-func Serve(addr string, fn func() any) (*Server, net.Addr, error) {
-	return ServeMulti(addr, map[string]func() any{"statusz": fn})
-}
-
-// ServeMulti serves one JSON snapshot endpoint per entry, each at
-// http://addr/<name>. The "statusz" endpoint (if present) also serves
-// "/" exactly, preserving Serve's shape for existing scrapers; any other
-// unregistered path is a 404, never a silent statusz page.
-func ServeMulti(addr string, endpoints map[string]func() any) (*Server, net.Addr, error) {
-	return ServeHandlers(addr, endpoints, nil)
-}
-
-// ServeHandlers is ServeMulti plus raw http.Handler endpoints for
-// non-JSON surfaces (Prometheus /metrics, pprof). Raw keys mount at
-// /<key>; a key with a trailing slash mounts as a subtree (needed for
-// "debug/pprof/"). Raw keys win over JSON endpoints of the same name.
+// ServeHandlers serves one JSON snapshot endpoint per entry of
+// endpoints, each at http://addr/<name>, in a background goroutine, and
+// returns the bound address. The "statusz" endpoint (if present) also
+// serves "/" exactly; any other unregistered path is a 404, never a
+// silent statusz page. raw holds http.Handler endpoints for non-JSON
+// surfaces (Prometheus /metrics, pprof): its keys mount at /<key>; a key
+// with a trailing slash mounts as a subtree (needed for "debug/pprof/").
+// Raw keys win over JSON endpoints of the same name.
 func ServeHandlers(addr string, endpoints map[string]func() any, raw map[string]http.Handler) (*Server, net.Addr, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {

@@ -54,9 +54,9 @@ func TestHandlerEncodingError(t *testing.T) {
 }
 
 func TestServeEndToEnd(t *testing.T) {
-	srv, addr, err := Serve("127.0.0.1:0", func() any {
+	srv, addr, err := ServeHandlers("127.0.0.1:0", map[string]func() any{"statusz": func() any {
 		return map[string]string{"state": "ok"}
-	})
+	}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,10 +100,10 @@ func TestHandlerCacheControlAndHead(t *testing.T) {
 }
 
 func TestServeMultiRouting(t *testing.T) {
-	srv, addr, err := ServeMulti("127.0.0.1:0", map[string]func() any{
+	srv, addr, err := ServeHandlers("127.0.0.1:0", map[string]func() any{
 		"statusz": func() any { return map[string]string{"page": "statusz"} },
 		"events":  func() any { return map[string]string{"page": "events"} },
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,9 +139,9 @@ func TestServeMultiRouting(t *testing.T) {
 }
 
 func TestServeMultiNoStatuszUnknown404(t *testing.T) {
-	srv, addr, err := ServeMulti("127.0.0.1:0", map[string]func() any{
+	srv, addr, err := ServeHandlers("127.0.0.1:0", map[string]func() any{
 		"events": func() any { return nil },
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -215,7 +215,6 @@ var (
 	KVWithCleanupWork = kvstore.WithCleanupWork
 	KVWithClock       = kvstore.WithClock
 	KVWithSpill       = kvstore.WithSpill
-	KVWithOwnerQueue  = kvstore.WithOwnerQueue
 )
 
 // NewKV returns a Redis-like store whose values live in soft memory,
