@@ -67,7 +67,8 @@ race-hot:
 	$(GO) test -race ./internal/core ./internal/sds ./internal/kvstore ./internal/spill
 
 # The reclaim stress list, by name: lock-free readers racing revocation
-# (condemn + epoch-retire) and index rebuilds, the hash table against its
+# (condemn + epoch-retire), slot, page and span reuse under the records
+# they copy through, and index rebuilds, the hash table against its
 # map model, the page-wise victim order, the tier deal and the
 # model-checked histories under demands are the interleavings a pinned
 # GOMAXPROCS shakes out (CI runs this at 1, 2 and 4). A name that
@@ -82,7 +83,8 @@ STRESS_TESTS = TestEpochReclaimRace TestHashTableLockFreeReclaimRace \
 	TestTierDealSkipsTheDry TestTierDealContainsAPanic \
 	TestReclaimDoesNotAskTwiceForPagesInLimbo TestReclaimOrderIsStoreWide \
 	TestReclaimOrderMixedSizes TestEveryEntryPointUnderReclaim \
-	TestHashTablePutGetProperty TestHashTableLockFreeReadersAcrossRebuilds
+	TestHashTablePutGetProperty TestHashTableLockFreeReadersAcrossRebuilds \
+	TestHashTableRecordLifetimeUnderChurn TestSortedMapRecordLifetimeUnderChurn
 empty :=
 space := $(empty) $(empty)
 race-stress:

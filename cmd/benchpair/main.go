@@ -3,9 +3,14 @@
 // working tree (a git worktree under .bench_build/), runs one benchmark
 // workload on both — `bash bench/run.sh`, which each checkout builds from
 // its own source — in alternating order, and prints per end-to-end metric
-// both medians, both quartile pairs, the relative change and how many
-// pairs the change won. It only invokes the benchmark; it shares no code
-// with it.
+// both medians, both quartile pairs, the relative change, how many pairs
+// the change won and a verdict: "improved" (won at least 9 pairs in 10
+// and moved the median further than the parent's quartile distance),
+// "REGRESSED" (median worse than the metric's bound), "unresolved" (the
+// parent's quartile distance is wider than the bound, so the runs cannot
+// tell, and the change's runs do not all read better than the parent's)
+// or "no worse". It only invokes the benchmark; it shares no code with
+// it.
 //
 // Exit status 1 when the change's median is worse than the reference's by
 // more than the metric's bound in BENCHMARK.json, when a run reports
@@ -174,33 +179,82 @@ func run(ctx context.Context, workload, ref string, n int, seed int64, seconds f
 		if len(p) == 0 || len(c) == 0 {
 			continue
 		}
-		pq1, pq2, pq3 := quartiles(p)
-		cq1, cq2, cq3 := quartiles(c)
-		wins, losses := 0, 0
-		for i := range p {
-			switch d := c[i] - p[i]; {
-			case d == 0:
-			case (d > 0) == (m.Better == "higher"):
-				wins++
-			default:
-				losses++
-			}
-		}
-		// worse is the relative move of the median in the bad direction.
-		worse := ratio(pq2-cq2, pq2)
-		if m.Better == "lower" {
-			worse = -worse
-		}
-		verdict := "ok"
-		if worse > m.Bound {
-			verdict = "REGRESSED"
+		cmp := compare(m, p, c)
+		v := cmp.verdict(m.Bound)
+		if v == regressed {
 			ok = false
 		}
 		fmt.Printf("workload=%s metric=%s unit=%s better=%s parent=%g [%g, %g] change=%g [%g, %g] change_vs_parent=%+.2f%% parent_iqr=%.2f%% wins=%d losses=%d of %d bound=%g %s\n",
-			workload, m.Name, m.Unit, m.Better, pq2, pq1, pq3, cq2, cq1, cq3,
-			100*ratio(cq2-pq2, pq2), 100*ratio(pq3-pq1, pq2), wins, losses, len(p), m.Bound, verdict)
+			workload, m.Name, m.Unit, m.Better, cmp.p[1], cmp.p[0], cmp.p[2], cmp.c[1], cmp.c[0], cmp.c[2],
+			100*ratio(cmp.c[1]-cmp.p[1], cmp.p[1]), 100*cmp.iqr, cmp.wins, cmp.losses, cmp.pairs, m.Bound, v)
 	}
 	return ok, nil
+}
+
+// The verdicts, one per metric.
+const (
+	improved   = "improved"
+	noWorse    = "no worse"
+	unresolved = "unresolved"
+	regressed  = "REGRESSED"
+)
+
+// comparison is one metric's pairs, summarised.
+type comparison struct {
+	p, c                [3]float64 // quartiles of parent and change
+	wins, losses, pairs int
+	// gain is the relative move of the median in the good direction, iqr
+	// the parent's quartile distance, both over the parent's median.
+	gain, iqr float64
+	// apart: every run of the change reads better than every run of the
+	// parent.
+	apart bool
+}
+
+// compare summarises one metric's paired values, p[i] and c[i] being the
+// parent's and the change's runs of pair i.
+func compare(m boundedMetric, p, c []float64) comparison {
+	var r comparison
+	r.p[0], r.p[1], r.p[2] = quartiles(p)
+	r.c[0], r.c[1], r.c[2] = quartiles(c)
+	r.pairs = len(p)
+	r.apart = slices.Min(c) > slices.Max(p)
+	if m.Better == "lower" {
+		r.apart = slices.Max(c) < slices.Min(p)
+	}
+	for i := range p {
+		switch d := c[i] - p[i]; {
+		case d == 0:
+		case (d > 0) == (m.Better == "higher"):
+			r.wins++
+		default:
+			r.losses++
+		}
+	}
+	r.gain = ratio(r.c[1]-r.p[1], r.p[1])
+	if m.Better == "lower" {
+		r.gain = -r.gain
+	}
+	r.iqr = ratio(r.p[2]-r.p[0], r.p[1])
+	return r
+}
+
+// verdict applies choosing-metrics §8: a gain needs the change to win at
+// least 9 pairs in 10 and its median to move further than the parent's
+// quartile distance; a median worse than the bound is a regression; and
+// a parent whose quartile distance exceeds the bound cannot show that
+// the change stayed inside it, unless the two sides' runs do not overlap
+// and the change's are the better ones.
+func (r comparison) verdict(bound float64) string {
+	switch {
+	case -r.gain > bound:
+		return regressed
+	case 10*r.wins >= 9*r.pairs && r.gain > r.iqr:
+		return improved
+	case r.iqr > bound && !r.apart:
+		return unresolved
+	}
+	return noWorse
 }
 
 // bench runs the workload once in the side's checkout and records it.

@@ -15,7 +15,12 @@
 // entirely-free pages that can be returned for reclamation.
 //
 // A Heap is not safe for concurrent use; the owning Context serializes access
-// (the paper leaves concurrency as an open question, §7).
+// (the paper leaves concurrency as an open question, §7). The one state
+// read without the owner's lock is what Publish hands out: a lock-free
+// reader loads a View and copies through it the published allocation's
+// bytes — its slot of a page, or a span's pages (their buffers, through
+// pages.Page.Bytes). Both stay unwritten until the allocation's
+// retirement has drained; nothing else is ever read unlocked.
 package alloc
 
 import (
@@ -34,9 +39,9 @@ var (
 	ErrBadSize = errors.New("alloc: allocation size must be positive")
 	// ErrMultiPage is Bytes' answer for a live allocation that spans
 	// several pages and so has no single backing slice: read it through
-	// Segments, AppendTo or ReadAt/WriteAt. A sentinel, so asking "one
-	// segment or many" costs no allocation.
-	ErrMultiPage = errors.New("alloc: allocation spans pages; use Segments, AppendTo or ReadAt/WriteAt")
+	// AppendTo or ReadAt/WriteAt. A sentinel, so asking "one segment or
+	// many" costs no allocation.
+	ErrMultiPage = errors.New("alloc: allocation spans pages; use AppendTo or ReadAt/WriteAt")
 )
 
 // classes are the slot sizes available within a page. Sizes were chosen so
@@ -146,10 +151,36 @@ type slot struct {
 }
 
 // span is the body of an allocation larger than a page: whole pages of
-// its own.
+// its own. It is never written after allocSpan, so a View may point at it.
 type span struct {
 	pgs  []*pages.Page
 	size int
+}
+
+// View is a published allocation as a lock-free reader copies it: its
+// bytes when it sits in one page, else its span. It is the per-slot
+// record Publish writes, and it lives in an array the heap allocates per
+// page incarnation and never writes into again except by a later Publish
+// of the same slot: kill, Reset and a recarve drop the array, a reader
+// still holding one of its Views keeps it from the garbage collector.
+type View struct {
+	b    []byte
+	span *span
+}
+
+// AppendTo appends the viewed bytes to dst and returns the extended slice.
+func (v *View) AppendTo(dst []byte) []byte {
+	if v.span == nil {
+		return append(dst, v.b...)
+	}
+	return v.span.appendTo(dst)
+}
+
+// record is what the SDS above a heap hangs on one slot: the Owner that
+// adopted it and the View published of it.
+type record struct {
+	owner Owner
+	view  View
 }
 
 // pageMeta is what a Ref points at: one slotted page of a heap, or one
@@ -170,10 +201,11 @@ type pageMeta struct {
 	// freeSlots is nil for a span, whose one slot is taken for life.
 	freeSlots []uint16
 	slots     []slot
-	// owners holds the per-slot Owner, nil for a slot nobody adopted. It
-	// is allocated by the page's first SetOwner, so heaps whose SDS never
-	// registers owners pay nothing for it.
-	owners     []Owner
+	// owners holds one record per slot — its Owner, nil for a slot nobody
+	// adopted, and its published View. It is allocated by the page's first
+	// SetOwner or Publish, so a heap whose SDS does neither pays nothing
+	// for it; kill drops it without writing into it.
+	owners     []record
 	partialIdx int32 // index into heap.partial[class], -1 when absent
 	heldIdx    int32 // index into heap.held
 }
@@ -184,6 +216,20 @@ func (m *pageMeta) size(s uint16) int {
 		return m.span.size
 	}
 	return int(m.slots[s].size)
+}
+
+// data returns slot s's bytes (length = requested size) on a slotted page.
+func (m *pageMeta) data(s uint16) []byte {
+	off := int(s) * classes[m.class]
+	return m.page.Bytes()[off : off+int(m.slots[s].size)]
+}
+
+// records returns m's per-slot records, allocating them on first use.
+func (m *pageMeta) records() []record {
+	if m.owners == nil {
+		m.owners = make([]record, len(m.slots))
+	}
+	return m.owners
 }
 
 // slotBytes returns the bytes one allocation on m occupies.
@@ -413,8 +459,10 @@ func (h *Heap) liveSlot(ref Ref) *pageMeta {
 
 // die ends a live allocation logically: its generation (now even), its
 // owner word — an owner never outlives its slot — and its place in the
-// live accounting. What becomes of the memory is the caller's business:
-// Free recycles it now, Retire after a grace period.
+// live accounting. Its View stays as it is: a reader may be copying
+// through it until the retirement drains. What becomes of the memory is
+// the caller's business: Free recycles it now, Retire after a grace
+// period.
 func (h *Heap) die(m *pageMeta, s uint16) {
 	h.stats.LiveAllocs--
 	h.stats.TotalFrees++
@@ -422,7 +470,7 @@ func (h *Heap) die(m *pageMeta, s uint16) {
 	h.stats.SlotBytes -= int64(m.slotBytes())
 	m.slots[s].gen++
 	if m.owners != nil {
-		m.owners[s] = nil
+		m.owners[s].owner = nil
 	}
 }
 
@@ -548,8 +596,7 @@ func (h *Heap) view(ref Ref) (b []byte, sp *span, err error) {
 	if m.span != nil {
 		return nil, m.span, nil
 	}
-	off := int(ref.slot) * classes[m.class]
-	return m.page.Bytes()[off : off+int(m.slots[ref.slot].size)], nil, nil
+	return m.data(ref.slot), nil, nil
 }
 
 // Bytes returns the live allocation's backing bytes (length = requested
@@ -563,43 +610,52 @@ func (h *Heap) Bytes(ref Ref) ([]byte, error) {
 	return b, err
 }
 
-// Segments returns the live allocation's backing bytes as a list of
-// page-backed segments (length = requested size across all segments,
-// one per page for multi-page spans). It exists for the lock-free read
-// path: the segments are captured once at publication time into an
-// immutable box, and epoch-deferred recycling guarantees nobody
-// rewrites them while a registered reader copies. The segments are
-// valid until the allocation's retirement drains.
-func (h *Heap) Segments(ref Ref) ([][]byte, error) {
-	b, sp, err := h.view(ref)
-	if err != nil {
-		return nil, err
+// Publish writes the View of the live allocation ref into the slot's
+// record and returns the record, for an SDS to hand to lock-free readers
+// through one atomic pointer. Call it once per allocation, after its
+// bytes are written. The record is rewritten only when the slot is handed
+// out again, so it is as stable as the bytes — but only on a heap whose
+// frees are Retires, where a slot comes back only after its grace period.
+// A span's record lives apart from its pageMeta, which Retire kills at
+// once.
+func (h *Heap) Publish(ref Ref) (*View, error) {
+	m := h.liveSlot(ref)
+	if m == nil {
+		return nil, invalidRef(ref)
 	}
-	if sp == nil {
-		return [][]byte{b}, nil
+	v := &m.records()[ref.slot].view
+	if m.span != nil {
+		*v = View{span: m.span}
+	} else {
+		*v = View{b: m.data(ref.slot)}
 	}
-	segs := make([][]byte, 0, len(sp.pgs))
-	rem := sp.size
-	for _, pg := range sp.pgs {
-		n := min(rem, pages.Size)
-		segs = append(segs, pg.Bytes()[:n])
-		rem -= n
-	}
-	return segs, nil
+	return v, nil
 }
 
 // AppendTo appends the live allocation's contents to dst and returns
 // the extended slice. Unlike Bytes it works for every allocation size:
 // multi-page spans are assembled page by page into dst, so read paths
 // that copy anyway (SDS Get/GetAppend) stay valid for large values.
+// Onto a nil dst a slot's contents are one Go allocation of exactly their
+// size, not zeroed first: make then copy, which the compiler fuses, where
+// append would round up to the size class and clear the tail.
 func (h *Heap) AppendTo(dst []byte, ref Ref) ([]byte, error) {
 	b, sp, err := h.view(ref)
-	if err != nil {
+	switch {
+	case err != nil:
 		return nil, err
+	case sp != nil:
+		return sp.appendTo(dst), nil
+	case dst == nil:
+		out := make([]byte, len(b))
+		copy(out, b)
+		return out, nil
 	}
-	if sp == nil {
-		return append(dst, b...), nil
-	}
+	return append(dst, b...), nil
+}
+
+// appendTo appends the span's bytes to dst with at most one grow.
+func (sp *span) appendTo(dst []byte) []byte {
 	off := len(dst)
 	if cap(dst)-off < sp.size {
 		grown := make([]byte, off, off+sp.size)
@@ -608,7 +664,7 @@ func (h *Heap) AppendTo(dst []byte, ref Ref) ([]byte, error) {
 	}
 	dst = dst[:off+sp.size]
 	sp.copy(dst[off:], 0, false)
-	return dst, nil
+	return dst
 }
 
 // WriteAt copies p into the allocation at the given offset. It works for
@@ -704,10 +760,7 @@ func (h *Heap) SetOwner(ref Ref, o Owner) error {
 	if m == nil {
 		return invalidRef(ref)
 	}
-	if m.owners == nil {
-		m.owners = make([]Owner, len(m.slots))
-	}
-	m.owners[ref.slot] = o
+	m.records()[ref.slot].owner = o
 	return nil
 }
 
@@ -727,7 +780,7 @@ func (h *Heap) Tenants(ref Ref, dst []Owner) (tenants []Owner, npages int, err e
 		}
 		var o Owner
 		if m.owners != nil {
-			o = m.owners[s]
+			o = m.owners[s].owner
 		}
 		dst = append(dst, o)
 	}
@@ -745,7 +798,8 @@ func (h *Heap) VerifyOwners() error {
 		if m.span != nil {
 			what = "span"
 		}
-		for s, o := range m.owners {
+		for s, r := range m.owners {
+			o := r.owner
 			if o == nil {
 				continue
 			}

@@ -98,16 +98,12 @@ func TestRetireSpanHoldsPagesUntilDrain(t *testing.T) {
 	if err := h.WriteAt(ref, data, 0); err != nil {
 		t.Fatal(err)
 	}
-	segs, err := h.Segments(ref)
+	v, err := h.Publish(ref)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var joined []byte
-	for _, s := range segs {
-		joined = append(joined, s...)
-	}
-	if !bytes.Equal(joined, data) {
-		t.Fatal("Segments do not reassemble the span")
+	if !bytes.Equal(v.AppendTo(nil), data) {
+		t.Fatal("the span's View does not reassemble it")
 	}
 
 	held := h.PagesHeld()
@@ -117,6 +113,11 @@ func TestRetireSpanHoldsPagesUntilDrain(t *testing.T) {
 	st := h.Stats()
 	if st.PagesHeld != held || st.LimboPages != 3 {
 		t.Fatalf("span pages not held in limbo: %+v", st)
+	}
+	// Retire killed the span's metadata at once; its record did not die
+	// with it, and a reader still holding it copies the same bytes.
+	if !bytes.Equal(v.AppendTo(nil), data) {
+		t.Fatal("a retired span's View changed before the drain")
 	}
 	if pool.InUse() != 3 {
 		t.Fatalf("pool InUse = %d before drain, want 3", pool.InUse())
@@ -177,20 +178,83 @@ func TestResetReleasesLimbo(t *testing.T) {
 	}
 }
 
-func TestSegmentsInvalidRef(t *testing.T) {
+func TestPublishInvalidRef(t *testing.T) {
 	h, _ := newHeap(0)
 	ref, _ := h.Alloc(50)
 	if err := h.Free(ref); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.Segments(ref); !errors.Is(err, ErrInvalidRef) {
-		t.Fatalf("Segments(freed) err = %v, want ErrInvalidRef", err)
+	if _, err := h.Publish(ref); !errors.Is(err, ErrInvalidRef) {
+		t.Fatalf("Publish(freed) err = %v, want ErrInvalidRef", err)
+	}
+}
+
+// TestPublishedRecordOutlivesItsSlot: a slot's record is written by
+// Publish and by nothing else — not by the retirement, the drain, the
+// page leaving the heap and being carved again, nor Reset — and a heap
+// that never publishes allocates no records.
+func TestPublishedRecordOutlivesItsSlot(t *testing.T) {
+	h, _ := newHeap(0)
+	ref, _ := h.Alloc(100)
+	if ref.meta.owners != nil {
+		t.Fatal("an allocation nobody published or adopted allocated records")
+	}
+	if err := h.WriteAt(ref, bytes.Repeat([]byte("a"), 100), 0); err != nil {
+		t.Fatal(err)
+	}
+	v, err := h.Publish(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := bytes.Repeat([]byte("a"), 100)
+	if _, err := h.Retire(ref, 1); err != nil {
+		t.Fatal(err)
+	}
+	if got := v.AppendTo(nil); !bytes.Equal(got, want) {
+		t.Fatalf("retired slot's View reads %q", got)
+	}
+	// Drain: the page goes empty, leaves the heap's books and is carved
+	// again — for another class, under fresh metadata — by the next Alloc.
+	h.DrainLimbo(2)
+	again, _ := h.Alloc(16)
+	if again.meta == ref.meta || again.meta.owners != nil {
+		t.Fatal("a recarved page reused its earlier incarnation's metadata or records")
+	}
+	if got := *v; len(got.b) != 100 || got.span != nil {
+		t.Fatalf("a recarve rewrote the old incarnation's record: %+v", got)
+	}
+	h.Reset()
+	if got := *v; len(got.b) != 100 || got.span != nil {
+		t.Fatalf("Reset rewrote a record: %+v", got)
+	}
+
+	// On a page that stays carved, the slot's next Publish — after it is
+	// handed out again — is what rewrites its record. The first Alloc's
+	// tenant keeps the page carved once the second's slot is freed.
+	if _, err := h.Alloc(100); err != nil {
+		t.Fatal(err)
+	}
+	first, _ := h.Alloc(100)
+	v1, _ := h.Publish(first)
+	if err := h.Free(first); err != nil {
+		t.Fatal(err)
+	}
+	second, _ := h.Alloc(120) // the same class
+	if second.meta != first.meta || second.slot != first.slot {
+		t.Fatal("the freed slot was not handed out again")
+	}
+	if len(v1.b) != 100 {
+		t.Fatal("handing the slot out rewrote its record before the Publish")
+	}
+	v2, _ := h.Publish(second)
+	if v2 != v1 || len(v1.b) != 120 {
+		t.Fatal("the slot's second Publish did not rewrite its record in place")
 	}
 }
 
 // TestBytesMultiPageSentinel: Bytes answers a multi-page span with the
 // ErrMultiPage sentinel — the non-allocating "one segment or many"
-// question a publisher asks on every value.
+// question a zero-copy reader asks before falling back to AppendTo.
 func TestBytesMultiPageSentinel(t *testing.T) {
 	h := New(PoolSource{Pool: pages.NewPool(0)})
 	span, err := h.Alloc(2*pages.Size + 10)

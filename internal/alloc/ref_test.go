@@ -15,7 +15,7 @@ func rejects(t *testing.T, h *Heap, ref Ref) {
 	_, sizeErr := h.Size(ref)
 	_, slotErr := h.SlotSize(ref)
 	_, bytesErr := h.Bytes(ref)
-	_, segErr := h.Segments(ref)
+	_, pubErr := h.Publish(ref)
 	_, appendErr := h.AppendTo(nil, ref)
 	_, retireErr := h.Retire(ref, 0)
 	_, _, tenantsErr := h.Tenants(ref, nil)
@@ -26,7 +26,7 @@ func rejects(t *testing.T, h *Heap, ref Ref) {
 		{"Size", sizeErr},
 		{"SlotSize", slotErr},
 		{"Bytes", bytesErr},
-		{"Segments", segErr},
+		{"Publish", pubErr},
 		{"AppendTo", appendErr},
 		{"ReadAt", h.ReadAt(ref, make([]byte, 1), 0)},
 		{"WriteAt", h.WriteAt(ref, []byte{0xEE}, 0)},

@@ -206,9 +206,9 @@ func (c *Context) free(ref alloc.Ref) error {
 
 // freeLocked releases one allocation under c.mu, routing through
 // epoch-deferred retirement when the context runs a lock-free read
-// path. The stamp is read AFTER the caller unpublished the value (nil
-// box store) — that ordering is what makes the grace period sound; see
-// internal/epoch.
+// path. The stamp is read AFTER the caller unpublished the value (stored
+// nil, or the replacement's record, over its record pointer) — that
+// ordering is what makes the grace period sound; see internal/epoch.
 func (c *Context) freeLocked(ref alloc.Ref) error {
 	if !c.epochRetire {
 		return c.heap.Free(ref)
@@ -551,15 +551,18 @@ func (tx *Tx) Write(ref alloc.Ref, data []byte, off int) error {
 	return tx.ctx.heap.WriteAt(ref, data, off)
 }
 
-// Segments returns the allocation's backing bytes as page-backed
-// segments (one per page for multi-page spans, which Bytes refuses with
-// alloc.ErrMultiPage). Lock-free SDSs capture a value's bytes once at
-// publication time into an immutable box — through Bytes when it has a
-// single slice, through Segments otherwise; epoch-deferred retirement
-// keeps them unrewritten until every registered reader that could
-// observe the box has exited.
-func (tx *Tx) Segments(ref alloc.Ref) ([][]byte, error) {
-	return tx.ctx.heap.Segments(ref)
+// Publish returns the record through which lock-free readers copy the
+// live allocation: its View, written now and rewritten only when the
+// heap hands the slot out again. On a context whose frees are
+// epoch-retired that is after every reader that could have loaded the
+// record has left, so the record is as stable as the bytes; on any other
+// it is not, and Publish panics there. Call it once per allocation, after
+// the bytes are written.
+func (tx *Tx) Publish(ref alloc.Ref) (*alloc.View, error) {
+	if !tx.ctx.epochRetire {
+		panic("core: Publish on a context without EnableEpochRetire")
+	}
+	return tx.ctx.heap.Publish(ref)
 }
 
 // SetOwner records o as the owner of the live allocation, for Tenants to

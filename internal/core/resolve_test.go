@@ -58,8 +58,9 @@ func TestEveryOperationAfterCloseSaysClosed(t *testing.T) {
 }
 
 // The Go allocations of the allocator's own hot path are pinned: a
-// ReadAll is the copy it returns and nothing else, and an AllocData/Free
-// pair on a page that stays carved costs none at all.
+// ReadAll is the copy it returns, exactly its size (not rounded up to a
+// size class, whose tail an append would clear), and nothing else, and an
+// AllocData/Free pair on a page that stays carved costs none at all.
 func TestContextHotPathAllocs(t *testing.T) {
 	s := New(Config{Machine: pages.NewPool(0)})
 	ctx := s.Register("test", 0, nil)
@@ -87,8 +88,8 @@ func TestContextHotPathAllocs(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("AllocData+Free makes %.0f Go allocations in steady state, want 0", n)
 	}
-	if got, err := ctx.ReadAll(keep); err != nil || !bytes.Equal(got, data) {
-		t.Fatalf("ReadAll after the churn: %v", err)
+	if got, err := ctx.ReadAll(keep); err != nil || !bytes.Equal(got, data) || cap(got) != len(data) {
+		t.Fatalf("ReadAll after the churn: %d bytes of capacity %d, %v", len(got), cap(got), err)
 	}
 	span, err := ctx.AllocData(bytes.Repeat(data, 9)) // three pages
 	if err != nil {

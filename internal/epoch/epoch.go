@@ -9,18 +9,20 @@
 // Safety argument (all atomics in Go are sequentially consistent, so a
 // single total order over them exists):
 //
-//	reader: slot-CAS(0→e_r)  →  box-load (non-nil)  →  byte copy  →  slot-store(0)
-//	writer: box-store(nil)   →  epoch-stamp read s  →  retire     →  later slot-scan
+//	reader: slot-CAS(0→e_r)  →  record-load (non-nil)  →  copy    →  slot-store(0)
+//	writer: record-store(nil) →  epoch-stamp read s    →  retire  →  later slot-scan
 //
-// If a reader loaded a non-nil box, its box-load precedes the writer's
-// nil-store in the total order, hence its slot-CAS does too, and
-// e_r ≤ s (the stamp is read from the global after the reader sampled
-// it). Every scan after the retire therefore observes the slot active
-// with epoch e_r ≤ s, so SafeBefore() ≤ e_r ≤ s and the strict
-// `stamp < SafeBefore()` drain test keeps the pages in limbo. Readers
-// need no validation loop: values are write-once (published via the box
+// If a reader loaded a pointer to the old record, its load precedes the
+// writer's store (nil, or the replacement's record) in the total order,
+// hence its slot-CAS does too, and e_r ≤ s (the stamp is read from the
+// global after the reader sampled it). Every scan after the retire
+// therefore observes the slot active with epoch e_r ≤ s, so
+// SafeBefore() ≤ e_r ≤ s and the strict `stamp < SafeBefore()` drain
+// test keeps the allocation in limbo — its bytes, and the record the
+// allocator rewrites only when it hands the slot out again. Readers need
+// no validation loop: values are write-once (published via the record
 // pointer, never rewritten in place), so a copy that started is never
-// torn. When the reader instead observes a nil box the value was
+// torn. When the reader instead observes a nil record the value was
 // condemned; it exits its slot and retries on the owned path.
 package epoch
 
@@ -82,8 +84,8 @@ func (d *Domain) Exit(i int) {
 }
 
 // Current returns the global epoch. Retiring writers stamp allocations
-// with it AFTER unpublishing them (storing the nil box) — that order is
-// what the safety argument above relies on.
+// with it AFTER unpublishing them (storing over the record pointer) —
+// that order is what the safety argument above relies on.
 func (d *Domain) Current() uint64 { return d.global.Load() }
 
 // Advance bumps the global epoch and returns the new value. Heap owners

@@ -24,6 +24,7 @@ package kvstore
 
 import (
 	"fmt"
+	"hash/maphash"
 	"math/bits"
 	"path"
 	"sort"
@@ -150,6 +151,7 @@ type ShardStats struct {
 type Store struct {
 	shards      []*shard
 	shardMask   uint64
+	seed        maphash.Seed // shardIdx's
 	hashes      *hashStore
 	lists       *listStore
 	now         func() time.Time
@@ -215,7 +217,7 @@ func newWithRing(sma *core.SMA, cfg Config, ringSize int) *Store {
 	if now == nil {
 		now = time.Now
 	}
-	s := &Store{now: now}
+	s := &Store{now: now, seed: maphash.MakeSeed()}
 	s.slowThresholdNs = (10 * time.Millisecond).Nanoseconds()
 	if cfg.SlowLogThreshold > 0 {
 		s.slowThresholdNs = cfg.SlowLogThreshold.Nanoseconds()
@@ -309,21 +311,13 @@ func newWithRing(sma *core.SMA, cfg Config, ringSize int) *Store {
 	return s
 }
 
-// shardIdx routes a key to its shard index (FNV-1a over the key).
+// shardIdx routes a key to its shard index: maphash under the store's
+// own seed, so the key→shard map differs from process to process.
 func (s *Store) shardIdx(key string) int {
 	if s.shardMask == 0 {
 		return 0
 	}
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= prime64
-	}
-	return int(h & s.shardMask)
+	return int(maphash.String(s.seed, key) & s.shardMask)
 }
 
 // shard routes a key to its shard.

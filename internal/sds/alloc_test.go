@@ -4,11 +4,12 @@ package sds
 
 import "testing"
 
-// TestSortedMapReplaceAllocs pins what publishing a value to lock-free
-// readers costs in Go allocations: one, the box that carries the value's
-// bytes inline. (Two when the box pointed at a separately allocated
-// segment list.) Excluded under -race because race instrumentation
-// itself allocates.
+// These tests pin what a write to a lock-free SDS costs in Go
+// allocations. Publishing a value writes the heap's own per-slot record
+// and allocates nothing (it was one box per write). Excluded under -race
+// because race instrumentation itself allocates.
+
+// TestSortedMapReplaceAllocs: a replacing Put allocates nothing.
 func TestSortedMapReplaceAllocs(t *testing.T) {
 	s := newSMA()
 	defer s.Close()
@@ -22,7 +23,27 @@ func TestSortedMapReplaceAllocs(t *testing.T) {
 		if err := m.Put(1, val); err != nil {
 			panic(err)
 		}
+	}); n != 0 {
+		t.Fatalf("replacing SoftSortedMap.Put does %.2f Go allocations, want 0", n)
+	}
+}
+
+// TestHashTableInsertAllocs: a first-time Put allocates the entry and
+// nothing else beside it — the records array its page gets once and the
+// index's doublings are spread over many inserts.
+func TestHashTableInsertAllocs(t *testing.T) {
+	s := newSMA()
+	defer s.Close()
+	ht := NewSoftHashTable[int](s, "ht-allocs", HashTableConfig[int]{LockFreeReads: true})
+	defer ht.Close()
+	val := lfValue(1, 64)
+	k := 0
+	if n := testing.AllocsPerRun(2000, func() {
+		k++
+		if err := ht.Put(k, val); err != nil {
+			panic(err)
+		}
 	}); n > 1 {
-		t.Fatalf("replacing SoftSortedMap.Put does %.2f Go allocations, want <= 1", n)
+		t.Fatalf("a first-time SoftHashTable.Put does %.2f Go allocations, want <= 1", n)
 	}
 }

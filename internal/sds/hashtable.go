@@ -73,14 +73,15 @@ type SoftHashTable[K comparable] struct {
 	tomb *htEntry[K]
 	seed maphash.Seed
 	// lockFree, set once at construction, is whether values are published
-	// to unlocked readers: boxes, the epoch domain dom and epoch-retired
+	// to unlocked readers: records, the epoch domain dom and epoch-retired
 	// frees. lf counts those reads.
 	lockFree bool
 	dom      *epoch.Domain
 	lf       lfStats
 	// clock is the table's access clock for lazy recency sampling:
 	// advanced (and stored into the entry's stamp) by sampled lock-free
-	// hits and by locked touches. Only consulted by EvictLRU reclaim.
+	// hits and by locked touches, on lock-free EvictLRU tables only — the
+	// one kind whose reclaim consults it.
 	clock atomic.Uint64
 }
 
@@ -89,11 +90,12 @@ type htEntry[K comparable] struct {
 	hash       uint64 // hashKey(key): where the entry's probe chain starts
 	ref        alloc.Ref
 	prev, next *htEntry[K]
-	// box is the atomically-published immutable value view for lock-free
-	// readers; nil while unpublished (non-lock-free tables) or condemned
+	// view points at the heap's record of ref for lock-free readers; nil
+	// while unpublished (non-lock-free tables) or condemned
 	// (deleted/replaced/revoked). Writers store it under the heap lock,
-	// and always store nil BEFORE epoch-retiring the ref.
-	box atomic.Pointer[valBox]
+	// and always store nil or the replacement's record BEFORE
+	// epoch-retiring the ref.
+	view atomic.Pointer[alloc.View]
 	// stamp is the entry's lazily-sampled access-clock value: lock-free
 	// readers (which cannot move LRU list links) store the table clock
 	// here on a sampled subset of hits, and locked touches keep it in
@@ -169,16 +171,16 @@ func NewSoftHashTable[K comparable](sma *core.SMA, name string, cfg HashTableCon
 func (t *SoftHashTable[K]) LockFree() bool { return t.lockFree }
 
 // publish makes e the owner of the slot e.ref names and, on a lock-free
-// table, builds and publishes its value box, under the heap lock. It must
-// run after the value bytes are fully written and before any reader can
-// need them.
+// table, points e at the slot's published record, under the heap lock. It
+// must run after the value bytes are fully written and before any reader
+// can need them.
 func (t *SoftHashTable[K]) publish(tx *core.Tx, e *htEntry[K]) error {
 	if t.lockFree {
-		box, err := newBox(tx, e.ref)
+		v, err := tx.Publish(e.ref)
 		if err != nil {
 			return err
 		}
-		e.box.Store(box)
+		e.view.Store(v)
 	}
 	return tx.SetOwner(e.ref, e)
 }
@@ -201,7 +203,7 @@ func (t *SoftHashTable[K]) putLocked(tx *core.Tx, key K, ref alloc.Ref) error {
 	if e != nil {
 		replaced := e.ref
 		e.ref = ref
-		// Publishing the new box unpublishes the old one in the same
+		// Publishing the new record unpublishes the old one in the same
 		// atomic store; the old ref is epoch-retired after it, so
 		// readers mid-copy on the old value stay covered.
 		if err := t.publish(tx, e); err != nil {
@@ -461,11 +463,11 @@ func (t *SoftHashTable[K]) unlink(e *htEntry[K]) {
 	t.n--
 }
 
-// touch moves e to the tail (most recent). On lock-free tables it also
-// advances the entry's recency stamp so list order and the sampled
-// clock agree on what is hot.
+// touch moves e to the tail (most recent). On a lock-free LRU table —
+// the one kind whose reclaim reads stamps — it also advances the entry's
+// recency stamp so list order and the sampled clock agree on what is hot.
 func (t *SoftHashTable[K]) touch(e *htEntry[K]) {
-	if t.lockFree {
+	if t.lockFree && t.policy == EvictLRU {
 		e.stamp.Store(t.clock.Add(1))
 	}
 	if t.tail == e {
@@ -586,12 +588,12 @@ func (t *SoftHashTable[K]) spare(e *htEntry[K]) bool {
 // drop removes e from the index and the eviction order and condemns
 // (unpublishes) its value; the caller frees e.ref afterwards. The nil
 // store must precede that tx.Free, which reads the epoch stamp: the
-// ordering is what guarantees any reader still copying the old box is
-// covered by the grace period.
+// ordering is what guarantees any reader still copying through the old
+// record is covered by the grace period.
 func (t *SoftHashTable[K]) drop(e *htEntry[K]) {
 	t.unlink(e)
 	if t.lockFree {
-		e.box.Store(nil)
+		e.view.Store(nil)
 	}
 	t.idxDelete(e)
 }

@@ -1,27 +1,26 @@
 package sds
 
 import (
-	"errors"
 	"hash/maphash"
 	"runtime"
 	"sync/atomic"
-
-	"softmem/internal/alloc"
-	"softmem/internal/core"
 )
 
 // Lock-free read support for SoftHashTable (and the sorted map's
 // analogous path). The design has three pieces:
 //
-//  1. valBox: an immutable, atomically-published view of one value's
-//     page-backed byte segments. Values in this repo are write-once —
-//     Put always allocates fresh and writes before publication — so a
-//     reader that loaded a non-nil box copies bytes nobody rewrites;
-//     there is no seqlock-style post-copy validation because no torn
-//     read is possible. Unpublishing (delete, replace, reclaim) stores
-//     nil, and the ref is epoch-retired AFTER the nil store, which is
-//     the ordering the grace period's safety argument requires (see
-//     internal/epoch).
+//  1. The value's record: an alloc.View, the per-slot record the heap
+//     writes when the SDS publishes the allocation (core.Tx.Publish), and
+//     an atomic pointer to it per entry. Values in this repo are
+//     write-once — Put always allocates fresh and writes before
+//     publication — and the heap rewrites a record only when it hands its
+//     slot out again, so a reader that loaded a non-nil record copies
+//     bytes, through a view, that nobody rewrites; there is no
+//     seqlock-style post-copy validation because no torn read is
+//     possible. Unpublishing (delete, replace, reclaim) stores nil or the
+//     replacement's record, and the ref is epoch-retired AFTER that
+//     store, which is the ordering the grace period's safety argument
+//     requires (see internal/epoch). Publishing allocates nothing.
 //
 //  2. htIndex: the table's one index, an open-addressing probe array of
 //     atomic entry pointers published via an atomic pointer. find is
@@ -35,64 +34,17 @@ import (
 //     first.
 //
 //  3. The epoch domain (core.SMA.Epochs): a reader registers before
-//     loading a box and exits after the copy; retirement stamps and the
-//     strict grace check keep its bytes unrecycled meanwhile.
+//     loading a record and exits after the copy; retirement stamps and
+//     the strict grace check keep its slot — record and bytes —
+//     unrecycled meanwhile.
 //
 // The fallback ladder: a reader that cannot complete optimistically —
 // a table built without LockFreeReads (its values are unpublished and its
 // context recycles a freed slot at once), a table closing (nil index),
-// reader-slot exhaustion, or a condemned (nil-box) entry — reports
+// reader-slot exhaustion, or a condemned (nil-record) entry — reports
 // LookupRetry and the caller takes the locked path. Readers always exit their epoch
 // slot BEFORE falling back, so a reclaimer holding the heap lock never
 // waits on a reader that is itself waiting for that lock.
-
-// valBox is the immutable published view of one value. A value that
-// sits in one page — every slot allocation, so nearly every value — is
-// carried inline in one: publishing it is a single Go allocation and a
-// reader reaches the bytes without a dependent load through a segment
-// list. Only a multi-page span uses segs (one page-backed segment per
-// page; one is then nil).
-type valBox struct {
-	one  []byte
-	segs [][]byte
-}
-
-// newBox captures ref's page-backed bytes for publication. It must run
-// inside the locked section, after the value bytes are fully written.
-func newBox(tx *core.Tx, ref alloc.Ref) (*valBox, error) {
-	b, err := tx.Bytes(ref)
-	if err == nil {
-		return &valBox{one: b}, nil
-	}
-	if !errors.Is(err, alloc.ErrMultiPage) {
-		return nil, err
-	}
-	segs, err := tx.Segments(ref)
-	if err != nil {
-		return nil, err
-	}
-	return &valBox{segs: segs}, nil
-}
-
-// appendBox appends the box's bytes to dst with at most one grow.
-func appendBox(dst []byte, b *valBox) []byte {
-	if b.segs == nil {
-		return append(dst, b.one...)
-	}
-	size := 0
-	for _, seg := range b.segs {
-		size += len(seg)
-	}
-	if n := len(dst) + size; cap(dst) < n {
-		grown := make([]byte, len(dst), n)
-		copy(grown, dst)
-		dst = grown
-	}
-	for _, seg := range b.segs {
-		dst = append(dst, seg...)
-	}
-	return dst
-}
 
 // LookupResult classifies a lock-free read attempt.
 type LookupResult uint8
@@ -137,7 +89,7 @@ type lfStats struct {
 	hits      atomic.Int64 // reads served with zero locks
 	misses    atomic.Int64 // definite misses with zero locks
 	fallbacks atomic.Int64 // retries due to slot exhaustion or no index
-	condemned atomic.Int64 // retries due to a condemned (nil-box) entry
+	condemned atomic.Int64 // retries due to a condemned (nil-record) entry
 }
 
 // LockFreeStats reports the table's lock-free read counters: hits and
@@ -214,16 +166,16 @@ func (t *SoftHashTable[K]) GetAppendLockFree(dst []byte, key K) ([]byte, LookupR
 		t.lf.misses.Add(1)
 		return dst, LookupMiss
 	}
-	box := e.box.Load()
-	if box == nil {
+	v := e.view.Load()
+	if v == nil {
 		// Condemned: the entry was deleted, replaced, or revoked between
-		// the index probe and the box load. The locked path resolves what
-		// the key's current state really is.
+		// the index probe and the record load. The locked path resolves
+		// what the key's current state really is.
 		t.dom.Exit(slot)
 		t.lf.condemned.Add(1)
 		return dst, LookupRetry
 	}
-	dst = appendBox(dst, box)
+	dst = v.AppendTo(dst)
 	t.dom.Exit(slot)
 	// Lazy recency sampling: one hit in recencySampleRate advances the
 	// table clock into the entry's stamp. A lock-free read cannot move
@@ -261,7 +213,7 @@ func (t *SoftHashTable[K]) ContainsLockFree(key K) LookupResult {
 	case e == nil:
 		t.lf.misses.Add(1)
 		return LookupMiss
-	case e.box.Load() == nil:
+	case e.view.Load() == nil:
 		t.lf.condemned.Add(1)
 		return LookupRetry
 	}
@@ -299,12 +251,12 @@ func (t *SoftHashTable[K]) ScanLockFree(fn func(key K, value []byte) bool) bool 
 			t.lf.fallbacks.Add(1)
 			return false
 		}
-		box := e.box.Load()
-		if box == nil {
+		v := e.view.Load()
+		if v == nil {
 			t.dom.Exit(slot)
 			continue // revoked mid-scan: treat as not observed
 		}
-		scratch = appendBox(scratch[:0], box)
+		scratch = v.AppendTo(scratch[:0])
 		t.dom.Exit(slot)
 		if !fn(e.key, scratch) {
 			return true
@@ -313,7 +265,7 @@ func (t *SoftHashTable[K]) ScanLockFree(fn func(key K, value []byte) bool) bool 
 	return true
 }
 
-// idxInsert stores a fully-initialized, already linked entry (box
+// idxInsert stores a fully-initialized, already linked entry (record
 // published, on a lock-free table) into the bucket find chose for it.
 // Taking an empty bucket past the load bound rebuilds instead, from the
 // eviction list, which already holds e. Caller holds the heap lock.

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"softmem/internal/alloc"
 	"softmem/internal/core"
 	"softmem/internal/pages"
 )
@@ -109,8 +110,8 @@ func TestHashTableLockFreeMultiPageValue(t *testing.T) {
 	})
 	defer ht.Close()
 
-	// Values much larger than a page exercise the multi-segment span
-	// path through valBox.
+	// Values much larger than a page exercise a span's record, which
+	// lives apart from the span's metadata.
 	const big = 3*4096 + 123
 	for k := 0; k < 8; k++ {
 		if err := ht.Put(k, lfValue(k, big)); err != nil {
@@ -209,7 +210,7 @@ func TestHashTableLockFreeReclaimRace(t *testing.T) {
 			}
 		}(r)
 	}
-	// Writer: keep re-putting (replacement condemns the old box).
+	// Writer: keep re-putting (replacement condemns the old record).
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -425,7 +426,7 @@ func TestSortedMapLockFreeReclaimDuringRange(t *testing.T) {
 }
 
 // TestLockFreeDisabledPathsUnchanged pins that tables without the flag
-// never take the optimistic path and never pay for boxes.
+// never take the optimistic path and never publish a record.
 func TestLockFreeDisabledPathsUnchanged(t *testing.T) {
 	s := newSMA()
 	defer s.Close()
@@ -593,13 +594,13 @@ func TestParkedReaderPinsPastBatches(t *testing.T) {
 	if !ok {
 		t.Fatal("Enter failed")
 	}
-	var box *valBox
-	_ = ht.ctx.Do(func(*core.Tx) error { // lookup belongs under the lock; the box does not
-		box = ht.lookup(0).box.Load()
+	var rec *alloc.View
+	_ = ht.ctx.Do(func(*core.Tx) error { // lookup belongs under the lock; the record does not
+		rec = ht.lookup(0).view.Load()
 		return nil
 	})
-	if box == nil {
-		t.Fatal("no published box to park on")
+	if rec == nil {
+		t.Fatal("no published record to park on")
 	}
 
 	// Every replacement writes different bytes into whatever slot it
@@ -610,7 +611,7 @@ func TestParkedReaderPinsPastBatches(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	checkLfValue(t, 0, appendBox(nil, box), valSize)
+	checkLfValue(t, 0, rec.AppendTo(nil), valSize)
 	if got := ht.ctx.HeapStats().LimboAllocs; got < rounds {
 		t.Fatalf("limbo = %d with a reader parked since before %d retirements", got, rounds)
 	}

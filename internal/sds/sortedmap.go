@@ -23,7 +23,7 @@ import (
 // are atomic, nodes are fully initialized before linking, and unlink
 // leaves a removed node's forward pointers intact, so a reader holding a
 // stale node can always finish its walk. Value bytes are copied through
-// the same valBox/epoch machinery as the hash table (see lockfree.go);
+// the same record/epoch machinery as the hash table (see lockfree.go);
 // any attempt that cannot complete optimistically falls back to the
 // locked path.
 //
@@ -53,11 +53,11 @@ const smMaxLevel = 24
 type smNode[K cmp.Ordered] struct {
 	key K
 	ref alloc.Ref
-	// box is the atomically-published immutable value view for lock-free
-	// readers; nil on non-lock-free maps or once condemned. Writers
-	// store it under the locked section, and always store nil BEFORE
-	// epoch-retiring the ref.
-	box atomic.Pointer[valBox]
+	// view points at the heap's record of ref for lock-free readers; nil
+	// on non-lock-free maps or once condemned. Writers store it under the
+	// locked section, and always store nil or the replacement's record
+	// BEFORE epoch-retiring the ref.
+	view atomic.Pointer[alloc.View]
 	// next holds the forward pointers. Writers mutate them only inside
 	// the locked section; readers traverse them with atomic loads.
 	// Unlink never clears a removed node's forward pointers.
@@ -121,27 +121,27 @@ func (m *SoftSortedMap[K]) randomLevel() int {
 	return lvl
 }
 
-// publishBox builds and publishes the value box for n under the locked
+// publish points n at its value's published record under the locked
 // section (no-op on non-lock-free maps). It must run after the value
 // bytes are fully written and before any reader can need them.
-func (m *SoftSortedMap[K]) publishBox(tx *core.Tx, n *smNode[K]) error {
+func (m *SoftSortedMap[K]) publish(tx *core.Tx, n *smNode[K]) error {
 	if !m.lockFree {
 		return nil
 	}
-	box, err := newBox(tx, n.ref)
+	v, err := tx.Publish(n.ref)
 	if err != nil {
 		return err
 	}
-	n.box.Store(box)
+	n.view.Store(v)
 	return nil
 }
 
 // condemn unpublishes n's value ahead of a free. The nil store must
 // precede the tx.Free (which reads the epoch stamp) so any reader still
-// copying the old box is covered by the grace period.
+// copying through the old record is covered by the grace period.
 func (m *SoftSortedMap[K]) condemn(n *smNode[K]) {
 	if m.lockFree {
-		n.box.Store(nil)
+		n.view.Store(nil)
 	}
 }
 
@@ -173,20 +173,20 @@ func (m *SoftSortedMap[K]) Put(key K, value []byte) error {
 		if n := prev[0].next[0].Load(); n != nil && n.key == key {
 			old := n.ref
 			n.ref = ref
-			// Publishing the new box unpublishes the old one in the same
-			// atomic store; the old ref is epoch-retired after it, so
+			// Publishing the new record unpublishes the old one in the
+			// same atomic store; the old ref is epoch-retired after it, so
 			// readers mid-copy on the old value stay covered.
-			if err := m.publishBox(tx, n); err != nil {
+			if err := m.publish(tx, n); err != nil {
 				return err
 			}
 			return tx.Free(old)
 		}
 		lvl := m.randomLevel()
 		node := &smNode[K]{key: key, ref: ref, next: make([]atomic.Pointer[smNode[K]], lvl)}
-		if err := m.publishBox(tx, node); err != nil {
+		if err := m.publish(tx, node); err != nil {
 			return err
 		}
-		// The node is fully initialized (box published, forward pointers
+		// The node is fully initialized (record published, forward pointers
 		// set) before each level link makes it reachable; level 0 links
 		// first, so once any reader can find the node its value is up.
 		for i := 0; i < lvl; i++ {
@@ -226,15 +226,15 @@ func (m *SoftSortedMap[K]) getLockFree(key K) ([]byte, LookupResult) {
 		m.lf.misses.Add(1)
 		return nil, LookupMiss
 	}
-	box := nx.box.Load()
-	if box == nil {
-		// Condemned between the walk and the box load; the locked path
+	rec := nx.view.Load()
+	if rec == nil {
+		// Condemned between the walk and the record load; the locked path
 		// resolves the key's current state.
 		m.dom.Exit(slot)
 		m.lf.condemned.Add(1)
 		return nil, LookupRetry
 	}
-	v := appendBox(nil, box)
+	v := rec.AppendTo(nil)
 	m.dom.Exit(slot)
 	m.lf.hits.Add(1)
 	return v, LookupHit
@@ -372,12 +372,12 @@ func (m *SoftSortedMap[K]) rangeLockFree(from, to K, fn func(K, []byte) bool) bo
 			return false
 		}
 		hint++
-		box := nx.box.Load()
-		if box == nil {
+		v := nx.view.Load()
+		if v == nil {
 			m.dom.Exit(slot)
 			continue // revoked mid-scan: treat as not observed
 		}
-		scratch = appendBox(scratch[:0], box)
+		scratch = v.AppendTo(scratch[:0])
 		m.dom.Exit(slot)
 		if !fn(nx.key, scratch) {
 			return true
