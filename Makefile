@@ -69,8 +69,9 @@ race-hot:
 # The reclaim stress list, by name: lock-free readers racing revocation
 # (condemn + epoch-retire), slot, page and span reuse under the records
 # they copy through, and index rebuilds, the hash table against its
-# map model, the page-wise victim order, the tier deal and the
-# model-checked histories under demands are the interleavings a pinned
+# map model, the page-wise victim order, the tier deal, the
+# model-checked histories under demands and spill promotions racing
+# writes and deletions are the interleavings a pinned
 # GOMAXPROCS shakes out (CI runs this at 1, 2 and 4). A name that
 # matches no test would silently shrink a -run filter, so the target
 # fails unless every name in the list ran and passed.
@@ -84,7 +85,8 @@ STRESS_TESTS = TestEpochReclaimRace TestHashTableLockFreeReclaimRace \
 	TestReclaimDoesNotAskTwiceForPagesInLimbo TestReclaimOrderIsStoreWide \
 	TestReclaimOrderMixedSizes TestEveryEntryPointUnderReclaim \
 	TestHashTablePutGetProperty TestHashTableLockFreeReadersAcrossRebuilds \
-	TestHashTableRecordLifetimeUnderChurn TestSortedMapRecordLifetimeUnderChurn
+	TestHashTableRecordLifetimeUnderChurn TestSortedMapRecordLifetimeUnderChurn \
+	TestSpillPromotionSetRace TestSpillTablePromotionRace
 empty :=
 space := $(empty) $(empty)
 race-stress:
@@ -104,7 +106,7 @@ bench-check:
 
 # Same-session A/B for a performance claim (ROADMAP item 3b):
 # `make bench-pair W=kv_direct_mixed [REF=<commit>] [N=10] [SEED=1]
-# [SECONDS=24]` checks REF out as a git worktree under .bench_build/,
+# [SECONDS=24]` extracts REF with `git archive` under .bench_build/,
 # runs `bash bench/run.sh --workload W` on it and on the working tree in
 # alternating order, and prints per end-to-end metric both medians and
 # quartiles and the pairs won; non-zero exit when a median is worse than

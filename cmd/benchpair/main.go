@@ -1,8 +1,9 @@
 // Command benchpair is the same-session A/B the choosing-metrics rules
-// ask of a performance claim: it checks a reference commit out beside the
-// working tree (a git worktree under .bench_build/), runs one benchmark
-// workload on both — `bash bench/run.sh`, which each checkout builds from
-// its own source — in alternating order, and prints per end-to-end metric
+// ask of a performance claim: it extracts a reference commit's files
+// beside the working tree (`git archive` into .bench_build/, so git
+// itself records nothing), runs one benchmark workload on both — `bash
+// bench/run.sh`, which each tree builds from its own source — in
+// alternating order, and prints per end-to-end metric
 // both medians, both quartile pairs, the relative change, how many pairs
 // the change won and a verdict: "improved" (won at least 9 pairs in 10
 // and moved the median further than the parent's quartile distance),
@@ -57,9 +58,10 @@ type result struct {
 	} `json:"metrics"`
 }
 
-// side collects one checkout's runs.
+// side collects one tree's runs.
 type side struct {
 	name, root        string
+	env               []string             // added to the benchmark's environment
 	values            map[string][]float64 // metric -> one value per pair
 	attempted, failed int64
 }
@@ -75,7 +77,8 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	// An interrupt stops the run in progress and still removes the worktree.
+	// An interrupt stops the run in progress and still removes the
+	// parent's tree.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	ok, err := run(ctx, *workload, *ref, *n, *seed, *seconds)
 	stop()
@@ -130,22 +133,16 @@ func run(ctx context.Context, workload, ref string, n int, seed int64, seconds f
 	}
 
 	refRoot := filepath.Join(root, ".bench_build", "pair-"+sha[:12])
-	if _, err := os.Stat(refRoot); err == nil {
-		// Left by a run that was killed before it could clean up.
-		if _, err := git(root, "worktree", "remove", "--force", refRoot); err != nil {
-			return false, err
-		}
-	}
-	if _, err := git(root, "worktree", "add", "--force", "--detach", refRoot, sha); err != nil {
+	if err := extract(root, sha, refRoot); err != nil {
 		return false, err
 	}
-	defer func() {
-		if _, err := git(root, "worktree", "remove", "--force", refRoot); err != nil {
-			fmt.Fprintf(os.Stderr, "benchpair: %v\n", err)
-		}
-	}()
+	defer os.RemoveAll(refRoot)
 
-	parent := &side{name: "parent", root: refRoot, values: map[string][]float64{}}
+	// The parent's tree sits inside the checkout but is no repository:
+	// the ceiling stops git from finding the enclosing one, so its runs
+	// do not report the working tree's commit.
+	parent := &side{name: "parent", root: refRoot, values: map[string][]float64{},
+		env: []string{"GIT_CEILING_DIRECTORIES=" + filepath.Dir(refRoot)}}
 	change := &side{name: "change", root: root, values: map[string][]float64{}}
 	fmt.Printf("# workload=%s parent=%s change=working tree of %s pairs=%d seed=%d seconds=%g\n",
 		workload, sha[:12], root, n, seed, seconds)
@@ -189,6 +186,23 @@ func run(ctx context.Context, workload, ref string, n int, seed int64, seconds f
 			100*ratio(cmp.c[1]-cmp.p[1], cmp.p[1]), 100*cmp.iqr, cmp.wins, cmp.losses, cmp.pairs, m.Bound, v)
 	}
 	return ok, nil
+}
+
+// extract writes the files committed at sha, and nothing else, into dir,
+// replacing whatever a killed run left there.
+func extract(root, sha, dir string) error {
+	if err := os.RemoveAll(dir); err != nil {
+		return err
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	cmd := exec.Command("bash", "-c", `set -o pipefail; git archive "$1" | tar -x -C "$2"`, "extract", sha, dir)
+	cmd.Dir, cmd.Stderr = root, os.Stderr
+	if err := cmd.Run(); err != nil {
+		return fmt.Errorf("extracting %s into %s: %w", sha, dir, err)
+	}
+	return nil
 }
 
 // The verdicts, one per metric.
@@ -263,6 +277,7 @@ func (s *side) bench(ctx context.Context, workload string, seed int64, seconds f
 		"--seed", strconv.FormatInt(seed, 10),
 		"--seconds", strconv.FormatFloat(seconds, 'g', -1, 64), "--trace", "0")
 	cmd.Dir = s.root
+	cmd.Env = append(os.Environ(), s.env...)
 	cmd.Stderr = os.Stderr
 	out, err := cmd.Output()
 	var res result

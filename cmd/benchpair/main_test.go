@@ -1,6 +1,84 @@
 package main
 
-import "testing"
+import (
+	"io/fs"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"slices"
+	"strings"
+	"testing"
+)
+
+// TestExtract builds the parent's tree in a scratch repository: it holds
+// exactly the committed files — not the working tree's edits, untracked
+// files or what a killed run left behind — and git records no worktree.
+// Under the ceiling the parent's runs get, git finds no commit there.
+func TestExtract(t *testing.T) {
+	repo := t.TempDir()
+	gitIn := func(dir string, env []string, args ...string) (string, error) {
+		cmd := exec.Command("git", append([]string{"-c", "user.name=bench", "-c", "user.email=bench@localhost"}, args...)...)
+		cmd.Dir = dir
+		cmd.Env = append(os.Environ(), env...)
+		out, err := cmd.CombinedOutput()
+		return string(out), err
+	}
+	run := func(args ...string) string {
+		t.Helper()
+		out, err := gitIn(repo, nil, args...)
+		if err != nil {
+			t.Fatalf("git %v: %v\n%s", args, err, out)
+		}
+		return out
+	}
+	write := func(name, body string) {
+		t.Helper()
+		path := filepath.Join(repo, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run("init", "-q")
+	write("a.txt", "committed")
+	write("sub/b.txt", "b")
+	run("add", "-A")
+	run("commit", "-q", "-m", "parent")
+	sha := strings.TrimSpace(run("rev-parse", "HEAD"))
+	write("a.txt", "edited")
+	write("untracked.txt", "u")
+	dir := filepath.Join(repo, ".bench_build", "pair-"+sha[:12])
+	write(filepath.Join(".bench_build", "pair-"+sha[:12], "stale.txt"), "left by a killed run")
+
+	if err := extract(repo, sha, dir); err != nil {
+		t.Fatal(err)
+	}
+	var files []string
+	if err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err == nil && !d.IsDir() {
+			rel, _ := filepath.Rel(dir, path)
+			files = append(files, filepath.ToSlash(rel))
+		}
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	slices.Sort(files)
+	if want := []string{"a.txt", "sub/b.txt"}; !slices.Equal(files, want) {
+		t.Fatalf("extracted %v, want %v", files, want)
+	}
+	if body, _ := os.ReadFile(filepath.Join(dir, "a.txt")); string(body) != "committed" {
+		t.Fatalf("a.txt = %q, want the committed content", body)
+	}
+	if lines := strings.Split(strings.TrimSpace(run("worktree", "list")), "\n"); len(lines) != 1 {
+		t.Fatalf("git worktree list printed %d lines: %q", len(lines), lines)
+	}
+	if out, err := gitIn(dir, []string{"GIT_CEILING_DIRECTORIES=" + filepath.Dir(dir)}, "rev-parse", "HEAD"); err == nil {
+		t.Fatalf("git found a commit in the extracted tree: %s", out)
+	}
+}
 
 // TestQuartiles pins the cut points to Python's
 // statistics.quantiles(data, n=4), the rule the benchmark's own report

@@ -231,17 +231,16 @@ func (s *Store) run(a *attribState, o *core.Owned, sh *shard, c *Command, queueN
 
 // expire collects key if its TTL deadline has passed: the one expiry
 // body, used lazily per key and by the sweep. The due check is one
-// atomic load while the shard has no TTLs. With a spill tier the demoted
-// record is purged too, so expiry cannot be undone by a later promotion.
+// atomic load while the shard has no TTLs. Like DEL it drops the spill
+// side first, so expiry cannot be undone by a promotion.
 func (s *Store) expire(o *core.Owned, sh *shard, key string) bool {
 	if !sh.ttl.due(key) {
 		return false
 	}
 	sh.ttl.clear(key)
-	removed, _ := sh.ht.DeleteOwned(o, key)
-	if s.spill != nil {
-		removed = s.spill.Drop(key) || removed
-		s.promoMarkDeleted(key)
+	removed := s.spill != nil && s.spill.Drop(key)
+	if deleted, _ := sh.ht.DeleteOwned(o, key); deleted {
+		removed = true
 	}
 	if removed {
 		s.expired.Add(1)
@@ -265,21 +264,9 @@ func (s *Store) present(o *core.Owned, sh *shard, key string) bool {
 }
 
 // lookup reads key under the owned lock, faulting it in from the spill
-// tier on a miss (the transparent promotion path). The disk read runs
-// with the shard lock dropped; the promoted value is re-inserted through
-// PutOwned — the normal soft-allocation/budget path — so the spill tier
-// never bypasses the daemon's arbitration. If the re-insert fails under
-// pressure the value is demoted straight back so it stays recoverable,
-// and the caller still gets it either way.
-//
-// A Del that lands between Promote (which removes the spill record) and
-// the re-insert sees the key in neither tier; without coordination the
-// re-insert would resurrect the deleted key. The promo registration
-// closes that: the Del marks it, and the re-insert is rolled back —
-// this read linearizes just before the Del, so the caller still gets the
-// value while the store stays deleted.
-//
-// With attribution enabled the promotion window is stamped into the
+// tier on a miss through sds.PromoteOwned, the one promotion path. Around
+// it the store keeps only its own accounting: the promotion window is
+// charged to StallNanos and, with attribution enabled, stamped into the
 // command's span, minus its own lock re-acquisition (which run already
 // accounts as lock wait).
 func (s *Store) lookup(o *core.Owned, sh *shard, c *Command, dst []byte, key string) ([]byte, bool, error) {
@@ -294,23 +281,9 @@ func (s *Store) lookup(o *core.Owned, sh *shard, c *Command, dst []byte, key str
 		t0, w0 = time.Now(), o.WaitNanos()
 	}
 	p0 := s.now()
-	p := s.promoBegin(key)
-	o.Release()
-	sv, found := s.spill.Promote(key)
-	err = o.Acquire()
+	v, found, err := sds.PromoteOwned(sh.ht, o, s.spill, dst, key)
 	if found {
 		s.promotions.Add(1)
-		// PutOwned re-takes the lock itself when the Acquire above failed,
-		// and then fails the same way; it returns holding it on success.
-		perr := sh.ht.PutOwned(o, key, sv)
-		if deleted := s.promoEnd(key, p); deleted && perr == nil {
-			_, _ = sh.ht.DeleteOwned(o, key)
-		} else if !deleted && perr != nil {
-			_ = s.spill.Demote(key, sv)
-		}
-		v = append(dst, sv...)
-	} else {
-		s.promoEnd(key, p)
 	}
 	s.promoteNs.Add(s.now().Sub(p0).Nanoseconds())
 	if timed {
@@ -375,13 +348,12 @@ func (s *Store) exec(o *core.Owned, sh *shard, c *Command) {
 		sh.countRead(c.Ok)
 	case OpSet:
 		sh.sets.Add(1)
-		// Drop before Put: the reverse order races with a reclamation that
-		// demotes the fresh value between the two steps (PutOwned's
-		// allocation can drop the lock), and the Drop would then destroy
-		// the only copy.
+		// Drop before Put: it supersedes a promotion in flight, and the
+		// reverse order races with a reclamation that demotes the fresh
+		// value between the two steps (PutOwned's allocation can drop the
+		// lock), and the Drop would then destroy the only copy.
 		if s.spill != nil {
 			s.spill.Drop(c.Key)
-			s.promoClearDeleted(c.Key)
 		}
 		if c.Err = sh.ht.PutOwned(o, c.Key, c.Arg); c.Err == nil {
 			// A successful SET discards the key's deadline (Redis's rule):
@@ -391,16 +363,12 @@ func (s *Store) exec(o *core.Owned, sh *shard, c *Command) {
 	case OpDel:
 		sh.dels.Add(1)
 		sh.ttl.clear(c.Key)
+		// Spill side first, in the same hold of the lock as the delete:
+		// no promotion can put the value back behind the delete, and no
+		// reclamation can demote it behind the drop.
+		dropped := s.spill != nil && s.spill.Drop(c.Key)
 		removed, err := sh.ht.DeleteOwned(o, c.Key)
-		if s.spill != nil {
-			if s.spill.Contains(c.Key) {
-				removed = true
-			}
-			s.spill.Drop(c.Key)
-			// A value mid-promotion is in neither tier right now; flag the
-			// in-flight promotion so its re-insert is rolled back.
-			s.promoMarkDeleted(c.Key)
-		}
+		removed = removed || dropped
 		c.Ok, c.Err = removed, err
 		if removed {
 			c.N = 1

@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -664,8 +665,9 @@ func reclaimScript(client int, n int) [][]string {
 }
 
 // respReplies sends cmds over one connection, depth at a time, and
-// returns each command's raw reply (the scripts produce no arrays).
-func respReplies(srv *Server, cmds [][]string, depth int) ([][]byte, error) {
+// returns each command's raw reply (the scripts produce no arrays),
+// calling replied with the size of each group whose replies are in.
+func respReplies(srv *Server, cmds [][]string, depth int, replied func(n int)) ([][]byte, error) {
 	clientEnd, serverEnd := net.Pipe()
 	done := make(chan struct{})
 	go func() {
@@ -702,6 +704,7 @@ func respReplies(srv *Server, cmds [][]string, depth int) ([][]byte, error) {
 		if err := <-werr; err != nil {
 			return nil, err
 		}
+		replied(hi - lo)
 	}
 	return replies, nil
 }
@@ -721,7 +724,19 @@ func TestEveryEntryPointUnderReclaim(t *testing.T) {
 			defer st.Close()
 			srv := NewServer(st, func(string, ...any) {})
 
-			clients := []struct {
+			// A demand fires every demandEvery client steps, counted across
+			// the four clients as they complete, so how many demands the run
+			// sees depends on the scripts and not on the scheduler.
+			const clientCount, demandEvery = 4, 40
+			var completed atomic.Int64
+			ticks := make(chan int64, clientCount*steps/demandEvery)
+			done := func(n int) {
+				after := completed.Add(int64(n))
+				for k := (after-int64(n))/demandEvery + 1; k <= after/demandEvery; k++ {
+					ticks <- k
+				}
+			}
+			clients := [clientCount]struct {
 				name string
 				run  func(cmds [][]string) ([][]byte, error)
 			}{
@@ -731,6 +746,7 @@ func TestEveryEntryPointUnderReclaim(t *testing.T) {
 						sl := slots(args)
 						direct(st, &sl[0])
 						out = append(out, render(args[0], sl))
+						done(1)
 					}
 					return out, nil
 				}},
@@ -752,13 +768,21 @@ func TestEveryEntryPointUnderReclaim(t *testing.T) {
 							out = append(out, append([]byte(nil), reply...))
 						}
 						b.Reset()
+						done(hi - lo)
 					}
 					return out, nil
 				}},
-				{"resp-depth1", func(cmds [][]string) ([][]byte, error) { return respReplies(srv, cmds, 1) }},
-				{"resp-depth16", func(cmds [][]string) ([][]byte, error) { return respReplies(srv, cmds, 16) }},
+				{"resp-depth1", func(cmds [][]string) ([][]byte, error) { return respReplies(srv, cmds, 1, done) }},
+				{"resp-depth16", func(cmds [][]string) ([][]byte, error) { return respReplies(srv, cmds, 16, done) }},
 			}
 
+			demands := make(chan struct{})
+			go func() {
+				defer close(demands)
+				for k := range ticks {
+					sma.HandleDemand(1 + int(k%3))
+				}
+			}()
 			scripts := make([][][]string, len(clients))
 			replies := make([][][]byte, len(clients))
 			var wg sync.WaitGroup
@@ -773,21 +797,8 @@ func TestEveryEntryPointUnderReclaim(t *testing.T) {
 					}
 				}()
 			}
-			stop := make(chan struct{})
-			demands := make(chan struct{})
-			go func() {
-				defer close(demands)
-				for n := 1; ; n++ {
-					select {
-					case <-stop:
-						return
-					case <-time.After(300 * time.Microsecond):
-						sma.HandleDemand(1 + n%3)
-					}
-				}
-			}()
 			wg.Wait()
-			close(stop)
+			close(ticks)
 			<-demands
 			if t.Failed() {
 				return

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"softmem/internal/core"
+	"softmem/internal/faultinject"
 	"softmem/internal/pages"
 	"softmem/internal/spill"
 )
@@ -141,7 +142,7 @@ func TestSpillWriteInvalidatesDemoted(t *testing.T) {
 		t.Fatal(err)
 	}
 	sink := sp.Sink("kvstore")
-	sink.OnReclaim("k", []byte("old")) // as if reclaimed
+	sink.Demote("k", []byte("old")) // as if reclaimed
 	if _, err := st.shard("k").ht.Delete("k"); err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +156,7 @@ func TestSpillWriteInvalidatesDemoted(t *testing.T) {
 	}
 
 	// Delete: GET must miss even though a record was once spilled.
-	sink.OnReclaim("k", []byte("stale"))
+	sink.Demote("k", []byte("stale"))
 	if existed, _ := st.Del("k"); !existed {
 		t.Fatal("Del reported missing")
 	}
@@ -167,57 +168,130 @@ func TestSpillWriteInvalidatesDemoted(t *testing.T) {
 	}
 }
 
-// TestSpillPromotionDeleteRollback walks the promotion/deletion
-// interleaving deterministically: a Del that lands while the value is
-// in flight between tiers (removed from spill, not yet re-inserted)
-// must flag the promotion so its re-insert is rolled back — otherwise
-// the deleted key resurrects in the hot tier.
+// TestSpillPromotionDeleteRollback walks the promotion of a key that
+// lives only on disk step by step: Take, then a write or deletion of the
+// key, then the put-back step exactly as sds.PromoteOwned runs it, then
+// a GET. Whatever wrote in between is newer than the promotion, so the
+// GET reads it and never the promoted value.
 func TestSpillPromotionDeleteRollback(t *testing.T) {
+	now := time.Unix(1000, 0)
+	st, _, sp := newSpillStore(t, WithClock(func() time.Time { return now }))
+	sink := sp.Sink("kvstore")
+	for _, tc := range []struct {
+		name  string
+		write func(key string) error
+		want  string // "" for a miss
+	}{
+		{"SET", func(key string) error { return st.Set(key, []byte("new")) }, "new"},
+		{"DEL", func(key string) error { _, err := st.Del(key); return err }, ""},
+		{"FLUSHALL", func(string) error { return st.FlushAll() }, ""},
+		{"expiry sweep", func(string) error {
+			now = now.Add(time.Minute)
+			st.SweepExpired()
+			return nil
+		}, ""},
+	} {
+		key := "k-" + tc.name
+		sh := st.shard(key)
+		// Set with a deadline, then demote: the key lives only on disk,
+		// keeping its TTL as a revoked entry does.
+		if err := st.Set(key, []byte("old")); err != nil || !st.Expire(key, 30*time.Second) {
+			t.Fatalf("%s: Set/Expire: %v", tc.name, err)
+		}
+		sink.Demote(key, []byte("old"))
+		if _, err := sh.ht.Delete(key); err != nil {
+			t.Fatal(err)
+		}
+
+		p, ok := sink.Promote(key)
+		if !ok {
+			t.Fatalf("%s: Promote missed a spilled key", tc.name)
+		}
+		if !st.Exists(key) {
+			t.Fatalf("%s: a key in transit must still exist", tc.name)
+		}
+		if err := tc.write(key); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		o := sh.ht.Context().Own()
+		if err := o.Acquire(); err != nil {
+			t.Fatal(err)
+		}
+		sh.ht.PutBackOwned(o, key, p)
+		o.Release()
+
+		v, ok, err := st.Get(key)
+		if err != nil || string(v) != tc.want || ok != (tc.want != "") {
+			t.Fatalf("%s during a promotion: GET = %q, %v, %v; want %q", tc.name, v, ok, err, tc.want)
+		}
+	}
+}
+
+// TestSpillPromotionSetRace races a GET that promotes a key living
+// only on disk against a SET of that key, 20,000 times: once both have
+// returned, the key reads as the SET's value. A promotion that put the
+// old disk value back over the SET would lose an acknowledged write.
+func TestSpillPromotionSetRace(t *testing.T) {
 	st, _, sp := newSpillStore(t)
 	sink := sp.Sink("kvstore")
-	sink.OnReclaim("k", []byte("v")) // value lives only on disk
+	const pairs = 20000
+	lost := 0
+	for i := 0; i < pairs; i++ {
+		key := fmt.Sprintf("k%05d", i)
+		sink.Demote(key, []byte("old"))
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() { defer wg.Done(); st.Get(key) }()
+		go func() {
+			defer wg.Done()
+			if err := st.Set(key, []byte("new")); err != nil {
+				t.Error(err)
+			}
+		}()
+		wg.Wait()
+		if v, ok, _ := st.Get(key); !ok || string(v) != "new" {
+			lost++
+		}
+	}
+	if lost > 0 {
+		t.Fatalf("%d of %d SETs racing a promotion were lost", lost, pairs)
+	}
+}
 
-	p := st.promoBegin("k")
-	sv, ok := st.spill.Promote("k")
-	if !ok {
-		t.Fatal("Promote missed a spilled key")
+// TestSpillDemoteFault arms the one demotion fault point: a revoked
+// entry whose demotion fails is gone — a miss, absent from the spill
+// tier, and without the deadline a promotion would otherwise need.
+func TestSpillDemoteFault(t *testing.T) {
+	faultinject.Reset()
+	defer faultinject.Reset()
+	var revoked []string
+	st, sma, sp := newSpillStore(t, WithOnReclaim(func(k string) { revoked = append(revoked, k) }))
+	for i := 0; i < 16; i++ {
+		k := fmt.Sprintf("k%02d", i)
+		if err := st.Set(k, make([]byte, 2048)); err != nil || !st.Expire(k, time.Hour) {
+			t.Fatalf("Set/Expire %s: %v", k, err)
+		}
 	}
-	// The concurrent Del: the key is in neither tier right now.
-	if _, err := st.Del("k"); err != nil {
+	if err := faultinject.Arm("sds.spill.demote:always:error"); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.shard("k").ht.Put("k", sv); err != nil {
-		t.Fatal(err)
+	if sma.HandleDemand(2) == 0 || len(revoked) == 0 {
+		t.Fatal("demand revoked nothing")
 	}
-	if !st.promoEnd("k", p) {
-		t.Fatal("Del during in-flight promotion was not flagged")
+	sink := sp.Sink("kvstore")
+	for _, k := range revoked {
+		if sink.Contains(k) {
+			t.Fatalf("%s reached the spill tier through a failed demotion", k)
+		}
+		if _, hasTTL := st.shard(k).ttl.remaining(k); hasTTL {
+			t.Fatalf("%s kept its deadline after a failed demotion", k)
+		}
+		if _, ok, _ := st.Get(k); ok {
+			t.Fatalf("%s read as a hit after a failed demotion", k)
+		}
 	}
-	// lookup's rollback path:
-	if _, err := st.shard("k").ht.Delete("k"); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok, _ := st.Get("k"); ok {
-		t.Fatal("deleted key resurrected by promotion re-insert")
-	}
-
-	// A Set that re-creates the key after the racing Del cancels the
-	// rollback: the newest write wins, not the stale deletion.
-	sink.OnReclaim("k2", []byte("v2"))
-	p2 := st.promoBegin("k2")
-	if _, ok := st.spill.Promote("k2"); !ok {
-		t.Fatal("Promote missed k2")
-	}
-	if _, err := st.Del("k2"); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Set("k2", []byte("recreated")); err != nil {
-		t.Fatal(err)
-	}
-	if st.promoEnd("k2", p2) {
-		t.Fatal("Set after Del should cancel the promotion rollback")
-	}
-	if v, ok, _ := st.Get("k2"); !ok || string(v) != "recreated" {
-		t.Fatalf("re-created key lost: %q, %v", v, ok)
+	if n := sp.Stats().Demotions; n != 0 {
+		t.Fatalf("%d demotions with the fault point armed", n)
 	}
 }
 
@@ -229,7 +303,7 @@ func TestSpillPromotionDeleteRace(t *testing.T) {
 	sink := sp.Sink("kvstore")
 	for i := 0; i < 200; i++ {
 		key := fmt.Sprintf("k%03d", i)
-		sink.OnReclaim(key, []byte("demoted"))
+		sink.Demote(key, []byte("demoted"))
 		var wg sync.WaitGroup
 		wg.Add(2)
 		go func() { defer wg.Done(); st.Get(key) }()

@@ -35,8 +35,6 @@ import (
 
 	"softmem/internal/alloc"
 	"softmem/internal/core"
-	"softmem/internal/faultinject"
-	"softmem/internal/metrics"
 	"softmem/internal/sds"
 	"softmem/internal/spill"
 )
@@ -131,7 +129,7 @@ type Stats struct {
 	PerShard []ShardStats
 	// Spill is the spill store's full metric snapshot, nil when the
 	// store runs without a spill tier.
-	Spill *metrics.SpillSnapshot `json:",omitempty"`
+	Spill *spill.Stats `json:",omitempty"`
 }
 
 // ShardStats describes one string-table shard.
@@ -156,8 +154,6 @@ type Store struct {
 	lists       *listStore
 	now         func() time.Time
 	spill       *spill.Sink // nil without a spill tier
-	promoMu     sync.Mutex
-	promos      map[string]*promo // keys with an in-flight spill promotion
 	expired     atomic.Int64
 	reclaimed   atomic.Int64
 	promotions  atomic.Int64
@@ -229,28 +225,23 @@ func newWithRing(sma *core.SMA, cfg Config, ringSize int) *Store {
 	s.shardMask = uint64(nshards - 1)
 	if cfg.Spill != nil {
 		s.spill = cfg.Spill.Sink(name)
-		s.promos = make(map[string]*promo)
 	}
 	onReclaim := func(key string, value []byte) {
 		s.reclaimed.Add(1)
-		if s.spill != nil && faultinject.Fire("kv.demote") == faultinject.None {
-			// Demote instead of drop: the entry's value moves to disk
-			// (last chance to persist, §3.1) and the TTL deadline stays
-			// so a later promotion still respects expiry. Attribution
-			// times the synchronous disk write as the spill_demote phase.
-			if a := s.attrib.Load(); a != nil {
-				t0 := time.Now()
-				s.spill.OnReclaim(key, value)
+		demoted := false
+		if s.spill != nil {
+			// Demote instead of drop: the TTL deadline stays so a later
+			// promotion still respects expiry. Attribution times the
+			// synchronous disk write as the spill_demote phase.
+			t0, a := time.Now(), s.attrib.Load()
+			demoted = sds.Demote(sma, s.spill, key, value)
+			if a != nil {
 				a.phases[phaseSpillDemote].ObserveDuration(time.Since(t0))
-			} else {
-				s.spill.OnReclaim(key, value)
 			}
-			// Tag the demotion onto the active reclaim trace, if any.
-			sma.NoteDemand("spill_demote", 1, int64(len(value)))
-		} else {
-			// No spill tier, or the fault point vetoed the demotion (a
-			// revocation whose last-chance persist never happens): the
-			// value is simply gone, which is soft memory's contract.
+		}
+		if !demoted {
+			// The value is simply gone, which is soft memory's contract,
+			// and its deadline with it.
 			s.shard(key).ttl.clear(key)
 		}
 		// Synthetic traditional-memory cleanup, per the paper's
@@ -322,71 +313,6 @@ func (s *Store) shardIdx(key string) int {
 
 // shard routes a key to its shard.
 func (s *Store) shard(key string) *shard { return s.shards[s.shardIdx(key)] }
-
-// promo tracks one key's in-flight spill promotions so a concurrent
-// deletion is not lost while the value travels between tiers.
-type promo struct {
-	refs    int
-	deleted bool
-}
-
-// promoBegin registers an in-flight promotion for key. It must be
-// called before Sink.Promote removes the record: once the record is
-// taken, the key lives in neither tier and a concurrent Del would find
-// nothing to delete.
-func (s *Store) promoBegin(key string) *promo {
-	s.promoMu.Lock()
-	p := s.promos[key]
-	if p == nil {
-		p = &promo{}
-		s.promos[key] = p
-	}
-	p.refs++
-	s.promoMu.Unlock()
-	return p
-}
-
-// promoEnd deregisters a promotion and reports whether a deletion hit
-// the key while it was in flight.
-func (s *Store) promoEnd(key string, p *promo) bool {
-	s.promoMu.Lock()
-	deleted := p.deleted
-	p.refs--
-	if p.refs == 0 && s.promos[key] == p {
-		delete(s.promos, key)
-	}
-	s.promoMu.Unlock()
-	return deleted
-}
-
-// promoMarkDeleted flags any in-flight promotion of key so its
-// re-insert is rolled back; every deletion path (Del, expiry, flush)
-// calls it after clearing both tiers.
-func (s *Store) promoMarkDeleted(key string) {
-	if s.spill == nil {
-		return
-	}
-	s.promoMu.Lock()
-	if p := s.promos[key]; p != nil {
-		p.deleted = true
-	}
-	s.promoMu.Unlock()
-}
-
-// promoClearDeleted undoes a pending rollback: a Set that re-creates
-// the key after the racing Del means the key should exist again, so the
-// promotion must not delete it (the usual last-writer-wins between the
-// Set and the promotion's re-insert then applies).
-func (s *Store) promoClearDeleted(key string) {
-	if s.spill == nil {
-		return
-	}
-	s.promoMu.Lock()
-	if p := s.promos[key]; p != nil {
-		p.deleted = false
-	}
-	s.promoMu.Unlock()
-}
 
 // Set stores value under key, replacing any existing value. It returns
 // core.ErrExhausted when soft memory cannot be obtained even after
@@ -508,34 +434,26 @@ func (s *Store) Len() int {
 }
 
 // FlushAll removes every entry and, with them, every deadline: one left
-// behind would expire whatever is next stored under its key.
+// behind would expire whatever is next stored under its key. Each shard
+// is emptied in one hold of its lock, spill side first as in DEL, so no
+// promotion or demotion carries one of its values across the flush. The
+// spill drop is namespace-wide each time: a value demoted from a shard
+// already flushed is dropped again, which reads as a revocation.
 func (s *Store) FlushAll() error {
 	for _, sh := range s.shards {
-		sh.ttl.reset()
-		var keys []string
-		if err := sh.ht.Range(func(k string, _ []byte) bool {
-			keys = append(keys, k)
-			return true
-		}); err != nil {
+		o := sh.ht.Context().Own()
+		err := o.Acquire()
+		if err == nil {
+			sh.ttl.reset()
+			if s.spill != nil {
+				s.spill.DropAll()
+			}
+			err = sh.ht.ClearOwned(o)
+		}
+		o.Release()
+		if err != nil {
 			return err
 		}
-		for _, k := range keys {
-			if _, err := sh.ht.Delete(k); err != nil {
-				return err
-			}
-		}
-	}
-	if s.spill != nil {
-		for _, k := range s.spill.Keys() {
-			s.spill.Drop(k)
-		}
-		// Values mid-promotion are in neither tier nor the lists above;
-		// flag every in-flight promotion so the re-inserts roll back.
-		s.promoMu.Lock()
-		for _, p := range s.promos {
-			p.deleted = true
-		}
-		s.promoMu.Unlock()
 	}
 	return nil
 }
@@ -567,10 +485,8 @@ func (s *Store) Stats() Stats {
 	st.Gets = st.Hits + st.Misses
 	st.LockFreeHits, st.LockFreeMisses, st.LockFreeFallbacks, st.CondemnedRetries = s.lockFreeTotals()
 	if s.spill != nil {
-		st.SpilledEntries = s.spill.Len()
-		st.SpilledBytes = s.spill.Store().BytesOnDisk()
 		snap := s.spill.Store().Stats()
-		st.Spill = &snap
+		st.SpilledEntries, st.SpilledBytes, st.Spill = s.spill.Len(), snap.BytesOnDisk, &snap
 	}
 	return st
 }

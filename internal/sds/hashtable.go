@@ -426,6 +426,17 @@ func (t *SoftHashTable[K]) DeleteOwned(o *core.Owned, key K) (bool, error) {
 	return t.deleteLocked(o.Tx(t.ctx), key)
 }
 
+// ClearOwned removes every entry under an already-owned heap lock.
+func (t *SoftHashTable[K]) ClearOwned(o *core.Owned) error {
+	tx := o.Tx(t.ctx)
+	for t.head != nil {
+		if ok, err := t.deleteLocked(tx, t.head.key); !ok {
+			return err
+		}
+	}
+	return nil
+}
+
 // ContainsOwned is Contains under an already-owned heap lock.
 func (t *SoftHashTable[K]) ContainsOwned(o *core.Owned, key K) bool {
 	_ = o.Tx(t.ctx) // ownership check only

@@ -1,12 +1,68 @@
 package sds
 
 import (
+	"strconv"
 	"sync/atomic"
 
 	"softmem/internal/core"
 	"softmem/internal/faultinject"
 	"softmem/internal/spill"
 )
+
+// Demote and PromoteOwned are the one tier crossing of every SDS with a
+// spill tier, SoftSpillTable and the kvstore alike.
+
+// Demote is the reclaim hook: it writes a revoked entry's value to sink
+// and tags the demotion onto the active reclaim trace. It reports false
+// when the value did not reach the disk (the "sds.spill.demote" fault
+// point vetoed it, or the write failed): the value is then gone.
+func Demote(sma *core.SMA, sink *spill.Sink, key string, value []byte) bool {
+	if faultinject.Fire("sds.spill.demote") != faultinject.None || sink.Demote(key, value) != nil {
+		return false
+	}
+	sma.NoteDemand("spill_demote", 1, int64(len(value)))
+	return true
+}
+
+// PromoteOwned is the fault-in path for a key t has just missed under o:
+// it takes the key's record from sink with the lock dropped for the disk
+// read and puts the value back (PutBackOwned). The caller gets the value
+// appended to dst even when a write superseded the promotion: the read
+// comes before that write. On return o holds the lock unless the context
+// closed.
+func PromoteOwned(t *SoftHashTable[string], o *core.Owned, sink *spill.Sink, dst []byte, key string) ([]byte, bool, error) {
+	o.Release()
+	p, found := sink.Promote(key)
+	err := o.Acquire()
+	if found {
+		t.PutBackOwned(o, key, p)
+		dst = append(dst, p.Value...)
+	}
+	return dst, found, err
+}
+
+// PutBackOwned is PutOwned for a promoted value, through the normal
+// allocation/budget path, and ends its promotion: the value is stored
+// unless p was superseded, and goes back to disk if the heap cannot take
+// it. The check follows the allocation, which may drop the lock, so it
+// shares one hold with the index update: a write whose drop lands after
+// it waits for the lock and then overwrites the put-back.
+func (t *SoftHashTable[K]) PutBackOwned(o *core.Owned, key K, p *spill.Promotion) {
+	ref, err := o.AllocData(p.Value)
+	if err == nil {
+		tx := o.Tx(t.ctx)
+		if p.Superseded() {
+			err = tx.Free(ref)
+		} else {
+			err = t.putLocked(tx, key, ref)
+		}
+	}
+	if err != nil {
+		p.Abort()
+		return
+	}
+	p.Done()
+}
 
 // SoftSpillTable is a string-keyed SoftHashTable coupled to a spill
 // tier: entries revoked under memory pressure are demoted to compressed
@@ -28,11 +84,7 @@ type SoftSpillTable struct {
 func NewSoftSpillTable(sma *core.SMA, name string, sink *spill.Sink, cfg HashTableConfig[string]) *SoftSpillTable {
 	user := cfg.OnReclaim
 	cfg.OnReclaim = func(key string, value []byte) {
-		if faultinject.Fire("sds.spill.demote") == faultinject.None {
-			sink.OnReclaim(key, value)
-			// Tag the demotion onto the active reclaim trace, if any.
-			sma.NoteDemand("spill_demote", 1, int64(len(value)))
-		}
+		Demote(sma, sink, key, value)
 		if user != nil {
 			user(key, value)
 		}
@@ -52,33 +104,33 @@ func (t *SoftSpillTable) Put(key string, value []byte) error {
 }
 
 // Get returns the value under key, faulting it back in from the spill
-// tier on a miss. A promoted value is re-inserted through the normal
-// allocation/budget path; if that fails under pressure the value is
-// demoted straight back, and the caller gets it either way.
+// tier on a miss (PromoteOwned).
 func (t *SoftSpillTable) Get(key string) (value []byte, ok bool, err error) {
 	value, ok, err = t.SoftHashTable.Get(key)
 	if err != nil || ok {
 		return value, ok, err
 	}
-	sv, ok := t.sink.Promote(key)
-	if !ok {
-		return nil, false, nil
+	o := t.ctx.Own()
+	defer o.Release()
+	if value, ok, err = PromoteOwned(t.SoftHashTable, o, t.sink, nil, key); ok {
+		t.promotions.Add(1)
 	}
-	t.promotions.Add(1)
-	if perr := t.SoftHashTable.Put(key, sv); perr != nil {
-		_ = t.sink.Demote(key, sv)
-	}
-	return sv, true, nil
+	return value, ok, err
 }
 
 // Delete removes key from both tiers, reporting whether it existed in
-// either.
+// either. Both happen in one hold of the heap lock, spill side first:
+// no promotion can put the value back behind the delete, and no
+// reclamation can demote it behind the drop.
 func (t *SoftSpillTable) Delete(key string) (bool, error) {
-	existed, err := t.SoftHashTable.Delete(key)
-	if t.sink.Drop(key) {
-		existed = true
+	o := t.ctx.Own()
+	defer o.Release()
+	if err := o.Acquire(); err != nil {
+		return false, err
 	}
-	return existed, err
+	dropped := t.sink.Drop(key)
+	removed, err := t.DeleteOwned(o, key)
+	return removed || dropped, err
 }
 
 // Contains reports whether key is present in either tier, without
@@ -94,19 +146,17 @@ func (t *SoftSpillTable) Promotions() int64 { return t.promotions.Load() }
 // Spilled returns the number of this table's entries currently demoted.
 func (t *SoftSpillTable) Spilled() int { return t.sink.Len() }
 
-// Sink exposes the table's spill sink.
-func (t *SoftSpillTable) Sink() *spill.Sink { return t.sink }
-
 // ArraySpillReclaim adapts a spill sink to ArrayConfig.OnReclaim: each
 // element revoked with the array's block is encoded with codec and
-// demoted under its index. Encode failures degrade to drop semantics.
+// demoted under its index. Encode and write failures degrade to drop
+// semantics.
 func ArraySpillReclaim[T any](codec Codec[T], sink *spill.Sink) func(index int, v T) {
 	return func(index int, v T) {
 		data, err := codec.Encode(v)
 		if err != nil {
 			return
 		}
-		sink.OnReclaimIndexed(index, data)
+		_ = sink.Demote(strconv.Itoa(index), data)
 	}
 }
 
@@ -117,21 +167,23 @@ func ArraySpillReclaim[T any](codec Codec[T], sink *spill.Sink) func(index int, 
 func RestoreArrayFromSpill[T any](a *SoftArray[T], codec Codec[T], sink *spill.Sink) (int, error) {
 	restored := 0
 	for i := 0; i < a.Len(); i++ {
-		data, ok := sink.PromoteIndexed(i)
+		p, ok := sink.Promote(strconv.Itoa(i))
 		if !ok {
 			continue
 		}
-		v, err := codec.Decode(data)
+		v, err := codec.Decode(p.Value)
 		if err != nil {
+			p.Done()
 			continue
 		}
 		if err := a.Set(i, v); err != nil {
-			sink.OnReclaimIndexed(i, data)
+			p.Abort()
 			if err == ErrReclaimed {
 				return restored, err
 			}
 			continue
 		}
+		p.Done()
 		restored++
 	}
 	return restored, nil

@@ -2,8 +2,10 @@ package sds
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
+	"softmem/internal/faultinject"
 	"softmem/internal/spill"
 )
 
@@ -79,7 +81,7 @@ func TestSpillTablePutInvalidatesDemoted(t *testing.T) {
 
 	// Simulate a demoted copy, then overwrite hot: the stale record must
 	// not be served nor resurrect after a delete of the hot entry.
-	sink.OnReclaim("k", []byte("stale"))
+	sink.Demote("k", []byte("stale"))
 	if err := tb.Put("k", []byte("fresh")); err != nil {
 		t.Fatal(err)
 	}
@@ -94,11 +96,87 @@ func TestSpillTablePutInvalidatesDemoted(t *testing.T) {
 	}
 }
 
+// TestSpillTablePromotionRace races a Get that promotes a key living
+// only on disk against a Put or a Delete of that key, 20,000 times each:
+// once both have returned, Get reads the Put's value, or misses after
+// the Delete. A promotion that put the old disk value back would lose
+// the write or resurrect the deleted key.
+func TestSpillTablePromotionRace(t *testing.T) {
+	const pairs = 20000
+	for _, op := range []string{"put", "delete"} {
+		t.Run(op, func(t *testing.T) {
+			sink := newTestSink(t, "t")
+			tb := NewSoftSpillTable(newSMA(), "t", sink, HashTableConfig[string]{})
+			wrong := 0
+			for i := 0; i < pairs; i++ {
+				key := fmt.Sprintf("k%05d", i)
+				sink.Demote(key, []byte("old"))
+				var wg sync.WaitGroup
+				wg.Add(2)
+				go func() { defer wg.Done(); tb.Get(key) }()
+				go func() {
+					defer wg.Done()
+					var err error
+					if op == "put" {
+						err = tb.Put(key, []byte("new"))
+					} else {
+						_, err = tb.Delete(key)
+					}
+					if err != nil {
+						t.Error(err)
+					}
+				}()
+				wg.Wait()
+				v, ok, _ := tb.Get(key)
+				if op == "put" && (!ok || string(v) != "new") || op == "delete" && ok {
+					wrong++
+				}
+			}
+			if wrong > 0 {
+				t.Fatalf("%d of %d Get/%s pairs ended wrong", wrong, pairs, op)
+			}
+		})
+	}
+}
+
+// TestSpillTableDemoteFault arms the one demotion fault point: a
+// revoked entry whose demotion fails reads as a miss and is absent from
+// the sink, while the user's reclaim hook still runs.
+func TestSpillTableDemoteFault(t *testing.T) {
+	faultinject.Reset()
+	defer faultinject.Reset()
+	sma := newSMA()
+	sink := newTestSink(t, "t")
+	var revoked []string
+	tb := NewSoftSpillTable(sma, "t", sink, HashTableConfig[string]{
+		OnReclaim: func(k string, _ []byte) { revoked = append(revoked, k) },
+	})
+	for i := 0; i < 8; i++ {
+		if err := tb.Put(fmt.Sprintf("k%d", i), make([]byte, 4096)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := faultinject.Arm("sds.spill.demote:always:error"); err != nil {
+		t.Fatal(err)
+	}
+	if sma.HandleDemand(2) == 0 || len(revoked) == 0 {
+		t.Fatal("demand revoked nothing")
+	}
+	for _, k := range revoked {
+		if sink.Contains(k) {
+			t.Fatalf("%s reached the sink through a failed demotion", k)
+		}
+		if _, ok, _ := tb.Get(k); ok {
+			t.Fatalf("%s read as a hit after a failed demotion", k)
+		}
+	}
+}
+
 func TestSpillTableContains(t *testing.T) {
 	sink := newTestSink(t, "t")
 	tb := NewSoftSpillTable(newSMA(), "t", sink, HashTableConfig[string]{})
 	tb.Put("hot", []byte("x"))
-	sink.OnReclaim("cold", []byte("y"))
+	sink.Demote("cold", []byte("y"))
 	if !tb.Contains("hot") || !tb.Contains("cold") {
 		t.Fatal("Contains missed a tier")
 	}

@@ -32,8 +32,8 @@
 // truncates at the first torn or CRC-corrupt record, so a crash mid-
 // append loses at most the record being written.
 //
-// The package deliberately knows nothing about SDS internals; the Sink
-// method signatures line up with the reclaim-callback shapes in
-// internal/sds so the two compose without either importing the other's
-// concerns.
+// The package knows nothing about SDS internals. It keeps one rule for
+// the tier crossing, which internal/sds applies for every SDS: a Drop of
+// a key that Take is promoting supersedes the promotion, and its value
+// must not be put back.
 package spill

@@ -1,31 +1,15 @@
 package spill
 
-import "strconv"
-
 // Sink is one SDS's (or one store shard group's) handle on the spill
-// tier: a Store scoped to a namespace. Its method signatures line up
-// with the reclaim-callback shapes in internal/sds, so an SDS demotes
-// by plugging a Sink method straight into its OnReclaim hook:
-//
-//	sink := spillStore.Sink("cache")
-//	ht := sds.NewSoftHashTable[string](sma, "cache", sds.HashTableConfig[string]{
-//		OnReclaim: sink.OnReclaim, // entries spill instead of vanish
-//	})
-//
-// and promotes on a miss with Promote (or PromoteIndexed for arrays).
-// All methods are safe for concurrent use and safe to call from inside
-// reclaim callbacks: the Store never calls back into soft memory, so
-// the Context-lock → spill-lock order is acyclic.
+// tier: a Store scoped to a namespace. SDSs reach it through the
+// coupling in internal/sds (Demote, PromoteOwned), which keeps the rule
+// between the two tiers. All methods are safe for concurrent use and
+// safe to call from inside reclaim callbacks: the Store never calls back
+// into soft memory, so the Context-lock → spill-lock order is acyclic.
 type Sink struct {
 	st *Store
 	ns string
 }
-
-// NewSink binds namespace in st; equivalent to st.Sink(namespace).
-func NewSink(st *Store, namespace string) *Sink { return st.Sink(namespace) }
-
-// Namespace returns the sink's namespace.
-func (k *Sink) Namespace() string { return k.ns }
 
 // Store returns the underlying spill store.
 func (k *Sink) Store() *Store { return k.st }
@@ -35,48 +19,24 @@ func (k *Sink) Demote(key string, value []byte) error {
 	return k.st.Put(k.ns, key, value)
 }
 
-// OnReclaim is Demote shaped as sds.HashTableConfig[string].OnReclaim:
-// it runs inside reclamation (under the SDS heap lock, possibly under
-// the daemon lock), so failures are swallowed after being counted — a
-// failed demotion degrades to today's drop semantics.
-func (k *Sink) OnReclaim(key string, value []byte) {
-	_ = k.st.Put(k.ns, key, value)
-}
-
-// OnReclaimIndexed is OnReclaim for index-keyed SDSs
-// (sds.ArrayConfig.OnReclaim over raw element bytes).
-func (k *Sink) OnReclaimIndexed(i int, value []byte) {
-	_ = k.st.Put(k.ns, strconv.Itoa(i), value)
-}
-
-// Promote reads and removes key — the fault-in path. The caller
-// re-inserts the value into soft memory through the normal allocation
-// path and, if that fails, may Demote it back.
-func (k *Sink) Promote(key string) ([]byte, bool) {
+// Promote takes key's record for the fault-in path (see Store.Take).
+// The caller re-inserts the value into soft memory through the normal
+// allocation path and ends the promotion with Done, or with Abort when
+// that fails.
+func (k *Sink) Promote(key string) (*Promotion, bool) {
 	return k.st.Take(k.ns, key)
 }
 
-// PromoteIndexed is Promote for index-keyed SDSs.
-func (k *Sink) PromoteIndexed(i int) ([]byte, bool) {
-	return k.st.Take(k.ns, strconv.Itoa(i))
-}
-
-// Fetch reads key without removing it (counts a hit or miss).
-func (k *Sink) Fetch(key string) ([]byte, bool) {
-	v, ok, _ := k.st.Get(k.ns, key)
-	return v, ok
-}
-
-// Drop invalidates key (fresh writes and deletions in the hot tier must
-// not be shadowed by stale spilled values), reporting whether a live
-// record existed.
+// Drop invalidates key and supersedes its promotion in flight (fresh
+// writes and deletions in the hot tier must not be shadowed by stale
+// spilled values), reporting whether the key was spilled or in transit.
 func (k *Sink) Drop(key string) bool { return k.st.Drop(k.ns, key) }
 
-// Contains reports whether key is currently spilled.
-func (k *Sink) Contains(key string) bool { return k.st.Contains(k.ns, key) }
+// DropAll invalidates every key of the namespace.
+func (k *Sink) DropAll() { k.st.DropAll(k.ns) }
 
-// Keys returns the namespace's live spilled keys.
-func (k *Sink) Keys() []string { return k.st.Keys(k.ns) }
+// Contains reports whether key is currently spilled or in transit.
+func (k *Sink) Contains(key string) bool { return k.st.Contains(k.ns, key) }
 
 // Len returns the number of live spilled records in the namespace.
 func (k *Sink) Len() int { return k.st.Len(k.ns) }

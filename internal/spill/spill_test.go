@@ -122,15 +122,70 @@ func TestStoreTake(t *testing.T) {
 	if err := st.Put("ns", "k", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	v, ok := st.Take("ns", "k")
-	if !ok || string(v) != "v" {
-		t.Fatalf("Take = %q, %v", v, ok)
+	p, ok := st.Take("ns", "k")
+	if !ok || string(p.Value) != "v" {
+		t.Fatalf("Take = %v, %v", p, ok)
 	}
 	if _, ok := st.Take("ns", "k"); ok {
 		t.Fatal("second Take succeeded")
 	}
+	p.Done()
 	if st.Stats().Promotions != 1 {
 		t.Fatalf("promotions = %d", st.Stats().Promotions)
+	}
+}
+
+// TestDropSupersedesPromotion walks the tier-crossing rule: a key in
+// transit still counts as present, a Drop or DropAll of it supersedes
+// the promotion, and Abort writes the value back only when nothing did.
+func TestDropSupersedesPromotion(t *testing.T) {
+	st := newStore(t, Config{})
+	take := func(key string) *Promotion {
+		t.Helper()
+		if err := st.Put("ns", key, []byte("v-"+key)); err != nil {
+			t.Fatal(err)
+		}
+		p, ok := st.Take("ns", key)
+		if !ok {
+			t.Fatalf("Take %s missed", key)
+		}
+		return p
+	}
+
+	p := take("a")
+	if !st.Contains("ns", "a") || p.Superseded() {
+		t.Fatal("a key in transit must count as present and start unsuperseded")
+	}
+	if !st.Drop("ns", "a") || !p.Superseded() || st.Contains("ns", "a") {
+		t.Fatal("Drop of a key in transit must report it and supersede the promotion")
+	}
+	p.Abort()
+	if st.Contains("ns", "a") {
+		t.Fatal("Abort of a superseded promotion wrote the value back")
+	}
+
+	// A Take after the Drop is a new promotion, not the superseded one.
+	p = take("a")
+	if p.Superseded() {
+		t.Fatal("a fresh Take inherited an old Drop")
+	}
+	p.Abort()
+	if v, ok, _ := st.Get("ns", "a"); !ok || string(v) != "v-a" {
+		t.Fatalf("Abort did not write the value back: %q, %v", v, ok)
+	}
+
+	p, q := take("b"), take("c")
+	if err := st.Put("other", "b", []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	st.DropAll("ns")
+	if !p.Superseded() || !q.Superseded() || st.Len("ns") != 0 {
+		t.Fatal("DropAll must drop the namespace and supersede its promotions")
+	}
+	p.Done()
+	q.Done()
+	if !st.Contains("other", "b") {
+		t.Fatal("DropAll reached another namespace")
 	}
 }
 
@@ -230,22 +285,19 @@ func TestDropEnforcesDiskBudget(t *testing.T) {
 func TestSinkAdapters(t *testing.T) {
 	st := newStore(t, Config{})
 	sink := st.Sink("sds")
-	sink.OnReclaim("a", []byte("va"))
-	sink.OnReclaimIndexed(7, []byte("v7"))
+	sink.Demote("a", []byte("va"))
+	sink.Demote("7", []byte("v7"))
 	if !sink.Contains("a") || sink.Len() != 2 {
 		t.Fatalf("sink state wrong: contains=%v len=%d", sink.Contains("a"), sink.Len())
 	}
-	if v, ok := sink.Promote("a"); !ok || string(v) != "va" {
-		t.Fatalf("Promote = %q, %v", v, ok)
+	if p, ok := sink.Promote("a"); !ok || string(p.Value) != "va" {
+		t.Fatalf("Promote = %v, %v", p, ok)
 	}
-	if v, ok := sink.PromoteIndexed(7); !ok || string(v) != "v7" {
-		t.Fatalf("PromoteIndexed = %q, %v", v, ok)
+	if p, ok := sink.Promote("7"); !ok || string(p.Value) != "v7" {
+		t.Fatalf("Promote of an index = %v, %v", p, ok)
 	}
 	if sink.Len() != 0 {
 		t.Fatalf("len after promotion = %d", sink.Len())
-	}
-	if keys := sink.Keys(); len(keys) != 0 {
-		t.Fatalf("keys after promotion = %v", keys)
 	}
 }
 
@@ -271,9 +323,12 @@ func TestStoreConcurrentAccess(t *testing.T) {
 						return
 					}
 				case 3:
-					if v, ok := st.Take(ns, key); ok && string(v) != key {
-						t.Errorf("Take %s = %q", key, v)
-						return
+					if p, ok := st.Take(ns, key); ok {
+						p.Done()
+						if string(p.Value) != key {
+							t.Errorf("Take %s = %q", key, p.Value)
+							return
+						}
 					}
 				}
 			}

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"softmem/internal/faultinject"
-	"softmem/internal/metrics"
 )
 
 // ErrStoreClosed reports use of a closed Store.
@@ -40,9 +39,6 @@ type Config struct {
 	// negative disables compression entirely. Zero selects the default
 	// 64 bytes.
 	CompressMin int
-	// Metrics receives the store's instrumentation. Nil allocates a
-	// private registry, exposed via Stats.
-	Metrics *metrics.Spill
 }
 
 func (c *Config) setDefaults() {
@@ -73,12 +69,15 @@ type recordLoc struct {
 	len int32
 }
 
+// nsKey names one key of one namespace.
+type nsKey struct{ ns, key string }
+
 // Store is the spill tier: an append-only segment log plus a
 // traditional-memory index of the newest record per namespace/key. All
 // methods are safe for concurrent use.
 type Store struct {
 	cfg Config
-	m   *metrics.Spill
+	m   counters
 	// lat holds operation latency histograms once RegisterMetrics has
 	// run; nil skips timing.
 	lat atomic.Pointer[spillLatency]
@@ -88,10 +87,12 @@ type Store struct {
 	order  []uint64 // ascending segment ids, active last
 	active *segment
 	index  map[string]map[string]recordLoc
-	nextID uint64
-	size   int64 // Σ segment sizes
-	lives  int   // Σ live index entries
-	closed bool
+	// promoting holds each key's newest promotion in flight.
+	promoting map[nsKey]*Promotion
+	nextID    uint64
+	size      int64 // Σ segment sizes
+	lives     int   // Σ live index entries
+	closed    bool
 
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -108,16 +109,12 @@ func Open(cfg Config) (*Store, error) {
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("spill: mkdir: %w", err)
 	}
-	m := cfg.Metrics
-	if m == nil {
-		m = &metrics.Spill{}
-	}
 	s := &Store{
-		cfg:   cfg,
-		m:     m,
-		segs:  make(map[uint64]*segment),
-		index: make(map[string]map[string]recordLoc),
-		stop:  make(chan struct{}),
+		cfg:       cfg,
+		segs:      make(map[uint64]*segment),
+		index:     make(map[string]map[string]recordLoc),
+		promoting: make(map[nsKey]*Promotion),
+		stop:      make(chan struct{}),
 	}
 	if err := s.recover(); err != nil {
 		return nil, err
@@ -176,11 +173,7 @@ func (s *Store) recover() error {
 	}
 	// Appends always go to a fresh segment; recovered segments are
 	// sealed (compaction will fold small ones forward).
-	if err := s.rotateLocked(); err != nil {
-		return err
-	}
-	s.publishGauges()
-	return nil
+	return s.rotateLocked()
 }
 
 // applyRecovered folds one scanned record into the index during
@@ -267,6 +260,12 @@ func (s *Store) put(namespace, key string, value []byte) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.putLocked(namespace, key, buf, len(value))
+}
+
+// putLocked appends buf, the encoded record of an n-byte value, and
+// points the index at it. Caller holds s.mu.
+func (s *Store) putLocked(namespace, key string, buf []byte, n int) error {
 	if s.closed {
 		return ErrStoreClosed
 	}
@@ -277,9 +276,8 @@ func (s *Store) put(namespace, key string, value []byte) error {
 	}
 	s.indexPutLocked(namespace, key, loc)
 	s.m.Demotions.Inc()
-	s.m.DemotedBytes.Add(int64(len(value)))
+	s.m.DemotedBytes.Add(int64(n))
 	s.evictLocked()
-	s.publishGauges()
 	return nil
 }
 
@@ -302,29 +300,11 @@ func (s *Store) get(namespace, key string) (value []byte, found bool, err error)
 		s.mu.Unlock()
 		return nil, false, ErrStoreClosed
 	}
-	loc, ok := s.index[namespace][key]
-	if !ok {
-		s.mu.Unlock()
-		s.m.Misses.Inc()
-		return nil, false, nil
-	}
-	sg := s.segs[loc.seg]
-	if sg == nil {
-		s.mu.Unlock()
-		s.m.Misses.Inc()
-		return nil, false, nil
-	}
-	buf, err := sg.readBytes(loc.off, loc.len)
-	if err != nil {
-		// A record that fails to read back is dropped from the index so
-		// the failure is paid once.
-		s.indexDropLocked(namespace, key, loc)
-		s.mu.Unlock()
-		s.m.CorruptRecords.Inc()
-		s.m.Misses.Inc()
+	buf, loc, err := s.readLocked(namespace, key)
+	s.mu.Unlock()
+	if buf == nil {
 		return nil, false, err
 	}
-	s.mu.Unlock()
 	// Decompression and CRC verification run outside the store mutex so
 	// slow decodes do not serialize other spill traffic (Put from reclaim
 	// callbacks in particular).
@@ -343,80 +323,157 @@ func (s *Store) get(namespace, key string) (value []byte, found bool, err error)
 	return rec.Value, true, nil
 }
 
+// readLocked returns namespace/key's raw record and where it lies, or
+// nil for a miss; a record that cannot be read back is dropped from the
+// index so the failure is paid once. Caller holds s.mu.
+func (s *Store) readLocked(namespace, key string) ([]byte, recordLoc, error) {
+	loc, ok := s.index[namespace][key]
+	sg := s.segs[loc.seg]
+	if !ok || sg == nil {
+		s.m.Misses.Inc()
+		return nil, loc, nil
+	}
+	buf, err := sg.readBytes(loc.off, loc.len)
+	if err != nil {
+		s.indexDropLocked(namespace, key, loc)
+		s.m.CorruptRecords.Inc()
+		s.m.Misses.Inc()
+		return nil, loc, err
+	}
+	return buf, loc, nil
+}
+
 // Drop removes namespace/key from the tier, logging a tombstone so the
-// deletion survives a crash and restart. It reports whether the key was
-// present.
+// deletion survives a crash and restart, and supersedes its promotion in
+// flight. It reports whether the key was on disk or in transit.
 func (s *Store) Drop(namespace, key string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return false
 	}
+	promoting := s.supersedeLocked(nsKey{namespace, key})
 	loc, ok := s.index[namespace][key]
 	if !ok {
-		return false
+		return promoting
 	}
 	s.indexDropLocked(namespace, key, loc)
 	s.tombstoneLocked(namespace, key)
-	// Tombstones grow the log too: delete-heavy bursts (FlushAll over a
-	// large spilled set) must not push disk usage past the budget.
+	// Tombstones grow the log too: delete-heavy bursts must not push disk
+	// usage past the budget.
 	s.evictLocked()
-	s.publishGauges()
 	return true
 }
 
-// Take atomically reads and removes namespace/key — the promotion
-// primitive. Unlike Get+Drop it holds the lock across both steps, so
-// two concurrent promoters cannot both win the same record.
-func (s *Store) Take(namespace, key string) (value []byte, found bool) {
+// DropAll is Drop for every key of namespace: FLUSHALL's spill half.
+func (s *Store) DropAll(namespace string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return
+	}
+	for at := range s.promoting {
+		if at.ns == namespace {
+			s.supersedeLocked(at)
+		}
+	}
+	for key, loc := range s.index[namespace] {
+		s.indexDropLocked(namespace, key, loc)
+		s.tombstoneLocked(namespace, key)
+	}
+	s.evictLocked()
+}
+
+// supersedeLocked supersedes and forgets the key's promotion in flight,
+// reporting whether there was one. Caller holds s.mu.
+func (s *Store) supersedeLocked(at nsKey) bool {
+	p := s.promoting[at]
+	if p != nil {
+		p.superseded.Store(true)
+		delete(s.promoting, at)
+	}
+	return p != nil
+}
+
+// A Promotion is one key in transit from disk back to soft memory: Take
+// has removed its record, and the caller re-inserts Value into the hot
+// tier, then calls Done, or Abort if the hot tier cannot take it. A Drop
+// of the key meanwhile supersedes the promotion: the write or deletion
+// that dropped it is newer, so Value must not be put back.
+type Promotion struct {
+	Value      []byte
+	st         *Store
+	at         nsKey
+	superseded atomic.Bool // set under st.mu
+}
+
+// Superseded reports whether a Drop of the key has landed since Take.
+func (p *Promotion) Superseded() bool { return p.superseded.Load() }
+
+// Done ends the promotion.
+func (p *Promotion) Done() {
+	p.st.mu.Lock()
+	p.st.endLocked(p)
+	p.st.mu.Unlock()
+}
+
+// Abort ends a promotion whose value the hot tier could not take by
+// writing it back to disk, unless a Drop superseded it.
+func (p *Promotion) Abort() {
+	s := p.st
+	buf, err := appendRecord(nil, record{Namespace: p.at.ns, Key: p.at.key, Value: p.Value}, s.cfg.CompressMin)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.endLocked(p)
+	if err == nil && !p.Superseded() {
+		_ = s.putLocked(p.at.ns, p.at.key, buf, len(p.Value))
+	}
+}
+
+// endLocked forgets p, unless a newer Take of its key replaced it.
+// Caller holds s.mu.
+func (s *Store) endLocked(p *Promotion) {
+	if s.promoting[p.at] == p {
+		delete(s.promoting, p.at)
+	}
+}
+
+// Take atomically reads and removes namespace/key and records it as
+// being promoted, in one hold of the lock: two promoters cannot both win
+// the record, and no Drop falls between the removal and the record.
+func (s *Store) Take(namespace, key string) (*Promotion, bool) {
 	if lat := s.lat.Load(); lat != nil {
 		t0 := time.Now()
-		value, found = s.take(namespace, key)
+		p, found := s.take(namespace, key)
 		lat.promote.ObserveDuration(time.Since(t0))
-		return value, found
+		return p, found
 	}
 	return s.take(namespace, key)
 }
 
-func (s *Store) take(namespace, key string) (value []byte, found bool) {
+func (s *Store) take(namespace, key string) (*Promotion, bool) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return nil, false
 	}
-	loc, ok := s.index[namespace][key]
-	if !ok {
+	buf, loc, _ := s.readLocked(namespace, key)
+	if buf == nil {
 		s.mu.Unlock()
-		s.m.Misses.Inc()
 		return nil, false
 	}
-	sg := s.segs[loc.seg]
-	if sg == nil {
-		s.mu.Unlock()
-		s.m.Misses.Inc()
-		return nil, false
-	}
-	buf, err := sg.readBytes(loc.off, loc.len)
-	if err != nil {
-		s.indexDropLocked(namespace, key, loc)
-		s.publishGauges()
-		s.mu.Unlock()
-		s.m.CorruptRecords.Inc()
-		s.m.Misses.Inc()
-		return nil, false
-	}
-	// Raw bytes in hand, remove and tombstone under the same lock hold as
-	// the read: two concurrent promoters cannot both win the record.
 	s.indexDropLocked(namespace, key, loc)
 	s.tombstoneLocked(namespace, key)
 	s.evictLocked()
-	s.publishGauges()
+	p := &Promotion{st: s, at: nsKey{namespace, key}}
+	s.promoting[p.at] = p
 	s.mu.Unlock()
 	// Decode (decompress + CRC) outside the mutex; see Get.
 	rec, err := decodeFull(buf)
 	if err != nil {
 		// Already removed and tombstoned above — the corruption is paid
 		// once and the miss stands.
+		p.Done()
 		s.m.CorruptRecords.Inc()
 		s.m.Misses.Inc()
 		return nil, false
@@ -424,7 +481,8 @@ func (s *Store) take(namespace, key string) (value []byte, found bool) {
 	s.m.Hits.Inc()
 	s.m.Promotions.Inc()
 	s.m.PromotedBytes.Add(int64(len(rec.Value)))
-	return rec.Value, true
+	p.Value = rec.Value
+	return p, true
 }
 
 // tombstoneLocked best-effort logs a deletion so it survives restart.
@@ -441,25 +499,13 @@ func (s *Store) tombstoneLocked(namespace, key string) {
 	}
 }
 
-// Contains reports whether namespace/key is currently spilled, without
-// touching hit/miss accounting.
+// Contains reports whether namespace/key is currently spilled or in
+// transit back to soft memory, without touching hit/miss accounting.
 func (s *Store) Contains(namespace, key string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	_, ok := s.index[namespace][key]
-	return ok
-}
-
-// Keys returns the live keys in a namespace, in unspecified order.
-func (s *Store) Keys(namespace string) []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ns := s.index[namespace]
-	out := make([]string, 0, len(ns))
-	for k := range ns {
-		out = append(out, k)
-	}
-	return out
+	return ok || s.promoting[nsKey{namespace, key}] != nil
 }
 
 // Len returns the number of live records in a namespace.
@@ -479,18 +525,9 @@ func (s *Store) BytesOnDisk() int64 {
 
 // Status is the /spill payload of a process with a spill tier.
 type Status struct {
-	BytesOnDisk int64                 `json:"bytes_on_disk"`
-	Stats       metrics.SpillSnapshot `json:"stats"`
+	BytesOnDisk int64 `json:"bytes_on_disk"`
+	Stats       Stats `json:"stats"`
 }
-
-// Stats snapshots the store's instrumentation registry.
-func (s *Store) Stats() metrics.SpillSnapshot {
-	return s.m.Snapshot()
-}
-
-// Metrics exposes the live registry (shared when Config.Metrics was
-// set).
-func (s *Store) Metrics() *metrics.Spill { return s.m }
 
 // Sink binds a namespace of this store for one SDS.
 func (s *Store) Sink(namespace string) *Sink {
@@ -530,9 +567,6 @@ func (s *Store) Compact() int {
 				lat.compact.ObserveDuration(time.Since(t0))
 			}
 		}
-	}
-	if n > 0 {
-		s.publishGauges()
 	}
 	return n
 }
@@ -787,12 +821,4 @@ func (s *Store) dropOrderLocked(id uint64) {
 			return
 		}
 	}
-}
-
-// publishGauges refreshes the instantaneous metrics. Caller holds s.mu
-// (or is single-threaded recovery).
-func (s *Store) publishGauges() {
-	s.m.BytesOnDisk.Set(float64(s.size))
-	s.m.LiveRecords.Set(float64(s.lives))
-	s.m.Segments.Set(float64(len(s.order)))
 }

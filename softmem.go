@@ -11,7 +11,6 @@ import (
 	"softmem/internal/alloc"
 	"softmem/internal/core"
 	"softmem/internal/kvstore"
-	"softmem/internal/metrics"
 	"softmem/internal/pages"
 	"softmem/internal/sds"
 	"softmem/internal/smd"
@@ -234,7 +233,7 @@ type (
 	// its methods plug directly into SDS reclaim callbacks.
 	SpillSink = spill.Sink
 	// SpillStats is a snapshot of a SpillStore's instrumentation.
-	SpillStats = metrics.SpillSnapshot
+	SpillStats = spill.Stats
 	// SoftSpillTable is a string-keyed SoftHashTable whose revoked
 	// entries demote to a spill tier and promote back on Get misses.
 	SoftSpillTable = sds.SoftSpillTable
@@ -255,7 +254,7 @@ func OpenSpillStore(cfg SpillConfig) (*SpillStore, error) { return spill.Open(cf
 // NewSpillSink scopes a namespace inside st, for wiring one SDS's
 // reclaim callbacks to the spill tier.
 func NewSpillSink(st *SpillStore, namespace string) *SpillSink {
-	return spill.NewSink(st, namespace)
+	return st.Sink(namespace)
 }
 
 // NewSoftSpillTable returns a string-keyed soft hash table coupled to a
