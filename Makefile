@@ -104,19 +104,21 @@ bench-check:
 	$(GO) vet -C bench ./...
 	$(GO) test -C bench ./...
 
-# Same-session A/B for a performance claim (ROADMAP item 3b):
-# `make bench-pair W=kv_direct_mixed [REF=<commit>] [N=10] [SEED=1]
-# [SECONDS=24]` extracts REF with `git archive` under .bench_build/,
-# runs `bash bench/run.sh --workload W` on it and on the working tree in
-# alternating order, and prints per end-to-end metric both medians and
-# quartiles and the pairs won; non-zero exit when a median is worse than
-# its bound in BENCHMARK.json. REF defaults to HEAD when the tree is
-# dirty, else HEAD~1. See cmd/benchpair.
+# Same-session A/B for a performance claim (ROADMAP item 4):
+# `make bench-pair W=<workload>|all [REF=<commit>] [N=10] [SEED=1]
+# [SECONDS=24]` extracts REF once with `git archive` under .bench_build/,
+# runs `bash bench/run.sh` for the workload — or, with W=all, for every
+# workload in BENCHMARK.json — on it and on the working tree, alternating
+# which side goes first from pair to pair, and prints per workload and
+# end-to-end metric both medians and quartiles, the pairs won and a
+# verdict; non-zero exit when any workload's median is worse than its
+# bound in BENCHMARK.json. REF defaults to HEAD when the tree is dirty,
+# else HEAD~1. See cmd/benchpair.
 N ?= 10
 SEED ?= 1
 SECONDS ?= 24
 bench-pair:
-	@test -n "$(W)" || { echo "usage: make bench-pair W=<workload> [REF=<commit>] [N=10] [SEED=1] [SECONDS=24]"; exit 2; }
+	@test -n "$(W)" || { echo "usage: make bench-pair W=<workload>|all [REF=<commit>] [N=10] [SEED=1] [SECONDS=24]"; exit 2; }
 	$(GO) run ./cmd/benchpair -workload $(W) $(if $(REF),-ref $(REF)) -n $(N) -seed $(SEED) -seconds $(SECONDS)
 
 # Non-test Go line counts the simplicity issues quote: the kvstore and

@@ -1,27 +1,29 @@
 // Command benchpair is the same-session A/B the choosing-metrics rules
 // ask of a performance claim: it extracts a reference commit's files
-// beside the working tree (`git archive` into .bench_build/, so git
-// itself records nothing), runs one benchmark workload on both — `bash
-// bench/run.sh`, which each tree builds from its own source — in
-// alternating order, and prints per end-to-end metric
-// both medians, both quartile pairs, the relative change, how many pairs
-// the change won and a verdict: "improved" (won at least 9 pairs in 10
-// and moved the median further than the parent's quartile distance),
-// "REGRESSED" (median worse than the metric's bound), "unresolved" (the
-// parent's quartile distance is wider than the bound, so the runs cannot
-// tell, and the change's runs do not all read better than the parent's)
-// or "no worse". It only invokes the benchmark; it shares no code with
-// it.
+// beside the working tree (`git archive` into .bench_build/, once, so git
+// itself records nothing), runs benchmark workloads on both — `bash
+// bench/run.sh`, which each tree builds from its own source — pair by
+// pair, every workload on both sides in each pair, alternating which side
+// goes first, and prints per workload and end-to-end metric both medians,
+// both quartile pairs, the relative change, how many pairs the change won
+// and a verdict: "improved" (won at least 9 pairs in 10 and moved the
+// median further than the parent's quartile distance), "REGRESSED"
+// (median worse than the metric's bound), "unresolved" (the parent's
+// quartile distance is wider than the bound, so the runs cannot tell,
+// and the change's runs do not all read better than the parent's) or "no
+// worse"; then a status line per workload. It only invokes the
+// benchmark; it shares no code with it.
 //
-// Exit status 1 when the change's median is worse than the reference's by
-// more than the metric's bound in BENCHMARK.json, when a run reports
-// itself incorrect, or when the change fails a larger share of its
-// operations than the reference; 2 on a set-up error.
+// Exit status 1 when, on any workload, the change's median is worse than
+// the reference's by more than the metric's bound in BENCHMARK.json, a
+// run reports itself incorrect, or the change fails a larger share of
+// its operations than the reference; 2 on a set-up error.
 //
-// Usage: benchpair -workload <name> [-ref <commit>] [-n 10] [-seed 1] [-seconds 24]
+// Usage: benchpair -workload <name>|all [-ref <commit>] [-n 10] [-seed 1] [-seconds 24]
 //
-// Without -ref the reference is HEAD when the working tree differs from
-// it (the change is not committed yet) and HEAD~1 when it does not.
+// -workload all runs every workload BENCHMARK.json lists. Without -ref
+// the reference is HEAD when the working tree differs from it (the change
+// is not committed yet) and HEAD~1 when it does not.
 package main
 
 import (
@@ -30,6 +32,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"os/signal"
@@ -50,24 +53,57 @@ type boundedMetric struct {
 
 // result is the last stdout line of one benchmark run.
 type result struct {
-	Correct   bool  `json:"correct"`
-	Attempted int64 `json:"attempted"`
-	Failed    int64 `json:"failed"`
-	Metrics   map[string]struct {
-		Value float64 `json:"value"`
-	} `json:"metrics"`
+	Correct   bool                   `json:"correct"`
+	Attempted int64                  `json:"attempted"`
+	Failed    int64                  `json:"failed"`
+	Metrics   map[string]metricValue `json:"metrics"`
 }
 
-// side collects one tree's runs.
-type side struct {
-	name, root        string
-	env               []string             // added to the benchmark's environment
+// metricValue is one metric of a result.
+type metricValue struct {
+	Value float64 `json:"value"`
+}
+
+// tally collects one side's runs of one workload.
+type tally struct {
 	values            map[string][]float64 // metric -> one value per pair
 	attempted, failed int64
+	incorrect         int // runs that reported correct=false
 }
 
+// side is one tree and its runs, by workload.
+type side struct {
+	name, root string
+	env        []string // added to the benchmark's environment
+	runs       map[string]*tally
+}
+
+func newSide(name, root string, env []string) *side {
+	return &side{name: name, root: root, env: env, runs: map[string]*tally{}}
+}
+
+// record adds one run of workload to the side's tally.
+func (s *side) record(workload string, res result) {
+	t := s.runs[workload]
+	if t == nil {
+		t = &tally{values: map[string][]float64{}}
+		s.runs[workload] = t
+	}
+	for name, m := range res.Metrics {
+		t.values[name] = append(t.values[name], m.Value)
+	}
+	t.attempted += res.Attempted
+	t.failed += res.Failed
+	if !res.Correct {
+		t.incorrect++
+	}
+}
+
+// benchFunc runs workload once in a side's tree.
+type benchFunc func(ctx context.Context, s *side, workload string) (result, error)
+
 func main() {
-	workload := flag.String("workload", "", "benchmark workload to run (a name from BENCHMARK.json)")
+	workload := flag.String("workload", "", "benchmark workload to run (a name from BENCHMARK.json, or all)")
 	ref := flag.String("ref", "", "reference commit (default: HEAD if the tree is dirty, else HEAD~1)")
 	n := flag.Int("n", 10, "parent/change pairs")
 	seed := flag.Int64("seed", 1, "workload seed, the same on both sides")
@@ -121,15 +157,25 @@ func run(ctx context.Context, workload, ref string, n int, seed int64, seconds f
 	if err != nil {
 		return false, err
 	}
-	var metrics struct {
+	var spec struct {
+		Workloads []struct {
+			Name string `json:"name"`
+		} `json:"workloads"`
 		EndToEnd []boundedMetric `json:"end_to_end"`
 	}
 	data, err := os.ReadFile(filepath.Join(root, "BENCHMARK.json"))
 	if err != nil {
 		return false, err
 	}
-	if err := json.Unmarshal(data, &metrics); err != nil {
+	if err := json.Unmarshal(data, &spec); err != nil {
 		return false, fmt.Errorf("BENCHMARK.json: %w", err)
+	}
+	workloads := []string{workload}
+	if workload == "all" {
+		workloads = workloads[:0]
+		for _, w := range spec.Workloads {
+			workloads = append(workloads, w.Name)
+		}
 	}
 
 	refRoot := filepath.Join(root, ".bench_build", "pair-"+sha[:12])
@@ -141,51 +187,82 @@ func run(ctx context.Context, workload, ref string, n int, seed int64, seconds f
 	// The parent's tree sits inside the checkout but is no repository:
 	// the ceiling stops git from finding the enclosing one, so its runs
 	// do not report the working tree's commit.
-	parent := &side{name: "parent", root: refRoot, values: map[string][]float64{},
-		env: []string{"GIT_CEILING_DIRECTORIES=" + filepath.Dir(refRoot)}}
-	change := &side{name: "change", root: root, values: map[string][]float64{}}
-	fmt.Printf("# workload=%s parent=%s change=working tree of %s pairs=%d seed=%d seconds=%g\n",
-		workload, sha[:12], root, n, seed, seconds)
-	correct := true
-	for i := range n {
-		order := []*side{parent, change}
-		if i%2 == 1 {
-			order = []*side{change, parent}
-		}
-		for _, s := range order {
-			res, err := s.bench(ctx, workload, seed, seconds)
-			if err != nil {
-				return false, err
-			}
-			correct = correct && res.Correct
-			fmt.Printf("pair=%d side=%s correct=%t failed=%d ops_per_s=%g\n",
-				i+1, s.name, res.Correct, res.Failed, res.Metrics["ops_per_s"].Value)
-		}
+	parent := newSide("parent", refRoot, []string{"GIT_CEILING_DIRECTORIES=" + filepath.Dir(refRoot)})
+	change := newSide("change", root, nil)
+	fmt.Printf("# workloads=%s parent=%s change=working tree of %s pairs=%d seed=%d seconds=%g\n",
+		strings.Join(workloads, ","), sha[:12], root, n, seed, seconds)
+	bench := func(ctx context.Context, s *side, workload string) (result, error) {
+		return s.bench(ctx, workload, seed, seconds)
 	}
+	if err := runPairs(ctx, os.Stdout, n, workloads, parent, change, bench); err != nil {
+		return false, err
+	}
+	return report(os.Stdout, workloads, spec.EndToEnd, parent, change), nil
+}
 
-	ok := correct
-	if !correct {
-		fmt.Println("FAIL: a run reported correct=false")
-	}
-	if pf, cf := ratio(float64(parent.failed), float64(parent.attempted)), ratio(float64(change.failed), float64(change.attempted)); cf > pf {
-		fmt.Printf("FAIL: change failed %.6f of its operations, parent %.6f\n", cf, pf)
-		ok = false
-	}
-	for _, m := range metrics.EndToEnd {
-		p, c := parent.values[m.Name], change.values[m.Name]
-		if len(p) == 0 || len(c) == 0 {
-			continue
+// runPairs runs n pairs. A pair runs every workload on both sides, the
+// parent first in odd pairs and the change first in even ones, so that
+// neither side always runs on the machine the other has just warmed.
+func runPairs(ctx context.Context, out io.Writer, n int, workloads []string, parent, change *side, bench benchFunc) error {
+	for i := range n {
+		order := [2]*side{parent, change}
+		if i%2 == 1 {
+			order = [2]*side{change, parent}
 		}
-		cmp := compare(m, p, c)
-		v := cmp.verdict(m.Bound)
-		if v == regressed {
-			ok = false
+		for _, w := range workloads {
+			for _, s := range order {
+				res, err := bench(ctx, s, w)
+				if err != nil {
+					return err
+				}
+				s.record(w, res)
+				fmt.Fprintf(out, "pair=%d workload=%s side=%s correct=%t failed=%d ops_per_s=%g\n",
+					i+1, w, s.name, res.Correct, res.Failed, res.Metrics["ops_per_s"].Value)
+			}
 		}
-		fmt.Printf("workload=%s metric=%s unit=%s better=%s parent=%g [%g, %g] change=%g [%g, %g] change_vs_parent=%+.2f%% parent_iqr=%.2f%% wins=%d losses=%d of %d bound=%g %s\n",
-			workload, m.Name, m.Unit, m.Better, cmp.p[1], cmp.p[0], cmp.p[2], cmp.c[1], cmp.c[0], cmp.c[2],
-			100*ratio(cmp.c[1]-cmp.p[1], cmp.p[1]), 100*cmp.iqr, cmp.wins, cmp.losses, cmp.pairs, m.Bound, v)
 	}
-	return ok, nil
+	return nil
+}
+
+// report prints every workload's verdict rows and then its status, and
+// reports whether all of them passed: no run reported itself incorrect,
+// the change failed no larger share of its operations than the parent,
+// and no metric regressed.
+func report(out io.Writer, workloads []string, metrics []boundedMetric, parent, change *side) bool {
+	allOK := true
+	for _, w := range workloads {
+		p, c := parent.runs[w], change.runs[w]
+		var failures []string
+		for _, s := range []*side{parent, change} {
+			if k := s.runs[w].incorrect; k > 0 {
+				failures = append(failures, fmt.Sprintf("%d of the %s's runs reported correct=false", k, s.name))
+			}
+		}
+		if pf, cf := ratio(float64(p.failed), float64(p.attempted)), ratio(float64(c.failed), float64(c.attempted)); cf > pf {
+			failures = append(failures, fmt.Sprintf("change failed %.6f of its operations, parent %.6f", cf, pf))
+		}
+		for _, m := range metrics {
+			pv, cv := p.values[m.Name], c.values[m.Name]
+			if len(pv) == 0 || len(cv) == 0 {
+				continue
+			}
+			cmp := compare(m, pv, cv)
+			v := cmp.verdict(m.Bound)
+			if v == regressed {
+				failures = append(failures, m.Name+" regressed")
+			}
+			fmt.Fprintf(out, "workload=%s metric=%s unit=%s better=%s parent=%g [%g, %g] change=%g [%g, %g] change_vs_parent=%+.2f%% parent_iqr=%.2f%% wins=%d losses=%d of %d bound=%g %s\n",
+				w, m.Name, m.Unit, m.Better, cmp.p[1], cmp.p[0], cmp.p[2], cmp.c[1], cmp.c[0], cmp.c[2],
+				100*ratio(cmp.c[1]-cmp.p[1], cmp.p[1]), 100*cmp.iqr, cmp.wins, cmp.losses, cmp.pairs, m.Bound, v)
+		}
+		if len(failures) > 0 {
+			allOK = false
+			fmt.Fprintf(out, "workload=%s FAIL: %s\n", w, strings.Join(failures, "; "))
+		} else {
+			fmt.Fprintf(out, "workload=%s ok\n", w)
+		}
+	}
+	return allOK
 }
 
 // extract writes the files committed at sha, and nothing else, into dir,
@@ -271,7 +348,7 @@ func (r comparison) verdict(bound float64) string {
 	return noWorse
 }
 
-// bench runs the workload once in the side's checkout and records it.
+// bench runs the workload once in the side's tree.
 func (s *side) bench(ctx context.Context, workload string, seed int64, seconds float64) (result, error) {
 	cmd := exec.CommandContext(ctx, "bash", "bench/run.sh", "--workload", workload,
 		"--seed", strconv.FormatInt(seed, 10),
@@ -290,11 +367,6 @@ func (s *side) bench(ctx context.Context, workload string, seed int64, seconds f
 	if jerr := json.Unmarshal(lines[len(lines)-1], &res); jerr != nil {
 		return res, fmt.Errorf("%s run of %s printed no result (%v): %v", s.name, workload, err, jerr)
 	}
-	for name, m := range res.Metrics {
-		s.values[name] = append(s.values[name], m.Value)
-	}
-	s.attempted += res.Attempted
-	s.failed += res.Failed
 	return res, nil
 }
 

@@ -1,6 +1,9 @@
 package main
 
 import (
+	"bytes"
+	"context"
+	"io"
 	"io/fs"
 	"os"
 	"os/exec"
@@ -77,6 +80,73 @@ func TestExtract(t *testing.T) {
 	}
 	if out, err := gitIn(dir, []string{"GIT_CEILING_DIRECTORIES=" + filepath.Dir(dir)}, "rev-parse", "HEAD"); err == nil {
 		t.Fatalf("git found a commit in the extracted tree: %s", out)
+	}
+}
+
+// TestPairsRunEveryWorkload drives the pair loop with a stub benchmark:
+// each pair runs every workload on both sides, the side that goes first
+// alternates from pair to pair, and each workload gets its own verdict
+// rows and status — one that regresses, one whose change fails more of
+// its operations and one with an incorrect run each fail on their own,
+// and any of them fails the whole.
+func TestPairsRunEveryWorkload(t *testing.T) {
+	workloads := []string{"steady", "slower", "failing", "incorrect"}
+	metrics := []boundedMetric{{Name: "ops_per_s", Unit: "1/s", Better: "higher", Bound: 0.25}}
+	var calls []string
+	bench := func(_ context.Context, s *side, w string) (result, error) {
+		calls = append(calls, w+"/"+s.name)
+		res := result{Correct: true, Attempted: 1000, Metrics: map[string]metricValue{"ops_per_s": {100}}}
+		if s.name == "change" {
+			switch w {
+			case "slower":
+				res.Metrics["ops_per_s"] = metricValue{50}
+			case "failing":
+				res.Failed = 1
+			case "incorrect":
+				res.Correct = len(calls) > 8 // the change's first run only
+			}
+		}
+		return res, nil
+	}
+	parent, change := newSide("parent", "", nil), newSide("change", "", nil)
+	var log bytes.Buffer
+	if err := runPairs(context.Background(), &log, 2, workloads, parent, change, bench); err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for _, first := range [][2]string{{"parent", "change"}, {"change", "parent"}} {
+		for _, w := range workloads {
+			want = append(want, w+"/"+first[0], w+"/"+first[1])
+		}
+	}
+	if !slices.Equal(calls, want) {
+		t.Fatalf("runs in order %v, want %v", calls, want)
+	}
+	if got := strings.Count(log.String(), "\n"); got != len(want) {
+		t.Fatalf("%d run lines for %d runs:\n%s", got, len(want), log.String())
+	}
+
+	var out bytes.Buffer
+	if report(&out, workloads, metrics, parent, change) {
+		t.Fatalf("three failing workloads passed:\n%s", out.String())
+	}
+	for _, line := range []string{
+		"workload=steady metric=ops_per_s ",
+		"workload=slower metric=ops_per_s ",
+		"workload=steady ok\n",
+		"workload=slower FAIL: ops_per_s regressed\n",
+		"workload=failing FAIL: change failed 0.001000 of its operations, parent 0.000000\n",
+		"workload=incorrect FAIL: 1 of the change's runs reported correct=false\n",
+	} {
+		if !strings.Contains(out.String(), line) {
+			t.Errorf("report lacks %q:\n%s", line, out.String())
+		}
+	}
+	if !strings.Contains(out.String(), "REGRESSED\nworkload=slower FAIL") {
+		t.Errorf("the regressed verdict row does not precede its status:\n%s", out.String())
+	}
+	if !report(io.Discard, workloads[:1], metrics, parent, change) {
+		t.Fatal("a workload that passed on its own failed the report")
 	}
 }
 

@@ -44,11 +44,18 @@ var (
 	ErrMultiPage = errors.New("alloc: allocation spans pages; use AppendTo or ReadAt/WriteAt")
 )
 
-// classes are the slot sizes available within a page. Sizes were chosen so
-// consecutive classes differ by at most 50%, bounding internal
-// fragmentation, and so several interesting sizes (the paper's 1 KiB
-// stress allocations and 2 KiB list elements) map exactly.
-var classes = [...]int{16, 32, 48, 64, 96, 128, 192, 256, 384, 512, 768, 1024, 1360, 2048, 4096}
+// classes are the slot sizes available within a page, derived from the
+// page size: for each slot count n = 1…256, the largest multiple of 16
+// that fits n times in a page, each distinct value once. A class thus
+// leaves less than 16 bytes per slot unused at its page's end, and an
+// allocation rounds up to the smallest slot that packs as many of it to a
+// page as its own size allows. The table is a literal so that the heap's
+// per-class lists stay arrays; TestClassesTileThePage derives it from
+// pages.Size.
+var classes = [...]int{
+	16, 32, 48, 64, 80, 96, 112, 128, 144, 160, 176, 192, 208, 224, 240, 256,
+	272, 288, 304, 336, 368, 400, 448, 512, 576, 672, 816, 1024, 1360, 2048, 4096,
+}
 
 // MaxSlotSize is the largest allocation served from a shared page; larger
 // allocations get dedicated multi-page spans.
@@ -159,10 +166,13 @@ type span struct {
 
 // View is a published allocation as a lock-free reader copies it: its
 // bytes when it sits in one page, else its span. It is the per-slot
-// record Publish writes, and it lives in an array the heap allocates per
-// page incarnation and never writes into again except by a later Publish
-// of the same slot: kill, Reset and a recarve drop the array, a reader
-// still holding one of its Views keeps it from the garbage collector.
+// record Publish writes, in an array of records per slotted page. Nothing
+// writes a record before the retirements of its page have drained: a
+// later Publish of the same slot rewrites it, and once the page has gone
+// empty its records are cleared and handed, with its other slot arrays,
+// to the next page its class carves. On a heap whose frees are Retires,
+// the only kind whose Views readers load, a page goes empty only when its
+// last retirement has drained, so no reader still holds one of them.
 type View struct {
 	b    []byte
 	span *span
@@ -204,7 +214,7 @@ type pageMeta struct {
 	// owners holds one record per slot — its Owner, nil for a slot nobody
 	// adopted, and its published View. It is allocated by the page's first
 	// SetOwner or Publish, so a heap whose SDS does neither pays nothing
-	// for it; kill drops it without writing into it.
+	// for it.
 	owners     []record
 	partialIdx int32 // index into heap.partial[class], -1 when absent
 	heldIdx    int32 // index into heap.held
@@ -266,6 +276,15 @@ type Stats struct {
 	LimboAllocs  int   // retirements awaiting their grace period
 	LimboPages   int   // span pages held in limbo (counted in PagesHeld)
 	DeferredOps  int64 // cumulative retirements routed through limbo
+	Carves       int64 // cumulative pages cut into slots, each under fresh metadata
+}
+
+// slotArrays are the per-slot arrays of a slotted page, which outlive
+// its metadata: an emptied page hands them to the next page of its class.
+type slotArrays struct {
+	slots     []slot
+	freeSlots []uint16
+	owners    []record
 }
 
 // Heap is a size-class allocator over pages from a PageSource.
@@ -273,9 +292,12 @@ type Heap struct {
 	src     PageSource
 	held    []*pageMeta               // every carved page and live span, for Reset and VerifyOwners
 	partial [len(classes)][]*pageMeta // per class: pages with at least one free slot
-	free    []*pages.Page             // fully-free pages not yet returned to the source
-	limbo   []limboEntry              // FIFO, stamps non-decreasing
-	stats   Stats
+	// spare holds, per class, the slot arrays of its emptied pages, never
+	// more than the class's pages at their peak.
+	spare [len(classes)][]slotArrays
+	free  []*pages.Page // fully-free pages not yet returned to the source
+	limbo []limboEntry  // FIFO, stamps non-decreasing
+	stats Stats
 }
 
 // New returns an empty heap drawing pages from src.
@@ -390,21 +412,32 @@ func (h *Heap) heldPage(ci int) *pageMeta {
 
 // carve cuts pg into slots of class ci under fresh metadata: whatever
 // refs an earlier incarnation of the page handed out point at metadata
-// that died with it.
+// that died with it. The slot arrays are those of the class's last
+// emptied page, when there is one.
 func (h *Heap) carve(pg *pages.Page, ci int) *pageMeta {
 	n := pages.Size / classes[ci]
+	var a slotArrays
+	if sp := h.spare[ci]; len(sp) > 0 {
+		a = sp[len(sp)-1]
+		sp[len(sp)-1] = slotArrays{}
+		h.spare[ci] = sp[:len(sp)-1]
+	} else {
+		a = slotArrays{slots: make([]slot, n), freeSlots: make([]uint16, n)}
+	}
 	m := &pageMeta{
 		heap:       h,
 		id:         pg.ID(),
 		page:       pg,
 		class:      int32(ci),
-		freeSlots:  make([]uint16, n),
-		slots:      make([]slot, n),
+		freeSlots:  a.freeSlots[:n],
+		slots:      a.slots,
+		owners:     a.owners,
 		partialIdx: -1,
 	}
 	for i := range m.freeSlots {
 		m.freeSlots[i] = uint16(n - 1 - i) // pop low slots first
 	}
+	h.stats.Carves++
 	h.hold(m)
 	h.addPartial(m)
 	return m
@@ -477,7 +510,11 @@ func (h *Heap) die(m *pageMeta, s uint16) {
 // recycle returns a dead slot to its page's free list. The page's last
 // slot takes the page with it: onto the heap's free list, where
 // ReleaseFreePages can return it to the source (the paper's
-// page-granularity reclamation), its metadata dead.
+// page-granularity reclamation), its metadata dead, its slot arrays
+// spare for the class's next page. On a heap whose frees are Retires the
+// last slot comes back only when the page's last retirement has drained,
+// so no reader holds one of its records any more; clearing them leaves a
+// spare array pinning no page buffer.
 func (h *Heap) recycle(m *pageMeta, s uint16) {
 	m.freeSlots = append(m.freeSlots, s)
 	m.used--
@@ -487,6 +524,8 @@ func (h *Heap) recycle(m *pageMeta, s uint16) {
 	if m.used == 0 {
 		h.removePartial(m)
 		h.free = append(h.free, m.page)
+		clear(m.owners)
+		h.spare[m.class] = append(h.spare[m.class], slotArrays{slots: m.slots, freeSlots: m.freeSlots, owners: m.owners})
 		h.drop(m)
 	}
 }
@@ -614,8 +653,9 @@ func (h *Heap) Bytes(ref Ref) ([]byte, error) {
 // record and returns the record, for an SDS to hand to lock-free readers
 // through one atomic pointer. Call it once per allocation, after its
 // bytes are written. The record is rewritten only when the slot is handed
-// out again, so it is as stable as the bytes — but only on a heap whose
-// frees are Retires, where a slot comes back only after its grace period.
+// out again or its page has gone empty, so it is as stable as the bytes —
+// but only on a heap whose frees are Retires, where a slot comes back only
+// after its grace period.
 // A span's record lives apart from its pageMeta, which Retire kills at
 // once.
 func (h *Heap) Publish(ref Ref) (*View, error) {
@@ -868,6 +908,7 @@ func (h *Heap) Reset() {
 		clear(h.partial[i])
 		h.partial[i] = h.partial[i][:0]
 	}
+	h.spare = [len(classes)][]slotArrays{}
 	h.stats.TotalFrees += int64(h.stats.LiveAllocs)
 	h.stats.LiveAllocs = 0
 	h.stats.LiveBytes = 0

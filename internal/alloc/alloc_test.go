@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -64,6 +65,35 @@ func TestClassSizeRounding(t *testing.T) {
 	for _, c := range cases {
 		if got := ClassSize(c.in); got != c.want {
 			t.Errorf("ClassSize(%d) = %d, want %d", c.in, got, c.want)
+		}
+	}
+}
+
+// TestClassesTileThePage derives the class table from the page size: for
+// each slot count n, the largest multiple of 16 that fits n times in a
+// page, each distinct value once. classOf needs every class to be a
+// multiple of 16 and consecutive classes at least 16 apart, and ClassSize
+// rounds every slot-sized allocation up to the smallest class that holds
+// it.
+func TestClassesTileThePage(t *testing.T) {
+	var want []int
+	for n := pages.Size / 16; n >= 1; n-- {
+		if c := pages.Size / n / 16 * 16; len(want) == 0 || c != want[len(want)-1] {
+			want = append(want, c)
+		}
+	}
+	if !slices.Equal(classes[:], want) {
+		t.Fatalf("classes = %v, want %v", classes, want)
+	}
+	for i, c := range classes {
+		if c%16 != 0 || i > 0 && c-classes[i-1] < 16 {
+			t.Fatalf("class %d (%d B) is not a multiple of 16 at least 16 above the last", i, c)
+		}
+	}
+	for size := 1; size <= pages.Size; size++ {
+		i, _ := slices.BinarySearch(classes[:], size)
+		if got := ClassSize(size); got != classes[i] {
+			t.Fatalf("ClassSize(%d) = %d, want %d", size, got, classes[i])
 		}
 	}
 }
@@ -301,10 +331,10 @@ func TestAllocFailsWhenSourceExhausted(t *testing.T) {
 
 func TestStatsAccounting(t *testing.T) {
 	h, _ := newHeap(0)
-	r1, _ := h.Alloc(100)  // class 128
+	r1, _ := h.Alloc(100)  // class 112
 	r2, _ := h.Alloc(1000) // class 1024
 	st := h.Stats()
-	if st.LiveAllocs != 2 || st.LiveBytes != 1100 || st.SlotBytes != 128+1024 {
+	if st.LiveAllocs != 2 || st.LiveBytes != 1100 || st.SlotBytes != 112+1024 {
 		t.Fatalf("stats = %+v", st)
 	}
 	h.Free(r1)
@@ -510,19 +540,20 @@ func TestFragmentationStats(t *testing.T) {
 	if fs := h.Fragmentation(); fs.Internal != 0 || fs.External != 0 {
 		t.Fatalf("empty heap fragmentation = %+v", fs)
 	}
-	// 100-byte allocations occupy 128-byte slots: internal = 1-100/128.
-	for i := 0; i < 32; i++ { // one full page of 128B slots
+	// 100-byte allocations occupy 112-byte slots: internal = 1-100/112.
+	for i := 0; i < 36; i++ { // one full page of 112B slots
 		if _, err := h.Alloc(100); err != nil {
 			t.Fatal(err)
 		}
 	}
 	fs := h.Fragmentation()
-	wantInternal := 1 - 100.0/128.0
+	wantInternal := 1 - 100.0/112.0
 	if fs.Internal < wantInternal-0.01 || fs.Internal > wantInternal+0.01 {
 		t.Fatalf("Internal = %v, want ~%v", fs.Internal, wantInternal)
 	}
-	if fs.External > 0.001 {
-		t.Fatalf("External = %v for a full page, want 0", fs.External)
+	// A full page of 36 slots leaves 4096 - 36·112 = 64 bytes unused.
+	if wantExternal := 64.0 / 4096; fs.External < wantExternal-0.001 || fs.External > wantExternal+0.001 {
+		t.Fatalf("External = %v for a full page, want ~%v", fs.External, wantExternal)
 	}
 	// One more allocation opens a nearly-empty second page: external
 	// fragmentation appears.

@@ -189,57 +189,83 @@ func TestPublishInvalidRef(t *testing.T) {
 	}
 }
 
-// TestPublishedRecordOutlivesItsSlot: a slot's record is written by
-// Publish and by nothing else — not by the retirement, the drain, the
-// page leaving the heap and being carved again, nor Reset — and a heap
-// that never publishes allocates no records.
+// TestPublishedRecordOutlivesItsSlot: nothing writes a slot's record
+// before its page's retirements have drained — not the retirement, nor
+// the page's other allocations and publishes, nor a drain that leaves
+// some of them pending — and a heap that never publishes allocates no
+// records. Reuse after the drain is allowed: the page goes empty, its
+// records are cleared and handed to its class's next carve under fresh
+// metadata, and on a page that stays carved the slot's next Publish
+// rewrites its record in place.
 func TestPublishedRecordOutlivesItsSlot(t *testing.T) {
 	h, _ := newHeap(0)
-	ref, _ := h.Alloc(100)
-	if ref.meta.owners != nil {
+	a, _ := h.Alloc(100)
+	if a.meta.owners != nil {
 		t.Fatal("an allocation nobody published or adopted allocated records")
 	}
-	if err := h.WriteAt(ref, bytes.Repeat([]byte("a"), 100), 0); err != nil {
+	b, _ := h.Alloc(100) // a's page mate
+	publish := func(ref Ref, c byte) *View {
+		t.Helper()
+		if err := h.WriteAt(ref, bytes.Repeat([]byte{c}, 100), 0); err != nil {
+			t.Fatal(err)
+		}
+		v, err := h.Publish(ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	va, vb := publish(a, 'a'), publish(b, 'b')
+	intact := func(when string) {
+		t.Helper()
+		if got := va.AppendTo(nil); !bytes.Equal(got, bytes.Repeat([]byte("a"), 100)) {
+			t.Fatalf("%s: a's record reads %q", when, got)
+		}
+		if got := vb.AppendTo(nil); !bytes.Equal(got, bytes.Repeat([]byte("b"), 100)) {
+			t.Fatalf("%s: b's record reads %q", when, got)
+		}
+	}
+	if _, err := h.Retire(a, 1); err != nil {
 		t.Fatal(err)
 	}
-	v, err := h.Publish(ref)
-	if err != nil {
+	c, _ := h.Alloc(100) // the same page, another slot
+	publish(c, 'c')
+	intact("retired, with a new tenant published beside it")
+	if _, err := h.Retire(b, 2); err != nil {
 		t.Fatal(err)
 	}
-	want := bytes.Repeat([]byte("a"), 100)
-	if _, err := h.Retire(ref, 1); err != nil {
+	if _, err := h.Retire(c, 3); err != nil {
 		t.Fatal(err)
 	}
-	if got := v.AppendTo(nil); !bytes.Equal(got, want) {
-		t.Fatalf("retired slot's View reads %q", got)
+	h.DrainLimbo(2) // a's retirement only
+	intact("a drain that left the page's other retirements pending")
+
+	// The last drain empties the page: its records are cleared, so a
+	// spare array pins no page buffer, and only its own class reuses them.
+	h.DrainLimbo(4)
+	if va.b != nil || vb.b != nil {
+		t.Fatalf("an emptied page kept its records: %+v %+v", *va, *vb)
 	}
-	// Drain: the page goes empty, leaves the heap's books and is carved
-	// again — for another class, under fresh metadata — by the next Alloc.
-	h.DrainLimbo(2)
-	again, _ := h.Alloc(16)
-	if again.meta == ref.meta || again.meta.owners != nil {
-		t.Fatal("a recarved page reused its earlier incarnation's metadata or records")
+	if small, _ := h.Alloc(16); small.meta.owners != nil {
+		t.Fatal("another class's carve took the emptied page's records")
 	}
-	if got := *v; len(got.b) != 100 || got.span != nil {
-		t.Fatalf("a recarve rewrote the old incarnation's record: %+v", got)
+	again, _ := h.Alloc(100)
+	if again.meta == a.meta || h.Live(a) {
+		t.Fatal("a recarve reused its earlier incarnation's metadata")
 	}
-	h.Reset()
-	if got := *v; len(got.b) != 100 || got.span != nil {
-		t.Fatalf("Reset rewrote a record: %+v", got)
+	if &again.meta.records()[0].view != va {
+		t.Fatal("the class's next carve did not reuse the emptied page's records")
 	}
 
 	// On a page that stays carved, the slot's next Publish — after it is
-	// handed out again — is what rewrites its record. The first Alloc's
-	// tenant keeps the page carved once the second's slot is freed.
-	if _, err := h.Alloc(100); err != nil {
-		t.Fatal(err)
-	}
+	// handed out again — is what rewrites its record. again keeps the
+	// page carved once first's slot is freed.
 	first, _ := h.Alloc(100)
 	v1, _ := h.Publish(first)
 	if err := h.Free(first); err != nil {
 		t.Fatal(err)
 	}
-	second, _ := h.Alloc(120) // the same class
+	second, _ := h.Alloc(110) // the same class
 	if second.meta != first.meta || second.slot != first.slot {
 		t.Fatal("the freed slot was not handed out again")
 	}
@@ -247,8 +273,12 @@ func TestPublishedRecordOutlivesItsSlot(t *testing.T) {
 		t.Fatal("handing the slot out rewrote its record before the Publish")
 	}
 	v2, _ := h.Publish(second)
-	if v2 != v1 || len(v1.b) != 120 {
+	if v2 != v1 || len(v1.b) != 110 {
 		t.Fatal("the slot's second Publish did not rewrite its record in place")
+	}
+	h.Reset()
+	if len(v1.b) != 110 {
+		t.Fatalf("Reset rewrote a record: %+v", *v1)
 	}
 }
 

@@ -751,8 +751,8 @@ func TestTxReadWriteSlotSize(t *testing.T) {
 			t.Errorf("tx read = %q", buf)
 		}
 		slot, err := tx.SlotSize(ref)
-		if err != nil || slot != 128 {
-			t.Errorf("SlotSize = %d, %v (want 128 for a 100B alloc)", slot, err)
+		if err != nil || slot != 112 {
+			t.Errorf("SlotSize = %d, %v (want 112 for a 100B alloc)", slot, err)
 		}
 		if n, _ := tx.Size(ref); n != 100 {
 			t.Errorf("Size = %d", n)

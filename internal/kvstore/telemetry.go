@@ -37,6 +37,8 @@ func (s *Store) RegisterMetrics(r *metrics.Registry) {
 		func() float64 { return float64(s.Len()) })
 	r.GaugeFunc("softmem_kv_soft_live_bytes", "live soft-heap bytes across the store's SDS contexts",
 		func() float64 { return float64(s.HeapStats().LiveBytes) })
+	r.GaugeFunc("softmem_kv_soft_slot_bytes", "soft-heap bytes the store's live values occupy, each rounded up to its size class or span",
+		func() float64 { return float64(s.HeapStats().SlotBytes) })
 	r.GaugeFunc("softmem_kv_soft_pages", "soft pages held across the store's SDS contexts",
 		func() float64 { return float64(s.HeapStats().PagesHeld) })
 
