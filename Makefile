@@ -70,8 +70,8 @@ race-hot:
 # (condemn + epoch-retire), slot, page and span reuse under the records
 # they copy through, and index rebuilds, the hash table against its
 # map model, the page-wise victim order, the tier deal, the
-# model-checked histories under demands and spill promotions racing
-# writes and deletions are the interleavings a pinned
+# model-checked histories under demands, and spill promotions racing
+# writes, deletions and each other are the interleavings a pinned
 # GOMAXPROCS shakes out (CI runs this at 1, 2 and 4). A name that
 # matches no test would silently shrink a -run filter, so the target
 # fails unless every name in the list ran and passed.
@@ -79,14 +79,14 @@ STRESS_TESTS = TestEpochReclaimRace TestHashTableLockFreeReclaimRace \
 	TestSortedMapLockFreeReclaimDuringRange TestEpochRetireDefersAndDrains \
 	TestEpochRetireDemandDrain TestEpochLimboBounded \
 	TestParkedReaderPinsPastBatches TestLimboNeverGrowsHeap \
-	TestReclaimTakesWholePagesInAgeOrder TestPinnedTenantVetoesItsPage \
-	TestSecondChanceTenantVetoesItsPage TestTierDealSharesTheDemand \
-	TestTierDealSkipsTheDry TestTierDealContainsAPanic \
+	TestReclaimTakesWholePagesInAgeOrder TestSecondChanceTenantVetoesItsPage \
+	TestTierDealSharesTheDemand TestTierDealSkipsTheDry TestTierDealContainsAPanic \
 	TestReclaimDoesNotAskTwiceForPagesInLimbo TestReclaimOrderIsStoreWide \
 	TestReclaimOrderMixedSizes TestEveryEntryPointUnderReclaim \
 	TestHashTablePutGetProperty TestHashTableLockFreeReadersAcrossRebuilds \
 	TestHashTableRecordLifetimeUnderChurn TestSortedMapRecordLifetimeUnderChurn \
-	TestSpillPromotionSetRace TestSpillTablePromotionRace
+	TestSpillPromotionSetRace TestSpillTablePromotionRace \
+	TestSpillConcurrentGetsOfOneKey
 empty :=
 space := $(empty) $(empty)
 race-stress:
@@ -105,21 +105,23 @@ bench-check:
 	$(GO) test -C bench ./...
 
 # Same-session A/B for a performance claim (ROADMAP item 4):
-# `make bench-pair W=<workload>|all [REF=<commit>] [N=10] [SEED=1]
-# [SECONDS=24]` extracts REF once with `git archive` under .bench_build/,
-# runs `bash bench/run.sh` for the workload — or, with W=all, for every
-# workload in BENCHMARK.json — on it and on the working tree, alternating
-# which side goes first from pair to pair, and prints per workload and
-# end-to-end metric both medians and quartiles, the pairs won and a
-# verdict; non-zero exit when any workload's median is worse than its
-# bound in BENCHMARK.json. REF defaults to HEAD when the tree is dirty,
-# else HEAD~1. See cmd/benchpair.
+# `make bench-pair W=<workload>|all [PROCS=1,2,...] [REF=<commit>] [N=10]
+# [SEED=1] [SECONDS=24]` extracts REF once with `git archive` under
+# .bench_build/, runs `bash bench/run.sh` for the workload — or, with
+# W=all, for every workload in BENCHMARK.json — at each PROCS width
+# (GOMAXPROCS; the machine's default without PROCS) on it and on the
+# working tree, alternating which side goes first from pair to pair, and
+# prints per workload, width and end-to-end metric both medians and
+# quartiles, the pairs won and a verdict; non-zero exit when any
+# workload's median at any width is worse than its bound in
+# BENCHMARK.json. REF defaults to HEAD when the tree is dirty, else
+# HEAD~1. See cmd/benchpair.
 N ?= 10
 SEED ?= 1
 SECONDS ?= 24
 bench-pair:
-	@test -n "$(W)" || { echo "usage: make bench-pair W=<workload>|all [REF=<commit>] [N=10] [SEED=1] [SECONDS=24]"; exit 2; }
-	$(GO) run ./cmd/benchpair -workload $(W) $(if $(REF),-ref $(REF)) -n $(N) -seed $(SEED) -seconds $(SECONDS)
+	@test -n "$(W)" || { echo "usage: make bench-pair W=<workload>|all [PROCS=1,2,...] [REF=<commit>] [N=10] [SEED=1] [SECONDS=24]"; exit 2; }
+	$(GO) run ./cmd/benchpair -workload $(W) $(if $(PROCS),-procs $(PROCS)) $(if $(REF),-ref $(REF)) -n $(N) -seed $(SEED) -seconds $(SECONDS)
 
 # Non-test Go line counts the simplicity issues quote: the kvstore and
 # sds packages, the repository outside the benchmark module, and smdctl.

@@ -4,26 +4,29 @@
 // itself records nothing), runs benchmark workloads on both — `bash
 // bench/run.sh`, which each tree builds from its own source — pair by
 // pair, every workload on both sides in each pair, alternating which side
-// goes first, and prints per workload and end-to-end metric both medians,
-// both quartile pairs, the relative change, how many pairs the change won
-// and a verdict: "improved" (won at least 9 pairs in 10 and moved the
-// median further than the parent's quartile distance), "REGRESSED"
-// (median worse than the metric's bound), "unresolved" (the parent's
-// quartile distance is wider than the bound, so the runs cannot tell,
-// and the change's runs do not all read better than the parent's) or "no
-// worse"; then a status line per workload. It only invokes the
-// benchmark; it shares no code with it.
+// goes first, and prints per workload, GOMAXPROCS width and end-to-end
+// metric both medians, both quartile pairs, the relative change, how many
+// pairs the change won and a verdict: "improved" (won at least 9 pairs in
+// 10 and moved the median further than the parent's quartile distance),
+// "REGRESSED" (median worse than the metric's bound), "unresolved" (the
+// parent's quartile distance is wider than the bound, so the runs cannot
+// tell, and the change's runs do not all read better than the parent's)
+// or "no worse"; then a status line per workload and width. It only
+// invokes the benchmark; it shares no code with it.
 //
-// Exit status 1 when, on any workload, the change's median is worse than
-// the reference's by more than the metric's bound in BENCHMARK.json, a
-// run reports itself incorrect, or the change fails a larger share of
-// its operations than the reference; 2 on a set-up error.
+// Exit status 1 when, on any workload at any width, the change's median
+// is worse than the reference's by more than the metric's bound in
+// BENCHMARK.json, a run reports itself incorrect, or the change fails a
+// larger share of its operations than the reference; 2 on a set-up
+// error.
 //
-// Usage: benchpair -workload <name>|all [-ref <commit>] [-n 10] [-seed 1] [-seconds 24]
+// Usage: benchpair -workload <name>|all [-procs 1,2,...] [-ref <commit>] [-n 10] [-seed 1] [-seconds 24]
 //
-// -workload all runs every workload BENCHMARK.json lists. Without -ref
-// the reference is HEAD when the working tree differs from it (the change
-// is not committed yet) and HEAD~1 when it does not.
+// -workload all runs every workload BENCHMARK.json lists. Each pair runs
+// each workload once per -procs width (default: benchpair's own
+// GOMAXPROCS), with GOMAXPROCS set to that width on both sides. Without
+// -ref the reference is HEAD when the working tree differs from it (the
+// change is not committed yet) and HEAD~1 when it does not.
 package main
 
 import (
@@ -37,6 +40,7 @@ import (
 	"os/exec"
 	"os/signal"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -64,30 +68,44 @@ type metricValue struct {
 	Value float64 `json:"value"`
 }
 
-// tally collects one side's runs of one workload.
+// job is one workload at one GOMAXPROCS width.
+type job struct {
+	workload string
+	procs    int
+}
+
+// String is the job's row prefix.
+func (j job) String() string { return fmt.Sprintf("workload=%s procs=%d", j.workload, j.procs) }
+
+// tally collects one side's runs of one job.
 type tally struct {
 	values            map[string][]float64 // metric -> one value per pair
 	attempted, failed int64
 	incorrect         int // runs that reported correct=false
 }
 
-// side is one tree and its runs, by workload.
+// side is one tree and its runs, by job.
 type side struct {
 	name, root string
 	env        []string // added to the benchmark's environment
-	runs       map[string]*tally
+	runs       map[job]*tally
 }
 
 func newSide(name, root string, env []string) *side {
-	return &side{name: name, root: root, env: env, runs: map[string]*tally{}}
+	return &side{name: name, root: root, env: env, runs: map[job]*tally{}}
 }
 
-// record adds one run of workload to the side's tally.
-func (s *side) record(workload string, res result) {
-	t := s.runs[workload]
+// environ is what a run of j adds to the benchmark's environment.
+func (s *side) environ(j job) []string {
+	return append(slices.Clip(s.env), "GOMAXPROCS="+strconv.Itoa(j.procs))
+}
+
+// record adds one run of j to the side's tally.
+func (s *side) record(j job, res result) {
+	t := s.runs[j]
 	if t == nil {
 		t = &tally{values: map[string][]float64{}}
-		s.runs[workload] = t
+		s.runs[j] = t
 	}
 	for name, m := range res.Metrics {
 		t.values[name] = append(t.values[name], m.Value)
@@ -99,24 +117,29 @@ func (s *side) record(workload string, res result) {
 	}
 }
 
-// benchFunc runs workload once in a side's tree.
-type benchFunc func(ctx context.Context, s *side, workload string) (result, error)
+// benchFunc runs j once in a side's tree.
+type benchFunc func(ctx context.Context, s *side, j job) (result, error)
 
 func main() {
 	workload := flag.String("workload", "", "benchmark workload to run (a name from BENCHMARK.json, or all)")
+	procsList := flag.String("procs", strconv.Itoa(runtime.GOMAXPROCS(0)), "comma-separated GOMAXPROCS widths to run every workload at")
 	ref := flag.String("ref", "", "reference commit (default: HEAD if the tree is dirty, else HEAD~1)")
 	n := flag.Int("n", 10, "parent/change pairs")
 	seed := flag.Int64("seed", 1, "workload seed, the same on both sides")
 	seconds := flag.Float64("seconds", 24, "run length handed to the benchmark")
 	flag.Parse()
-	if *workload == "" || *n < 1 {
+	procs, err := parseProcs(*procsList)
+	if *workload == "" || *n < 1 || err != nil {
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "benchpair: %v\n", err)
+		}
 		flag.Usage()
 		os.Exit(2)
 	}
 	// An interrupt stops the run in progress and still removes the
 	// parent's tree.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	ok, err := run(ctx, *workload, *ref, *n, *seed, *seconds)
+	ok, err := run(ctx, *workload, procs, *ref, *n, *seed, *seconds)
 	stop()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchpair: %v\n", err)
@@ -125,6 +148,19 @@ func main() {
 	if !ok {
 		os.Exit(1)
 	}
+}
+
+// parseProcs reads -procs: positive widths.
+func parseProcs(list string) ([]int, error) {
+	var procs []int
+	for _, f := range strings.Split(list, ",") {
+		p, err := strconv.Atoi(strings.TrimSpace(f))
+		if err != nil || p < 1 {
+			return nil, fmt.Errorf("-procs %q: want positive integers separated by commas", list)
+		}
+		procs = append(procs, p)
+	}
+	return procs, nil
 }
 
 // git runs one git command in dir and returns its trimmed stdout.
@@ -139,7 +175,7 @@ func git(dir string, args ...string) (string, error) {
 	return strings.TrimSpace(string(out)), nil
 }
 
-func run(ctx context.Context, workload, ref string, n int, seed int64, seconds float64) (bool, error) {
+func run(ctx context.Context, workload string, procs []int, ref string, n int, seed int64, seconds float64) (bool, error) {
 	root, err := git(".", "rev-parse", "--show-toplevel")
 	if err != nil {
 		return false, err
@@ -177,6 +213,12 @@ func run(ctx context.Context, workload, ref string, n int, seed int64, seconds f
 			workloads = append(workloads, w.Name)
 		}
 	}
+	var jobs []job
+	for _, w := range workloads {
+		for _, p := range procs {
+			jobs = append(jobs, job{w, p})
+		}
+	}
 
 	refRoot := filepath.Join(root, ".bench_build", "pair-"+sha[:12])
 	if err := extract(root, sha, refRoot); err != nil {
@@ -191,50 +233,50 @@ func run(ctx context.Context, workload, ref string, n int, seed int64, seconds f
 	change := newSide("change", root, nil)
 	fmt.Printf("# workloads=%s parent=%s change=working tree of %s pairs=%d seed=%d seconds=%g\n",
 		strings.Join(workloads, ","), sha[:12], root, n, seed, seconds)
-	bench := func(ctx context.Context, s *side, workload string) (result, error) {
-		return s.bench(ctx, workload, seed, seconds)
+	bench := func(ctx context.Context, s *side, j job) (result, error) {
+		return s.bench(ctx, j, seed, seconds)
 	}
-	if err := runPairs(ctx, os.Stdout, n, workloads, parent, change, bench); err != nil {
+	if err := runPairs(ctx, os.Stdout, n, jobs, parent, change, bench); err != nil {
 		return false, err
 	}
-	return report(os.Stdout, workloads, spec.EndToEnd, parent, change), nil
+	return report(os.Stdout, jobs, spec.EndToEnd, parent, change), nil
 }
 
-// runPairs runs n pairs. A pair runs every workload on both sides, the
-// parent first in odd pairs and the change first in even ones, so that
-// neither side always runs on the machine the other has just warmed.
-func runPairs(ctx context.Context, out io.Writer, n int, workloads []string, parent, change *side, bench benchFunc) error {
+// runPairs runs n pairs. A pair runs every job on both sides, the parent
+// first in odd pairs and the change first in even ones, so that neither
+// side always runs on the machine the other has just warmed.
+func runPairs(ctx context.Context, out io.Writer, n int, jobs []job, parent, change *side, bench benchFunc) error {
 	for i := range n {
 		order := [2]*side{parent, change}
 		if i%2 == 1 {
 			order = [2]*side{change, parent}
 		}
-		for _, w := range workloads {
+		for _, j := range jobs {
 			for _, s := range order {
-				res, err := bench(ctx, s, w)
+				res, err := bench(ctx, s, j)
 				if err != nil {
 					return err
 				}
-				s.record(w, res)
-				fmt.Fprintf(out, "pair=%d workload=%s side=%s correct=%t failed=%d ops_per_s=%g\n",
-					i+1, w, s.name, res.Correct, res.Failed, res.Metrics["ops_per_s"].Value)
+				s.record(j, res)
+				fmt.Fprintf(out, "pair=%d %s side=%s correct=%t failed=%d ops_per_s=%g\n",
+					i+1, j, s.name, res.Correct, res.Failed, res.Metrics["ops_per_s"].Value)
 			}
 		}
 	}
 	return nil
 }
 
-// report prints every workload's verdict rows and then its status, and
+// report prints every job's verdict rows and then its status, and
 // reports whether all of them passed: no run reported itself incorrect,
 // the change failed no larger share of its operations than the parent,
 // and no metric regressed.
-func report(out io.Writer, workloads []string, metrics []boundedMetric, parent, change *side) bool {
+func report(out io.Writer, jobs []job, metrics []boundedMetric, parent, change *side) bool {
 	allOK := true
-	for _, w := range workloads {
-		p, c := parent.runs[w], change.runs[w]
+	for _, j := range jobs {
+		p, c := parent.runs[j], change.runs[j]
 		var failures []string
 		for _, s := range []*side{parent, change} {
-			if k := s.runs[w].incorrect; k > 0 {
+			if k := s.runs[j].incorrect; k > 0 {
 				failures = append(failures, fmt.Sprintf("%d of the %s's runs reported correct=false", k, s.name))
 			}
 		}
@@ -251,15 +293,15 @@ func report(out io.Writer, workloads []string, metrics []boundedMetric, parent, 
 			if v == regressed {
 				failures = append(failures, m.Name+" regressed")
 			}
-			fmt.Fprintf(out, "workload=%s metric=%s unit=%s better=%s parent=%g [%g, %g] change=%g [%g, %g] change_vs_parent=%+.2f%% parent_iqr=%.2f%% wins=%d losses=%d of %d bound=%g %s\n",
-				w, m.Name, m.Unit, m.Better, cmp.p[1], cmp.p[0], cmp.p[2], cmp.c[1], cmp.c[0], cmp.c[2],
+			fmt.Fprintf(out, "%s metric=%s unit=%s better=%s parent=%g [%g, %g] change=%g [%g, %g] change_vs_parent=%+.2f%% parent_iqr=%.2f%% wins=%d losses=%d of %d bound=%g %s\n",
+				j, m.Name, m.Unit, m.Better, cmp.p[1], cmp.p[0], cmp.p[2], cmp.c[1], cmp.c[0], cmp.c[2],
 				100*ratio(cmp.c[1]-cmp.p[1], cmp.p[1]), 100*cmp.iqr, cmp.wins, cmp.losses, cmp.pairs, m.Bound, v)
 		}
 		if len(failures) > 0 {
 			allOK = false
-			fmt.Fprintf(out, "workload=%s FAIL: %s\n", w, strings.Join(failures, "; "))
+			fmt.Fprintf(out, "%s FAIL: %s\n", j, strings.Join(failures, "; "))
 		} else {
-			fmt.Fprintf(out, "workload=%s ok\n", w)
+			fmt.Fprintf(out, "%s ok\n", j)
 		}
 	}
 	return allOK
@@ -348,13 +390,13 @@ func (r comparison) verdict(bound float64) string {
 	return noWorse
 }
 
-// bench runs the workload once in the side's tree.
-func (s *side) bench(ctx context.Context, workload string, seed int64, seconds float64) (result, error) {
-	cmd := exec.CommandContext(ctx, "bash", "bench/run.sh", "--workload", workload,
+// bench runs j once in the side's tree.
+func (s *side) bench(ctx context.Context, j job, seed int64, seconds float64) (result, error) {
+	cmd := exec.CommandContext(ctx, "bash", "bench/run.sh", "--workload", j.workload,
 		"--seed", strconv.FormatInt(seed, 10),
 		"--seconds", strconv.FormatFloat(seconds, 'g', -1, 64), "--trace", "0")
 	cmd.Dir = s.root
-	cmd.Env = append(os.Environ(), s.env...)
+	cmd.Env = append(os.Environ(), s.environ(j)...)
 	cmd.Stderr = os.Stderr
 	out, err := cmd.Output()
 	var res result
@@ -365,7 +407,7 @@ func (s *side) bench(ctx context.Context, workload string, seed int64, seconds f
 	// result; only a run with no result line is a set-up error.
 	lines := bytes.Split(bytes.TrimSpace(out), []byte("\n"))
 	if jerr := json.Unmarshal(lines[len(lines)-1], &res); jerr != nil {
-		return res, fmt.Errorf("%s run of %s printed no result (%v): %v", s.name, workload, err, jerr)
+		return res, fmt.Errorf("%s run of %s printed no result (%v): %v", s.name, j, err, jerr)
 	}
 	return res, nil
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"io/fs"
 	"os"
@@ -84,39 +85,57 @@ func TestExtract(t *testing.T) {
 }
 
 // TestPairsRunEveryWorkload drives the pair loop with a stub benchmark:
-// each pair runs every workload on both sides, the side that goes first
-// alternates from pair to pair, and each workload gets its own verdict
-// rows and status — one that regresses, one whose change fails more of
-// its operations and one with an incorrect run each fail on their own,
-// and any of them fails the whole.
+// each pair runs every workload at every width on both sides, each run
+// with its width as GOMAXPROCS beside the side's own environment, the
+// side that goes first alternates from pair to pair, and each workload
+// and width gets its own verdict rows and status — a regression at one
+// width only, a change that fails more of its operations and one with an
+// incorrect run each fail on their own, and any of them fails the whole.
 func TestPairsRunEveryWorkload(t *testing.T) {
 	workloads := []string{"steady", "slower", "failing", "incorrect"}
+	procs, err := parseProcs("1,2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var jobs []job
+	for _, w := range workloads {
+		for _, p := range procs {
+			jobs = append(jobs, job{w, p})
+		}
+	}
 	metrics := []boundedMetric{{Name: "ops_per_s", Unit: "1/s", Better: "higher", Bound: 0.25}}
 	var calls []string
-	bench := func(_ context.Context, s *side, w string) (result, error) {
-		calls = append(calls, w+"/"+s.name)
+	bench := func(_ context.Context, s *side, j job) (result, error) {
+		calls = append(calls, fmt.Sprintf("%s/%d/%s", j.workload, j.procs, s.name))
+		if env, want := s.environ(j), append(slices.Clone(s.env), fmt.Sprintf("GOMAXPROCS=%d", j.procs)); !slices.Equal(env, want) {
+			t.Errorf("%s run of %s: environment %q, want %q", s.name, j, env, want)
+		}
 		res := result{Correct: true, Attempted: 1000, Metrics: map[string]metricValue{"ops_per_s": {100}}}
 		if s.name == "change" {
-			switch w {
+			switch j.workload {
 			case "slower":
-				res.Metrics["ops_per_s"] = metricValue{50}
+				if j.procs == 2 {
+					res.Metrics["ops_per_s"] = metricValue{50}
+				}
 			case "failing":
 				res.Failed = 1
 			case "incorrect":
-				res.Correct = len(calls) > 8 // the change's first run only
+				res.Correct = len(calls) > 14 // the change's first run only
 			}
 		}
 		return res, nil
 	}
-	parent, change := newSide("parent", "", nil), newSide("change", "", nil)
+	parent, change := newSide("parent", "", []string{"GIT_CEILING_DIRECTORIES=/x"}), newSide("change", "", nil)
 	var log bytes.Buffer
-	if err := runPairs(context.Background(), &log, 2, workloads, parent, change, bench); err != nil {
+	if err := runPairs(context.Background(), &log, 2, jobs, parent, change, bench); err != nil {
 		t.Fatal(err)
 	}
 	var want []string
 	for _, first := range [][2]string{{"parent", "change"}, {"change", "parent"}} {
-		for _, w := range workloads {
-			want = append(want, w+"/"+first[0], w+"/"+first[1])
+		for _, j := range jobs {
+			for _, s := range first {
+				want = append(want, fmt.Sprintf("%s/%d/%s", j.workload, j.procs, s))
+			}
 		}
 	}
 	if !slices.Equal(calls, want) {
@@ -125,28 +144,38 @@ func TestPairsRunEveryWorkload(t *testing.T) {
 	if got := strings.Count(log.String(), "\n"); got != len(want) {
 		t.Fatalf("%d run lines for %d runs:\n%s", got, len(want), log.String())
 	}
+	if !strings.Contains(log.String(), "pair=2 workload=failing procs=2 side=parent ") {
+		t.Errorf("run lines do not name the width:\n%s", log.String())
+	}
 
 	var out bytes.Buffer
-	if report(&out, workloads, metrics, parent, change) {
+	if report(&out, jobs, metrics, parent, change) {
 		t.Fatalf("three failing workloads passed:\n%s", out.String())
 	}
 	for _, line := range []string{
-		"workload=steady metric=ops_per_s ",
-		"workload=slower metric=ops_per_s ",
-		"workload=steady ok\n",
-		"workload=slower FAIL: ops_per_s regressed\n",
-		"workload=failing FAIL: change failed 0.001000 of its operations, parent 0.000000\n",
-		"workload=incorrect FAIL: 1 of the change's runs reported correct=false\n",
+		"workload=steady procs=1 metric=ops_per_s ",
+		"workload=slower procs=2 metric=ops_per_s ",
+		"workload=steady procs=2 ok\n",
+		"workload=slower procs=1 ok\n",
+		"workload=slower procs=2 FAIL: ops_per_s regressed\n",
+		"workload=failing procs=1 FAIL: change failed 0.001000 of its operations, parent 0.000000\n",
+		"workload=incorrect procs=1 FAIL: 1 of the change's runs reported correct=false\n",
+		"workload=incorrect procs=2 ok\n",
 	} {
 		if !strings.Contains(out.String(), line) {
 			t.Errorf("report lacks %q:\n%s", line, out.String())
 		}
 	}
-	if !strings.Contains(out.String(), "REGRESSED\nworkload=slower FAIL") {
+	if !strings.Contains(out.String(), "REGRESSED\nworkload=slower procs=2 FAIL") {
 		t.Errorf("the regressed verdict row does not precede its status:\n%s", out.String())
 	}
-	if !report(io.Discard, workloads[:1], metrics, parent, change) {
-		t.Fatal("a workload that passed on its own failed the report")
+	if !report(io.Discard, jobs[:3], metrics, parent, change) {
+		t.Fatal("workloads and widths that passed on their own failed the report")
+	}
+	for _, bad := range []string{"", "0", "1,x", "-2"} {
+		if _, err := parseProcs(bad); err == nil {
+			t.Errorf("parseProcs(%q) accepted", bad)
+		}
 	}
 }
 

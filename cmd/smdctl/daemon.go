@@ -147,7 +147,9 @@ func printTrace(w io.Writer, tr smd.Trace) {
 // old they were. Victims are whole pages, so some are younger than the
 // oldest survivor; the span is flagged when they reach further past it
 // than one page holds, which means values of very different ages share
-// pages (or old pages are being vetoed by pins).
+// pages, or old pages are vetoed: a tenant read since the last demand
+// (LRU) or allocated by a SET that has not installed it yet. A reader
+// parked in the epoch moves no ages; it keeps revoked pages in limbo.
 func sdsSpanLines(sp core.DemandSpan) []string {
 	line := fmt.Sprintf("sds %s: %d pages, %d allocs revoked", sp.Name, sp.Pages, sp.Allocs)
 	perPage := int64(0)

@@ -51,9 +51,6 @@ type Context struct {
 	stallNs atomic.Int64
 	heap    *alloc.Heap
 	closed  bool
-	// pins counts active Pins per allocation; pinned allocations cannot
-	// be freed or reclaimed.
-	pins map[alloc.Ref]int
 	// demandDrain marks that heap page releases are on the demand path
 	// and must flow to the machine, not the process free pool;
 	// drainReleased counts them for the demand's accounting.
@@ -177,8 +174,7 @@ func (c *Context) allocRetry(size int, data []byte) (alloc.Ref, error) {
 
 // Free releases the allocation. Fully-freed pages above the retention
 // threshold flow back to the process free pool, and pool overflow returns
-// budget to the daemon. Freeing a pinned allocation fails with
-// ErrPinned.
+// budget to the daemon.
 func (c *Context) Free(ref alloc.Ref) error {
 	if m := c.sma.met.Load(); m != nil {
 		t0 := time.Now()
@@ -192,10 +188,6 @@ func (c *Context) Free(ref alloc.Ref) error {
 func (c *Context) free(ref alloc.Ref) error {
 	if err := c.lockOpen(); err != nil {
 		return err
-	}
-	if c.pinnedLocked(ref) {
-		c.mu.Unlock()
-		return ErrPinned
 	}
 	err := c.freeLocked(ref)
 	c.trimHeapLocked()
@@ -393,16 +385,13 @@ func (c *Context) Do(fn func(tx *Tx) error) error {
 }
 
 // Close frees every allocation in the context and removes it from the
-// SMA. Further operations return ErrClosed. Outstanding Pins keep their
-// captured bytes readable (Go memory safety) but the data is no longer
-// soft-memory-backed.
+// SMA. Further operations return ErrClosed.
 func (c *Context) Close() {
 	c.lock()
 	already := c.closed
 	if !already {
 		c.heap.Reset()
 		c.closed = true
-		c.pins = nil
 	}
 	c.mu.Unlock()
 	if already {
@@ -419,70 +408,6 @@ func (c *Context) HeapStats() alloc.Stats {
 	return c.heap.Stats()
 }
 
-// Pin is a held reference that blocks reclamation of one allocation —
-// this repository's answer to the paper's §7 concurrency question, in
-// the spirit of AIFM's dereference scopes: while a thread holds a Pin,
-// the allocation cannot be revoked, so its bytes may be read outside the
-// heap lock without racing a demand. Pins should be short-lived; a pinned
-// allocation is invisible to reclamation and long pins erode the
-// process's ability to satisfy demands.
-type Pin struct {
-	ctx  *Context
-	ref  alloc.Ref
-	data []byte
-	done bool
-}
-
-// Bytes returns the pinned allocation's backing bytes, valid until
-// Unpin. Concurrent writers (via Context.Write under the lock) are the
-// caller's responsibility to coordinate; reclamation is not — a pinned
-// allocation cannot be revoked.
-func (p *Pin) Bytes() []byte { return p.data }
-
-// Unpin releases the pin, making the allocation reclaimable again.
-// Idempotent.
-func (p *Pin) Unpin() {
-	if p.done {
-		return
-	}
-	p.done = true
-	c := p.ctx
-	c.lock()
-	if c.pins != nil {
-		if n := c.pins[p.ref]; n > 1 {
-			c.pins[p.ref] = n - 1
-		} else {
-			delete(c.pins, p.ref)
-		}
-	}
-	c.mu.Unlock()
-	p.data = nil
-}
-
-// Pin pins a live allocation against reclamation and returns zero-copy
-// access to its bytes. Multi-page allocations cannot be pinned for
-// zero-copy access (use Read); they return an error.
-func (c *Context) Pin(ref alloc.Ref) (*Pin, error) {
-	if err := c.lockOpen(); err != nil {
-		return nil, err
-	}
-	defer c.mu.Unlock()
-	b, err := c.heap.Bytes(ref)
-	if err != nil {
-		return nil, err
-	}
-	if c.pins == nil {
-		c.pins = make(map[alloc.Ref]int)
-	}
-	c.pins[ref]++
-	return &Pin{ctx: c, ref: ref, data: b}, nil
-}
-
-// pinnedLocked reports whether ref is pinned. Caller holds c.mu.
-func (c *Context) pinnedLocked(ref alloc.Ref) bool {
-	return c.pins != nil && c.pins[ref] > 0
-}
-
 // Tx exposes allocation operations inside a locked section: within
 // Context.Do and within a Reclaimer's Reclaim. A Tx must not escape the
 // function it was passed to.
@@ -492,40 +417,13 @@ type Tx struct {
 	victims VictimAges // what the Reclaimer said of its victims' ages
 }
 
-// Free releases the allocation. Freeing a pinned allocation fails with
-// ErrPinned; reclaim policies skip such elements and revisit them after
-// the pin is released.
+// Free releases the allocation.
 func (tx *Tx) Free(ref alloc.Ref) error {
-	if tx.ctx.pinnedLocked(ref) {
-		return ErrPinned
-	}
 	err := tx.ctx.freeLocked(ref)
 	if err == nil {
 		tx.frees++
 	}
 	return err
-}
-
-// Pinned reports whether ref is currently pinned against reclamation.
-func (tx *Tx) Pinned(ref alloc.Ref) bool { return tx.ctx.pinnedLocked(ref) }
-
-// Pin pins the allocation from inside a locked section. The returned Pin
-// is designed to outlive the section: SDSs use this to hand zero-copy
-// reads to their callers.
-func (tx *Tx) Pin(ref alloc.Ref) (*Pin, error) {
-	c := tx.ctx
-	if c.closed {
-		return nil, ErrClosed
-	}
-	b, err := c.heap.Bytes(ref)
-	if err != nil {
-		return nil, err
-	}
-	if c.pins == nil {
-		c.pins = make(map[alloc.Ref]int)
-	}
-	c.pins[ref]++
-	return &Pin{ctx: c, ref: ref, data: b}, nil
 }
 
 // Bytes returns the allocation's backing bytes without copying, or

@@ -178,7 +178,7 @@ func TestDeniedChunkRetriesExactNeed(t *testing.T) {
 
 func TestUsageReportedToDaemon(t *testing.T) {
 	s, d, _ := newSMA(0, 1000)
-	s.SetTraditionalBytes(12345)
+	s.AddTraditionalBytes(12345)
 	ctx := s.Register("test", 0, nil)
 	if _, err := ctx.Alloc(1024); err != nil {
 		t.Fatal(err)
@@ -654,7 +654,7 @@ func TestMachineConservationUnderChaos(t *testing.T) {
 
 func TestUsageSnapshot(t *testing.T) {
 	s, _, _ := newSMA(0, 100)
-	s.SetTraditionalBytes(4096)
+	s.AddTraditionalBytes(4096)
 	ctx := s.Register("u", 0, nil)
 	if _, err := ctx.Alloc(4096); err != nil {
 		t.Fatal(err)
@@ -869,103 +869,6 @@ func TestResetBudgetAndBudgetPages(t *testing.T) {
 	if s.BudgetPages() != 0 {
 		t.Fatalf("negative reset: %d", s.BudgetPages())
 	}
-}
-
-func TestPinBlocksFreeAndReclaim(t *testing.T) {
-	s, _, _ := newSMA(0, 10000)
-	sds := &stackSDS{}
-	sds.ctx = s.Register("list", 0, sds)
-	for i := 0; i < 4; i++ {
-		sds.push(t, 4096)
-	}
-	oldest := sds.refs[0]
-	pin, err := sds.ctx.Pin(oldest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pin.Bytes()) != 4096 {
-		t.Fatalf("pinned bytes = %d", len(pin.Bytes()))
-	}
-	// Direct free refused.
-	if err := sds.ctx.Free(oldest); !errors.Is(err, ErrPinned) {
-		t.Fatalf("Free(pinned) = %v, want ErrPinned", err)
-	}
-	// A demand cannot take the pinned page: stackSDS drops refs whose
-	// Free fails, so the pinned allocation stays live even though the
-	// SDS index forgot it — the pin holds it.
-	s.HandleDemand(4)
-	if !sds.ctx.Live(oldest) {
-		t.Fatal("pinned allocation was reclaimed")
-	}
-	pin.Unpin()
-	pin.Unpin() // idempotent
-	if err := sds.ctx.Free(oldest); err != nil {
-		t.Fatalf("Free after Unpin: %v", err)
-	}
-}
-
-func TestPinRefCounting(t *testing.T) {
-	s, _, _ := newSMA(0, 100)
-	ctx := s.Register("p", 0, nil)
-	ref, _ := ctx.Alloc(64)
-	p1, _ := ctx.Pin(ref)
-	p2, _ := ctx.Pin(ref)
-	p1.Unpin()
-	if err := ctx.Free(ref); !errors.Is(err, ErrPinned) {
-		t.Fatal("second pin not held")
-	}
-	p2.Unpin()
-	if err := ctx.Free(ref); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPinInvalidRef(t *testing.T) {
-	s, _, _ := newSMA(0, 100)
-	ctx := s.Register("p", 0, nil)
-	if _, err := ctx.Pin(alloc.Ref{}); err == nil {
-		t.Fatal("pinned a nil ref")
-	}
-	ctx.Close()
-	if _, err := ctx.Pin(alloc.Ref{}); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Pin after close = %v", err)
-	}
-}
-
-func TestPinnedReadOutsideLockDuringDemand(t *testing.T) {
-	// The §7 race the paper worries about: a reader holding data while
-	// another thread's allocation triggers reclamation. With a Pin, the
-	// read is safe by construction.
-	s, _, _ := newSMA(0, 100000)
-	sds := &stackSDS{}
-	sds.ctx = s.Register("list", 0, sds)
-	for i := 0; i < 64; i++ {
-		sds.push(t, 4096)
-		if err := sds.ctx.Write(sds.refs[i], []byte{byte(i)}, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	pin, err := sds.ctx.Pin(sds.refs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 16; i++ {
-			s.HandleDemand(4)
-		}
-	}()
-	// Read the pinned bytes repeatedly while demands rage.
-	for i := 0; i < 10000; i++ {
-		if pin.Bytes()[0] != 0 {
-			t.Error("pinned data corrupted")
-			break
-		}
-	}
-	wg.Wait()
-	pin.Unpin()
 }
 
 func TestSMAClose(t *testing.T) {

@@ -33,7 +33,6 @@ func TestEveryOperationAfterCloseSaysClosed(t *testing.T) {
 		{"ReadAll", func() error { _, err := ctx.ReadAll(ref); return err }},
 		{"Size", func() error { _, err := ctx.Size(ref); return err }},
 		{"Free", func() error { return ctx.Free(ref) }},
-		{"Pin", func() error { _, err := ctx.Pin(ref); return err }},
 		{"Do", func() error { return ctx.Do(func(*Tx) error { return nil }) }},
 		{"Owned.Acquire", owned.Acquire},
 		{"Owned.Yield", owned.Yield},

@@ -23,9 +23,6 @@ var (
 	ErrExhausted = errors.New("core: soft memory exhausted")
 	// ErrClosed reports use of a closed Context.
 	ErrClosed = errors.New("core: context closed")
-	// ErrPinned reports an attempt to free or reclaim an allocation that
-	// a Pin is holding against revocation.
-	ErrPinned = errors.New("core: allocation is pinned")
 
 	// errNeedBudget is the internal signal that an allocation needs more
 	// budget; the allocation loop catches it, drops the heap lock, talks
@@ -278,16 +275,10 @@ func (s *SMA) AttachDaemon(d DaemonClient) {
 	s.daemon.Store(&daemonBox{d})
 }
 
-// SetTraditionalBytes records the process's traditional-memory footprint,
-// reported to the daemon for reclamation-weight computation. Applications
-// update it as their hard state grows and shrinks. Safe to call from SDS
-// reclaim callbacks.
-func (s *SMA) SetTraditionalBytes(n int64) {
-	s.traditional.Store(n)
-}
-
-// AddTraditionalBytes adjusts the reported traditional footprint by
-// delta. Safe to call from SDS reclaim callbacks.
+// AddTraditionalBytes adjusts by delta the process's traditional-memory
+// footprint, reported to the daemon for reclamation-weight computation.
+// Applications call it as their hard state grows and shrinks. Safe to
+// call from SDS reclaim callbacks.
 func (s *SMA) AddTraditionalBytes(delta int64) {
 	if s.traditional.Add(delta) < 0 {
 		s.traditional.Store(0)

@@ -98,7 +98,7 @@ func (d *Domain) Advance() uint64 { return d.global.Add(1) }
 // scan walks the reader slots once and returns the oldest epoch any
 // registered reader entered at (0 when none is registered) and how many
 // are registered. It is the one announcement scan behind the grace
-// check and both telemetry readings.
+// check and Lag.
 func (d *Domain) scan() (oldest uint64, readers int) {
 	for i := range d.slots {
 		if e := d.slots[i].epoch.Load(); e != 0 {
@@ -121,13 +121,6 @@ func (d *Domain) SafeBefore() uint64 {
 		return oldest
 	}
 	return d.global.Load() + 1
-}
-
-// ActiveReaders counts currently claimed slots (telemetry only; the
-// value is advisory under concurrency).
-func (d *Domain) ActiveReaders() int {
-	_, readers := d.scan()
-	return readers
 }
 
 // Lag reports how many epochs the slowest active reader trails the

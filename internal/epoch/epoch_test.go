@@ -21,8 +21,8 @@ func TestEnterExitBasics(t *testing.T) {
 	if got := d.SafeBefore(); got != 1 {
 		t.Fatalf("SafeBefore with reader at epoch 1 = %d, want 1", got)
 	}
-	if got := d.ActiveReaders(); got != 1 {
-		t.Fatalf("ActiveReaders = %d, want 1", got)
+	if _, got := d.scan(); got != 1 {
+		t.Fatalf("registered readers = %d, want 1", got)
 	}
 	d.Advance()
 	d.Advance()
@@ -125,7 +125,7 @@ func TestGracePeriodInvariant(t *testing.T) {
 	if n := violations.Load(); n != 0 {
 		t.Fatalf("grace frontier passed %d registered readers", n)
 	}
-	if got := d.ActiveReaders(); got != 0 {
-		t.Fatalf("readers leaked: ActiveReaders = %d", got)
+	if _, got := d.scan(); got != 0 {
+		t.Fatalf("readers leaked: %d still registered", got)
 	}
 }

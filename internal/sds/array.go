@@ -201,7 +201,7 @@ func (a *SoftArray[T]) Close() { a.ctx.Close() }
 // invoking the callback on each present element first. Runs under the
 // Context lock.
 func (a *SoftArray[T]) reclaim(tx *core.Tx, quota int) int {
-	if !a.valid || quota <= 0 || tx.Pinned(a.ref) {
+	if !a.valid || quota <= 0 {
 		return 0
 	}
 	size, err := tx.SlotSize(a.ref)

@@ -205,9 +205,6 @@ func (b *SoftBuffer) reclaim(tx *core.Tx, quota int) int {
 	var lost int64
 	for len(b.chunks) > 0 && freed < quota {
 		c := b.chunks[0]
-		if tx.Pinned(c.ref) {
-			break // retained range stays contiguous
-		}
 		size, err := tx.SlotSize(c.ref)
 		if err != nil {
 			b.chunks = b.chunks[1:]

@@ -24,8 +24,8 @@ import (
 //     under the Context lock, so reclamation never sees a half-updated
 //     index.
 //  4. Implement Reclaim(tx, quota): free your least valuable
-//     allocations (skipping pinned ones) until quota SLOT bytes are
-//     freed, updating the index as you go, and return the bytes freed.
+//     allocations until quota SLOT bytes are freed, updating the index
+//     as you go, and return the bytes freed.
 type softStack struct {
 	ctx  *core.Context
 	refs []alloc.Ref // index: bottom first
@@ -77,13 +77,13 @@ func (s *softStack) Len() int {
 	return n
 }
 
-// Reclaim implements core.Reclaimer: bottom-first, skipping pinned
-// entries, counting slot bytes (rule 4).
+// Reclaim implements core.Reclaimer: bottom-first, counting slot bytes
+// (rule 4).
 func (s *softStack) Reclaim(tx *core.Tx, quota int) int {
 	freed := 0
 	kept := s.refs[:0]
 	for i, ref := range s.refs {
-		if freed >= quota || tx.Pinned(ref) {
+		if freed >= quota {
 			kept = append(kept, s.refs[i:]...)
 			break
 		}

@@ -259,30 +259,6 @@ func (t *SoftHashTable[K]) getLocked(tx *core.Tx, dst []byte, key K) ([]byte, bo
 	return v, true, nil
 }
 
-// GetPinned returns zero-copy access to the value under key, pinned
-// against reclamation until the caller's Unpin. Use for large values on
-// hot read paths; prefer Get (which copies) elsewhere — pinned entries
-// cannot be reclaimed, so pins must be short-lived.
-func (t *SoftHashTable[K]) GetPinned(key K) (pin *core.Pin, ok bool, err error) {
-	err = t.ctx.Do(func(tx *core.Tx) error {
-		e := t.lookup(key)
-		if e == nil {
-			return nil
-		}
-		p, err := tx.Pin(e.ref)
-		if err != nil {
-			return err
-		}
-		pin = p
-		ok = true
-		if t.policy == EvictLRU {
-			t.touch(e)
-		}
-		return nil
-	})
-	return pin, ok, err
-}
-
 // Contains reports whether key is present without touching recency.
 func (t *SoftHashTable[K]) Contains(key K) bool {
 	found := false
@@ -495,10 +471,10 @@ func (t *SoftHashTable[K]) touch(e *htEntry[K]) {
 // so the oldest evictable entry names a page and every entry whose value
 // shares it is revoked with it — oldest first — while their neighbours on
 // other pages, however old, stay. A multi-page value is a page group with one tenant.
-// A page is taken only if every tenant can go: a pinned tenant, or a slot
-// that is allocated but not yet installed in the table, vetoes it, and
-// its unpinned tenants survive with it, because revoking them would free
-// no page. Runs under the Context lock.
+// A page is taken only if every tenant can go: a slot that is allocated
+// but not yet installed in the table vetoes it, and its other tenants
+// survive with it, because revoking them would free no page. Runs under
+// the Context lock.
 //
 // Under EvictLRU with lock-free reads, list order alone understates
 // recency: optimistic readers cannot move list links, they only store
@@ -506,7 +482,7 @@ func (t *SoftHashTable[K]) touch(e *htEntry[K]) {
 // chances (CLOCK): an entry whose stamp advanced since its previous
 // reclaim visit is relinked at the tail instead of named as a victim,
 // and a tenant spared by this call — before the walk reached its page or
-// when the page is looked at — vetoes the page like a pin. A second pass
+// when the page is looked at — vetoes the page too. A second pass
 // that ignores hotness guarantees the quota is still met when everything
 // looks hot.
 func (t *SoftHashTable[K]) reclaim(tx *core.Tx, bytes int) int {
@@ -538,8 +514,8 @@ func (t *SoftHashTable[K]) reclaim(tx *core.Tx, bytes int) int {
 				e = e.next // read now: sparing a tenant may have moved it
 				continue
 			}
-			// e is the group's oldest: an older unpinned tenant would
-			// have named this page before e did.
+			// e is the group's oldest: an older tenant would have
+			// named this page before e did.
 			prev := e.prev
 			if ages.OldestVictim == 0 || e.seq < ages.OldestVictim {
 				ages.OldestVictim = e.seq
@@ -555,7 +531,7 @@ func (t *SoftHashTable[K]) reclaim(tx *core.Tx, bytes int) int {
 				// demand's drain observes the grace period past the retire
 				// stamp, so a reader mid-copy never sees its bytes recycled.
 				t.drop(m)
-				_ = tx.Free(m.ref) // live and unpinned, or pageGroup had vetoed
+				_ = tx.Free(m.ref) // live, or pageGroup had vetoed
 				if t.keyBytes != nil {
 					keyBytesFreed += int64(t.keyBytes(m.key))
 				}
@@ -620,7 +596,7 @@ func (t *SoftHashTable[K]) pageGroup(tx *core.Tx, e *htEntry[K], sparing bool, c
 	t.group = t.group[:0]
 	for _, o := range t.tenants {
 		m, owned := o.(*htEntry[K])
-		if !owned || tx.Pinned(m.ref) || sparing && m != e && (m.seq > called || t.spare(m)) {
+		if !owned || sparing && m != e && (m.seq > called || t.spare(m)) {
 			npages = 0 // vetoed; the walk goes on so every hot tenant has its chance now
 			continue
 		}

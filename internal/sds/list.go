@@ -227,16 +227,12 @@ func (l *SoftLinkedList[T]) Context() *core.Context { return l.ctx }
 func (l *SoftLinkedList[T]) Close() { l.ctx.Close() }
 
 // reclaim frees elements oldest-first until quota bytes are freed (§3.2:
-// "prioritizes newer entries over older entries"). Pinned elements are
-// skipped and survive. Runs under the Context lock.
+// "prioritizes newer entries over older entries"). Runs under the
+// Context lock.
 func (l *SoftLinkedList[T]) reclaim(tx *core.Tx, quota int) int {
 	freed := 0
 	for n := l.oldest; n != nil && freed < quota; {
 		next := n.aNext
-		if tx.Pinned(n.ref) {
-			n = next
-			continue
-		}
 		size, err := tx.SlotSize(n.ref)
 		if err != nil {
 			l.unlink(n)

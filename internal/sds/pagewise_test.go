@@ -173,49 +173,6 @@ func TestReclaimPagesPerEntry(t *testing.T) {
 	}
 }
 
-// TestPinnedTenantVetoesItsPage: a page is taken only if every tenant can
-// go. A pinned entry keeps its page, and with it the unpinned entries
-// that share it — revoking them would free no page — while younger
-// entries on other pages pay instead.
-func TestPinnedTenantVetoesItsPage(t *testing.T) {
-	sma := newSMA()
-	defer sma.Close()
-	var evicted []int
-	ht := NewSoftHashTable[int](sma, "veto", HashTableConfig[int]{
-		OnReclaim: func(k int, _ []byte) { evicted = append(evicted, k) },
-	})
-	defer ht.Close()
-	for k := 0; k < 12; k++ { // pages {0..3}, {4..7}, {8..11}
-		if err := ht.Put(k, lfValue(k, 1000)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	pin, ok, err := ht.GetPinned(2)
-	if err != nil || !ok {
-		t.Fatal(err)
-	}
-	if got := sma.HandleDemand(1); got != 1 {
-		t.Fatalf("HandleDemand(1) = %d", got)
-	}
-	if !slices.Equal(evicted, []int{4, 5, 6, 7}) {
-		t.Fatalf("evicted %v, want the second page [4 5 6 7]: the first holds a pinned tenant", evicted)
-	}
-	for k := 0; k < 4; k++ {
-		if !ht.Contains(k) {
-			t.Fatalf("key %d lost from the vetoed page", k)
-		}
-	}
-	// With the pin gone the page is the oldest again.
-	pin.Unpin()
-	evicted = nil
-	if got := sma.HandleDemand(1); got != 1 || !slices.Equal(evicted, []int{0, 1, 2, 3}) {
-		t.Fatalf("after Unpin: released %d, evicted %v, want 1 and [0 1 2 3]", got, evicted)
-	}
-	if err := sma.VerifyIntegrity(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestUninstalledAllocationVetoesItsPage: between Put's allocation and
 // its index update the heap lock is free, and a slot that is live but
 // belongs to no entry yet cannot be revoked — so its page cannot come

@@ -128,16 +128,12 @@ func (q *SoftQueue[T]) Context() *core.Context { return q.ctx }
 // Close frees the queue's heap; the queue must not be used afterwards.
 func (q *SoftQueue[T]) Close() { q.ctx.Close() }
 
-// reclaim drops elements from the front until quota bytes are freed. A
-// pinned element halts reclamation (the queue only gives up a contiguous
-// prefix, preserving FIFO order). Runs under the Context lock.
+// reclaim drops elements from the front until quota bytes are freed.
+// Runs under the Context lock.
 func (q *SoftQueue[T]) reclaim(tx *core.Tx, quota int) int {
 	freed := 0
 	for q.start < len(q.items) && freed < quota {
 		ref := q.items[q.start]
-		if tx.Pinned(ref) {
-			break
-		}
 		size, err := tx.SlotSize(ref)
 		if err != nil {
 			q.advance(1)

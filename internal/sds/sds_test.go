@@ -603,39 +603,8 @@ func TestListConsistencyUnderDemandProperty(t *testing.T) {
 	}
 }
 
-func TestHashTableGetPinned(t *testing.T) {
-	sma := newSMA()
-	ht := NewSoftHashTable[string](sma, "ht", HashTableConfig[string]{})
-	defer ht.Close()
-	ht.Put("k", []byte("pinned-value"))
-	pin, ok, err := ht.GetPinned("k")
-	if err != nil || !ok {
-		t.Fatalf("GetPinned = %v, %v", ok, err)
-	}
-	if string(pin.Bytes()) != "pinned-value" {
-		t.Fatalf("pinned bytes = %q", pin.Bytes())
-	}
-	// Reclamation cannot take the pinned entry.
-	sma.HandleDemand(1)
-	if _, ok, _ := ht.Get("k"); !ok {
-		t.Fatal("pinned entry evicted")
-	}
-	pin.Unpin()
-	// Now it can go.
-	if released := sma.HandleDemand(1); released != 1 {
-		t.Fatalf("released %d after unpin", released)
-	}
-	if _, ok, _ := ht.Get("k"); ok {
-		t.Fatal("entry survived post-unpin demand")
-	}
-	if _, ok, _ := ht.GetPinned("missing"); ok {
-		t.Fatal("pinned a missing key")
-	}
-}
-
 func TestListReclaimLoopRegression(t *testing.T) {
-	// Regression for the pin-aware reclaim rewrite: with no pins, the
-	// list must still reclaim oldest-first and satisfy the demand.
+	// The list reclaims oldest-first and satisfies the demand.
 	sma := newSMA()
 	l := NewSoftLinkedList(sma, "l", BytesCodec{}, nil)
 	defer l.Close()
@@ -654,38 +623,6 @@ func TestListReclaimLoopRegression(t *testing.T) {
 	if err != nil || !ok || v[0] != 2 {
 		t.Fatalf("front = %v, %v, %v; want element 2", v, ok, err)
 	}
-}
-
-func TestHashTablePinnedEntrySkippedNotLost(t *testing.T) {
-	// A demand larger than the unpinned population: the pinned entry is
-	// skipped (not dropped from the index) and the demand takes
-	// everything else.
-	sma := newSMA()
-	ht := NewSoftHashTable[string](sma, "ht", HashTableConfig[string]{})
-	defer ht.Close()
-	val := make([]byte, 4096)
-	for _, k := range []string{"a", "b", "c", "d"} {
-		ht.Put(k, val)
-	}
-	pin, ok, err := ht.GetPinned("b")
-	if err != nil || !ok {
-		t.Fatal(err)
-	}
-	released := sma.HandleDemand(4)
-	if released != 3 {
-		t.Fatalf("released %d, want 3 (one page pinned)", released)
-	}
-	if ht.Len() != 1 {
-		t.Fatalf("Len = %d, want 1 (only the pinned entry)", ht.Len())
-	}
-	if string(pin.Bytes()) == "" && len(pin.Bytes()) != 4096 {
-		t.Fatal("pinned bytes lost")
-	}
-	v, ok, _ := ht.Get("b")
-	if !ok || len(v) != 4096 {
-		t.Fatal("pinned entry unreadable")
-	}
-	pin.Unpin()
 }
 
 // Property: the queue preserves FIFO order across arbitrary push/pop/

@@ -458,9 +458,6 @@ func (m *SoftSortedMap[K]) reclaim(tx *core.Tx, quota int) int {
 		if n == nil {
 			break
 		}
-		if tx.Pinned(n.ref) {
-			break // low-end reclamation halts at a pinned minimum
-		}
 		size, err := tx.SlotSize(n.ref)
 		if err == nil {
 			if m.onReclaim != nil {

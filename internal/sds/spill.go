@@ -28,17 +28,31 @@ func Demote(sma *core.SMA, sink *spill.Sink, key string, value []byte) bool {
 // it takes the key's record from sink with the lock dropped for the disk
 // read and puts the value back (PutBackOwned). The caller gets the value
 // appended to dst even when a write superseded the promotion: the read
-// comes before that write. On return o holds the lock unless the context
-// closed.
+// comes before that write. A key that is not on disk may still be no
+// miss: another promoter can have put it back since t missed it, or hold
+// it in transit. So PromoteOwned waits, holding no lock, for a promotion
+// in flight to end, then reads the hot tier again, and takes from disk
+// once more if that promotion aborted. On return o holds the lock unless
+// the context closed.
 func PromoteOwned(t *SoftHashTable[string], o *core.Owned, sink *spill.Sink, dst []byte, key string) ([]byte, bool, error) {
-	o.Release()
-	p, found := sink.Promote(key)
-	err := o.Acquire()
-	if found {
-		t.PutBackOwned(o, key, p)
-		dst = append(dst, p.Value...)
+	for {
+		o.Release()
+		p, busy := sink.Promote(key)
+		if busy != nil {
+			<-busy
+		}
+		err := o.Acquire()
+		if p != nil {
+			t.PutBackOwned(o, key, p)
+			return append(dst, p.Value...), true, err
+		}
+		if err != nil {
+			return dst, false, err
+		}
+		if v, ok, err := t.GetAppendOwned(o, dst, key); ok || err != nil || busy == nil {
+			return v, ok, err
+		}
 	}
-	return dst, found, err
 }
 
 // PutBackOwned is PutOwned for a promoted value, through the normal
@@ -167,8 +181,8 @@ func ArraySpillReclaim[T any](codec Codec[T], sink *spill.Sink) func(index int, 
 func RestoreArrayFromSpill[T any](a *SoftArray[T], codec Codec[T], sink *spill.Sink) (int, error) {
 	restored := 0
 	for i := 0; i < a.Len(); i++ {
-		p, ok := sink.Promote(strconv.Itoa(i))
-		if !ok {
+		p, _ := sink.Promote(strconv.Itoa(i))
+		if p == nil {
 			continue
 		}
 		v, err := codec.Decode(p.Value)

@@ -42,7 +42,7 @@ func TestRecoverRoundTrip(t *testing.T) {
 	want["k00"] = "fresh"
 	st.Drop("ns", "k01")
 	delete(want, "k01")
-	if _, ok := st.Take("ns", "k02"); !ok {
+	if p, _ := st.Take("ns", "k02"); p == nil {
 		t.Fatal("Take failed")
 	}
 	delete(want, "k02")

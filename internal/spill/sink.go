@@ -22,8 +22,8 @@ func (k *Sink) Demote(key string, value []byte) error {
 // Promote takes key's record for the fault-in path (see Store.Take).
 // The caller re-inserts the value into soft memory through the normal
 // allocation path and ends the promotion with Done, or with Abort when
-// that fails.
-func (k *Sink) Promote(key string) (*Promotion, bool) {
+// that fails. busy is non-nil when another promoter holds the key.
+func (k *Sink) Promote(key string) (p *Promotion, busy <-chan struct{}) {
 	return k.st.Take(k.ns, key)
 }
 

@@ -122,14 +122,27 @@ func TestStoreTake(t *testing.T) {
 	if err := st.Put("ns", "k", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	p, ok := st.Take("ns", "k")
-	if !ok || string(p.Value) != "v" {
-		t.Fatalf("Take = %v, %v", p, ok)
+	p, busy := st.Take("ns", "k")
+	if p == nil || busy != nil || string(p.Value) != "v" {
+		t.Fatalf("Take = %v, %v", p, busy)
 	}
-	if _, ok := st.Take("ns", "k"); ok {
+	q, busy := st.Take("ns", "k")
+	if q != nil {
 		t.Fatal("second Take succeeded")
 	}
+	if busy == nil {
+		t.Fatal("second Take did not report the promotion in flight")
+	}
+	select {
+	case <-busy:
+		t.Fatal("a promotion in flight reported itself ended")
+	default:
+	}
 	p.Done()
+	<-busy
+	if q, busy := st.Take("ns", "k"); q != nil || busy != nil {
+		t.Fatalf("Take after Done = %v, %v; want a miss", q, busy)
+	}
 	if st.Stats().Promotions != 1 {
 		t.Fatalf("promotions = %d", st.Stats().Promotions)
 	}
@@ -145,8 +158,8 @@ func TestDropSupersedesPromotion(t *testing.T) {
 		if err := st.Put("ns", key, []byte("v-"+key)); err != nil {
 			t.Fatal(err)
 		}
-		p, ok := st.Take("ns", key)
-		if !ok {
+		p, _ := st.Take("ns", key)
+		if p == nil {
 			t.Fatalf("Take %s missed", key)
 		}
 		return p
@@ -156,8 +169,14 @@ func TestDropSupersedesPromotion(t *testing.T) {
 	if !st.Contains("ns", "a") || p.Superseded() {
 		t.Fatal("a key in transit must count as present and start unsuperseded")
 	}
+	_, busy := st.Take("ns", "a")
 	if !st.Drop("ns", "a") || !p.Superseded() || st.Contains("ns", "a") {
 		t.Fatal("Drop of a key in transit must report it and supersede the promotion")
+	}
+	select {
+	case <-busy:
+	default:
+		t.Fatal("a superseding Drop left the promotion's waiters blocked")
 	}
 	p.Abort()
 	if st.Contains("ns", "a") {
@@ -290,11 +309,11 @@ func TestSinkAdapters(t *testing.T) {
 	if !sink.Contains("a") || sink.Len() != 2 {
 		t.Fatalf("sink state wrong: contains=%v len=%d", sink.Contains("a"), sink.Len())
 	}
-	if p, ok := sink.Promote("a"); !ok || string(p.Value) != "va" {
-		t.Fatalf("Promote = %v, %v", p, ok)
+	if p, _ := sink.Promote("a"); p == nil || string(p.Value) != "va" {
+		t.Fatalf("Promote = %v", p)
 	}
-	if p, ok := sink.Promote("7"); !ok || string(p.Value) != "v7" {
-		t.Fatalf("Promote of an index = %v, %v", p, ok)
+	if p, _ := sink.Promote("7"); p == nil || string(p.Value) != "v7" {
+		t.Fatalf("Promote of an index = %v", p)
 	}
 	if sink.Len() != 0 {
 		t.Fatalf("len after promotion = %d", sink.Len())
@@ -323,7 +342,7 @@ func TestStoreConcurrentAccess(t *testing.T) {
 						return
 					}
 				case 3:
-					if p, ok := st.Take(ns, key); ok {
+					if p, _ := st.Take(ns, key); p != nil {
 						p.Done()
 						if string(p.Value) != key {
 							t.Errorf("Take %s = %q", key, p.Value)

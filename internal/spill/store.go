@@ -391,6 +391,7 @@ func (s *Store) supersedeLocked(at nsKey) bool {
 	if p != nil {
 		p.superseded.Store(true)
 		delete(s.promoting, at)
+		close(p.ended)
 	}
 	return p != nil
 }
@@ -405,6 +406,10 @@ type Promotion struct {
 	st         *Store
 	at         nsKey
 	superseded atomic.Bool // set under st.mu
+	// ended is closed, under st.mu, when the promotion ends: Done, Abort
+	// or a superseding Drop, whichever removes it from st.promoting.
+	// Other promoters of the key wait on it.
+	ended chan struct{}
 }
 
 // Superseded reports whether a Drop of the key has landed since Take.
@@ -430,43 +435,54 @@ func (p *Promotion) Abort() {
 	}
 }
 
-// endLocked forgets p, unless a newer Take of its key replaced it.
-// Caller holds s.mu.
+// endLocked forgets p and wakes its waiters, unless a Drop superseded it
+// and did both already. Caller holds s.mu.
 func (s *Store) endLocked(p *Promotion) {
 	if s.promoting[p.at] == p {
 		delete(s.promoting, p.at)
+		close(p.ended)
 	}
 }
 
 // Take atomically reads and removes namespace/key and records it as
 // being promoted, in one hold of the lock: two promoters cannot both win
-// the record, and no Drop falls between the removal and the record.
-func (s *Store) Take(namespace, key string) (*Promotion, bool) {
+// the record, and no Drop falls between the removal and the record. When
+// another Take is promoting the key, Take returns that promotion's end
+// instead: busy is closed once the other promoter's Done, Abort or a
+// superseding Drop has landed. Both results are nil for a key that is
+// neither on disk nor in transit.
+func (s *Store) Take(namespace, key string) (p *Promotion, busy <-chan struct{}) {
 	if lat := s.lat.Load(); lat != nil {
 		t0 := time.Now()
-		p, found := s.take(namespace, key)
+		p, busy = s.take(namespace, key)
 		lat.promote.ObserveDuration(time.Since(t0))
-		return p, found
+		return p, busy
 	}
 	return s.take(namespace, key)
 }
 
-func (s *Store) take(namespace, key string) (*Promotion, bool) {
+func (s *Store) take(namespace, key string) (*Promotion, <-chan struct{}) {
+	at := nsKey{namespace, key}
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		return nil, false
+		return nil, nil
+	}
+	// A key in transit is no miss: the caller waits for its promoter.
+	if q := s.promoting[at]; q != nil {
+		s.mu.Unlock()
+		return nil, q.ended
 	}
 	buf, loc, _ := s.readLocked(namespace, key)
 	if buf == nil {
 		s.mu.Unlock()
-		return nil, false
+		return nil, nil
 	}
 	s.indexDropLocked(namespace, key, loc)
 	s.tombstoneLocked(namespace, key)
 	s.evictLocked()
-	p := &Promotion{st: s, at: nsKey{namespace, key}}
-	s.promoting[p.at] = p
+	p := &Promotion{st: s, at: at, ended: make(chan struct{})}
+	s.promoting[at] = p
 	s.mu.Unlock()
 	// Decode (decompress + CRC) outside the mutex; see Get.
 	rec, err := decodeFull(buf)
@@ -476,13 +492,13 @@ func (s *Store) take(namespace, key string) (*Promotion, bool) {
 		p.Done()
 		s.m.CorruptRecords.Inc()
 		s.m.Misses.Inc()
-		return nil, false
+		return nil, nil
 	}
 	s.m.Hits.Inc()
 	s.m.Promotions.Inc()
 	s.m.PromotedBytes.Add(int64(len(rec.Value)))
 	p.Value = rec.Value
-	return p, true
+	return p, nil
 }
 
 // tombstoneLocked best-effort logs a deletion so it survives restart.

@@ -36,8 +36,6 @@ type (
 	Usage = core.Usage
 	// PressureEvent describes one served reclamation demand.
 	PressureEvent = core.PressureEvent
-	// Pin holds one allocation against revocation for lock-free reads.
-	Pin = core.Pin
 	// Tx exposes allocation operations inside a locked section.
 	Tx = core.Tx
 	// Reclaimer is the reclamation protocol every SDS implements.
@@ -59,8 +57,6 @@ var (
 	ErrExhausted = core.ErrExhausted
 	// ErrClosed reports use of a closed Context.
 	ErrClosed = core.ErrClosed
-	// ErrPinned reports freeing or reclaiming a pinned allocation.
-	ErrPinned = core.ErrPinned
 	// ErrReclaimed reports SDS data revoked under memory pressure.
 	ErrReclaimed = sds.ErrReclaimed
 )
