@@ -76,7 +76,7 @@ race-hot:
 # matches no test would silently shrink a -run filter, so the target
 # fails unless every name in the list ran and passed.
 STRESS_TESTS = TestEpochReclaimRace TestHashTableLockFreeReclaimRace \
-	TestSortedMapLockFreeReclaimDuringRange TestEpochRetireDefersAndDrains \
+	TestKeysUnderReaderSlotExhaustion TestEpochRetireDefersAndDrains \
 	TestEpochRetireDemandDrain TestEpochLimboBounded \
 	TestParkedReaderPinsPastBatches TestLimboNeverGrowsHeap \
 	TestReclaimTakesWholePagesInAgeOrder TestSecondChanceTenantVetoesItsPage \
@@ -84,7 +84,7 @@ STRESS_TESTS = TestEpochReclaimRace TestHashTableLockFreeReclaimRace \
 	TestReclaimDoesNotAskTwiceForPagesInLimbo TestReclaimOrderIsStoreWide \
 	TestReclaimOrderMixedSizes TestEveryEntryPointUnderReclaim \
 	TestHashTablePutGetProperty TestHashTableLockFreeReadersAcrossRebuilds \
-	TestHashTableRecordLifetimeUnderChurn TestSortedMapRecordLifetimeUnderChurn \
+	TestHashTableRecordLifetimeUnderChurn \
 	TestSpillPromotionSetRace TestSpillTablePromotionRace \
 	TestSpillConcurrentGetsOfOneKey
 empty :=

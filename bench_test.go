@@ -367,24 +367,6 @@ func BenchmarkSoftBufferWrite(b *testing.B) {
 	}
 }
 
-// BenchmarkSoftSortedMapPutGet measures the ordered-map hot path.
-func BenchmarkSoftSortedMapPutGet(b *testing.B) {
-	sma := core.New(core.Config{Machine: pages.NewPool(0)})
-	m := sds.NewSoftSortedMap[uint64](sma, "bench", sds.SortedMapConfig[uint64]{Seed: 1})
-	defer m.Close()
-	payload := make([]byte, 128)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k := uint64(i % 8192)
-		if err := m.Put(k, payload); err != nil {
-			b.Fatal(err)
-		}
-		if _, ok, err := m.Get(k); err != nil || !ok {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkKVServerLoopback measures full client-server round-trips over
 // TCP loopback (the serving stack of cmd/softkv).
 func BenchmarkKVServerLoopback(b *testing.B) {

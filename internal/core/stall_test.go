@@ -60,8 +60,10 @@ func TestContextStallNanosAccumulatesContendedYields(t *testing.T) {
 	if err := o.Yield(); err != nil {
 		t.Fatal(err)
 	}
-	<-done
+	// Yield may re-take the lock before the waiter wins it, so the
+	// waiter can only be awaited once the lock is released.
 	o.Release()
+	<-done
 
 	if got := ctx.StallNanos(); got <= 0 {
 		t.Fatalf("Context.StallNanos = %d, want > 0 after contended yield", got)

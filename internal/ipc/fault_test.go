@@ -47,11 +47,11 @@ func TestResilientResyncsAfterTornFrame(t *testing.T) {
 	}
 
 	deadline := time.Now().Add(5 * time.Second)
-	for (!rc.Connected() || rc.ReconnectCount() < 1) && time.Now().Before(deadline) {
+	for (!rc.Connected() || rc.Reconnects() < 1) && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
-	if rc.ReconnectCount() != 1 {
-		t.Fatalf("reconnects = %d, want 1", rc.ReconnectCount())
+	if rc.Reconnects() != 1 {
+		t.Fatalf("reconnects = %d, want 1", rc.Reconnects())
 	}
 	ledgerSynced := func() bool {
 		st := daemon.Stats()
@@ -100,11 +100,11 @@ func TestResilientResyncsAfterDoubleRestart(t *testing.T) {
 			time.Sleep(2 * time.Millisecond)
 		}
 		lastDaemon, srv = startServerOn(t, addr, smd.Config{TotalPages: 1000})
-		for rc.ReconnectCount() < round && time.Now().Before(deadline) {
+		for rc.Reconnects() < round && time.Now().Before(deadline) {
 			time.Sleep(2 * time.Millisecond)
 		}
-		if rc.ReconnectCount() != round {
-			t.Fatalf("round %d: reconnects = %d", round, rc.ReconnectCount())
+		if rc.Reconnects() != round {
+			t.Fatalf("round %d: reconnects = %d", round, rc.Reconnects())
 		}
 	}
 	defer srv.Close()

@@ -244,10 +244,6 @@ func (r *Resilient) Reconnects() int {
 	return r.reconnects
 }
 
-// ReconnectCount is the canonical name for Reconnects, for tests and
-// metrics surfaces that expect the *Count convention.
-func (r *Resilient) ReconnectCount() int { return r.Reconnects() }
-
 // Connected reports whether a live daemon connection exists right now.
 func (r *Resilient) Connected() bool {
 	r.mu.Lock()

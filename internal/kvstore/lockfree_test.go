@@ -3,6 +3,7 @@ package kvstore
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -293,6 +294,62 @@ func TestEpochReclaimRace(t *testing.T) {
 	}
 	if err := sma.VerifyIntegrity(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestKeysUnderReaderSlotExhaustion: a lock-free scan that runs out of
+// epoch reader slots part-way through a shard falls back to the locked
+// Range, and KEYS still lists every key exactly once.
+func TestKeysUnderReaderSlotExhaustion(t *testing.T) {
+	st, sma := newStore(t, 0)
+	const keys = 2000
+	for i := 0; i < keys; i++ {
+		if err := st.Set(fmt.Sprintf("k%04d", i), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Hog: take every free reader slot, hold them a moment, give them
+	// back, so scans keep finding the slots gone mid-shard.
+	dom := sma.Epochs()
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		var held []int
+		for i := 0; !stop.Load(); i++ {
+			for {
+				slot, ok := dom.Enter(uint64(i))
+				if !ok {
+					break
+				}
+				held = append(held, slot)
+			}
+			runtime.Gosched()
+			for _, slot := range held {
+				dom.Exit(slot)
+			}
+			held = held[:0]
+			runtime.Gosched()
+		}
+	}()
+	defer func() {
+		stop.Store(true)
+		wg.Wait()
+	}()
+	for call := 0; call < 300; call++ {
+		got, err := st.Keys("*")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != keys {
+			t.Fatalf("call %d: KEYS returned %d keys, want %d", call, len(got), keys)
+		}
+		for i := 1; i < len(got); i++ {
+			if got[i] == got[i-1] {
+				t.Fatalf("call %d: KEYS returned %q twice", call, got[i])
+			}
+		}
 	}
 }
 

@@ -412,10 +412,13 @@ func (s *Store) Keys(pattern string) ([]string, error) {
 	for _, sh := range s.shards {
 		// The lock-free scan keeps a full-table walk off the shard's heap
 		// lock (a KEYS under load no longer stalls that shard's writes);
-		// it falls back to the locked Range only when unavailable.
+		// it falls back to the locked Range only when unavailable, and
+		// the keys it collected before giving up are dropped first.
+		n := len(out)
 		if sh.ht.ScanLockFree(collect) {
 			continue
 		}
+		out = out[:n]
 		if err := sh.ht.Range(collect); err != nil {
 			return nil, err
 		}

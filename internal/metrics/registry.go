@@ -260,18 +260,6 @@ func (r *Registry) CollectFunc(name, help string, kind Kind, fn func() []Sample)
 	f.collect = fn
 }
 
-// Names returns the sorted names of all registered families.
-func (r *Registry) Names() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, 0, len(r.fams))
-	for name := range r.fams {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // escapeLabelValue escapes a label value per the Prometheus text format.
 func escapeLabelValue(s string) string {
 	if !strings.ContainsAny(s, "\\\"\n") {

@@ -4,10 +4,12 @@ import (
 	"hash/maphash"
 	"runtime"
 	"sync/atomic"
+
+	"softmem/internal/epoch"
 )
 
-// Lock-free read support for SoftHashTable (and the sorted map's
-// analogous path). The design has three pieces:
+// Lock-free read support for SoftHashTable. The design has three
+// pieces:
 //
 //  1. The value's record: an alloc.View, the per-slot record the heap
 //     writes when the SDS publishes the allocation (core.Tx.Publish), and
@@ -228,7 +230,8 @@ func (t *SoftHashTable[K]) ContainsLockFree(key K) LookupResult {
 // concurrently may or may not appear, exactly like iterating a
 // concurrent map. It returns false when the scan could not run
 // lock-free (caller falls back to Range) and true otherwise, including
-// early stops.
+// early stops. A false can come after fn has seen some entries: a
+// caller that falls back must discard what the partial scan gave it.
 func (t *SoftHashTable[K]) ScanLockFree(fn func(key K, value []byte) bool) bool {
 	if !t.lockFree {
 		return false
@@ -325,10 +328,7 @@ func (t *SoftHashTable[K]) idxRebuild() {
 // stuck reader from wedging shutdown (pages released after the bound
 // are still memory-safe — released page buffers are never rewritten,
 // only dropped for the GC).
-func drainReaders(d interface {
-	Advance() uint64
-	SafeBefore() uint64
-}) {
+func drainReaders(d *epoch.Domain) {
 	stamp := d.Advance()
 	for i := 0; i < 10000 && d.SafeBefore() <= stamp; i++ {
 		d.Advance()

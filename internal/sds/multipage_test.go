@@ -57,25 +57,6 @@ func TestHashTableMultiPageValue(t *testing.T) {
 	}
 }
 
-func TestSortedMapMultiPageValue(t *testing.T) {
-	sma := newSMA()
-	m := NewSoftSortedMap[string](sma, "mp", SortedMapConfig[string]{})
-	want := multiPageValue()
-	if err := m.Put("k", want); err != nil {
-		t.Fatal(err)
-	}
-	got, ok, err := m.Get("k")
-	if err != nil || !ok || !bytes.Equal(got, want) {
-		t.Fatalf("Get: ok=%v err=%v len=%d", ok, err, len(got))
-	}
-	if _, v, ok, err := m.Min(); err != nil || !ok || !bytes.Equal(v, want) {
-		t.Fatalf("Min: ok=%v err=%v len=%d", ok, err, len(v))
-	}
-	if _, v, ok, err := m.Max(); err != nil || !ok || !bytes.Equal(v, want) {
-		t.Fatalf("Max: ok=%v err=%v len=%d", ok, err, len(v))
-	}
-}
-
 func TestQueueMultiPageValue(t *testing.T) {
 	sma := newSMA()
 	q := NewSoftQueue[[]byte](sma, "mp", BytesCodec{}, nil)

@@ -137,27 +137,6 @@ func TestHashTableRecordLifetimeUnderChurn(t *testing.T) {
 	}
 }
 
-func TestSortedMapRecordLifetimeUnderChurn(t *testing.T) {
-	s := core.New(core.Config{Machine: pages.NewPool(0), HeapFreeMax: 0})
-	defer s.Close()
-	m := NewSoftSortedMap[int](s, "record-churn", SortedMapConfig[int]{Seed: 3, LockFreeReads: true})
-	defer m.Close()
-	churn(t,
-		func(k int, v []byte) error { return m.Put(k, v) },
-		func(k int) error { _, err := m.Delete(k); return err },
-		func(k int) ([]byte, bool) {
-			v, ok, err := m.Get(k)
-			return v, ok && err == nil
-		},
-		func() { s.HandleDemand(s.Stats().FreePoolPages + 4) })
-	if m.Reclaimed() == 0 {
-		t.Fatal("the demands revoked nothing")
-	}
-	if err := s.VerifyIntegrity(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestPageTurnoverAllocatesOnlyMetadata: replacing values of random
 // 64–512 B sizes keeps emptying pages and carving them again for other
 // classes. Each carve takes a fresh pageMeta, so that stale refs fail, but

@@ -1,7 +1,6 @@
 package sds
 
 import (
-	"strconv"
 	"sync/atomic"
 
 	"softmem/internal/core"
@@ -159,46 +158,3 @@ func (t *SoftSpillTable) Promotions() int64 { return t.promotions.Load() }
 
 // Spilled returns the number of this table's entries currently demoted.
 func (t *SoftSpillTable) Spilled() int { return t.sink.Len() }
-
-// ArraySpillReclaim adapts a spill sink to ArrayConfig.OnReclaim: each
-// element revoked with the array's block is encoded with codec and
-// demoted under its index. Encode and write failures degrade to drop
-// semantics.
-func ArraySpillReclaim[T any](codec Codec[T], sink *spill.Sink) func(index int, v T) {
-	return func(index int, v T) {
-		data, err := codec.Encode(v)
-		if err != nil {
-			return
-		}
-		_ = sink.Demote(strconv.Itoa(index), data)
-	}
-}
-
-// RestoreArrayFromSpill promotes every demoted element of a rebuilt
-// SoftArray back into it: the recovery half of ArraySpillReclaim. It
-// returns how many elements were restored; elements whose re-insert
-// fails are demoted back and not counted.
-func RestoreArrayFromSpill[T any](a *SoftArray[T], codec Codec[T], sink *spill.Sink) (int, error) {
-	restored := 0
-	for i := 0; i < a.Len(); i++ {
-		p, _ := sink.Promote(strconv.Itoa(i))
-		if p == nil {
-			continue
-		}
-		v, err := codec.Decode(p.Value)
-		if err != nil {
-			p.Done()
-			continue
-		}
-		if err := a.Set(i, v); err != nil {
-			p.Abort()
-			if err == ErrReclaimed {
-				return restored, err
-			}
-			continue
-		}
-		p.Done()
-		restored++
-	}
-	return restored, nil
-}

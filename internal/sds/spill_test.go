@@ -211,85 +211,3 @@ func TestSpillTableUserReclaimStillRuns(t *testing.T) {
 		}
 	}
 }
-
-func TestArraySpillReclaimAndRestore(t *testing.T) {
-	sma := newSMA()
-	sink := newTestSink(t, "arr")
-	codec := Uint64Codec{}
-	a, err := NewSoftArray(sma, "a", codec, ArrayConfig[uint64]{
-		Length:    64,
-		ElemSize:  8,
-		OnReclaim: ArraySpillReclaim[uint64](codec, sink),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 64; i++ {
-		if err := a.Set(i, uint64(i*i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Revoke the array's block: every present element demotes.
-	if released := sma.HandleDemand(1); released == 0 {
-		t.Fatal("demand released nothing")
-	}
-	if !a.Valid() {
-		if err := a.Rebuild(); err != nil {
-			t.Fatalf("Rebuild: %v", err)
-		}
-	}
-	if sink.Len() != 64 {
-		t.Fatalf("demoted %d elements, want 64", sink.Len())
-	}
-	restored, err := RestoreArrayFromSpill(a, codec, sink)
-	if err != nil {
-		t.Fatalf("restore: %v", err)
-	}
-	if restored != 64 {
-		t.Fatalf("restored %d elements, want 64", restored)
-	}
-	for i := 0; i < 64; i++ {
-		v, ok, err := a.Get(i)
-		if err != nil || !ok || v != uint64(i*i) {
-			t.Fatalf("a[%d] = %d, %v, %v after restore", i, v, ok, err)
-		}
-	}
-	if sink.Len() != 0 {
-		t.Fatalf("%d spill records left after restore", sink.Len())
-	}
-}
-
-func TestRestoreArrayPartial(t *testing.T) {
-	sma := newSMA()
-	sink := newTestSink(t, "arr")
-	codec := Uint64Codec{}
-	a, err := NewSoftArray(sma, "a", codec, ArrayConfig[uint64]{
-		Length:    8,
-		ElemSize:  8,
-		OnReclaim: ArraySpillReclaim[uint64](codec, sink),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Only even slots populated; restore must fill exactly those.
-	for i := 0; i < 8; i += 2 {
-		a.Set(i, uint64(i))
-	}
-	sma.HandleDemand(1)
-	if !a.Valid() {
-		a.Rebuild()
-	}
-	restored, err := RestoreArrayFromSpill(a, codec, sink)
-	if err != nil || restored != 4 {
-		t.Fatalf("restored %d, %v; want 4", restored, err)
-	}
-	for i := 0; i < 8; i++ {
-		_, ok, err := a.Get(i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := i%2 == 0; ok != want {
-			t.Fatalf("a[%d] present=%v, want %v", i, ok, want)
-		}
-	}
-}

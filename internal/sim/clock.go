@@ -3,9 +3,7 @@
 // The paper's evaluation (Figure 2) is a wall-clock timeline of two
 // processes' memory footprints. To regenerate that figure reproducibly we
 // run the same sequence of events against a discrete virtual clock, so the
-// series is byte-identical across runs and machines. Components that need
-// time accept the Clock interface and work against either the virtual clock
-// or the real one.
+// series is byte-identical across runs and machines.
 package sim
 
 import (
@@ -13,44 +11,6 @@ import (
 	"sync"
 	"time"
 )
-
-// Clock is the minimal time source used throughout the repository.
-type Clock interface {
-	// Now returns the current time as an offset from the clock's epoch.
-	Now() time.Duration
-}
-
-// Scheduler extends Clock with the ability to run work at a future time.
-type Scheduler interface {
-	Clock
-	// Schedule arranges for fn to run when the clock reaches at.
-	// If at is in the past, fn runs at the current time.
-	Schedule(at time.Duration, fn func())
-}
-
-// Real is a Clock backed by the operating system's monotonic clock.
-type Real struct {
-	epoch time.Time
-}
-
-// NewReal returns a real clock whose epoch is the moment of the call.
-func NewReal() *Real {
-	return &Real{epoch: time.Now()}
-}
-
-// Now reports the time elapsed since the clock was created.
-func (r *Real) Now() time.Duration {
-	return time.Since(r.epoch)
-}
-
-// Schedule runs fn in a new goroutine after the requested delay.
-func (r *Real) Schedule(at time.Duration, fn func()) {
-	delay := at - r.Now()
-	if delay < 0 {
-		delay = 0
-	}
-	time.AfterFunc(delay, fn)
-}
 
 // Virtual is a deterministic discrete-event clock. Time only moves when
 // Advance, Step, or Run is called; scheduled events fire in timestamp order

@@ -144,24 +144,3 @@ func TestVirtualRunDrainsAll(t *testing.T) {
 		t.Fatalf("Pending() = %d after Run, want 0", v.Pending())
 	}
 }
-
-func TestRealClockAdvances(t *testing.T) {
-	r := NewReal()
-	a := r.Now()
-	time.Sleep(time.Millisecond)
-	b := r.Now()
-	if b <= a {
-		t.Fatalf("real clock did not advance: %v then %v", a, b)
-	}
-}
-
-func TestRealSchedule(t *testing.T) {
-	r := NewReal()
-	ch := make(chan struct{})
-	r.Schedule(r.Now()+time.Millisecond, func() { close(ch) })
-	select {
-	case <-ch:
-	case <-time.After(2 * time.Second):
-		t.Fatal("scheduled function never ran")
-	}
-}

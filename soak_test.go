@@ -50,7 +50,7 @@ func TestSoakMixedWorkload(t *testing.T) {
 
 	// Process 4: a time-series store.
 	tsSMA := mk("tsdb")
-	series := sds.NewSoftSortedMap[uint64](tsSMA, "points", sds.SortedMapConfig[uint64]{Seed: 5})
+	series := sds.NewSoftLinkedList[uint64](tsSMA, "points", sds.Uint64Codec{}, nil)
 	defer series.Close()
 
 	var mut sync.WaitGroup
@@ -124,19 +124,19 @@ func TestSoakMixedWorkload(t *testing.T) {
 		}
 	}()
 
-	// Time series: ordered inserts plus range scans.
+	// Time series: appends in timestamp order plus full scans; revocation
+	// takes the oldest points first, so the survivors stay in order.
 	mut.Add(1)
 	go func() {
 		defer mut.Done()
-		point := make([]byte, 128)
 		for ts := uint64(0); ts < 3000; ts++ {
-			if err := series.Put(ts, point); err != nil {
-				report(fmt.Errorf("series put: %w", err))
+			if err := series.PushBack(ts); err != nil {
+				report(fmt.Errorf("series push: %w", err))
 				return
 			}
 			if ts%64 == 63 {
 				prev := uint64(0)
-				err := series.Range(0, ts, func(k uint64, _ []byte) bool {
+				err := series.Each(func(k uint64) bool {
 					if k < prev {
 						report(fmt.Errorf("series out of order: %d after %d", k, prev))
 						return false
@@ -145,7 +145,7 @@ func TestSoakMixedWorkload(t *testing.T) {
 					return true
 				})
 				if err != nil {
-					report(fmt.Errorf("series range: %w", err))
+					report(fmt.Errorf("series scan: %w", err))
 					return
 				}
 			}
@@ -204,11 +204,11 @@ func TestSoakMixedWorkload(t *testing.T) {
 		t.Fatalf("buffer retained %d of %d", got, logBuf.Size())
 	}
 	count := 0
-	if err := series.Range(0, 1<<62, func(uint64, []byte) bool { count++; return true }); err != nil {
+	if err := series.Each(func(uint64) bool { count++; return true }); err != nil {
 		t.Fatal(err)
 	}
 	if count != series.Len() {
-		t.Fatalf("series Range saw %d, Len says %d", count, series.Len())
+		t.Fatalf("series Each saw %d, Len says %d", count, series.Len())
 	}
 	t.Logf("soak done: kv=%d entries, series=%d points, buffer=%dB retained, machine=%d/%d pages",
 		store.Len(), series.Len(), logBuf.Retained(), machine.InUse(), totalPages)
