@@ -62,9 +62,13 @@ race:
 	$(GO) test -race ./...
 
 # Race-detect the packages with lock-per-heap concurrency (fast subset
-# of `make race`, wired into `make check`).
+# of `make race`, wired into `make check`). The whole run is kept in
+# race-hot.log (gitignored) and only the package results, failing tests,
+# panics and data races are printed, so a flake leaves its name behind.
 race-hot:
-	$(GO) test -race ./internal/core ./internal/sds ./internal/kvstore ./internal/spill
+	@$(GO) test -race ./internal/core ./internal/sds ./internal/kvstore ./internal/spill >race-hot.log 2>&1; status=$$?; \
+	grep -E '^(ok|FAIL)|--- FAIL|^panic:|DATA RACE' race-hot.log; \
+	if [ $$status -ne 0 ]; then echo "race-hot: failed; the full output is in race-hot.log"; fi; exit $$status
 
 # The reclaim stress list, by name: lock-free readers racing revocation
 # (condemn + epoch-retire), slot, page and span reuse under the records
@@ -123,11 +127,16 @@ bench-pair:
 	@test -n "$(W)" || { echo "usage: make bench-pair W=<workload>|all [PROCS=1,2,...] [REF=<commit>] [N=10] [SEED=1] [SECONDS=24]"; exit 2; }
 	$(GO) run ./cmd/benchpair -workload $(W) $(if $(PROCS),-procs $(PROCS)) $(if $(REF),-ref $(REF)) -n $(N) -seed $(SEED) -seconds $(SECONDS)
 
-# Non-test Go line counts the simplicity issues quote: the kvstore and
-# sds packages, the repository outside the benchmark module, and smdctl.
+# Non-test Go line counts, for tracking code size: the kvstore, sds,
+# alloc and core packages, the repository outside the benchmark module,
+# and smdctl.
 loc:
 	@printf 'internal/kvstore non-test Go lines: '
 	@find internal/kvstore -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l
+	@printf 'internal/alloc non-test Go lines: '
+	@find internal/alloc -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l
+	@printf 'internal/core non-test Go lines: '
+	@find internal/core -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l
 	@printf 'internal/sds non-test Go lines: '
 	@find internal/sds -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l
 	@printf 'repo non-test Go lines outside bench/: '

@@ -21,12 +21,20 @@
 // bytes — its slot of a page, or a span's pages (their buffers, through
 // pages.Page.Bytes). Both stay unwritten until the allocation's
 // retirement has drained; nothing else is ever read unlocked.
+//
+// A heap handed an epoch domain (DeferFrees) owns that grace period
+// whole: its frees retire into limbo, and it decides when limbo drains —
+// at a lock hand-back (Trim), before leasing a page (Alloc), under a
+// demand (Drain) and at teardown (Reset).
 package alloc
 
 import (
 	"errors"
 	"fmt"
+	"runtime"
+	"time"
 
+	"softmem/internal/epoch"
 	"softmem/internal/pages"
 )
 
@@ -170,7 +178,7 @@ type span struct {
 // writes a record before the retirements of its page have drained: a
 // later Publish of the same slot rewrites it, and once the page has gone
 // empty its records are cleared and handed, with its other slot arrays,
-// to the next page its class carves. On a heap whose frees are Retires,
+// to the next page its class carves. On a heap whose frees are deferred,
 // the only kind whose Views readers load, a page goes empty only when its
 // last retirement has drained, so no reader still holds one of them.
 type View struct {
@@ -297,6 +305,9 @@ type Heap struct {
 	spare [len(classes)][]slotArrays
 	free  []*pages.Page // fully-free pages not yet returned to the source
 	limbo []limboEntry  // FIFO, stamps non-decreasing
+	// dom is the epoch domain whose grace period every Free waits out,
+	// nil until DeferFrees.
+	dom   *epoch.Domain
 	stats Stats
 }
 
@@ -311,15 +322,29 @@ func New(src PageSource) *Heap {
 // Alloc reserves size bytes and returns a handle to them. It returns the
 // page source's error (e.g. pages.ErrExhausted, or the SMA's budget
 // denial) when no page can be obtained.
+//
+// It is the second drain point: served from the pages the heap holds,
+// an allocation leaves limbo alone; one that would lease — always a
+// multi-page span, else a class with no partial page while no free page
+// is held — drains limbo first, since the slot or page it needs may be
+// waiting there. Limbo therefore never costs a page, a budget request or
+// a reclaim that an eager drain would have avoided.
 func (h *Heap) Alloc(size int) (Ref, error) {
 	if size <= 0 {
 		return Ref{}, ErrBadSize
 	}
 	ci := classFor(size)
 	if ci < 0 {
+		if len(h.limbo) > 0 {
+			h.ratchet()
+		}
 		return h.allocSpan(size)
 	}
 	m := h.heldPage(ci)
+	if m == nil && len(h.limbo) > 0 {
+		h.ratchet()
+		m = h.heldPage(ci)
+	}
 	if m == nil {
 		pgs, err := h.src.AcquirePages(1)
 		if err != nil {
@@ -330,23 +355,6 @@ func (h *Heap) Alloc(size int) (Ref, error) {
 		m = h.carve(pgs[0], ci)
 	}
 	return h.take(m, size), nil
-}
-
-// AllocHeld is Alloc out of the pages the heap already holds: ok is false,
-// and nothing has happened, where Alloc would lease from the page source
-// — always for a multi-page span, and for a slot size whose class has no
-// partial page while the heap holds no free page either. A caller with
-// retirements in limbo drains them at that point and only then calls
-// Alloc: the slot or page it needs may be waiting there.
-func (h *Heap) AllocHeld(size int) (ref Ref, ok bool) {
-	if size <= 0 || size > MaxSlotSize {
-		return Ref{}, false
-	}
-	m := h.heldPage(classFor(size))
-	if m == nil {
-		return Ref{}, false
-	}
-	return h.take(m, size), true
 }
 
 // take hands out the most recently freed slot of m, a page with one free.
@@ -494,8 +502,7 @@ func (h *Heap) liveSlot(ref Ref) *pageMeta {
 // owner word — an owner never outlives its slot — and its place in the
 // live accounting. Its View stays as it is: a reader may be copying
 // through it until the retirement drains. What becomes of the memory is
-// the caller's business: Free recycles it now, Retire after a grace
-// period.
+// Free's business: it recycles it now, or retires it for a grace period.
 func (h *Heap) die(m *pageMeta, s uint16) {
 	h.stats.LiveAllocs--
 	h.stats.TotalFrees++
@@ -511,7 +518,7 @@ func (h *Heap) die(m *pageMeta, s uint16) {
 // slot takes the page with it: onto the heap's free list, where
 // ReleaseFreePages can return it to the source (the paper's
 // page-granularity reclamation), its metadata dead, its slot arrays
-// spare for the class's next page. On a heap whose frees are Retires the
+// spare for the class's next page. On a heap whose frees are deferred the
 // last slot comes back only when the page's last retirement has drained,
 // so no reader holds one of its records any more; clearing them leaves a
 // spare array pinning no page buffer.
@@ -531,66 +538,84 @@ func (h *Heap) recycle(m *pageMeta, s uint16) {
 }
 
 // Free releases the allocation named by ref: a slot rejoins its page's
-// free list, a span's pages return to the source.
+// free list, a span's pages return to the source. On a heap whose frees
+// are deferred (DeferFrees) it retires the allocation instead.
 func (h *Heap) Free(ref Ref) error {
 	m := h.liveSlot(ref)
 	if m == nil {
 		return invalidRef(ref)
 	}
 	h.die(m, ref.slot)
-	if m.span == nil {
+	switch {
+	case h.dom != nil:
+		h.retire(m, ref.slot)
+	case m.span == nil:
 		h.recycle(m, ref.slot)
-		return nil
+	default:
+		pgs := m.span.pgs
+		h.drop(m)
+		h.src.ReleasePages(pgs)
+		h.stats.PagesHeld -= len(pgs)
 	}
-	pgs := m.span.pgs
-	h.drop(m)
-	h.src.ReleasePages(pgs)
-	h.stats.PagesHeld -= len(pgs)
 	return nil
 }
 
-// Retire is the epoch-deferred Free: the allocation dies logically now
-// (the ref stops validating, live accounting drops, the free counts)
-// but its memory is not recycled until DrainLimbo observes a grace
-// frontier past stamp. Slot retirements keep the slot out of the free
-// list so no new allocation can rewrite it; span retirements keep the
-// span's pages leased. Stamps must be non-decreasing across calls
-// (callers stamp with a monotonic epoch under the heap's owner lock);
-// a lower stamp is clamped up to preserve FIFO drainability. It returns
-// the number of whole pages whose recycling was deferred (span pages;
-// slot retirements defer at sub-page granularity and report 0).
-func (h *Heap) Retire(ref Ref, stamp uint64) (int, error) {
-	m := h.liveSlot(ref)
-	if m == nil {
-		return 0, invalidRef(ref)
-	}
-	if n := len(h.limbo); n > 0 && h.limbo[n-1].stamp > stamp {
-		stamp = h.limbo[n-1].stamp
-	}
-	h.die(m, ref.slot) // the ref is invalid immediately; limbo keeps the bytes, not the owner
+// DeferFrees hands the heap the epoch domain d: from here on every Free
+// is a retirement whose memory is recycled only once d's grace period
+// covers it, and the heap drains its limbo itself (Trim, Alloc, Drain,
+// Reset). Call it once, before anything is published to lock-free
+// readers; it is never switched back off, since limbo would be stranded.
+func (h *Heap) DeferFrees(d *epoch.Domain) { h.dom = d }
+
+// retire is a deferred Free of the allocation that just died in slot s
+// of m. The stamp is the epoch now, read after the caller unpublished the
+// value (stored nil, or the replacement's record, over its record
+// pointer) — the order internal/epoch's safety argument needs. Stamps are
+// non-decreasing down the queue: the epoch only grows, and the heap's
+// owner serializes the reads. A slot stays out of its page's free list,
+// so no allocation can rewrite it; a span keeps its pages leased.
+func (h *Heap) retire(m *pageMeta, s uint16) {
+	e := limboEntry{stamp: h.dom.Current()}
 	h.stats.LimboAllocs++
 	h.stats.DeferredOps++
 	if m.span == nil {
-		// The slot is NOT returned to freeSlots and used is NOT decremented:
-		// the page cannot go empty (or hand this slot to a new allocation)
-		// while a reader may still be copying from it.
-		h.limbo = append(h.limbo, limboEntry{stamp: stamp, m: m, slot: ref.slot})
-		return 0, nil
+		// used still counts the slot: the page cannot go empty while a
+		// reader may be copying from it.
+		e.m, e.slot = m, s
+	} else {
+		// PagesHeld stays: the span's pages are leased until the drain.
+		e.pgs = m.span.pgs
+		h.drop(m)
+		h.stats.LimboPages += len(e.pgs)
+		h.dom.NoteDeferred(len(e.pgs))
 	}
-	// PagesHeld stays: the span's pages are still leased until drain.
-	pgs := m.span.pgs
-	h.drop(m)
-	h.limbo = append(h.limbo, limboEntry{stamp: stamp, pgs: pgs})
-	h.stats.LimboPages += len(pgs)
-	return len(pgs), nil
+	h.limbo = append(h.limbo, e)
 }
 
-// DrainLimbo completes the physical free of every limbo entry whose
-// stamp is strictly below safe (the epoch domain's grace frontier) and
-// reports how many entries drained. Drained slots rejoin their page's
-// free list — possibly retiring the page onto the heap's free-page
-// list — and drained span pages return to the source.
-func (h *Heap) DrainLimbo(safe uint64) int {
+// limboBatch is how many slot retirements limbo collects before a lock
+// hand-back (Trim) pays for a ratchet: one epoch advance plus a grace
+// scan of every reader slot (epoch.NumSlots padded cache lines). Paid
+// once per retirement, that scan was 19 % of the CPU time of a 50/50
+// GET/SET workload. Measured on the repository benchmark's
+// kv_direct_mixed (2 vCPU, 8 s runs, ops/s · soft pages per live byte):
+// batch 1 2.38 M · 1.2332, 8 2.63 M · 1.2343, 32 2.80 M · 1.2346,
+// 128 2.69 M · 1.2358 with read p50 up 14 % — past 32 the retired slots
+// held back start to cost cache and pages more than the scan saves.
+const limboBatch = 32
+
+// ratchet advances the epoch, drains every retirement the grace period
+// now covers and reports how many that was.
+func (h *Heap) ratchet() int {
+	h.dom.Advance()
+	return h.drain(h.dom.SafeBefore())
+}
+
+// drain completes the physical free of every limbo entry whose stamp is
+// strictly below safe (the epoch domain's grace frontier) and reports
+// how many entries drained. Drained slots rejoin their page's free list
+// — possibly retiring the page onto the heap's free-page list — and
+// drained span pages return to the source.
+func (h *Heap) drain(safe uint64) int {
 	n := 0
 	for ; n < len(h.limbo) && h.limbo[n].stamp < safe; n++ {
 		e := h.limbo[n]
@@ -618,11 +643,40 @@ func (h *Heap) DrainLimbo(safe uint64) int {
 	return n
 }
 
-// LimboPending returns how many retirements await their grace period.
-func (h *Heap) LimboPending() int { return h.stats.LimboAllocs }
+// Trim is the heap's share of a lock hand-back. It is the first drain
+// point: once limbo has collected limboBatch slot retirements, or holds
+// any retired span (whole pages), it ratchets, so deferred recycling
+// needs no background thread; below the batch it costs two loads. Alloc
+// and Drain are the other drain points, and between them limbo stays
+// below limboBatch retirements while no reader is parked. Then it hands
+// the free pages beyond keep back to the source ("periodically transfers
+// free pages back to the global free pool", §4).
+func (h *Heap) Trim(keep int) {
+	if h.stats.LimboAllocs >= limboBatch || h.stats.LimboPages > 0 {
+		h.ratchet()
+	}
+	if over := len(h.free) - keep; over > 0 {
+		h.ReleaseFreePages(over)
+	}
+}
 
-// LimboPages returns how many whole pages (retired spans) limbo holds.
-func (h *Heap) LimboPages() int { return h.stats.LimboPages }
+// Drain is the demand's drain point: it ratchets until limbo is empty,
+// rescheduling between fruitless rounds so that registered readers can
+// leave (they never need the heap's owner, so they make progress while
+// the caller holds it), or until deadline has passed. It returns how
+// many retirements are still pending.
+func (h *Heap) Drain(deadline time.Time) int {
+	for len(h.limbo) > 0 {
+		if h.ratchet() > 0 {
+			continue
+		}
+		if !time.Now().Before(deadline) {
+			break
+		}
+		runtime.Gosched()
+	}
+	return len(h.limbo)
+}
 
 // view resolves ref, once, to its bytes (length = requested size): b for
 // a slot allocation, sp for a multi-page span, which has no single slice.
@@ -654,10 +708,10 @@ func (h *Heap) Bytes(ref Ref) ([]byte, error) {
 // through one atomic pointer. Call it once per allocation, after its
 // bytes are written. The record is rewritten only when the slot is handed
 // out again or its page has gone empty, so it is as stable as the bytes —
-// but only on a heap whose frees are Retires, where a slot comes back only
-// after its grace period.
-// A span's record lives apart from its pageMeta, which Retire kills at
-// once.
+// but only on a heap whose frees are deferred, where a slot comes back
+// only after its grace period.
+// A span's record lives apart from its pageMeta, which a deferred Free
+// kills at once.
 func (h *Heap) Publish(ref Ref) (*View, error) {
 	m := h.liveSlot(ref)
 	if m == nil {
@@ -794,7 +848,7 @@ func (h *Heap) SlotSize(ref Ref) (int, error) {
 func (h *Heap) Live(ref Ref) bool { return h.liveSlot(ref) != nil }
 
 // SetOwner records o as the owner of the live allocation ref. The heap
-// drops it again when the allocation dies (Free, Retire, Reset).
+// drops it again when the allocation dies (Free, Reset).
 func (h *Heap) SetOwner(ref Ref, o Owner) error {
 	m := h.liveSlot(ref)
 	if m == nil {
@@ -877,7 +931,22 @@ func (h *Heap) ReleaseFreePages(max int) int {
 
 // Reset frees every allocation and returns every page to the source. Used
 // by SDSs (like the paper's SoftArray) that surrender everything at once.
+//
+// A heap whose frees are deferred first waits (bounded) for every
+// registered reader to leave the epoch domain, so teardown cannot release
+// pages a straggling reader is still copying from; the caller has
+// unpublished everything before. Each round advances the epoch so exits
+// become visible to the grace check. The bound keeps a stuck reader from
+// wedging teardown: pages released after it are still memory-safe —
+// released page buffers are never rewritten, only dropped for the GC.
 func (h *Heap) Reset() {
+	if d := h.dom; d != nil {
+		stamp := d.Advance()
+		for i := 0; i < 10000 && d.SafeBefore() <= stamp; i++ {
+			d.Advance()
+			runtime.Gosched()
+		}
+	}
 	var all []*pages.Page
 	for _, m := range h.held {
 		if m.span != nil {
@@ -890,8 +959,7 @@ func (h *Heap) Reset() {
 	clear(h.held)
 	h.held = h.held[:0]
 	// Limbo span pages are still leased; slot entries belong to pages
-	// just collected. A Reset tears down the whole SDS, so its readers
-	// are gone and the grace period is moot.
+	// just collected. The readers are gone, so the grace period is over.
 	for _, e := range h.limbo {
 		all = append(all, e.pgs...)
 	}
@@ -921,34 +989,6 @@ func (h *Heap) Stats() Stats {
 	s := h.stats
 	s.FreePages = len(h.free)
 	return s
-}
-
-// FragStats quantifies the heap's fragmentation — the §3.1 trade-off the
-// per-SDS heap design accepts in exchange for cheap page reclamation.
-type FragStats struct {
-	// Internal is the fraction of occupied slot bytes wasted by
-	// size-class rounding: 1 − LiveBytes/SlotBytes.
-	Internal float64
-	// External is the fraction of held (non-free-list) pages' capacity
-	// sitting in free slots of partially-used pages.
-	External float64
-}
-
-// Fragmentation measures current internal and external fragmentation.
-func (h *Heap) Fragmentation() FragStats {
-	var fs FragStats
-	if h.stats.SlotBytes > 0 {
-		fs.Internal = 1 - float64(h.stats.LiveBytes)/float64(h.stats.SlotBytes)
-	}
-	usedPages := h.stats.PagesHeld - len(h.free)
-	if usedPages > 0 {
-		capacity := int64(usedPages) * pages.Size
-		fs.External = float64(capacity-h.stats.SlotBytes) / float64(capacity)
-		if fs.External < 0 {
-			fs.External = 0 // spans only: no slot waste
-		}
-	}
-	return fs
 }
 
 // FreePages returns the number of fully-free pages currently held.

@@ -535,37 +535,6 @@ func ExampleHeap() {
 	// Output: soft memory
 }
 
-func TestFragmentationStats(t *testing.T) {
-	h, _ := newHeap(0)
-	if fs := h.Fragmentation(); fs.Internal != 0 || fs.External != 0 {
-		t.Fatalf("empty heap fragmentation = %+v", fs)
-	}
-	// 100-byte allocations occupy 112-byte slots: internal = 1-100/112.
-	for i := 0; i < 36; i++ { // one full page of 112B slots
-		if _, err := h.Alloc(100); err != nil {
-			t.Fatal(err)
-		}
-	}
-	fs := h.Fragmentation()
-	wantInternal := 1 - 100.0/112.0
-	if fs.Internal < wantInternal-0.01 || fs.Internal > wantInternal+0.01 {
-		t.Fatalf("Internal = %v, want ~%v", fs.Internal, wantInternal)
-	}
-	// A full page of 36 slots leaves 4096 - 36·112 = 64 bytes unused.
-	if wantExternal := 64.0 / 4096; fs.External < wantExternal-0.001 || fs.External > wantExternal+0.001 {
-		t.Fatalf("External = %v for a full page, want ~%v", fs.External, wantExternal)
-	}
-	// One more allocation opens a nearly-empty second page: external
-	// fragmentation appears.
-	if _, err := h.Alloc(100); err != nil {
-		t.Fatal(err)
-	}
-	fs = h.Fragmentation()
-	if fs.External < 0.3 {
-		t.Fatalf("External = %v after opening a second page, want large", fs.External)
-	}
-}
-
 func TestAppendToAllSizes(t *testing.T) {
 	h, _ := newHeap(0)
 	// Small allocation: AppendTo matches Bytes and reuses dst capacity.

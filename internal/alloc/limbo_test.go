@@ -4,12 +4,35 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+	"time"
 
+	"softmem/internal/epoch"
 	"softmem/internal/pages"
 )
 
+// newDeferringHeap returns a heap whose frees wait out d's grace period.
+func newDeferringHeap() (*Heap, *pages.Pool, *epoch.Domain) {
+	h, pool := newHeap(0)
+	d := epoch.NewDomain()
+	h.DeferFrees(d)
+	return h, pool, d
+}
+
+// drainNow drains what the grace period allows at once, without waiting
+// for readers, and returns what stays in limbo.
+func drainNow(h *Heap) int { return h.Drain(time.Time{}) }
+
+func enter(t *testing.T, d *epoch.Domain) int {
+	t.Helper()
+	slot, ok := d.Enter(0)
+	if !ok {
+		t.Fatal("Enter failed")
+	}
+	return slot
+}
+
 func TestRetireDefersSlotRecycling(t *testing.T) {
-	h, _ := newHeap(0)
+	h, _, d := newDeferringHeap()
 	ref, err := h.Alloc(100)
 	if err != nil {
 		t.Fatal(err)
@@ -20,7 +43,8 @@ func TestRetireDefersSlotRecycling(t *testing.T) {
 	}
 	copy(seg, []byte("live-bytes"))
 
-	if _, err := h.Retire(ref, 5); err != nil {
+	reader := enter(t, d)
+	if err := h.Free(ref); err != nil {
 		t.Fatal(err)
 	}
 	st := h.Stats()
@@ -33,12 +57,12 @@ func TestRetireDefersSlotRecycling(t *testing.T) {
 	if h.Live(ref) {
 		t.Fatal("retired ref still validates")
 	}
-	if _, err := h.Retire(ref, 6); !errors.Is(err, ErrInvalidRef) {
-		t.Fatalf("double retire err = %v, want ErrInvalidRef", err)
+	if err := h.Free(ref); !errors.Is(err, ErrInvalidRef) {
+		t.Fatalf("double free err = %v, want ErrInvalidRef", err)
 	}
 
 	// The slot must not be handed to a new allocation while in limbo:
-	// class 128 has 32 slots/page, and the page still counts as used, so
+	// class 112 has 36 slots/page, and the page still counts as used, so
 	// the next alloc of the same class lands on a different slot.
 	ref2, err := h.Alloc(100)
 	if err != nil {
@@ -50,31 +74,29 @@ func TestRetireDefersSlotRecycling(t *testing.T) {
 		t.Fatal("retired slot's bytes were rewritten before drain")
 	}
 
-	// Grace not reached: stamp 5 needs safe > 5.
-	if n := h.DrainLimbo(5); n != 0 {
-		t.Fatalf("DrainLimbo(5) drained %d, want 0", n)
+	// The reader entered before the free: the grace period has not passed.
+	if n := drainNow(h); n != 1 {
+		t.Fatalf("drain with the reader registered left %d, want 1", n)
 	}
-	if n := h.DrainLimbo(6); n != 1 {
-		t.Fatalf("DrainLimbo(6) drained %d, want 1", n)
-	}
-	if st := h.Stats(); st.LimboAllocs != 0 {
-		t.Fatalf("limbo not empty after drain: %+v", st)
+	d.Exit(reader)
+	if n := drainNow(h); n != 0 {
+		t.Fatalf("drain after the reader left %d in limbo, want 0", n)
 	}
 }
 
 func TestRetireDrainRetiresEmptyPage(t *testing.T) {
-	h, pool := newHeap(0)
+	h, pool, _ := newDeferringHeap()
 	ref, err := h.Alloc(4096) // full-page class: one slot per page
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.Retire(ref, 1); err != nil {
+	if err := h.Free(ref); err != nil {
 		t.Fatal(err)
 	}
 	if got := h.FreePages(); got != 0 {
 		t.Fatalf("page freed before grace: FreePages = %d", got)
 	}
-	if h.DrainLimbo(2) != 1 {
+	if drainNow(h) != 0 {
 		t.Fatal("drain failed")
 	}
 	if got := h.FreePages(); got != 1 {
@@ -89,7 +111,7 @@ func TestRetireDrainRetiresEmptyPage(t *testing.T) {
 }
 
 func TestRetireSpanHoldsPagesUntilDrain(t *testing.T) {
-	h, pool := newHeap(0)
+	h, pool, d := newDeferringHeap()
 	data := bytes.Repeat([]byte("span"), 3*pages.Size/4) // 3 pages
 	ref, err := h.Alloc(len(data))
 	if err != nil {
@@ -107,22 +129,24 @@ func TestRetireSpanHoldsPagesUntilDrain(t *testing.T) {
 	}
 
 	held := h.PagesHeld()
-	if _, err := h.Retire(ref, 9); err != nil {
+	reader := enter(t, d)
+	if err := h.Free(ref); err != nil {
 		t.Fatal(err)
 	}
 	st := h.Stats()
-	if st.PagesHeld != held || st.LimboPages != 3 {
-		t.Fatalf("span pages not held in limbo: %+v", st)
+	if st.PagesHeld != held || st.LimboPages != 3 || d.DeferredPages() != 3 {
+		t.Fatalf("span pages not held in limbo: %+v, %d deferred", st, d.DeferredPages())
 	}
-	// Retire killed the span's metadata at once; its record did not die
+	// The free killed the span's metadata at once; its record did not die
 	// with it, and a reader still holding it copies the same bytes.
 	if !bytes.Equal(v.AppendTo(nil), data) {
 		t.Fatal("a retired span's View changed before the drain")
 	}
-	if pool.InUse() != 3 {
-		t.Fatalf("pool InUse = %d before drain, want 3", pool.InUse())
+	if drainNow(h) != 1 || pool.InUse() != 3 {
+		t.Fatalf("pool InUse = %d with the reader registered, want 3", pool.InUse())
 	}
-	if h.DrainLimbo(10) != 1 {
+	d.Exit(reader)
+	if drainNow(h) != 0 {
 		t.Fatal("span drain failed")
 	}
 	st = h.Stats()
@@ -134,38 +158,18 @@ func TestRetireSpanHoldsPagesUntilDrain(t *testing.T) {
 	}
 }
 
-func TestRetireStampClampKeepsFIFO(t *testing.T) {
-	h, _ := newHeap(0)
-	r1, _ := h.Alloc(64)
-	r2, _ := h.Alloc(64)
-	if _, err := h.Retire(r1, 10); err != nil {
-		t.Fatal(err)
-	}
-	// An out-of-order (lower) stamp is clamped to the queue tail so the
-	// FIFO drain test stays valid.
-	if _, err := h.Retire(r2, 4); err != nil {
-		t.Fatal(err)
-	}
-	if n := h.DrainLimbo(10); n != 0 {
-		t.Fatalf("drained %d below both stamps, want 0", n)
-	}
-	if n := h.DrainLimbo(11); n != 2 {
-		t.Fatalf("drained %d, want 2", n)
-	}
-}
-
 func TestResetReleasesLimbo(t *testing.T) {
-	h, pool := newHeap(0)
+	h, pool, _ := newDeferringHeap()
 	small, _ := h.Alloc(100)
 	data := bytes.Repeat([]byte("x"), 2*pages.Size)
 	span, err := h.Alloc(len(data))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.Retire(small, 1); err != nil {
+	if err := h.Free(small); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.Retire(span, 2); err != nil {
+	if err := h.Free(span); err != nil {
 		t.Fatal(err)
 	}
 	h.Reset()
@@ -198,7 +202,7 @@ func TestPublishInvalidRef(t *testing.T) {
 // metadata, and on a page that stays carved the slot's next Publish
 // rewrites its record in place.
 func TestPublishedRecordOutlivesItsSlot(t *testing.T) {
-	h, _ := newHeap(0)
+	h, _, d := newDeferringHeap()
 	a, _ := h.Alloc(100)
 	if a.meta.owners != nil {
 		t.Fatal("an allocation nobody published or adopted allocated records")
@@ -225,24 +229,30 @@ func TestPublishedRecordOutlivesItsSlot(t *testing.T) {
 			t.Fatalf("%s: b's record reads %q", when, got)
 		}
 	}
-	if _, err := h.Retire(a, 1); err != nil {
-		t.Fatal(err)
+	free := func(refs ...Ref) {
+		t.Helper()
+		for _, ref := range refs {
+			if err := h.Free(ref); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
+	free(a)
 	c, _ := h.Alloc(100) // the same page, another slot
 	publish(c, 'c')
 	intact("retired, with a new tenant published beside it")
-	if _, err := h.Retire(b, 2); err != nil {
-		t.Fatal(err)
+	d.Advance()
+	reader := enter(t, d) // after a's retirement, before b's and c's
+	free(b, c)
+	if drainNow(h) != 2 { // a's retirement only
+		t.Fatal("the drain did not stop at the reader")
 	}
-	if _, err := h.Retire(c, 3); err != nil {
-		t.Fatal(err)
-	}
-	h.DrainLimbo(2) // a's retirement only
 	intact("a drain that left the page's other retirements pending")
 
 	// The last drain empties the page: its records are cleared, so a
 	// spare array pins no page buffer, and only its own class reuses them.
-	h.DrainLimbo(4)
+	d.Exit(reader)
+	drainNow(h)
 	if va.b != nil || vb.b != nil {
 		t.Fatalf("an emptied page kept its records: %+v %+v", *va, *vb)
 	}
@@ -262,9 +272,8 @@ func TestPublishedRecordOutlivesItsSlot(t *testing.T) {
 	// page carved once first's slot is freed.
 	first, _ := h.Alloc(100)
 	v1, _ := h.Publish(first)
-	if err := h.Free(first); err != nil {
-		t.Fatal(err)
-	}
+	free(first)
+	drainNow(h)
 	second, _ := h.Alloc(110) // the same class
 	if second.meta != first.meta || second.slot != first.slot {
 		t.Fatal("the freed slot was not handed out again")
@@ -306,44 +315,127 @@ func TestBytesMultiPageSentinel(t *testing.T) {
 	}
 }
 
-// TestAllocHeld: AllocHeld serves exactly the allocations that need no
-// lease from the page source, and leaves the others to Alloc untouched.
-func TestAllocHeld(t *testing.T) {
-	pool := pages.NewPool(0)
-	h := New(PoolSource{Pool: pool})
-	expect := func(size int, held bool) {
+// TestDrainPolicy walks a deferring heap through each drain point: Free
+// puts the allocation in limbo; Trim leaves it there below the batch and
+// drains at the batch or for any retired span; Alloc drains before it
+// leases a page and leaves limbo alone while a held page can serve;
+// Drain reports what a registered reader keeps; Reset completes once the
+// readers leave.
+func TestDrainPolicy(t *testing.T) {
+	h, pool, d := newDeferringHeap()
+	limbo := func() int { return h.Stats().LimboAllocs }
+	mk := func(size int) Ref {
 		t.Helper()
-		before := h.Stats()
-		_, ok := h.AllocHeld(size)
-		if ok != held {
-			t.Fatalf("AllocHeld(%d) = %t, want %t", size, ok, held)
-		}
-		if ok {
-			if h.PagesHeld() != before.PagesHeld {
-				t.Fatalf("AllocHeld(%d) leased a page", size)
-			}
-			return
-		}
-		if after := h.Stats(); after != before {
-			t.Fatalf("refused AllocHeld(%d) changed the heap: %+v -> %+v", size, before, after)
-		}
-		if _, err := h.Alloc(size); err != nil {
+		ref, err := h.Alloc(size)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if h.PagesHeld() == before.PagesHeld {
-			t.Fatalf("AllocHeld(%d) refused an allocation that needed no lease", size)
+		return ref
+	}
+	free := func(refs ...Ref) {
+		t.Helper()
+		for _, ref := range refs {
+			if err := h.Free(ref); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	expect(1000, false)                 // empty heap
-	expect(1000, true)                  // the class's partial page has slots
-	expect(100, false)                  // another class, no free page to carve
-	expect(pages.Size+1, false)         // spans always lease
-	ref, _ := h.Alloc(2048)             // a third class: leases
-	if err := h.Free(ref); err != nil { // and leaves a wholly free page behind
-		t.Fatal(err)
+	// One page of 64-byte slots, all live.
+	refs := make([]Ref, pages.Size/64)
+	for i := range refs {
+		refs[i] = mk(64)
 	}
-	expect(16, true) // carved from the heap's own free page
-	if _, ok := h.AllocHeld(0); ok {
-		t.Fatal("AllocHeld(0) succeeded")
+	held := h.PagesHeld()
+
+	// Free retires; a hand-back below the batch neither advances the
+	// epoch nor drains.
+	e0 := d.Current()
+	free(refs[0])
+	if limbo() != 1 || h.Live(refs[0]) {
+		t.Fatalf("Free did not retire: limbo %d, live %t", limbo(), h.Live(refs[0]))
+	}
+	h.Trim(0)
+	if limbo() != 1 || d.Current() != e0 {
+		t.Fatalf("Trim below the batch: limbo %d, epoch %d -> %d", limbo(), e0, d.Current())
+	}
+	// At the batch it drains.
+	free(refs[1 : limboBatch-1]...)
+	h.Trim(0)
+	if limbo() != limboBatch-1 {
+		t.Fatalf("Trim one short of the batch drained: limbo %d", limbo())
+	}
+	free(refs[limboBatch-1])
+	h.Trim(0)
+	if limbo() != 0 {
+		t.Fatalf("Trim at the batch left %d in limbo", limbo())
+	}
+	// A retired span holds whole pages: the next Trim drains it.
+	span := mk(2 * pages.Size)
+	free(span)
+	if st := h.Stats(); st.LimboPages != 2 || st.PagesHeld != held+2 {
+		t.Fatalf("retired span not in limbo: %+v", st)
+	}
+	h.Trim(held)
+	if st := h.Stats(); st.LimboAllocs != 0 || st.PagesHeld != held {
+		t.Fatalf("Trim left a retired span behind: %+v", st)
+	}
+
+	// A held page can serve: Alloc leaves limbo alone.
+	free(refs[limboBatch])
+	mk(64)
+	if limbo() != 1 {
+		t.Fatalf("Alloc from a partial page drained limbo: %d", limbo())
+	}
+	// The page is full but for the slot in limbo: Alloc drains and takes
+	// it rather than lease.
+	for range limboBatch - 1 {
+		mk(64)
+	}
+	mk(64)
+	if limbo() != 0 || h.PagesHeld() != held {
+		t.Fatalf("Alloc leased past a drainable limbo: limbo %d, %d pages held (want %d)", limbo(), h.PagesHeld(), held)
+	}
+	// A span always leases, so it drains first.
+	free(refs[limboBatch+1])
+	mk(pages.Size + 1)
+	if limbo() != 0 {
+		t.Fatalf("span Alloc left %d in limbo", limbo())
+	}
+
+	// Drain returns what a registered reader keeps, then nothing.
+	reader := enter(t, d)
+	free(refs[limboBatch+2])
+	if n := h.Drain(time.Now().Add(time.Millisecond)); n != 1 {
+		t.Fatalf("Drain with a reader registered = %d, want 1", n)
+	}
+	d.Exit(reader)
+	if n := drainNow(h); n != 0 {
+		t.Fatalf("Drain after the reader left = %d, want 0", n)
+	}
+
+	// Reset waits for the reader, and completes once it leaves.
+	reader = enter(t, d)
+	free(refs[limboBatch+3])
+	before := d.Current()
+	done := make(chan struct{})
+	go func() {
+		h.Reset()
+		close(done)
+	}()
+	for d.Current() < before+2 { // Reset is in its wait
+		select {
+		case <-done:
+			t.Fatal("Reset returned without waiting for the registered reader")
+		case <-time.After(time.Millisecond):
+		}
+	}
+	d.Exit(reader)
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Reset did not complete after the reader left")
+	}
+	if st := h.Stats(); st.LimboAllocs != 0 || st.PagesHeld != 0 || pool.InUse() != 0 {
+		t.Fatalf("Reset left %+v, pool %d", st, pool.InUse())
 	}
 }

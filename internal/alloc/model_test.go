@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
+	"time"
 
+	"softmem/internal/epoch"
 	"softmem/internal/pages"
 )
 
@@ -14,21 +16,32 @@ type issued struct {
 	data  []byte // what was written; a live ref must read it back
 	owner *holder
 	live  bool
-	// limbo is the slot's memory, captured before Retire: until the
-	// retirement drains nobody may rewrite it.
+	// limbo is the slot's memory, captured before a deferred Free: until
+	// the retirement drains nobody may rewrite it.
 	limbo []byte
 	stamp uint64
 }
 
+// reader is a reader slot the model holds in the heap's epoch domain,
+// and the epoch it entered at.
+type reader struct {
+	slot  int
+	epoch uint64
+}
+
 // model is a shadow of every ref a heap issued, checked against the heap.
 type model struct {
-	t      *testing.T
-	h      *Heap
-	pool   *pages.Pool
-	all    []*issued
-	live   []*issued
-	queue  []*issued // retired, not yet drained, in stamp order
-	carved map[pages.ID]*pageMeta
+	t     *testing.T
+	h     *Heap
+	pool  *pages.Pool
+	d     *epoch.Domain // nil for a heap that frees at once
+	all   []*issued
+	live  []*issued
+	queue []*issued // retired, not yet drained, in stamp order
+	// readers are the slots the model holds; no retirement stamped at or
+	// after the oldest of them may drain.
+	readers []reader
+	carved  map[pages.ID]*pageMeta
 	// recarved counts allocations that landed on a page the heap had
 	// emptied and carved again while refs into its first life were kept.
 	recarved int
@@ -81,6 +94,36 @@ func (m *model) check(r *issued) {
 	} else {
 		m.checkDead(r)
 	}
+}
+
+// oldestReader is the epoch the oldest held reader entered at, 0 for none.
+func (m *model) oldestReader() uint64 {
+	var oldest uint64
+	for _, r := range m.readers {
+		if oldest == 0 || r.epoch < oldest {
+			oldest = r.epoch
+		}
+	}
+	return oldest
+}
+
+// settle takes what the heap drained off the front of the queue (limbo
+// drains in FIFO order), checking that no reader could still see it.
+func (m *model) settle() {
+	m.t.Helper()
+	n := len(m.queue) - m.h.Stats().LimboAllocs
+	if n < 0 {
+		m.t.Fatalf("limbo holds %d more than the model retired", -n)
+	}
+	oldest := m.oldestReader()
+	for _, r := range m.queue[:n] {
+		if oldest != 0 && r.stamp >= oldest {
+			m.t.Fatalf("drained stamp %d under a reader that entered at %d", r.stamp, oldest)
+		}
+		r.limbo = nil // the slot may be handed out again from here on
+		m.check(r)
+	}
+	m.queue = m.queue[n:]
 }
 
 // invariants are the whole-heap facts that hold between any two ops.
@@ -146,16 +189,27 @@ func (m *model) kill(rng *rand.Rand) *issued {
 	return r
 }
 
-// TestModelEveryRefEverIssued drives the heap through random ops and
+// TestModelEveryRefEverIssued drives a heap through random ops and
 // holds it to a shadow of every ref it ever handed out: a live one reads
 // back what was written, and a dead one — freed, retired and waiting,
 // retired and drained, on a page since emptied and carved again, or from
-// before a Reset — fails every accessor with ErrInvalidRef, for good.
+// before a Reset — fails every accessor with ErrInvalidRef, for good. It
+// runs once on a heap that frees at once and once on a deferring heap,
+// whose drains it checks against the reader slots it holds.
 func TestModelEveryRefEverIssued(t *testing.T) {
+	for _, deferring := range []bool{false, true} {
+		runModel(t, deferring)
+	}
+}
+
+func runModel(t *testing.T, deferring bool) {
 	rng := rand.New(rand.NewSource(18))
 	h, pool := newHeap(0)
 	m := &model{t: t, h: h, pool: pool, carved: make(map[pages.ID]*pageMeta)}
-	var epoch uint64
+	if deferring {
+		m.d = epoch.NewDomain()
+		h.DeferFrees(m.d)
+	}
 	const ops = 50_000
 	m.alloc(rng) // so that there is history to sample from the first op on
 	for i := 0; i < ops; i++ {
@@ -164,6 +218,10 @@ func TestModelEveryRefEverIssued(t *testing.T) {
 		grow := len(m.live) < 8 || (i/2000)%2 == 0 && len(m.live) < 300
 		switch p := rng.Intn(1000); {
 		case p == 0:
+			for _, r := range m.readers { // else Reset waits out its bound
+				m.d.Exit(r.slot)
+			}
+			m.readers = m.readers[:0]
 			h.Reset()
 			for _, r := range m.live {
 				r.live = false
@@ -172,43 +230,51 @@ func TestModelEveryRefEverIssued(t *testing.T) {
 				r.limbo = nil // Reset ends the grace period: the pages are gone
 			}
 			m.live, m.queue = m.live[:0], m.queue[:0]
-		case p < 40:
+		case p < 20:
 			h.ReleaseFreePages(rng.Intn(4) - 1)
-		case p < 140:
-			epoch += uint64(rng.Intn(2))
-			safe := epoch - uint64(rng.Intn(3))
-			if safe > epoch {
-				safe = 0
-			}
-			n := h.DrainLimbo(safe)
-			for _, r := range m.queue[:n] {
-				if r.stamp >= safe {
-					t.Fatalf("DrainLimbo(%d) drained stamp %d", safe, r.stamp)
+		case p < 40:
+			h.Trim(rng.Intn(3))
+		case p < 140 && deferring:
+			switch rng.Intn(4) {
+			case 0:
+				if len(m.readers) < 3 {
+					slot, ok := m.d.Enter(uint64(i))
+					if !ok {
+						t.Fatal("Enter failed")
+					}
+					m.readers = append(m.readers, reader{slot, m.d.Current()})
 				}
-				r.limbo = nil // the slot may be handed out again from here on
-				m.check(r)
-			}
-			if m.queue = m.queue[n:]; len(m.queue) > 0 && m.queue[0].stamp < safe {
-				t.Fatalf("DrainLimbo(%d) left stamp %d behind", safe, m.queue[0].stamp)
+			case 1:
+				if n := len(m.readers); n > 0 {
+					j := rng.Intn(n)
+					m.d.Exit(m.readers[j].slot)
+					m.readers[j] = m.readers[n-1]
+					m.readers = m.readers[:n-1]
+				}
+			case 2:
+				m.d.Advance()
+			default:
+				h.Drain(time.Time{})
+				m.settle()
+				if oldest := m.oldestReader(); len(m.queue) > 0 && (oldest == 0 || m.queue[0].stamp < oldest) {
+					t.Fatalf("Drain left stamp %d behind (oldest reader %d)", m.queue[0].stamp, oldest)
+				}
 			}
 		case grow && p < 800 || len(m.live) == 0:
 			m.alloc(rng)
-		case p%3 == 0:
-			r := m.kill(rng)
-			r.limbo, _ = h.Bytes(r.ref) // nil for a span
-			r.stamp = epoch
-			if _, err := h.Retire(r.ref, epoch); err != nil {
-				t.Fatal(err)
-			}
-			m.queue = append(m.queue, r)
-			m.check(r)
 		default:
 			r := m.kill(rng)
+			if deferring {
+				r.limbo, _ = h.Bytes(r.ref) // nil for a span
+				r.stamp = m.d.Current()
+				m.queue = append(m.queue, r)
+			}
 			if err := h.Free(r.ref); err != nil {
 				t.Fatal(err)
 			}
 			m.check(r)
 		}
+		m.settle()
 		m.invariants()
 		for range 2 { // a sample of all history after every op ...
 			m.check(m.all[rng.Intn(len(m.all))])
@@ -222,5 +288,8 @@ func TestModelEveryRefEverIssued(t *testing.T) {
 	if m.recarved == 0 {
 		t.Fatal("no allocation landed on a page the heap had emptied and carved again")
 	}
-	t.Logf("%d refs issued, %d live at the end, %d allocations on re-carved pages", len(m.all), len(m.live), m.recarved)
+	if deferring && h.Stats().DeferredOps == 0 {
+		t.Fatal("the deferring heap retired nothing")
+	}
+	t.Logf("deferring %t: %d refs issued, %d live at the end, %d allocations on re-carved pages", deferring, len(m.all), len(m.live), m.recarved)
 }

@@ -105,19 +105,25 @@ func TestSpanIsAPageGroupOfOneTenant(t *testing.T) {
 	}
 }
 
-// Owner words must not outlive their slot: Free, Retire (limbo keeps the
-// bytes, not the owner), page retirement and Reset all drop them.
+// Owner words must not outlive their slot: Free — recycled at once or,
+// on a deferring heap, in limbo (which keeps the bytes, not the owner) —
+// page retirement and Reset all drop them.
 func TestOwnersDieWithTheirSlot(t *testing.T) {
-	h, _ := newHeap(0)
+	h, _, dom := newDeferringHeap()
 	a, b, c := adopt(t, h, 1000), adopt(t, h, 1000), adopt(t, h, 1000)
 	if err := h.Free(a.ref); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.Retire(b.ref, 1); err != nil {
+	drainNow(h) // a's slot comes back
+	reader, ok := dom.Enter(0)
+	if !ok {
+		t.Fatal("Enter failed")
+	}
+	if err := h.Free(b.ref); err != nil { // b's stays in limbo
 		t.Fatal(err)
 	}
 	if got, _ := tenantsOf(t, h, c.ref); len(got) != 1 || got[0] != c {
-		t.Fatalf("Tenants after Free and Retire = %v, want only c", got)
+		t.Fatalf("Tenants after both frees = %v, want only c", got)
 	}
 	if err := h.VerifyOwners(); err != nil {
 		t.Fatal(err)
@@ -137,8 +143,9 @@ func TestOwnersDieWithTheirSlot(t *testing.T) {
 	if err := h.Free(c.ref); err != nil {
 		t.Fatal(err)
 	}
-	if n := h.DrainLimbo(2); n != 1 { // b's slot: the page goes empty and retires
-		t.Fatalf("DrainLimbo = %d, want 1", n)
+	dom.Exit(reader)
+	if n := drainNow(h); n != 0 { // the page goes empty and retires
+		t.Fatalf("drain left %d in limbo", n)
 	}
 	if h.FreePages() != 1 {
 		t.Fatalf("FreePages = %d, want the emptied page", h.FreePages())

@@ -17,7 +17,6 @@ func rejects(t *testing.T, h *Heap, ref Ref) {
 	_, bytesErr := h.Bytes(ref)
 	_, pubErr := h.Publish(ref)
 	_, appendErr := h.AppendTo(nil, ref)
-	_, retireErr := h.Retire(ref, 0)
 	_, _, tenantsErr := h.Tenants(ref, nil)
 	for _, c := range [...]struct {
 		name string
@@ -32,7 +31,6 @@ func rejects(t *testing.T, h *Heap, ref Ref) {
 		{"WriteAt", h.WriteAt(ref, []byte{0xEE}, 0)},
 		{"SetOwner", h.SetOwner(ref, &holder{ref: ref})},
 		{"Tenants", tenantsErr},
-		{"Retire", retireErr},
 		{"Free", h.Free(ref)},
 	} {
 		if !errors.Is(c.err, ErrInvalidRef) {
@@ -101,7 +99,8 @@ func TestDeadMetadataHoldsNothing(t *testing.T) {
 		t.Fatalf("pageMeta is %d bytes (want at most 128), Ref %d (want 16)", m, r)
 	}
 	h, pool := newHeap(0)
-	dead := func(what string, ref Ref) {
+	dh, dpool, _ := newDeferringHeap()
+	dead := func(h *Heap, what string, ref Ref) {
 		t.Helper()
 		m := ref.meta
 		if m.heap != nil || m.page != nil || m.span != nil || m.slots != nil ||
@@ -115,37 +114,38 @@ func TestDeadMetadataHoldsNothing(t *testing.T) {
 	if err := h.Free(emptied); err != nil { // its page goes empty
 		t.Fatal(err)
 	}
-	dead("emptied page", emptied)
+	dead(h, "emptied page", emptied)
 
 	span := adopt(t, h, 2*pages.Size).ref
 	if err := h.Free(span); err != nil {
 		t.Fatal(err)
 	}
-	dead("freed span", span)
+	dead(h, "freed span", span)
 
-	retiredSpan := adopt(t, h, 2*pages.Size).ref
-	if _, err := h.Retire(retiredSpan, 1); err != nil {
+	retiredSpan := adopt(t, dh, 2*pages.Size).ref
+	if err := dh.Free(retiredSpan); err != nil {
 		t.Fatal(err)
 	}
-	dead("retired span", retiredSpan) // limbo holds the pages, not the metadata
+	dead(dh, "retired span", retiredSpan) // limbo holds the pages, not the metadata
 
-	drained := adopt(t, h, 1000).ref
-	if _, err := h.Retire(drained, 1); err != nil {
+	drained := adopt(t, dh, 1000).ref
+	if err := dh.Free(drained); err != nil {
 		t.Fatal(err)
 	}
 	if drained.meta.page == nil {
 		t.Fatal("a slot in limbo lost its page before the drain")
 	}
-	if n := h.DrainLimbo(2); n != 2 {
-		t.Fatalf("DrainLimbo = %d, want the span and the slot", n)
+	if n := drainNow(dh); n != 0 {
+		t.Fatalf("drain left %d of the span and the slot", n)
 	}
-	dead("page emptied by a drain", drained)
+	dead(dh, "page emptied by a drain", drained)
 
 	kept, keptSpan := adopt(t, h, 1000).ref, adopt(t, h, 2*pages.Size).ref
 	h.Reset()
-	dead("page at Reset", kept)
-	dead("span at Reset", keptSpan)
-	if pool.InUse() != 0 {
-		t.Fatalf("pool still leases %d pages", pool.InUse())
+	dh.Reset()
+	dead(h, "page at Reset", kept)
+	dead(h, "span at Reset", keptSpan)
+	if pool.InUse() != 0 || dpool.InUse() != 0 {
+		t.Fatalf("pools still lease %d and %d pages", pool.InUse(), dpool.InUse())
 	}
 }

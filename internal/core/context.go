@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -56,10 +55,9 @@ type Context struct {
 	// drainReleased counts them for the demand's accounting.
 	demandDrain   bool
 	drainReleased int
-	// epochRetire routes every free through epoch-deferred retirement
-	// (alloc.Heap.Retire) instead of immediate recycling. SDSs with
-	// lock-free read paths enable it so bytes published to optimistic
-	// readers are never rewritten inside a grace period. Guarded by mu.
+	// epochRetire records that EnableEpochRetire handed the heap the
+	// epoch domain (alloc.Heap.DeferFrees), the one case in which
+	// Publish is sound. Guarded by mu.
 	epochRetire bool
 	// doTx is Do's reusable transaction (guarded by mu); see Do.
 	doTx Tx
@@ -189,78 +187,31 @@ func (c *Context) free(ref alloc.Ref) error {
 	if err := c.lockOpen(); err != nil {
 		return err
 	}
-	err := c.freeLocked(ref)
-	c.trimHeapLocked()
+	err := c.heap.Free(ref)
+	c.heap.Trim(c.sma.cfg.HeapFreeMax)
 	c.mu.Unlock()
 	c.sma.flushTrim()
 	return err
 }
 
-// freeLocked releases one allocation under c.mu, routing through
-// epoch-deferred retirement when the context runs a lock-free read
-// path. The stamp is read AFTER the caller unpublished the value (stored
-// nil, or the replacement's record, over its record pointer) — that
-// ordering is what makes the grace period sound; see internal/epoch.
-func (c *Context) freeLocked(ref alloc.Ref) error {
-	if !c.epochRetire {
-		return c.heap.Free(ref)
-	}
-	deferredPgs, err := c.heap.Retire(ref, c.sma.epochs.Current())
-	if deferredPgs > 0 {
-		c.sma.epochs.NoteDeferred(deferredPgs)
-	}
-	return err
-}
-
-// EnableEpochRetire switches the context's frees to epoch-deferred
-// retirement. SDSs call it once, before publishing any value to
-// lock-free readers; it is never switched back off (a disabled switch
-// with limbo pending would strand retirements).
+// EnableEpochRetire hands the context's heap the SMA's epoch domain, so
+// every later free is deferred past the grace period and the heap drains
+// its limbo itself (alloc.Heap.DeferFrees). SDSs call it once, before
+// publishing any value to lock-free readers, and unpublish a value
+// before freeing it; it is never switched back off.
 func (c *Context) EnableEpochRetire() {
 	c.lock()
+	c.heap.DeferFrees(c.sma.epochs)
 	c.epochRetire = true
 	c.mu.Unlock()
 }
 
-// limboBatch is how many slot retirements a heap's limbo collects before
-// a lock hand-back pays for a ratchet: one epoch advance plus a grace
-// scan of every reader slot (epoch.NumSlots padded cache lines). Paid
-// once per retirement, that scan was 19 % of the CPU time of a 50/50
-// GET/SET workload. Measured on the repository benchmark's
-// kv_direct_mixed (2 vCPU, 8 s runs, ops/s · soft pages per live byte):
-// batch 1 2.38 M · 1.2332, 8 2.63 M · 1.2343, 32 2.80 M · 1.2346,
-// 128 2.69 M · 1.2358 with read p50 up 14 % — past 32 the retired slots
-// held back start to cost cache and pages more than the scan saves.
-const limboBatch = 32
-
-// ratchetLocked advances the global epoch, drains whatever limbo
-// retirements the grace period now covers and reports how many that
-// was. Caller holds c.mu.
-func (c *Context) ratchetLocked() int {
-	d := c.sma.epochs
-	d.Advance()
-	return c.heap.DrainLimbo(d.SafeBefore())
-}
-
-// allocLocked is heap.Alloc behind the second ratchet point, followed by
-// the write of data when there is any. With retirements in limbo the
-// heap is first asked to serve the allocation from the pages it holds;
-// only when that would take a lease is limbo drained — the slot or free
-// page needed may be waiting there — and the allocation made in full.
-// Limbo therefore never costs a page, a budget request or a reclaim that
-// an eager drain would have avoided. Caller holds c.mu.
+// allocLocked is heap.Alloc followed by the write of data when there is
+// any. Caller holds c.mu.
 func (c *Context) allocLocked(size int, data []byte) (alloc.Ref, error) {
-	ref, held := alloc.Ref{}, false
-	if c.heap.LimboPending() > 0 {
-		if ref, held = c.heap.AllocHeld(size); !held {
-			c.ratchetLocked()
-		}
-	}
-	if !held {
-		var err error
-		if ref, err = c.heap.Alloc(size); err != nil {
-			return alloc.Ref{}, err
-		}
+	ref, err := c.heap.Alloc(size)
+	if err != nil {
+		return alloc.Ref{}, err
 	}
 	if data != nil {
 		if err := c.heap.WriteAt(ref, data, 0); err != nil {
@@ -268,27 +219,6 @@ func (c *Context) allocLocked(size int, data []byte) (alloc.Ref, error) {
 		}
 	}
 	return ref, nil
-}
-
-// trimHeapLocked transfers free pages beyond the retention threshold from
-// the heap to the process free pool ("periodically transfers free pages
-// back to the global free pool", §4). Caller holds c.mu. Every lock
-// hand-back runs it — Context.Do and Context.Free exits, Owned.Release.
-//
-// It is also the first ratchet point: once limbo has collected a batch
-// of slot retirements, or holds any retired span (whole pages), the
-// hand-back advances the epoch and drains what the grace period covers,
-// so deferred recycling needs no background thread. Below the batch the
-// hand-back costs two loads; allocLocked and the demand path
-// (drainEpochLocked) are the other two ratchet points, and between them
-// limbo is bounded by limboBatch retirements while no reader is parked.
-func (c *Context) trimHeapLocked() {
-	if c.heap.LimboPending() >= limboBatch || c.heap.LimboPages() > 0 {
-		c.ratchetLocked()
-	}
-	if over := c.heap.FreePages() - c.sma.cfg.HeapFreeMax; over > 0 {
-		c.heap.ReleaseFreePages(over)
-	}
 }
 
 // demandGrace is how long a demand waits, per context, for lock-free
@@ -300,23 +230,6 @@ func (c *Context) trimHeapLocked() {
 // wait holds this context's lock, and is a small part of the 30 s the
 // daemon allows a demand.
 const demandGrace = 100 * time.Millisecond
-
-// drainEpochLocked pushes limbo retirements out under a demand: advance
-// the epoch, drain what the grace period covers, and briefly reschedule
-// to let registered readers exit (they never need c.mu, so they make
-// progress while the reclaimer holds it), until limbo is empty or the
-// deadline has passed. Caller holds c.mu.
-func (c *Context) drainEpochLocked(deadline time.Time) {
-	for c.heap.LimboPending() > 0 {
-		if c.ratchetLocked() > 0 {
-			continue
-		}
-		if !time.Now().Before(deadline) {
-			return
-		}
-		runtime.Gosched()
-	}
-}
 
 // Write copies data into the allocation at offset off.
 func (c *Context) Write(ref alloc.Ref, data []byte, off int) error {
@@ -378,7 +291,7 @@ func (c *Context) Do(fn func(tx *Tx) error) error {
 	// every soft-memory operation. fn must not retain it past return.
 	c.doTx = Tx{ctx: c}
 	err := fn(&c.doTx)
-	c.trimHeapLocked()
+	c.heap.Trim(c.sma.cfg.HeapFreeMax)
 	c.mu.Unlock()
 	c.sma.flushTrim()
 	return err
@@ -419,7 +332,7 @@ type Tx struct {
 
 // Free releases the allocation.
 func (tx *Tx) Free(ref alloc.Ref) error {
-	err := tx.ctx.freeLocked(ref)
+	err := tx.ctx.heap.Free(ref)
 	if err == nil {
 		tx.frees++
 	}

@@ -8,6 +8,10 @@ import (
 	"softmem/internal/pages"
 )
 
+// limboBatch is the heap's drain batch (internal/alloc), which
+// TestDrainPolicy pins there.
+const limboBatch = 32
+
 // TestEpochRetireDefersAndDrains checks the deferred-free lifecycle
 // through the Context layer. A Tx.Free lands in limbo and a lock
 // hand-back below the batch leaves it there (no epoch advance, no

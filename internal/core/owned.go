@@ -135,7 +135,7 @@ func (o *Owned) Release() {
 	}
 	o.held = false
 	c := o.ctx
-	c.trimHeapLocked()
+	c.heap.Trim(c.sma.cfg.HeapFreeMax)
 	c.mu.Unlock()
 	c.sma.flushTrim()
 }

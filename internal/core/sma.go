@@ -982,8 +982,8 @@ func (s *SMA) reclaimFromContext(ctx *Context, quota int, sp *DemandSpan) (drain
 		s.c.allocsReclaimed.Add(int64(tx.frees))
 	}()
 	// Epoch-retired frees sit in limbo until the grace period passes, so
-	// every round first advances the epoch and drains what it can, then
-	// takes the heap's free pages, and only then asks the SDS for what is
+	// every round first has the heap drain what it can (alloc.Heap.Drain),
+	// then takes the heap's free pages, and only then asks the SDS for what is
 	// still missing. While limbo holds anything no page can leave this
 	// heap whatever is freed, so the SDS is not asked: a page in limbo is
 	// already paid for in revoked data, and asking again would revoke
@@ -991,11 +991,11 @@ func (s *SMA) reclaimFromContext(ctx *Context, quota int, sp *DemandSpan) (drain
 	// in limbo surfaces on a later trim or demand.
 	epochDeadline := time.Now().Add(demandGrace)
 	for dry := false; ; {
-		ctx.drainEpochLocked(epochDeadline)
+		limbo := ctx.heap.Drain(epochDeadline)
 		if rem := quota - ctx.drainReleased; rem > 0 {
 			ctx.heap.ReleaseFreePages(rem)
 		}
-		if ctx.drainReleased >= quota || dry || ctx.heap.LimboPending() > 0 {
+		if ctx.drainReleased >= quota || dry || limbo > 0 {
 			break
 		}
 		// The callback fault point: delay= holds the demand cycle open

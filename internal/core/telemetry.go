@@ -158,7 +158,7 @@ func (s *SMA) RegisterMetrics(r *metrics.Registry) {
 		for _, c := range s.snapshotContexts() {
 			c.lock()
 			if !c.closed {
-				n += c.heap.LimboPending()
+				n += c.heap.Stats().LimboAllocs
 			}
 			c.mu.Unlock()
 		}

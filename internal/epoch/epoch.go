@@ -88,11 +88,12 @@ func (d *Domain) Exit(i int) {
 // that order is what the safety argument above relies on.
 func (d *Domain) Current() uint64 { return d.global.Load() }
 
-// Advance bumps the global epoch and returns the new value. Heap owners
-// call it where they are about to look at limbo — a lock hand-back that
-// finds a batch of retirements, an allocation about to lease a page, a
-// reclaim round — so grace periods expire without a dedicated
-// background thread.
+// Advance bumps the global epoch and returns the new value. The heaps
+// that hold limbo (internal/alloc) call it where they are about to look
+// at it — a lock hand-back that finds a batch of retirements, an
+// allocation about to lease a page, a reclaim round, a teardown waiting
+// for readers — so grace periods expire without a dedicated background
+// thread.
 func (d *Domain) Advance() uint64 { return d.global.Add(1) }
 
 // scan walks the reader slots once and returns the oldest epoch any

@@ -247,7 +247,7 @@ func TestEpochReclaimRace(t *testing.T) {
 			}
 		}(r)
 	}
-	// Scanner: KEYS through ScanLockFree while the index churns.
+	// Scanner: KEYS through KeysLockFree while the index churns.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -297,9 +297,10 @@ func TestEpochReclaimRace(t *testing.T) {
 	}
 }
 
-// TestKeysUnderReaderSlotExhaustion: a lock-free scan that runs out of
-// epoch reader slots part-way through a shard falls back to the locked
-// Range, and KEYS still lists every key exactly once.
+// TestKeysUnderReaderSlotExhaustion: KEYS takes no epoch reader slot —
+// keys are traditional memory — so it lists every key exactly once
+// while a hog keeps taking every free slot, and a KEYS run while every
+// slot is held falls back nowhere.
 func TestKeysUnderReaderSlotExhaustion(t *testing.T) {
 	st, sma := newStore(t, 0)
 	const keys = 2000
@@ -308,9 +309,28 @@ func TestKeysUnderReaderSlotExhaustion(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Hog: take every free reader slot, hold them a moment, give them
-	// back, so scans keep finding the slots gone mid-shard.
 	dom := sma.Epochs()
+	var all []int
+	for {
+		slot, ok := dom.Enter(uint64(len(all)))
+		if !ok {
+			break
+		}
+		all = append(all, slot)
+	}
+	fallbacks := st.Stats().LockFreeFallbacks
+	if got, err := st.Keys("*"); err != nil || len(got) != keys {
+		t.Fatalf("KEYS with every reader slot held = %d keys, %v; want %d", len(got), err, keys)
+	}
+	if now := st.Stats().LockFreeFallbacks; now != fallbacks {
+		t.Fatalf("KEYS with every reader slot held fell back: LockFreeFallbacks %d -> %d", fallbacks, now)
+	}
+	for _, slot := range all {
+		dom.Exit(slot)
+	}
+
+	// Hog: take every free reader slot, hold them a moment, give them
+	// back, so the slots keep vanishing mid-shard.
 	var stop atomic.Bool
 	var wg sync.WaitGroup
 	wg.Add(1)

@@ -27,7 +27,7 @@ import (
 	"hash/maphash"
 	"math/bits"
 	"path"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -396,35 +396,29 @@ func (s *Store) StrLen(key string) int {
 }
 
 // Keys returns the keys matching a glob pattern (path.Match syntax,
-// which covers Redis's * and ? globs), sorted. An O(n) scan — use
-// sparingly, like Redis KEYS.
+// which covers Redis's * and ? globs), sorted, each once. An O(n) scan —
+// use sparingly, like Redis KEYS. It walks each shard's index without
+// the shard's heap lock (a KEYS under load does not stall that shard's
+// writes) and without entering the epoch: keys are traditional memory.
 func (s *Store) Keys(pattern string) ([]string, error) {
 	if _, err := path.Match(pattern, ""); err != nil {
 		return nil, fmt.Errorf("kvstore: bad pattern %q: %w", pattern, err)
 	}
 	var out []string
-	collect := func(k string, _ []byte) bool {
+	collect := func(k string) bool {
 		if ok, _ := path.Match(pattern, k); ok {
 			out = append(out, k)
 		}
 		return true
 	}
 	for _, sh := range s.shards {
-		// The lock-free scan keeps a full-table walk off the shard's heap
-		// lock (a KEYS under load no longer stalls that shard's writes);
-		// it falls back to the locked Range only when unavailable, and
-		// the keys it collected before giving up are dropped first.
-		n := len(out)
-		if sh.ht.ScanLockFree(collect) {
-			continue
-		}
-		out = out[:n]
-		if err := sh.ht.Range(collect); err != nil {
-			return nil, err
+		if !sh.ht.KeysLockFree(collect) {
+			return nil, core.ErrClosed
 		}
 	}
-	sort.Strings(out)
-	return out, nil
+	// A key deleted and stored again during the walk can show up twice.
+	slices.Sort(out)
+	return slices.Compact(out), nil
 }
 
 // Len returns the number of live entries.

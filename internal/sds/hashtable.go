@@ -134,7 +134,7 @@ type HashTableConfig[K comparable] struct {
 	// Priority is the SDS reclamation priority (lower reclaimed first).
 	Priority int
 	// LockFreeReads publishes values to an epoch-protected lock-free
-	// read path (GetAppendLockFree, ScanLockFree): reads take zero locks
+	// read path (GetAppendLockFree): reads take zero locks
 	// and revocation defers page recycling until the epoch grace period
 	// covers the retire. Under EvictLRU, recency survives as lazily
 	// sampled per-entry clock stamps (a lock-free read cannot move list
@@ -339,16 +339,15 @@ func (t *SoftHashTable[K]) Reclaimed() int64 {
 func (t *SoftHashTable[K]) Context() *core.Context { return t.ctx }
 
 // Close frees the table's heap; the table must not be used afterwards.
-// On a lock-free table the index is unpublished first and the
-// epoch domain drained (bounded), so no optimistic reader is copying
-// from pages the teardown releases.
+// On a lock-free table the index is unpublished first; the heap's Reset
+// then waits (bounded) for the epoch's readers to leave, so no
+// optimistic reader is copying from pages the teardown releases.
 func (t *SoftHashTable[K]) Close() {
 	if t.lockFree {
 		_ = t.ctx.Do(func(*core.Tx) error {
 			t.idx.Store(nil)
 			return nil
 		})
-		drainReaders(t.dom)
 	}
 	t.ctx.Close()
 }

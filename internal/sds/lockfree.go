@@ -2,10 +2,7 @@ package sds
 
 import (
 	"hash/maphash"
-	"runtime"
 	"sync/atomic"
-
-	"softmem/internal/epoch"
 )
 
 // Lock-free read support for SoftHashTable. The design has three
@@ -222,47 +219,23 @@ func (t *SoftHashTable[K]) ContainsLockFree(key K) LookupResult {
 	return LookupHit
 }
 
-// ScanLockFree iterates the published index without taking the heap
-// lock, calling fn with each key and a copy of its value (valid only
-// during the call; it aliases a reused scratch). Iteration order is
-// arbitrary — callers needing the eviction order must use Range. The
-// scan is a weakly-consistent snapshot: entries inserted or revoked
-// concurrently may or may not appear, exactly like iterating a
-// concurrent map. It returns false when the scan could not run
-// lock-free (caller falls back to Range) and true otherwise, including
-// early stops. A false can come after fn has seen some entries: a
-// caller that falls back must discard what the partial scan gave it.
-func (t *SoftHashTable[K]) ScanLockFree(fn func(key K, value []byte) bool) bool {
-	if !t.lockFree {
-		return false
-	}
+// KeysLockFree calls fn with each key of the published index, without
+// taking the heap lock or entering the epoch: keys are traditional
+// memory, write-once in their entries, so the walk copies no soft bytes.
+// Iteration order is arbitrary — callers needing the eviction order
+// must use Range. The walk is weakly consistent, like iterating a
+// concurrent map: keys inserted or deleted concurrently may or may not
+// appear, and a key deleted and stored again during the walk may appear
+// twice. It stops early when fn returns false, and returns false only
+// when the table has no published index (closed).
+func (t *SoftHashTable[K]) KeysLockFree(fn func(key K) bool) bool {
 	idx := t.idx.Load()
 	if idx == nil {
 		return false
 	}
-	var scratch []byte
 	for i := range idx.buckets {
-		e := idx.buckets[i].Load()
-		if e == nil || e == t.tomb {
-			continue
-		}
-		// Per-entry epoch registration keeps each copy safe while letting
-		// the grace frontier advance between entries: a long scan never
-		// pins the whole table's limbo.
-		slot, ok := t.dom.Enter(uint64(i))
-		if !ok {
-			t.lf.fallbacks.Add(1)
-			return false
-		}
-		v := e.view.Load()
-		if v == nil {
-			t.dom.Exit(slot)
-			continue // revoked mid-scan: treat as not observed
-		}
-		scratch = v.AppendTo(scratch[:0])
-		t.dom.Exit(slot)
-		if !fn(e.key, scratch) {
-			return true
+		if e := idx.buckets[i].Load(); e != nil && e != t.tomb && !fn(e.key) {
+			break
 		}
 	}
 	return true
@@ -319,19 +292,4 @@ func (t *SoftHashTable[K]) idxRebuild() {
 		fresh.buckets[i].Store(e)
 	}
 	t.idx.Store(fresh)
-}
-
-// drainReaders waits (bounded) for every registered reader to exit the
-// epoch domain: used by Close so teardown cannot release pages a
-// straggling reader is still copying from. Each iteration advances the
-// epoch so exits become visible to the grace check; the bound keeps a
-// stuck reader from wedging shutdown (pages released after the bound
-// are still memory-safe — released page buffers are never rewritten,
-// only dropped for the GC).
-func drainReaders(d *epoch.Domain) {
-	stamp := d.Advance()
-	for i := 0; i < 10000 && d.SafeBefore() <= stamp; i++ {
-		d.Advance()
-		runtime.Gosched()
-	}
 }

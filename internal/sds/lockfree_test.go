@@ -127,14 +127,13 @@ func TestHashTableLockFreeMultiPageValue(t *testing.T) {
 	}
 }
 
-func TestHashTableScanLockFree(t *testing.T) {
+func TestHashTableKeysLockFree(t *testing.T) {
 	s := newSMA()
 	defer s.Close()
-	ht := NewSoftHashTable[int](s, "lf-scan", HashTableConfig[int]{
+	ht := NewSoftHashTable[int](s, "lf-keys", HashTableConfig[int]{
 		Policy:        EvictOldest,
 		LockFreeReads: true,
 	})
-	defer ht.Close()
 
 	for k := 0; k < 100; k++ {
 		if err := ht.Put(k, lfValue(k, 40)); err != nil {
@@ -143,17 +142,25 @@ func TestHashTableScanLockFree(t *testing.T) {
 	}
 	seen := make(map[int]int)
 	calls := 0
-	ok := ht.ScanLockFree(func(k int, v []byte) bool {
-		checkLfValue(t, k, v, 40)
+	ok := ht.KeysLockFree(func(k int) bool {
 		seen[k]++
 		calls++
 		return true
 	})
 	if !ok {
-		t.Fatal("ScanLockFree fell back unexpectedly")
+		t.Fatal("KeysLockFree found no index on an open table")
 	}
 	if len(seen) != 100 || calls != 100 {
-		t.Fatalf("scan saw %d distinct / %d total of 100 entries (duplicates in the index?)", len(seen), calls)
+		t.Fatalf("walk saw %d distinct / %d total of 100 keys (duplicates in the index?)", len(seen), calls)
+	}
+	calls = 0
+	ht.KeysLockFree(func(int) bool { calls++; return calls < 10 })
+	if calls != 10 {
+		t.Fatalf("walk went on for %d keys after fn asked to stop at 10", calls)
+	}
+	ht.Close()
+	if ht.KeysLockFree(func(int) bool { return true }) {
+		t.Fatal("KeysLockFree walked a closed table")
 	}
 }
 
@@ -210,13 +217,16 @@ func TestHashTableLockFreeReclaimRace(t *testing.T) {
 			}
 		}(r)
 	}
-	// Scanner: every value a lock-free scan copies is untorn too.
+	// Scanner: the key walk runs beside the churn, index rebuilds
+	// included, and sees only keys the table ever held.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for !stop.Load() {
-			ht.ScanLockFree(func(k int, v []byte) bool {
-				checkLfValue(t, k, v, sizeOf(k))
+			ht.KeysLockFree(func(k int) bool {
+				if k < 0 || k >= keys+hotKeys {
+					t.Errorf("key walk saw %d", k)
+				}
 				scanned.Add(1)
 				return true
 			})
@@ -272,7 +282,7 @@ func TestHashTableLockFreeReclaimRace(t *testing.T) {
 		t.Fatal("race test exercised zero lock-free hits")
 	}
 	if scanned.Load() == 0 {
-		t.Fatal("race test scanned zero values lock-free")
+		t.Fatal("race test walked zero keys lock-free")
 	}
 	if err := s.VerifyIntegrity(); err != nil {
 		t.Fatal(err)
@@ -296,9 +306,6 @@ func TestLockFreeDisabledPathsUnchanged(t *testing.T) {
 	}
 	if res := ht.ContainsLockFree("k"); res != LookupRetry {
 		t.Fatalf("ContainsLockFree on non-lock-free table = %v, want retry", res)
-	}
-	if ht.ScanLockFree(func(string, []byte) bool { return true }) {
-		t.Fatal("ScanLockFree ran on non-lock-free table")
 	}
 	v, ok, err := ht.Get("k")
 	if err != nil || !ok || string(v) != "v" {
