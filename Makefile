@@ -110,22 +110,24 @@ bench-check:
 
 # Same-session A/B for a performance claim (ROADMAP item 4):
 # `make bench-pair W=<workload>|all [PROCS=1,2,...] [REF=<commit>] [N=10]
-# [SEED=1] [SECONDS=24]` extracts REF once with `git archive` under
-# .bench_build/, runs `bash bench/run.sh` for the workload — or, with
-# W=all, for every workload in BENCHMARK.json — at each PROCS width
+# [SEED=1] [SECONDS=24] [TRACE=1]` extracts REF once with `git archive`
+# under .bench_build/, runs `bash bench/run.sh` for the workload — or,
+# with W=all, for every workload in BENCHMARK.json — at each PROCS width
 # (GOMAXPROCS; the machine's default without PROCS) on it and on the
 # working tree, alternating which side goes first from pair to pair, and
-# prints per workload, width and end-to-end metric both medians and
-# quartiles, the pairs won and a verdict; non-zero exit when any
-# workload's median at any width is worse than its bound in
-# BENCHMARK.json. REF defaults to HEAD when the tree is dirty, else
-# HEAD~1. See cmd/benchpair.
+# prints per workload, width and metric both medians and quartiles, the
+# pairs won and a verdict; non-zero exit when any workload's median at
+# any width is worse than its bound in BENCHMARK.json. TRACE=1 runs the
+# benchmark traced (`--trace 1`), which reports the per-layer metrics in
+# place of the end-to-end ones; they have no bound, and their verdicts
+# do not set the exit status. REF defaults to HEAD when the tree is
+# dirty, else HEAD~1. See cmd/benchpair.
 N ?= 10
 SEED ?= 1
 SECONDS ?= 24
 bench-pair:
-	@test -n "$(W)" || { echo "usage: make bench-pair W=<workload>|all [PROCS=1,2,...] [REF=<commit>] [N=10] [SEED=1] [SECONDS=24]"; exit 2; }
-	$(GO) run ./cmd/benchpair -workload $(W) $(if $(PROCS),-procs $(PROCS)) $(if $(REF),-ref $(REF)) -n $(N) -seed $(SEED) -seconds $(SECONDS)
+	@test -n "$(W)" || { echo "usage: make bench-pair W=<workload>|all [PROCS=1,2,...] [REF=<commit>] [N=10] [SEED=1] [SECONDS=24] [TRACE=1]"; exit 2; }
+	$(GO) run ./cmd/benchpair -workload $(W) $(if $(PROCS),-procs $(PROCS)) $(if $(REF),-ref $(REF)) -n $(N) -seed $(SEED) -seconds $(SECONDS) $(if $(filter 1,$(TRACE)),-trace)
 
 # Non-test Go line counts, for tracking code size: the kvstore, sds,
 # alloc and core packages, the repository outside the benchmark module,

@@ -14,13 +14,22 @@
 // or "no worse"; then a status line per workload and width. It only
 // invokes the benchmark; it shares no code with it.
 //
+// With -trace the benchmark runs traced (`--trace 1`), which reports the
+// per-layer metrics BENCHMARK.json lists in place of the end-to-end ones.
+// Each per-layer metric gets the same row. Having no bound, its verdict
+// weighs the move of the median against the parent's quartile distance
+// alone, either way: "improved", "worse" (lost at least 9 pairs in 10
+// and moved further than that distance) or "no clear change". Per-layer
+// verdicts do not gate the exit status; correctness and the failed share
+// still do.
+//
 // Exit status 1 when, on any workload at any width, the change's median
 // is worse than the reference's by more than the metric's bound in
 // BENCHMARK.json, a run reports itself incorrect, or the change fails a
 // larger share of its operations than the reference; 2 on a set-up
 // error.
 //
-// Usage: benchpair -workload <name>|all [-procs 1,2,...] [-ref <commit>] [-n 10] [-seed 1] [-seconds 24]
+// Usage: benchpair -workload <name>|all [-procs 1,2,...] [-ref <commit>] [-n 10] [-seed 1] [-seconds 24] [-trace]
 //
 // -workload all runs every workload BENCHMARK.json lists. Each pair runs
 // each workload once per -procs width (default: benchpair's own
@@ -47,7 +56,8 @@ import (
 	"syscall"
 )
 
-// boundedMetric is one end_to_end entry of BENCHMARK.json.
+// boundedMetric is one end_to_end entry of BENCHMARK.json, or a
+// per_layer one, which has no bound.
 type boundedMetric struct {
 	Name   string  `json:"name"`
 	Unit   string  `json:"unit"`
@@ -127,6 +137,7 @@ func main() {
 	n := flag.Int("n", 10, "parent/change pairs")
 	seed := flag.Int64("seed", 1, "workload seed, the same on both sides")
 	seconds := flag.Float64("seconds", 24, "run length handed to the benchmark")
+	trace := flag.Bool("trace", false, "run the benchmark traced and report its per-layer metrics")
 	flag.Parse()
 	procs, err := parseProcs(*procsList)
 	if *workload == "" || *n < 1 || err != nil {
@@ -139,7 +150,7 @@ func main() {
 	// An interrupt stops the run in progress and still removes the
 	// parent's tree.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	ok, err := run(ctx, *workload, procs, *ref, *n, *seed, *seconds)
+	ok, err := run(ctx, *workload, procs, *ref, *n, *seed, *seconds, *trace)
 	stop()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchpair: %v\n", err)
@@ -175,7 +186,7 @@ func git(dir string, args ...string) (string, error) {
 	return strings.TrimSpace(string(out)), nil
 }
 
-func run(ctx context.Context, workload string, procs []int, ref string, n int, seed int64, seconds float64) (bool, error) {
+func run(ctx context.Context, workload string, procs []int, ref string, n int, seed int64, seconds float64, trace bool) (bool, error) {
 	root, err := git(".", "rev-parse", "--show-toplevel")
 	if err != nil {
 		return false, err
@@ -198,6 +209,7 @@ func run(ctx context.Context, workload string, procs []int, ref string, n int, s
 			Name string `json:"name"`
 		} `json:"workloads"`
 		EndToEnd []boundedMetric `json:"end_to_end"`
+		PerLayer []boundedMetric `json:"per_layer"`
 	}
 	data, err := os.ReadFile(filepath.Join(root, "BENCHMARK.json"))
 	if err != nil {
@@ -231,15 +243,15 @@ func run(ctx context.Context, workload string, procs []int, ref string, n int, s
 	// do not report the working tree's commit.
 	parent := newSide("parent", refRoot, []string{"GIT_CEILING_DIRECTORIES=" + filepath.Dir(refRoot)})
 	change := newSide("change", root, nil)
-	fmt.Printf("# workloads=%s parent=%s change=working tree of %s pairs=%d seed=%d seconds=%g\n",
-		strings.Join(workloads, ","), sha[:12], root, n, seed, seconds)
+	fmt.Printf("# workloads=%s parent=%s change=working tree of %s pairs=%d seed=%d seconds=%g traced=%t\n",
+		strings.Join(workloads, ","), sha[:12], root, n, seed, seconds, trace)
 	bench := func(ctx context.Context, s *side, j job) (result, error) {
-		return s.bench(ctx, j, seed, seconds)
+		return s.bench(ctx, j, seed, seconds, trace)
 	}
 	if err := runPairs(ctx, os.Stdout, n, jobs, parent, change, bench); err != nil {
 		return false, err
 	}
-	return report(os.Stdout, jobs, spec.EndToEnd, parent, change), nil
+	return report(os.Stdout, jobs, spec.EndToEnd, spec.PerLayer, parent, change), nil
 }
 
 // runPairs runs n pairs. A pair runs every job on both sides, the parent
@@ -258,19 +270,23 @@ func runPairs(ctx context.Context, out io.Writer, n int, jobs []job, parent, cha
 					return err
 				}
 				s.record(j, res)
-				fmt.Fprintf(out, "pair=%d %s side=%s correct=%t failed=%d ops_per_s=%g\n",
-					i+1, j, s.name, res.Correct, res.Failed, res.Metrics["ops_per_s"].Value)
+				fmt.Fprintf(out, "pair=%d %s side=%s correct=%t failed=%d", i+1, j, s.name, res.Correct, res.Failed)
+				if m, ok := res.Metrics["ops_per_s"]; ok { // a traced run reports none
+					fmt.Fprintf(out, " ops_per_s=%g", m.Value)
+				}
+				fmt.Fprintln(out)
 			}
 		}
 	}
 	return nil
 }
 
-// report prints every job's verdict rows and then its status, and
-// reports whether all of them passed: no run reported itself incorrect,
-// the change failed no larger share of its operations than the parent,
-// and no metric regressed.
-func report(out io.Writer, jobs []job, metrics []boundedMetric, parent, change *side) bool {
+// report prints every job's verdict rows — end-to-end metrics, then
+// per-layer ones — and then its status, and reports whether all of them
+// passed: no run reported itself incorrect, the change failed no larger
+// share of its operations than the parent, and no end-to-end metric
+// regressed.
+func report(out io.Writer, jobs []job, metrics, layers []boundedMetric, parent, change *side) bool {
 	allOK := true
 	for _, j := range jobs {
 		p, c := parent.runs[j], change.runs[j]
@@ -283,19 +299,25 @@ func report(out io.Writer, jobs []job, metrics []boundedMetric, parent, change *
 		if pf, cf := ratio(float64(p.failed), float64(p.attempted)), ratio(float64(c.failed), float64(c.attempted)); cf > pf {
 			failures = append(failures, fmt.Sprintf("change failed %.6f of its operations, parent %.6f", cf, pf))
 		}
-		for _, m := range metrics {
+		row := func(m boundedMetric, bound string, verdict func(comparison) string) {
 			pv, cv := p.values[m.Name], c.values[m.Name]
 			if len(pv) == 0 || len(cv) == 0 {
-				continue
+				return
 			}
 			cmp := compare(m, pv, cv)
-			v := cmp.verdict(m.Bound)
+			v := verdict(cmp)
 			if v == regressed {
 				failures = append(failures, m.Name+" regressed")
 			}
-			fmt.Fprintf(out, "%s metric=%s unit=%s better=%s parent=%g [%g, %g] change=%g [%g, %g] change_vs_parent=%+.2f%% parent_iqr=%.2f%% wins=%d losses=%d of %d bound=%g %s\n",
+			fmt.Fprintf(out, "%s metric=%s unit=%s better=%s parent=%g [%g, %g] change=%g [%g, %g] change_vs_parent=%+.2f%% parent_iqr=%.2f%% wins=%d losses=%d of %d bound=%s %s\n",
 				j, m.Name, m.Unit, m.Better, cmp.p[1], cmp.p[0], cmp.p[2], cmp.c[1], cmp.c[0], cmp.c[2],
-				100*ratio(cmp.c[1]-cmp.p[1], cmp.p[1]), 100*cmp.iqr, cmp.wins, cmp.losses, cmp.pairs, m.Bound, v)
+				100*ratio(cmp.c[1]-cmp.p[1], cmp.p[1]), 100*cmp.iqr, cmp.wins, cmp.losses, cmp.pairs, bound, v)
+		}
+		for _, m := range metrics {
+			row(m, strconv.FormatFloat(m.Bound, 'g', -1, 64), func(c comparison) string { return c.verdict(m.Bound) })
+		}
+		for _, m := range layers {
+			row(m, "none", comparison.layerVerdict)
 		}
 		if len(failures) > 0 {
 			allOK = false
@@ -324,12 +346,15 @@ func extract(root, sha, dir string) error {
 	return nil
 }
 
-// The verdicts, one per metric.
+// The verdicts, one per metric: the first four for an end-to-end
+// metric, improved and the last two for a per-layer one.
 const (
 	improved   = "improved"
 	noWorse    = "no worse"
 	unresolved = "unresolved"
 	regressed  = "REGRESSED"
+	worse      = "worse"
+	noChange   = "no clear change"
 )
 
 // comparison is one metric's pairs, summarised.
@@ -390,11 +415,28 @@ func (r comparison) verdict(bound float64) string {
 	return noWorse
 }
 
-// bench runs j once in the side's tree.
-func (s *side) bench(ctx context.Context, j job, seed int64, seconds float64) (result, error) {
+// layerVerdict judges a per-layer metric, which has no bound: a move of
+// the median counts, either way, only past the parent's quartile distance
+// and with at least 9 pairs in 10 on its side.
+func (r comparison) layerVerdict() string {
+	switch {
+	case 10*r.wins >= 9*r.pairs && r.gain > r.iqr:
+		return improved
+	case 10*r.losses >= 9*r.pairs && -r.gain > r.iqr:
+		return worse
+	}
+	return noChange
+}
+
+// bench runs j once in the side's tree, traced or not.
+func (s *side) bench(ctx context.Context, j job, seed int64, seconds float64, trace bool) (result, error) {
+	traced := "0"
+	if trace {
+		traced = "1"
+	}
 	cmd := exec.CommandContext(ctx, "bash", "bench/run.sh", "--workload", j.workload,
 		"--seed", strconv.FormatInt(seed, 10),
-		"--seconds", strconv.FormatFloat(seconds, 'g', -1, 64), "--trace", "0")
+		"--seconds", strconv.FormatFloat(seconds, 'g', -1, 64), "--trace", traced)
 	cmd.Dir = s.root
 	cmd.Env = append(os.Environ(), s.environ(j)...)
 	cmd.Stderr = os.Stderr

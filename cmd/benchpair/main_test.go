@@ -90,7 +90,9 @@ func TestExtract(t *testing.T) {
 // side that goes first alternates from pair to pair, and each workload
 // and width gets its own verdict rows and status — a regression at one
 // width only, a change that fails more of its operations and one with an
-// incorrect run each fail on their own, and any of them fails the whole.
+// incorrect run each fail on their own, and any of them fails the whole;
+// a per-layer metric gets a row too, but no bound and no say in the
+// status.
 func TestPairsRunEveryWorkload(t *testing.T) {
 	workloads := []string{"steady", "slower", "failing", "incorrect"}
 	procs, err := parseProcs("1,2")
@@ -104,14 +106,16 @@ func TestPairsRunEveryWorkload(t *testing.T) {
 		}
 	}
 	metrics := []boundedMetric{{Name: "ops_per_s", Unit: "1/s", Better: "higher", Bound: 0.25}}
+	layers := []boundedMetric{{Name: "alloc.slot_bytes_per_live_byte", Unit: "ratio", Better: "lower"}}
 	var calls []string
 	bench := func(_ context.Context, s *side, j job) (result, error) {
 		calls = append(calls, fmt.Sprintf("%s/%d/%s", j.workload, j.procs, s.name))
 		if env, want := s.environ(j), append(slices.Clone(s.env), fmt.Sprintf("GOMAXPROCS=%d", j.procs)); !slices.Equal(env, want) {
 			t.Errorf("%s run of %s: environment %q, want %q", s.name, j, env, want)
 		}
-		res := result{Correct: true, Attempted: 1000, Metrics: map[string]metricValue{"ops_per_s": {100}}}
+		res := result{Correct: true, Attempted: 1000, Metrics: map[string]metricValue{"ops_per_s": {100}, "alloc.slot_bytes_per_live_byte": {1.2}}}
 		if s.name == "change" {
+			res.Metrics["alloc.slot_bytes_per_live_byte"] = metricValue{2}
 			switch j.workload {
 			case "slower":
 				if j.procs == 2 {
@@ -149,13 +153,14 @@ func TestPairsRunEveryWorkload(t *testing.T) {
 	}
 
 	var out bytes.Buffer
-	if report(&out, jobs, metrics, parent, change) {
+	if report(&out, jobs, metrics, layers, parent, change) {
 		t.Fatalf("three failing workloads passed:\n%s", out.String())
 	}
 	for _, line := range []string{
 		"workload=steady procs=1 metric=ops_per_s ",
 		"workload=slower procs=2 metric=ops_per_s ",
 		"workload=steady procs=2 ok\n",
+		"workload=steady procs=2 metric=alloc.slot_bytes_per_live_byte unit=ratio better=lower parent=1.2 [1.2, 1.2] change=2 [2, 2] change_vs_parent=+66.67% parent_iqr=0.00% wins=0 losses=2 of 2 bound=none worse\n",
 		"workload=slower procs=1 ok\n",
 		"workload=slower procs=2 FAIL: ops_per_s regressed\n",
 		"workload=failing procs=1 FAIL: change failed 0.001000 of its operations, parent 0.000000\n",
@@ -166,10 +171,11 @@ func TestPairsRunEveryWorkload(t *testing.T) {
 			t.Errorf("report lacks %q:\n%s", line, out.String())
 		}
 	}
-	if !strings.Contains(out.String(), "REGRESSED\nworkload=slower procs=2 FAIL") {
-		t.Errorf("the regressed verdict row does not precede its status:\n%s", out.String())
+	if !strings.Contains(out.String(), "REGRESSED\nworkload=slower procs=2 metric=alloc.slot_bytes_per_live_byte ") ||
+		!strings.Contains(out.String(), "bound=none worse\nworkload=slower procs=2 FAIL") {
+		t.Errorf("the verdict rows, end-to-end then per-layer, do not precede their status:\n%s", out.String())
 	}
-	if !report(io.Discard, jobs[:3], metrics, parent, change) {
+	if !report(io.Discard, jobs[:3], metrics, layers, parent, change) {
 		t.Fatal("workloads and widths that passed on their own failed the report")
 	}
 	for _, bad := range []string{"", "0", "1,x", "-2"} {
@@ -232,6 +238,29 @@ func TestVerdict(t *testing.T) {
 	} {
 		if got := compare(tc.m, tc.p, tc.c).verdict(tc.m.Bound); got != tc.want {
 			t.Errorf("%s: verdict %q, want %q", tc.name, got, tc.want)
+		}
+	}
+
+	// A per-layer metric has no bound: only the parent's quartile
+	// distance and the pairs decide, in either direction.
+	layer := boundedMetric{Name: "alloc.slot_bytes_per_live_byte", Better: "lower"}
+	for _, tc := range []struct {
+		name string
+		m    boundedMetric
+		p, c []float64
+		want string
+	}{
+		{"every pair won, past the quartiles", layer, tight, shifted(tight, -10), improved},
+		{"higher is better", boundedMetric{Better: "higher"}, tight, shifted(tight, 10), improved},
+		{"every pair lost, past the quartiles", layer, tight, shifted(tight, 10), worse},
+		{"lost by far more than any bound would allow, still only worse", layer, tight, shifted(tight, 1000), worse},
+		{"won every pair by less than the quartiles", layer, tight, shifted(tight, -0.5), noChange},
+		{"lost every pair by less than the quartiles", layer, tight, shifted(tight, 0.5), noChange},
+		{"lost 8 of 10", layer, tight, append(shifted(tight[:8], 10), tight[8]-1, tight[9]-1), noChange},
+		{"a wide spread hides a small move", layer, wide, shifted(wide, 5), noChange},
+	} {
+		if got := compare(tc.m, tc.p, tc.c).layerVerdict(); got != tc.want {
+			t.Errorf("per-layer, %s: verdict %q, want %q", tc.name, got, tc.want)
 		}
 	}
 }

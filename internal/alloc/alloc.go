@@ -2,24 +2,25 @@
 // the Soft Memory Allocator's per-SDS heaps and the "system allocator"
 // baseline the paper compares against (§5).
 //
-// A Heap carves 4 KiB pages into size-class slots using segregated free
-// lists, the design of classic slab/size-class allocators. Allocations are
-// identified by Refs (generation-checked handles) rather than pointers:
-// in Go we cannot hand out revocable raw pointers, and handles make
-// use-after-reclaim detectable, the paper's §7 "pointers via a runtime"
-// answer.
+// A Heap carves slabs of one to three 4 KiB pages into size-class slots
+// using segregated free lists, the design of classic slab/size-class
+// allocators. Allocations are identified by Refs (generation-checked
+// handles) rather than pointers: in Go we cannot hand out revocable raw
+// pointers, and handles make use-after-reclaim detectable, the paper's §7
+// "pointers via a runtime" answer.
 //
 // The slot layout is what gives the SMA its "efficacy" property (§3.1):
 // because each SDS has its own heap and allocations of a class pack
-// densely into pages, freeing a handful of allocations tends to produce
-// entirely-free pages that can be returned for reclamation.
+// densely into slabs, freeing a handful of allocations tends to produce
+// entirely-free slabs, whose pages can be returned for reclamation.
 //
 // A Heap is not safe for concurrent use; the owning Context serializes access
 // (the paper leaves concurrency as an open question, §7). The one state
 // read without the owner's lock is what Publish hands out: a lock-free
 // reader loads a View and copies through it the published allocation's
 // bytes — its slot of a page, or a span's pages (their buffers, through
-// pages.Page.Bytes). Both stay unwritten until the allocation's
+// pages.Page.Bytes), where a slot that crosses a page boundary of its
+// slab is a two-page span. Both stay unwritten until the allocation's
 // retirement has drained; nothing else is ever read unlocked.
 //
 // A heap handed an epoch domain (DeferFrees) owns that grace period
@@ -52,20 +53,36 @@ var (
 	ErrMultiPage = errors.New("alloc: allocation spans pages; use AppendTo or ReadAt/WriteAt")
 )
 
-// classes are the slot sizes available within a page, derived from the
-// page size: for each slot count n = 1…256, the largest multiple of 16
-// that fits n times in a page, each distinct value once. A class thus
-// leaves less than 16 bytes per slot unused at its page's end, and an
-// allocation rounds up to the smallest slot that packs as many of it to a
-// page as its own size allows. The table is a literal so that the heap's
-// per-class lists stay arrays; TestClassesTileThePage derives it from
-// pages.Size.
+// classes are the slot sizes, derived from the page size: for each slot
+// count n, the largest multiple of 16 that fits n times in a page, each
+// distinct value once (16 … 1024 B, n = 256 … 4); above 1 KiB the same
+// rule over slabs of k = 1…3 pages, each class carved on the shortest slab
+// that produces it (slabPages). A class thus leaves less than 16 bytes per
+// slot unused at its slab's end, and an allocation rounds up to the
+// smallest slot that packs as many of it to a slab as its own size
+// allows; above 1 KiB consecutive classes are at most a third apart,
+// where one page alone would leave steps of up to 2×. Slabs stop at 1 KiB
+// and at three pages because wider ones cost more in partly filled slabs
+// than they save in slots (DESIGN.md "Classes that tile a slab"). The
+// tables are literals so that the heap's per-class lists stay arrays;
+// TestClassesTileTheSlab derives both from pages.Size.
 var classes = [...]int{
 	16, 32, 48, 64, 80, 96, 112, 128, 144, 160, 176, 192, 208, 224, 240, 256,
-	272, 288, 304, 336, 368, 400, 448, 512, 576, 672, 816, 1024, 1360, 2048, 4096,
+	272, 288, 304, 336, 368, 400, 448, 512, 576, 672, 816, 1024,
+	1104, 1168, 1216, 1360, 1536, 1632, 1744, 2048, 2448, 2720, 3072, 4096,
 }
 
-// MaxSlotSize is the largest allocation served from a shared page; larger
+// slabPages is how many pages one slab of each class spans.
+var slabPages = [len(classes)]int{
+	1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,
+	1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,
+	3, 2, 3, 1, 3, 2, 3, 1, 3, 2, 3, 1,
+}
+
+// maxSlabPages is the longest slab.
+const maxSlabPages = 3
+
+// MaxSlotSize is the largest allocation served from a shared slab; larger
 // allocations get dedicated multi-page spans.
 const MaxSlotSize = pages.Size
 
@@ -100,6 +117,15 @@ func ClassSize(size int) int {
 		return classes[i]
 	}
 	return pages.BytesToPages(size) * pages.Size
+}
+
+// PagesFor returns how many pages an allocation of size bytes may have to
+// lease: its class's slab, or its span. Budget requests are sized by it.
+func PagesFor(size int) int {
+	if i := classFor(max(size, 1)); i >= 0 {
+		return slabPages[i]
+	}
+	return pages.BytesToPages(size)
 }
 
 // PageSource supplies page frames to a Heap. The SMA implements this to
@@ -151,8 +177,8 @@ func (r Ref) String() string {
 func invalidRef(ref Ref) error { return fmt.Errorf("%w: %v", ErrInvalidRef, ref) }
 
 // Owner is what an SDS hangs on a live allocation so that the heap can
-// answer "who else lives on this page" (Tenants): the heap gives memory
-// back a page at a time, so a reclaimer has to choose its victims a page
+// answer "who else lives on this slab" (Tenants): the heap gives memory
+// back a slab at a time, so a reclaimer has to choose its victims a slab
 // at a time. The heap never looks inside an owner beyond asking which
 // allocation it believes it owns, which VerifyOwners checks.
 type Owner interface {
@@ -165,22 +191,36 @@ type slot struct {
 	size int32  // bytes the caller asked for
 }
 
-// span is the body of an allocation larger than a page: whole pages of
-// its own. It is never written after allocSpan, so a View may point at it.
+// span is the body of an allocation larger than a page — whole pages of
+// its own, never written after allocSpan — or a slot that crosses a page
+// boundary of its slab: the two pages from off on, built at carve, its
+// size set by take. Either way a View may point at it.
 type span struct {
 	pgs  []*pages.Page
+	off  int // into pgs[0]
 	size int
+}
+
+// slab is what a class carved over several pages keeps of them: the pages
+// and, for each boundary between two of them, the span of the one slot
+// that crosses it. Every boundary has one, since a slot edge on a page
+// edge would mean a shorter slab tiles the class. It belongs to the slot
+// arrays, which outlive the slab's metadata.
+type slab struct {
+	pgs   [maxSlabPages]*pages.Page
+	cross [maxSlabPages - 1]span
 }
 
 // View is a published allocation as a lock-free reader copies it: its
 // bytes when it sits in one page, else its span. It is the per-slot
-// record Publish writes, in an array of records per slotted page. Nothing
-// writes a record before the retirements of its page have drained: a
-// later Publish of the same slot rewrites it, and once the page has gone
-// empty its records are cleared and handed, with its other slot arrays,
-// to the next page its class carves. On a heap whose frees are deferred,
-// the only kind whose Views readers load, a page goes empty only when its
-// last retirement has drained, so no reader still holds one of them.
+// record Publish writes, in an array of records per slab. Nothing writes
+// a record, or a crossing slot's span, before the retirements of its slab
+// have drained: a later take and Publish of the same slot rewrite them,
+// and once the slab has gone empty its records and spans are cleared and
+// handed, with its other slot arrays, to the next slab its class carves.
+// On a heap whose frees are deferred, the only kind whose Views readers
+// load, a slab goes empty only when its last retirement has drained, so
+// no reader still holds one of them.
 type View struct {
 	b    []byte
 	span *span
@@ -201,11 +241,11 @@ type record struct {
 	view  View
 }
 
-// pageMeta is what a Ref points at: one slotted page of a heap, or one
+// pageMeta is what a Ref points at: one slab of a heap, slotted, or one
 // multi-page span, which is a page with a single tenant in slot 0. It
-// lives exactly as long as the page is carved this way: when the page
-// leaves the heap — emptied, Reset, span freed or retired — kill zeroes
-// it, and a page the heap carves again gets fresh metadata. A stale Ref
+// lives exactly as long as the slab is carved this way: when its pages
+// leave the heap — emptied, Reset, span freed or retired — kill zeroes
+// it, and pages the heap carves again get fresh metadata. A stale Ref
 // thus keeps a dead pageMeta (128 bytes) from the garbage collector,
 // never a page.
 type pageMeta struct {
@@ -213,6 +253,7 @@ type pageMeta struct {
 	id   pages.ID // of the (first) page, kept past death for diagnostics
 	page *pages.Page
 	span *span // nil for a slotted page
+	slab *slab // pages and crossing spans of a slab over several pages, else nil
 	// class indexes classes; a span has none (-1).
 	class int32
 	used  int32 // slots live or in limbo
@@ -236,10 +277,37 @@ func (m *pageMeta) size(s uint16) int {
 	return int(m.slots[s].size)
 }
 
-// data returns slot s's bytes (length = requested size) on a slotted page.
-func (m *pageMeta) data(s uint16) []byte {
+// data returns slot s's bytes (length = requested size) when they sit in
+// one page, else the span that holds them: a multi-page span's own, or
+// that of a slot crossing a page boundary of its slab.
+func (m *pageMeta) data(s uint16) ([]byte, *span) {
+	if m.span != nil {
+		return nil, m.span
+	}
 	off := int(s) * classes[m.class]
-	return m.page.Bytes()[off : off+int(m.slots[s].size)]
+	pg := m.page
+	if m.slab != nil {
+		if sp := m.crossing(s); sp != nil {
+			return nil, sp
+		}
+		i := off / pages.Size
+		pg, off = m.slab.pgs[i], off-i*pages.Size
+	}
+	return pg.Bytes()[off : off+int(m.slots[s].size)], nil
+}
+
+// crossing returns the span of slot s when it crosses a page boundary of
+// its slab, else nil.
+func (m *pageMeta) crossing(s uint16) *span {
+	if m.slab == nil {
+		return nil
+	}
+	c := classes[m.class]
+	off := int(s) * c
+	if i := off / pages.Size; (off+c-1)/pages.Size != i {
+		return &m.slab.cross[i]
+	}
+	return nil
 }
 
 // records returns m's per-slot records, allocating them on first use.
@@ -284,24 +352,25 @@ type Stats struct {
 	LimboAllocs  int   // retirements awaiting their grace period
 	LimboPages   int   // span pages held in limbo (counted in PagesHeld)
 	DeferredOps  int64 // cumulative retirements routed through limbo
-	Carves       int64 // cumulative pages cut into slots, each under fresh metadata
+	Carves       int64 // cumulative slabs cut into slots, each under fresh metadata
 }
 
-// slotArrays are the per-slot arrays of a slotted page, which outlive
-// its metadata: an emptied page hands them to the next page of its class.
+// slotArrays are the per-slot arrays of a slab, which outlive its
+// metadata: an emptied slab hands them to the next slab of its class.
 type slotArrays struct {
 	slots     []slot
 	freeSlots []uint16
 	owners    []record
+	slab      *slab // for a class whose slab spans several pages
 }
 
 // Heap is a size-class allocator over pages from a PageSource.
 type Heap struct {
 	src     PageSource
-	held    []*pageMeta               // every carved page and live span, for Reset and VerifyOwners
-	partial [len(classes)][]*pageMeta // per class: pages with at least one free slot
-	// spare holds, per class, the slot arrays of its emptied pages, never
-	// more than the class's pages at their peak.
+	held    []*pageMeta               // every carved slab and live span, for Reset and VerifyOwners
+	partial [len(classes)][]*pageMeta // per class: slabs with at least one free slot
+	// spare holds, per class, the slot arrays of its emptied slabs, never
+	// more than the class's slabs at their peak.
 	spare [len(classes)][]slotArrays
 	free  []*pages.Page // fully-free pages not yet returned to the source
 	limbo []limboEntry  // FIFO, stamps non-decreasing
@@ -325,10 +394,11 @@ func New(src PageSource) *Heap {
 //
 // It is the second drain point: served from the pages the heap holds,
 // an allocation leaves limbo alone; one that would lease — always a
-// multi-page span, else a class with no partial page while no free page
-// is held — drains limbo first, since the slot or page it needs may be
-// waiting there. Limbo therefore never costs a page, a budget request or
-// a reclaim that an eager drain would have avoided.
+// multi-page span, else a class with no partial slab while fewer free
+// pages are held than its slab spans — drains limbo first, since the slot
+// or pages it needs may be waiting there. Limbo therefore never costs a
+// page, a budget request or a reclaim that an eager drain would have
+// avoided.
 func (h *Heap) Alloc(size int) (Ref, error) {
 	if size <= 0 {
 		return Ref{}, ErrBadSize
@@ -346,18 +416,18 @@ func (h *Heap) Alloc(size int) (Ref, error) {
 		m = h.heldPage(ci)
 	}
 	if m == nil {
-		pgs, err := h.src.AcquirePages(1)
+		pgs, err := h.src.AcquirePages(slabPages[ci] - len(h.free))
 		if err != nil {
 			h.stats.FailedAllocs++
 			return Ref{}, err
 		}
-		h.stats.PagesHeld++
-		m = h.carve(pgs[0], ci)
+		h.stats.PagesHeld += len(pgs)
+		m = h.carve(ci, pgs)
 	}
 	return h.take(m, size), nil
 }
 
-// take hands out the most recently freed slot of m, a page with one free.
+// take hands out the most recently freed slot of m, a slab with one free.
 func (h *Heap) take(m *pageMeta, size int) Ref {
 	s := m.freeSlots[len(m.freeSlots)-1]
 	m.freeSlots = m.freeSlots[:len(m.freeSlots)-1]
@@ -368,6 +438,9 @@ func (h *Heap) take(m *pageMeta, size int) Ref {
 	st := &m.slots[s]
 	st.gen++ // now odd: live
 	st.size = int32(size)
+	if sp := m.crossing(s); sp != nil {
+		sp.size = size
+	}
 	h.stats.LiveAllocs++
 	h.stats.TotalAllocs++
 	h.stats.LiveBytes += int64(size)
@@ -401,29 +474,28 @@ func (h *Heap) allocSpan(size int) (Ref, error) {
 	return Ref{meta: m, gen: 1}, nil
 }
 
-// heldPage returns a page with a free slot in class ci out of what the
-// heap holds — the class's latest partial page, else a free page carved
-// for it — or nil when serving the class takes a page from the source.
+// heldPage returns a slab with a free slot in class ci out of what the
+// heap holds — the class's latest partial slab, else free pages carved
+// for it — or nil when serving the class takes pages from the source.
 func (h *Heap) heldPage(ci int) *pageMeta {
 	if lst := h.partial[ci]; len(lst) > 0 {
 		return lst[len(lst)-1]
 	}
-	n := len(h.free)
-	if n == 0 {
+	if len(h.free) < slabPages[ci] {
 		return nil
 	}
-	pg := h.free[n-1]
-	h.free[n-1] = nil
-	h.free = h.free[:n-1]
-	return h.carve(pg, ci)
+	return h.carve(ci, nil)
 }
 
-// carve cuts pg into slots of class ci under fresh metadata: whatever
-// refs an earlier incarnation of the page handed out point at metadata
-// that died with it. The slot arrays are those of the class's last
-// emptied page, when there is one.
-func (h *Heap) carve(pg *pages.Page, ci int) *pageMeta {
-	n := pages.Size / classes[ci]
+// carve cuts a slab of class ci into slots under fresh metadata: whatever
+// refs an earlier incarnation of its pages handed out point at metadata
+// that died with it. The slab is the heap's last free pages followed by
+// leased, just leased from the source, which make slabPages[ci] pages
+// together. The slot arrays are those of the class's last emptied slab,
+// when there is one.
+func (h *Heap) carve(ci int, leased []*pages.Page) *pageMeta {
+	k := slabPages[ci]
+	n := k * pages.Size / classes[ci]
 	var a slotArrays
 	if sp := h.spare[ci]; len(sp) > 0 {
 		a = sp[len(sp)-1]
@@ -431,16 +503,33 @@ func (h *Heap) carve(pg *pages.Page, ci int) *pageMeta {
 		h.spare[ci] = sp[:len(sp)-1]
 	} else {
 		a = slotArrays{slots: make([]slot, n), freeSlots: make([]uint16, n)}
+		if k > 1 {
+			a.slab = new(slab)
+		}
 	}
+	var pgs [maxSlabPages]*pages.Page
+	rest := len(h.free) - (k - len(leased))
+	own := copy(pgs[:], h.free[rest:])
+	copy(pgs[own:k], leased)
+	clear(h.free[rest:])
+	h.free = h.free[:rest]
 	m := &pageMeta{
 		heap:       h,
-		id:         pg.ID(),
-		page:       pg,
+		id:         pgs[0].ID(),
+		page:       pgs[0],
 		class:      int32(ci),
 		freeSlots:  a.freeSlots[:n],
 		slots:      a.slots,
 		owners:     a.owners,
+		slab:       a.slab,
 		partialIdx: -1,
+	}
+	if sl := m.slab; sl != nil {
+		sl.pgs = pgs
+		for i := range k - 1 {
+			s := (i + 1) * pages.Size / classes[ci] // the slot across boundary i
+			sl.cross[i] = span{pgs: sl.pgs[i : i+2], off: s*classes[ci] - i*pages.Size}
+		}
 	}
 	for i := range m.freeSlots {
 		m.freeSlots[i] = uint16(n - 1 - i) // pop low slots first
@@ -514,30 +603,44 @@ func (h *Heap) die(m *pageMeta, s uint16) {
 	}
 }
 
-// recycle returns a dead slot to its page's free list. The page's last
-// slot takes the page with it: onto the heap's free list, where
-// ReleaseFreePages can return it to the source (the paper's
+// recycle returns a dead slot to its slab's free list. The slab's last
+// slot takes the slab with it: its pages onto the heap's free list, where
+// ReleaseFreePages can return them to the source (the paper's
 // page-granularity reclamation), its metadata dead, its slot arrays
-// spare for the class's next page. On a heap whose frees are deferred the
-// last slot comes back only when the page's last retirement has drained,
-// so no reader holds one of its records any more; clearing them leaves a
-// spare array pinning no page buffer.
+// spare for the class's next slab. On a heap whose frees are deferred the
+// last slot comes back only when the slab's last retirement has drained,
+// so no reader holds one of its records or spans any more; clearing them
+// leaves a spare array pinning no page buffer.
 func (h *Heap) recycle(m *pageMeta, s uint16) {
 	m.freeSlots = append(m.freeSlots, s)
 	m.used--
 	if len(m.freeSlots) == 1 {
-		h.addPartial(m) // page was full, now partial
+		h.addPartial(m) // slab was full, now partial
 	}
 	if m.used == 0 {
 		h.removePartial(m)
-		h.free = append(h.free, m.page)
+		h.free = m.appendPages(h.free)
 		clear(m.owners)
-		h.spare[m.class] = append(h.spare[m.class], slotArrays{slots: m.slots, freeSlots: m.freeSlots, owners: m.owners})
+		if m.slab != nil {
+			*m.slab = slab{}
+		}
+		h.spare[m.class] = append(h.spare[m.class], slotArrays{slots: m.slots, freeSlots: m.freeSlots, owners: m.owners, slab: m.slab})
 		h.drop(m)
 	}
 }
 
-// Free releases the allocation named by ref: a slot rejoins its page's
+// appendPages appends the pages m holds to dst.
+func (m *pageMeta) appendPages(dst []*pages.Page) []*pages.Page {
+	switch {
+	case m.span != nil:
+		return append(dst, m.span.pgs...)
+	case m.slab != nil:
+		return append(dst, m.slab.pgs[:slabPages[m.class]]...)
+	}
+	return append(dst, m.page)
+}
+
+// Free releases the allocation named by ref: a slot rejoins its slab's
 // free list, a span's pages return to the source. On a heap whose frees
 // are deferred (DeferFrees) it retires the allocation instead.
 func (h *Heap) Free(ref Ref) error {
@@ -572,7 +675,7 @@ func (h *Heap) DeferFrees(d *epoch.Domain) { h.dom = d }
 // value (stored nil, or the replacement's record, over its record
 // pointer) — the order internal/epoch's safety argument needs. Stamps are
 // non-decreasing down the queue: the epoch only grows, and the heap's
-// owner serializes the reads. A slot stays out of its page's free list,
+// owner serializes the reads. A slot stays out of its slab's free list,
 // so no allocation can rewrite it; a span keeps its pages leased.
 func (h *Heap) retire(m *pageMeta, s uint16) {
 	e := limboEntry{stamp: h.dom.Current()}
@@ -612,8 +715,8 @@ func (h *Heap) ratchet() int {
 
 // drain completes the physical free of every limbo entry whose stamp is
 // strictly below safe (the epoch domain's grace frontier) and reports
-// how many entries drained. Drained slots rejoin their page's free list
-// — possibly retiring the page onto the heap's free-page list — and
+// how many entries drained. Drained slots rejoin their slab's free list
+// — possibly retiring the slab's pages onto the heap's free-page list — and
 // drained span pages return to the source.
 func (h *Heap) drain(safe uint64) int {
 	n := 0
@@ -679,22 +782,21 @@ func (h *Heap) Drain(deadline time.Time) int {
 }
 
 // view resolves ref, once, to its bytes (length = requested size): b for
-// a slot allocation, sp for a multi-page span, which has no single slice.
-// Every accessor below is this plus a copy.
+// an allocation in one page, sp for one that spans pages, which has no
+// single slice. Every accessor below is this plus a copy.
 func (h *Heap) view(ref Ref) (b []byte, sp *span, err error) {
 	m := h.liveSlot(ref)
 	if m == nil {
 		return nil, nil, invalidRef(ref)
 	}
-	if m.span != nil {
-		return nil, m.span, nil
-	}
-	return m.data(ref.slot), nil, nil
+	b, sp = m.data(ref.slot)
+	return b, sp, nil
 }
 
 // Bytes returns the live allocation's backing bytes (length = requested
 // size). The slice is valid until the allocation is freed or reclaimed.
-// A multi-page span has no single slice and returns ErrMultiPage.
+// A multi-page span, or a slot that crosses a page boundary of its slab,
+// has no single slice and returns ErrMultiPage.
 func (h *Heap) Bytes(ref Ref) ([]byte, error) {
 	b, sp, err := h.view(ref)
 	if sp != nil {
@@ -718,17 +820,14 @@ func (h *Heap) Publish(ref Ref) (*View, error) {
 		return nil, invalidRef(ref)
 	}
 	v := &m.records()[ref.slot].view
-	if m.span != nil {
-		*v = View{span: m.span}
-	} else {
-		*v = View{b: m.data(ref.slot)}
-	}
+	b, sp := m.data(ref.slot)
+	*v = View{b: b, span: sp}
 	return v, nil
 }
 
 // AppendTo appends the live allocation's contents to dst and returns
-// the extended slice. Unlike Bytes it works for every allocation size:
-// multi-page spans are assembled page by page into dst, so read paths
+// the extended slice. Unlike Bytes it works for every allocation: one
+// that spans pages is assembled page by page into dst, so read paths
 // that copy anyway (SDS Get/GetAppend) stay valid for large values.
 // Onto a nil dst a slot's contents are one Go allocation of exactly their
 // size, not zeroed first: make then copy, which the compiler fuses, where
@@ -762,7 +861,7 @@ func (sp *span) appendTo(dst []byte) []byte {
 }
 
 // WriteAt copies p into the allocation at the given offset. It works for
-// all allocation sizes, including multi-page spans.
+// every allocation, including those that span pages.
 func (h *Heap) WriteAt(ref Ref, p []byte, off int) error {
 	return h.copyAt("WriteAt", ref, p, off, true)
 }
@@ -800,6 +899,7 @@ func (h *Heap) copyAt(op string, ref Ref, p []byte, off int, write bool) error {
 // copy copies between p and the span starting at span offset off; toSpan
 // selects direction.
 func (sp *span) copy(p []byte, off int, toSpan bool) {
+	off += sp.off
 	rem := p
 	for _, pg := range sp.pgs {
 		if off >= pages.Size {
@@ -861,8 +961,8 @@ func (h *Heap) SetOwner(ref Ref, o Owner) error {
 // Tenants appends to dst the owner of every live allocation that would
 // have to die for ref's pages to come free — ref's own included, nil for
 // an allocation nobody adopted — and reports how many pages that is: the
-// live slots of ref's page in slot order, or a multi-page span alone on
-// its pages.
+// live slots of ref's slab in slot order over the slab's pages, or a
+// multi-page span alone on its pages.
 func (h *Heap) Tenants(ref Ref, dst []Owner) (tenants []Owner, npages int, err error) {
 	m := h.liveSlot(ref)
 	if m == nil {
@@ -881,7 +981,7 @@ func (h *Heap) Tenants(ref Ref, dst []Owner) (tenants []Owner, npages int, err e
 	if m.span != nil {
 		return dst, len(m.span.pgs), nil
 	}
-	return dst, 1, nil
+	return dst, slabPages[m.class], nil
 }
 
 // VerifyOwners checks the owner words against the allocations they sit
@@ -949,11 +1049,7 @@ func (h *Heap) Reset() {
 	}
 	var all []*pages.Page
 	for _, m := range h.held {
-		if m.span != nil {
-			all = append(all, m.span.pgs...)
-		} else {
-			all = append(all, m.page)
-		}
+		all = m.appendPages(all)
 		m.kill()
 	}
 	clear(h.held)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
 	"testing"
@@ -57,37 +58,56 @@ func TestAllocBadSize(t *testing.T) {
 }
 
 func TestClassSizeRounding(t *testing.T) {
-	cases := []struct{ in, want int }{
-		{1, 16}, {16, 16}, {17, 32}, {1000, 1024}, {1024, 1024},
-		{1361, 2048}, {2049, 4096}, {4096, 4096},
-		{4097, 2 * pages.Size}, {10000, 3 * pages.Size},
+	cases := []struct{ in, want, pages int }{
+		{1, 16, 1}, {16, 16, 1}, {17, 32, 1}, {1000, 1024, 1}, {1024, 1024, 1},
+		{1025, 1104, 3}, {1300, 1360, 1}, {1361, 1536, 3}, {1600, 1632, 2},
+		{2049, 2448, 3}, {2500, 2720, 2}, {3000, 3072, 3}, {4096, 4096, 1},
+		{4097, 2 * pages.Size, 2}, {10000, 3 * pages.Size, 3},
 	}
 	for _, c := range cases {
 		if got := ClassSize(c.in); got != c.want {
 			t.Errorf("ClassSize(%d) = %d, want %d", c.in, got, c.want)
 		}
+		if got := PagesFor(c.in); got != c.pages {
+			t.Errorf("PagesFor(%d) = %d, want %d", c.in, got, c.pages)
+		}
 	}
 }
 
-// TestClassesTileThePage derives the class table from the page size: for
-// each slot count n, the largest multiple of 16 that fits n times in a
-// page, each distinct value once. classOf needs every class to be a
-// multiple of 16 and consecutive classes at least 16 apart, and ClassSize
-// rounds every slot-sized allocation up to the smallest class that holds
-// it.
-func TestClassesTileThePage(t *testing.T) {
-	var want []int
-	for n := pages.Size / 16; n >= 1; n-- {
-		if c := pages.Size / n / 16 * 16; len(want) == 0 || c != want[len(want)-1] {
-			want = append(want, c)
+// TestClassesTileTheSlab derives both class tables from the page size:
+// for each slab of k pages and slot count n, the largest multiple of 16
+// that fits n times in the slab — one-page slabs only up to 1 KiB, slabs
+// of up to maxSlabPages pages above it — each distinct value once, on the
+// shortest slab that produces it. In a slab over several pages a slot
+// crosses every page boundary, which carve relies on. classOf needs
+// every class to be a multiple of 16 and consecutive classes at least 16
+// apart, and ClassSize rounds every slot-sized allocation up to the
+// smallest class that holds it.
+func TestClassesTileTheSlab(t *testing.T) {
+	const slabsAbove = 1024
+	shortest := map[int]int{} // class -> pages of the shortest slab that produces it
+	for k := maxSlabPages; k >= 1; k-- {
+		for n := k * pages.Size / 16; n >= 1; n-- {
+			if c := k * pages.Size / n / 16 * 16; c <= pages.Size && (k == 1 || c > slabsAbove) {
+				shortest[c] = k
+			}
 		}
 	}
+	want := slices.Sorted(maps.Keys(shortest))
 	if !slices.Equal(classes[:], want) {
 		t.Fatalf("classes = %v, want %v", classes, want)
 	}
 	for i, c := range classes {
+		if k := slabPages[i]; k != shortest[c] {
+			t.Fatalf("class %d B carves slabs of %d pages, want %d", c, k, shortest[c])
+		}
 		if c%16 != 0 || i > 0 && c-classes[i-1] < 16 {
 			t.Fatalf("class %d (%d B) is not a multiple of 16 at least 16 above the last", i, c)
+		}
+		for b := 1; b < slabPages[i]; b++ {
+			if b*pages.Size%c == 0 {
+				t.Fatalf("class %d B: no slot crosses page boundary %d of its slab", c, b)
+			}
 		}
 	}
 	for size := 1; size <= pages.Size; size++ {
@@ -390,7 +410,8 @@ func TestNilSourcePanics(t *testing.T) {
 
 // TestNoOverlapUnderChurn writes a unique pattern into every live
 // allocation and verifies none is corrupted by later allocations — i.e.
-// no two live allocations share bytes.
+// no two live allocations share bytes, whether they sit in one page or
+// cross a page boundary of their slab.
 func TestNoOverlapUnderChurn(t *testing.T) {
 	h, _ := newHeap(0)
 	rng := rand.New(rand.NewSource(7))
@@ -410,23 +431,19 @@ func TestNoOverlapUnderChurn(t *testing.T) {
 			live = live[:len(live)-1]
 			continue
 		}
-		size := 1 + rng.Intn(2000)
+		size := 1 + rng.Intn(MaxSlotSize)
 		ref, err := h.Alloc(size)
 		if err != nil {
 			t.Fatal(err)
 		}
 		tag := byte(step)
-		b, err := h.Bytes(ref)
-		if err != nil {
+		if err := h.WriteAt(ref, bytes.Repeat([]byte{tag}, size), 0); err != nil {
 			t.Fatal(err)
-		}
-		for j := range b {
-			b[j] = tag
 		}
 		live = append(live, rec{ref, tag, size})
 	}
 	for _, r := range live {
-		b, err := h.Bytes(r.ref)
+		b, err := h.AppendTo(nil, r.ref)
 		if err != nil {
 			t.Fatal(err)
 		}

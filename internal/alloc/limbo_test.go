@@ -291,6 +291,79 @@ func TestPublishedRecordOutlivesItsSlot(t *testing.T) {
 	}
 }
 
+// TestRetiredCrossingSlotReadsUntilDrain: a published slot that crosses
+// a page boundary of its slab has no single slice, and reads through its
+// View as a two-page span at an offset. After its Free it reads the same
+// bytes, while its slab mates are rewritten and a new allocation of its
+// class lands elsewhere, until the retirement drains; handed out again,
+// the slot's span takes the new allocation's size.
+func TestRetiredCrossingSlotReadsUntilDrain(t *testing.T) {
+	h, _, d := newDeferringHeap()
+	refs := make([]Ref, 4) // four 3,072-B slots fill a three-page slab
+	for i := range refs {
+		ref, err := h.Alloc(3000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refs[i] = ref
+	}
+	if h.PagesHeld() != 3 || refs[3].meta != refs[0].meta {
+		t.Fatalf("four 3,000-B allocations hold %d pages on %d slabs, want 3 on 1", h.PagesHeld(), len(h.held))
+	}
+	crossing := refs[1] // bytes 3072-6143 of the slab: across its first page boundary
+	data := make([]byte, 3000)
+	for i := range data {
+		data[i] = byte(i * 7)
+	}
+	if err := h.WriteAt(crossing, data, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.Bytes(crossing); err != ErrMultiPage {
+		t.Fatalf("Bytes(crossing slot) err = %v, want ErrMultiPage", err)
+	}
+	v, err := h.Publish(crossing)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(v.AppendTo(nil), data) {
+		t.Fatal("the crossing slot's View does not read it")
+	}
+
+	reader := enter(t, d)
+	if err := h.Free(crossing); err != nil {
+		t.Fatal(err)
+	}
+	for _, mate := range []Ref{refs[0], refs[2]} { // the slot's neighbours on both pages
+		if err := h.WriteAt(mate, bytes.Repeat([]byte{0xEE}, 3000), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	elsewhere, err := h.Alloc(3000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if elsewhere.meta == crossing.meta {
+		t.Fatal("a slot in limbo was handed out again")
+	}
+	if drainNow(h) != 1 || !bytes.Equal(v.AppendTo(nil), data) {
+		t.Fatal("a retired crossing slot changed under a registered reader")
+	}
+	d.Exit(reader)
+	if drainNow(h) != 0 {
+		t.Fatal("the crossing slot did not drain once the reader left")
+	}
+	again, err := h.Alloc(2800)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.meta != crossing.meta || again.slot != crossing.slot {
+		t.Fatal("the drained slot was not handed out again")
+	}
+	if n := len(v.AppendTo(nil)); n != 2800 {
+		t.Fatalf("the slot's span reads %d bytes after the take of 2,800", n)
+	}
+}
+
 // TestBytesMultiPageSentinel: Bytes answers a multi-page span with the
 // ErrMultiPage sentinel — the non-allocating "one segment or many"
 // question a zero-copy reader asks before falling back to AppendTo.

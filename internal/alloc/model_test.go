@@ -16,9 +16,10 @@ type issued struct {
 	data  []byte // what was written; a live ref must read it back
 	owner *holder
 	live  bool
-	// limbo is the slot's memory, captured before a deferred Free: until
-	// the retirement drains nobody may rewrite it.
-	limbo []byte
+	// limbo is the View a lock-free reader would copy, published before a
+	// deferred Free: until the retirement drains nobody may rewrite what
+	// it reads.
+	limbo *View
 	stamp uint64
 }
 
@@ -45,7 +46,18 @@ type model struct {
 	// recarved counts allocations that landed on a page the heap had
 	// emptied and carved again while refs into its first life were kept.
 	recarved int
-	scratch  []byte
+	// crossed counts checks of live slots that cross a page boundary of
+	// their slab.
+	crossed int
+	scratch []byte
+}
+
+// crosses reports whether the slot ref names crosses a page boundary of
+// its slab, worked out from the class table alone.
+func crosses(ref Ref, size int) bool {
+	c := ClassSize(size)
+	off := int(ref.slot) * c
+	return size <= MaxSlotSize && off/pages.Size != (off+c-1)/pages.Size
 }
 
 func (m *model) checkLive(r *issued) {
@@ -55,13 +67,17 @@ func (m *model) checkLive(r *issued) {
 		m.t.Fatalf("Size(%v) = %d, %v; want %d", r.ref, n, err, len(r.data))
 	}
 	b, err := h.Bytes(r.ref)
-	switch {
-	case len(r.data) > MaxSlotSize:
+	switch cross := crosses(r.ref, len(r.data)); {
+	case cross || len(r.data) > MaxSlotSize:
 		if err != ErrMultiPage {
-			m.t.Fatalf("Bytes(span %v) err = %v, want ErrMultiPage", r.ref, err)
+			m.t.Fatalf("Bytes(%v, %d B, crossing %t) err = %v, want ErrMultiPage", r.ref, len(r.data), cross, err)
 		}
 	case err != nil || !bytes.Equal(b, r.data):
 		m.t.Fatalf("Bytes(%v) = %d bytes, %v; want the %d written", r.ref, len(b), err, len(r.data))
+	}
+	if crosses(r.ref, len(r.data)) {
+		m.crossed++
+		m.acrossTheBoundary(r)
 	}
 	m.scratch = append(m.scratch[:0], "prefix"...)
 	out, err := h.AppendTo(m.scratch, r.ref)
@@ -79,10 +95,37 @@ func (m *model) checkLive(r *issued) {
 	}
 }
 
+// acrossTheBoundary rewrites the bytes of r, a slot that crosses a page
+// boundary of its slab, on both sides of the boundary, and reads them back
+// at offsets that start before it.
+func (m *model) acrossTheBoundary(r *issued) {
+	m.t.Helper()
+	start := int(r.ref.slot) * ClassSize(len(r.data))
+	edge := (start/pages.Size+1)*pages.Size - start // the boundary, as an offset into r
+	lo, hi := max(edge-24, 0), min(edge+24, len(r.data))
+	if lo >= hi {
+		return // the allocation ends before its slot reaches the boundary
+	}
+	fresh := make([]byte, hi-lo)
+	for i := range fresh {
+		fresh[i] = r.data[lo+i] + 1
+	}
+	if err := m.h.WriteAt(r.ref, fresh, lo); err != nil {
+		m.t.Fatalf("WriteAt(%v, [%d,%d)): %v", r.ref, lo, hi, err)
+	}
+	copy(r.data[lo:], fresh)
+	for _, off := range []int{lo, max(edge-1, 0)} {
+		buf := make([]byte, hi-off)
+		if err := m.h.ReadAt(r.ref, buf, off); err != nil || !bytes.Equal(buf, r.data[off:hi]) {
+			m.t.Fatalf("ReadAt(%v, [%d,%d)) across the boundary at %d: %v", r.ref, off, hi, edge, err)
+		}
+	}
+}
+
 func (m *model) checkDead(r *issued) {
 	m.t.Helper()
 	rejects(m.t, m.h, r.ref)
-	if r.limbo != nil && !bytes.Equal(r.limbo, r.data) {
+	if r.limbo != nil && !bytes.Equal(r.limbo.AppendTo(nil), r.data) {
 		m.t.Fatalf("memory of %v was rewritten inside its grace period", r.ref)
 	}
 }
@@ -152,6 +195,8 @@ func (m *model) alloc(rng *rand.Rand) {
 		size = MaxSlotSize + 1 + rng.Intn(2*pages.Size)
 	case 1, 2, 3: // one class, so that pages fill, empty and come back
 		size = 900 + rng.Intn(124)
+	case 4, 5: // the classes carved on slabs of several pages
+		size = 1025 + rng.Intn(MaxSlotSize-1024)
 	default:
 		size = 16 + rng.Intn(MaxSlotSize-15)
 	}
@@ -265,7 +310,11 @@ func runModel(t *testing.T, deferring bool) {
 		default:
 			r := m.kill(rng)
 			if deferring {
-				r.limbo, _ = h.Bytes(r.ref) // nil for a span
+				v, err := h.Publish(r.ref)
+				if err != nil {
+					t.Fatal(err)
+				}
+				r.limbo = v
 				r.stamp = m.d.Current()
 				m.queue = append(m.queue, r)
 			}
@@ -288,8 +337,12 @@ func runModel(t *testing.T, deferring bool) {
 	if m.recarved == 0 {
 		t.Fatal("no allocation landed on a page the heap had emptied and carved again")
 	}
+	if m.crossed == 0 {
+		t.Fatal("no live slot crossed a page boundary of its slab")
+	}
 	if deferring && h.Stats().DeferredOps == 0 {
 		t.Fatal("the deferring heap retired nothing")
 	}
-	t.Logf("deferring %t: %d refs issued, %d live at the end, %d allocations on re-carved pages", deferring, len(m.all), len(m.live), m.recarved)
+	t.Logf("deferring %t: %d refs issued, %d live at the end, %d allocations on re-carved pages, %d checks of crossing slots",
+		deferring, len(m.all), len(m.live), m.recarved, m.crossed)
 }

@@ -1,6 +1,7 @@
 package alloc
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -102,6 +103,46 @@ func TestSpanIsAPageGroupOfOneTenant(t *testing.T) {
 	span.ref.gen += 2 // the holder now names another incarnation
 	if err := h.VerifyOwners(); err == nil || !strings.Contains(err.Error(), "span") {
 		t.Fatalf("VerifyOwners = %v, want a span ownership error", err)
+	}
+}
+
+// TestSlabIsAPageGroupOverItsPages: the tenants of a slot on a slab of
+// several pages are the slab's live slots, and they free all of its pages:
+// once the last of them dies, every page of the slab is a free page.
+func TestSlabIsAPageGroupOverItsPages(t *testing.T) {
+	h, pool := newHeap(0)
+	var slab []*holder
+	for range 4 { // four 3,072-B slots fill a three-page slab
+		slab = append(slab, adopt(t, h, 3000))
+	}
+	next := adopt(t, h, 3000) // the first slot of the class's next slab
+	got, npages := tenantsOf(t, h, slab[1].ref)
+	if npages != 3 || !slices.Equal(got, slab) {
+		t.Fatalf("Tenants = %v on %d pages, want the slab's 4 on 3", got, npages)
+	}
+	if got, npages := tenantsOf(t, h, next.ref); npages != 3 || len(got) != 1 {
+		t.Fatalf("Tenants of a slab's only slot = %d on %d pages, want 1 on 3", len(got), npages)
+	}
+	if pool.InUse() != 6 {
+		t.Fatalf("two slabs lease %d pages, want 6", pool.InUse())
+	}
+	for _, o := range slab {
+		if err := h.Free(o.ref); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if h.FreePages() != 3 || h.ReleaseFreePages(-1) != 3 || pool.InUse() != 3 {
+		t.Fatalf("an emptied slab left %d free pages, %d leased", h.FreePages(), pool.InUse())
+	}
+	// A slab takes the heap's free pages before it leases: a free page
+	// and a leased one make a slab of a two-page class.
+	one := adopt(t, h, 4096)
+	if err := h.Free(one.ref); err != nil {
+		t.Fatal(err)
+	}
+	adopt(t, h, 2500)
+	if h.FreePages() != 0 || pool.InUse() != 5 {
+		t.Fatalf("a two-page slab over one free page: %d free, %d leased, want 0 and 5", h.FreePages(), pool.InUse())
 	}
 }
 

@@ -95,15 +95,15 @@ func TestRefOfAnotherHeapNeverValidates(t *testing.T) {
 // metadata must therefore hold nothing: no page frame above all, or
 // memory the heap gave back would stay reachable through old handles.
 func TestDeadMetadataHoldsNothing(t *testing.T) {
-	if m, r := unsafe.Sizeof(pageMeta{}), unsafe.Sizeof(Ref{}); m > 128 || r != 16 {
-		t.Fatalf("pageMeta is %d bytes (want at most 128), Ref %d (want 16)", m, r)
+	if m, r, v := unsafe.Sizeof(pageMeta{}), unsafe.Sizeof(Ref{}), unsafe.Sizeof(View{}); m > 128 || r != 16 || v != 32 {
+		t.Fatalf("pageMeta is %d bytes (want at most 128), Ref %d (want 16), View %d (want 32)", m, r, v)
 	}
 	h, pool := newHeap(0)
 	dh, dpool, _ := newDeferringHeap()
 	dead := func(h *Heap, what string, ref Ref) {
 		t.Helper()
 		m := ref.meta
-		if m.heap != nil || m.page != nil || m.span != nil || m.slots != nil ||
+		if m.heap != nil || m.page != nil || m.span != nil || m.slab != nil || m.slots != nil ||
 			m.freeSlots != nil || m.owners != nil {
 			t.Fatalf("%s: dead metadata still holds %+v", what, *m)
 		}
@@ -115,6 +115,12 @@ func TestDeadMetadataHoldsNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	dead(h, "emptied page", emptied)
+
+	emptiedSlab := adopt(t, h, 3000).ref // a slot of a three-page slab
+	if err := h.Free(emptiedSlab); err != nil {
+		t.Fatal(err)
+	}
+	dead(h, "emptied slab", emptiedSlab)
 
 	span := adopt(t, h, 2*pages.Size).ref
 	if err := h.Free(span); err != nil {

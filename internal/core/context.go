@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"softmem/internal/alloc"
-	"softmem/internal/pages"
 )
 
 // Context is a Soft Data Structure's handle on its isolated heap: the
@@ -109,15 +108,6 @@ func (c *Context) lockOpen() error {
 	return nil
 }
 
-// pagesNeeded is the worst-case page cost of an allocation, used to size
-// budget requests.
-func pagesNeeded(size int) int {
-	if size <= alloc.MaxSlotSize {
-		return 1
-	}
-	return pages.BytesToPages(size)
-}
-
 // Alloc reserves size bytes of soft memory, growing the process's budget
 // through the daemon as needed. It returns ErrExhausted when machine-wide
 // pressure cannot be relieved.
@@ -159,12 +149,12 @@ func (c *Context) allocRetry(size int, data []byte) (alloc.Ref, error) {
 		if err == errNeedPages {
 			// Machine empty despite budget: force a daemon round so it
 			// reclaims physical pages (its slack view was stale).
-			if err := c.sma.forcePressureRound(pagesNeeded(size)); err != nil {
+			if err := c.sma.forcePressureRound(alloc.PagesFor(size)); err != nil {
 				return alloc.Ref{}, err
 			}
 			continue
 		}
-		if err := c.sma.ensureBudget(pagesNeeded(size)); err != nil {
+		if err := c.sma.ensureBudget(alloc.PagesFor(size)); err != nil {
 			return alloc.Ref{}, err
 		}
 	}
@@ -340,14 +330,14 @@ func (tx *Tx) Free(ref alloc.Ref) error {
 }
 
 // Bytes returns the allocation's backing bytes without copying, or
-// alloc.ErrMultiPage for a span with no single backing slice. The slice
-// is valid only inside the current locked section.
+// alloc.ErrMultiPage for one that spans pages and so has no single
+// segment. The slice is valid only inside the current locked section.
 func (tx *Tx) Bytes(ref alloc.Ref) ([]byte, error) { return tx.ctx.heap.Bytes(ref) }
 
 // Append appends the allocation's contents to dst and returns the
-// extended slice. Unlike Bytes it handles every allocation size —
-// multi-page spans, which Bytes refuses, are assembled into dst — so
-// it is the right primitive for read paths that copy the value out.
+// extended slice. Unlike Bytes it handles every allocation — one that
+// spans pages, which Bytes refuses, is assembled into dst — so it is
+// the right primitive for read paths that copy the value out.
 func (tx *Tx) Append(dst []byte, ref alloc.Ref) ([]byte, error) {
 	return tx.ctx.heap.AppendTo(dst, ref)
 }
@@ -381,9 +371,9 @@ func (tx *Tx) Publish(ref alloc.Ref) (*alloc.View, error) {
 func (tx *Tx) SetOwner(ref alloc.Ref, o alloc.Owner) error { return tx.ctx.heap.SetOwner(ref, o) }
 
 // Tenants appends to dst the owners of every live allocation on ref's
-// page (ref's own included, nil for one nobody adopted) and reports how
-// many pages come free if all of them die: 1, or a multi-page span's
-// length, which has ref as its only tenant. A Reclaimer picks its victims
+// slab (ref's own included, nil for one nobody adopted) and reports how
+// many pages come free if all of them die: the slab's one to three, or a
+// multi-page span's length, which has ref as its only tenant. A Reclaimer picks its victims
 // through it, because pages are what a demand is paid in.
 func (tx *Tx) Tenants(ref alloc.Ref, dst []alloc.Owner) ([]alloc.Owner, int, error) {
 	return tx.ctx.heap.Tenants(ref, dst)

@@ -176,6 +176,34 @@ func TestDeniedChunkRetriesExactNeed(t *testing.T) {
 	}
 }
 
+// TestSlabBudgetInOneRound: a context one page short of the budget for a
+// new three-page slab asks the daemon for the whole slab, so the
+// allocation is served after a single budget round rather than retried
+// until it fails.
+func TestSlabBudgetInOneRound(t *testing.T) {
+	d := &fakeDaemon{total: 1000}
+	s := New(Config{Machine: pages.NewPool(0), Daemon: d, BudgetChunk: 3})
+	defer s.Close()
+	ctx := s.Register("slabs", 0, nil)
+	if _, err := ctx.Alloc(1000); err != nil { // one page of a three-page grant
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.BudgetPages != 3 || st.UsedPages != 1 {
+		t.Fatalf("budget %d, used %d; want 3 and 1", st.BudgetPages, st.UsedPages)
+	}
+	if _, err := ctx.Alloc(3000); err != nil { // a 3,072-B slot: a new slab of three pages
+		t.Fatal(err)
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.requests != 2 {
+		t.Fatalf("daemon requests = %d, want 2: one budget round for the slab", d.requests)
+	}
+	if st := s.Stats(); st.BudgetPages != 6 || st.UsedPages != 4 {
+		t.Fatalf("budget %d, used %d; want 6 and 4", st.BudgetPages, st.UsedPages)
+	}
+}
+
 func TestUsageReportedToDaemon(t *testing.T) {
 	s, d, _ := newSMA(0, 1000)
 	s.AddTraditionalBytes(12345)

@@ -216,9 +216,9 @@ func (o *Owned) allocData(data []byte) (alloc.Ref, error) {
 		if err == errNeedPages {
 			// Machine empty despite budget: force a daemon round so it
 			// reclaims physical pages (its slack view was stale).
-			err = c.sma.forcePressureRound(pagesNeeded(len(data)))
+			err = c.sma.forcePressureRound(alloc.PagesFor(len(data)))
 		} else {
-			err = c.sma.ensureBudget(pagesNeeded(len(data)))
+			err = c.sma.ensureBudget(alloc.PagesFor(len(data)))
 		}
 		if err != nil {
 			// Best-effort re-take so the caller's lock invariant holds

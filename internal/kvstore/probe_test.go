@@ -2,6 +2,7 @@ package kvstore
 
 import (
 	"runtime"
+	"strings"
 
 	"softmem/internal/core"
 	"softmem/internal/pages"
@@ -91,10 +92,10 @@ func lockFreeGetProbe(policy sds.EvictPolicy) (probe func(), stats func() (hits,
 }
 
 // MutexContentionProbe runs fn under runtime mutex profiling and
-// returns how many mutex contention events fn added. The shard-owner
-// hot path holds the shard heap lock across whole batches and never
-// takes a per-command mutex, so a single-connection run reports zero
-// contention events in store code.
+// returns how many mutex contention events fn added outside the runtime.
+// The shard-owner hot path holds the shard heap lock across whole
+// batches and never takes a per-command mutex, so a single-connection
+// run reports zero contention events in store code.
 func MutexContentionProbe(fn func()) (events int64) {
 	prev := runtime.SetMutexProfileFraction(1)
 	defer runtime.SetMutexProfileFraction(prev)
@@ -107,6 +108,11 @@ func MutexContentionProbe(fn func()) (events int64) {
 	return 0
 }
 
+// mutexEventCount sums the contention events of the mutex profile whose
+// stacks reach code outside the runtime. Since Go 1.22 the profile also
+// holds contention on the runtime's internal locks (frames such as
+// runtime._LostContendedRuntimeLock only), which any goroutine of the
+// test binary can add and no store code takes.
 func mutexEventCount() int64 {
 	var recs []runtime.BlockProfileRecord
 	n, _ := runtime.MutexProfile(nil)
@@ -114,7 +120,23 @@ func mutexEventCount() int64 {
 	n, _ = runtime.MutexProfile(recs)
 	var total int64
 	for _, r := range recs[:n] {
-		total += r.Count
+		if !runtimeOnly(r.Stack()) {
+			total += r.Count
+		}
 	}
 	return total
+}
+
+// runtimeOnly reports whether every frame of stk is in package runtime.
+func runtimeOnly(stk []uintptr) bool {
+	frames := runtime.CallersFrames(stk)
+	for {
+		f, more := frames.Next()
+		if f.Function != "" && !strings.HasPrefix(f.Function, "runtime.") {
+			return false
+		}
+		if !more {
+			return true
+		}
+	}
 }

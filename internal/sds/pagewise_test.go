@@ -173,6 +173,52 @@ func TestReclaimPagesPerEntry(t *testing.T) {
 	}
 }
 
+// TestReclaimSlabsPerEntry: 3,000-B values take 3,072-B slots, four to
+// a slab of three pages, so a demand revokes the oldest entries four at a
+// time and each four frees three pages. A demand that is not a multiple
+// of three leaves the rest of its last slab free in the heap, and the
+// next demand takes those pages before it revokes anything.
+func TestReclaimSlabsPerEntry(t *testing.T) {
+	sma := core.New(core.Config{Machine: pages.NewPool(0), HeapFreeMax: 0})
+	defer sma.Close()
+	ht := NewSoftHashTable[int](sma, "four-to-a-slab", HashTableConfig[int]{LockFreeReads: true})
+	defer ht.Close()
+	const keys = 40 // ten slabs
+	for k := range keys {
+		if err := ht.Put(k, lfValue(k, 3000)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	used := sma.Stats().UsedPages
+	if used != 30 {
+		t.Fatalf("%d values of 3,000 B use %d pages, want 30", keys, used)
+	}
+	revoked := 0
+	for _, c := range []struct{ demand, entries, left int }{
+		{3, 4, 0}, {6, 8, 0}, {1, 4, 2}, {2, 0, 0}, {9, 12, 0},
+	} {
+		if released := sma.HandleDemand(c.demand); released != c.demand || ht.Reclaimed() != int64(revoked+c.entries) {
+			t.Fatalf("HandleDemand(%d) released %d pages for %d entries, want %d for %d",
+				c.demand, released, ht.Reclaimed()-int64(revoked), c.demand, c.entries)
+		}
+		revoked += c.entries
+		for k := range keys {
+			if got, want := ht.Contains(k), k >= revoked; got != want {
+				t.Fatalf("after HandleDemand(%d), key %d present = %v, want %v", c.demand, k, got, want)
+			}
+		}
+		now, free := sma.Stats().UsedPages, ht.Context().HeapStats().FreePages
+		if used-now != c.demand || free != c.left || (now-free)%3 != 0 {
+			t.Fatalf("HandleDemand(%d): used pages %d -> %d with %d free in the heap, want down by %d with %d free",
+				c.demand, used, now, free, c.demand, c.left)
+		}
+		used = now
+		if err := sma.VerifyIntegrity(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestUninstalledAllocationVetoesItsPage: between Put's allocation and
 // its index update the heap lock is free, and a slot that is live but
 // belongs to no entry yet cannot be revoked — so its page cannot come

@@ -6,9 +6,9 @@ import (
 )
 
 // readAlloc returns an allocation's contents for decoding: zero-copy
-// when the value fits one page (the common case), assembled into a
+// when the value sits in one segment (the common case), assembled into a
 // fresh slice when it spans pages — which Tx.Bytes refuses, so any SDS
-// holding values larger than a page must read through this instead.
+// holding values above 1 KiB must read through this instead.
 // The result is only valid inside the current locked section.
 func readAlloc(tx *core.Tx, ref alloc.Ref) ([]byte, error) {
 	if b, err := tx.Bytes(ref); err == nil {

@@ -24,9 +24,11 @@ import (
 const churnKeys = 48
 
 // churnSizes cross size classes (200, 300 and 400 B fall in three of
-// the classes between 192 and 448 B), the full-page slot and the
-// one-page limit: 6000 and 9000 are two- and three-page spans.
-var churnSizes = [...]int{40, 200, 300, 400, 1000, 4096, 6000, 9000}
+// the classes between 192 and 448 B), the classes carved on slabs of
+// several pages (1500, 2500 and 3000 B: three, two and three pages, with
+// slots that cross a page boundary), the full-page slot and the one-page
+// limit: 6000 and 9000 are two- and three-page spans.
+var churnSizes = [...]int{40, 200, 300, 400, 1000, 1500, 2500, 3000, 4096, 6000, 9000}
 
 // churnValue is the writer's n-th value for key k: self-describing, so
 // the id it spells names both the key and the write.
@@ -139,35 +141,47 @@ func TestHashTableRecordLifetimeUnderChurn(t *testing.T) {
 
 // TestPageTurnoverAllocatesOnlyMetadata: replacing values of random
 // 64–512 B sizes keeps emptying pages and carving them again for other
-// classes. Each carve takes a fresh pageMeta, so that stale refs fail, but
-// the slot arrays and records of the class's last emptied page, so page
-// turnover costs the Go heap at most one allocation per carve.
+// classes, and so does replacing values of 1,025–4,096 B, whose classes
+// carve slabs of one, two and three pages. Each carve takes a fresh
+// pageMeta, so that stale refs fail, but the slot arrays, records and
+// crossing spans of the class's last emptied slab, so turnover costs the
+// Go heap at most one allocation per carve.
 func TestPageTurnoverAllocatesOnlyMetadata(t *testing.T) {
-	s := core.New(core.Config{Machine: pages.NewPool(0)})
-	defer s.Close()
-	ht := NewSoftHashTable[int](s, "turnover", HashTableConfig[int]{LockFreeReads: true})
-	defer ht.Close()
-	const keys, batch, runs = 512, 1024, 10
-	rng := rand.New(rand.NewSource(1))
-	value := make([]byte, 512)
-	set := func() {
-		for range batch {
-			if err := ht.Put(rng.Intn(keys), value[:64+rng.Intn(449)]); err != nil {
-				t.Fatal(err)
+	for _, tc := range []struct {
+		name           string
+		keys, min, max int
+	}{
+		{"64-512B", 512, 64, 512},
+		{"1025-4096B", 128, 1025, 4096},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := core.New(core.Config{Machine: pages.NewPool(0)})
+			defer s.Close()
+			ht := NewSoftHashTable[int](s, "turnover", HashTableConfig[int]{LockFreeReads: true})
+			defer ht.Close()
+			const batch, runs = 1024, 10
+			rng := rand.New(rand.NewSource(1))
+			value := make([]byte, tc.max)
+			set := func() {
+				for range batch {
+					if err := ht.Put(rng.Intn(tc.keys), value[:tc.min+rng.Intn(tc.max-tc.min+1)]); err != nil {
+						t.Fatal(err)
+					}
+				}
 			}
-		}
-	}
-	for range 50 { // every class reaches its peak page count
-		set()
-	}
-	before := ht.Context().HeapStats().Carves
-	allocs := testing.AllocsPerRun(runs, set)
-	carves := ht.Context().HeapStats().Carves - before
-	if carves < runs {
-		t.Fatalf("%d carves in %d batches: the pages did not turn over", carves, runs+1)
-	}
-	if total := allocs * runs; total > float64(carves) {
-		t.Fatalf("%.0f Go allocations for %d carves", total, carves)
+			for range 50 { // every class reaches its peak slab count
+				set()
+			}
+			before := ht.Context().HeapStats().Carves
+			allocs := testing.AllocsPerRun(runs, set)
+			carves := ht.Context().HeapStats().Carves - before
+			if carves < runs {
+				t.Fatalf("%d carves in %d batches: the slabs did not turn over", carves, runs+1)
+			}
+			if total := allocs * runs; total > float64(carves) {
+				t.Fatalf("%.0f Go allocations for %d carves", total, carves)
+			}
+		})
 	}
 }
 
