@@ -3,6 +3,7 @@ package clusterkv
 import (
 	"fmt"
 	"strconv"
+	"strings"
 	"time"
 
 	"softmem/internal/kvstore"
@@ -245,9 +246,10 @@ func (n *Node) handleWait(sess kvstore.ClusterSession, args [][]byte, rw kvstore
 
 // OnApply implements kvstore.ClusterHook: it hands every locally applied
 // write on an owned slot to the slot successor's sender, recording the
-// enqueue on the session so WAIT can answer per-connection. Values are
-// copied (the server's buffers are reused); replica applies never land
-// here because the hook writes them straight to the store.
+// enqueue on the session so WAIT can answer per-connection. Keys and
+// values are copied (they are valid only for the call: the server's
+// buffers are reused); replica applies never land here because the hook
+// writes them straight to the store.
 func (n *Node) OnApply(sess kvstore.ClusterSession, op kvstore.Op, key string, val []byte) {
 	r := n.ring.Load()
 	if r == nil || len(r.Table.Nodes) <= 1 {
@@ -261,7 +263,7 @@ func (n *Node) OnApply(sess kvstore.ClusterSession, op kvstore.Op, key string, v
 	if rep == "" || rep == n.cfg.Addr {
 		return
 	}
-	e := replEntry{key: key, del: op == kvstore.OpDel, originNs: time.Now().UnixNano()}
+	e := replEntry{key: strings.Clone(key), del: op == kvstore.OpDel, originNs: time.Now().UnixNano()}
 	if !e.del {
 		e.val = append([]byte(nil), val...)
 	}

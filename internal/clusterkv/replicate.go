@@ -24,7 +24,7 @@ const replQueueCap = 4096
 // originating write.
 type replEntry struct {
 	del      bool
-	key      string
+	key      string // owned copy
 	val      []byte // owned copy
 	originNs int64
 }

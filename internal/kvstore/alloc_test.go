@@ -32,9 +32,10 @@ func TestReplyZeroAllocs(t *testing.T) {
 }
 
 // TestDispatchZeroAllocsGET pins the whole server-side depth-1 GET path
-// (parse + enqueue + settle + reply) at the documented floor: the only
-// allocation is the key's string(args[1]) conversion into its batch
-// slot.
+// (parse + enqueue + settle + reply) at zero allocations: the key is
+// copied into the connection's arena, not converted to a fresh string,
+// and the value comes out of the store into the batch slot's reused
+// scratch.
 func TestDispatchZeroAllocsGET(t *testing.T) {
 	st, _ := newStore(t, 0)
 	if err := st.Set("bench-key", bytes.Repeat([]byte("v"), 64)); err != nil {
@@ -42,29 +43,61 @@ func TestDispatchZeroAllocsGET(t *testing.T) {
 	}
 	srv := NewServer(st, func(string, ...any) {})
 	payload := appendCommand(nil, "GET", "bench-key")
+	if n := settleAllocs(srv, payload, 1); n != 0 {
+		t.Fatalf("GET round trip allocates %.1f allocs/op, want 0", n)
+	}
+}
+
+// TestPipelinedSettleZeroAllocs pins one settle of 16 pipelined keyed
+// commands — GET hits and misses, EXISTS, SETs replacing existing keys,
+// DELs of missing keys, MGETs — at zero Go allocations: every key is
+// borrowed from the arena, and nothing of the batch is kept past it.
+func TestPipelinedSettleZeroAllocs(t *testing.T) {
+	st, _ := newStore(t, 0)
+	val := bytes.Repeat([]byte("v"), 256)
+	for _, k := range []string{"hit-0", "hit-1", "set-0", "set-1"} {
+		if err := st.Set(k, val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv := NewServer(st, func(string, ...any) {})
+	var payload []byte
+	for _, c := range [][]string{
+		{"GET", "hit-0"}, {"GET", "miss-0"}, {"EXISTS", "hit-1"}, {"SET", "set-0", string(val)},
+		{"DEL", "gone-0"}, {"MGET", "hit-0", "miss-1", "hit-1"}, {"GET", "hit-1"}, {"GET", "miss-2"},
+		{"EXISTS", "miss-3"}, {"SET", "set-1", string(val)}, {"DEL", "gone-1"}, {"MGET", "hit-1", "hit-0"},
+		{"GET", "hit-0"}, {"EXISTS", "hit-0"}, {"SET", "set-0", string(val)}, {"GET", "set-1"},
+	} {
+		payload = appendCommand(payload, c...)
+	}
+	if n := settleAllocs(srv, payload, 16); n != 0 {
+		t.Fatalf("a settle of 16 pipelined commands allocates %.1f times, want 0", n)
+	}
+}
+
+// settleAllocs reports the Go allocations of serving payload's cmds
+// commands on one connection and settling them together, as serveConn
+// does with a pipeline that arrived in one read.
+func settleAllocs(srv *Server, payload []byte, cmds int) float64 {
 	rd := bytes.NewReader(payload)
 	cr := newCmdReader(bufio.NewReader(rd))
 	rw := newRespWriter(bufio.NewWriterSize(io.Discard, 4096))
 	ce := srv.newConnExec()
-	n := testing.AllocsPerRun(200, func() {
+	return testing.AllocsPerRun(200, func() {
 		rd.Reset(payload)
 		cr.lr.r.Reset(rd)
-		args, err := cr.ReadCommand()
-		if err != nil {
-			panic(err)
+		for range cmds {
+			args, err := cr.ReadCommand()
+			if err != nil {
+				panic(err)
+			}
+			ce.serve(rw, canonicalCommand(args[0]), args)
 		}
-		ce.serve(rw, canonicalCommand(args[0]), args)
 		ce.settle(rw)
 		if err := rw.flush(); err != nil {
 			panic(err)
 		}
 	})
-	// The value comes out of the store into the batch slot's reused
-	// scratch, so the whole round trip's only allocation is the key's
-	// string(args[1]) conversion.
-	if n > 1 {
-		t.Fatalf("GET round trip allocates %.1f allocs/op, want <= 1", n)
-	}
 }
 
 // TestRoutedGetAllocs pins the shard-owner dispatch path: a reused

@@ -53,8 +53,11 @@ var ErrOverloaded = errors.New("kvstore: shard owner ring full")
 
 // Command is one typed request/response slot in a Batch.
 //
-// Aliasing and ownership: Key is retained only until the batch
-// completes. Arg (the OpSet/OpAppend input) must stay unchanged until
+// Aliasing and ownership: Key may alias a buffer that is valid only
+// until the batch's Reset (the RESP server's per-connection arena); the
+// store copies every key it keeps past the command — an inserted table
+// entry, a TTL deadline, a promotion, a slowlog entry, a replication
+// queue entry. Arg (the OpSet/OpAppend input) must stay unchanged until
 // Exec returns — the store copies it into soft memory during execution,
 // not at Add time. Val is a per-slot reusable scratch: the executed
 // value is appended into its capacity, so the result aliases the slot

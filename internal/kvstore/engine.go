@@ -3,6 +3,7 @@ package kvstore
 import (
 	"fmt"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -281,7 +282,9 @@ func (s *Store) lookup(o *core.Owned, sh *shard, c *Command, dst []byte, key str
 		t0, w0 = time.Now(), o.WaitNanos()
 	}
 	p0 := s.now()
-	v, found, err := sds.PromoteOwned(sh.ht, o, s.spill, dst, key)
+	// The spill tier keeps the key while the promotion is in flight, and
+	// writes it back to disk under that key if the put-back fails.
+	v, found, err := sds.PromoteOwned(sh.ht, o, s.spill, dst, strings.Clone(key))
 	if found {
 		s.promotions.Add(1)
 	}

@@ -3,6 +3,7 @@ package kvstore
 import (
 	"bufio"
 	"bytes"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -108,4 +109,85 @@ func FuzzServerCommand(f *testing.F) {
 			t.Fatalf("depth-1 and pipelined replies differ for %q:\nserial: %q\npiped:  %q", line, serial, piped)
 		}
 	})
+}
+
+// FuzzPipelinedCommandsMatchModel sends a pipeline of keyed commands,
+// decoded from the input, over four equal-length keys through serveConn
+// at the depth the input's first byte picks, and compares the reply
+// stream byte for byte with the sequential model behind
+// TestEveryEntryPointMatchesModel. Keys borrow the connection's arena,
+// and equal-length keys land on each other's arena bytes from one
+// settle to the next, so a key kept past its settle reads as another
+// key — or as cleared bytes — and the replies drift from the model.
+func FuzzPipelinedCommandsMatchModel(f *testing.F) {
+	f.Add([]byte{15, 1, 0, 0, 0, 3, 0, 9, 0, 11, 1, 12, 0})
+	f.Add([]byte{0, 1, 2, 10, 2, 10, 2, 12, 2, 0, 2})
+	f.Add([]byte{7, 14, 5, 1, 6, 13, 3, 4, 3, 8, 1, 2, 7})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 3 {
+			return
+		}
+		depth := 1 + int(data[0]%16)
+		cmds := pipelineCommands(data[1:])
+		r := newModelRun(t, 2, nil)
+		var want []byte
+		for _, c := range cmds {
+			reply, _ := r.m.apply(c)
+			want = append(want, reply...)
+		}
+		got, _ := runScript(t, NewServer(r.st, func(string, ...any) {}), cmds, depth)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("depth %d, commands %q:\ngot:   %q\nmodel: %q", depth, cmds, got, want)
+		}
+	})
+}
+
+// pipelineCommands decodes data, two bytes per command, into at most 64
+// keyed commands over the keys k0..k3: the first byte picks the command,
+// the second its keys and arguments.
+func pipelineCommands(data []byte) [][]string {
+	var cmds [][]string
+	for i := 0; i+1 < len(data) && len(cmds) < 64; i += 2 {
+		op, arg := data[i], int(data[i+1])
+		k, k2 := "k"+strconv.Itoa(arg%4), "k"+strconv.Itoa(arg/4%4)
+		val := strings.Repeat(string(rune('a'+arg%26)), 1+arg%7)
+		if arg%3 == 0 {
+			val = strconv.Itoa(arg - 128) // INCR-able
+		}
+		var c []string
+		switch op % 15 {
+		case 0:
+			c = []string{"GET", k}
+		case 1:
+			c = []string{"SET", k, val}
+		case 2:
+			c = []string{"DEL", k, k2}
+		case 3:
+			c = []string{"INCR", k}
+		case 4:
+			c = []string{"DECRBY", k, strconv.Itoa(arg % 9)}
+		case 5:
+			c = []string{"APPEND", k, val}
+		case 6:
+			c = []string{"STRLEN", k}
+		case 7:
+			c = []string{"EXISTS", k}
+		case 8:
+			c = []string{"EXPIRE", k, strconv.Itoa(arg % 3)}
+		case 9:
+			c = []string{"TTL", k}
+		case 10:
+			c = []string{"PERSIST", k}
+		case 11:
+			c = []string{"MGET", k, k2}
+		case 12:
+			c = []string{"MSET", k, val, k2, val}
+		case 13:
+			c = []string{"INCRBY", k, val}
+		default:
+			c = []string{"DEL", k}
+		}
+		cmds = append(cmds, c)
+	}
+	return cmds
 }

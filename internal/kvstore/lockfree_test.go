@@ -387,6 +387,40 @@ func BenchmarkLockFreeGet(b *testing.B) {
 	}
 }
 
+// BenchmarkLockFreeGetTTLDue prices the deadline check on the lock-free
+// GET path: with no deadline in the shard, ttl.due is one atomic load;
+// with one deadline on another key of the shard, every GET takes the TTL
+// table's mutex and probes its map. Run it at -cpu 1,2: at 2 the readers
+// share that mutex.
+func BenchmarkLockFreeGetTTLDue(b *testing.B) {
+	for _, deadlines := range []int{0, 1} {
+		b.Run(fmt.Sprintf("deadlines=%d", deadlines), func(b *testing.B) {
+			st := New(core.New(core.Config{Machine: pages.NewPool(0)}), WithShards(1))
+			b.Cleanup(st.Close)
+			for _, k := range []string{"k", "other"} {
+				if err := st.Set(k, bytes.Repeat([]byte("v"), 256)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if deadlines == 1 && !st.Expire("other", time.Hour) {
+				b.Fatal("EXPIRE other missed")
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				var c Command
+				for pb.Next() {
+					c.Op, c.Key, c.Val = OpGet, "k", c.Val[:0]
+					if err := st.Do(&c); err != nil || !c.Ok {
+						b.Errorf("GET k = %v, %v", c.Ok, err)
+						return
+					}
+				}
+			})
+		})
+	}
+}
+
 // BenchmarkMixedReadReclaim times lock-free GETs while a reclamation
 // demand stream and a refilling writer run against the same store — the
 // contended read/reclaim interaction the epoch design exists for.

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"softmem/internal/pages"
 )
@@ -283,21 +284,22 @@ func canonicalCommand(name []byte) *commandSpec {
 	return &unknownCommand
 }
 
-// The argument decoders. Keys are copied by their string conversion;
-// values are copied into the connection's arena, because a batch
-// outlives the read of the next pipelined command.
+// The argument decoders. Keys and values are copied into the
+// connection's arena, because a batch outlives the read of the next
+// pipelined command; a key reaches its slot as a string aliasing the
+// arena (copyKey), so queueing a command allocates nothing.
 
 // decodeKey: <cmd> key.
 func decodeKey(ce *connExec, sp *commandSpec, args [][]byte) string {
 	b := ce.batch
-	b.Cmd(b.Add(sp.op, string(args[1]))).Delta = sp.sign
+	b.Cmd(b.Add(sp.op, ce.copyKey(args[1]))).Delta = sp.sign
 	return ""
 }
 
 // decodeValue: <cmd> key value.
 func decodeValue(ce *connExec, sp *commandSpec, args [][]byte) string {
 	b := ce.batch
-	b.Cmd(b.Add(sp.op, string(args[1]))).Arg = ce.copyVal(args[2])
+	b.Cmd(b.Add(sp.op, ce.copyKey(args[1]))).Arg = ce.copyVal(args[2])
 	return ""
 }
 
@@ -308,7 +310,7 @@ func decodeDelta(ce *connExec, sp *commandSpec, args [][]byte) string {
 		return "value is not an integer or out of range"
 	}
 	b := ce.batch
-	b.Cmd(b.Add(sp.op, string(args[1]))).Delta = sp.sign * int64(n)
+	b.Cmd(b.Add(sp.op, ce.copyKey(args[1]))).Delta = sp.sign * int64(n)
 	return ""
 }
 
@@ -319,14 +321,14 @@ func decodeSeconds(ce *connExec, sp *commandSpec, args [][]byte) string {
 		return "invalid expire time"
 	}
 	b := ce.batch
-	b.Cmd(b.Add(sp.op, string(args[1]))).Delta = int64(secs) * int64(time.Second)
+	b.Cmd(b.Add(sp.op, ce.copyKey(args[1]))).Delta = int64(secs) * int64(time.Second)
 	return ""
 }
 
 // decodeKeys: <cmd> key [key ...], one slot per key.
 func decodeKeys(ce *connExec, sp *commandSpec, args [][]byte) string {
 	for _, k := range args[1:] {
-		ce.batch.Add(sp.op, string(k))
+		ce.batch.Add(sp.op, ce.copyKey(k))
 	}
 	return ""
 }
@@ -338,7 +340,7 @@ func decodePairs(ce *connExec, sp *commandSpec, args [][]byte) string {
 	}
 	b := ce.batch
 	for i := 1; i < len(args); i += 2 {
-		b.Cmd(b.Add(sp.op, string(args[i]))).Arg = ce.copyVal(args[i+1])
+		b.Cmd(b.Add(sp.op, ce.copyKey(args[i]))).Arg = ce.copyVal(args[i+1])
 	}
 	return ""
 }
@@ -355,12 +357,11 @@ type replySpec struct {
 
 // connExec is one connection's routing state: the reusable Batch, the
 // reply specs rejoining batch results into RESP replies in request
-// order, and the arena that copies SET values out of the cmdReader's
-// reused argument buffers (a batch outlives the read of the next
-// pipelined command, so values cannot alias the parser's scratch; keys
-// are copied by their string conversion anyway). All three recycle
-// their capacity across settles, so a steady pipelined workload
-// allocates only the per-key string conversions.
+// order, and the arena that copies keys and SET values out of the
+// cmdReader's reused argument buffers (a batch outlives the read of the
+// next pipelined command, so neither can alias the parser's scratch).
+// All three recycle their capacity across settles, so a steady
+// pipelined workload allocates nothing.
 type connExec struct {
 	s     *Server
 	batch *Batch
@@ -394,6 +395,17 @@ func (ce *connExec) copyVal(v []byte) []byte {
 	off := len(ce.arena)
 	ce.arena = append(ce.arena, v...)
 	return ce.arena[off:len(ce.arena):len(ce.arena)]
+}
+
+// copyKey copies a parser-owned key into the arena and returns a string
+// aliasing the copy, valid until the next settle. It is the module's
+// one non-test use of unsafe: the string is only as immutable as the
+// arena, so everything that keeps a key past its command copies it (see
+// Command.Key), and settle clears the used arena before reusing it, so
+// a key kept by mistake stops reading as that key.
+func (ce *connExec) copyKey(k []byte) string {
+	b := ce.copyVal(k)
+	return unsafe.String(unsafe.SliceData(b), len(b))
 }
 
 // full reports whether the batch should settle before more input.
@@ -473,6 +485,9 @@ func (ce *connExec) settle(rw *respWriter) {
 	}
 	ce.specs = ce.specs[:0]
 	ce.batch.Reset()
+	// Exec returned only after every shard group ran, owner-ring groups
+	// included, so no executor still reads a key that aliases the arena.
+	clear(ce.arena)
 	ce.arena = ce.arena[:0]
 }
 
@@ -499,7 +514,8 @@ func (ce *connExec) recordSlow(a *attribState, sp *replySpec) {
 	if best == nil || bestTotal < a.slow.thresholdNs {
 		return
 	}
-	e := SlowEntry{Cmd: sp.cmd, Key: best.Key, TotalNs: bestTotal}
+	// The log outlives the settle, and the key aliases the arena.
+	e := SlowEntry{Cmd: sp.cmd, Key: strings.Clone(best.Key), TotalNs: bestTotal}
 	for i, ns := range best.phaseNs {
 		*e.phase(i) = ns
 	}

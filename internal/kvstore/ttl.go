@@ -1,6 +1,7 @@
 package kvstore
 
 import (
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -26,13 +27,15 @@ func newTTLTable(now func() time.Time) *ttlTable {
 	return &ttlTable{m: make(map[string]time.Time), now: now}
 }
 
-// set records a deadline for key.
+// set records a deadline for key. The key is copied even when it is
+// already present: assigning to an existing map key overwrites the
+// stored key too, and key may alias a buffer the caller reuses.
 func (t *ttlTable) set(key string, deadline time.Time) {
 	t.mu.Lock()
 	if _, ok := t.m[key]; !ok {
 		t.n.Add(1)
 	}
-	t.m[key] = deadline
+	t.m[strings.Clone(key)] = deadline
 	t.mu.Unlock()
 }
 

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"hash/maphash"
 	"slices"
+	"strings"
 	"sync/atomic"
 
 	"softmem/internal/alloc"
@@ -48,6 +49,9 @@ func (p EvictPolicy) String() string {
 // A Get on a reclaimed key misses, exactly like the paper's "not found"
 // responses after reclamation; caching clients re-fetch from their
 // backing store.
+//
+// An inserted string key is copied, so a caller may pass a key that
+// aliases a buffer it reuses once the call returns.
 //
 // All methods are safe for concurrent use.
 type SoftHashTable[K comparable] struct {
@@ -212,7 +216,7 @@ func (t *SoftHashTable[K]) putLocked(tx *core.Tx, key K, ref alloc.Ref) error {
 		t.touch(e)
 		return tx.Free(replaced)
 	}
-	e = &htEntry[K]{key: key, hash: h, ref: ref}
+	e = &htEntry[K]{key: ownKey(key), hash: h, ref: ref}
 	if err := t.publish(tx, e); err != nil {
 		return err
 	}
@@ -222,6 +226,17 @@ func (t *SoftHashTable[K]) putLocked(tx *core.Tx, key K, ref alloc.Ref) error {
 		t.sma.AddTraditionalBytes(int64(t.keyBytes(key)))
 	}
 	return nil
+}
+
+// ownKey returns key as an inserted entry keeps it: a string key is
+// copied, because callers may pass one that aliases a buffer they reuse
+// (the kvstore's RESP arena). Lookups, deletes and replacing puts keep
+// nothing and copy nothing.
+func ownKey[K comparable](key K) K {
+	if s, ok := any(key).(string); ok {
+		return any(strings.Clone(s)).(K)
+	}
+	return key
 }
 
 // Get returns a copy of the value under key. ok is false if the key is
