@@ -94,13 +94,13 @@ func TestClusterSmoke3Proc(t *testing.T) {
 			t.Fatalf("Set %s: %v", keys[i], err)
 		}
 	}
-	vals, err := cli.MGet(keys...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range vals {
-		if !v.OK || v.S != fmt.Sprintf("v%d", i) {
-			t.Fatalf("MGET[%d] = %+v", i, v)
+	for i, k := range keys {
+		v, ok, err := cli.Get(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok || v != fmt.Sprintf("v%d", i) {
+			t.Fatalf("GET %s = %q, %v", k, v, ok)
 		}
 	}
 

@@ -322,7 +322,7 @@ func TestSMDCtlSmoke(t *testing.T) {
 			t.Fatal("no request crossed the 1 ms threshold")
 		}
 		fill(slow[0], "x", 0, keys)
-		if err := cli.FlushAll(); err != nil {
+		if _, _, err := cli.Do("FLUSHALL"); err != nil {
 			t.Fatal(err)
 		}
 		entries = strictJSON[[]kvstore.SlowEntry](t, smdctl(t, "-http", slow[1], "-json", "slowlog"))

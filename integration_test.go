@@ -79,11 +79,11 @@ func TestMultiProcessReclamation(t *testing.T) {
 	if err != nil || !ok || v != value {
 		t.Fatalf("newest entry lost or corrupt (ok=%v err=%v)", ok, err)
 	}
-	info, err := cli1.Info()
-	if err != nil || !strings.Contains(info, "reclaimed:") {
+	info, _, err := cli1.Do("INFO")
+	if err != nil || !strings.Contains(string(info), "reclaimed:") {
 		t.Fatalf("INFO = %q, %v", info, err)
 	}
-	for _, line := range strings.Split(info, "\r\n") {
+	for _, line := range strings.Split(string(info), "\r\n") {
 		if strings.HasPrefix(line, "reclaimed:") && line == "reclaimed:0" {
 			t.Fatal("store1 INFO reports zero reclaimed entries")
 		}

@@ -174,23 +174,6 @@ func (c *Client) Del(key string) error {
 	return err
 }
 
-// MGet fetches keys that may live on different nodes: each key is
-// routed (and redirect-chased) independently, preserving input order.
-func (c *Client) MGet(keys ...string) ([]kvstore.Value, error) {
-	out := make([]kvstore.Value, len(keys))
-	for i, k := range keys {
-		v, ok, err := c.Do(k, "GET", k)
-		if err != nil {
-			if _, isReply := err.(kvstore.ReplyError); !isReply {
-				return nil, err
-			}
-			continue // per-key server error degrades to a miss
-		}
-		out[i] = kvstore.Value{S: string(v), OK: ok}
-	}
-	return out, nil
-}
-
 // Close tears down every connection.
 func (c *Client) Close() {
 	c.mu.Lock()

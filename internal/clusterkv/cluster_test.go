@@ -188,8 +188,9 @@ func TestClientFollowsRedirects(t *testing.T) {
 	}
 }
 
-// TestMGetAcrossSlots fans a multi-key read across owners.
-func TestMGetAcrossSlots(t *testing.T) {
+// TestGetAcrossSlots reads keys owned by every node through one client:
+// each GET is routed, redirects chased, to its key's owner.
+func TestGetAcrossSlots(t *testing.T) {
 	nodes := startCluster(t, 3)
 	cli, err := NewClient(nodes[0].addr)
 	if err != nil {
@@ -208,17 +209,14 @@ func TestMGetAcrossSlots(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	vals, err := cli.MGet(keys...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if !vals[i].OK || vals[i].S != fmt.Sprintf("val%d", i) {
-			t.Fatalf("MGet[%d] = %+v", i, vals[i])
+	for i, k := range keys {
+		v, ok, err := cli.Get(k)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if vals[3].OK {
-		t.Fatalf("absent key present: %+v", vals[3])
+		if want := i < 3; ok != want || ok && v != fmt.Sprintf("val%d", i) {
+			t.Fatalf("Get %s = %q, %v", k, v, ok)
+		}
 	}
 }
 
@@ -422,10 +420,9 @@ func TestFederationMigratesBudget(t *testing.T) {
 
 	// Donor node: its store allocates a little, which makes the SMA
 	// request budget in chunks — the whole partition is granted (no free
-	// pages left) but most of it is slack.
-	a := startNode(t, dA, nil, func(c *Config) {
-		c.FedLowWater = 8
-	})
+	// pages left) but most of it is slack, far above its low-water mark
+	// of 64/8 = 8 pages.
+	a := startNode(t, dA, nil, nil)
 	for i := 0; i < 10; i++ {
 		if err := a.store.Set(fmt.Sprintf("donor-%d", i), make([]byte, 4096)); err != nil {
 			t.Fatalf("donor fill: %v", err)
@@ -440,18 +437,23 @@ func TestFederationMigratesBudget(t *testing.T) {
 		t.Fatalf("donor free = %d, scenario needs the free pool empty so cede must harvest slack", pa.FreePages)
 	}
 
-	// Pressured node: a 16-page partition against a 40-page low-water
-	// mark — permanently below it, so its federation loop borrows.
-	b := startNode(t, dB, []string{a.node.PeerAddr()}, func(c *Config) {
-		c.FedLowWater = 40
-		c.FedChunk = 16
-	})
+	// Pressured node: another process holds and uses its whole 16-page
+	// partition, so free+slack is 0, below its low-water mark of 16/8 = 2
+	// pages, and its federation loop borrows 2 pages.
+	hog := dB.Register("hog", nil)
+	if g, err := hog.RequestBudget(16, core.Usage{UsedPages: 16}); err != nil || g != 16 {
+		t.Fatalf("hog granted %d, err %v", g, err)
+	}
+	b := startNode(t, dB, []string{a.node.PeerAddr()}, nil)
 
 	waitFor(t, 10*time.Second, "budget migration", func() bool {
 		return dB.TotalPages() > 16 && dA.TotalPages() < donorPages
 	})
 
 	moved := dB.TotalPages() - 16
+	if moved != 16/8 {
+		t.Fatalf("borrower received %d pages, want one low-water mark's worth (%d)", moved, 16/8)
+	}
 	if got := donorPages - dA.TotalPages(); got != moved {
 		t.Fatalf("pages moved asymmetrically: donor lost %d, borrower gained %d", got, moved)
 	}

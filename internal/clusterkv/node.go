@@ -47,22 +47,15 @@ type Config struct {
 	Seeds []string
 	// Heartbeat is the gossip period (default 250ms).
 	Heartbeat time.Duration
-	// FailAfter is how many consecutive failed heartbeats mark a peer
-	// dead and remove it from the ring (default 3).
-	FailAfter int
-	// Vnodes is the node's virtual-point count (default DefaultVnodes).
-	Vnodes int
-	// FedLowWater is the pressure threshold in pages: the node borrows
-	// budget when local free+slack falls below it, and never cedes past
-	// it. Default TotalPages/8 of the local daemon.
-	FedLowWater int
-	// FedChunk is the pages requested per borrow (default FedLowWater).
-	FedChunk int
 	// JitterSeed seeds reconnect/backoff jitter (0 = clock).
 	JitterSeed int64
 	// Logf receives lifecycle diagnostics (nil = log.Printf).
 	Logf func(string, ...any)
 }
+
+// failAfter is how many consecutive failed heartbeats mark a peer dead
+// and remove it from the ring.
+const failAfter = 3
 
 // Node is one cluster member: the routing ring, the peer gossip server,
 // the replication fan-out, and the kvstore.ClusterHook that stitches
@@ -71,6 +64,12 @@ type Node struct {
 	cfg  Config
 	logf func(string, ...any)
 	met  nodeMetrics
+
+	// fedLowWater is the federation's pressure threshold in pages, an
+	// eighth of the local daemon's partition at Start: the node borrows
+	// budget when local free+slack falls below it, a low-water mark's
+	// worth at a time, and never cedes past it.
+	fedLowWater int
 
 	// ring is the immutable routing state, swapped whole on membership
 	// change; the hook's hot paths load it lock-free.
@@ -110,20 +109,8 @@ func Start(cfg Config) (*Node, error) {
 	if cfg.Heartbeat <= 0 {
 		cfg.Heartbeat = 250 * time.Millisecond
 	}
-	if cfg.FailAfter <= 0 {
-		cfg.FailAfter = 3
-	}
 	if cfg.Logf == nil {
 		cfg.Logf = log.Printf
-	}
-	if cfg.Daemon != nil && cfg.FedLowWater <= 0 {
-		cfg.FedLowWater = cfg.Daemon.TotalPages() / 8
-		if cfg.FedLowWater < 1 {
-			cfg.FedLowWater = 1
-		}
-	}
-	if cfg.FedChunk <= 0 {
-		cfg.FedChunk = cfg.FedLowWater
 	}
 
 	ln, err := net.Listen("tcp", cfg.PeerAddr)
@@ -143,9 +130,12 @@ func Start(cfg Config) (*Node, error) {
 		ln:          ln,
 		stop:        make(chan struct{}),
 	}
+	if cfg.Daemon != nil {
+		n.fedLowWater = max(cfg.Daemon.TotalPages()/8, 1)
+	}
 	n.selfStatus.Store(&cfg.StatusAddr)
 	n.repl = newReplicator(n)
-	n.ring.Store(BuildRing(ipc.ClusterTable{Version: 1, Nodes: []ipc.ClusterNode{n.self()}}, cfg.Vnodes))
+	n.ring.Store(BuildRing(ipc.ClusterTable{Version: 1, Nodes: []ipc.ClusterNode{n.self()}}))
 
 	n.wg.Add(1)
 	go func() {
@@ -285,7 +275,7 @@ func (n *Node) adopt(t ipc.ClusterTable) {
 		n.mu.Unlock()
 		return
 	}
-	n.ring.Store(BuildRing(merged, n.cfg.Vnodes))
+	n.ring.Store(BuildRing(merged))
 	for addr := range n.misses {
 		if !containsAddr(merged, addr) {
 			delete(n.misses, addr)
@@ -334,7 +324,7 @@ func (n *Node) heartbeatLoop() {
 }
 
 // gossipRound exchanges table + pressure with every peer and expires
-// peers that have missed FailAfter consecutive rounds.
+// peers that have missed failAfter consecutive rounds.
 func (n *Node) gossipRound() {
 	r := n.ring.Load()
 	for _, p := range r.Table.Nodes {
@@ -354,7 +344,7 @@ func (n *Node) gossipRound() {
 		if err != nil {
 			n.met.gossipFailures.Add(1)
 			if n.missed(p.Addr) {
-				n.logf("clusterkv: peer %s missed %d heartbeats, removing from ring", p.Addr, n.cfg.FailAfter)
+				n.logf("clusterkv: peer %s missed %d heartbeats, removing from ring", p.Addr, failAfter)
 				n.adopt(RemoveNode(n.ring.Load().Table, p.Addr))
 			}
 			continue
@@ -365,12 +355,12 @@ func (n *Node) gossipRound() {
 }
 
 // missed increments a peer's consecutive-failure count, reporting true
-// once it crosses FailAfter.
+// once it crosses failAfter.
 func (n *Node) missed(addr string) bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.misses[addr]++
-	return n.misses[addr] >= n.cfg.FailAfter
+	return n.misses[addr] >= failAfter
 }
 
 // localPressure is this machine's gossiped self-report.
@@ -382,15 +372,15 @@ func (n *Node) localPressure() smd.PressureSummary {
 }
 
 // federate borrows soft budget when this machine is pressured: below
-// the low-water mark it asks the slackest known peer to cede FedChunk
-// pages and grows the local partition by whatever arrives.
+// the low-water mark it asks the slackest known peer to cede a low-water
+// mark's worth of pages and grows the local partition by whatever arrives.
 func (n *Node) federate() {
 	d := n.cfg.Daemon
 	if d == nil {
 		return
 	}
 	p := d.Pressure()
-	if p.FreePages+p.SlackPages >= n.cfg.FedLowWater {
+	if p.FreePages+p.SlackPages >= n.fedLowWater {
 		return
 	}
 	n.mu.Lock()
@@ -401,7 +391,7 @@ func (n *Node) federate() {
 		}
 	}
 	n.mu.Unlock()
-	if best == "" || bestAvail <= n.cfg.FedLowWater {
+	if best == "" || bestAvail <= n.fedLowWater {
 		return // no peer has spare budget; stay local
 	}
 	peer := n.ring.Load().PeerOf(best)
@@ -410,7 +400,7 @@ func (n *Node) federate() {
 	}
 	var resp ipc.CedeResp
 	if err := n.callPeer(peer, ipc.KindCedeBudget,
-		ipc.CedeReq{From: n.cfg.Addr, Pages: n.cfg.FedChunk,
+		ipc.CedeReq{From: n.cfg.Addr, Pages: n.fedLowWater,
 			OriginNs: time.Now().UnixNano()}, &resp); err != nil {
 		return
 	}
@@ -430,7 +420,7 @@ func (n *Node) cedeTo(req ipc.CedeReq) int {
 		return 0
 	}
 	p := d.Pressure()
-	avail := p.FreePages + p.SlackPages - n.cfg.FedLowWater
+	avail := p.FreePages + p.SlackPages - n.fedLowWater
 	if avail <= 0 {
 		return 0
 	}

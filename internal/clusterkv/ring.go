@@ -6,7 +6,7 @@
 // same gossip links that carry ring membership.
 //
 // The keyspace is divided into NumSlots slots (key → slot by hash, as
-// in Redis Cluster). Each node projects Vnodes virtual points onto a
+// in Redis Cluster). Each node projects vnodes virtual points onto a
 // 64-bit hash circle; a slot is owned by the node whose point is the
 // first at or clockwise of the slot's own hash. The slot's replica is
 // the next *distinct* node after the owner's winning point — so when an
@@ -28,11 +28,11 @@ import (
 // and gossip, large enough that slot granularity never limits balance.
 const NumSlots = 16384
 
-// DefaultVnodes is the virtual points each node projects onto the ring.
+// vnodes is the virtual points each node projects onto the ring.
 // Balance error shrinks roughly with 1/√V; 512 keeps 3–9-node rings
 // within ±15% of ideal while build cost stays trivial (a few thousand
 // points sorted per membership change).
-const DefaultVnodes = 512
+const vnodes = 512
 
 // fnv64a is FNV-1a over a string or byte slice: the ring's one hash
 // function, chosen for determinism across processes (no per-process
@@ -96,12 +96,9 @@ type Ring struct {
 	replica []int32 // slot -> node index of the successor, -1 if none
 }
 
-// BuildRing compiles a table into routing state. vnodes <= 0 uses
-// DefaultVnodes. An empty table yields a ring that owns nothing.
-func BuildRing(t ipc.ClusterTable, vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = DefaultVnodes
-	}
+// BuildRing compiles a table into routing state. An empty table yields
+// a ring that owns nothing.
+func BuildRing(t ipc.ClusterTable) *Ring {
 	t = Normalize(t)
 	r := &Ring{Table: t}
 	if len(t.Nodes) == 0 {

@@ -28,12 +28,12 @@ func ownerCounts(r *Ring) map[string]int {
 	return counts
 }
 
-// TestSlotBalance pins the load-spreading property: with DefaultVnodes
+// TestSlotBalance pins the load-spreading property: with vnodes
 // virtual points per node, every node's slot share stays within ±15% of
 // the ideal NumSlots/n for cluster sizes 3 through 9.
 func TestSlotBalance(t *testing.T) {
 	for n := 3; n <= 9; n++ {
-		r := BuildRing(testTable(n), 0)
+		r := BuildRing(testTable(n))
 		ideal := float64(NumSlots) / float64(n)
 		for addr, got := range ownerCounts(r) {
 			dev := (float64(got) - ideal) / ideal
@@ -50,9 +50,9 @@ func TestSlotBalance(t *testing.T) {
 // every moved slot lands on the new node (no unrelated churn).
 func TestMinimalMovementOnAdd(t *testing.T) {
 	for n := 3; n <= 8; n++ {
-		before := BuildRing(testTable(n), 0)
+		before := BuildRing(testTable(n))
 		grown := AddNode(testTable(n), ipc.ClusterNode{Addr: "10.0.9.9:6380", Peer: "10.0.9.9:16380"})
-		after := BuildRing(grown, 0)
+		after := BuildRing(grown)
 		moved := 0
 		for s := 0; s < NumSlots; s++ {
 			if before.Owner(s) != after.Owner(s) {
@@ -75,8 +75,8 @@ func TestMinimalMovementOnRemove(t *testing.T) {
 	for n := 4; n <= 9; n++ {
 		tab := testTable(n)
 		victim := tab.Nodes[n/2].Addr
-		before := BuildRing(tab, 0)
-		after := BuildRing(RemoveNode(tab, victim), 0)
+		before := BuildRing(tab)
+		after := BuildRing(RemoveNode(tab, victim))
 		moved := 0
 		for s := 0; s < NumSlots; s++ {
 			ob, oa := before.Owner(s), after.Owner(s)
@@ -100,7 +100,7 @@ func TestMinimalMovementOnRemove(t *testing.T) {
 // exactly that replica to owner.
 func TestReplicaBecomesOwnerOnFailure(t *testing.T) {
 	tab := testTable(5)
-	r := BuildRing(tab, 0)
+	r := BuildRing(tab)
 	rebuilt := make(map[string]*Ring)
 	for s := 0; s < NumSlots; s++ {
 		owner, rep := r.Owner(s), r.Replica(s)
@@ -109,7 +109,7 @@ func TestReplicaBecomesOwnerOnFailure(t *testing.T) {
 		}
 		after, ok := rebuilt[owner]
 		if !ok {
-			after = BuildRing(RemoveNode(tab, owner), 0)
+			after = BuildRing(RemoveNode(tab, owner))
 			rebuilt[owner] = after
 		}
 		if got := after.Owner(s); got != rep {
@@ -120,7 +120,7 @@ func TestReplicaBecomesOwnerOnFailure(t *testing.T) {
 
 // TestSingleNodeRing: a solo ring owns everything and has no replica.
 func TestSingleNodeRing(t *testing.T) {
-	r := BuildRing(testTable(1), 0)
+	r := BuildRing(testTable(1))
 	for _, s := range []int{0, 1, NumSlots / 2, NumSlots - 1} {
 		if r.Owner(s) != "10.0.0.1:6380" {
 			t.Fatalf("slot %d owner = %q", s, r.Owner(s))

@@ -13,12 +13,12 @@
 package clustersim
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 	"time"
 
 	"softmem/internal/metrics"
+	"softmem/internal/sim"
 	"softmem/internal/trace"
 )
 
@@ -51,24 +51,16 @@ type Config struct {
 	Machines int
 	// PagesPerMachine is each machine's memory capacity in pages.
 	PagesPerMachine int
-	// SlowdownPenalty scales how much losing soft memory hurts: a job
-	// holding fraction f of its soft allocation runs at rate
-	// 1/(1+penalty·(1−f)). Default 1.0 (fully reclaimed cache halves
-	// speed).
-	SlowdownPenalty float64
-	// RetryBackoff delays rescheduling an evicted or unplaceable job.
-	// Default 30s.
-	RetryBackoff time.Duration
 }
 
-func (c *Config) setDefaults() {
-	if c.SlowdownPenalty == 0 {
-		c.SlowdownPenalty = 1.0
-	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = 30 * time.Second
-	}
-}
+const (
+	// slowdownPenalty scales how much losing soft memory hurts: a job
+	// holding fraction f of its soft allocation runs at rate
+	// 1/(1+penalty·(1−f)), so a fully reclaimed cache halves its speed.
+	slowdownPenalty = 1.0
+	// retryBackoff delays rescheduling an evicted or unplaceable job.
+	retryBackoff = 30 * time.Second
+)
 
 // Result summarizes one simulation run.
 type Result struct {
@@ -127,8 +119,7 @@ type machine struct {
 // Sim runs one scheduler over one trace.
 type Sim struct {
 	cfg      Config
-	now      time.Duration
-	events   eventQueue
+	clock    *sim.Virtual
 	machines []*machine
 
 	completed     int
@@ -144,17 +135,16 @@ type Sim struct {
 	utilSamples   int
 	unplaced      int64
 	lastFinish    time.Duration
-	seq           uint64
 }
 
 // New builds a simulation over the given trace.
 func New(cfg Config, jobs []trace.Job) *Sim {
-	cfg.setDefaults()
 	if cfg.Machines <= 0 || cfg.PagesPerMachine <= 0 {
 		panic("cluster: Machines and PagesPerMachine must be positive")
 	}
 	s := &Sim{
 		cfg:         cfg,
+		clock:       sim.NewVirtual(),
 		queueDelays: metrics.NewHistogram(1.2),
 		queueSoft:   metrics.NewHistogram(1.2),
 		queueHard:   metrics.NewHistogram(1.2),
@@ -175,28 +165,14 @@ func New(cfg Config, jobs []trace.Job) *Sim {
 			spec.MemPages = cfg.PagesPerMachine
 		}
 		j := &job{spec: spec, remaining: spec.Runtime, rate: 1.0}
-		s.schedule(spec.Arrival, evArrival, j)
+		s.schedule(spec.Arrival, func() { s.place(j) })
 	}
 	return s
 }
 
 // Run drives the simulation to completion and returns the summary.
 func (s *Sim) Run() Result {
-	for s.events.Len() > 0 {
-		ev := heap.Pop(&s.events).(*event)
-		s.now = ev.at
-		switch ev.kind {
-		case evArrival:
-			s.place(ev.j)
-		case evCompletion:
-			if ev.j.gen == ev.gen && !ev.j.done {
-				s.complete(ev.j)
-			}
-		case evRetry:
-			s.place(ev.j)
-		}
-		s.sampleUtil()
-	}
+	s.clock.Run()
 	res := Result{
 		Kind:           s.cfg.Kind,
 		Completed:      s.completed,
@@ -253,15 +229,16 @@ func (s *Sim) place(j *job) {
 		// low soft adoption) — higher-priority work must still place.
 		best = s.evictForRoom(j, trad)
 	}
+	now := s.clock.Now()
 	if best == nil {
 		s.unplaced++
-		s.schedule(s.now+s.cfg.RetryBackoff, evRetry, j)
+		s.schedule(now+retryBackoff, func() { s.place(j) })
 		return
 	}
 
 	if !j.placed {
 		j.placed = true
-		delay := float64(s.now - j.spec.Arrival)
+		delay := float64(now - j.spec.Arrival)
 		s.queueDelays.Observe(delay)
 		if s.cfg.Kind == Soft && j.spec.SoftFrac > 0 {
 			s.queueSoft.Observe(delay)
@@ -279,7 +256,7 @@ func (s *Sim) place(j *job) {
 	j.softHeld = soft
 	best.freePgs -= trad + soft
 	best.jobs[j] = struct{}{}
-	j.lastUpdate = s.now
+	j.lastUpdate = now
 	j.rate = s.rateFor(j)
 	s.scheduleCompletion(j)
 }
@@ -290,12 +267,13 @@ func (s *Sim) rateFor(j *job) float64 {
 		return 1.0
 	}
 	f := float64(j.softHeld) / float64(j.softFull)
-	return 1.0 / (1.0 + s.cfg.SlowdownPenalty*(1.0-f))
+	return 1.0 / (1.0 + slowdownPenalty*(1.0-f))
 }
 
 // settle folds elapsed progress into the job and refreshes lastUpdate.
 func (s *Sim) settle(j *job) {
-	elapsed := s.now - j.lastUpdate
+	now := s.clock.Now()
+	elapsed := now - j.lastUpdate
 	if elapsed > 0 {
 		work := time.Duration(float64(elapsed) * j.rate)
 		if work > j.remaining {
@@ -304,7 +282,7 @@ func (s *Sim) settle(j *job) {
 		j.remaining -= work
 		j.workDone += work
 	}
-	j.lastUpdate = s.now
+	j.lastUpdate = now
 }
 
 // scheduleCompletion (re)schedules the job's completion at its current
@@ -315,8 +293,12 @@ func (s *Sim) scheduleCompletion(j *job) {
 		return // fully stalled; resumes when soft memory is restored
 	}
 	eta := time.Duration(float64(j.remaining) / j.rate)
-	s.seq++
-	heap.Push(&s.events, &event{at: s.now + eta, kind: evCompletion, j: j, gen: j.gen, seq: s.seq})
+	gen := j.gen
+	s.schedule(s.clock.Now()+eta, func() {
+		if j.gen == gen && !j.done {
+			s.complete(j)
+		}
+	})
 }
 
 // complete finishes a job, frees its memory, and reuses the room for
@@ -328,9 +310,9 @@ func (s *Sim) complete(j *job) {
 	delete(m.jobs, j)
 	m.freePgs += j.tradPct + j.softHeld
 	s.completed++
-	s.lastFinish = s.now
+	s.lastFinish = s.clock.Now()
 	ideal := j.spec.Runtime
-	total := s.now - j.spec.Arrival
+	total := s.lastFinish - j.spec.Arrival
 	if ideal > 0 {
 		s.slowdownSum += float64(total) / float64(ideal)
 	}
@@ -506,7 +488,7 @@ func (s *Sim) evict(j *job) {
 	j.remaining = j.spec.Runtime // recompute everything
 	j.gen++                      // invalidate completion event
 	j.machine = nil
-	s.schedule(s.now+s.cfg.RetryBackoff, evRetry, j)
+	s.schedule(s.clock.Now()+retryBackoff, func() { s.place(j) })
 }
 
 // sampleUtil records current memory utilization across machines.
@@ -521,48 +503,11 @@ func (s *Sim) sampleUtil() {
 	s.utilSamples++
 }
 
-// schedule enqueues a simulation event.
-func (s *Sim) schedule(at time.Duration, kind eventKind, j *job) {
-	s.seq++
-	heap.Push(&s.events, &event{at: at, kind: kind, j: j, gen: j.gen, seq: s.seq})
-}
-
-type eventKind int
-
-const (
-	evArrival eventKind = iota
-	evCompletion
-	evRetry
-)
-
-type event struct {
-	at   time.Duration
-	kind eventKind
-	j    *job
-	gen  int
-	seq  uint64
-}
-
-type eventQueue []*event
-
-func (q eventQueue) Len() int { return len(q) }
-
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
-	}
-	return q[i].seq < q[j].seq
-}
-
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-
-func (q *eventQueue) Push(x any) { *q = append(*q, x.(*event)) }
-
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return ev
+// schedule enqueues a simulation event: fn, then a utilization sample.
+// Events fire in time order, FIFO among equal times.
+func (s *Sim) schedule(at time.Duration, fn func()) {
+	s.clock.Schedule(at, func() {
+		fn()
+		s.sampleUtil()
+	})
 }

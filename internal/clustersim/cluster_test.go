@@ -103,13 +103,13 @@ func TestSoftRestoresAfterPressure(t *testing.T) {
 }
 
 func TestSqueezeSlowsTheVictim(t *testing.T) {
-	// Penalty 1.0, full squeeze -> rate 0.5: the batch job's completion
-	// stretches while squeezed.
+	// slowdownPenalty 1.0, full squeeze -> rate 0.5: the batch job's
+	// completion stretches while squeezed.
 	jobs := []trace.Job{
 		mkJob(0, 0, 10*time.Minute, trace.Batch, 1000, 0.5),
 		mkJob(1, 0, 100*time.Minute, trace.Prod, 500, 0), // permanent pressure
 	}
-	res := New(Config{Kind: Soft, Machines: 1, PagesPerMachine: 1000, SlowdownPenalty: 1.0}, jobs).Run()
+	res := New(Config{Kind: Soft, Machines: 1, PagesPerMachine: 1000}, jobs).Run()
 	if res.Completed != 2 {
 		t.Fatalf("completed = %d", res.Completed)
 	}
@@ -216,4 +216,30 @@ func TestSoftJobsScheduleSooner(t *testing.T) {
 	}
 	t.Logf("p95 queue delay: soft-adopting %v vs non-adopting %v",
 		res.P95QueueSoft, res.P95QueueHard)
+}
+
+// TestSeededResultsPinned pins one seeded Baseline and one Soft run to
+// exact results, so a change in event order (time, then FIFO among equal
+// times) or in the model fails here.
+func TestSeededResultsPinned(t *testing.T) {
+	jobs := trace.GenerateJobs(trace.TraceConfig{
+		Seed: 7, Jobs: 400, Horizon: 3 * time.Hour,
+		MeanRuntime: 8 * time.Minute, MeanMemPages: 250,
+		BatchFraction: 0.6, SoftFrac: 0.5, SoftAdoption: 0.9,
+	})
+	for _, want := range []Result{
+		{Kind: Baseline, Completed: 400, Evictions: 143, WastedCPU: 41990801117707,
+			MeanSlowdown: 6.500841252207218, P95QueueDelay: 1875396656410,
+			P95QueueHard: 1875396656410, MeanUtilPct: 89.00097968649975,
+			MakespanEnd: 15160639841660, UnplacedRounds: 5166},
+		{Kind: Soft, Completed: 400, Evictions: 15, WastedCPU: 5925014436823,
+			SoftReclaimed: 25538, SoftRestored: 34262, MeanSlowdown: 1.4586852373294321,
+			P95QueueDelay: 33970796078, P95QueueSoft: 1, P95QueueHard: 101436253557,
+			MeanUtilPct: 89.99787097042208, MakespanEnd: 13621162658765, UnplacedRounds: 254},
+	} {
+		got := New(Config{Kind: want.Kind, Machines: 4, PagesPerMachine: 1200}, jobs).Run()
+		if got != want {
+			t.Errorf("%v:\n got %#v\nwant %#v", want.Kind, got, want)
+		}
+	}
 }

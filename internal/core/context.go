@@ -178,7 +178,7 @@ func (c *Context) free(ref alloc.Ref) error {
 		return err
 	}
 	err := c.heap.Free(ref)
-	c.heap.Trim(c.sma.cfg.HeapFreeMax)
+	c.heap.Trim(heapFreeMax)
 	c.mu.Unlock()
 	c.sma.flushTrim()
 	return err
@@ -281,7 +281,7 @@ func (c *Context) Do(fn func(tx *Tx) error) error {
 	// every soft-memory operation. fn must not retain it past return.
 	c.doTx = Tx{ctx: c}
 	err := fn(&c.doTx)
-	c.heap.Trim(c.sma.cfg.HeapFreeMax)
+	c.heap.Trim(heapFreeMax)
 	c.mu.Unlock()
 	c.sma.flushTrim()
 	return err

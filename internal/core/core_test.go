@@ -391,10 +391,12 @@ func TestRebackingTracked(t *testing.T) {
 func TestFreePoolOverflowReturnsBudget(t *testing.T) {
 	pool := pages.NewPool(0)
 	d := &fakeDaemon{total: 100000}
-	s := New(Config{Machine: pool, Daemon: d, FreePoolMax: 4, HeapFreeMax: 1})
+	s := New(Config{Machine: pool, Daemon: d})
 	ctx := s.Register("test", 0, nil)
 	var refs []alloc.Ref
-	for i := 0; i < 64; i++ { // 16 pages of 1 KiB slots
+	// 1 KiB slots, four a page: 16 pages more than the heap and the free
+	// pool together keep.
+	for i := 0; i < 4*(heapFreeMax+freePoolMax+16); i++ {
 		r, err := ctx.Alloc(1024)
 		if err != nil {
 			t.Fatal(err)
@@ -413,8 +415,8 @@ func TestFreePoolOverflowReturnsBudget(t *testing.T) {
 		t.Fatal("no budget returned to daemon despite free-pool overflow")
 	}
 	st := s.Stats()
-	if st.FreePoolPages > 4 {
-		t.Fatalf("free pool %d exceeds FreePoolMax 4", st.FreePoolPages)
+	if st.FreePoolPages > freePoolMax {
+		t.Fatalf("free pool %d exceeds freePoolMax %d", st.FreePoolPages, freePoolMax)
 	}
 	if st.BudgetPages < st.UsedPages {
 		t.Fatalf("budget %d < used %d after trim", st.BudgetPages, st.UsedPages)
@@ -581,12 +583,14 @@ func (d *flakyDaemon) ReleaseBudget(n int, u Usage) error {
 func TestFlakyDaemonSurfacesButDoesNotCorrupt(t *testing.T) {
 	pool := pages.NewPool(0)
 	d := &flakyDaemon{inner: fakeDaemon{total: 1000}}
-	s := New(Config{Machine: pool, Daemon: d, FreePoolMax: 2, HeapFreeMax: 1})
+	s := New(Config{Machine: pool, Daemon: d})
 	ctx := s.Register("test", 0, nil)
 
 	var got, failed int
 	var refs []alloc.Ref
-	for i := 0; i < 200; i++ {
+	// 1 KiB slots, four a page: about 100 pages, more than the heap and
+	// the free pool together keep, so the frees below trim and release.
+	for i := 0; i < 400; i++ {
 		ref, err := ctx.Alloc(1024)
 		if err != nil {
 			if !errors.Is(err, ErrExhausted) {

@@ -120,7 +120,7 @@ func TestEpochRetireDefersAndDrains(t *testing.T) {
 // softmem_sma_epoch_limbo_allocs at rest.
 func TestEpochLimboBounded(t *testing.T) {
 	pool := pages.NewPool(0)
-	s := New(Config{Machine: pool, HeapFreeMax: 0})
+	s := New(Config{Machine: pool})
 	defer s.Close()
 	var live []alloc.Ref
 	take := func(rng *rand.Rand) alloc.Ref {
@@ -191,7 +191,7 @@ func TestEpochLimboBounded(t *testing.T) {
 // from over-evicting past its quota.
 func TestEpochRetireDemandDrain(t *testing.T) {
 	pool := pages.NewPool(0)
-	s := New(Config{Machine: pool, HeapFreeMax: 0})
+	s := New(Config{Machine: pool})
 	defer s.Close()
 
 	var ctx *Context

@@ -135,7 +135,7 @@ func (o *Owned) Release() {
 	}
 	o.held = false
 	c := o.ctx
-	c.heap.Trim(c.sma.cfg.HeapFreeMax)
+	c.heap.Trim(heapFreeMax)
 	c.mu.Unlock()
 	c.sma.flushTrim()
 }

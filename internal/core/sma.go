@@ -97,26 +97,23 @@ type Config struct {
 	// BudgetChunk is the number of pages requested from the daemon at a
 	// time, amortizing round-trips. Default 64 (256 KiB).
 	BudgetChunk int
-	// FreePoolMax caps the process-local free pool; beyond it pages are
-	// returned to the machine and budget to the daemon. Default 64.
-	FreePoolMax int
-	// HeapFreeMax caps fully-free pages retained inside each SDS heap
-	// before they are transferred to the process free pool ("periodically
-	// transfers free pages back to the global free pool", §4). Default 8.
-	HeapFreeMax int
 }
 
 func (c *Config) setDefaults() {
 	if c.BudgetChunk <= 0 {
 		c.BudgetChunk = 64
 	}
-	if c.FreePoolMax <= 0 {
-		c.FreePoolMax = 64
-	}
-	if c.HeapFreeMax <= 0 {
-		c.HeapFreeMax = 8
-	}
 }
+
+const (
+	// freePoolMax caps the process-local free pool; beyond it pages are
+	// returned to the machine and budget to the daemon.
+	freePoolMax = 64
+	// heapFreeMax caps fully-free pages retained inside each SDS heap
+	// before they are transferred to the process free pool ("periodically
+	// transfers free pages back to the global free pool", §4).
+	heapFreeMax = 8
+)
 
 // Stats is a snapshot of an SMA's accounting.
 type Stats struct {
@@ -488,8 +485,8 @@ func (s *SMA) VerifyIntegrity() error {
 	if s.daemonClient() != nil && s.budget.Load() < 0 {
 		return fmt.Errorf("core: negative budget %d", s.budget.Load())
 	}
-	if len(s.freePool) > s.cfg.FreePoolMax {
-		return fmt.Errorf("core: free pool %d exceeds cap %d", len(s.freePool), s.cfg.FreePoolMax)
+	if len(s.freePool) > freePoolMax {
+		return fmt.Errorf("core: free pool %d exceeds cap %d", len(s.freePool), freePoolMax)
 	}
 	for _, pg := range s.freePool {
 		if !pg.Held() {
@@ -639,7 +636,7 @@ func (s *SMA) releasePages(pgs []*pages.Page) {
 	var cut []*pages.Page
 	s.poolMu.Lock()
 	s.freePool = append(s.freePool, pgs...)
-	if over := len(s.freePool) - s.cfg.FreePoolMax; over > 0 {
+	if over := len(s.freePool) - freePoolMax; over > 0 {
 		tail := s.freePool[len(s.freePool)-over:]
 		cut = append(cut, tail...)
 		for i := range tail {

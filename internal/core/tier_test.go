@@ -241,7 +241,7 @@ func TestReclaimStopsWhenNothingIsFreed(t *testing.T) {
 // SDS is not asked for them a second time; they come out once the
 // reader has gone.
 func TestReclaimDoesNotAskTwiceForPagesInLimbo(t *testing.T) {
-	s := New(Config{Machine: pages.NewPool(0), HeapFreeMax: 0})
+	s := New(Config{Machine: pages.NewPool(0)})
 	defer s.Close()
 	var refs []alloc.Ref
 	calls := 0

@@ -39,24 +39,6 @@ type ChaosConfig struct {
 	Entries int
 	// MachineMiB is the daemon's soft memory partition. Default 8.
 	MachineMiB int
-	// CrashAfterDemands arms smd.demand.post:on=N:crash — the daemon
-	// exits right after the Nth reclamation demand completes, before the
-	// triggering request is granted. Default 1.
-	CrashAfterDemands int
-	// TornAppendAt arms spill.append:on=N:short in the victim — the Nth
-	// demotion is acknowledged but half-written. Default 40.
-	TornAppendAt int
-	// DeleteKeys is how many preloaded keys are DELeted while the daemon
-	// is down; none may resurrect afterwards. Default 32.
-	DeleteKeys int
-	// BackoffMs / BackoffMaxMs bound the clients' reconnect schedule
-	// (jittered doubling). Defaults 50 / 300.
-	BackoffMs    int
-	BackoffMaxMs int
-	// MaxResyncRounds is the invariant bound: both processes must be
-	// re-registered with the restarted daemon within this many
-	// maximum-length backoff rounds. Default 5.
-	MaxResyncRounds int
 	// Logf receives harness progress and subprocess output (nil = quiet).
 	Logf func(string, ...any)
 }
@@ -71,28 +53,32 @@ func (c *ChaosConfig) setDefaults() {
 	if c.MachineMiB <= 0 {
 		c.MachineMiB = 8
 	}
-	if c.CrashAfterDemands <= 0 {
-		c.CrashAfterDemands = 1
-	}
-	if c.TornAppendAt <= 0 {
-		c.TornAppendAt = 40
-	}
-	if c.DeleteKeys <= 0 {
-		c.DeleteKeys = 32
-	}
-	if c.BackoffMs <= 0 {
-		c.BackoffMs = 50
-	}
-	if c.BackoffMaxMs <= 0 {
-		c.BackoffMaxMs = 300
-	}
-	if c.MaxResyncRounds <= 0 {
-		c.MaxResyncRounds = 5
-	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
 	}
 }
+
+// The chaos schedule.
+const (
+	// chaosCrashAfterDemands arms smd.demand.post:on=N:crash — the daemon
+	// exits right after the Nth reclamation demand completes, before the
+	// triggering request is granted.
+	chaosCrashAfterDemands = 1
+	// chaosTornAppendAt arms spill.append:on=N:short in the victim — the
+	// Nth demotion is acknowledged but half-written.
+	chaosTornAppendAt = 40
+	// chaosDeleteKeys is how many preloaded keys are DELeted while the
+	// daemon is down; none may resurrect afterwards.
+	chaosDeleteKeys = 32
+	// chaosBackoffMs / chaosBackoffMaxMs bound the clients' reconnect
+	// schedule (jittered doubling).
+	chaosBackoffMs    = 50
+	chaosBackoffMaxMs = 300
+	// chaosMaxResyncRounds is the invariant bound: both processes must be
+	// re-registered with the restarted daemon within this many
+	// maximum-length backoff rounds.
+	chaosMaxResyncRounds = 5
+)
 
 // ChaosResult reports what the run observed. Failures lists every
 // violated invariant; an empty list is a clean pass.
@@ -301,7 +287,7 @@ func Chaos(cfg ChaosConfig) (ChaosResult, error) {
 	cfg.Logf("chaos: phase 0: starting armed fleet (seed=%d)", cfg.Seed)
 	smd1, err := startProc(cfg.SMDBin, "smd1", cfg.Logf,
 		"-listen", smdAddr, "-mib", strconv.Itoa(cfg.MachineMiB), "-stats", "0",
-		"-faults", fmt.Sprintf("smd.demand.post:on=%d:crash", cfg.CrashAfterDemands))
+		"-faults", fmt.Sprintf("smd.demand.post:on=%d:crash", chaosCrashAfterDemands))
 	if err != nil {
 		return res, err
 	}
@@ -313,8 +299,8 @@ func Chaos(cfg ChaosConfig) (ChaosResult, error) {
 		args := []string{
 			"-listen", victimAddr, "-smd", smdAddr, "-name", "victim",
 			"-http", victimHTTP, "-spill-dir", spillDir, "-spill-segment-kib", "64",
-			"-smd-backoff-ms", strconv.Itoa(cfg.BackoffMs),
-			"-smd-backoff-max-ms", strconv.Itoa(cfg.BackoffMaxMs),
+			"-smd-backoff-ms", strconv.Itoa(chaosBackoffMs),
+			"-smd-backoff-max-ms", strconv.Itoa(chaosBackoffMaxMs),
 			"-smd-jitter-seed", strconv.FormatInt(cfg.Seed, 10),
 			"-sweep", "0",
 		}
@@ -324,15 +310,15 @@ func Chaos(cfg ChaosConfig) (ChaosResult, error) {
 		return args
 	}
 	victim, err := startProc(cfg.SoftKVBin, "victim", cfg.Logf,
-		victimArgs(fmt.Sprintf("spill.append:on=%d:short", cfg.TornAppendAt))...)
+		victimArgs(fmt.Sprintf("spill.append:on=%d:short", chaosTornAppendAt))...)
 	if err != nil {
 		return res, err
 	}
 	defer victim.kill()
 	agg, err := startProc(cfg.SoftKVBin, "agg", cfg.Logf,
 		"-listen", aggAddr, "-smd", smdAddr, "-name", "aggressor",
-		"-smd-backoff-ms", strconv.Itoa(cfg.BackoffMs),
-		"-smd-backoff-max-ms", strconv.Itoa(cfg.BackoffMaxMs),
+		"-smd-backoff-ms", strconv.Itoa(chaosBackoffMs),
+		"-smd-backoff-max-ms", strconv.Itoa(chaosBackoffMaxMs),
 		"-smd-jitter-seed", strconv.FormatInt(cfg.Seed+1, 10),
 		"-sweep", "0")
 	if err != nil {
@@ -429,8 +415,8 @@ func Chaos(cfg ChaosConfig) (ChaosResult, error) {
 	// Deletions during the outage: these keys must never come back. The
 	// oldest keys are the ones reclamation demoted to disk, so their
 	// tombstones — not just their memory slots — carry the invariant.
-	deleted := make([]string, 0, cfg.DeleteKeys)
-	for i := 0; i < cfg.DeleteKeys; i++ {
+	deleted := make([]string, 0, chaosDeleteKeys)
+	for i := 0; i < chaosDeleteKeys; i++ {
 		key := fmt.Sprintf("k%05d", i)
 		if _, err := vcli.Del(key); err != nil {
 			fail("DEL %s during outage: %v", key, err)
@@ -454,7 +440,7 @@ func Chaos(cfg ChaosConfig) (ChaosResult, error) {
 		return res, err
 	}
 	t0 := time.Now()
-	resyncBudget := time.Duration(cfg.MaxResyncRounds) * time.Duration(cfg.BackoffMaxMs) * time.Millisecond
+	resyncBudget := chaosMaxResyncRounds * chaosBackoffMaxMs * time.Millisecond
 	var smdStatus smd.Status
 	for {
 		if err := fetchJSON("http://"+smdHTTP+"/statusz", &smdStatus); err == nil && smdStatus.Stats.Procs >= 2 {
@@ -466,11 +452,11 @@ func Chaos(cfg ChaosConfig) (ChaosResult, error) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	res.ResyncElapsed = time.Since(t0)
-	res.ResyncRounds = int(res.ResyncElapsed/(time.Duration(cfg.BackoffMaxMs)*time.Millisecond)) + 1
+	res.ResyncRounds = int(res.ResyncElapsed/(chaosBackoffMaxMs*time.Millisecond)) + 1
 	if smdStatus.Stats.Procs < 2 {
 		fail("only %d process(es) re-registered within the resync budget", smdStatus.Stats.Procs)
-	} else if res.ResyncRounds > cfg.MaxResyncRounds {
-		fail("resync took %v (%d rounds), budget %d rounds", res.ResyncElapsed, res.ResyncRounds, cfg.MaxResyncRounds)
+	} else if res.ResyncRounds > chaosMaxResyncRounds {
+		fail("resync took %v (%d rounds), budget %d rounds", res.ResyncElapsed, res.ResyncRounds, chaosMaxResyncRounds)
 	}
 
 	// Phase 5: pressure against the new incarnation until it completes a

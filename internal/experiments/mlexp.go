@@ -16,10 +16,12 @@ type MLConfig struct {
 	SampleBytes int // default 2048
 	Epochs      int // default 8
 	// SqueezeEpoch injects a reclamation after this epoch (default 4),
-	// taking SqueezeFrac of the cache's pages.
+	// taking mlSqueezeFrac of the cache's pages.
 	SqueezeEpoch int
-	SqueezeFrac  float64 // default 0.5
 }
+
+// mlSqueezeFrac is the share of the cache's pages the squeeze takes.
+const mlSqueezeFrac = 0.5
 
 func (c *MLConfig) setDefaults() {
 	if c.Samples <= 0 {
@@ -33,9 +35,6 @@ func (c *MLConfig) setDefaults() {
 	}
 	if c.SqueezeEpoch <= 0 {
 		c.SqueezeEpoch = 4
-	}
-	if c.SqueezeFrac <= 0 {
-		c.SqueezeFrac = 0.5
 	}
 }
 
@@ -81,7 +80,7 @@ func ML(cfg MLConfig) MLResult {
 		res.Epochs = append(res.Epochs, st)
 		if e == cfg.SqueezeEpoch {
 			pagesHeld := tr.Cache().Context().HeapStats().PagesHeld
-			demand := int(float64(pagesHeld) * cfg.SqueezeFrac)
+			demand := int(float64(pagesHeld) * mlSqueezeFrac)
 			res.SqueezedPgs = sma.HandleDemand(demand)
 		}
 	}

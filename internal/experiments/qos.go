@@ -20,36 +20,25 @@ import (
 // once with legacy weight-ordered victim selection and once with tenant
 // specs registered, and reports where reclamation landed in each mode.
 type QoSConfig struct {
-	// PartitionMiB is the daemon's soft memory partition. Default 16.
-	PartitionMiB int
-	// Requests per tenant load. Default 20000.
-	Requests int
-	// Keys is the frontend keyspace; the preload fills it. Default 8192.
-	Keys uint64
-	// ValueBytes is the stored value size. Default 1024.
-	ValueBytes int
-	// FloodPages is the budget-flood request size. Default 256.
-	FloodPages int
 	// Seed drives the load generators' key streams.
 	Seed int64
 }
 
+// The E14 load.
+const (
+	// qosPartitionMiB is the daemon's soft memory partition.
+	qosPartitionMiB = 16
+	// qosRequests is each tenant load's request count.
+	qosRequests = 20000
+	// qosKeys is the frontend keyspace; the preload fills it.
+	qosKeys = 8192
+	// qosValueBytes is the stored value size.
+	qosValueBytes = 1024
+	// qosFloodPages is the budget-flood request size.
+	qosFloodPages = 256
+)
+
 func (c *QoSConfig) setDefaults() {
-	if c.PartitionMiB <= 0 {
-		c.PartitionMiB = 16
-	}
-	if c.Requests <= 0 {
-		c.Requests = 20000
-	}
-	if c.Keys == 0 {
-		c.Keys = 8192
-	}
-	if c.ValueBytes <= 0 {
-		c.ValueBytes = 1024
-	}
-	if c.FloodPages <= 0 {
-		c.FloodPages = 256
-	}
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
@@ -164,15 +153,15 @@ func RunQoS(cfg QoSConfig) QoSResult {
 // tenant loads against the budget flood, then snapshot the daemon's
 // per-proc reclamation ledger.
 func runQoSMode(res *QoSResult, mode string, cfg QoSConfig) {
-	daemon := smd.NewDaemon(smd.Config{TotalPages: cfg.PartitionMiB << 20 / pages.Size})
+	daemon := smd.NewDaemon(smd.Config{TotalPages: qosPartitionMiB << 20 / pages.Size})
 
 	tenants := []*qosTenant{
 		{
 			name: "frontend",
 			spec: smd.TenantSpec{Tenant: "frontend", Class: 2, SLOMs: 10},
 			load: kvstore.LoadGenConfig{
-				Conns: 4, Requests: cfg.Requests, ReadFraction: 0.95,
-				Keys: cfg.Keys, ValueBytes: cfg.ValueBytes, Pipeline: 8,
+				Conns: 4, Requests: qosRequests, ReadFraction: 0.95,
+				Keys: qosKeys, ValueBytes: qosValueBytes, Pipeline: 8,
 				Seed: cfg.Seed,
 			},
 		},
@@ -180,8 +169,8 @@ func runQoSMode(res *QoSResult, mode string, cfg QoSConfig) {
 			name: "antagonist",
 			spec: smd.TenantSpec{Tenant: "antagonist", Class: 0, SLOMs: 1000},
 			load: kvstore.LoadGenConfig{
-				Conns: 4, Requests: cfg.Requests, ReadFraction: 0.2,
-				Keys: cfg.Keys * 4, ValueBytes: cfg.ValueBytes, Pipeline: 8,
+				Conns: 4, Requests: qosRequests, ReadFraction: 0.2,
+				Keys: qosKeys * 4, ValueBytes: qosValueBytes, Pipeline: 8,
 				HotKeys: 64, HotFraction: 0.8,
 				Seed: cfg.Seed + 100,
 			},
@@ -211,13 +200,13 @@ func runQoSMode(res *QoSResult, mode string, cfg QoSConfig) {
 	// exactly the behavior QoS must fix — while the antagonist carries
 	// half as much, enough to absorb the flood's reclaim cycles when the
 	// QoS ordering redirects them onto it.
-	value := make([]byte, cfg.ValueBytes)
-	for i := uint64(0); i < cfg.Keys; i++ {
+	value := make([]byte, qosValueBytes)
+	for i := uint64(0); i < qosKeys; i++ {
 		if err := tenants[0].store.Set(fmt.Sprintf("key-%016x", i), value); err != nil {
 			break // partition full: preload stops, load traffic takes over
 		}
 	}
-	for i := uint64(0); i < cfg.Keys/2; i++ {
+	for i := uint64(0); i < qosKeys/2; i++ {
 		if err := tenants[1].store.Set(fmt.Sprintf("akey-%016x", i), value); err != nil {
 			break
 		}
@@ -243,11 +232,11 @@ func runQoSMode(res *QoSResult, mode string, cfg QoSConfig) {
 				return
 			default:
 			}
-			granted, err := flood.RequestBudget(cfg.FloodPages, core.Usage{UsedPages: held})
+			granted, err := flood.RequestBudget(qosFloodPages, core.Usage{UsedPages: held})
 			if err == nil {
 				held += granted
 			}
-			if held >= (cfg.PartitionMiB<<20/pages.Size)/2 {
+			if held >= (qosPartitionMiB<<20/pages.Size)/2 {
 				_ = flood.ReleaseBudget(held, core.Usage{})
 				held = 0
 			}

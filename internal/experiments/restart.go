@@ -25,9 +25,10 @@ type RestartConfig struct {
 	// CleanupWork models per-entry traditional-memory cleanup (see
 	// kvstore.Config.CleanupWork). Default 200.
 	CleanupWork int
-	// RestartDowntime is the process restart floor. Paper: 12 ms.
-	RestartDowntime time.Duration
 }
+
+// restartDowntime is the process restart floor. Paper: 12 ms.
+const restartDowntime = 12 * time.Millisecond
 
 func (c *RestartConfig) setDefaults() {
 	if c.Entries <= 0 {
@@ -38,9 +39,6 @@ func (c *RestartConfig) setDefaults() {
 	}
 	if c.CleanupWork <= 0 {
 		c.CleanupWork = 200
-	}
-	if c.RestartDowntime <= 0 {
-		c.RestartDowntime = 12 * time.Millisecond
 	}
 }
 
@@ -100,7 +98,7 @@ func Restart(cfg RestartConfig) RestartResult {
 	perEntry := refillAll / time.Duration(cfg.Entries)
 	lostCost := perEntry * time.Duration(reclaimed)
 
-	kill := cfg.RestartDowntime + refillAll
+	kill := restartDowntime + refillAll
 	softPath := reclaimTime + lostCost
 	adv := 0.0
 	if softPath > 0 {
@@ -112,7 +110,7 @@ func Restart(cfg RestartConfig) RestartResult {
 		ReclaimedPages:   released,
 		ReclaimTime:      reclaimTime,
 		LostEntriesCost:  lostCost,
-		RestartDowntime:  cfg.RestartDowntime,
+		RestartDowntime:  restartDowntime,
 		RefillAllTime:    refillAll,
 		KillCost:         kill,
 		Advantage:        adv,

@@ -19,56 +19,40 @@ import (
 // revoking and dropping memory contents ... this makes sense when the
 // data stored loses its utility once no longer in memory".
 type SwapConfig struct {
-	// Entries in the cache; values are ValueBytes each. Defaults 2048 /
-	// 4096.
-	Entries    int
-	ValueBytes int
-	// ReclaimFrac of the cache is reclaimed by the pressure event.
-	// Default 0.5.
-	ReclaimFrac float64
+	// Entries in the cache; values are swapValueBytes each. Default 2048.
+	Entries int
 	// Accesses after the pressure event. Default = Entries.
 	Accesses int
-	// RefetchCost models recomputing/re-fetching a dropped entry (the
-	// paper's caching setup). Default 100µs — a cheap recomputation;
-	// higher values (a remote database) shift the crossover toward
-	// swapping, which is exactly the paper's "when the data stored loses
-	// its utility" condition.
-	RefetchCost time.Duration
-	// DeviceLatency and DevicePerByte model the far-memory tier.
-	// Defaults 20µs + 1ns/B.
-	DeviceLatency time.Duration
-	DevicePerByte time.Duration
-	// Rerefs lists the re-reference probabilities to sweep: with
-	// probability p an access targets a reclaimed entry, else a resident
-	// one.
-	Rerefs []float64
-	Seed   int64
+	Seed     int64
 }
+
+// The E10 model.
+const (
+	// swapValueBytes is the size of every cached value.
+	swapValueBytes = 4096
+	// swapReclaimFrac of the cache is reclaimed by the pressure event.
+	swapReclaimFrac = 0.5
+	// swapRefetchCost models recomputing/re-fetching a dropped entry (the
+	// paper's caching setup): a cheap recomputation. Higher values (a
+	// remote database) shift the crossover toward swapping, which is
+	// exactly the paper's "when the data stored loses its utility"
+	// condition.
+	swapRefetchCost = 100 * time.Microsecond
+	// swapDeviceLatency and swapDevicePerByte model the far-memory tier.
+	swapDeviceLatency = 20 * time.Microsecond
+	swapDevicePerByte = time.Nanosecond
+)
+
+// swapRerefs lists the re-reference probabilities E10 sweeps: with
+// probability p an access targets a reclaimed entry, else a resident one.
+var swapRerefs = []float64{0, 0.05, 0.1, 0.25, 0.5, 0.75, 1.0}
 
 func (c *SwapConfig) setDefaults() {
 	if c.Entries <= 0 {
 		c.Entries = 2048
 	}
-	if c.ValueBytes <= 0 {
-		c.ValueBytes = 4096
-	}
-	if c.ReclaimFrac <= 0 {
-		c.ReclaimFrac = 0.5
-	}
 	if c.Accesses <= 0 {
 		c.Accesses = c.Entries
-	}
-	if c.RefetchCost <= 0 {
-		c.RefetchCost = 100 * time.Microsecond
-	}
-	if c.DeviceLatency <= 0 {
-		c.DeviceLatency = 20 * time.Microsecond
-	}
-	if c.DevicePerByte <= 0 {
-		c.DevicePerByte = time.Nanosecond
-	}
-	if len(c.Rerefs) == 0 {
-		c.Rerefs = []float64{0, 0.05, 0.1, 0.25, 0.5, 0.75, 1.0}
 	}
 }
 
@@ -103,16 +87,16 @@ func (r SwapResult) Fprint(w io.Writer) {
 func SwapCompare(cfg SwapConfig) SwapResult {
 	cfg.setDefaults()
 	var res SwapResult
-	for _, p := range cfg.Rerefs {
+	for _, p := range swapRerefs {
 		res.Rows = append(res.Rows, swapPoint(cfg, p))
 	}
 	return res
 }
 
 func swapPoint(cfg SwapConfig, reref float64) SwapRow {
-	value := make([]byte, cfg.ValueBytes)
+	value := make([]byte, swapValueBytes)
 	key := func(i int) string { return fmt.Sprintf("k%06d", i) }
-	reclaimPages := int(cfg.ReclaimFrac * float64(cfg.Entries*alloc.ClassSize(cfg.ValueBytes)) / pages.Size)
+	reclaimPages := int(swapReclaimFrac * float64(cfg.Entries*alloc.ClassSize(swapValueBytes)) / pages.Size)
 
 	// Strategy 1: drop (plain soft hash table, oldest-first eviction).
 	var dropCost time.Duration
@@ -141,7 +125,7 @@ func swapPoint(cfg SwapConfig, reref float64) SwapRow {
 			}
 			if !ok {
 				// Refetch from the database and repopulate.
-				dropCost += cfg.RefetchCost
+				dropCost += swapRefetchCost
 				if err := ht.Put(k, value); err == nil {
 					delete(droppedSet, k)
 				}
@@ -154,8 +138,8 @@ func swapPoint(cfg SwapConfig, reref float64) SwapRow {
 	// would). What the tier did is real — every reclaimed entry is demoted
 	// to a record on disk and a miss promotes it back — but its cost is
 	// modelled, so E10 compares modelled costs on both sides and stays
-	// deterministic: DeviceLatency per demotion and per promotion plus
-	// DevicePerByte per value byte moved.
+	// deterministic: swapDeviceLatency per demotion and per promotion plus
+	// swapDevicePerByte per value byte moved.
 	var swapCost time.Duration
 	{
 		dir, err := os.MkdirTemp("", "softmem-e10-")
@@ -200,7 +184,7 @@ func swapPoint(cfg SwapConfig, reref float64) SwapRow {
 		}
 		tab.Close()
 		st := far.Stats()
-		perMove := cfg.DeviceLatency + time.Duration(cfg.ValueBytes)*cfg.DevicePerByte
+		perMove := swapDeviceLatency + swapValueBytes*swapDevicePerByte
 		swapCost = time.Duration(st.Demotions+st.Promotions) * perMove
 	}
 

@@ -70,18 +70,6 @@ func (c *Client) Do(args ...string) ([]byte, bool, error) {
 	return c.do(args...)
 }
 
-// Ping checks liveness.
-func (c *Client) Ping() error {
-	v, _, err := c.do("PING")
-	if err != nil {
-		return err
-	}
-	if string(v) != "PONG" {
-		return fmt.Errorf("kvstore: unexpected ping reply %q", v)
-	}
-	return nil
-}
-
 // Set stores value under key.
 func (c *Client) Set(key, value string) error {
 	_, _, err := c.do("SET", key, value)
@@ -92,85 +80,6 @@ func (c *Client) Set(key, value string) error {
 func (c *Client) Get(key string) (string, bool, error) {
 	v, ok, err := c.do("GET", key)
 	return string(v), ok, err
-}
-
-// Value is one MGET result: OK reports presence.
-type Value struct {
-	S  string
-	OK bool
-}
-
-// MSet stores alternating key/value pairs.
-func (c *Client) MSet(pairs ...string) error {
-	if len(pairs) == 0 || len(pairs)%2 != 0 {
-		return fmt.Errorf("kvstore: MSet needs key/value pairs, got %d args", len(pairs))
-	}
-	_, _, err := c.do(append([]string{"MSET"}, pairs...)...)
-	return err
-}
-
-// MGet fetches several keys in one round-trip; absent (or reclaimed)
-// keys come back with OK=false.
-func (c *Client) MGet(keys ...string) ([]Value, error) {
-	if len(keys) == 0 {
-		return nil, nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.enc = appendCommand(c.enc[:0], append([]string{"MGET"}, keys...)...)
-	if _, err := c.w.Write(c.enc); err != nil {
-		return nil, err
-	}
-	if err := c.w.Flush(); err != nil {
-		return nil, err
-	}
-	hdr, err := c.rr.lr.readLine()
-	if err != nil {
-		return nil, err
-	}
-	if len(hdr) == 0 || hdr[0] != '*' {
-		return nil, fmt.Errorf("kvstore: expected array reply, got %q", hdr)
-	}
-	n, convOK := asciiInt(hdr[1:])
-	if !convOK || n < 0 {
-		return nil, fmt.Errorf("kvstore: bad array header %q", hdr)
-	}
-	out := make([]Value, 0, n)
-	for i := 0; i < n; i++ {
-		v, ok, err := c.rr.read()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, Value{S: string(v), OK: ok})
-	}
-	return out, nil
-}
-
-// Incr adjusts the integer at key by delta and returns the new value.
-func (c *Client) Incr(key string, delta int64) (int64, error) {
-	v, _, err := c.do("INCRBY", key, strconv.FormatInt(delta, 10))
-	if err != nil {
-		return 0, err
-	}
-	return strconv.ParseInt(string(v), 10, 64)
-}
-
-// Append appends data to key's value and returns the new length.
-func (c *Client) Append(key, data string) (int, error) {
-	v, _, err := c.do("APPEND", key, data)
-	if err != nil {
-		return 0, err
-	}
-	return strconv.Atoi(string(v))
-}
-
-// StrLen returns the length of key's value (0 if absent).
-func (c *Client) StrLen(key string) (int, error) {
-	v, _, err := c.do("STRLEN", key)
-	if err != nil {
-		return 0, err
-	}
-	return strconv.Atoi(string(v))
 }
 
 // Del removes keys, returning how many existed.
@@ -190,18 +99,6 @@ func (c *Client) DBSize() (int, error) {
 		return 0, err
 	}
 	return strconv.Atoi(string(v))
-}
-
-// Info returns the server's INFO text.
-func (c *Client) Info() (string, error) {
-	v, _, err := c.do("INFO")
-	return string(v), err
-}
-
-// FlushAll clears the store.
-func (c *Client) FlushAll() error {
-	_, _, err := c.do("FLUSHALL")
-	return err
 }
 
 // Pipeline accumulates commands and sends them in one batch, reading

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"testing"
@@ -158,8 +159,8 @@ func TestServerClientRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cli.Close()
-	if err := cli.Ping(); err != nil {
-		t.Fatal(err)
+	if v, _, err := cli.Do("PING"); err != nil || string(v) != "PONG" {
+		t.Fatalf("PING = %q, %v", v, err)
 	}
 	if err := cli.Set("greeting", "hello world"); err != nil {
 		t.Fatal(err)
@@ -179,11 +180,11 @@ func TestServerClientRoundtrip(t *testing.T) {
 	if err != nil || removed != 1 {
 		t.Fatalf("Del = %d, %v", removed, err)
 	}
-	info, err := cli.Info()
-	if err != nil || !strings.Contains(info, "entries:0") {
-		t.Fatalf("Info = %q, %v", info, err)
+	info, _, err := cli.Do("INFO")
+	if err != nil || !strings.Contains(string(info), "entries:0") {
+		t.Fatalf("INFO = %q, %v", info, err)
 	}
-	if err := cli.FlushAll(); err != nil {
+	if _, _, err := cli.Do("FLUSHALL"); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -356,53 +357,39 @@ func TestServerExtendedCommands(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cli.Close()
-
-	if err := cli.MSet("a", "1", "b", "2", "c", "3"); err != nil {
-		t.Fatal(err)
+	do := func(want string, args ...string) {
+		t.Helper()
+		if v, _, err := cli.Do(args...); err != nil || string(v) != want {
+			t.Fatalf("%v = %q, %v; want %q", args, v, err, want)
+		}
 	}
-	vals, err := cli.MGet("a", "missing", "c")
+
+	do("OK", "MSET", "a", "1", "b", "2", "c", "3")
+	// MGET's array reply, byte for byte: a nil bulk string for the miss.
+	nc, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(vals) != 3 {
-		t.Fatalf("MGet returned %d values", len(vals))
-	}
-	if !vals[0].OK || vals[0].S != "1" {
-		t.Fatalf("vals[0] = %+v", vals[0])
-	}
-	if vals[1].OK {
-		t.Fatalf("missing key reported present: %+v", vals[1])
-	}
-	if !vals[2].OK || vals[2].S != "3" {
-		t.Fatalf("vals[2] = %+v", vals[2])
+	defer nc.Close()
+	nc.Write([]byte("MGET a missing c\r\n"))
+	want := "*3\r\n$1\r\n1\r\n$-1\r\n$1\r\n3\r\n"
+	got := make([]byte, len(want))
+	if _, err := io.ReadFull(bufio.NewReader(nc), got); err != nil || string(got) != want {
+		t.Fatalf("MGET replied %q, %v; want %q", got, err, want)
 	}
 
-	n, err := cli.Incr("hits", 10)
-	if err != nil || n != 10 {
-		t.Fatalf("Incr = %d, %v", n, err)
-	}
-	n, err = cli.Incr("hits", -3)
-	if err != nil || n != 7 {
-		t.Fatalf("Incr = %d, %v", n, err)
-	}
-	ln, err := cli.Append("a", "23")
-	if err != nil || ln != 3 {
-		t.Fatalf("Append = %d, %v", ln, err)
-	}
-	v, _, _ := cli.Get("a")
-	if v != "123" {
+	do("10", "INCRBY", "hits", "10")
+	do("7", "INCRBY", "hits", "-3")
+	do("3", "APPEND", "a", "23")
+	if v, _, _ := cli.Get("a"); v != "123" {
 		t.Fatalf("value after append = %q", v)
 	}
-	sl, err := cli.StrLen("a")
-	if err != nil || sl != 3 {
-		t.Fatalf("StrLen = %d, %v", sl, err)
-	}
-	// Arity errors for the new commands.
-	if err := cli.MSet("odd"); err == nil {
-		t.Fatal("odd MSet accepted")
-	}
-	if vals, err := cli.MGet(); err != nil || vals != nil {
-		t.Fatalf("empty MGet = %v, %v", vals, err)
+	do("3", "STRLEN", "a")
+	// Arity errors.
+	for _, args := range [][]string{{"MSET", "odd"}, {"MGET"}} {
+		if _, _, err := cli.Do(args...); err == nil {
+			t.Fatalf("%v accepted", args)
+		}
 	}
 }
 
@@ -669,8 +656,10 @@ func TestServerKeysCommand(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cli.Close()
-	cli.MSet("a:1", "x", "a:2", "y", "b:1", "z")
-	// KEYS replies with an array; reuse MGet's array reader via raw conn.
+	if _, _, err := cli.Do("MSET", "a:1", "x", "a:2", "y", "b:1", "z"); err != nil {
+		t.Fatal(err)
+	}
+	// KEYS replies with an array; read its header off a raw conn.
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)

@@ -11,7 +11,8 @@ import (
 )
 
 // LoadGenConfig parameterizes a YCSB-style workload against a kvstore
-// server. Numeric fields treat a negative value as "use the default";
+// server. A GET miss re-SETs its key, modelling a cache in front of a
+// database. Numeric fields treat a negative value as "use the default";
 // zero is an honored, explicit setting where it is meaningful
 // (ReadFraction: 0 is a write-only workload, Skew: 0 asks for the
 // default because the Zipf parameter must be > 1).
@@ -39,9 +40,6 @@ type LoadGenConfig struct {
 	// connection. Values <= 1 mean no pipelining (one request, one
 	// reply).
 	Pipeline int
-	// RefillOnMiss re-SETs a key after a GET miss, modelling a cache in
-	// front of a database. Default true (set NoRefill to disable).
-	NoRefill bool
 	// HotKeys and HotFraction model a hot-key storm on top of the Zipf
 	// base workload: with probability HotFraction each operation targets
 	// a uniformly chosen key in [0, HotKeys) instead of its Zipf sample.
@@ -297,18 +295,16 @@ func runConnSerial(cli *Client, cfg LoadGenConfig, ops []genOp, res *LoadGenResu
 				continue
 			}
 			t.misses++
-			if !cfg.NoRefill {
-				t.sets++
-				t0 = time.Now()
-				if err := cli.Set(o.key, value); err != nil {
-					if !IsOverloaded(err) {
-						return err
-					}
-					t.overloaded++
-					continue
+			t.sets++
+			t0 = time.Now()
+			if err := cli.Set(o.key, value); err != nil {
+				if !IsOverloaded(err) {
+					return err
 				}
-				res.SetLatency.ObserveDuration(time.Since(t0))
+				t.overloaded++
+				continue
 			}
+			res.SetLatency.ObserveDuration(time.Since(t0))
 		} else {
 			t.sets++
 			t0 := time.Now()
@@ -375,9 +371,7 @@ func runConnPipelined(cli *Client, cfg LoadGenConfig, ops []genOp, res *LoadGenR
 					t.hits++
 				} else {
 					t.misses++
-					if !cfg.NoRefill {
-						refills = append(refills, batch[i].key)
-					}
+					refills = append(refills, batch[i].key)
 				}
 			} else {
 				t.sets++

@@ -201,7 +201,7 @@ func TestLockFreeTTLExpiry(t *testing.T) {
 // condemns entries and epoch-retires their pages; no read may ever
 // observe a torn value, and the heap must stay consistent.
 func TestEpochReclaimRace(t *testing.T) {
-	sma := core.New(core.Config{Machine: pages.NewPool(48), HeapFreeMax: 0})
+	sma := core.New(core.Config{Machine: pages.NewPool(48)})
 	st := New(sma, WithName("epoch-race"), WithShards(2))
 	defer st.Close()
 

@@ -114,14 +114,14 @@ func TestIncrAppendNoLostUpdates(t *testing.T) {
 					}
 					defer cli.Close()
 					for i := 0; i < perConn; i++ {
-						if _, err := cli.Incr("ctr", 1); err != nil {
+						if _, _, err := cli.Do("INCRBY", "ctr", "1"); err != nil {
 							t.Error(err)
 							return
 						}
 						if i%10 != 0 {
 							continue
 						}
-						if _, err := cli.Append("log", "x"); err != nil {
+						if _, _, err := cli.Do("APPEND", "log", "x"); err != nil {
 							t.Error(err)
 							return
 						}

@@ -23,9 +23,10 @@ type orderStore struct {
 func newOrderStore(t *testing.T, shards int, policy sds.EvictPolicy, n int, sizes []int) *orderStore {
 	t.Helper()
 	o := &orderStore{revoked: make(map[string]bool)}
-	// HeapFreeMax 0 keeps every demand's count exact: no heap holds a
-	// free page back for a later demand to find.
-	o.sma = core.New(core.Config{Machine: pages.NewPool(0), HeapFreeMax: 0})
+	// A heap may keep free pages between demands, but every demand takes
+	// them before it asks the store to revoke anything
+	// (reclaimFromContext), so no demand revokes more than its pages need.
+	o.sma = core.New(core.Config{Machine: pages.NewPool(0)})
 	o.st = New(o.sma, WithShards(shards), WithPolicy(policy),
 		WithOnReclaim(func(key string) { o.revoked[key] = true }))
 	t.Cleanup(o.st.Close)

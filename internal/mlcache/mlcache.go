@@ -32,16 +32,18 @@ type Config struct {
 	Samples int
 	// SampleBytes is each sample's payload size (required > 0).
 	SampleBytes int
-	// HitCost and MissCost are the modelled per-sample costs. Defaults:
-	// 10µs hit, 1ms miss (a ~100× storage penalty, in line with
-	// local-SSD vs DRAM).
-	HitCost  time.Duration
-	MissCost time.Duration
 	// Seed drives the per-epoch permutations.
 	Seed int64
 	// Priority is the cache's SDS reclamation priority.
 	Priority int
 }
+
+// hitCost and missCost are the modelled per-sample costs: a ~100×
+// storage penalty, in line with local-SSD vs DRAM.
+const (
+	hitCost  = 10 * time.Microsecond
+	missCost = time.Millisecond
+)
 
 // EpochStats summarizes one training epoch.
 type EpochStats struct {
@@ -87,12 +89,6 @@ func New(cfg Config) *Trainer {
 	}
 	if cfg.Name == "" {
 		cfg.Name = "mlcache"
-	}
-	if cfg.HitCost <= 0 {
-		cfg.HitCost = 10 * time.Microsecond
-	}
-	if cfg.MissCost <= 0 {
-		cfg.MissCost = time.Millisecond
 	}
 	t := &Trainer{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
 	t.cache = sds.NewSoftHashTable[uint64](cfg.SMA, cfg.Name, sds.HashTableConfig[uint64]{
@@ -142,11 +138,11 @@ func (t *Trainer) RunEpoch() (EpochStats, error) {
 				return st, err
 			}
 			st.Hits++
-			st.Time += t.cfg.HitCost
+			st.Time += hitCost
 			continue
 		}
 		st.Misses++
-		st.Time += t.cfg.MissCost
+		st.Time += missCost
 		payload := t.sample(id)
 		if err := t.cache.Put(id, payload); err != nil {
 			// Soft memory exhausted: keep training uncached; the next

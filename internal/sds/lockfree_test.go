@@ -170,7 +170,7 @@ func TestHashTableKeysLockFree(t *testing.T) {
 // even as the pages underneath are condemned and (after the grace
 // period) recycled.
 func TestHashTableLockFreeReclaimRace(t *testing.T) {
-	s := core.New(core.Config{Machine: pages.NewPool(0), HeapFreeMax: 0})
+	s := core.New(core.Config{Machine: pages.NewPool(0)})
 	defer s.Close()
 	ht := NewSoftHashTable[int](s, "lf-race", HashTableConfig[int]{
 		Policy:        EvictOldest,

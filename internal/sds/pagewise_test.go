@@ -70,7 +70,7 @@ func TestReclaimTakesWholePagesInAgeOrder(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(16))
-			sma := core.New(core.Config{Machine: pages.NewPool(0), HeapFreeMax: 0})
+			sma := core.New(core.Config{Machine: pages.NewPool(0)})
 			defer sma.Close()
 			revoked := make(map[int]bool)
 			ht := NewSoftHashTable[int](sma, "pagewise", HashTableConfig[int]{
@@ -179,7 +179,7 @@ func TestReclaimPagesPerEntry(t *testing.T) {
 // of three leaves the rest of its last slab free in the heap, and the
 // next demand takes those pages before it revokes anything.
 func TestReclaimSlabsPerEntry(t *testing.T) {
-	sma := core.New(core.Config{Machine: pages.NewPool(0), HeapFreeMax: 0})
+	sma := core.New(core.Config{Machine: pages.NewPool(0)})
 	defer sma.Close()
 	ht := NewSoftHashTable[int](sma, "four-to-a-slab", HashTableConfig[int]{LockFreeReads: true})
 	defer ht.Close()
@@ -301,7 +301,7 @@ func TestSecondChanceTenantVetoesItsPage(t *testing.T) {
 // TestReclaimTakesSpansWhole: a multi-page value is a page group of one
 // tenant; it goes when it is the oldest and counts for all its pages.
 func TestReclaimTakesSpansWhole(t *testing.T) {
-	sma := core.New(core.Config{Machine: pages.NewPool(0), HeapFreeMax: 0})
+	sma := core.New(core.Config{Machine: pages.NewPool(0)})
 	defer sma.Close()
 	var evicted []int
 	ht := NewSoftHashTable[int](sma, "spans", HashTableConfig[int]{

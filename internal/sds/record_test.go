@@ -118,7 +118,7 @@ func churn(t *testing.T, put func(k int, v []byte) error, del func(k int) error,
 }
 
 func TestHashTableRecordLifetimeUnderChurn(t *testing.T) {
-	s := core.New(core.Config{Machine: pages.NewPool(0), HeapFreeMax: 0})
+	s := core.New(core.Config{Machine: pages.NewPool(0)})
 	defer s.Close()
 	ht := NewSoftHashTable[int](s, "record-churn", HashTableConfig[int]{LockFreeReads: true})
 	defer ht.Close()

@@ -41,30 +41,22 @@ func TestEventRingRecordsDecisions(t *testing.T) {
 }
 
 func TestEventRingWrapsKeepingNewest(t *testing.T) {
-	d := NewDaemon(Config{TotalPages: 1 << 20, EventLog: 4})
+	d := NewDaemon(Config{TotalPages: 1 << 20})
 	p := d.Register("a", nil)
-	for i := 0; i < 10; i++ {
+	const n = eventLogCap + 6
+	for i := 0; i < n; i++ {
 		if g, _ := p.RequestBudget(1, usage(i, 0)); g != 1 {
 			t.Fatalf("grant %d failed", i)
 		}
 	}
 	evs := d.Events()
-	if len(evs) != 4 {
-		t.Fatalf("ring returned %d events, capacity 4", len(evs))
+	if len(evs) != eventLogCap {
+		t.Fatalf("ring returned %d events, capacity %d", len(evs), eventLogCap)
 	}
 	for i, ev := range evs {
-		if want := uint64(7 + i); ev.Seq != want {
-			t.Fatalf("event %d has Seq %d, want %d (newest 4 of 10)", i, ev.Seq, want)
+		if want := uint64(n - eventLogCap + 1 + i); ev.Seq != want {
+			t.Fatalf("event %d has Seq %d, want %d (newest %d of %d)", i, ev.Seq, want, eventLogCap, n)
 		}
-	}
-}
-
-func TestEventRingDisabled(t *testing.T) {
-	d := NewDaemon(Config{TotalPages: 100, EventLog: -1})
-	p := d.Register("a", nil)
-	p.RequestBudget(10, usage(0, 0))
-	if evs := d.Events(); evs != nil {
-		t.Fatalf("disabled ring returned %d events", len(evs))
 	}
 }
 

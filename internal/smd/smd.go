@@ -134,21 +134,22 @@ type Config struct {
 	// "who took my memory and why". Called with the daemon lock held;
 	// must not call back into the daemon and must be fast.
 	OnEvent func(Event)
-	// EventLog is the capacity of the daemon's in-memory audit ring,
-	// served by Events() (and `smdctl events`). Oldest entries are
-	// overwritten once full. Default 256; negative disables the ring
-	// (OnEvent still fires).
-	EventLog int
-	// TraceLog is the capacity of the reclaim-cycle trace ring, served
-	// by Traces() (and `smdctl trace`). Default 64; negative disables
-	// tracing (reclaim IDs are still minted and stamped on events).
-	TraceLog int
 	// Clock overrides the daemon's wall clock (nil = time.Now). The
 	// stall-rate EWMA behind QoS victim selection differentiates
 	// cumulative stall reports over inter-report wall time; tests inject
 	// a fake clock here to drive it deterministically.
 	Clock func() time.Time
 }
+
+const (
+	// eventLogCap is the capacity of the daemon's in-memory audit ring,
+	// served by Events() (and `smdctl events`). Oldest entries are
+	// overwritten once full.
+	eventLogCap = 256
+	// traceLogCap is the capacity of the reclaim-cycle trace ring,
+	// served by Traces() (and `smdctl trace`).
+	traceLogCap = 64
+)
 
 // EventKind classifies audit events.
 type EventKind int
@@ -192,7 +193,7 @@ func (k EventKind) String() string {
 // Event is one audit record.
 type Event struct {
 	// Seq numbers events monotonically from 1 (assigned when the event
-	// is recorded; 0 in events delivered before ring setup).
+	// is recorded).
 	Seq  uint64 `json:",omitempty"`
 	Kind EventKind
 	// KindName is Kind.String(), populated in ring snapshots so JSON
@@ -222,12 +223,6 @@ type Event struct {
 func (c *Config) setDefaults() {
 	if c.TargetCap <= 0 {
 		c.TargetCap = 3
-	}
-	if c.EventLog == 0 {
-		c.EventLog = 256
-	}
-	if c.TraceLog == 0 {
-		c.TraceLog = 64
 	}
 	if c.ReclaimFactor < 1 {
 		c.ReclaimFactor = 1.25
@@ -303,18 +298,16 @@ type Daemon struct {
 	// budget across machines (Cede / Receive).
 	totalPages int
 
-	// events is the audit ring (capacity cfg.EventLog, nil when
-	// disabled); eventSeq numbers every recorded event, so Events()
-	// readers can detect gaps when the ring wraps.
-	events   []Event
+	// events is the audit ring; eventSeq numbers every recorded event,
+	// so Events() readers can detect gaps when the ring wraps.
+	events   [eventLogCap]Event
 	eventPos int
 	eventLen int
 	eventSeq uint64
 
-	// traces is the reclaim-cycle ring (capacity cfg.TraceLog, nil when
-	// disabled); reclaimSeq mints the cycle IDs stamped on events and
-	// propagated to processes over IPC.
-	traces     []Trace
+	// traces is the reclaim-cycle ring; reclaimSeq mints the cycle IDs
+	// stamped on events and propagated to processes over IPC.
+	traces     [traceLogCap]Trace
 	tracePos   int
 	traceLen   int
 	reclaimSeq uint64
@@ -336,14 +329,7 @@ func NewDaemon(cfg Config) *Daemon {
 		panic("smd: Config.TotalPages must be positive")
 	}
 	cfg.setDefaults()
-	d := &Daemon{cfg: cfg, procs: make(map[ProcID]*procState), totalPages: cfg.TotalPages}
-	if cfg.EventLog > 0 {
-		d.events = make([]Event, cfg.EventLog)
-	}
-	if cfg.TraceLog > 0 {
-		d.traces = make([]Trace, cfg.TraceLog)
-	}
-	return d
+	return &Daemon{cfg: cfg, procs: make(map[ProcID]*procState), totalPages: cfg.TotalPages}
 }
 
 // TotalPages returns the soft memory partition size. The value is
@@ -635,18 +621,16 @@ func (d *Daemon) emitLocked(ev Event) {
 	if ps, ok := d.procs[ev.Proc]; ok {
 		ev.SpilledBytes = ps.usage.SpilledBytes
 	}
-	if d.events != nil {
-		d.eventSeq++
-		ev.Seq = d.eventSeq
-		ev.KindName = ev.Kind.String()
-		if d.eventLen == len(d.events) {
-			d.eventsDropped.Add(1)
-		}
-		d.events[d.eventPos] = ev
-		d.eventPos = (d.eventPos + 1) % len(d.events)
-		if d.eventLen < len(d.events) {
-			d.eventLen++
-		}
+	d.eventSeq++
+	ev.Seq = d.eventSeq
+	ev.KindName = ev.Kind.String()
+	if d.eventLen == len(d.events) {
+		d.eventsDropped.Add(1)
+	}
+	d.events[d.eventPos] = ev
+	d.eventPos = (d.eventPos + 1) % len(d.events)
+	if d.eventLen < len(d.events) {
+		d.eventLen++
 	}
 	if d.cfg.OnEvent != nil {
 		d.cfg.OnEvent(ev)
@@ -654,12 +638,12 @@ func (d *Daemon) emitLocked(ev Event) {
 }
 
 // Events returns the audit ring's contents, oldest first. The ring
-// holds the last Config.EventLog events; consecutive Seq values mean no
-// events were lost between snapshots. Nil when the ring is disabled.
+// holds the last eventLogCap events; consecutive Seq values mean no
+// events were lost between snapshots. Nil when it is empty.
 func (d *Daemon) Events() []Event {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.events == nil || d.eventLen == 0 {
+	if d.eventLen == 0 {
 		return nil
 	}
 	out := make([]Event, 0, d.eventLen)

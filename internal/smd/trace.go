@@ -64,9 +64,6 @@ type Trace struct {
 // recordTraceLocked appends a completed cycle to the trace ring. Caller
 // holds d.mu.
 func (d *Daemon) recordTraceLocked(tr Trace) {
-	if d.traces == nil {
-		return
-	}
 	if d.traceLen == len(d.traces) {
 		d.tracesDropped.Add(1)
 	}
@@ -78,11 +75,11 @@ func (d *Daemon) recordTraceLocked(tr Trace) {
 }
 
 // Traces returns the reclaim-cycle ring's contents, oldest first. The
-// ring holds the last Config.TraceLog cycles; nil when disabled.
+// ring holds the last traceLogCap cycles; nil when it is empty.
 func (d *Daemon) Traces() []Trace {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.traces == nil || d.traceLen == 0 {
+	if d.traceLen == 0 {
 		return nil
 	}
 	out := make([]Trace, 0, d.traceLen)

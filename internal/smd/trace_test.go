@@ -140,11 +140,11 @@ func TestTraceUntracedTargetFallsBack(t *testing.T) {
 }
 
 func TestTraceRingWrapsKeepingNewest(t *testing.T) {
-	d := NewDaemon(Config{TotalPages: 10, ReclaimFactor: 1.0, TraceLog: 2})
+	d := NewDaemon(Config{TotalPages: 10, ReclaimFactor: 1.0})
 	victim := &tracedFake{fakeTarget: fakeTarget{avail: 1000}}
 	pv := d.Register("victim", victim)
 	needy := d.Register("needy", nil)
-	for i := 0; i < 3; i++ {
+	for i := 0; i < traceLogCap+1; i++ {
 		victim.avail = 1000
 		if g, _ := pv.RequestBudget(10, usage(10, 0)); g == 0 {
 			t.Fatal("victim refill failed")
@@ -164,11 +164,16 @@ func TestTraceRingWrapsKeepingNewest(t *testing.T) {
 		}
 	}
 	traces := d.Traces()
-	if len(traces) != 2 {
-		t.Fatalf("ring holds %d traces, want 2", len(traces))
+	if len(traces) != traceLogCap {
+		t.Fatalf("ring holds %d traces, want %d", len(traces), traceLogCap)
 	}
-	if traces[0].ID >= traces[1].ID {
-		t.Fatalf("traces out of order: %d, %d", traces[0].ID, traces[1].ID)
+	for i := 1; i < len(traces); i++ {
+		if traces[i-1].ID >= traces[i].ID {
+			t.Fatalf("traces out of order: %d, %d", traces[i-1].ID, traces[i].ID)
+		}
+	}
+	if got := d.tracesDropped.Load(); got != 1 {
+		t.Fatalf("tracesDropped = %d, want 1 (the oldest of %d cycles)", got, traceLogCap+1)
 	}
 }
 

@@ -194,8 +194,8 @@ func countSegs(t *testing.T, dir string) int {
 func TestCompactPreservesTombstonesAcrossRestart(t *testing.T) {
 	// Geometry (CompressMin -1 keeps record sizes exact): value records
 	// are 16+1+1+80 = 98 bytes, tombstones 18, and SegmentBytes 210 fits
-	// two value records per segment.
-	cfg := Config{SegmentBytes: 210, CompactRatio: 0.9, CompressMin: -1}
+	// two value records per segment after its 8-byte header.
+	cfg := Config{SegmentBytes: 210, CompressMin: -1}
 	st := newStore(t, cfg)
 	val := func(c byte) []byte { return bytes.Repeat([]byte{c}, 80) }
 	for _, k := range []string{"a", "b"} { // both land in segment 0
@@ -208,8 +208,8 @@ func TestCompactPreservesTombstonesAcrossRestart(t *testing.T) {
 	}
 	// Both tombstones land in segment 1, leaving it with zero live
 	// records — an immediate compaction victim. Segment 0 keeps "b" live
-	// and stays below CompactRatio, so "a"'s record survives on disk and
-	// only the tombstone keeps it dead.
+	// and stays below compactRatio (98 of its 204 bytes stale), so "a"'s
+	// record survives on disk and only the tombstone keeps it dead.
 	st.Drop("t", "c")
 	st.Drop("t", "a")
 	if err := st.Put("t", "d", val('d')); err != nil { // rotates; seals segment 1

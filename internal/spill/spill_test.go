@@ -209,7 +209,7 @@ func TestDropSupersedesPromotion(t *testing.T) {
 }
 
 func TestStoreRotationAndCompaction(t *testing.T) {
-	st := newStore(t, Config{SegmentBytes: 2048, CompactRatio: 0.3, CompressMin: -1})
+	st := newStore(t, Config{SegmentBytes: 2048, CompressMin: -1})
 	val := bytes.Repeat([]byte("x"), 256)
 	for i := 0; i < 40; i++ {
 		if err := st.Put("ns", fmt.Sprintf("k%02d", i), val); err != nil {
@@ -247,7 +247,7 @@ func TestStoreRotationAndCompaction(t *testing.T) {
 func TestStoreBudgetEviction(t *testing.T) {
 	// Budget of ~8 KiB with 2 KiB segments: old segments must be evicted
 	// oldest-first as new data arrives.
-	st := newStore(t, Config{SegmentBytes: 2048, BudgetBytes: 8192, LowWatermark: 0.75, CompressMin: -1})
+	st := newStore(t, Config{SegmentBytes: 2048, BudgetBytes: 8192, CompressMin: -1})
 	val := bytes.Repeat([]byte{0xAB}, 512)
 	for i := 0; i < 64; i++ {
 		if err := st.Put("ns", fmt.Sprintf("k%03d", i), val); err != nil {
@@ -277,7 +277,7 @@ func TestDropEnforcesDiskBudget(t *testing.T) {
 	// One 396-byte record per 400-byte segment; 146-byte tombstones. Six
 	// puts total ~2.4 KB (under budget); six drops push past 3000 and
 	// must evict.
-	st := newStore(t, Config{BudgetBytes: 3000, SegmentBytes: 400, LowWatermark: 0.9, CompressMin: -1})
+	st := newStore(t, Config{BudgetBytes: 3000, SegmentBytes: 400, CompressMin: -1})
 	longKey := func(i int) string {
 		return fmt.Sprintf("key-%03d-%s", i, bytes.Repeat([]byte("k"), 120))
 	}

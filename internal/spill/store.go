@@ -20,17 +20,12 @@ type Config struct {
 	Dir string
 	// BudgetBytes is the disk budget — the high watermark. When total
 	// segment bytes exceed it, whole segments are evicted oldest-first
-	// until usage falls to the low watermark. Default 256 MiB.
+	// until usage falls to the low watermark (lowWatermark). Default
+	// 256 MiB.
 	BudgetBytes int64
-	// LowWatermark is the fraction of BudgetBytes eviction drains down
-	// to. Default 0.9.
-	LowWatermark float64
 	// SegmentBytes is the rotation threshold for the active segment.
 	// Default 4 MiB.
 	SegmentBytes int64
-	// CompactRatio is the stale-byte fraction above which a sealed
-	// segment is rewritten by compaction. Default 0.5.
-	CompactRatio float64
 	// CompactInterval is the background GC period. Zero selects the
 	// default 30 s; negative disables the background goroutine
 	// (Compact may still be called directly).
@@ -45,14 +40,8 @@ func (c *Config) setDefaults() {
 	if c.BudgetBytes <= 0 {
 		c.BudgetBytes = 256 << 20
 	}
-	if c.LowWatermark <= 0 || c.LowWatermark > 1 {
-		c.LowWatermark = 0.9
-	}
 	if c.SegmentBytes <= 0 {
 		c.SegmentBytes = 4 << 20
-	}
-	if c.CompactRatio <= 0 || c.CompactRatio > 1 {
-		c.CompactRatio = 0.5
 	}
 	if c.CompactInterval == 0 {
 		c.CompactInterval = 30 * time.Second
@@ -61,6 +50,15 @@ func (c *Config) setDefaults() {
 		c.CompressMin = 64
 	}
 }
+
+const (
+	// lowWatermark is the fraction of BudgetBytes eviction drains down
+	// to.
+	lowWatermark = 0.9
+	// compactRatio is the stale-byte fraction above which a sealed
+	// segment is rewritten by compaction.
+	compactRatio = 0.5
+)
 
 // recordLoc locates one live record on disk.
 type recordLoc struct {
@@ -570,7 +568,7 @@ func (s *Store) Compact() int {
 		if sg == nil || sg == s.active {
 			continue
 		}
-		if sg.live == 0 || float64(sg.stale)/float64(sg.size) >= s.cfg.CompactRatio {
+		if sg.live == 0 || float64(sg.stale)/float64(sg.size) >= compactRatio {
 			victims = append(victims, id)
 		}
 	}
@@ -790,7 +788,7 @@ func (s *Store) evictLocked() {
 	if s.size <= s.cfg.BudgetBytes {
 		return
 	}
-	low := int64(float64(s.cfg.BudgetBytes) * s.cfg.LowWatermark)
+	low := int64(float64(s.cfg.BudgetBytes) * lowWatermark)
 	for s.size > low {
 		var victim *segment
 		for _, id := range s.order {
