@@ -10,16 +10,23 @@
 //   - every `phase` label value constructed in code (a composite literal
 //     with Name: "phase") must be documented in the catalogue as
 //     phase="<value>", and vice versa;
-//   - every softmem_* name the readers (cmd/smdctl, internal/experiments)
-//     look up must be a series some registration produces — a registered
-//     name, or a histogram's _sum or _count — so a renamed metric fails
-//     here instead of rendering a silent zero in `smdctl top`.
+//   - every softmem_* name the reader code (cmd/smdctl,
+//     internal/experiments, bench/) looks up must be a series some
+//     registration produces — a registered name, or a histogram's _sum or
+//     _count — so a renamed metric fails here instead of rendering a
+//     silent zero in `smdctl top`;
+//   - every registered name must have a reader: reader code looks it up,
+//     a _test.go file names it, or the catalogue's prose names it (a
+//     diagnosis). A catalogue table row (a line starting "| `softmem_")
+//     declares a series and reads nothing; a series nothing reads is
+//     deleted, not kept.
 //
-// It scans non-test .go files. In one that imports
+// It scans the .go files. In a non-test one that imports
 // softmem/internal/metrics, a string literal starting with "softmem_" in
 // the first argument of any call is a registration (this also catches
 // names routed through local registration helpers); under a reader
-// directory every such literal, wherever it stands, is a read instead.
+// directory every such literal, wherever it stands, is a read instead. A
+// _test.go file reads every softmem_* name its text holds.
 // Exit status 1 on any finding, so it can gate `make check`.
 //
 // Usage: metricslint [repo root, default "."]
@@ -46,13 +53,14 @@ const (
 )
 
 // readerDirs hold the code that looks series up by name and registers
-// none.
-var readerDirs = []string{"cmd/smdctl", "internal/experiments"}
+// none; bench/ counts with everything under it.
+var readerDirs = []string{"cmd/smdctl", "internal/experiments", "bench"}
 
 var (
-	validName = regexp.MustCompile(`^softmem_[a-z0-9_]+$`)
-	docName   = regexp.MustCompile(`softmem_[a-z0-9_]+`)
-	docPhase  = regexp.MustCompile(`phase="([a-z0-9_]+)"`)
+	validName  = regexp.MustCompile(`^softmem_[a-z0-9_]+$`)
+	docName    = regexp.MustCompile(`softmem_[a-z0-9_]+`)
+	docPhase   = regexp.MustCompile(`phase="([a-z0-9_]+)"`)
+	catalogRow = regexp.MustCompile("^\\| `softmem_")
 )
 
 func main() {
@@ -60,7 +68,7 @@ func main() {
 	if len(os.Args) > 1 {
 		root = os.Args[1]
 	}
-	sites, phases, produced, reads, err := collect(root)
+	sites, phases, produced, reads, named, err := collect(root)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "metricslint: %v\n", err)
 		os.Exit(2)
@@ -90,10 +98,11 @@ func main() {
 		}
 	}
 
-	documented, docPhases, err := docNames(filepath.Join(root, docPath))
+	documented, docPhases, diagnosed, err := docNames(filepath.Join(root, docPath))
 	if err != nil {
 		problems = append(problems, fmt.Sprintf("cannot read metric catalogue: %v", err))
 	} else {
+		problems = append(problems, unread(sites, named, diagnosed)...)
 		for _, name := range names {
 			if !documented[name] {
 				problems = append(problems, fmt.Sprintf("%s: metric %q is not documented in %s",
@@ -130,16 +139,37 @@ func main() {
 	fmt.Printf("metricslint: %d metric names consistent with %s\n", len(names), docPath)
 }
 
+// unread reports each registered name that no reader names: not
+// named (by reader code or a _test.go file) and not diagnosed (named by
+// the catalogue's prose). Reading a histogram's _sum, _count or _bucket
+// series reads the histogram.
+func unread(sites map[string][]token.Position, named, diagnosed map[string]bool) []string {
+	var problems []string
+	for _, name := range slices.Sorted(maps.Keys(sites)) {
+		read := false
+		for _, suffix := range []string{"", "_sum", "_count", "_bucket"} {
+			read = read || named[name+suffix] || diagnosed[name+suffix]
+		}
+		if !read {
+			problems = append(problems, fmt.Sprintf("%s: metric %q has no reader (no lookup in %s, no _test.go names it, no diagnosis in %s names it)",
+				sites[name][0], name, strings.Join(readerDirs, ", "), docPath))
+		}
+	}
+	return problems
+}
+
 // collect maps each softmem_* metric name to the positions of its
 // registration call sites, each phase label value to the positions of
-// the composite literals constructing it, and each name a reader looks
-// up to the positions of those literals; produced is the set of series
-// names the registrations expose.
-func collect(root string) (sites, phases map[string][]token.Position, produced map[string]bool, reads map[string][]token.Position, err error) {
+// the composite literals constructing it, and each name reader code
+// looks up to the positions of those literals; produced is the set of
+// series names the registrations expose, and named the set of names
+// reader code or a _test.go file reads.
+func collect(root string) (sites, phases map[string][]token.Position, produced map[string]bool, reads map[string][]token.Position, named map[string]bool, err error) {
 	sites = make(map[string][]token.Position)
 	phases = make(map[string][]token.Position)
 	produced = make(map[string]bool)
 	reads = make(map[string][]token.Position)
+	named = make(map[string]bool)
 	fset := token.NewFileSet()
 	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -152,7 +182,17 @@ func collect(root string) (sites, phases map[string][]token.Position, produced m
 			}
 			return nil
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		if strings.HasSuffix(path, "_test.go") {
+			body, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			for _, name := range docName.FindAllString(string(body), -1) {
+				named[name] = true
+			}
 			return nil
 		}
 		file, err := parser.ParseFile(fset, path, nil, 0)
@@ -160,11 +200,12 @@ func collect(root string) (sites, phases map[string][]token.Position, produced m
 			return fmt.Errorf("parse %s: %w", path, err)
 		}
 		rel, _ := filepath.Rel(root, path)
-		if slices.Contains(readerDirs, filepath.ToSlash(filepath.Dir(rel))) {
+		if isReader(filepath.ToSlash(filepath.Dir(rel))) {
 			ast.Inspect(file, func(n ast.Node) bool {
 				if lit, ok := n.(*ast.BasicLit); ok {
 					if name, ok := metricLiteral(lit); ok {
 						reads[name] = append(reads[name], fset.Position(lit.Pos()))
+						named[name] = true
 					}
 				}
 				return true
@@ -198,7 +239,13 @@ func collect(root string) (sites, phases map[string][]token.Position, produced m
 		})
 		return nil
 	})
-	return sites, phases, produced, reads, err
+	return sites, phases, produced, reads, named, err
+}
+
+// isReader reports whether code in dir (slash-separated, relative to the
+// repo root) is reader code.
+func isReader(dir string) bool {
+	return slices.Contains(readerDirs, dir) || strings.HasPrefix(dir, "bench/")
 }
 
 // metricLiteral reports whether e is a string literal naming a softmem_*
@@ -255,19 +302,24 @@ func importsMetrics(file *ast.File) bool {
 }
 
 // docNames extracts the softmem_* names and phase="..." label values
-// mentioned by the catalogue.
-func docNames(path string) (map[string]bool, map[string]bool, error) {
+// mentioned by the catalogue, and the names its prose (every line but a
+// catalogue table row) mentions.
+func docNames(path string) (names, phases, prose map[string]bool, err error) {
 	body, err := os.ReadFile(path)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	out := make(map[string]bool)
-	for _, m := range docName.FindAllString(string(body), -1) {
-		out[m] = true
+	names, phases, prose = make(map[string]bool), make(map[string]bool), make(map[string]bool)
+	for _, line := range strings.Split(string(body), "\n") {
+		for _, m := range docName.FindAllString(line, -1) {
+			names[m] = true
+			if !catalogRow.MatchString(line) {
+				prose[m] = true
+			}
+		}
 	}
-	phases := make(map[string]bool)
 	for _, m := range docPhase.FindAllStringSubmatch(string(body), -1) {
 		phases[m[1]] = true
 	}
-	return out, phases, nil
+	return names, phases, prose, nil
 }

@@ -39,9 +39,10 @@ func printEvents(w io.Writer, body []byte, _ []string) error {
 		return err
 	}
 	if len(el.Events) == 0 {
-		fmt.Fprintln(w, "no events recorded (ring empty or disabled)")
+		fmt.Fprintln(w, "no events recorded")
 		return nil
 	}
+	printOverwritten(w, el.Dropped)
 	fmt.Fprintf(w, "%-8s %-8s %-6s %-20s %8s %10s %8s %12s\n",
 		"seq", "kind", "proc", "name", "pages", "released", "trigger", "spilled")
 	for _, ev := range el.Events {
@@ -97,12 +98,16 @@ func printTraces(w io.Writer, body []byte, args []string) error {
 				return nil
 			}
 		}
+		if tl.Dropped > 0 {
+			return fmt.Errorf("trace %d not found (%s)", id, overwritten(tl.Dropped))
+		}
 		return fmt.Errorf("trace %d not found (ring holds the most recent cycles only)", id)
 	}
 	if len(tl.Traces) == 0 {
 		fmt.Fprintln(w, "no reclaim cycles recorded (every request was satisfied from free memory)")
 		return nil
 	}
+	printOverwritten(w, tl.Dropped)
 	fmt.Fprintf(w, "%-6s %-20s %8s %8s %9s %-8s %5s  %s\n",
 		"id", "requester", "pages", "need", "dur", "outcome", "hops", "start")
 	for _, tr := range tl.Traces {
@@ -111,6 +116,17 @@ func printTraces(w io.Writer, body []byte, args []string) error {
 			fmtDur(tr.DurNs), tr.Outcome, len(tr.Hops), tr.Start.Format("15:04:05.000"))
 	}
 	return nil
+}
+
+// overwritten says how far back a daemon ring view reaches.
+func overwritten(n int64) string { return fmt.Sprintf("%d older entries overwritten", n) }
+
+// printOverwritten prints overwritten(n) above a ring's table, when the
+// ring has overwritten anything.
+func printOverwritten(w io.Writer, n int64) {
+	if n > 0 {
+		fmt.Fprintln(w, overwritten(n))
+	}
 }
 
 // printTrace renders one reclaim cycle hop by hop, including the

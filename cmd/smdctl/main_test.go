@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"slices"
 	"strings"
 	"testing"
@@ -171,6 +172,36 @@ func TestSDSSpanLines(t *testing.T) {
 	} {
 		if got := sdsSpanLines(tc.sp); !slices.Equal(got, tc.want) {
 			t.Errorf("%s:\n got %q\nwant %q", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestRingViewsSayWhatWasOverwritten: the events and traces views, and
+// a trace lookup that misses, name how many older entries the daemon's
+// ring overwrote, and say nothing of it when the ring has lost nothing.
+func TestRingViewsSayWhatWasOverwritten(t *testing.T) {
+	const line = "7 older entries overwritten"
+	cases := []struct {
+		name, body string
+		args       []string
+		print      func(io.Writer, []byte, []string) error
+		want       bool
+	}{
+		{"events", `{"dropped":7,"events":[{"seq":8}]}`, nil, printEvents, true},
+		{"events, nothing lost", `{"dropped":0,"events":[{"seq":1}]}`, nil, printEvents, false},
+		{"traces", `{"dropped":7,"traces":[{"id":8}]}`, nil, printTraces, true},
+		{"trace not found", `{"dropped":7,"traces":[{"id":8}]}`, []string{"3"}, printTraces, true},
+		{"trace not found, nothing lost", `{"dropped":0,"traces":[{"id":8}]}`, []string{"3"}, printTraces, false},
+	}
+	for _, c := range cases {
+		var b strings.Builder
+		out := ""
+		if err := c.print(&b, []byte(c.body), c.args); err != nil {
+			out = err.Error()
+		}
+		out += b.String()
+		if got := strings.Contains(out, line); got != c.want {
+			t.Errorf("%s: output %q names %q: %v, want %v", c.name, out, line, got, c.want)
 		}
 	}
 }

@@ -110,7 +110,7 @@ func main() {
 	sma := core.New(core.Config{Machine: pool})
 
 	// The metrics registry only exists when something will serve it;
-	// without it every hot path keeps its uninstrumented fast path.
+	// without it the store's latency attribution stays disarmed.
 	var reg *metrics.Registry
 	if *httpAddr != "" {
 		reg = metrics.NewRegistry()
@@ -191,9 +191,6 @@ func main() {
 			log.Fatalf("softkv: daemon: %v", err)
 		}
 		sma.AttachDaemon(cli)
-		if reg != nil {
-			cli.RegisterMetrics(reg)
-		}
 		log.Printf("softkv: registered with daemon at %s as %q", *smdAddr, *name)
 	default:
 		log.Printf("softkv: standalone (no daemon); soft memory bounded only by -local-mib")

@@ -242,7 +242,6 @@ func (n *Node) handlePeer(kind string, body json.RawMessage) (any, error) {
 		if err := json.Unmarshal(body, &req); err != nil {
 			return nil, err
 		}
-		n.met.observeHop(req.OriginNs)
 		n.adopt(req.Table)
 		n.recordPeer(req.From, req.Pressure, req.StatusAddr)
 		return ipc.GossipResp{Table: n.ring.Load().Table, Pressure: n.localPressure(),
@@ -252,7 +251,6 @@ func (n *Node) handlePeer(kind string, body json.RawMessage) (any, error) {
 		if err := json.Unmarshal(body, &req); err != nil {
 			return nil, err
 		}
-		n.met.observeHop(req.OriginNs)
 		return ipc.CedeResp{Granted: n.cedeTo(req)}, nil
 	default:
 		return nil, fmt.Errorf("clusterkv: unknown peer message %q", kind)
@@ -340,7 +338,7 @@ func (n *Node) gossipRound() {
 		var resp ipc.GossipResp
 		err := n.callPeer(p.Peer, ipc.KindGossip,
 			ipc.GossipReq{From: n.cfg.Addr, Table: r.Table, Pressure: n.localPressure(),
-				StatusAddr: n.statusSelf(), OriginNs: time.Now().UnixNano()}, &resp)
+				StatusAddr: n.statusSelf()}, &resp)
 		if err != nil {
 			n.met.gossipFailures.Add(1)
 			if n.missed(p.Addr) {
@@ -400,8 +398,7 @@ func (n *Node) federate() {
 	}
 	var resp ipc.CedeResp
 	if err := n.callPeer(peer, ipc.KindCedeBudget,
-		ipc.CedeReq{From: n.cfg.Addr, Pages: n.fedLowWater,
-			OriginNs: time.Now().UnixNano()}, &resp); err != nil {
+		ipc.CedeReq{From: n.cfg.Addr, Pages: n.fedLowWater}, &resp); err != nil {
 		return
 	}
 	if resp.Granted > 0 {

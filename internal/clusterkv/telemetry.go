@@ -2,7 +2,6 @@ package clusterkv
 
 import (
 	"sync/atomic"
-	"time"
 
 	"softmem/internal/ipc"
 	"softmem/internal/metrics"
@@ -10,8 +9,8 @@ import (
 )
 
 // nodeMetrics are the node's always-on counters; RegisterMetrics
-// bridges them into a registry, and the /cluster status view reads them
-// directly.
+// bridges three of them into a registry, and the /cluster status view
+// reads them all directly.
 type nodeMetrics struct {
 	gossipRounds   atomic.Int64
 	gossipFailures atomic.Int64
@@ -22,48 +21,13 @@ type nodeMetrics struct {
 	replApplied    atomic.Int64
 	fedCeded       atomic.Int64
 	fedReceived    atomic.Int64
-
-	// hop observes inter-node frame latency from the OriginNs span
-	// context peers stamp on gossip and cede requests. Nil until
-	// RegisterMetrics; frames from older peers (OriginNs zero) are
-	// skipped either way.
-	hop atomic.Pointer[metrics.Histogram]
 }
 
-// observeHop records one inter-node hop from a peer's origin timestamp.
-// Cross-machine wall clocks can disagree, so negative deltas clamp to
-// zero rather than poisoning the histogram.
-func (m *nodeMetrics) observeHop(originNs int64) {
-	h := m.hop.Load()
-	if h == nil || originNs <= 0 {
-		return
-	}
-	d := time.Now().UnixNano() - originNs
-	if d < 0 {
-		d = 0
-	}
-	h.Observe(float64(d))
-}
-
-// RegisterMetrics exposes the node's cluster instruments.
+// RegisterMetrics exposes the node's redirect and federation counters.
 func (n *Node) RegisterMetrics(r *metrics.Registry) {
-	r.CounterFunc("softmem_cluster_gossip_rounds_total", "heartbeats sent to peers", n.met.gossipRounds.Load)
-	r.CounterFunc("softmem_cluster_gossip_failures_total", "heartbeats that failed", n.met.gossipFailures.Load)
 	r.CounterFunc("softmem_cluster_moved_total", "commands redirected with -MOVED", n.met.moved.Load)
-	r.CounterFunc("softmem_cluster_repl_sent_total", "writes handed to replication", n.met.replSent.Load)
-	r.CounterFunc("softmem_cluster_repl_acked_total", "replicated writes acked by the successor", n.met.replAcked.Load)
-	r.CounterFunc("softmem_cluster_repl_dropped_total", "replicated writes dropped (queue overflow or replica refusal)", n.met.replDropped.Load)
-	r.CounterFunc("softmem_cluster_repl_applied_total", "replica applies served (RSET/RDEL)", n.met.replApplied.Load)
 	r.CounterFunc("softmem_cluster_fed_ceded_pages_total", "soft budget pages ceded to peers", n.met.fedCeded.Load)
 	r.CounterFunc("softmem_cluster_fed_received_pages_total", "soft budget pages received from peers", n.met.fedReceived.Load)
-	r.GaugeFunc("softmem_cluster_ring_version", "current routing table version", func() float64 {
-		return float64(n.ring.Load().Table.Version)
-	})
-	r.GaugeFunc("softmem_cluster_peers", "nodes in the routing table, self included", func() float64 {
-		return float64(len(n.ring.Load().Table.Nodes))
-	})
-	n.met.hop.Store(r.Histogram("softmem_cluster_hop_ns",
-		"inter-node frame latency in ns, from the origin timestamp peers stamp on gossip and cede requests"))
 }
 
 // PeerStatus is one peer's view in Status. StatusAddr is the peer's

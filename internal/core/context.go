@@ -111,32 +111,35 @@ func (c *Context) lockOpen() error {
 // Alloc reserves size bytes of soft memory, growing the process's budget
 // through the daemon as needed. It returns ErrExhausted when machine-wide
 // pressure cannot be relieved.
-func (c *Context) Alloc(size int) (alloc.Ref, error) { return c.alloc(size, nil) }
+func (c *Context) Alloc(size int) (alloc.Ref, error) { return c.allocRetry(nil, size, nil) }
 
 // AllocData reserves len(data) bytes and copies data into them, in one
 // locked section: no demand can revoke the allocation half-written.
-func (c *Context) AllocData(data []byte) (alloc.Ref, error) { return c.alloc(len(data), data) }
-
-func (c *Context) alloc(size int, data []byte) (alloc.Ref, error) {
-	if m := c.sma.met.Load(); m != nil {
-		t0 := time.Now()
-		ref, err := c.allocRetry(size, data)
-		m.alloc.ObserveDuration(time.Since(t0))
-		return ref, err
-	}
-	return c.allocRetry(size, data)
+func (c *Context) AllocData(data []byte) (alloc.Ref, error) {
+	return c.allocRetry(nil, len(data), data)
 }
 
-// allocRetry is the allocation loop: try the heap, and on budget or page
-// shortfalls drop the heap lock, consult the daemon, and retry.
-func (c *Context) allocRetry(size int, data []byte) (alloc.Ref, error) {
+// allocRetry is the one allocation loop: try the heap, and on budget or
+// page shortfalls drop the heap lock, consult the daemon, and retry.
+// With o nil every try takes and drops the lock itself; with o (an
+// owner, see Owned.AllocData) the lock is held on entry and again on
+// return, unless the context closed.
+func (c *Context) allocRetry(o *Owned, size int, data []byte) (alloc.Ref, error) {
 	const maxRetries = 10
 	for attempt := 0; ; attempt++ {
-		if err := c.lockOpen(); err != nil {
+		var err error
+		if o == nil {
+			err = c.lockOpen()
+		} else if !o.held {
+			err = o.Acquire()
+		}
+		if err != nil {
 			return alloc.Ref{}, err
 		}
 		ref, err := c.allocLocked(size, data)
-		c.mu.Unlock()
+		if o == nil {
+			c.mu.Unlock()
+		}
 		if err == nil {
 			return ref, nil
 		}
@@ -146,15 +149,22 @@ func (c *Context) allocRetry(size int, data []byte) (alloc.Ref, error) {
 		if attempt >= maxRetries {
 			return alloc.Ref{}, fmt.Errorf("%w: contention after %d retries", ErrExhausted, attempt)
 		}
+		if o != nil {
+			o.Release()
+		}
 		if err == errNeedPages {
 			// Machine empty despite budget: force a daemon round so it
 			// reclaims physical pages (its slack view was stale).
-			if err := c.sma.forcePressureRound(alloc.PagesFor(size)); err != nil {
-				return alloc.Ref{}, err
-			}
-			continue
+			err = c.sma.forcePressureRound(alloc.PagesFor(size))
+		} else {
+			err = c.sma.ensureBudget(alloc.PagesFor(size))
 		}
-		if err := c.sma.ensureBudget(alloc.PagesFor(size)); err != nil {
+		if err != nil {
+			if o != nil {
+				// Best-effort re-take so the owner's lock invariant holds
+				// even on the error path; a closed context stays unheld.
+				_ = o.Acquire()
+			}
 			return alloc.Ref{}, err
 		}
 	}
@@ -164,16 +174,6 @@ func (c *Context) allocRetry(size int, data []byte) (alloc.Ref, error) {
 // threshold flow back to the process free pool, and pool overflow returns
 // budget to the daemon.
 func (c *Context) Free(ref alloc.Ref) error {
-	if m := c.sma.met.Load(); m != nil {
-		t0 := time.Now()
-		err := c.free(ref)
-		m.free.ObserveDuration(time.Since(t0))
-		return err
-	}
-	return c.free(ref)
-}
-
-func (c *Context) free(ref alloc.Ref) error {
 	if err := c.lockOpen(); err != nil {
 		return err
 	}

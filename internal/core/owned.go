@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"runtime"
 	"sync/atomic"
 	"time"
@@ -180,51 +179,8 @@ func (o *Owned) Tx(ctx *Context) *Tx {
 // Context.AllocData but from an owner already holding the lock. The
 // fast path allocates without any lock traffic; budget and page
 // shortfalls drop the lock for the daemon round-trip (demands may then
-// reclaim from this very shard) and re-take it, mirroring allocRetry.
-// On return the lock is held again unless the context closed, which
-// surfaces as ErrClosed.
+// reclaim from this very shard) and re-take it. On return the lock is
+// held again unless the context closed, which surfaces as ErrClosed.
 func (o *Owned) AllocData(data []byte) (alloc.Ref, error) {
-	if m := o.ctx.sma.met.Load(); m != nil {
-		t0 := time.Now()
-		ref, err := o.allocData(data)
-		m.alloc.ObserveDuration(time.Since(t0))
-		return ref, err
-	}
-	return o.allocData(data)
-}
-
-func (o *Owned) allocData(data []byte) (alloc.Ref, error) {
-	c := o.ctx
-	const maxRetries = 10
-	for attempt := 0; ; attempt++ {
-		if !o.held {
-			if err := o.Acquire(); err != nil {
-				return alloc.Ref{}, err
-			}
-		}
-		ref, err := c.allocLocked(len(data), data)
-		if err == nil {
-			return ref, nil
-		}
-		if err != errNeedBudget && err != errNeedPages {
-			return alloc.Ref{}, err
-		}
-		if attempt >= maxRetries {
-			return alloc.Ref{}, fmt.Errorf("%w: contention after %d retries", ErrExhausted, attempt)
-		}
-		o.Release()
-		if err == errNeedPages {
-			// Machine empty despite budget: force a daemon round so it
-			// reclaims physical pages (its slack view was stale).
-			err = c.sma.forcePressureRound(alloc.PagesFor(len(data)))
-		} else {
-			err = c.sma.ensureBudget(alloc.PagesFor(len(data)))
-		}
-		if err != nil {
-			// Best-effort re-take so the caller's lock invariant holds
-			// even on the error path; a closed context stays unheld.
-			_ = o.Acquire()
-			return alloc.Ref{}, err
-		}
-	}
+	return o.ctx.allocRetry(o, len(data), data)
 }

@@ -209,10 +209,6 @@ type SMA struct {
 	poolMu   sync.Mutex
 	freePool []*pages.Page
 
-	// met holds the hot-path latency histograms once RegisterMetrics has
-	// run; nil keeps uninstrumented paths free of timing calls.
-	met atomic.Pointer[smaMetrics]
-
 	// noteMu guards activeTrace, the span accumulator for the demand in
 	// flight (demandMu guarantees at most one). It is a leaf lock:
 	// NoteDemand is callable from reclaim callbacks that already hold a
@@ -652,21 +648,13 @@ func (s *SMA) releasePages(pgs []*pages.Page) {
 	}
 }
 
-// requestBudget performs one daemon budget round-trip, timing it into
-// the budget-RTT histogram when instrumented.
+// requestBudget performs one daemon budget round-trip.
 func (s *SMA) requestBudget(d DaemonClient, ask int, u Usage) (int, error) {
 	s.c.budgetRequests.Add(1)
 	if err := faultinject.FireErr("core.budget.request"); err != nil {
 		return 0, err
 	}
-	m := s.met.Load()
-	if m == nil {
-		return d.RequestBudget(ask, u)
-	}
-	t0 := time.Now()
-	granted, err := d.RequestBudget(ask, u)
-	m.budgetRTT.ObserveDuration(time.Since(t0))
-	return granted, err
+	return d.RequestBudget(ask, u)
 }
 
 // ensureBudget grows the budget by at least need pages via the daemon.
@@ -804,8 +792,6 @@ func (s *SMA) HandleDemandTraced(demandPages int, reclaimID uint64) (int, []Dema
 	if demandPages <= 0 {
 		return 0, nil, nil
 	}
-	m := s.met.Load()
-	start := time.Now()
 	s.demandMu.Lock()
 	tr := &demandTrace{}
 	s.noteMu.Lock()
@@ -879,9 +865,6 @@ func (s *SMA) HandleDemandTraced(demandPages int, reclaimID uint64) (int, []Dema
 	for _, fn := range listeners {
 		fn(ev)
 	}
-	if m != nil {
-		m.demand.ObserveDuration(time.Since(start))
-	}
 	// Sample usage after the pressure listeners: they run application
 	// reactions (spill bookkeeping, resizing) that belong in the
 	// self-report the daemon's ledger will adopt.
@@ -946,13 +929,7 @@ func (s *SMA) reclaimFromTier(tier []*Context, quota, turn int) []DemandSpan {
 // concurrent observers never see another demand's frees).
 func (s *SMA) reclaimFromContext(ctx *Context, quota int, sp *DemandSpan) (drained int) {
 	t0 := time.Now()
-	defer func() {
-		d := time.Since(t0)
-		sp.DurNs += d.Nanoseconds()
-		if m := s.met.Load(); m != nil {
-			m.sdsReclaim.ObserveDuration(d)
-		}
-	}()
+	defer func() { sp.DurNs += time.Since(t0).Nanoseconds() }()
 	ctx.lock()
 	defer ctx.mu.Unlock()
 	if ctx.closed {

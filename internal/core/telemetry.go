@@ -104,49 +104,9 @@ func (s *SMA) NoteDemand(kind string, count int, bytes int64) {
 	s.noteMu.Unlock()
 }
 
-// smaMetrics holds the SMA's hot-path latency histograms. A nil pointer
-// (no RegisterMetrics call) keeps the uninstrumented paths zero-cost.
-type smaMetrics struct {
-	alloc      *metrics.Histogram
-	free       *metrics.Histogram
-	budgetRTT  *metrics.Histogram
-	demand     *metrics.Histogram
-	sdsReclaim *metrics.Histogram
-}
-
-// RegisterMetrics registers the SMA's instruments into r and switches on
-// hot-path latency observation. Call once, at process startup.
+// RegisterMetrics registers the SMA's epoch gauges into r. Call once,
+// at process startup.
 func (s *SMA) RegisterMetrics(r *metrics.Registry) {
-	m := &smaMetrics{
-		alloc:      r.Histogram("softmem_sma_alloc_ns", "soft allocation latency in ns, including budget round-trips and retries"),
-		free:       r.Histogram("softmem_sma_free_ns", "soft free latency in ns"),
-		budgetRTT:  r.Histogram("softmem_sma_budget_rtt_ns", "daemon budget request round-trip latency in ns"),
-		demand:     r.Histogram("softmem_sma_demand_ns", "reclamation demand handling latency in ns, all tiers"),
-		sdsReclaim: r.Histogram("softmem_sma_sds_reclaim_ns", "per-SDS reclaim latency within a demand in ns"),
-	}
-	r.CounterFunc("softmem_sma_budget_requests_total", "daemon budget round-trips", s.c.budgetRequests.Load)
-	r.CounterFunc("softmem_sma_budget_denied_total", "denied budget requests", s.c.budgetDenied.Load)
-	r.CounterFunc("softmem_sma_demands_total", "reclamation demands served", s.c.demandsServed.Load)
-	r.CounterFunc("softmem_sma_pages_reclaimed_total", "pages released to the machine under demands", s.c.pagesReclaimed.Load)
-	r.CounterFunc("softmem_sma_allocs_reclaimed_total", "allocations freed by SDS reclaim", s.c.allocsReclaimed.Load)
-	r.GaugeFunc("softmem_sma_budget_pages", "soft budget currently granted by the daemon", func() float64 {
-		return float64(s.budget.Load())
-	})
-	r.GaugeFunc("softmem_sma_used_pages", "soft pages held (heaps plus free pool)", func() float64 {
-		return float64(s.used.Load())
-	})
-	r.GaugeFunc("softmem_sma_freepool_pages", "pages in the process-local free pool", func() float64 {
-		s.poolMu.Lock()
-		n := len(s.freePool)
-		s.poolMu.Unlock()
-		return float64(n)
-	})
-	r.GaugeFunc("softmem_sma_contexts", "registered SDS contexts", func() float64 {
-		s.regMu.Lock()
-		n := len(s.contexts)
-		s.regMu.Unlock()
-		return float64(n)
-	})
 	r.GaugeFunc("softmem_sma_epoch_global", "global epoch of the lock-free read domain", func() float64 {
 		return float64(s.epochs.Current())
 	})
@@ -165,5 +125,4 @@ func (s *SMA) RegisterMetrics(r *metrics.Registry) {
 		return float64(n)
 	})
 	r.CounterFunc("softmem_sma_epoch_deferred_pages_total", "whole pages whose recycling was deferred through epoch limbo", s.epochs.DeferredPages)
-	s.met.Store(m)
 }

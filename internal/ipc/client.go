@@ -4,12 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"net"
-	"sync/atomic"
-	"time"
 
 	"softmem/internal/core"
 	"softmem/internal/faultinject"
-	"softmem/internal/metrics"
 )
 
 // Client connects a process's SMA to a remote Soft Memory Daemon. It
@@ -24,9 +21,6 @@ import (
 type Client struct {
 	conn   *Conn
 	procID int
-	// met holds the per-kind RPC round-trip histograms once
-	// RegisterMetrics has run; nil skips timing.
-	met atomic.Pointer[ipcMetrics]
 }
 
 // DemandTarget receives reclamation demands; *core.SMA satisfies it.
@@ -50,32 +44,6 @@ type TracedDemandTarget interface {
 // notification (pre-fix behavior).
 type BudgetShrinkTarget interface {
 	ShrinkBudget(pages int)
-}
-
-// ipcMetrics holds the client's RPC round-trip histograms, one per
-// outbound message kind under a shared metric name.
-type ipcMetrics struct {
-	requestRTT *metrics.Histogram
-	releaseRTT *metrics.Histogram
-	usageRTT   *metrics.Histogram
-}
-
-func newIPCMetrics(r *metrics.Registry) *ipcMetrics {
-	h := func(kind string) *metrics.Histogram {
-		return r.Histogram("softmem_ipc_rtt_ns", "daemon RPC round-trip latency in ns by message kind",
-			metrics.Label{Name: "kind", Value: kind})
-	}
-	return &ipcMetrics{
-		requestRTT: h(KindRequestBudget),
-		releaseRTT: h(KindReleaseBudget),
-		usageRTT:   h(KindReportUsage),
-	}
-}
-
-// RegisterMetrics registers the client's RPC latency instruments into r
-// and switches on round-trip timing.
-func (c *Client) RegisterMetrics(r *metrics.Registry) {
-	c.met.Store(newIPCMetrics(r))
 }
 
 // Dial connects to the daemon at network/addr, registers under name, and
@@ -151,17 +119,8 @@ func (c *Client) ProcID() int { return c.procID }
 
 // RequestBudget implements core.DaemonClient.
 func (c *Client) RequestBudget(pages int, u core.Usage) (int, error) {
-	m := c.met.Load()
-	var t0 time.Time
-	if m != nil {
-		t0 = time.Now()
-	}
 	var resp BudgetResp
-	err := c.conn.Call(KindRequestBudget, BudgetReq{Pages: pages, Usage: u}, &resp)
-	if m != nil {
-		m.requestRTT.ObserveDuration(time.Since(t0))
-	}
-	if err != nil {
+	if err := c.conn.Call(KindRequestBudget, BudgetReq{Pages: pages, Usage: u}, &resp); err != nil {
 		return 0, err
 	}
 	return resp.Granted, nil
@@ -169,30 +128,12 @@ func (c *Client) RequestBudget(pages int, u core.Usage) (int, error) {
 
 // ReleaseBudget implements core.DaemonClient.
 func (c *Client) ReleaseBudget(pages int, u core.Usage) error {
-	m := c.met.Load()
-	var t0 time.Time
-	if m != nil {
-		t0 = time.Now()
-	}
-	err := c.conn.Call(KindReleaseBudget, BudgetReq{Pages: pages, Usage: u}, nil)
-	if m != nil {
-		m.releaseRTT.ObserveDuration(time.Since(t0))
-	}
-	return err
+	return c.conn.Call(KindReleaseBudget, BudgetReq{Pages: pages, Usage: u}, nil)
 }
 
 // ReportUsage refreshes the daemon's view outside budget traffic.
 func (c *Client) ReportUsage(u core.Usage) error {
-	m := c.met.Load()
-	var t0 time.Time
-	if m != nil {
-		t0 = time.Now()
-	}
-	err := c.conn.Call(KindReportUsage, UsageReq{Usage: u}, nil)
-	if m != nil {
-		m.usageRTT.ObserveDuration(time.Since(t0))
-	}
-	return err
+	return c.conn.Call(KindReportUsage, UsageReq{Usage: u}, nil)
 }
 
 // Close tears down the connection; the daemon unregisters the process.

@@ -50,16 +50,13 @@ type JoinResp struct {
 }
 
 // GossipReq is one heartbeat: the sender's table and pressure summary.
-// StatusAddr and OriginNs are optional (older peers omit them): the
-// former advertises the sender's statusz listener so tooling can fan out
-// across the cluster, the latter is span context — the sender's send
-// timestamp, letting the receiver attribute inter-node hop latency.
+// StatusAddr is optional (older peers omit it): it advertises the
+// sender's statusz listener so tooling can fan out across the cluster.
 type GossipReq struct {
 	From       string              `json:"from"` // sender's RESP address (node identity)
 	Table      ClusterTable        `json:"table"`
 	Pressure   smd.PressureSummary `json:"pressure"`
 	StatusAddr string              `json:"status_addr,omitempty"`
-	OriginNs   int64               `json:"origin_ns,omitempty"`
 }
 
 // GossipResp mirrors the receiver's table and pressure back.
@@ -70,11 +67,9 @@ type GossipResp struct {
 }
 
 // CedeReq asks the receiver's daemon to cede pages to the sender.
-// OriginNs carries span context like GossipReq's.
 type CedeReq struct {
-	From     string `json:"from"`
-	Pages    int    `json:"pages"`
-	OriginNs int64  `json:"origin_ns,omitempty"`
+	From  string `json:"from"`
+	Pages int    `json:"pages"`
 }
 
 // CedeResp reports the pages actually ceded (0 = nothing to spare).

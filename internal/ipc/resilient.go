@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"softmem/internal/core"
-	"softmem/internal/metrics"
 )
 
 // ErrReconnecting reports a budget call attempted while the connection
@@ -49,9 +48,6 @@ type Resilient struct {
 	// host, malformed address): the watcher has given up and every call
 	// surfaces this error instead of ErrReconnecting.
 	permErr error
-	// met is attached to every client this Resilient dials, so RPC
-	// round-trip histograms survive reconnects.
-	met *ipcMetrics
 
 	reconnects int
 }
@@ -80,31 +76,9 @@ func (r *Resilient) dial() (*Client, error) {
 	// The tenant spec is re-sent on every reconnect registration: a
 	// restarted daemon has lost its QoS table, so each redial restores
 	// this process's class and SLO along with its name.
-	cli, err := Dial(r.network, r.addr, r.name, r.proc,
+	return Dial(r.network, r.addr, r.name, r.proc,
 		WithDialTimeout(r.opt.timeout),
 		WithTenant(r.opt.tenant, r.opt.class, r.opt.sloMs))
-	if err != nil {
-		return nil, err
-	}
-	r.mu.Lock()
-	if r.met != nil {
-		cli.met.Store(r.met)
-	}
-	r.mu.Unlock()
-	return cli, nil
-}
-
-// RegisterMetrics registers RPC round-trip instruments into reg and
-// attaches them to the current connection and every reconnect.
-func (r *Resilient) RegisterMetrics(reg *metrics.Registry) {
-	m := newIPCMetrics(reg)
-	r.mu.Lock()
-	r.met = m
-	cli := r.cli
-	r.mu.Unlock()
-	if cli != nil {
-		cli.met.Store(m)
-	}
 }
 
 // watch waits for the connection to die and then reconnects.

@@ -59,16 +59,16 @@ func (h *hashStore) addField(f hashField) {
 }
 
 // HSet stores value under key's field, reporting whether the field is
-// new.
+// new. The field is indexed after every store, not only a new one: Put's
+// own allocation can make a demand revoke the field (dropping it from
+// the index) before Put stores it again.
 func (s *Store) HSet(key, field string, value []byte) (bool, error) {
 	f := hashField{key: key, field: field}
 	existed := s.hashes.ht.Contains(f)
 	if err := s.hashes.ht.Put(f, value); err != nil {
 		return false, err
 	}
-	if !existed {
-		s.hashes.addField(f)
-	}
+	s.hashes.addField(f)
 	return !existed, nil
 }
 

@@ -13,6 +13,7 @@ import (
 	"softmem/internal/core"
 	"softmem/internal/pages"
 	"softmem/internal/sds"
+	"softmem/internal/smd"
 )
 
 func newStore(t *testing.T, machinePages int) (*Store, *core.SMA) {
@@ -742,6 +743,50 @@ func TestHashReclamationCleansFieldIndex(t *testing.T) {
 	}
 	if st.Stats().Reclaimed != 4 {
 		t.Fatalf("Reclaimed = %d", st.Stats().Reclaimed)
+	}
+}
+
+// TestHSetKeepsFieldRevokedByItsOwnAllocation: re-setting a field whose
+// own allocation makes the daemon revoke that very field (the oldest in
+// a full partition) stores it again, and the field index must list it
+// again too: HSET answers "not new", but HLEN and HGETALL count the
+// live field.
+func TestHSetKeepsFieldRevokedByItsOwnAllocation(t *testing.T) {
+	const partition = 8
+	machine := pages.NewPool(partition)
+	d := smd.NewDaemon(smd.Config{TotalPages: partition, ReclaimFactor: 1.0, AllowSelfReclaim: true})
+	sma := core.New(core.Config{Machine: machine, BudgetChunk: 1})
+	sma.AttachDaemon(d.Register("kv", sma))
+	st := New(sma)
+	defer st.Close()
+	val := make([]byte, pages.Size)
+	for i := 0; i < partition; i++ {
+		if _, err := st.HSet("obj", fmt.Sprintf("f%d", i), val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if free := d.Stats().FreePages; free != 0 {
+		t.Fatalf("partition not full: %d pages free", free)
+	}
+	created, err := st.HSet("obj", "f0", []byte("again"))
+	if err != nil || created {
+		t.Fatalf("re-HSET f0 = %v, %v, want false, nil", created, err)
+	}
+	if v, ok, _ := st.HGet("obj", "f0"); !ok || string(v) != "again" {
+		t.Fatalf("HGET f0 = %q, %v, want the new value", v, ok)
+	}
+	if st.Stats().Reclaimed == 0 {
+		t.Fatal("the re-SET revoked nothing; the test did not reach its case")
+	}
+	all, err := st.HGetAll("obj")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := all["f0"]; !ok {
+		t.Fatalf("HGETALL lists %d fields without the live f0", len(all))
+	}
+	if n := st.HLen("obj"); n != len(all) {
+		t.Fatalf("HLEN = %d, HGETALL lists %d live fields", n, len(all))
 	}
 }
 

@@ -11,14 +11,18 @@ type Status struct {
 	Stats Stats      `json:"stats"`
 }
 
-// EventLog is the /events payload: the audit ring, oldest first.
+// EventLog is the /events payload: the audit ring, oldest first, and
+// how many older events the ring has overwritten.
 type EventLog struct {
-	Events []Event `json:"events"`
+	Dropped int64   `json:"dropped"`
+	Events  []Event `json:"events"`
 }
 
-// TraceLog is the /traces payload: the reclaim-cycle ring, oldest first.
+// TraceLog is the /traces payload: the reclaim-cycle ring, oldest first,
+// and how many older traces the ring has overwritten.
 type TraceLog struct {
-	Traces []Trace `json:"traces"`
+	Dropped int64   `json:"dropped"`
+	Traces  []Trace `json:"traces"`
 }
 
 // QoSTable is the /qos payload: every process in victim order.
@@ -32,8 +36,8 @@ type QoSTable struct {
 func (d *Daemon) Endpoints() map[string]func() any {
 	return map[string]func() any{
 		"statusz": func() any { return Status{Procs: d.Snapshot(), Stats: d.Stats()} },
-		"events":  func() any { return EventLog{Events: d.Events()} },
-		"traces":  func() any { return TraceLog{Traces: d.Traces()} },
+		"events":  func() any { return EventLog{Dropped: d.eventsDropped.Load(), Events: d.Events()} },
+		"traces":  func() any { return TraceLog{Dropped: d.tracesDropped.Load(), Traces: d.Traces()} },
 		"qos":     func() any { return QoSTable{QoS: d.QoSSnapshot()} },
 	}
 }

@@ -58,6 +58,10 @@ func TestEventRingWrapsKeepingNewest(t *testing.T) {
 			t.Fatalf("event %d has Seq %d, want %d (newest %d of %d)", i, ev.Seq, want, eventLogCap, n)
 		}
 	}
+	// The /events payload says how many older events the ring lost.
+	if el := d.Endpoints()["events"]().(EventLog); el.Dropped != n-eventLogCap || len(el.Events) != eventLogCap {
+		t.Fatalf("/events payload: Dropped = %d with %d events, want %d with %d", el.Dropped, len(el.Events), n-eventLogCap, eventLogCap)
+	}
 }
 
 func TestEventsAndStatsCarrySpilledBytes(t *testing.T) {

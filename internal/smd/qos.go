@@ -2,11 +2,9 @@ package smd
 
 import (
 	"sort"
-	"strconv"
 	"time"
 
 	"softmem/internal/core"
-	"softmem/internal/metrics"
 )
 
 // Stall-aware multi-tenant QoS.
@@ -235,40 +233,4 @@ func (d *Daemon) QoSSnapshot() []QoSInfo {
 		return out[i].ID < out[j].ID
 	})
 	return out
-}
-
-// registerQoSMetrics exports the per-process QoS plane. Label sets are
-// dynamic (processes come and go), so these are CollectFunc instruments
-// over QoSSnapshot rather than fixed gauges.
-func (d *Daemon) registerQoSMetrics(r *metrics.Registry) {
-	perQoS := func(name, help string, kind metrics.Kind, value func(QoSInfo) float64) {
-		r.CollectFunc(name, help, kind, func() []metrics.Sample {
-			procs := d.QoSSnapshot()
-			out := make([]metrics.Sample, 0, len(procs))
-			for _, q := range procs {
-				out = append(out, metrics.Sample{
-					Labels: []metrics.Label{
-						{Name: "proc", Value: procIDLabel(q.ID)},
-						{Name: "name", Value: q.Name},
-						{Name: "tenant", Value: q.Tenant},
-						{Name: "class", Value: strconv.Itoa(q.Class)},
-					},
-					Value: value(q),
-				})
-			}
-			return out
-		})
-	}
-	perQoS("softmem_qos_stall_ratio", "per-process stall-rate EWMA: smoothed fraction of wall time the serving path spent stalled on reclamation", metrics.KindGauge,
-		func(q QoSInfo) float64 { return q.StallRatio })
-	perQoS("softmem_qos_pressure", "per-process QoS pressure score; lowest is reclaimed first", metrics.KindGauge,
-		func(q QoSInfo) float64 { return q.Pressure })
-	perQoS("softmem_qos_slo_ms", "per-process latency SLO in milliseconds (reference 100 when unset)", metrics.KindGauge,
-		func(q QoSInfo) float64 { return float64(q.SLOMs) })
-	perQoS("softmem_qos_demanded_pages_total", "pages the daemon demanded from this process as a reclamation source", metrics.KindCounter,
-		func(q QoSInfo) float64 { return float64(q.DemandedPages) })
-	perQoS("softmem_qos_released_pages_total", "pages this process actually released to reclamation demands", metrics.KindCounter,
-		func(q QoSInfo) float64 { return float64(q.ReleasedPages) })
-	perQoS("softmem_qos_slack_pages_total", "budget slack harvested from this process without disturbance", metrics.KindCounter,
-		func(q QoSInfo) float64 { return float64(q.SlackPages) })
 }

@@ -314,7 +314,8 @@ type Daemon struct {
 
 	// eventsDropped / tracesDropped count ring overwrites: entries an
 	// operator can no longer inspect because the ring wrapped before
-	// they were read. Atomics so CounterFunc readers skip d.mu.
+	// they were read. Atomics so the /events and /traces payloads read
+	// them without d.mu.
 	eventsDropped atomic.Int64
 	tracesDropped atomic.Int64
 

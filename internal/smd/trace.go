@@ -135,10 +135,6 @@ func (d *Daemon) RegisterMetrics(r *metrics.Registry) {
 	r.GaugeFunc("softmem_smd_procs", "registered processes", func() float64 { return float64(d.Stats().Procs) })
 	r.GaugeFunc("softmem_smd_spilled_bytes", "sum of self-reported spill-tier footprints", func() float64 { return float64(d.Stats().SpilledBytes) })
 	r.GaugeFunc("softmem_smd_total_pages", "current partition size, federation-adjusted", func() float64 { return float64(d.Stats().TotalPages) })
-	r.CounterFunc("softmem_smd_ceded_pages_total", "soft budget ceded to federated peers", stat(func(s Stats) int64 { return s.CededPages }))
-	r.CounterFunc("softmem_smd_received_pages_total", "soft budget received from federated peers", stat(func(s Stats) int64 { return s.ReceivedPages }))
-	r.CounterFunc("softmem_smd_events_dropped_total", "audit events overwritten before being read because the event ring wrapped", d.eventsDropped.Load)
-	r.CounterFunc("softmem_trace_dropped_total", "reclaim-cycle traces overwritten before being read because the trace ring wrapped", d.tracesDropped.Load)
 
 	perProc := func(name, help string, value func(ProcInfo) float64) {
 		r.CollectFunc(name, help, metrics.KindGauge, func() []metrics.Sample {
@@ -147,7 +143,7 @@ func (d *Daemon) RegisterMetrics(r *metrics.Registry) {
 			for _, p := range procs {
 				out = append(out, metrics.Sample{
 					Labels: []metrics.Label{
-						{Name: "proc", Value: procIDLabel(p.ID)},
+						{Name: "proc", Value: strconv.Itoa(int(p.ID))},
 						{Name: "name", Value: p.Name},
 					},
 					Value: value(p),
@@ -161,11 +157,5 @@ func (d *Daemon) RegisterMetrics(r *metrics.Registry) {
 	perProc("softmem_smd_proc_weight", "per-process reclamation weight", func(p ProcInfo) float64 { return p.Weight })
 	perProc("softmem_smd_proc_spilled_bytes", "per-process spill-tier footprint", func(p ProcInfo) float64 { return float64(p.Usage.SpilledBytes) })
 
-	d.registerQoSMetrics(r)
-
 	d.met.Store(m)
-}
-
-func procIDLabel(id ProcID) string {
-	return strconv.Itoa(int(id))
 }

@@ -175,6 +175,10 @@ func TestTraceRingWrapsKeepingNewest(t *testing.T) {
 	if got := d.tracesDropped.Load(); got != 1 {
 		t.Fatalf("tracesDropped = %d, want 1 (the oldest of %d cycles)", got, traceLogCap+1)
 	}
+	// The /traces payload carries the same count.
+	if tl := d.Endpoints()["traces"]().(TraceLog); tl.Dropped != 1 || len(tl.Traces) != traceLogCap {
+		t.Fatalf("/traces payload: Dropped = %d with %d traces, want 1 with %d", tl.Dropped, len(tl.Traces), traceLogCap)
+	}
 }
 
 // TestTraceEndToEndWithSMA drives a real reclamation through core.SMA and

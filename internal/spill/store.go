@@ -76,9 +76,6 @@ type nsKey struct{ ns, key string }
 type Store struct {
 	cfg Config
 	m   counters
-	// lat holds operation latency histograms once RegisterMetrics has
-	// run; nil skips timing.
-	lat atomic.Pointer[spillLatency]
 
 	mu     sync.Mutex
 	segs   map[uint64]*segment
@@ -241,16 +238,6 @@ func (s *Store) Close() {
 // Put demotes a value: it appends a record and points the index at it.
 // The previous record for the key, if any, becomes stale.
 func (s *Store) Put(namespace, key string, value []byte) error {
-	if lat := s.lat.Load(); lat != nil {
-		t0 := time.Now()
-		err := s.put(namespace, key, value)
-		lat.put.ObserveDuration(time.Since(t0))
-		return err
-	}
-	return s.put(namespace, key, value)
-}
-
-func (s *Store) put(namespace, key string, value []byte) error {
 	buf, err := appendRecord(nil, record{Namespace: namespace, Key: key, Value: value}, s.cfg.CompressMin)
 	if err != nil {
 		s.m.WriteErrors.Inc()
@@ -283,16 +270,6 @@ func (s *Store) putLocked(namespace, key string, buf []byte, n int) error {
 // CRC-verified. found is false when the key was never demoted or has
 // been dropped or evicted.
 func (s *Store) Get(namespace, key string) (value []byte, found bool, err error) {
-	if lat := s.lat.Load(); lat != nil {
-		t0 := time.Now()
-		value, found, err = s.get(namespace, key)
-		lat.get.ObserveDuration(time.Since(t0))
-		return value, found, err
-	}
-	return s.get(namespace, key)
-}
-
-func (s *Store) get(namespace, key string) (value []byte, found bool, err error) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -450,16 +427,6 @@ func (s *Store) endLocked(p *Promotion) {
 // superseding Drop has landed. Both results are nil for a key that is
 // neither on disk nor in transit.
 func (s *Store) Take(namespace, key string) (p *Promotion, busy <-chan struct{}) {
-	if lat := s.lat.Load(); lat != nil {
-		t0 := time.Now()
-		p, busy = s.take(namespace, key)
-		lat.promote.ObserveDuration(time.Since(t0))
-		return p, busy
-	}
-	return s.take(namespace, key)
-}
-
-func (s *Store) take(namespace, key string) (*Promotion, <-chan struct{}) {
 	at := nsKey{namespace, key}
 	s.mu.Lock()
 	if s.closed {
@@ -479,7 +446,7 @@ func (s *Store) take(namespace, key string) (*Promotion, <-chan struct{}) {
 	s.indexDropLocked(namespace, key, loc)
 	s.tombstoneLocked(namespace, key)
 	s.evictLocked()
-	p := &Promotion{st: s, at: at, ended: make(chan struct{})}
+	p = &Promotion{st: s, at: at, ended: make(chan struct{})}
 	s.promoting[at] = p
 	s.mu.Unlock()
 	// Decode (decompress + CRC) outside the mutex; see Get.
@@ -572,14 +539,9 @@ func (s *Store) Compact() int {
 			victims = append(victims, id)
 		}
 	}
-	lat := s.lat.Load()
 	for _, id := range victims {
-		t0 := time.Now()
 		if s.compactSegmentLocked(id) {
 			n++
-			if lat != nil {
-				lat.compact.ObserveDuration(time.Since(t0))
-			}
 		}
 	}
 	return n

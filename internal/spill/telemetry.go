@@ -83,42 +83,7 @@ func (s *Store) Stats() Stats {
 	}
 }
 
-// spillLatency holds the store's operation latency histograms; nil (no
-// RegisterMetrics call) keeps the disk paths free of timing calls.
-type spillLatency struct {
-	put     *metrics.Histogram
-	get     *metrics.Histogram
-	promote *metrics.Histogram
-	compact *metrics.Histogram
-}
-
-// RegisterMetrics registers the store's instruments into r: latency
-// histograms for the disk paths, plus read-through bridges for the
-// counters and gauges so one /metrics page carries the whole tier.
+// RegisterMetrics registers the store's corrupt-record counter into r.
 func (s *Store) RegisterMetrics(r *metrics.Registry) {
-	lat := &spillLatency{
-		put:     r.Histogram("softmem_spill_put_ns", "spill demotion write latency in ns"),
-		get:     r.Histogram("softmem_spill_get_ns", "spill read latency in ns"),
-		promote: r.Histogram("softmem_spill_promote_ns", "spill promotion (Take) latency in ns"),
-		compact: r.Histogram("softmem_spill_compact_ns", "per-segment compaction latency in ns"),
-	}
-	counter := func(name, help string, c *metrics.Counter) {
-		r.CounterFunc(name, help, c.Value)
-	}
-	counter("softmem_spill_demotions_total", "values demoted to disk", &s.m.Demotions)
-	counter("softmem_spill_demoted_bytes_total", "payload bytes demoted to disk", &s.m.DemotedBytes)
-	counter("softmem_spill_promotions_total", "values promoted back to soft memory", &s.m.Promotions)
-	counter("softmem_spill_promoted_bytes_total", "payload bytes promoted back", &s.m.PromotedBytes)
-	counter("softmem_spill_hits_total", "spill reads that found the key", &s.m.Hits)
-	counter("softmem_spill_misses_total", "spill reads that missed", &s.m.Misses)
-	counter("softmem_spill_compactions_total", "segments compacted", &s.m.Compactions)
-	counter("softmem_spill_compacted_bytes_total", "disk bytes reclaimed by compaction", &s.m.CompactedBytes)
-	counter("softmem_spill_evicted_segments_total", "segments evicted by the disk budget", &s.m.EvictedSegments)
-	counter("softmem_spill_evicted_records_total", "live records lost to segment eviction", &s.m.EvictedRecords)
-	counter("softmem_spill_corrupt_records_total", "records dropped as corrupt", &s.m.CorruptRecords)
-	counter("softmem_spill_write_errors_total", "failed demotion writes", &s.m.WriteErrors)
-	r.GaugeFunc("softmem_spill_bytes_on_disk", "current disk footprint", func() float64 { return float64(s.BytesOnDisk()) })
-	r.GaugeFunc("softmem_spill_live_records", "live records on disk", func() float64 { return float64(s.Stats().LiveRecords) })
-	r.GaugeFunc("softmem_spill_segments", "segment files", func() float64 { return float64(s.Stats().Segments) })
-	s.lat.Store(lat)
+	r.CounterFunc("softmem_spill_corrupt_records_total", "records dropped as corrupt", s.m.CorruptRecords.Value)
 }
