@@ -61,12 +61,13 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Race-detect the packages with lock-per-heap concurrency (fast subset
+# Race-detect the packages with lock-per-heap concurrency, and the
+# cluster hook and replication that sit on the RESP server (fast subset
 # of `make race`, wired into `make check`). The whole run is kept in
 # race-hot.log (gitignored) and only the package results, failing tests,
 # panics and data races are printed, so a flake leaves its name behind.
 race-hot:
-	@$(GO) test -race ./internal/core ./internal/sds ./internal/kvstore ./internal/spill >race-hot.log 2>&1; status=$$?; \
+	@$(GO) test -race ./internal/core ./internal/sds ./internal/kvstore ./internal/spill ./internal/clusterkv >race-hot.log 2>&1; status=$$?; \
 	grep -E '^(ok|FAIL)|--- FAIL|^panic:|DATA RACE' race-hot.log; \
 	if [ $$status -ne 0 ]; then echo "race-hot: failed; the full output is in race-hot.log"; fi; exit $$status
 
@@ -129,9 +130,9 @@ bench-pair:
 	@test -n "$(W)" || { echo "usage: make bench-pair W=<workload>|all [PROCS=1,2,...] [REF=<commit>] [N=10] [SEED=1] [SECONDS=24] [TRACE=1]"; exit 2; }
 	$(GO) run ./cmd/benchpair -workload $(W) $(if $(PROCS),-procs $(PROCS)) $(if $(REF),-ref $(REF)) -n $(N) -seed $(SEED) -seconds $(SECONDS) $(if $(filter 1,$(TRACE)),-trace)
 
-# Non-test Go line counts, for tracking code size: the kvstore, sds,
-# alloc and core packages, the repository outside the benchmark module,
-# and smdctl.
+# Non-test Go line counts, for tracking code size: the kvstore, alloc,
+# core, sds and clusterkv packages, the repository outside the benchmark
+# module, and smdctl.
 loc:
 	@printf 'internal/kvstore non-test Go lines: '
 	@find internal/kvstore -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l
@@ -141,6 +142,8 @@ loc:
 	@find internal/core -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l
 	@printf 'internal/sds non-test Go lines: '
 	@find internal/sds -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l
+	@printf 'internal/clusterkv non-test Go lines: '
+	@find internal/clusterkv -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l
 	@printf 'repo non-test Go lines outside bench/: '
 	@find . -path ./bench -prune -o -path ./.bench_build -prune -o -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l
 	@printf 'cmd/smdctl non-test Go lines: '

@@ -53,9 +53,9 @@ func printEvents(w io.Writer, body []byte, _ []string) error {
 }
 
 // printQoS renders the tenant QoS table: processes in victim order
-// (ascending pressure — the first row is who the next reclaim cycle
-// targets first), with each tenant's class, SLO, smoothed stall ratio,
-// and lifetime reclamation-source totals.
+// (the first row is who the next reclaim cycle targets first), with
+// each tenant's class, SLO, smoothed stall ratio, and lifetime
+// reclamation-source totals.
 func printQoS(w io.Writer, body []byte, _ []string) error {
 	qt, err := decode[smd.QoSTable](body)
 	if err != nil {

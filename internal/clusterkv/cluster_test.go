@@ -335,6 +335,53 @@ func TestWaitAccurateUnderUnrelatedBacklog(t *testing.T) {
 	}
 }
 
+// TestWaitCoversIncrAndAppend: an INCR-family or APPEND write on a
+// slot's owner reaches the slot's replica as the value it stored, so
+// WAIT's count of replicas holding the session's writes is true for
+// them. They used to go unreplicated while WAIT, seeing a session with
+// no recorded writes, answered the live sender count.
+func TestWaitCoversIncrAndAppend(t *testing.T) {
+	nodes := startCluster(t, 2)
+	a, b := nodes[0], nodes[1]
+	r := a.node.Ring()
+	owned := func(prefix string) string {
+		for i := 0; ; i++ {
+			if k := fmt.Sprintf("%s-%d", prefix, i); r.Owner(SlotForKey(k)) == a.addr {
+				return k
+			}
+		}
+	}
+	counter, text, other := owned("counter"), owned("text"), owned("other")
+
+	// Another connection's SET starts the sender to b.
+	first, err := kvstore.DialClient("tcp", a.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer first.Close()
+	if _, _, err := first.Do("SET", other, "v"); err != nil {
+		t.Fatal(err)
+	}
+	conn, err := kvstore.DialClient("tcp", a.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	for _, c := range [][]string{{"INCR", counter}, {"INCRBY", counter, "41"}, {"APPEND", text, "ab"}, {"APPEND", text, "cd"}} {
+		if _, _, err := conn.Do(c...); err != nil {
+			t.Fatalf("%q: %v", c, err)
+		}
+	}
+	if v, _, err := conn.Do("WAIT", "1", "5000"); err != nil || string(v) != "1" {
+		t.Fatalf("WAIT = %q, %v, want 1", v, err)
+	}
+	for k, want := range map[string]string{counter: "42", text: "abcd"} {
+		if v, ok, err := b.store.Get(k); err != nil || !ok || string(v) != want {
+			t.Errorf("replica holds %s = %q, %v, %v after WAIT 1; want %q", k, v, ok, err, want)
+		}
+	}
+}
+
 // TestRingHealsOnNodeDeath removes a member and verifies the survivors
 // converge on a 2-node ring, that the dead node's slots fall to their
 // replicas, and that the client keeps working through the change.

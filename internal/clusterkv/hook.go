@@ -9,80 +9,31 @@ import (
 	"softmem/internal/kvstore"
 )
 
-// The node implements kvstore.ClusterHook: it claims cluster-admin
-// commands (CLUSTER, WAIT), replica applies (RSET, RDEL), and any keyed
-// command whose key this node does not own (answered with -MOVED), and
-// it observes locally applied writes to feed the replication fan-out.
+// The node implements kvstore.ClusterHook: it names the owner of any
+// key this node does not own (the server answers -MOVED), serves the
+// command table's hooked rows — cluster admin (CLUSTER, WAIT) and
+// replica applies (RSET, RDEL) — and observes locally applied writes to
+// feed the replication fan-out.
 
 var _ kvstore.ClusterHook = (*Node)(nil)
 
-// Key-argument schemes for routed commands.
-const (
-	keySingle = iota + 1 // key at args[1]
-	keyAll               // every arg after the command is a key
-	keyPairs             // alternating key value pairs from args[1]
-)
-
-// keyedCmds maps each routable command to where its keys live. Node-
-// local commands (PING, INFO, KEYS, DBSIZE, FLUSHALL, ...) are absent:
-// they execute wherever the client is connected.
-var keyedCmds = map[string]int{
-	"SET": keySingle, "GET": keySingle, "INCR": keySingle, "DECR": keySingle,
-	"INCRBY": keySingle, "DECRBY": keySingle, "APPEND": keySingle,
-	"STRLEN": keySingle, "EXISTS": keySingle, "EXPIRE": keySingle,
-	"TTL": keySingle, "PERSIST": keySingle,
-	"LPUSH": keySingle, "RPUSH": keySingle, "LPOP": keySingle, "RPOP": keySingle,
-	"LLEN": keySingle, "LRANGE": keySingle,
-	"HSET": keySingle, "HGET": keySingle, "HDEL": keySingle, "HLEN": keySingle,
-	"HEXISTS": keySingle, "HGETALL": keySingle,
-	"DEL": keyAll, "MGET": keyAll,
-	"MSET": keyPairs,
-}
-
-// Claim implements kvstore.ClusterHook.
-func (n *Node) Claim(cmd string, args [][]byte) bool {
-	switch cmd {
-	case "CLUSTER", "WAIT", "RSET", "RDEL":
-		return true
-	}
+// Redirect implements kvstore.ClusterHook.
+func (n *Node) Redirect(key []byte) (moved string) {
 	r := n.ring.Load()
 	if r == nil || len(r.Table.Nodes) <= 1 {
-		return false
+		return ""
 	}
-	return n.firstRemote(r, cmd, args) >= 0
-}
-
-// firstRemote returns the index of the first argument holding a key
-// this node does not own, or -1 when the command is unkeyed or entirely
-// local.
-func (n *Node) firstRemote(r *Ring, cmd string, args [][]byte) int {
-	scheme, keyed := keyedCmds[cmd]
-	if !keyed {
-		return -1
+	slot := SlotForKey(key)
+	owner := r.Owner(slot)
+	if owner == n.cfg.Addr {
+		return ""
 	}
-	switch scheme {
-	case keySingle:
-		if len(args) >= 2 && r.Owner(SlotForKey(args[1])) != n.cfg.Addr {
-			return 1
-		}
-	case keyAll:
-		for i := 1; i < len(args); i++ {
-			if r.Owner(SlotForKey(args[i])) != n.cfg.Addr {
-				return i
-			}
-		}
-	case keyPairs:
-		for i := 1; i+1 < len(args); i += 2 {
-			if r.Owner(SlotForKey(args[i])) != n.cfg.Addr {
-				return i
-			}
-		}
-	}
-	return -1
+	n.met.moved.Add(1)
+	return movedReply(slot, owner)
 }
 
 // Handle implements kvstore.ClusterHook. WAIT answers against the
-// session's own replicated writes; every other claimed command is
+// session's own replicated writes; the other rows are
 // session-independent.
 func (n *Node) Handle(sess kvstore.ClusterSession, cmd string, args [][]byte, rw kvstore.ReplyWriter) {
 	switch cmd {
@@ -90,10 +41,6 @@ func (n *Node) Handle(sess kvstore.ClusterSession, cmd string, args [][]byte, rw
 		// Replica apply: bypasses routing (the owner sent it here) and
 		// does not re-enter replication (store writes skip OnApply). The
 		// optional trailing argument is the owner's apply timestamp.
-		if len(args) != 3 && len(args) != 4 {
-			rw.WriteError("ERR wrong number of arguments for 'rset'")
-			return
-		}
 		if len(args) == 4 {
 			n.observeReplOrigin(args[3])
 		}
@@ -104,10 +51,6 @@ func (n *Node) Handle(sess kvstore.ClusterSession, cmd string, args [][]byte, rw
 		n.met.replApplied.Add(1)
 		rw.WriteSimple("OK")
 	case "RDEL":
-		if len(args) != 2 && len(args) != 3 {
-			rw.WriteError("ERR wrong number of arguments for 'rdel'")
-			return
-		}
 		if len(args) == 3 {
 			n.observeReplOrigin(args[2])
 		}
@@ -126,23 +69,6 @@ func (n *Node) Handle(sess kvstore.ClusterSession, cmd string, args [][]byte, rw
 		n.handleWait(sess, args, rw)
 	case "CLUSTER":
 		n.handleClusterCmd(args, rw)
-	default:
-		// A keyed command claimed for redirect: name the owner of the
-		// first non-local key.
-		r := n.ring.Load()
-		i := n.firstRemote(r, cmd, args)
-		if i < 0 {
-			// The table changed between Claim and Handle and the key is
-			// local now; make the client retry against the fresh map.
-			i = 1
-		}
-		if i >= len(args) {
-			rw.WriteError("ERR wrong number of arguments")
-			return
-		}
-		slot := SlotForKey(args[i])
-		n.met.moved.Add(1)
-		rw.WriteError(movedReply(slot, r.Owner(slot)))
 	}
 }
 

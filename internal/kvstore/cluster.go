@@ -23,25 +23,30 @@ type ReplyWriter interface {
 }
 
 // ClusterHook lets a cluster layer sit between the RESP reader and the
-// store: redirecting commands whose keys this node does not own
-// (-MOVED), serving cluster-administration commands, and observing
-// locally applied writes for replication. A Server without a hook
-// behaves exactly as before — the hook pointer is loaded once per
-// command and nil skips everything.
+// store: naming the owner of keys this node does not own (the server
+// answers -MOVED), serving the command table's hooked rows (CLUSTER,
+// WAIT, and the replica applies RSET and RDEL), and observing locally
+// applied writes for replication. A Server without a hook behaves
+// exactly as before — the hook pointer is loaded once per command and
+// nil skips everything.
 type ClusterHook interface {
-	// Claim reports whether the hook will serve this command itself
-	// (cmd is the canonical uppercase name, "" when unknown). Claimed
-	// commands bypass the store entirely; Claim must not write replies.
-	Claim(cmd string, args [][]byte) bool
+	// Redirect is asked about a command's keys in argument order, before
+	// the command runs, until one is redirected. It returns the error
+	// reply "MOVED <slot> <addr>" for a key another node owns, "" for a
+	// key served here. The key is parser-owned and valid only for the
+	// call.
+	Redirect(key []byte) (moved string)
 	// NewSession mints one connection's session state.
 	NewSession() ClusterSession
-	// Handle serves a claimed command, writing exactly one reply. The
-	// argument slices are parser-owned and valid only for the call.
+	// Handle serves one hooked row (cmd is its name) whose arity the
+	// server checked, writing exactly one reply. The argument slices are
+	// parser-owned and valid only for the call.
 	Handle(sess ClusterSession, cmd string, args [][]byte, rw ReplyWriter)
-	// OnApply observes one locally applied write (OpSet with its value,
-	// or OpDel) after it succeeded, in per-connection apply order. The
-	// key and value are only valid for the call; the hook copies what
-	// it keeps.
+	// OnApply observes one locally applied write after it succeeded, in
+	// per-connection apply order: OpDel, or OpSet with the value the key
+	// now holds (an INCR-family or APPEND write arrives as the OpSet of
+	// its result). The key and value are only valid for the call; the
+	// hook copies what it keeps.
 	OnApply(sess ClusterSession, op Op, key string, val []byte)
 }
 
@@ -75,7 +80,8 @@ func (s *Server) hook() ClusterHook {
 }
 
 // onApplyBatch forwards a settled batch's successful writes to the
-// hook, in batch order.
+// hook, in batch order. An INCR-family or APPEND write is forwarded as
+// the SET of the value it stored, which exec leaves in Val.
 func onApplyBatch(h ClusterHook, sess ClusterSession, cmds []Command) {
 	for i := range cmds {
 		c := &cmds[i]
@@ -85,6 +91,8 @@ func onApplyBatch(h ClusterHook, sess ClusterSession, cmds []Command) {
 		switch c.Op {
 		case OpSet, OpDel:
 			h.OnApply(sess, c.Op, c.Key, c.Arg)
+		case OpIncr, OpAppend:
+			h.OnApply(sess, OpSet, c.Key, c.Val)
 		}
 	}
 }

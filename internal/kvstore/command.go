@@ -24,9 +24,11 @@ const (
 	OpSet
 	// OpDel removes Key: Ok reports existence, N is 1 when removed.
 	OpDel
-	// OpIncr adjusts the integer at Key by Delta: N is the new value.
+	// OpIncr adjusts the integer at Key by Delta: N is the new value,
+	// Val its decimal form as stored.
 	OpIncr
-	// OpAppend appends Arg to Key's value: N is the new length.
+	// OpAppend appends Arg to Key's value: N is the new length, Val the
+	// stored value.
 	OpAppend
 	// OpStrLen measures Key's value: N (0 when absent).
 	OpStrLen
@@ -70,7 +72,7 @@ type Command struct {
 	Delta int64  // OpIncr delta; OpExpire TTL in nanoseconds
 
 	// Results, valid after Batch.Exec (or Store.Do) returns.
-	Val []byte // OpGet value, appended into the slot scratch
+	Val []byte // OpGet value (OpIncr/OpAppend: the stored one), appended into the slot scratch
 	Ok  bool
 	N   int64
 	Err error

@@ -386,15 +386,16 @@ func (s *Store) exec(o *core.Owned, sh *shard, c *Command) {
 				}
 			}
 			c.N = n + c.Delta
-			// cur is parsed and done with: format into the same scratch.
+			// cur is parsed and done with: format into the same scratch,
+			// and leave the stored value there for replication.
 			next := strconv.AppendInt(cur[:0], c.N, 10)
-			c.Val = next[:0]
+			c.Val = next
 			return next, nil
 		})
 	case OpAppend:
 		s.rmw(o, sh, c, func(cur []byte, _ bool) ([]byte, error) {
 			next := append(cur, c.Arg...)
-			c.Val = next[:0] // keep the (possibly grown) scratch
+			c.Val = next // the stored value, in the (possibly grown) scratch
 			c.N = int64(len(next))
 			return next, nil
 		})

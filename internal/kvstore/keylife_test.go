@@ -109,11 +109,11 @@ func sendPipelined(t *testing.T, srv *Server, cmds [][]string, mode arenaMode) [
 	return replies
 }
 
-// recordingHook is a ClusterHook that claims nothing and records every
+// recordingHook is a ClusterHook that redirects nothing and records every
 // write it is told about, copying the key as the contract asks.
 type recordingHook struct{ keys []string }
 
-func (h *recordingHook) Claim(string, [][]byte) bool                          { return false }
+func (h *recordingHook) Redirect([]byte) string                               { return "" }
 func (h *recordingHook) NewSession() ClusterSession                           { return nil }
 func (h *recordingHook) Handle(ClusterSession, string, [][]byte, ReplyWriter) {}
 func (h *recordingHook) OnApply(_ ClusterSession, _ Op, key string, _ []byte) {

@@ -302,6 +302,26 @@ func (rw *respWriter) bulkString(s string) error {
 	return err
 }
 
+// boolean writes :1 or :0.
+func (rw *respWriter) boolean(b bool) error {
+	if b {
+		return rw.integer(1)
+	}
+	return rw.integer(0)
+}
+
+// value writes a lookup's result: its error, nil when absent, else the
+// bulk value.
+func (rw *respWriter) value(v []byte, ok bool, err error) error {
+	switch {
+	case err != nil:
+		return rw.error(err.Error())
+	case !ok:
+		return rw.nilReply()
+	}
+	return rw.bulk(v)
+}
+
 func (rw *respWriter) nilReply() error {
 	_, err := rw.w.WriteString("$-1\r\n")
 	return err

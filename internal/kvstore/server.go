@@ -34,8 +34,8 @@ type Server struct {
 	// pipelined input was already buffered — each is a write syscall the
 	// coalescing policy saved.
 	flushCoalesced atomic.Int64
-	// cluster, when set, intercepts commands for the cluster layer
-	// (MOVED redirects, replica applies) and observes local writes for
+	// cluster, when set, is asked about every command's keys (MOVED
+	// redirects), serves the hooked rows and observes local writes for
 	// replication. Nil in single-node deployments.
 	cluster atomic.Pointer[ClusterHook]
 
@@ -191,52 +191,125 @@ const (
 	rkErr               // pre-formed parse/arity error, no slots
 )
 
-// commandSpec describes one RESP command. A keyed string command
-// (op != 0) is described completely — arity, the Op its batch slots
-// carry, how its arguments decode into slots, the reply rebuilt from
-// them — so routing (enqueue), replying (writeReply), the cmd metric
-// label set and the pprof op names all read this one table, and serial
-// and pipelined serving cannot drift apart. Commands with op == 0
-// (non-keyed, list, hash, admin, cluster) run inline in dispatch; the
-// table only makes their names known.
+// Key layouts: where a command's keys sit in its arguments. The server
+// asks an installed ClusterHook about each of them before the command
+// runs, and the slowlog records the first.
+const (
+	keysNone  uint8 = iota // keyless: served on whichever node the client reached
+	keysFirst              // args[1]
+	keysAll                // args[1:]
+	keysPairs              // args[1], args[3], ... of key value pairs
+)
+
+// commandSpec is the one description of a RESP command: its name, its
+// arity, where its keys sit, and how it runs. The server checks every
+// row's arity, and asks a cluster hook about every row's keys, before
+// the command runs. A keyed string command (op != 0) runs in the
+// connection's batch and is described completely — the Op its batch
+// slots carry, how its arguments decode into slots, the reply rebuilt
+// from them — so routing (enqueue), replying (writeReply), the cmd
+// metric label set and the pprof op names all read this one table, and
+// serial and pipelined serving cannot drift apart. Any other command
+// runs inline through run, or, when hooked, through the installed
+// ClusterHook.
 type commandSpec struct {
 	name string
-	op   Op
-	// arity is the exact len(args), or when negative the minimum.
-	arity int
+	// arity is the exact len(args), or when negative the minimum; then
+	// maxArgs, when set, is the most. A keysPairs row's pairs must also
+	// be whole.
+	arity   int
+	maxArgs int
+	keys    uint8
+	op      Op
 	// decode queues the command's slots on ce.batch. It validates before
 	// it queues: a non-empty error message means nothing was queued.
 	decode func(ce *connExec, sp *commandSpec, args [][]byte) (errMsg string)
 	reply  uint8
 	// sign is the INCR family's delta sign (the whole delta for INCR/DECR).
-	sign     int64
+	sign int64
+	// run serves an inline command, writing its one reply.
+	run func(s *Server, rw *respWriter, args [][]byte)
+	// hooked rows are served by the installed ClusterHook; without one
+	// they are unknown commands.
+	hooked   bool
 	arityMsg string // default "wrong number of arguments for '<name>'"
 }
+
+// shortArity is the arity message of the INCR family and the list
+// push/pop commands.
+const shortArity = "wrong number of arguments"
 
 // commandList is the command table's source. Where several commands
 // share an Op, the first names it in pprof labels.
 var commandList = []commandSpec{
-	{name: "GET", op: OpGet, arity: 2, decode: decodeKey, reply: rkBulk},
-	{name: "SET", op: OpSet, arity: 3, decode: decodeValue, reply: rkOK},
-	{name: "DEL", op: OpDel, arity: -2, decode: decodeKeys, reply: rkInt},
-	{name: "INCR", op: OpIncr, arity: 2, decode: decodeKey, reply: rkInt, sign: 1, arityMsg: "wrong number of arguments"},
-	{name: "DECR", op: OpIncr, arity: 2, decode: decodeKey, reply: rkInt, sign: -1, arityMsg: "wrong number of arguments"},
-	{name: "INCRBY", op: OpIncr, arity: 3, decode: decodeDelta, reply: rkInt, sign: 1, arityMsg: "wrong number of arguments"},
-	{name: "DECRBY", op: OpIncr, arity: 3, decode: decodeDelta, reply: rkInt, sign: -1, arityMsg: "wrong number of arguments"},
-	{name: "APPEND", op: OpAppend, arity: 3, decode: decodeValue, reply: rkInt},
-	{name: "STRLEN", op: OpStrLen, arity: 2, decode: decodeKey, reply: rkInt},
-	{name: "EXISTS", op: OpExists, arity: 2, decode: decodeKey, reply: rkBool},
-	{name: "EXPIRE", op: OpExpire, arity: 3, decode: decodeSeconds, reply: rkBool},
-	{name: "TTL", op: OpTTL, arity: 2, decode: decodeKey, reply: rkTTL},
-	{name: "PERSIST", op: OpPersist, arity: 2, decode: decodeKey, reply: rkBool},
-	{name: "MGET", op: OpGet, arity: -2, decode: decodeKeys, reply: rkMGet},
-	{name: "MSET", op: OpSet, arity: -3, decode: decodePairs, reply: rkOK},
+	{name: "GET", op: OpGet, arity: 2, keys: keysFirst, decode: decodeKey, reply: rkBulk},
+	{name: "SET", op: OpSet, arity: 3, keys: keysFirst, decode: decodeValue, reply: rkOK},
+	{name: "DEL", op: OpDel, arity: -2, keys: keysAll, decode: decodeKeys, reply: rkInt},
+	{name: "INCR", op: OpIncr, arity: 2, keys: keysFirst, decode: decodeKey, reply: rkInt, sign: 1, arityMsg: shortArity},
+	{name: "DECR", op: OpIncr, arity: 2, keys: keysFirst, decode: decodeKey, reply: rkInt, sign: -1, arityMsg: shortArity},
+	{name: "INCRBY", op: OpIncr, arity: 3, keys: keysFirst, decode: decodeDelta, reply: rkInt, sign: 1, arityMsg: shortArity},
+	{name: "DECRBY", op: OpIncr, arity: 3, keys: keysFirst, decode: decodeDelta, reply: rkInt, sign: -1, arityMsg: shortArity},
+	{name: "APPEND", op: OpAppend, arity: 3, keys: keysFirst, decode: decodeValue, reply: rkInt},
+	{name: "STRLEN", op: OpStrLen, arity: 2, keys: keysFirst, decode: decodeKey, reply: rkInt},
+	{name: "EXISTS", op: OpExists, arity: 2, keys: keysFirst, decode: decodeKey, reply: rkBool},
+	{name: "EXPIRE", op: OpExpire, arity: 3, keys: keysFirst, decode: decodeSeconds, reply: rkBool},
+	{name: "TTL", op: OpTTL, arity: 2, keys: keysFirst, decode: decodeKey, reply: rkTTL},
+	{name: "PERSIST", op: OpPersist, arity: 2, keys: keysFirst, decode: decodeKey, reply: rkBool},
+	{name: "MGET", op: OpGet, arity: -2, keys: keysAll, decode: decodeKeys, reply: rkMGet},
+	{name: "MSET", op: OpSet, arity: -3, keys: keysPairs, decode: decodePairs, reply: rkOK},
 
-	{name: "PING"}, {name: "QUIT"}, {name: "KEYS"}, {name: "DBSIZE"}, {name: "FLUSHALL"}, {name: "INFO"},
-	{name: "LPUSH"}, {name: "RPUSH"}, {name: "LPOP"}, {name: "RPOP"}, {name: "LLEN"}, {name: "LRANGE"},
-	{name: "HSET"}, {name: "HGET"}, {name: "HDEL"}, {name: "HLEN"}, {name: "HEXISTS"}, {name: "HGETALL"},
-	// Cluster-mode commands, served by the installed ClusterHook.
-	{name: "CLUSTER"}, {name: "RSET"}, {name: "RDEL"}, {name: "WAIT"},
+	{name: "PING", arity: -1, run: func(_ *Server, rw *respWriter, _ [][]byte) { rw.simple("PONG") }},
+	// QUIT's reply is the connection's last (serve closes it).
+	{name: "QUIT", arity: -1, run: func(_ *Server, rw *respWriter, _ [][]byte) { rw.simple("OK") }},
+	{name: "KEYS", arity: 2, run: runKeys},
+	{name: "DBSIZE", arity: -1, run: func(s *Server, rw *respWriter, _ [][]byte) { rw.integer(int64(s.store.Len())) }},
+	{name: "FLUSHALL", arity: -1, run: func(s *Server, rw *respWriter, _ [][]byte) {
+		if err := s.store.FlushAll(); err != nil {
+			rw.error(err.Error())
+			return
+		}
+		rw.simple("OK")
+	}},
+	{name: "INFO", arity: -1, run: runInfo},
+
+	{name: "LPUSH", arity: -3, keys: keysFirst, arityMsg: shortArity, run: push((*Store).LPush)},
+	{name: "RPUSH", arity: -3, keys: keysFirst, arityMsg: shortArity, run: push((*Store).RPush)},
+	{name: "LPOP", arity: 2, keys: keysFirst, arityMsg: shortArity, run: func(s *Server, rw *respWriter, args [][]byte) {
+		rw.value(s.store.LPop(string(args[1])))
+	}},
+	{name: "RPOP", arity: 2, keys: keysFirst, arityMsg: shortArity, run: func(s *Server, rw *respWriter, args [][]byte) {
+		rw.value(s.store.RPop(string(args[1])))
+	}},
+	{name: "LLEN", arity: 2, keys: keysFirst, run: func(s *Server, rw *respWriter, args [][]byte) {
+		rw.integer(int64(s.store.LLen(string(args[1]))))
+	}},
+	{name: "LRANGE", arity: 4, keys: keysFirst, run: runLRange},
+	{name: "HSET", arity: 4, keys: keysFirst, run: func(s *Server, rw *respWriter, args [][]byte) {
+		created, err := s.store.HSet(string(args[1]), string(args[2]), args[3])
+		if err != nil {
+			cmdError(rw, err, true)
+			return
+		}
+		rw.boolean(created)
+	}},
+	{name: "HGET", arity: 3, keys: keysFirst, run: func(s *Server, rw *respWriter, args [][]byte) {
+		rw.value(s.store.HGet(string(args[1]), string(args[2])))
+	}},
+	{name: "HDEL", arity: -3, keys: keysFirst, run: runHDel},
+	{name: "HLEN", arity: 2, keys: keysFirst, run: func(s *Server, rw *respWriter, args [][]byte) {
+		rw.integer(int64(s.store.HLen(string(args[1]))))
+	}},
+	{name: "HEXISTS", arity: 3, keys: keysFirst, run: func(s *Server, rw *respWriter, args [][]byte) {
+		rw.boolean(s.store.HExists(string(args[1]), string(args[2])))
+	}},
+	{name: "HGETALL", arity: 2, keys: keysFirst, run: runHGetAll},
+
+	// Cluster-mode commands. RSET and RDEL are replica applies the slot's
+	// owner sent here, so their keys are never redirected.
+	{name: "CLUSTER", arity: -1, hooked: true},
+	{name: "RSET", arity: -3, maxArgs: 4, hooked: true},
+	{name: "RDEL", arity: -2, maxArgs: 3, hooked: true},
+	{name: "WAIT", arity: -1, hooked: true},
 }
 
 // commandTable indexes commandList by canonical name; opNames names each
@@ -259,9 +332,12 @@ func init() {
 	}
 }
 
-// unknownCommand stands in for names the table does not hold: no name
-// (cluster hooks see ""; metrics label it OTHER) and no op.
-var unknownCommand commandSpec
+// unknownCommand stands in for names the table does not hold, and for
+// hooked rows while no hook is installed: no name (metrics label it
+// OTHER), no keys, any arity.
+var unknownCommand = commandSpec{arity: -1, run: func(_ *Server, rw *respWriter, args [][]byte) {
+	rw.error(fmt.Sprintf("unknown command '%s'", args[0]))
+}}
 
 // canonicalCommand resolves args[0], case-insensitively, to its table
 // entry (unknownCommand when absent) without mutating the argument or
@@ -414,41 +490,90 @@ func (ce *connExec) full() bool {
 }
 
 // serve routes one parsed command and reports whether the connection
-// should close. A cluster-claimed command (redirect, replica apply,
-// admin) and an inline command both settle the queued work first, so
-// per-connection reply order is preserved. The argument slices are owned
-// by the caller's cmdReader and are only valid for the duration of the
-// call.
+// should close. A command with the wrong arity is answered in its place
+// in the batch. Otherwise a hooked command, a redirect (a key the
+// cluster hook says another node owns) and an inline command all settle
+// the queued work first, so per-connection reply order is preserved.
+// The argument slices are owned by the caller's cmdReader and are only
+// valid for the duration of the call.
 func (ce *connExec) serve(rw *respWriter, sp *commandSpec, args [][]byte) (quit bool) {
-	if h := ce.s.hook(); h != nil && h.Claim(sp.name, args) {
-		ce.settle(rw)
-		h.Handle(ce.session(h), sp.name, args, rw)
+	h := ce.s.hook()
+	if sp.hooked && h == nil {
+		sp = &unknownCommand
+	}
+	if !sp.arityOK(len(args)) {
+		ce.specs = append(ce.specs, replySpec{kind: rkErr, cmd: sp.name, errMsg: sp.arityMsg, start: int32(ce.batch.Len())})
 		return false
 	}
-	if ce.enqueue(sp, args) {
+	if h != nil {
+		if sp.hooked {
+			ce.settle(rw)
+			h.Handle(ce.session(h), sp.name, args, rw)
+			return false
+		}
+		if moved := sp.redirect(h, args); moved != "" {
+			ce.settle(rw)
+			rw.WriteError(moved)
+			return false
+		}
+	}
+	if sp.op != 0 {
+		ce.enqueue(sp, args)
 		return false
 	}
 	ce.settle(rw)
-	return ce.s.inline(rw, sp.name, args)
+	ce.s.inline(rw, sp, args)
+	return sp.name == "QUIT"
 }
 
-// enqueue routes one parsed command into the batch, reporting false for
-// commands that must run inline (op == 0). Arity and argument errors are
-// recorded as pre-formed error specs so they hold their place in the
-// reply order without touching the engine.
-func (ce *connExec) enqueue(sp *commandSpec, args [][]byte) bool {
-	if sp.op == 0 {
+// arityOK reports whether a call of n arguments, the name included, fits
+// the row.
+func (sp *commandSpec) arityOK(n int) bool {
+	switch {
+	case sp.arity >= 0:
+		return n == sp.arity
+	case n < -sp.arity, sp.maxArgs > 0 && n > sp.maxArgs:
 		return false
 	}
+	return sp.keys != keysPairs || n%2 == 1
+}
+
+// redirect asks h about each of the command's keys in order and returns
+// the reply for the first one another node owns, "" when all are local.
+func (sp *commandSpec) redirect(h ClusterHook, args [][]byte) (moved string) {
+	step, end := 1, len(args)
+	switch sp.keys {
+	case keysNone:
+		return ""
+	case keysFirst:
+		end = 2
+	case keysPairs:
+		step = 2
+	}
+	for i := 1; i < end && moved == ""; i += step {
+		moved = h.Redirect(args[i])
+	}
+	return moved
+}
+
+// firstKey is the command's first key, nil for a keyless row.
+func (sp *commandSpec) firstKey(args [][]byte) []byte {
+	if sp.keys == keysNone {
+		return nil
+	}
+	return args[1]
+}
+
+// enqueue queues one keyed string command's slots on the batch. An
+// argument error is recorded as a pre-formed error spec, so it holds its
+// place in the reply order without touching the engine.
+func (ce *connExec) enqueue(sp *commandSpec, args [][]byte) {
 	rs := replySpec{kind: sp.reply, cmd: sp.name, start: int32(ce.batch.Len())}
-	if n := len(args); n != sp.arity && (sp.arity > 0 || n < -sp.arity) {
-		rs.kind, rs.errMsg = rkErr, sp.arityMsg
-	} else if msg := sp.decode(ce, sp, args); msg != "" {
+	if msg := sp.decode(ce, sp, args); msg != "" {
 		rs.kind, rs.errMsg = rkErr, msg
 	}
 	rs.n = int32(ce.batch.Len()) - rs.start
 	ce.specs = append(ce.specs, rs)
-	return true
 }
 
 // settle executes the queued batch against the shard owners and writes
@@ -561,17 +686,9 @@ func (ce *connExec) writeReply(rw *respWriter, sp *replySpec) {
 		}
 		rw.integer(n)
 	case rkBulk:
-		if c := &cmds[0]; c.Ok {
-			rw.bulk(c.Val)
-		} else {
-			rw.nilReply()
-		}
+		rw.value(cmds[0].Val, cmds[0].Ok, nil)
 	case rkBool:
-		if cmds[0].Ok {
-			rw.integer(1)
-		} else {
-			rw.integer(0)
-		}
+		rw.boolean(cmds[0].Ok)
 	case rkTTL:
 		switch c := &cmds[0]; {
 		case !c.Ok:
@@ -603,228 +720,120 @@ func (ce *connExec) writeReply(rw *respWriter, sp *replySpec) {
 	}
 }
 
-// inline runs one command that is not in the keyed table's executable
-// half (non-keyed, list, hash, admin), writing its reply. With metrics
-// or attribution armed it is timed; its whole wall time is exec.
-func (s *Server) inline(rw *respWriter, cmd string, args [][]byte) (quit bool) {
+// inline runs one command through its row's handler. With metrics or
+// attribution armed it is timed; its whole wall time is exec.
+func (s *Server) inline(rw *respWriter, sp *commandSpec, args [][]byte) {
 	m := s.met.Load()
 	a := s.store.attrib.Load()
 	if m == nil && a == nil {
-		return s.dispatch(rw, cmd, args)
+		sp.run(s, rw, args)
+		return
 	}
 	t0 := time.Now()
-	quit = s.dispatch(rw, cmd, args)
+	sp.run(s, rw, args)
 	d := time.Since(t0)
 	if m != nil {
-		m.observe(cmd, d)
+		m.observe(sp.name, d)
 	}
 	if a != nil {
-		a.observeInline(cmd, args, d)
+		a.observeInline(sp, args, d)
 	}
-	return quit
 }
 
-// dispatch executes the commands the batch path does not carry. The
-// keyed string commands are not here: they are described by the command
-// table and executed by Store.exec.
-func (s *Server) dispatch(rw *respWriter, cmd string, args [][]byte) (quit bool) {
-	switch cmd {
-	case "PING":
-		rw.simple("PONG")
-	case "QUIT":
-		rw.simple("OK")
-		return true
-	case "LPUSH", "RPUSH":
-		if len(args) < 3 {
-			rw.error("wrong number of arguments")
-			return false
-		}
-		var n int
-		var err error
-		if cmd == "LPUSH" {
-			n, err = s.store.LPush(string(args[1]), args[2:]...)
-		} else {
-			n, err = s.store.RPush(string(args[1]), args[2:]...)
-		}
+// push serves LPUSH or RPUSH through the Store method f.
+func push(f func(*Store, string, ...[]byte) (int, error)) func(*Server, *respWriter, [][]byte) {
+	return func(s *Server, rw *respWriter, args [][]byte) {
+		n, err := f(s.store, string(args[1]), args[2:]...)
 		if err != nil {
-			rw.error("soft memory exhausted: " + err.Error())
-			return false
+			cmdError(rw, err, true)
+			return
 		}
 		rw.integer(int64(n))
-	case "LPOP", "RPOP":
-		if len(args) != 2 {
-			rw.error("wrong number of arguments")
-			return false
-		}
-		var v []byte
-		var ok bool
-		var err error
-		if cmd == "LPOP" {
-			v, ok, err = s.store.LPop(string(args[1]))
-		} else {
-			v, ok, err = s.store.RPop(string(args[1]))
-		}
-		switch {
-		case err != nil:
-			rw.error(err.Error())
-		case !ok:
-			rw.nilReply()
-		default:
-			rw.bulk(v)
-		}
-	case "LLEN":
-		if len(args) != 2 {
-			rw.error("wrong number of arguments for 'llen'")
-			return false
-		}
-		rw.integer(int64(s.store.LLen(string(args[1]))))
-	case "LRANGE":
-		if len(args) != 4 {
-			rw.error("wrong number of arguments for 'lrange'")
-			return false
-		}
-		start, ok1 := asciiInt(args[2])
-		stop, ok2 := asciiInt(args[3])
-		if !ok1 || !ok2 {
-			rw.error("value is not an integer or out of range")
-			return false
-		}
-		vals, err := s.store.LRange(string(args[1]), start, stop)
-		if err != nil {
-			rw.error(err.Error())
-			return false
-		}
-		rw.arrayHeader(len(vals))
-		for _, v := range vals {
-			rw.bulk(v)
-		}
-	case "HSET":
-		if len(args) != 4 {
-			rw.error("wrong number of arguments for 'hset'")
-			return false
-		}
-		created, err := s.store.HSet(string(args[1]), string(args[2]), args[3])
-		if err != nil {
-			rw.error("soft memory exhausted: " + err.Error())
-			return false
-		}
-		if created {
-			rw.integer(1)
-		} else {
-			rw.integer(0)
-		}
-	case "HGET":
-		if len(args) != 3 {
-			rw.error("wrong number of arguments for 'hget'")
-			return false
-		}
-		v, ok, err := s.store.HGet(string(args[1]), string(args[2]))
-		switch {
-		case err != nil:
-			rw.error(err.Error())
-		case !ok:
-			rw.nilReply()
-		default:
-			rw.bulk(v)
-		}
-	case "HDEL":
-		if len(args) < 3 {
-			rw.error("wrong number of arguments for 'hdel'")
-			return false
-		}
-		fields := make([]string, 0, len(args)-2)
-		for _, f := range args[2:] {
-			fields = append(fields, string(f))
-		}
-		n, err := s.store.HDel(string(args[1]), fields...)
-		if err != nil {
-			rw.error(err.Error())
-			return false
-		}
-		rw.integer(int64(n))
-	case "HLEN":
-		if len(args) != 2 {
-			rw.error("wrong number of arguments for 'hlen'")
-			return false
-		}
-		rw.integer(int64(s.store.HLen(string(args[1]))))
-	case "HEXISTS":
-		if len(args) != 3 {
-			rw.error("wrong number of arguments for 'hexists'")
-			return false
-		}
-		if s.store.HExists(string(args[1]), string(args[2])) {
-			rw.integer(1)
-		} else {
-			rw.integer(0)
-		}
-	case "HGETALL":
-		if len(args) != 2 {
-			rw.error("wrong number of arguments for 'hgetall'")
-			return false
-		}
-		all, err := s.store.HGetAll(string(args[1]))
-		if err != nil {
-			rw.error(err.Error())
-			return false
-		}
-		fields := make([]string, 0, len(all))
-		for f := range all {
-			fields = append(fields, f)
-		}
-		sort.Strings(fields)
-		rw.arrayHeader(2 * len(fields))
-		for _, f := range fields {
-			rw.bulkString(f)
-			rw.bulk(all[f])
-		}
-	case "KEYS":
-		if len(args) != 2 {
-			rw.error("wrong number of arguments for 'keys'")
-			return false
-		}
-		keys, err := s.store.Keys(string(args[1]))
-		if err != nil {
-			rw.error(err.Error())
-			return false
-		}
-		rw.arrayHeader(len(keys))
-		for _, k := range keys {
-			rw.bulkString(k)
-		}
-	case "DBSIZE":
-		rw.integer(int64(s.store.Len()))
-	case "FLUSHALL":
-		if err := s.store.FlushAll(); err != nil {
-			rw.error(err.Error())
-			return false
-		}
-		rw.simple("OK")
-	case "INFO":
-		st := s.store.Stats()
-		hs := st.Soft
-		// Totals are store-global aggregates over every shard; the
-		// per-shard breakdown follows so operators can see skew.
-		info := fmt.Sprintf(
-			"entries:%d\r\nshards:%d\r\nsets:%d\r\ngets:%d\r\nhits:%d\r\nmisses:%d\r\nreclaimed:%d\r\nexpired:%d\r\nsoft_bytes:%d\r\nsoft_slot_bytes:%d\r\nsoft_pages:%d\r\nsoft_free_pages:%d\r\ntotal_allocs:%d\r\ntotal_frees:%d\r\nflush_coalesced:%d\r\n",
-			st.Entries, st.Shards, st.Sets, st.Gets, st.Hits, st.Misses, st.Reclaimed, st.Expired,
-			hs.LiveBytes, hs.SlotBytes, hs.PagesHeld, hs.FreePages, hs.TotalAllocs, hs.TotalFrees,
-			s.flushCoalesced.Load())
-		if st.Spill != nil {
-			info += fmt.Sprintf(
-				"promotions:%d\r\nspilled_entries:%d\r\nspilled_bytes:%d\r\nspill_demotions:%d\r\nspill_hits:%d\r\nspill_misses:%d\r\nspill_compactions:%d\r\n",
-				st.Promotions, st.SpilledEntries, st.SpilledBytes,
-				st.Spill.Demotions, st.Spill.Hits, st.Spill.Misses, st.Spill.Compactions)
-		}
-		for i, sh := range st.PerShard {
-			info += fmt.Sprintf("shard%d_entries:%d\r\nshard%d_reclaimed:%d\r\nshard%d_soft_bytes:%d\r\n",
-				i, sh.Entries, i, sh.Reclaimed, i, sh.Heap.LiveBytes)
-		}
-		rw.bulkString(info)
-	default:
-		rw.error(fmt.Sprintf("unknown command '%s'", args[0]))
 	}
-	return false
+}
+
+func runLRange(s *Server, rw *respWriter, args [][]byte) {
+	start, ok1 := asciiInt(args[2])
+	stop, ok2 := asciiInt(args[3])
+	if !ok1 || !ok2 {
+		rw.error("value is not an integer or out of range")
+		return
+	}
+	vals, err := s.store.LRange(string(args[1]), start, stop)
+	if err != nil {
+		rw.error(err.Error())
+		return
+	}
+	rw.arrayHeader(len(vals))
+	for _, v := range vals {
+		rw.bulk(v)
+	}
+}
+
+func runHDel(s *Server, rw *respWriter, args [][]byte) {
+	fields := make([]string, 0, len(args)-2)
+	for _, f := range args[2:] {
+		fields = append(fields, string(f))
+	}
+	n, err := s.store.HDel(string(args[1]), fields...)
+	if err != nil {
+		rw.error(err.Error())
+		return
+	}
+	rw.integer(int64(n))
+}
+
+func runHGetAll(s *Server, rw *respWriter, args [][]byte) {
+	all, err := s.store.HGetAll(string(args[1]))
+	if err != nil {
+		rw.error(err.Error())
+		return
+	}
+	fields := make([]string, 0, len(all))
+	for f := range all {
+		fields = append(fields, f)
+	}
+	sort.Strings(fields)
+	rw.arrayHeader(2 * len(fields))
+	for _, f := range fields {
+		rw.bulkString(f)
+		rw.bulk(all[f])
+	}
+}
+
+func runKeys(s *Server, rw *respWriter, args [][]byte) {
+	keys, err := s.store.Keys(string(args[1]))
+	if err != nil {
+		rw.error(err.Error())
+		return
+	}
+	rw.arrayHeader(len(keys))
+	for _, k := range keys {
+		rw.bulkString(k)
+	}
+}
+
+func runInfo(s *Server, rw *respWriter, _ [][]byte) {
+	st := s.store.Stats()
+	hs := st.Soft
+	// Totals are store-global aggregates over every shard; the
+	// per-shard breakdown follows so operators can see skew.
+	info := fmt.Sprintf(
+		"entries:%d\r\nshards:%d\r\nsets:%d\r\ngets:%d\r\nhits:%d\r\nmisses:%d\r\nreclaimed:%d\r\nexpired:%d\r\nsoft_bytes:%d\r\nsoft_slot_bytes:%d\r\nsoft_pages:%d\r\nsoft_free_pages:%d\r\ntotal_allocs:%d\r\ntotal_frees:%d\r\nflush_coalesced:%d\r\n",
+		st.Entries, st.Shards, st.Sets, st.Gets, st.Hits, st.Misses, st.Reclaimed, st.Expired,
+		hs.LiveBytes, hs.SlotBytes, hs.PagesHeld, hs.FreePages, hs.TotalAllocs, hs.TotalFrees,
+		s.flushCoalesced.Load())
+	if st.Spill != nil {
+		info += fmt.Sprintf(
+			"promotions:%d\r\nspilled_entries:%d\r\nspilled_bytes:%d\r\nspill_demotions:%d\r\nspill_hits:%d\r\nspill_misses:%d\r\nspill_compactions:%d\r\n",
+			st.Promotions, st.SpilledEntries, st.SpilledBytes,
+			st.Spill.Demotions, st.Spill.Hits, st.Spill.Misses, st.Spill.Compactions)
+	}
+	for i, sh := range st.PerShard {
+		info += fmt.Sprintf("shard%d_entries:%d\r\nshard%d_reclaimed:%d\r\nshard%d_soft_bytes:%d\r\n",
+			i, sh.Entries, i, sh.Reclaimed, i, sh.Heap.LiveBytes)
+	}
+	rw.bulkString(info)
 }
 
 // PageSize re-exports the page size for INFO consumers.

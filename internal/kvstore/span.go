@@ -104,19 +104,16 @@ func (a *attribState) observeCmd(c *Command) {
 	}
 }
 
-// observeInline attributes one command that Server.dispatch ran inline
-// (non-keyed, list, hash, admin — the keyed string commands carry real
-// spans from run): its whole wall time is exec, and it still lands in
-// the slowlog past the threshold. The key is extracted (and allocated)
-// only when the entry is actually recorded.
-func (a *attribState) observeInline(cmd string, args [][]byte, d time.Duration) {
+// observeInline attributes one command that ran inline through its
+// row's handler (non-keyed, list, hash, admin — the keyed string
+// commands carry real spans from run): its whole wall time is exec, and
+// it still lands in the slowlog past the threshold, keyed by the row's
+// first key (none for a keyless row). The key is copied only when the
+// entry is actually recorded.
+func (a *attribState) observeInline(sp *commandSpec, args [][]byte, d time.Duration) {
 	a.phases[phaseExec].ObserveDuration(d)
 	if n := d.Nanoseconds(); n >= a.slow.thresholdNs {
-		key := ""
-		if len(args) >= 2 {
-			key = string(args[1])
-		}
-		a.slow.record(SlowEntry{Cmd: cmd, Key: key, TotalNs: n, ExecNs: n})
+		a.slow.record(SlowEntry{Cmd: sp.name, Key: string(sp.firstKey(args)), TotalNs: n, ExecNs: n})
 	}
 }
 

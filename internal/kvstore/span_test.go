@@ -85,11 +85,11 @@ func TestSlowLogInlineThreshold(t *testing.T) {
 	a := newAttribState(reg, (50 * time.Microsecond).Nanoseconds(), 8)
 	args := [][]byte{[]byte("GET"), []byte("hot-key")}
 
-	a.observeInline("GET", args, 10*time.Microsecond)
+	a.observeInline(commandTable["GET"], args, 10*time.Microsecond)
 	if got := a.slow.snapshot(); len(got) != 0 {
 		t.Fatalf("sub-threshold command landed in slowlog: %+v", got)
 	}
-	a.observeInline("GET", args, 2*time.Millisecond)
+	a.observeInline(commandTable["GET"], args, 2*time.Millisecond)
 	got := a.slow.snapshot()
 	if len(got) != 1 {
 		t.Fatalf("slowlog entries = %d, want 1", len(got))

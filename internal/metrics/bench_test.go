@@ -38,15 +38,6 @@ func BenchmarkCounterMutexInc(b *testing.B) {
 	})
 }
 
-func BenchmarkGaugeAtomicAdd(b *testing.B) {
-	var g Gauge
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			g.Add(1)
-		}
-	})
-}
-
 func BenchmarkHistogramObserve(b *testing.B) {
 	h := NewHistogram(1.15)
 	b.RunParallel(func(pb *testing.PB) {

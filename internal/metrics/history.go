@@ -133,10 +133,6 @@ func (r *Registry) snapshotValues() map[string]float64 {
 			switch {
 			case in.fn != nil:
 				out[key(f.name, in.labels)] = in.fn()
-			case in.counter != nil:
-				out[key(f.name, in.labels)] = float64(in.counter.Value())
-			case in.gauge != nil:
-				out[key(f.name, in.labels)] = in.gauge.Value()
 			case in.hist != nil:
 				for _, q := range summaryQuantiles {
 					out[key(f.name, in.labels, Label{Name: "quantile", Value: formatValue(q)})] = in.hist.Quantile(q)

@@ -13,8 +13,8 @@ import (
 // even if scraped immediately after boot.
 func TestHistoryFirstSampleSynchronous(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("test_ops_total", "ops").Add(7)
-	r.Gauge("test_depth", "depth").Set(3)
+	r.CounterFunc("test_ops_total", "ops", func() int64 { return 7 })
+	r.GaugeFunc("test_depth", "depth", func() float64 { return 3 })
 	h := r.StartHistory(time.Hour, 8) // ticker never fires in this test
 	defer h.Close()
 
@@ -43,8 +43,8 @@ func TestHistoryFirstSampleSynchronous(t *testing.T) {
 // so smdctl can treat one snapshot like one scrape.
 func TestHistoryKeysMatchExposition(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("test_cmds_total", "per-command counter",
-		Label{Name: "cmd", Value: "GET"}).Add(2)
+	r.CounterFunc("test_cmds_total", "per-command counter", func() int64 { return 2 },
+		Label{Name: "cmd", Value: "GET"})
 	hist := r.Histogram("test_lat_ns", "latency")
 	hist.Observe(1000)
 	hist.Observe(1000)
@@ -77,7 +77,8 @@ func TestHistoryKeysMatchExposition(t *testing.T) {
 // adjacent snapshots without re-sorting.
 func TestHistoryRingWrapsOldestFirst(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("test_ticks_total", "ticks")
+	var c Counter
+	r.CounterFunc("test_ticks_total", "ticks", c.Value)
 	h := r.StartHistory(time.Hour, 3)
 	defer h.Close()
 
@@ -105,7 +106,7 @@ func TestHistoryRingWrapsOldestFirst(t *testing.T) {
 // TestHistoryTickerSamples: the background sampler actually runs.
 func TestHistoryTickerSamples(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("test_ops_total", "ops")
+	r.CounterFunc("test_ops_total", "ops", func() int64 { return 0 })
 	h := r.StartHistory(5*time.Millisecond, 16)
 	defer h.Close()
 	deadline := time.Now().Add(5 * time.Second)
@@ -160,8 +161,8 @@ func TestHistoryConcurrentRegisterAndDump(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		r.Histogram("test_runtime_ns", "runtime-labeled series",
 			Label{Name: "cmd", Value: strconv.Itoa(i)}).Observe(float64(i))
-		r.Counter("test_runtime_total", "runtime-labeled counter",
-			Label{Name: "cmd", Value: strconv.Itoa(i)}).Inc()
+		r.CounterFunc("test_runtime_total", "runtime-labeled counter", func() int64 { return 1 },
+			Label{Name: "cmd", Value: strconv.Itoa(i)})
 		runtime.Gosched()
 	}
 	close(done)

@@ -1,5 +1,5 @@
 // Package metrics provides the measurement toolkit shared by the
-// experiment harness and the live system: atomic counters and gauges,
+// experiment harness and the live system: atomic counters,
 // time series (for the Figure 2 timeline), log-bucketed histograms with
 // percentile summaries (for latency distributions), and a named, labeled
 // Registry with Prometheus text-format exposition (registry.go).
@@ -35,33 +35,6 @@ func (c *Counter) Inc() { c.n.Add(1) }
 
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.n.Load() }
-
-// Gauge is a settable instantaneous value safe for concurrent use. The
-// float64 is stored as its IEEE-754 bits in a single atomic word.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set replaces the gauge's value.
-func (g *Gauge) Set(v float64) {
-	g.bits.Store(math.Float64bits(v))
-}
-
-// Add adjusts the gauge's value by delta (which may be negative).
-func (g *Gauge) Add(delta float64) {
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Value returns the gauge's current value.
-func (g *Gauge) Value() float64 {
-	return math.Float64frombits(g.bits.Load())
-}
 
 // Point is one sample in a time series.
 type Point struct {
@@ -356,10 +329,4 @@ func (h *Histogram) Quantile(q float64) float64 {
 		}
 	}
 	return max
-}
-
-// Summary renders count/mean/p50/p95/p99/max on one line.
-func (h *Histogram) Summary() string {
-	return fmt.Sprintf("n=%d mean=%.1f p50=%.1f p95=%.1f p99=%.1f max=%.1f",
-		h.Count(), h.Mean(), h.Quantile(0.50), h.Quantile(0.95), h.Quantile(0.99), h.Max())
 }

@@ -50,15 +50,6 @@ func TestCounterConcurrent(t *testing.T) {
 	}
 }
 
-func TestGauge(t *testing.T) {
-	var g Gauge
-	g.Set(3.5)
-	g.Add(-1.5)
-	if g.Value() != 2.0 {
-		t.Fatalf("gauge = %v, want 2.0", g.Value())
-	}
-}
-
 func TestTimeSeriesRecordAndPoints(t *testing.T) {
 	ts := NewTimeSeries("mem")
 	ts.Record(time.Second, 1)
@@ -257,16 +248,5 @@ func TestHistogramObserveDuration(t *testing.T) {
 	}
 	if h.Max() != 1000 {
 		t.Fatalf("Max = %v, want 1000ns", h.Max())
-	}
-}
-
-func TestHistogramSummaryFormat(t *testing.T) {
-	h := NewHistogram(1.1)
-	h.Observe(10)
-	s := h.Summary()
-	for _, want := range []string{"n=1", "mean=", "p50=", "p99="} {
-		if !strings.Contains(s, want) {
-			t.Errorf("summary %q missing %q", s, want)
-		}
 	}
 }

@@ -37,7 +37,7 @@ func TestParseTextRoundTrip(t *testing.T) {
 		all := append(slices.Clone(labels), extra...)
 		want[SeriesKey(name, all...)] = sorted(all)
 	}
-	r.Counter("softmem_test_plain_total", "no labels").Add(7)
+	r.CounterFunc("softmem_test_plain_total", "no labels", func() int64 { return 7 })
 	note("softmem_test_plain_total", nil)
 	r.GaugeFunc("softmem_test_fn", "value function", func() float64 { return -2.5e-7 })
 	note("softmem_test_fn", nil)
@@ -47,10 +47,12 @@ func TestParseTextRoundTrip(t *testing.T) {
 		if _, dup := want[SeriesKey("softmem_test_collected", labels...)]; dup {
 			continue // a CollectFunc must not report one label set twice
 		}
-		r.Counter("softmem_test_ops_total", "counter family", labels...).Add(int64(i))
+		r.CounterFunc("softmem_test_ops_total", "counter family", func() int64 { return int64(i) }, labels...)
 		note("softmem_test_ops_total", labels)
-		r.Gauge("softmem_test_level", "gauge family", labels[0]).Set(float64(i) / 3)
-		note("softmem_test_level", labels[:1])
+		if _, dup := want[SeriesKey("softmem_test_level", labels[0])]; !dup {
+			r.GaugeFunc("softmem_test_level", "gauge family", func() float64 { return float64(i) / 3 }, labels[0])
+			note("softmem_test_level", labels[:1])
+		}
 		h := r.Histogram("softmem_test_ns", "histogram family", labels[1])
 		h.Observe(float64(1 + i))
 		for _, q := range summaryQuantiles {

@@ -85,11 +85,9 @@ type family struct {
 }
 
 type instrument struct {
-	labels  []Label
-	counter *Counter
-	gauge   *Gauge
-	hist    *Histogram
-	fn      func() float64 // CounterFunc/GaugeFunc
+	labels []Label
+	hist   *Histogram
+	fn     func() float64 // CounterFunc/GaugeFunc
 }
 
 // NewRegistry returns an empty registry.
@@ -174,38 +172,6 @@ func (f *family) getInstrument(labels []Label) (*instrument, bool) {
 	f.insts[key] = in
 	f.order = append(f.order, key)
 	return in, false
-}
-
-// Counter registers (or retrieves) a counter with the given name and
-// label set.
-func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f := r.getFamily(name, help, KindCounter)
-	in, existed := f.getInstrument(labels)
-	if !existed {
-		in.counter = &Counter{}
-	}
-	if in.counter == nil {
-		panic("metrics: " + name + " registered with a value function, not a Counter")
-	}
-	return in.counter
-}
-
-// Gauge registers (or retrieves) a gauge with the given name and label
-// set.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f := r.getFamily(name, help, KindGauge)
-	in, existed := f.getInstrument(labels)
-	if !existed {
-		in.gauge = &Gauge{}
-	}
-	if in.gauge == nil {
-		panic("metrics: " + name + " registered with a value function, not a Gauge")
-	}
-	return in.gauge
 }
 
 // Histogram registers (or retrieves) a latency histogram, exposed in
@@ -386,10 +352,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			switch {
 			case in.fn != nil:
 				writeSeries(&b, f.name, in.labels, in.fn())
-			case in.counter != nil:
-				writeSeries(&b, f.name, in.labels, float64(in.counter.Value()))
-			case in.gauge != nil:
-				writeSeries(&b, f.name, in.labels, in.gauge.Value())
 			case in.hist != nil:
 				for _, q := range summaryQuantiles {
 					writeSeries(&b, f.name, in.labels, in.hist.Quantile(q),

@@ -11,12 +11,9 @@ import (
 
 func TestRegistryPrometheusGolden(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("softmem_test_ops_total", "operations", Label{Name: "kind", Value: "get"})
-	c.Add(3)
-	c2 := r.Counter("softmem_test_ops_total", "operations", Label{Name: "kind", Value: "set"})
-	c2.Add(1)
-	g := r.Gauge("softmem_test_pages", "pages in use")
-	g.Set(42)
+	r.CounterFunc("softmem_test_ops_total", "operations", func() int64 { return 3 }, Label{Name: "kind", Value: "get"})
+	r.CounterFunc("softmem_test_ops_total", "operations", func() int64 { return 1 }, Label{Name: "kind", Value: "set"})
+	r.GaugeFunc("softmem_test_pages", "pages in use", func() float64 { return 42 })
 	r.GaugeFunc("softmem_test_budget", "budget", func() float64 { return 7.5 })
 
 	var b strings.Builder
@@ -41,9 +38,8 @@ softmem_test_pages 42
 
 func TestRegistryLabelEscaping(t *testing.T) {
 	r := NewRegistry()
-	g := r.Gauge("softmem_test_weird", "has \\ and\nnewline",
+	r.GaugeFunc("softmem_test_weird", "has \\ and\nnewline", func() float64 { return 1 },
 		Label{Name: "proc", Value: "a\\b\"c\nd"})
-	g.Set(1)
 
 	var b strings.Builder
 	if err := r.WritePrometheus(&b); err != nil {
@@ -109,12 +105,12 @@ func TestRegistryCollectFunc(t *testing.T) {
 
 func TestRegistryGetOrCreate(t *testing.T) {
 	r := NewRegistry()
-	a := r.Counter("softmem_test_x_total", "x")
-	b := r.Counter("softmem_test_x_total", "x")
+	a := r.Histogram("softmem_test_x_ns", "x")
+	b := r.Histogram("softmem_test_x_ns", "x")
 	if a != b {
 		t.Error("same (name, labels) should return the same instrument")
 	}
-	l1 := r.Counter("softmem_test_x_total", "x", Label{Name: "k", Value: "v"})
+	l1 := r.Histogram("softmem_test_x_ns", "x", Label{Name: "k", Value: "v"})
 	if l1 == a {
 		t.Error("different label set should return a distinct instrument")
 	}
@@ -122,13 +118,13 @@ func TestRegistryGetOrCreate(t *testing.T) {
 
 func TestRegistryKindMismatchPanics(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("softmem_test_y_total", "y")
+	r.CounterFunc("softmem_test_y_total", "y", func() int64 { return 0 })
 	defer func() {
 		if recover() == nil {
 			t.Error("expected panic registering a gauge under a counter name")
 		}
 	}()
-	r.Gauge("softmem_test_y_total", "y")
+	r.GaugeFunc("softmem_test_y_total", "y", func() float64 { return 0 })
 }
 
 func TestRegistryInvalidNamePanics(t *testing.T) {
@@ -140,7 +136,7 @@ func TestRegistryInvalidNamePanics(t *testing.T) {
 					t.Errorf("expected panic for metric name %q", bad)
 				}
 			}()
-			r.Counter(bad, "")
+			r.Histogram(bad, "")
 		}()
 	}
 	func() {
@@ -149,7 +145,7 @@ func TestRegistryInvalidNamePanics(t *testing.T) {
 				t.Error("expected panic for invalid label name")
 			}
 		}()
-		r.Counter("softmem_test_ok_total", "", Label{Name: "bad-label", Value: "v"})
+		r.Histogram("softmem_test_ok_ns", "", Label{Name: "bad-label", Value: "v"})
 	}()
 }
 
@@ -166,7 +162,7 @@ func TestRegistryDuplicateFuncPanics(t *testing.T) {
 
 func TestRegistryHandler(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("softmem_test_h_total", "h").Inc()
+	r.CounterFunc("softmem_test_h_total", "h", func() int64 { return 1 })
 
 	srv := httptest.NewServer(r.Handler())
 	defer srv.Close()
@@ -209,8 +205,8 @@ func TestRegistryConcurrentRegisterAndScrape(t *testing.T) {
 		h := r.Histogram("test_runtime_ns", "runtime-labeled series",
 			Label{Name: "cmd", Value: strconv.Itoa(i)})
 		h.Observe(float64(i))
-		r.Counter("test_runtime_total", "runtime-labeled counter",
-			Label{Name: "cmd", Value: strconv.Itoa(i)}).Inc()
+		r.CounterFunc("test_runtime_total", "runtime-labeled counter", func() int64 { return 1 },
+			Label{Name: "cmd", Value: strconv.Itoa(i)})
 		runtime.Gosched()
 	}
 	close(done)

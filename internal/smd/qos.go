@@ -1,7 +1,6 @@
 package smd
 
 import (
-	"sort"
 	"time"
 
 	"softmem/internal/core"
@@ -170,7 +169,8 @@ type QoSInfo struct {
 	// StallRatio is the stall-rate EWMA: the smoothed fraction of wall
 	// time the process's serving path spent stalled on reclamation.
 	StallRatio float64 `json:"stall_ratio"`
-	// Pressure is the victim-ordering score; lowest is reclaimed first.
+	// Pressure is the QoS victim-ordering score: once any tenant is
+	// registered, lowest is reclaimed first.
 	Pressure    float64 `json:"pressure"`
 	BudgetPages int     `json:"budget_pages"`
 	UsedPages   int     `json:"used_pages"`
@@ -184,23 +184,23 @@ type QoSInfo struct {
 	SlackPages    int64 `json:"slack_pages"`
 }
 
-// QoSSnapshot lists registered processes in victim order — ascending
-// pressure, the order a QoS-active reclaim cycle would target them —
-// with their tenant specs, stall EWMAs, and lifetime reclamation-source
-// counters.
+// QoSSnapshot lists registered processes in victim order — the order a
+// reclaim cycle would target them — with their tenant specs, stall
+// EWMAs, and lifetime reclamation-source counters.
 func (d *Daemon) QoSSnapshot() []QoSInfo {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	out := make([]QoSInfo, 0, len(d.procs))
-	rank := make(map[ProcID]float64, len(d.procs))
-	weight := make(map[ProcID]float64, len(d.procs))
+	procs := make([]*procState, 0, len(d.procs))
 	for _, ps := range d.procs {
+		procs = append(procs, ps)
+	}
+	d.victimOrderLocked(procs)
+	out := make([]QoSInfo, 0, len(procs))
+	for _, ps := range procs {
 		sloMs := ps.tenant.SLOMs
 		if sloMs <= 0 {
 			sloMs = qosRefSLOMs
 		}
-		rank[ps.id] = d.qosRankLocked(ps)
-		weight[ps.id] = d.weightLocked(ps)
 		out = append(out, QoSInfo{
 			ID:            ps.id,
 			Name:          ps.name,
@@ -216,21 +216,5 @@ func (d *Daemon) QoSSnapshot() []QoSInfo {
 			SlackPages:    ps.slackPages,
 		})
 	}
-	// Mirror candidatesLocked exactly so the rendered "victim order" is
-	// the order a QoS-active reclaim cycle would actually target.
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Pressure != out[j].Pressure {
-			return out[i].Pressure < out[j].Pressure
-		}
-		ri, rj := rank[out[i].ID], rank[out[j].ID]
-		if ri != rj {
-			return ri < rj
-		}
-		wi, wj := weight[out[i].ID], weight[out[j].ID]
-		if wi != wj {
-			return wi > wj
-		}
-		return out[i].ID < out[j].ID
-	})
 	return out
 }

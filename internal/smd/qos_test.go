@@ -222,6 +222,28 @@ func TestLegacyOrderWithoutTenants(t *testing.T) {
 	}
 }
 
+// TestQoSSnapshotListsLegacyOrder: /qos lists the order a reclaim cycle
+// uses. With no tenant registered that is descending weight, so the
+// bigger process is listed first even while it is the one stalling.
+func TestQoSSnapshotListsLegacyOrder(t *testing.T) {
+	clk := &fakeClock{t: time.Unix(1000, 0)}
+	d := NewDaemon(Config{TotalPages: 1000, Clock: clk.Now})
+	big, small := d.Register("big", nil), d.Register("small", nil)
+	for _, stall := range []int64{0, int64(100 * time.Millisecond)} {
+		if err := big.ReportUsage(stallUsage(60, stall)); err != nil {
+			t.Fatal(err)
+		}
+		if err := small.ReportUsage(stallUsage(30, 0)); err != nil {
+			t.Fatal(err)
+		}
+		clk.Advance(time.Second)
+	}
+	qs := d.QoSSnapshot()
+	if len(qs) != 2 || qs[0].Name != "big" || qs[0].StallRatio == 0 {
+		t.Fatalf("QoSSnapshot = %+v, want the stalling bigger process first", qs)
+	}
+}
+
 // TestSetTenantClampsClass pins the class clamp.
 func TestSetTenantClampsClass(t *testing.T) {
 	d := NewDaemon(Config{TotalPages: 10})

@@ -382,13 +382,7 @@ func (d *Daemon) weightLocked(ps *procState) float64 {
 }
 
 // candidatesLocked returns processes other than requester (unless self-
-// reclaim is allowed) in victim order. Legacy order is descending
-// reclamation weight (biggest first). Once any process has registered a
-// tenant spec, QoS order takes over: ascending stall pressure, so the
-// cycle reclaims from whoever is hurting least relative to its SLO and
-// disturbs stalling latency-critical tenants last. Weight breaks
-// pressure ties (bigger first — among equally unpressured processes the
-// legacy bias still applies), then ID for determinism.
+// reclaim is allowed) in victim order.
 func (d *Daemon) candidatesLocked(requester ProcID) []*procState {
 	out := make([]*procState, 0, len(d.procs))
 	for _, ps := range d.procs {
@@ -397,6 +391,19 @@ func (d *Daemon) candidatesLocked(requester ProcID) []*procState {
 		}
 		out = append(out, ps)
 	}
+	d.victimOrderLocked(out)
+	return out
+}
+
+// victimOrderLocked sorts procs into the order a reclaim cycle targets
+// them. Legacy order is descending reclamation weight (biggest first).
+// Once any process has registered a tenant spec, QoS order takes over:
+// ascending stall pressure, so the cycle reclaims from whoever is
+// hurting least relative to its SLO and disturbs stalling
+// latency-critical tenants last. Weight breaks pressure ties (bigger
+// first — among equally unpressured processes the legacy bias still
+// applies), then ID for determinism.
+func (d *Daemon) victimOrderLocked(out []*procState) {
 	qos := d.qosActiveLocked()
 	sort.Slice(out, func(i, j int) bool {
 		if qos {
@@ -415,7 +422,6 @@ func (d *Daemon) candidatesLocked(requester ProcID) []*procState {
 		}
 		return out[i].id < out[j].id // deterministic tie-break
 	})
-	return out
 }
 
 // requestBudget is the core arbitration path, timed into the request

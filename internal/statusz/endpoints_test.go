@@ -19,7 +19,7 @@ import (
 
 func TestServeHandlersSlowlogAndHistory(t *testing.T) {
 	reg := metrics.NewRegistry()
-	reg.Counter("test_ops_total", "ops").Add(5)
+	reg.CounterFunc("test_ops_total", "ops", func() int64 { return 5 })
 	hist := reg.StartHistory(time.Hour, 8)
 	defer hist.Close()
 
