@@ -131,8 +131,8 @@ bench-pair:
 	$(GO) run ./cmd/benchpair -workload $(W) $(if $(PROCS),-procs $(PROCS)) $(if $(REF),-ref $(REF)) -n $(N) -seed $(SEED) -seconds $(SECONDS) $(if $(filter 1,$(TRACE)),-trace)
 
 # Non-test Go line counts, for tracking code size: the kvstore, alloc,
-# core, sds and clusterkv packages, the repository outside the benchmark
-# module, and smdctl.
+# core, sds, clusterkv and experiments packages, the repository outside
+# the benchmark module, and smdctl.
 loc:
 	@printf 'internal/kvstore non-test Go lines: '
 	@find internal/kvstore -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l
@@ -144,6 +144,8 @@ loc:
 	@find internal/sds -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l
 	@printf 'internal/clusterkv non-test Go lines: '
 	@find internal/clusterkv -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l
+	@printf 'internal/experiments non-test Go lines: '
+	@find internal/experiments -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l
 	@printf 'repo non-test Go lines outside bench/: '
 	@find . -path ./bench -prune -o -path ./.bench_build -prune -o -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l
 	@printf 'cmd/smdctl non-test Go lines: '

@@ -6,7 +6,7 @@
 //	E3 / case (2)  -> BenchmarkStressCase2SMA
 //	E4 / case (3)  -> BenchmarkStressCase3Pressure vs BenchmarkStressCase3NoPressure
 //	E5 / restart   -> BenchmarkReclaim2MiB vs BenchmarkKillRefill
-//	E6 / cluster   -> BenchmarkClusterBaseline vs BenchmarkClusterSoft
+//	E6 / cluster   -> BenchmarkCluster
 //	E7 / ablation  -> BenchmarkAblateHeapPolicy
 //	E8 / ablation  -> BenchmarkDaemonReclaimPath
 //	E9 / ML cache  -> BenchmarkMLWarmEpoch
@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"softmem/internal/alloc"
-	"softmem/internal/clustersim"
 	"softmem/internal/core"
 	"softmem/internal/experiments"
 	"softmem/internal/kvstore"
@@ -163,36 +162,19 @@ func BenchmarkKillRefill(b *testing.B) {
 
 // ---- E6 / cluster schedulers ----
 
-func clusterTrace() []trace.Job {
-	return trace.GenerateJobs(trace.TraceConfig{
-		Seed: 7, Jobs: 400, Horizon: 3 * time.Hour,
-		MeanRuntime: 8 * time.Minute, MeanMemPages: 250,
-		BatchFraction: 0.6, SoftFrac: 0.5, SoftAdoption: 0.9,
-	})
-}
-
-// BenchmarkClusterBaseline runs the kill-based scheduler over the E6
-// trace, reporting evictions and wasted CPU hours.
-func BenchmarkClusterBaseline(b *testing.B) {
-	jobs := clusterTrace()
-	var res clustersim.Result
+// BenchmarkCluster runs E6: the kill-based scheduler and the soft one at
+// each adoption level over one trace, reporting evictions and wasted CPU
+// hours for the baseline and for full adoption.
+func BenchmarkCluster(b *testing.B) {
+	var res experiments.ClusterResult
 	for i := 0; i < b.N; i++ {
-		res = clustersim.New(clustersim.Config{Kind: clustersim.Baseline, Machines: 4, PagesPerMachine: 1200}, jobs).Run()
+		res = experiments.Cluster()
 	}
-	b.ReportMetric(float64(res.Evictions), "evictions")
-	b.ReportMetric(res.WastedCPU.Hours(), "wastedCPUh")
-}
-
-// BenchmarkClusterSoft runs the soft-memory scheduler over the same
-// trace.
-func BenchmarkClusterSoft(b *testing.B) {
-	jobs := clusterTrace()
-	var res clustersim.Result
-	for i := 0; i < b.N; i++ {
-		res = clustersim.New(clustersim.Config{Kind: clustersim.Soft, Machines: 4, PagesPerMachine: 1200}, jobs).Run()
-	}
-	b.ReportMetric(float64(res.Evictions), "evictions")
-	b.ReportMetric(res.WastedCPU.Hours(), "wastedCPUh")
+	full := res.Rows[len(res.Rows)-1].Result
+	b.ReportMetric(float64(res.Baseline.Evictions), "baseline_evictions")
+	b.ReportMetric(res.Baseline.WastedCPU.Hours(), "baseline_wastedCPUh")
+	b.ReportMetric(float64(full.Evictions), "soft_evictions")
+	b.ReportMetric(full.WastedCPU.Hours(), "soft_wastedCPUh")
 }
 
 // ---- E7 / heap organization ablation ----

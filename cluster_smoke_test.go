@@ -67,8 +67,8 @@ func waitKnownNodes(t *testing.T, addr string, want int, timeout time.Duration) 
 
 // TestClusterSmoke3Proc is the nightly cluster smoke: three real softkv
 // processes form a ring, a cluster client writes keys that span all
-// three owners, MGET reads them back across slots, and every node shuts
-// down cleanly on SIGTERM.
+// three owners and reads each back with GET, and every node shuts down
+// cleanly on SIGTERM.
 func TestClusterSmoke3Proc(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode: skips process-spawning smoke tests")

@@ -71,7 +71,7 @@ func main() {
 		experiments.Restart(experiments.RestartConfig{}).Fprint(os.Stdout)
 	}))
 	run("cluster", mark(func() {
-		experiments.Cluster(experiments.ClusterConfig{Seed: 7}).Fprint(os.Stdout)
+		experiments.Cluster().Fprint(os.Stdout)
 	}))
 	run("ablate-heap", mark(func() {
 		fmt.Println("E7 — heap organization ablation (§3.1 efficacy trade-off)")

@@ -65,9 +65,9 @@ func TestBinariesSmoke(t *testing.T) {
 			want: []string{"E10", "drop", "swap"},
 		},
 		{
-			name: "clustersim",
-			args: []string{"run", "./cmd/clustersim", "-jobs", "120", "-horizon", "1h"},
-			want: []string{"baseline", "soft", "evictions"},
+			name: "softbench-cluster",
+			args: []string{"run", "./cmd/softbench", "-experiment", "cluster"},
+			want: []string{"E6", "baseline", "soft", "evictions", "incentive"},
 		},
 		{
 			name: "softbench-latency",

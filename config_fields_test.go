@@ -25,7 +25,6 @@ var testOnlyFields = map[string]string{
 	"experiments.ChaosConfig.SMDBin":         "required input",
 	"experiments.ChaosConfig.SoftKVBin":      "required input",
 	"experiments.ChaosConfig.WorkDir":        "required input",
-	"experiments.ClusterConfig.Adoptions":    "a tier-1 test shrinks it to stay fast",
 	"experiments.Fig2Config.CleanupPerEntry": "a tier-1 test shrinks it to stay fast",
 	"experiments.Fig2Config.MachineMiB":      "a tier-1 test shrinks it to stay fast",
 	"experiments.Fig2Config.OtherMiB":        "a tier-1 test shrinks it to stay fast",

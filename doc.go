@@ -14,8 +14,9 @@
 //   - internal/smd — the machine-wide Soft Memory Daemon
 //   - internal/ipc — the daemon's socket protocol
 //   - internal/kvstore — the Redis-like integration from §5
-//   - internal/clustersim, internal/mlcache — the §2 motivating workloads
-//   - internal/experiments — regenerates every table and figure (E1–E9)
+//   - internal/mlcache — the §2 ML training cache
+//   - internal/experiments — regenerates every table and figure (E1–E9),
+//     the §2 cluster-scheduler simulation (E6) included
 //
 // See README.md for a tour, DESIGN.md for the system inventory and
 // experiment index, and EXPERIMENTS.md for paper-vs-measured results.

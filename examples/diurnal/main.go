@@ -18,7 +18,6 @@ import (
 	"softmem/internal/core"
 	"softmem/internal/pages"
 	"softmem/internal/sds"
-	"softmem/internal/sim"
 	"softmem/internal/smd"
 	"softmem/internal/trace"
 )
@@ -31,7 +30,6 @@ const (
 )
 
 func main() {
-	clock := sim.NewVirtual()
 	machine := pages.NewPool(machinePages)
 	daemon := smd.NewDaemon(smd.Config{TotalPages: machinePages})
 
@@ -81,7 +79,7 @@ func main() {
 	fmt.Println()
 	fmt.Printf("%5s %6s %10s %12s %12s %9s\n", "hour", "load", "hitrate", "web(MiB)", "batch(MiB)", "evicted")
 	for hour := 0; hour < 48; hour++ {
-		load := trace.Diurnal(clock.Now(), period, 0.15, 1.0)
+		load := trace.Diurnal(time.Duration(hour)*time.Hour, period, 0.15, 1.0)
 		hits, misses = 0, 0
 		serveHour(load)
 
@@ -115,7 +113,6 @@ func main() {
 				float64(batchSMA.FootprintBytes())/(1<<20),
 				cache.Reclaimed())
 		}
-		clock.Advance(time.Hour)
 	}
 	fmt.Println()
 	fmt.Printf("web cache served %d demands without the service ever restarting\n",

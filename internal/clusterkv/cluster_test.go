@@ -147,6 +147,48 @@ func TestMovedRedirectByteExact(t *testing.T) {
 	}
 }
 
+// TestCrossSlotRefused: a multi-key command whose keys have two owners
+// is answered, on either node, with exactly Redis's CROSSSLOT error,
+// runs nothing, and is not counted as a redirect.
+func TestCrossSlotRefused(t *testing.T) {
+	nodes := startCluster(t, 2)
+	r := nodes[0].node.Ring()
+	ka, kb := keyOwnedBy(r, nodes[0].addr), keyOwnedBy(r, nodes[1].addr)
+	const want = "-CROSSSLOT Keys in request don't hash to the same slot\r\n"
+	for _, tn := range nodes {
+		nc, err := net.Dial("tcp", tn.addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer nc.Close()
+		br := bufio.NewReader(nc)
+		for _, args := range [][]string{{"MSET", ka, "1", kb, "2"}, {"MGET", ka, kb}} {
+			req := fmt.Sprintf("*%d\r\n", len(args))
+			for _, a := range args {
+				req += fmt.Sprintf("$%d\r\n%s\r\n", len(a), a)
+			}
+			if _, err := nc.Write([]byte(req)); err != nil {
+				t.Fatal(err)
+			}
+			line, err := br.ReadString('\n')
+			if err != nil {
+				t.Fatal(err)
+			}
+			if line != want {
+				t.Fatalf("%s on %s = %q, want %q", args[0], tn.addr, line, want)
+			}
+		}
+	}
+	for _, tn := range nodes {
+		if got := tn.node.Status().Moved; got != 0 {
+			t.Errorf("%s counted %d redirects for refused commands", tn.addr, got)
+		}
+		if n := tn.store.Len(); n != 0 {
+			t.Errorf("%s holds %d keys after a refused MSET", tn.addr, n)
+		}
+	}
+}
+
 // TestClientFollowsRedirects drives the cluster through the redirect-
 // following client: every key lands on (exactly) its owner's store, and
 // reads work from a client seeded with only one node.

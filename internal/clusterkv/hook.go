@@ -28,9 +28,11 @@ func (n *Node) Redirect(key []byte) (moved string) {
 	if owner == n.cfg.Addr {
 		return ""
 	}
-	n.met.moved.Add(1)
 	return movedReply(slot, owner)
 }
+
+// Moved implements kvstore.ClusterHook.
+func (n *Node) Moved() { n.met.moved.Add(1) }
 
 // Handle implements kvstore.ClusterHook. WAIT answers against the
 // session's own replicated writes; the other rows are

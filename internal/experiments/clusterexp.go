@@ -4,58 +4,35 @@ import (
 	"fmt"
 	"io"
 	"time"
-
-	"softmem/internal/clustersim"
-	"softmem/internal/trace"
 )
 
-// ClusterConfig parameterizes E6, the scheduler comparison quantifying
-// the paper's §2 motivation.
-type ClusterConfig struct {
-	Seed            int64
-	Jobs            int
-	Machines        int
-	PagesPerMachine int
-	Horizon         time.Duration
-	MeanRuntime     time.Duration
-	MeanMemPages    int
-	// Adoptions lists the soft-memory adoption fractions to sweep.
-	Adoptions []float64
-}
+// E6's parameters: a contended cluster, where demand peaks exceed
+// capacity (the baseline must evict) but load is not in sustained
+// overload — the regime the paper's §2 motivation targets.
+const (
+	clusterJobs            = 400
+	clusterHorizon         = 3 * time.Hour // arrivals are spread over [0, clusterHorizon)
+	clusterMeanRuntime     = 8 * time.Minute
+	clusterMeanMemPages    = 250
+	clusterBatchFrac       = 0.6 // share of jobs at batch priority; the rest split prod/critical
+	clusterSoftFrac        = 0.5 // share of an opted-in job's memory held as soft memory
+	clusterMachines        = 4
+	clusterPagesPerMachine = 1200
+	clusterSeed            = 7 // the trace's seed
+)
 
-func (c *ClusterConfig) setDefaults() {
-	if c.Jobs <= 0 {
-		c.Jobs = 400
-	}
-	if c.Machines <= 0 {
-		c.Machines = 4
-	}
-	if c.PagesPerMachine <= 0 {
-		c.PagesPerMachine = 1200
-	}
-	if c.Horizon <= 0 {
-		c.Horizon = 3 * time.Hour
-	}
-	if c.MeanRuntime <= 0 {
-		c.MeanRuntime = 8 * time.Minute
-	}
-	if c.MeanMemPages <= 0 {
-		c.MeanMemPages = 250
-	}
-	if len(c.Adoptions) == 0 {
-		c.Adoptions = []float64{0, 0.25, 0.5, 0.75, 1.0}
-	}
-}
+// clusterAdoptions are the soft-memory adoption fractions E6 sweeps.
+var clusterAdoptions = []float64{0, 0.25, 0.5, 0.75, 1.0}
 
 // ClusterRow pairs a scheduler run with its adoption setting.
 type ClusterRow struct {
 	Adoption float64
-	Result   clustersim.Result
+	Result   ClusterRun
 }
 
 // ClusterResult is the E6 sweep.
 type ClusterResult struct {
-	Baseline clustersim.Result
+	Baseline ClusterRun
 	Rows     []ClusterRow
 }
 
@@ -64,7 +41,7 @@ func (r ClusterResult) Fprint(w io.Writer) {
 	fmt.Fprintf(w, "E6 — cluster scheduler: kill-based vs. soft memory (identical trace)\n\n")
 	fmt.Fprintf(w, "%-10s %-9s %10s %10s %12s %10s %10s %8s\n",
 		"scheduler", "adoption", "completed", "evictions", "wastedCPU", "slowdown", "p95queue", "util")
-	p := func(name string, adoption string, res clustersim.Result) {
+	p := func(name string, adoption string, res ClusterRun) {
 		fmt.Fprintf(w, "%-10s %-9s %10d %10d %12s %10.3f %10s %7.1f%%\n",
 			name, adoption, res.Completed, res.Evictions, res.WastedCPU.Round(time.Second),
 			res.MeanSlowdown, res.P95QueueDelay.Round(time.Second), res.MeanUtilPct)
@@ -86,25 +63,17 @@ func (r ClusterResult) Fprint(w io.Writer) {
 	}
 }
 
-// Cluster runs E6: the same contended trace through the kill-based
-// baseline and the soft scheduler at several adoption levels.
-func Cluster(cfg ClusterConfig) ClusterResult {
-	cfg.setDefaults()
-	mkTrace := func(adoption float64) []trace.Job {
-		return trace.GenerateJobs(trace.TraceConfig{
-			Seed: cfg.Seed, Jobs: cfg.Jobs, Horizon: cfg.Horizon,
-			MeanRuntime: cfg.MeanRuntime, MeanMemPages: cfg.MeanMemPages,
-			BatchFraction: 0.6, SoftFrac: 0.5, SoftAdoption: adoption,
-		})
+// Cluster runs E6, the scheduler comparison quantifying the paper's §2
+// motivation: one trace through the kill-based baseline and the soft
+// scheduler at each adoption level.
+func Cluster() ClusterResult {
+	// The baseline holds every page as traditional memory, so the
+	// trace's adoption does not change its run.
+	res := ClusterResult{
+		Baseline: simulateCluster(false, clusterMachines, clusterPagesPerMachine, clusterTrace(clusterSeed, 0)),
 	}
-	res := ClusterResult{}
-	res.Baseline = clustersim.New(clustersim.Config{
-		Kind: clustersim.Baseline, Machines: cfg.Machines, PagesPerMachine: cfg.PagesPerMachine,
-	}, mkTrace(0.9)).Run()
-	for _, adoption := range cfg.Adoptions {
-		r := clustersim.New(clustersim.Config{
-			Kind: clustersim.Soft, Machines: cfg.Machines, PagesPerMachine: cfg.PagesPerMachine,
-		}, mkTrace(adoption)).Run()
+	for _, adoption := range clusterAdoptions {
+		r := simulateCluster(true, clusterMachines, clusterPagesPerMachine, clusterTrace(clusterSeed, adoption))
 		res.Rows = append(res.Rows, ClusterRow{Adoption: adoption, Result: r})
 	}
 	return res

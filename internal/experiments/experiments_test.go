@@ -190,38 +190,6 @@ func TestAblatePolicyShape(t *testing.T) {
 	}
 }
 
-func TestClusterExperimentShape(t *testing.T) {
-	res := Cluster(ClusterConfig{Seed: 7, Jobs: 200, Horizon: time.Hour, Adoptions: []float64{0, 0.9}})
-	if res.Baseline.Evictions == 0 {
-		t.Fatal("baseline trace not contended")
-	}
-	var zero, high ClusterRow
-	for _, r := range res.Rows {
-		if r.Adoption == 0 {
-			zero = r
-		} else {
-			high = r
-		}
-	}
-	// Zero adoption behaves like the baseline (soft scheduler can't
-	// squeeze anything it wasn't given).
-	if zero.Result.SoftReclaimed != 0 {
-		t.Fatal("zero-adoption run reclaimed soft memory")
-	}
-	// High adoption eliminates (or nearly eliminates) evictions.
-	if high.Result.Evictions >= res.Baseline.Evictions {
-		t.Fatalf("soft@90%% evictions %d not below baseline %d", high.Result.Evictions, res.Baseline.Evictions)
-	}
-	if high.Result.WastedCPU >= res.Baseline.WastedCPU {
-		t.Fatalf("soft wasted %v >= baseline %v", high.Result.WastedCPU, res.Baseline.WastedCPU)
-	}
-	var sb strings.Builder
-	res.Fprint(&sb)
-	if !strings.Contains(sb.String(), "E6") {
-		t.Fatal("cluster output malformed")
-	}
-}
-
 func TestMLExperimentShape(t *testing.T) {
 	res := ML(MLConfig{Samples: 500, SampleBytes: 2048, Epochs: 6, SqueezeEpoch: 3})
 	if len(res.Epochs) != 6 {

@@ -1,5 +1,7 @@
 // Package experiments regenerates every table and figure in the paper's
-// evaluation (§5), plus the ablations DESIGN.md calls out. Each
+// evaluation (§5), plus the ablations DESIGN.md calls out and E6, the
+// §2 cluster-scheduler comparison, whose simulator, job trace and
+// parameters live here too (clustersim.go, clusterexp.go). Each
 // experiment is a pure function returning a result struct with a Fprint
 // method; cmd/softbench and the root benchmarks share them.
 package experiments
@@ -13,7 +15,6 @@ import (
 	"softmem/internal/kvstore"
 	"softmem/internal/metrics"
 	"softmem/internal/pages"
-	"softmem/internal/sim"
 	"softmem/internal/smd"
 	"softmem/internal/trace"
 )
@@ -103,7 +104,7 @@ func (r Fig2Result) WriteCSV(w io.Writer) error {
 // crashing.
 func Fig2(cfg Fig2Config) Fig2Result {
 	cfg.setDefaults()
-	clock := sim.NewVirtual()
+	var now time.Duration // virtual time: only the modelled costs advance it
 	machinePages := cfg.MachineMiB << 20 / pages.Size
 	machine := pages.NewPool(machinePages)
 	daemon := smd.NewDaemon(smd.Config{TotalPages: machinePages, ReclaimFactor: 1.0})
@@ -135,19 +136,18 @@ func Fig2(cfg Fig2Config) Fig2Result {
 	smaB.AttachDaemon(daemon.Register("other", smaB))
 
 	record := func() {
-		t := clock.Now()
-		res.Store.Record(t, float64(smaA.FootprintBytes())/(1<<20))
-		res.Other.Record(t, float64(smaB.FootprintBytes())/(1<<20))
+		res.Store.Record(now, float64(smaA.FootprintBytes())/(1<<20))
+		res.Other.Record(now, float64(smaB.FootprintBytes())/(1<<20))
 	}
 
 	// Quiet lead-in: both processes idle at their footprints.
 	record()
-	for clock.Now() < cfg.PressureAt-250*time.Millisecond {
-		clock.Advance(250 * time.Millisecond)
+	for now < cfg.PressureAt-250*time.Millisecond {
+		now += 250 * time.Millisecond
 		record()
 	}
-	clock.Advance(cfg.PressureAt - clock.Now())
-	res.PressureAt = clock.Now()
+	now = cfg.PressureAt
+	res.PressureAt = now
 	record()
 
 	// Pressure: B allocates OtherMiB in page-sized chunks. After each
@@ -167,19 +167,19 @@ func Fig2(cfg Fig2Config) Fig2Result {
 		}
 		reclaimedNow := store.Stats().Reclaimed
 		if delta := reclaimedNow - cleaned; delta > 0 {
-			clock.Advance(time.Duration(delta) * cfg.CleanupPerEntry)
+			now += time.Duration(delta) * cfg.CleanupPerEntry
 			cleaned = reclaimedNow
 		}
 		record()
 	}
-	res.ReclaimDone = clock.Now()
+	res.ReclaimDone = now
 	res.ReclaimedEntries = store.Stats().Reclaimed
 	res.DemandsServed = smaA.Stats().DemandsServed
 	res.ReclaimedMiB = float64(cfg.StoreMiB) - float64(smaA.FootprintBytes())/(1<<20)
 
 	// Quiet tail: the new equilibrium holds.
 	for i := 0; i < 16; i++ {
-		clock.Advance(250 * time.Millisecond)
+		now += 250 * time.Millisecond
 		record()
 	}
 	return res

@@ -24,18 +24,22 @@ type ReplyWriter interface {
 
 // ClusterHook lets a cluster layer sit between the RESP reader and the
 // store: naming the owner of keys this node does not own (the server
-// answers -MOVED), serving the command table's hooked rows (CLUSTER,
+// answers -MOVED, or -CROSSSLOT when a command's keys have more than
+// one owner), serving the command table's hooked rows (CLUSTER,
 // WAIT, and the replica applies RSET and RDEL), and observing locally
 // applied writes for replication. A Server without a hook behaves
 // exactly as before — the hook pointer is loaded once per command and
 // nil skips everything.
 type ClusterHook interface {
-	// Redirect is asked about a command's keys in argument order, before
-	// the command runs, until one is redirected. It returns the error
+	// Redirect is asked about every one of a command's keys, in
+	// argument order, before the command runs. It returns the error
 	// reply "MOVED <slot> <addr>" for a key another node owns, "" for a
 	// key served here. The key is parser-owned and valid only for the
 	// call.
 	Redirect(key []byte) (moved string)
+	// Moved is told once for each command the server answers with a
+	// MOVED reply.
+	Moved()
 	// NewSession mints one connection's session state.
 	NewSession() ClusterSession
 	// Handle serves one hooked row (cmd is its name) whose arity the

@@ -114,6 +114,7 @@ func sendPipelined(t *testing.T, srv *Server, cmds [][]string, mode arenaMode) [
 type recordingHook struct{ keys []string }
 
 func (h *recordingHook) Redirect([]byte) string                               { return "" }
+func (h *recordingHook) Moved()                                               {}
 func (h *recordingHook) NewSession() ClusterSession                           { return nil }
 func (h *recordingHook) Handle(ClusterSession, string, [][]byte, ReplyWriter) {}
 func (h *recordingHook) OnApply(_ ClusterSession, _ Op, key string, _ []byte) {

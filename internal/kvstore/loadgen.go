@@ -37,8 +37,8 @@ type LoadGenConfig struct {
 	// ValueBytes is the SET payload size. Default 256.
 	ValueBytes int
 	// Pipeline is the number of commands batched per round-trip on each
-	// connection. Values <= 1 mean no pipelining (one request, one
-	// reply).
+	// connection. Values <= 1 mean one command per round-trip; the
+	// refill SET of a GET miss is then a round-trip of its own.
 	Pipeline int
 	// HotKeys and HotFraction model a hot-key storm on top of the Zipf
 	// base workload: with probability HotFraction each operation targets
@@ -241,12 +241,7 @@ func RunLoad(cfg LoadGenConfig) (LoadGenResult, error) {
 			}
 			defer cli.Close()
 			var t connTallies
-			if cfg.Pipeline > 1 {
-				err = runConnPipelined(cli, cfg, streams[id], &res, &t)
-			} else {
-				err = runConnSerial(cli, cfg, streams[id], &res, &t)
-			}
-			if err != nil {
+			if err := runConn(cli, cfg, streams[id], &res, &t); err != nil {
 				errs <- err
 				return
 			}
@@ -273,60 +268,15 @@ func RunLoad(cfg LoadGenConfig) (LoadGenResult, error) {
 	return res, nil
 }
 
-// runConnSerial is the one-request-one-reply path, preserving true
-// per-op latency.
-func runConnSerial(cli *Client, cfg LoadGenConfig, ops []genOp, res *LoadGenResult, t *connTallies) error {
-	value := string(make([]byte, cfg.ValueBytes))
-	for _, o := range ops {
-		if o.isGet {
-			t.gets++
-			t0 := time.Now()
-			_, ok, err := cli.Get(o.key)
-			res.GetLatency.ObserveDuration(time.Since(t0))
-			if err != nil {
-				if !IsOverloaded(err) {
-					return err
-				}
-				t.overloaded++
-				continue
-			}
-			if ok {
-				t.hits++
-				continue
-			}
-			t.misses++
-			t.sets++
-			t0 = time.Now()
-			if err := cli.Set(o.key, value); err != nil {
-				if !IsOverloaded(err) {
-					return err
-				}
-				t.overloaded++
-				continue
-			}
-			res.SetLatency.ObserveDuration(time.Since(t0))
-		} else {
-			t.sets++
-			t0 := time.Now()
-			if err := cli.Set(o.key, value); err != nil {
-				if !IsOverloaded(err) {
-					return err
-				}
-				t.overloaded++
-				continue
-			}
-			res.SetLatency.ObserveDuration(time.Since(t0))
-		}
-	}
-	return nil
-}
-
-// runConnPipelined batches cfg.Pipeline commands per round-trip.
-// GET-miss refills are queued into the next batch (they are extra
-// operations on top of perConn, as in the serial path). Each op records
-// the whole batch's round-trip time, which is the latency a pipelining
-// client actually experiences.
-func runConnPipelined(cli *Client, cfg LoadGenConfig, ops []genOp, res *LoadGenResult, t *connTallies) error {
+// runConn sends cfg.Pipeline commands per round-trip. GET-miss refills
+// are queued into the next batch (they are extra operations on top of
+// perConn). Each op records the whole batch's round-trip time, which is
+// the latency a pipelining client actually experiences. Refills go
+// first and count toward the depth, so at depth 1 every round-trip
+// carries one command and a refill SET is a round-trip of its own. A shed
+// command counts only as Overloaded: a shed GET is neither a hit nor a
+// miss, and is not in Gets.
+func runConn(cli *Client, cfg LoadGenConfig, ops []genOp, res *LoadGenResult, t *connTallies) error {
 	value := string(make([]byte, cfg.ValueBytes))
 	pl := cli.Pipeline()
 

@@ -66,9 +66,10 @@ func firstLine(t *testing.T, addr string, args []string) string {
 
 // TestCommandTableOnARing drives every command-table row against node a
 // of a two-node ring. A keyed row whose keys the peer owns is answered
-// with the byte-exact redirect and runs nothing; a multi-key row
-// redirects on its first non-local key; a keyless row is served where
-// it arrives, even when its arguments name a peer's key.
+// with the byte-exact redirect and runs nothing; a multi-key row whose
+// keys the peer owns redirects on its first key, and one whose keys
+// have two owners is refused with CROSSSLOT; a keyless row is served
+// where it arrives, even when its arguments name a peer's key.
 func TestCommandTableOnARing(t *testing.T) {
 	a := startRingNode(t, nil)
 	b := startRingNode(t, []string{a.node.PeerAddr()})
@@ -111,13 +112,20 @@ func TestCommandTableOnARing(t *testing.T) {
 			t.Errorf("%q: %q, want %q", args, got, want)
 		}
 	}
-	for _, args := range [][]string{
-		{"DEL", local, far, far2},
-		{"MGET", local, far, far2},
-		{"MSET", local, "x", far, "1", far2, "1"},
+	const crossSlot = "-CROSSSLOT Keys in request don't hash to the same slot\r\n"
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"DEL", far, far2}, moved(far)},
+		{[]string{"MGET", far, far2}, moved(far)},
+		{[]string{"MSET", far, "1", far2, "1"}, moved(far)},
+		{[]string{"DEL", local, far, far2}, crossSlot},
+		{[]string{"MGET", local, far, far2}, crossSlot},
+		{[]string{"MSET", local, "x", far, "1", far2, "1"}, crossSlot},
 	} {
-		if got, want := firstLine(t, a.addr, args), moved(far); got != want {
-			t.Errorf("%q: %q, want %q", args, got, want)
+		if got := firstLine(t, a.addr, c.args); got != c.want {
+			t.Errorf("%q: %q, want %q", c.args, got, c.want)
 		}
 	}
 	after := a.store.Stats()

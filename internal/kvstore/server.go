@@ -511,9 +511,9 @@ func (ce *connExec) serve(rw *respWriter, sp *commandSpec, args [][]byte) (quit 
 			h.Handle(ce.session(h), sp.name, args, rw)
 			return false
 		}
-		if moved := sp.redirect(h, args); moved != "" {
+		if reply := sp.redirect(h, args); reply != "" {
 			ce.settle(rw)
-			rw.WriteError(moved)
+			rw.WriteError(reply)
 			return false
 		}
 	}
@@ -538,9 +538,19 @@ func (sp *commandSpec) arityOK(n int) bool {
 	return sp.keys != keysPairs || n%2 == 1
 }
 
-// redirect asks h about each of the command's keys in order and returns
-// the reply for the first one another node owns, "" when all are local.
-func (sp *commandSpec) redirect(h ClusterHook, args [][]byte) (moved string) {
+// crossSlot answers a command whose keys have more than one owner: no
+// node holds them all, so none runs it. redirect asks the hook about
+// each key in turn, so a ring replaced between two of those calls can
+// split keys that one owner holds in either ring version; the command
+// then gets crossSlot, which clients treat as final, where a -MOVED
+// would have been retried.
+const crossSlot = "CROSSSLOT Keys in request don't hash to the same slot"
+
+// redirect asks h about every one of the command's keys. It returns ""
+// when this node owns them all, the first key's MOVED reply when one
+// other node owns them all, and crossSlot when they have more than one
+// owner.
+func (sp *commandSpec) redirect(h ClusterHook, args [][]byte) (reply string) {
 	step, end := 1, len(args)
 	switch sp.keys {
 	case keysNone:
@@ -550,10 +560,21 @@ func (sp *commandSpec) redirect(h ClusterHook, args [][]byte) (moved string) {
 	case keysPairs:
 		step = 2
 	}
-	for i := 1; i < end && moved == ""; i += step {
-		moved = h.Redirect(args[i])
+	first := h.Redirect(args[1])
+	for i := 1 + step; i < end; i += step {
+		if movedOwner(h.Redirect(args[i])) != movedOwner(first) {
+			return crossSlot
+		}
 	}
-	return moved
+	if first != "" {
+		h.Moved()
+	}
+	return first
+}
+
+// movedOwner is the address a MOVED reply names, "" for no reply.
+func movedOwner(moved string) string {
+	return moved[strings.LastIndexByte(moved, ' ')+1:]
 }
 
 // firstKey is the command's first key, nil for a keyless row.

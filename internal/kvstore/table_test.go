@@ -134,6 +134,7 @@ func TestShortCallReplies(t *testing.T) {
 type fixedHook struct{ handled int }
 
 func (h *fixedHook) Redirect([]byte) string     { return "" }
+func (h *fixedHook) Moved()                     {}
 func (h *fixedHook) NewSession() ClusterSession { return nil }
 func (h *fixedHook) Handle(_ ClusterSession, _ string, _ [][]byte, rw ReplyWriter) {
 	h.handled++

@@ -1,8 +1,7 @@
 // Package trace generates the synthetic workloads the experiments run on:
-// skewed key-access streams for the KV store (the paper's Redis cache),
-// diurnal load curves (the paper's §2 "nocturnal lull" pattern), and
-// cluster job traces for the scheduler simulation (the paper's §2 Borg
-// motivation). All generators are seeded and deterministic.
+// skewed key-access streams for the KV store (the paper's Redis cache)
+// and diurnal load curves (the paper's §2 "nocturnal lull" pattern).
+// All generators are seeded and deterministic.
 package trace
 
 import (
@@ -91,113 +90,4 @@ func Diurnal(t, period time.Duration, low, high float64) float64 {
 	mid := (high + low) / 2
 	amp := (high - low) / 2
 	return mid + amp*math.Cos(phase)
-}
-
-// Priority is a job's scheduling class, mirroring Borg's tiers.
-type Priority int
-
-// Job priority tiers, lowest first. The baseline scheduler evicts in
-// ascending priority order.
-const (
-	Batch Priority = iota // best-effort batch work
-	Prod                  // production services
-	Critical
-)
-
-// String returns the tier's name.
-func (p Priority) String() string {
-	switch p {
-	case Batch:
-		return "batch"
-	case Prod:
-		return "prod"
-	case Critical:
-		return "critical"
-	default:
-		return fmt.Sprintf("priority(%d)", int(p))
-	}
-}
-
-// Job is one entry in a synthetic cluster trace.
-type Job struct {
-	ID       int
-	Arrival  time.Duration // arrival offset from trace start
-	Runtime  time.Duration // CPU time required to finish
-	Priority Priority
-	MemPages int     // traditional memory demand, in pages
-	SoftFrac float64 // fraction of MemPages the job is willing to hold as soft memory
-}
-
-// TraceConfig parameterizes job trace generation.
-type TraceConfig struct {
-	Seed          int64
-	Jobs          int
-	Horizon       time.Duration // arrivals are spread over [0, Horizon)
-	MeanRuntime   time.Duration
-	MeanMemPages  int
-	BatchFraction float64 // fraction of jobs at Batch priority; the rest split Prod/Critical
-	SoftFrac      float64 // soft-memory fraction for jobs that opt in
-	SoftAdoption  float64 // fraction of jobs that opt into soft memory
-}
-
-// GenerateJobs produces a deterministic synthetic job trace. Arrivals
-// follow a Poisson process shaped by the diurnal curve (more arrivals near
-// load peaks), runtimes and memory demands are exponential around their
-// means, and priorities are drawn from BatchFraction.
-func GenerateJobs(cfg TraceConfig) []Job {
-	if cfg.Jobs <= 0 {
-		return nil
-	}
-	if cfg.Horizon <= 0 {
-		panic("trace: GenerateJobs with non-positive horizon")
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	jobs := make([]Job, 0, cfg.Jobs)
-	for i := 0; i < cfg.Jobs; i++ {
-		// Rejection-sample arrival times against the diurnal curve so
-		// arrivals cluster at peak load.
-		var at time.Duration
-		for {
-			at = time.Duration(rng.Int63n(int64(cfg.Horizon)))
-			accept := Diurnal(at, cfg.Horizon, 0.3, 1.0)
-			if rng.Float64() < accept {
-				break
-			}
-		}
-		runtime := time.Duration(rng.ExpFloat64() * float64(cfg.MeanRuntime))
-		if runtime < time.Second {
-			runtime = time.Second
-		}
-		mem := int(rng.ExpFloat64() * float64(cfg.MeanMemPages))
-		if mem < 1 {
-			mem = 1
-		}
-		pri := Batch
-		if rng.Float64() >= cfg.BatchFraction {
-			if rng.Float64() < 0.7 {
-				pri = Prod
-			} else {
-				pri = Critical
-			}
-		}
-		soft := 0.0
-		if rng.Float64() < cfg.SoftAdoption {
-			soft = cfg.SoftFrac
-		}
-		jobs = append(jobs, Job{
-			ID:       i,
-			Arrival:  at,
-			Runtime:  runtime,
-			Priority: pri,
-			MemPages: mem,
-			SoftFrac: soft,
-		})
-	}
-	// Sort by arrival for the simulator.
-	for i := 1; i < len(jobs); i++ {
-		for j := i; j > 0 && jobs[j].Arrival < jobs[j-1].Arrival; j-- {
-			jobs[j], jobs[j-1] = jobs[j-1], jobs[j]
-		}
-	}
-	return jobs
 }

@@ -99,90 +99,3 @@ func TestDiurnalPeakAndTrough(t *testing.T) {
 		t.Fatalf("trough = %v, want ~0.2", trough)
 	}
 }
-
-func TestGenerateJobsDeterministic(t *testing.T) {
-	cfg := TraceConfig{
-		Seed: 3, Jobs: 200, Horizon: time.Hour,
-		MeanRuntime: 5 * time.Minute, MeanMemPages: 100,
-		BatchFraction: 0.5, SoftFrac: 0.4, SoftAdoption: 0.6,
-	}
-	a := GenerateJobs(cfg)
-	b := GenerateJobs(cfg)
-	if len(a) != 200 || len(b) != 200 {
-		t.Fatalf("lengths %d/%d, want 200", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("job %d differs between identical configs", i)
-		}
-	}
-}
-
-func TestGenerateJobsSortedByArrival(t *testing.T) {
-	jobs := GenerateJobs(TraceConfig{
-		Seed: 9, Jobs: 500, Horizon: time.Hour,
-		MeanRuntime: time.Minute, MeanMemPages: 50,
-		BatchFraction: 0.5,
-	})
-	for i := 1; i < len(jobs); i++ {
-		if jobs[i].Arrival < jobs[i-1].Arrival {
-			t.Fatalf("jobs not sorted at index %d", i)
-		}
-	}
-}
-
-func TestGenerateJobsFieldsValid(t *testing.T) {
-	cfg := TraceConfig{
-		Seed: 11, Jobs: 300, Horizon: 2 * time.Hour,
-		MeanRuntime: time.Minute, MeanMemPages: 64,
-		BatchFraction: 0.6, SoftFrac: 0.5, SoftAdoption: 1.0,
-	}
-	jobs := GenerateJobs(cfg)
-	for _, j := range jobs {
-		if j.Runtime < time.Second {
-			t.Fatalf("job %d runtime %v < 1s floor", j.ID, j.Runtime)
-		}
-		if j.MemPages < 1 {
-			t.Fatalf("job %d has %d pages", j.ID, j.MemPages)
-		}
-		if j.Arrival < 0 || j.Arrival >= cfg.Horizon {
-			t.Fatalf("job %d arrival %v outside horizon", j.ID, j.Arrival)
-		}
-		if j.SoftFrac != 0.5 {
-			t.Fatalf("job %d SoftFrac = %v with full adoption", j.ID, j.SoftFrac)
-		}
-	}
-}
-
-func TestGenerateJobsPriorityMix(t *testing.T) {
-	jobs := GenerateJobs(TraceConfig{
-		Seed: 21, Jobs: 1000, Horizon: time.Hour,
-		MeanRuntime: time.Minute, MeanMemPages: 10,
-		BatchFraction: 0.5,
-	})
-	counts := map[Priority]int{}
-	for _, j := range jobs {
-		counts[j.Priority]++
-	}
-	if counts[Batch] < 300 || counts[Batch] > 700 {
-		t.Fatalf("batch count %d implausible for 50%% fraction", counts[Batch])
-	}
-	if counts[Prod] == 0 || counts[Critical] == 0 {
-		t.Fatalf("missing priority tiers: %v", counts)
-	}
-}
-
-func TestGenerateJobsEmpty(t *testing.T) {
-	if jobs := GenerateJobs(TraceConfig{Jobs: 0, Horizon: time.Hour}); jobs != nil {
-		t.Fatalf("expected nil for zero jobs, got %d", len(jobs))
-	}
-}
-
-func TestPriorityString(t *testing.T) {
-	cases := map[Priority]string{Batch: "batch", Prod: "prod", Critical: "critical", Priority(9): "priority(9)"}
-	for p, want := range cases {
-		if got := p.String(); got != want {
-			t.Errorf("%d.String() = %q, want %q", int(p), got, want)
-		}
-	}
-}
